@@ -1,10 +1,13 @@
 package asim2
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -221,5 +224,44 @@ func TestOperationsMetricsCoverage(t *testing.T) {
 		service.Metrics{}, cluster.Metrics{}, cluster.ShardMetrics{}, telemetry.Span{},
 	} {
 		walk(reflect.TypeOf(m))
+	}
+}
+
+// TestDocsQuoteBenchSpeedups keeps the prose honest about measured
+// ratios: every "~N.NNx" in README.md and DESIGN.md must name the
+// BENCH_fused.json speedup it quotes — "~1.58x (`gang_speedup`)" — and
+// carry that key's committed value to two decimals. A number with no
+// key behind it goes stale the next time the baseline is re-measured.
+func TestDocsQuoteBenchSpeedups(t *testing.T) {
+	data, err := os.ReadFile("BENCH_fused.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench map[string]any
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatal(err)
+	}
+	quote := regexp.MustCompile("~([0-9]+(?:\\.[0-9]+)?)x(?:\\s+\\(`([a-z_]+)`\\))?")
+	checked := 0
+	for _, file := range []string{"README.md", "DESIGN.md"} {
+		doc, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range quote.FindAllStringSubmatch(string(doc), -1) {
+			got, key := m[1], m[2]
+			v, ok := bench[key].(float64)
+			if !ok {
+				t.Errorf("%s: %q quotes a ratio without naming a BENCH_fused.json speedup key after it", file, m[0])
+				continue
+			}
+			if want := fmt.Sprintf("%.2f", v); got != want {
+				t.Errorf("%s: %q, but BENCH_fused.json has %s = %s", file, m[0], key, want)
+			}
+			checked++
+		}
+	}
+	if checked < 5 {
+		t.Errorf("only %d quoted speedups found; extraction is likely broken", checked)
 	}
 }

@@ -30,7 +30,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -40,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -61,26 +59,11 @@ type Config struct {
 	// amortize per-dispatch overhead and keep gangs full.
 	ChunkRuns int
 
-	// MaxConcurrent is how many jobs merge simultaneously; <= 0 means
-	// 2. MaxQueue is how many admitted jobs may wait for a slot; <= 0
-	// means 8. Past the queue, 429 — same admission shape as asimd.
-	MaxConcurrent int
-	MaxQueue      int
-
-	// MaxRuns and MaxCycles cap a job like a single asimd does; <= 0
-	// mean 4096 and 10^8. MaxBody caps the request body; <= 0 means
-	// 1 MiB.
-	MaxRuns   int
-	MaxCycles int64
-	MaxBody   int64
-
-	// DefaultDeadline bounds a job that does not ask for one (<= 0:
-	// 60s); MaxDeadline caps what it may ask for (<= 0: 10m);
-	// WriteTimeout bounds each merged line's write to a client (<= 0:
-	// 30s).
-	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-	WriteTimeout    time.Duration
+	// Limits is the admission surface shared with asimd — same
+	// fields, same defaults, same 429/413/400 answers: job slots (here,
+	// jobs merging at once) and queue, per-job caps, deadlines, the
+	// per-line write timeout.
+	service.Limits
 
 	// Health probing: every HealthInterval (<= 0: 2s) each shard's
 	// /healthz is probed with HealthTimeout (<= 0: 1s); HealthFails
@@ -100,10 +83,10 @@ type Config struct {
 	// re-dispatched after a failed stream; <= 0 means 3.
 	Retries int
 
-	// RetainJobs is how many finished jobs stay in the merge buffer
-	// for resume; <= 0 means 16. Coordinator resume is in-memory: it
-	// survives client disconnects, not coordinator restarts (each
-	// shard's durable store is per-worker).
+	// RetainJobs is how many finished jobs keep their line log in
+	// memory for resume; <= 0 means 16. Coordinator resume is
+	// in-memory: it survives client disconnects, not coordinator
+	// restarts (each shard's durable store is per-worker).
 	RetainJobs int
 
 	// Client, when non-nil, carries chunk streams (tests inject
@@ -112,7 +95,7 @@ type Config struct {
 
 	// Tracer receives the coordinator's spans (admit, plan, chunk
 	// dispatches, whole jobs); nil makes a private bounded ring of
-	// DefaultTraceSpans. Spans are served by GET /v1/trace/{job}.
+	// service.DefaultTraceSpans. Spans are served by GET /v1/trace/{job}.
 	Tracer *telemetry.Tracer
 
 	// Log receives structured operational logs; nil discards them.
@@ -122,37 +105,13 @@ type Config struct {
 	Pprof bool
 }
 
-// DefaultTraceSpans is the trace ring capacity when Config.Tracer is
-// nil.
-const DefaultTraceSpans = 8192
-
-func (c Config) chunkRuns() int                 { return defInt(c.ChunkRuns, 64) }
-func (c Config) maxConcurrent() int             { return defInt(c.MaxConcurrent, 2) }
-func (c Config) maxQueue() int                  { return defInt(c.MaxQueue, 8) }
-func (c Config) maxRuns() int                   { return defInt(c.MaxRuns, 4096) }
-func (c Config) healthFails() int               { return defInt(c.HealthFails, 2) }
-func (c Config) shardInflight() int             { return defInt(c.ShardInflight, 2) }
-func (c Config) retries() int                   { return defInt(c.Retries, 3) }
-func (c Config) retainJobs() int                { return defInt(c.RetainJobs, 16) }
-func (c Config) defaultDeadline() time.Duration { return defDur(c.DefaultDeadline, 60*time.Second) }
-func (c Config) maxDeadline() time.Duration     { return defDur(c.MaxDeadline, 10*time.Minute) }
-func (c Config) writeTimeout() time.Duration    { return defDur(c.WriteTimeout, 30*time.Second) }
-func (c Config) healthInterval() time.Duration  { return defDur(c.HealthInterval, 2*time.Second) }
-func (c Config) healthTimeout() time.Duration   { return defDur(c.HealthTimeout, time.Second) }
-
-func (c Config) maxCycles() int64 {
-	if c.MaxCycles > 0 {
-		return c.MaxCycles
-	}
-	return 100_000_000
-}
-
-func (c Config) maxBody() int64 {
-	if c.MaxBody > 0 {
-		return c.MaxBody
-	}
-	return 1 << 20
-}
+func (c Config) chunkRuns() int                { return defInt(c.ChunkRuns, 64) }
+func (c Config) healthFails() int              { return defInt(c.HealthFails, 2) }
+func (c Config) shardInflight() int            { return defInt(c.ShardInflight, 2) }
+func (c Config) retries() int                  { return defInt(c.Retries, 3) }
+func (c Config) retainJobs() int               { return defInt(c.RetainJobs, 16) }
+func (c Config) healthInterval() time.Duration { return defDur(c.HealthInterval, 2*time.Second) }
+func (c Config) healthTimeout() time.Duration  { return defDur(c.HealthTimeout, time.Second) }
 
 func defInt(v, def int) int {
 	if v > 0 {
@@ -169,18 +128,17 @@ func defDur(v, def time.Duration) time.Duration {
 }
 
 // Coordinator is the cluster front end. Create with New; it is an
-// http.Handler serving the same surface as a single asimd. Close
-// stops the health prober.
+// http.Handler serving the same surface as a single asimd — through
+// the same service.FrontEnd — plus GET /v1/shards. Close stops the
+// health prober.
 type Coordinator struct {
 	cfg          Config
+	fe           *service.FrontEnd // decode, admission, deadlines, following — shared with asimd
 	shards       []*shard
 	ring         *ring
 	client       *http.Client // chunk streams
 	healthClient *http.Client // /healthz probes
 	mux          *http.ServeMux
-
-	slots  chan struct{}
-	queued atomic.Int64
 
 	jobMu    sync.Mutex
 	jobs     map[string]*coordJob
@@ -189,14 +147,8 @@ type Coordinator struct {
 	jobSeq atomic.Int64
 	met    counters
 
-	tracer *telemetry.Tracer
-	log    *slog.Logger
-	start  time.Time
-
 	jobLatency   *telemetry.Histogram
 	chunkLatency *telemetry.Histogram
-	queueWait    *telemetry.Histogram
-	writeStall   *telemetry.Histogram
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -208,26 +160,16 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: no shards configured")
 	}
+	fe := service.NewFrontEnd(cfg.Limits, cfg.Tracer, cfg.Log)
 	c := &Coordinator{
 		cfg:    cfg,
+		fe:     fe,
 		client: cfg.Client,
-		slots:  make(chan struct{}, cfg.maxConcurrent()),
 		jobs:   map[string]*coordJob{},
 		stop:   make(chan struct{}),
 
-		tracer:       cfg.Tracer,
-		log:          cfg.Log,
-		start:        time.Now(),
 		jobLatency:   telemetry.NewHistogram(telemetry.LatencyBuckets()...),
 		chunkLatency: telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-		queueWait:    telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-		writeStall:   telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-	}
-	if c.tracer == nil {
-		c.tracer = telemetry.NewTracer(DefaultTraceSpans)
-	}
-	if c.log == nil {
-		c.log = slog.New(slog.DiscardHandler)
 	}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Shards {
@@ -254,21 +196,17 @@ func New(cfg Config) (*Coordinator, error) {
 
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("POST /v1/jobs", c.handleJob)
-	c.mux.HandleFunc("GET /v1/scenarios", c.handleScenarios)
-	c.mux.HandleFunc("GET /v1/shards", c.handleShards)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux.HandleFunc("GET /v1/trace/{job}", c.handleTrace)
-	if cfg.Pprof {
-		telemetry.RegisterPprof(c.mux)
-	}
+	// The operator's routing-table view: the per-shard slice of
+	// /metrics, without the coordinator totals.
+	c.mux.HandleFunc("GET /v1/shards", service.JSONHandler(func() any { return c.Metrics().Shards }))
+	fe.Mount(c.mux, func() any { return c.Metrics() }, c.PromMetrics, cfg.Pprof)
 
 	go c.probeLoop()
 	return c, nil
 }
 
 // Tracer exposes the coordinator's span ring (for -trace-out dumps).
-func (c *Coordinator) Tracer() *telemetry.Tracer { return c.tracer }
+func (c *Coordinator) Tracer() *telemetry.Tracer { return c.fe.Tracer }
 
 // Close stops the health prober. In-flight jobs finish on their own.
 func (c *Coordinator) Close() { c.stopOnce.Do(func() { close(c.stop) }) }
@@ -292,183 +230,81 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", telemetry.ContentType)
-		_, _ = w.Write(c.PromMetrics())
-		return
-	}
-	writeJSON(w, http.StatusOK, c.Metrics())
-}
-
-// handleTrace serves the spans the coordinator recorded for one job
-// as NDJSON. The path accepts either the coordinator's job id or the
-// fabric-wide trace id; the same trace id queried on a shard returns
-// that shard's half of the story.
-func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	spans := c.tracer.ForJob(r.PathValue("job"))
-	if len(spans) == 0 {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no spans for that job or trace id"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, sp := range spans {
-		_ = enc.Encode(sp)
-	}
-}
-
-// handleShards is the operator's routing-table view: the per-shard
-// slice of /metrics, without the coordinator totals.
-func (c *Coordinator) handleShards(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Metrics().Shards)
-}
-
-func (c *Coordinator) handleScenarios(w http.ResponseWriter, _ *http.Request) {
-	type scenario struct {
-		Name          string `json:"name"`
-		Desc          string `json:"desc"`
-		FaultCampaign bool   `json:"fault_campaign,omitempty"`
-	}
-	var out []scenario
-	for _, name := range campaign.Names() {
-		sc, _ := campaign.Lookup(name)
-		out = append(out, scenario{Name: sc.Name, Desc: sc.Desc, FaultCampaign: sc.FaultCampaign})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 // handleJob admits one job, fans it out in the background, and
 // follows the merge for this client. The request surface is exactly
 // asimd's — same JSON body, same NDJSON response shape — except that
 // the shard-protocol fields are the coordinator's to send, not to
-// receive.
+// receive (the planner rejects them, as on any asimd without -shard).
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	arrived := time.Now()
-	var req service.JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.maxBody()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		c.met.jobsBad.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				map[string]string{"error": fmt.Sprintf("request body exceeds this coordinator's %d-byte limit", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad job request: %v", err)})
+	req, ok := c.fe.Decode(w, r)
+	if !ok {
 		return
 	}
 	if req.Resume != nil {
-		c.handleResume(w, r, req)
-		return
-	}
-	if req.Chunk != nil || req.StreamCheckpoints || len(req.Warm) > 0 {
-		c.met.jobsBad.Add(1)
-		writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": "chunk, stream_checkpoints and warm are the coordinator-to-shard protocol; post plain jobs here"})
+		c.handleResume(w, r, *req.Resume)
 		return
 	}
 
-	// The fabric-wide trace id: honor the client's, mint one
-	// otherwise. It rides every chunk dispatch as X-Asim-Trace, so the
-	// shards' spans join the coordinator's under one id.
-	trace := r.Header.Get(telemetry.TraceHeader)
-	if trace == "" {
-		trace = telemetry.NewTraceID()
-	}
-
-	// Admission mirrors asimd: slot, bounded queue, then 429.
-	select {
-	case c.slots <- struct{}{}:
-	default:
-		if c.queued.Add(1) > int64(c.cfg.maxQueue()) {
-			c.queued.Add(-1)
-			c.met.jobsRejected.Add(1)
-			c.log.Warn("job rejected", "reason", "queue full", "trace", trace)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "queue full"})
-			return
-		}
-		select {
-		case c.slots <- struct{}{}:
-			c.queued.Add(-1)
-		case <-r.Context().Done():
-			c.queued.Add(-1)
-			c.met.jobsAbandoned.Add(1)
-			return
-		}
-	}
-	c.queueWait.Observe(time.Since(arrived).Seconds())
-
+	// The trace id Admit honors or mints is fabric-wide: it rides every
+	// chunk dispatch as X-Asim-Trace, so the shards' spans join the
+	// coordinator's under one id.
 	id := fmt.Sprintf("c%d", c.jobSeq.Add(1))
-	c.tracer.Record(telemetry.Timed(telemetry.Span{Trace: trace, Job: id, Name: "admit"}, arrived))
-	planStart := time.Now()
-	p, err := c.planJob(id, req)
-	if err != nil {
-		<-c.slots
-		c.met.jobsBad.Add(1)
-		c.tracer.Record(telemetry.Timed(telemetry.Span{Trace: trace, Job: id, Name: "plan", Err: err.Error()}, planStart))
-		c.log.Warn("job plan failed", "job", id, "trace", trace, "err", err)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	trace, _, ok := c.fe.Admit(w, r, id, func() {}) // nothing to spill: the coordinator keeps jobs in memory
+	if !ok {
 		return
 	}
-	c.tracer.Record(telemetry.Timed(telemetry.Span{Trace: trace, Job: id, Name: "plan", Runs: p.n}, planStart))
-	j := newCoordJob(p, c.ring.prefer(p.key), trace)
+	planStart := time.Now()
+	p, err := c.fe.Plan(id, req, false)
+	if err != nil {
+		c.fe.Release()
+		c.fe.Tracer.Record(telemetry.Timed(telemetry.Span{Trace: trace, Job: id, Name: "plan", Err: err.Error()}, planStart))
+		c.fe.Log.Warn("job plan failed", "job", id, "trace", trace, "err", err)
+		c.fe.Reject(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	c.fe.Tracer.Record(telemetry.Timed(telemetry.Span{Trace: trace, Job: id, Name: "plan", Runs: p.Header.Runs}, planStart))
+	j := newCoordJob(p, c.ring.prefer(p.Key), trace)
 	c.jobMu.Lock()
 	c.jobs[id] = j
 	c.jobMu.Unlock()
 	c.met.jobsAccepted.Add(1)
-	c.log.Debug("job admitted", "job", id, "trace", trace, "runs", p.n, "home", j.pref[0].url)
-	w.Header().Set(telemetry.TraceHeader, trace)
+	c.fe.Log.Debug("job admitted", "job", id, "trace", trace, "runs", p.Header.Runs, "home", j.pref[0].url)
 
 	// The merge runs detached, holding the slot; this handler is just
-	// the job's first follower.
+	// the job's first follower. A first follower that does not reach
+	// the trailer abandoned its stream, not the job.
 	go c.runJob(j)
-	c.follow(w, r, j, 0, false)
+	if !c.fe.Follow(w, r, j.header, trace, j.log, 0) {
+		c.fe.JobsAbandoned.Add(1)
+	}
 }
 
-// handleResume re-attaches a client to a job's merge buffer. The
-// token is the same {job, delivered} shape as asimd's, but counts
-// index-ordered merged lines, and the buffer is in-memory: a
-// coordinator restart forgets it (shard durability is per-worker).
-func (c *Coordinator) handleResume(w http.ResponseWriter, r *http.Request, req service.JobRequest) {
-	rr := req.Resume
-	fail := func(status int, msg string) {
-		c.met.jobsBad.Add(1)
-		writeJSON(w, status, map[string]string{"error": msg})
-	}
-	if req.Spec != "" || req.Scenario != "" {
-		fail(http.StatusBadRequest, "a resume request takes no spec or scenario")
-		return
-	}
-	if rr.Delivered < 0 {
-		fail(http.StatusBadRequest, "resume.delivered must be non-negative")
-		return
-	}
+// handleResume re-attaches a client to a job's log. The token is the
+// same {job, delivered} shape as asimd's and counts index-ordered
+// merged lines; the one difference from asimd is where the log lives:
+// in memory, bounded by RetainJobs, so a coordinator restart forgets
+// it (shard durability is per-worker).
+func (c *Coordinator) handleResume(w http.ResponseWriter, r *http.Request, rr service.ResumeRequest) {
 	c.jobMu.Lock()
 	j := c.jobs[rr.Job]
 	c.jobMu.Unlock()
 	if j == nil {
-		fail(http.StatusNotFound, fmt.Sprintf("unknown job %q (coordinator resume is in-memory and bounded; see -retain-jobs)", rr.Job))
+		c.fe.Reject(w, http.StatusNotFound, fmt.Sprintf("unknown job %q (coordinator resume is in-memory and bounded; see -retain-jobs)", rr.Job))
 		return
 	}
 	if rr.Delivered > j.n() {
-		fail(http.StatusBadRequest, fmt.Sprintf("resume.delivered %d exceeds the job's %d runs", rr.Delivered, j.n()))
+		c.fe.Reject(w, http.StatusBadRequest, fmt.Sprintf("resume.delivered %d exceeds the job's %d runs", rr.Delivered, j.n()))
 		return
 	}
 	c.met.jobsResumed.Add(1)
-	w.Header().Set(telemetry.TraceHeader, j.trace)
-	c.follow(w, r, j, rr.Delivered, true)
+	hdr := j.header
+	hdr.Resumed = true
+	c.fe.Follow(w, r, hdr, j.trace, j.log, rr.Delivered)
 }
 
 // retire enforces the finished-job retention bound: the oldest
-// finished jobs fall out of the merge buffer once more than
-// RetainJobs have completed.
+// finished jobs fall out of memory once more than RetainJobs have
+// completed.
 func (c *Coordinator) retire(id string) {
 	c.jobMu.Lock()
 	defer c.jobMu.Unlock()
@@ -477,52 +313,4 @@ func (c *Coordinator) retire(id string) {
 		delete(c.jobs, c.finished[0])
 		c.finished = c.finished[1:]
 	}
-}
-
-// lineWriter is the merged stream's writer: NDJSON lines, flushed per
-// line, each write bounded by the configured timeout. One goroutine
-// (the follower) owns it, so no locking.
-type lineWriter struct {
-	w       http.ResponseWriter
-	rc      *http.ResponseController
-	timeout time.Duration
-	stall   *telemetry.Histogram // per-line write+flush time; nil = unmetered
-	err     error
-}
-
-func (lw *lineWriter) line(v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		lw.err = err
-		return
-	}
-	lw.raw(data)
-}
-
-func (lw *lineWriter) raw(data []byte) {
-	if lw.err != nil {
-		return
-	}
-	if lw.stall != nil {
-		start := time.Now()
-		defer func() { lw.stall.ObserveSince(start) }()
-	}
-	_ = lw.rc.SetWriteDeadline(time.Now().Add(lw.timeout))
-	if _, err := lw.w.Write(data); err != nil {
-		lw.err = err
-		return
-	}
-	if _, err := lw.w.Write([]byte{'\n'}); err != nil {
-		lw.err = err
-		return
-	}
-	if err := lw.rc.Flush(); err != nil {
-		lw.err = err
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

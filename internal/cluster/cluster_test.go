@@ -368,15 +368,7 @@ func TestClusterFailover(t *testing.T) {
 		t.Error("no warm-started chunk reached the survivor after the kill")
 	}
 
-	resp, err := http.Get(coord.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m cluster.Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	m := getMetrics(t, coord.URL)
 	if m.ChunksRedispatched == 0 {
 		t.Errorf("metrics record no re-dispatch: %+v", m)
 	}
@@ -451,7 +443,10 @@ func TestClusterResume(t *testing.T) {
 }
 
 // TestClusterBadRequests pins the coordinator's request-surface
-// boundaries.
+// boundaries. Refusals come from the planner it shares with asimd
+// (whose suite walks the whole table); here one of each kind proves
+// the wiring — including that the shard protocol is the coordinator's
+// to send, never to receive.
 func TestClusterBadRequests(t *testing.T) {
 	urls := []string{newShardServer(t).URL}
 	coord := newCoordServer(t, cluster.Config{Shards: urls})
@@ -460,16 +455,12 @@ func TestClusterBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, req := range map[string]service.JobRequest{
-		"no workload":       {},
-		"both workloads":    {Spec: src, Scenario: "sieve-fleet"},
-		"unknown scenario":  {Scenario: "nope"},
-		"negative runs":     {Spec: src, Runs: -1},
-		"shard-only chunk":  {Spec: src, Runs: 2, Chunk: &service.ChunkRequest{Offset: 0, Count: 1}},
-		"shard-only stream": {Spec: src, Runs: 2, StreamCheckpoints: true},
-		"shard-only warm":   {Spec: src, Runs: 2, Warm: []service.WarmEntry{{Run: 0, Cycle: 1}}},
-		"bad spec":          {Spec: "definitely not a spec"},
-	} {
+	bad := map[string]service.JobRequest{
+		"no workload":      {},
+		"bad spec":         {Spec: "definitely not a spec"},
+		"shard-only chunk": {Spec: src, Runs: 2, Chunk: &service.ChunkRequest{Offset: 0, Count: 1}},
+	}
+	for name, req := range bad {
 		if status, _ := postJob(t, coord.URL, req); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, status)
 		}
@@ -479,7 +470,61 @@ func TestClusterBadRequests(t *testing.T) {
 	}); status != http.StatusNotFound {
 		t.Errorf("unknown resume: status %d, want 404", status)
 	}
+	if m := getMetrics(t, coord.URL); m.JobsBad != int64(len(bad))+1 || m.JobsAccepted != 0 || m.ChunksDispatched != 0 {
+		t.Errorf("metrics after refusals: %+v", m)
+	}
 	if _, err := cluster.New(cluster.Config{}); err == nil {
 		t.Error("New with no shards: no error")
 	}
+}
+
+// TestClusterShardRefusal: a shard applies its own limits to the full
+// run list, so a coordinator configured above its shards gets 400 from
+// every healthy one. That is the request's fault, not the shards': the
+// job fails after one attempt carrying the shard's message, and no
+// shard is indicted, marked unroutable or sent a re-dispatch.
+func TestClusterShardRefusal(t *testing.T) {
+	var urls []string
+	for range 2 {
+		ts := httptest.NewServer(service.New(service.Config{
+			Limits:    service.Limits{MaxRuns: 8},
+			ShardMode: true,
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	coord := newCoordServer(t, cluster.Config{Shards: urls, ChunkRuns: 4, HealthFails: 1})
+
+	status, lines := postJob(t, coord.URL, service.JobRequest{Spec: machines.Counter(), Runs: 12, Cycles: 16})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %v", status, lines)
+	}
+	_, raw, tr := parseMerged(t, lines)
+	if !tr.Done || !strings.Contains(tr.Err, "caps jobs at 8") || len(raw) != 0 {
+		t.Fatalf("trailer %+v after %d run lines, want the shard's refusal", tr, len(raw))
+	}
+	m := getMetrics(t, coord.URL)
+	if m.JobsFailed != 1 || m.ShardsHealthy != 2 || m.ChunksRedispatched != 0 || m.ChunksDispatched > 3 {
+		t.Errorf("metrics after a shard refusal: %+v", m)
+	}
+	for _, sh := range m.Shards {
+		if sh.Failures != 0 || !sh.Healthy {
+			t.Errorf("shard indicted for the request's fault: %+v", sh)
+		}
+	}
+}
+
+// getMetrics fetches the coordinator's JSON metrics snapshot.
+func getMetrics(t *testing.T, url string) cluster.Metrics {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m cluster.Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

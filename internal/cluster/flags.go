@@ -4,60 +4,44 @@ import (
 	"flag"
 	"strings"
 	"time"
+
+	"repro/internal/service"
 )
 
 // Flags is asimcoord's full command-line surface, registered onto a
 // FlagSet by RegisterFlags — the same docs_test-enforced pattern as
 // service.RegisterFlags for asimd.
 type Flags struct {
-	Addr          string
-	Shards        string
-	ChunkRuns     int
-	Jobs          int
-	Queue         int
-	MaxRuns       int
-	MaxCycles     int64
-	MaxBody       int64
-	Deadline      time.Duration
-	MaxDeadline   time.Duration
-	WriteTimeout  time.Duration
-	HealthEvery   time.Duration
-	HealthTimeout time.Duration
-	HealthFails   int
-	ShardInflight int
-	Retries       int
-	RetainJobs    int
-	Pprof         bool
-	TraceOut      string
-	LogLevel      string
-	LogFormat     string
+	service.FrontFlags // the twelve flags shared with asimd, registered once
+	Addr               string
+	Shards             string
+	ChunkRuns          int
+	HealthEvery        time.Duration
+	HealthTimeout      time.Duration
+	HealthFails        int
+	ShardInflight      int
+	Retries            int
+	RetainJobs         int
 }
 
 // RegisterFlags declares every asimcoord flag on fs with its default
 // and usage text.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
+	f.Register(fs)
+	// Same flags, same defaults as asimd; two read differently on a
+	// daemon that merges streams rather than executing jobs.
+	fs.Lookup("jobs").Usage = "concurrent merged jobs (0 = default 2)"
+	fs.Lookup("write-timeout").Usage = "per-line merged-stream write deadline; a non-reading client's stream fails after this (0 = 30s)"
 	fs.StringVar(&f.Addr, "addr", ":8430", "listen address")
 	fs.StringVar(&f.Shards, "shards", "", "comma-separated asimd -shard base URLs (required; bare host:port gets http://)")
 	fs.IntVar(&f.ChunkRuns, "chunk-runs", 0, "runs per dispatched chunk (0 = default 64)")
-	fs.IntVar(&f.Jobs, "jobs", 0, "concurrent merged jobs (0 = default 2)")
-	fs.IntVar(&f.Queue, "queue", 0, "jobs allowed to wait for a slot before 429 (0 = default 8)")
-	fs.IntVar(&f.MaxRuns, "max-runs", 0, "per-job run cap (0 = default 4096)")
-	fs.Int64Var(&f.MaxCycles, "max-cycles", 0, "per-run cycle cap (0 = default 1e8)")
-	fs.Int64Var(&f.MaxBody, "max-body", 0, "request body cap in bytes (0 = 1 MiB)")
-	fs.DurationVar(&f.Deadline, "deadline", 0, "default per-job deadline (0 = 60s)")
-	fs.DurationVar(&f.MaxDeadline, "max-deadline", 0, "cap on requested per-job deadlines (0 = 10m)")
-	fs.DurationVar(&f.WriteTimeout, "write-timeout", 0, "per-line merged-stream write deadline; a non-reading client's stream fails after this (0 = 30s)")
 	fs.DurationVar(&f.HealthEvery, "health-interval", 0, "period between shard /healthz probes (0 = 2s)")
 	fs.DurationVar(&f.HealthTimeout, "health-timeout", 0, "per-probe timeout (0 = 1s)")
 	fs.IntVar(&f.HealthFails, "health-fails", 0, "consecutive probe or dispatch failures that mark a shard unhealthy (0 = default 2)")
 	fs.IntVar(&f.ShardInflight, "shard-inflight", 0, "chunks streaming from one shard at once; match the shard's -jobs (0 = default 2)")
 	fs.IntVar(&f.Retries, "retries", 0, "re-dispatch attempts for a chunk's undelivered runs after a failed stream (0 = default 3)")
 	fs.IntVar(&f.RetainJobs, "retain-jobs", 0, "finished jobs kept in memory for resume (0 = default 16)")
-	fs.BoolVar(&f.Pprof, "pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
-	fs.StringVar(&f.TraceOut, "trace-out", "", "write the retained trace spans as Chrome trace_event JSON to this file on shutdown (open in chrome://tracing or Perfetto)")
-	fs.StringVar(&f.LogLevel, "log-level", "info", "structured log level: debug, info, warn or error")
-	fs.StringVar(&f.LogFormat, "log-format", "text", "structured log format: text or json")
 	return f
 }
 
@@ -70,22 +54,15 @@ func (f *Flags) Config() Config {
 		}
 	}
 	return Config{
-		Shards:          shards,
-		ChunkRuns:       f.ChunkRuns,
-		MaxConcurrent:   f.Jobs,
-		MaxQueue:        f.Queue,
-		MaxRuns:         f.MaxRuns,
-		MaxCycles:       f.MaxCycles,
-		MaxBody:         f.MaxBody,
-		DefaultDeadline: f.Deadline,
-		MaxDeadline:     f.MaxDeadline,
-		WriteTimeout:    f.WriteTimeout,
-		HealthInterval:  f.HealthEvery,
-		HealthTimeout:   f.HealthTimeout,
-		HealthFails:     f.HealthFails,
-		ShardInflight:   f.ShardInflight,
-		Retries:         f.Retries,
-		RetainJobs:      f.RetainJobs,
-		Pprof:           f.Pprof,
+		Shards:         shards,
+		Limits:         f.Limits(),
+		ChunkRuns:      f.ChunkRuns,
+		HealthInterval: f.HealthEvery,
+		HealthTimeout:  f.HealthTimeout,
+		HealthFails:    f.HealthFails,
+		ShardInflight:  f.ShardInflight,
+		Retries:        f.Retries,
+		RetainJobs:     f.RetainJobs,
+		Pprof:          f.Pprof,
 	}
 }

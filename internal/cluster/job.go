@@ -12,209 +12,66 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
 
-// plan is an admitted job before any chunk is dispatched: the
-// sanitized request shards will rebuild runs from, the merged
-// stream's header, the campaign's size, and the consistent-hash route
-// key. Planning validates everything a shard would reject — a bad
-// spec answers 400 from the coordinator without a single dispatch.
-type plan struct {
-	req    service.JobRequest
-	header service.JobHeader
-	n      int
-	key    string
-}
-
-// scenarioSizeCap mirrors the shards' own cap on the scenario Size
-// parameter, so oversized requests bounce here instead of 400ing on
-// every shard.
-const scenarioSizeCap = 1 << 20
-
-func (c *Coordinator) planJob(id string, req service.JobRequest) (*plan, error) {
-	switch {
-	case req.Spec == "" && req.Scenario == "":
-		return nil, fmt.Errorf("job needs a spec or a scenario")
-	case req.Spec != "" && req.Scenario != "":
-		return nil, fmt.Errorf("job takes a spec or a scenario, not both")
-	}
-	if req.Runs < 0 || req.Cycles < 0 || req.DeadlineMS < 0 || req.Size < 0 || req.Seed < 0 {
-		return nil, fmt.Errorf("runs, cycles, seed, size and deadline_ms must be non-negative")
-	}
-	if req.Backend != "" {
-		if err := validBackend(core.Backend(req.Backend)); err != nil {
-			return nil, err
-		}
-	}
-	if req.Scenario != "" {
-		return c.planScenario(id, req)
-	}
-	return c.planSpec(id, req)
-}
-
-func (c *Coordinator) planSpec(id string, req service.JobRequest) (*plan, error) {
-	parse := core.ParseString
-	if req.Modules {
-		parse = core.ParseExtendedString
-	}
-	spec, err := parse("job", req.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %v", err)
-	}
-	n := req.Runs
-	if n == 0 {
-		n = 1
-	}
-	cycles := req.Cycles
-	if cycles == 0 {
-		cycles = spec.DefaultCycles(10000)
-	}
-	if err := c.checkLimits(n, cycles); err != nil {
-		return nil, err
-	}
-	backend := req.Backend
-	if backend == "" {
-		backend = string(core.Compiled)
-	}
-	// The route key is the spec's content identity — the same digest
-	// the shards compile under — so a spec's chunks land where its
-	// program and AOT binary are already cached.
-	digest := spec.CanonicalDigest()
-	return &plan{
-		req:    req,
-		header: service.JobHeader{Job: id, Runs: n, Backend: backend, SpecDigest: digest},
-		n:      n,
-		key:    digest,
-	}, nil
-}
-
-func (c *Coordinator) planScenario(id string, req service.JobRequest) (*plan, error) {
-	sc, ok := campaign.Lookup(req.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("unknown scenario %q (have %v)", req.Scenario, campaign.Names())
-	}
-	if err := c.checkLimits(req.Runs, req.Cycles); err != nil {
-		return nil, err
-	}
-	if req.Size > scenarioSizeCap {
-		return nil, fmt.Errorf("job asks for size %d; this cluster caps scenario size at %d", req.Size, scenarioSizeCap)
-	}
-	// The coordinator builds the scenario once, locally, to learn the
-	// campaign's true size (scenarios apply their own defaults and
-	// multipliers) — chunk boundaries need it, and shards rebuild the
-	// same list deterministically from the request.
-	runs, err := sc.Build(campaign.Params{
-		N:       req.Runs,
-		Cycles:  req.Cycles,
-		Backend: core.Backend(req.Backend),
-		Seed:    req.Seed,
-		Size:    req.Size,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %v", req.Scenario, err)
-	}
-	maxCycles := int64(0)
-	for _, r := range runs {
-		if r.Cycles > maxCycles {
-			maxCycles = r.Cycles
-		}
-	}
-	if err := c.checkLimits(len(runs), maxCycles); err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("scenario/%s/%d/%d/%s/%d/%d", req.Scenario, req.Runs, req.Cycles, req.Backend, req.Seed, req.Size)
-	return &plan{
-		req:    req,
-		header: service.JobHeader{Job: id, Runs: len(runs), Scenario: req.Scenario},
-		n:      len(runs),
-		key:    key,
-	}, nil
-}
-
-func validBackend(b core.Backend) error {
-	for _, k := range core.Backends() {
-		if b == k {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown backend %q (have %v)", b, core.Backends())
-}
-
-func (c *Coordinator) checkLimits(runs int, cycles int64) error {
-	if max := c.cfg.maxRuns(); runs > max {
-		return fmt.Errorf("job asks for %d runs; this cluster caps jobs at %d", runs, max)
-	}
-	if max := c.cfg.maxCycles(); cycles > max {
-		return fmt.Errorf("job asks for %d cycles per run; this cluster caps runs at %d", cycles, max)
-	}
-	return nil
-}
-
-// coordJob is one campaign being merged: every delivered run line by
-// global index (the merge buffer followers stream from), the latest
-// streamed checkpoint per run (the warm-start feed for re-dispatch),
-// and completion state. Exactly-once delivery is the setLine dedup: a
-// slow shard and its replacement may both deliver a run, but only the
-// first line lands, and since both are byte-identical by the shard
-// protocol's contract it does not matter which.
+// coordJob is one campaign being merged: the reorder buffer chunk
+// streams land in, the log followers stream from, and the latest
+// streamed checkpoint per run (the warm-start feed for re-dispatch).
+// Exactly-once delivery is the setLine dedup: a slow shard and its
+// replacement may both deliver a run, but only the first line lands,
+// and since both are byte-identical by the shard protocol's contract
+// it does not matter which.
 type coordJob struct {
-	header service.JobHeader
+	// The plan's request (shards rebuild the runs from it) and header —
+	// copied out, so a retained job does not pin the runs the planner
+	// built to size it.
 	req    service.JobRequest
+	header service.JobHeader
 	pref   []*shard // ring preference order for the job's route key
 	trace  string   // fabric-wide trace id, propagated to every chunk
 
-	mu      sync.Mutex
-	lines   [][]byte // merged run lines, indexed globally; nil = undelivered
-	got     int
-	warm    map[int]service.WarmEntry // latest checkpoint per run
-	done    bool
-	trailer service.JobTrailer
-	notify  chan struct{}
+	// log holds the merged stream: run lines in strict global index
+	// order, then the end. It is the service's LineLog — what a durable
+	// asimd's resume streams follow too — kept in memory only.
+	log *service.LineLog
+
+	mu       sync.Mutex
+	merged   [][]byte                  // run lines by global index; nil = not yet merged
+	released int                       // merged[:released] are in the log
+	warm     map[int]service.WarmEntry // latest checkpoint per run
 }
 
-func newCoordJob(p *plan, pref []*shard, trace string) *coordJob {
+func newCoordJob(p *service.Plan, pref []*shard, trace string) *coordJob {
 	return &coordJob{
-		header: p.header,
-		req:    p.req,
+		req:    p.Req,
+		header: p.Header,
 		pref:   pref,
 		trace:  trace,
-		lines:  make([][]byte, p.n),
+		log:    service.NewLineLog(p.Header.Runs),
+		merged: make([][]byte, p.Header.Runs),
 		warm:   map[int]service.WarmEntry{},
-		notify: make(chan struct{}),
 	}
 }
 
-func (j *coordJob) n() int { return len(j.lines) }
+func (j *coordJob) n() int { return len(j.merged) }
 
-// wait returns a channel closed at the job's next event (a merged
-// line, or completion). Grab it before reading the merge buffer.
-func (j *coordJob) wait() <-chan struct{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.notify
-}
-
-func (j *coordJob) bumpLocked() {
-	if j.done {
-		return
-	}
-	close(j.notify)
-	j.notify = make(chan struct{})
-}
-
-// setLine merges one run line; reports whether it was new.
+// setLine merges one run line, releasing it — and any run of
+// already-merged successors it unblocks — into the log, so the log
+// only ever grows in index order. Reports whether the line was new.
 func (j *coordJob) setLine(i int, line []byte) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if i < 0 || i >= len(j.lines) || j.lines[i] != nil {
+	if i < 0 || i >= len(j.merged) || j.merged[i] != nil {
 		return false
 	}
-	j.lines[i] = line
-	j.got++
-	j.bumpLocked()
+	j.merged[i] = line
+	from := j.released
+	for j.released < len(j.merged) && j.merged[j.released] != nil {
+		j.released++
+	}
+	j.log.Append(j.merged[from:j.released]...)
 	return true
 }
 
@@ -236,7 +93,7 @@ func (j *coordJob) undelivered(pick []int) []int {
 	defer j.mu.Unlock()
 	var left []int
 	for _, i := range pick {
-		if j.lines[i] == nil {
+		if j.merged[i] == nil {
 			left = append(left, i)
 		}
 	}
@@ -256,35 +113,19 @@ func (j *coordJob) warmFor(pick []int) []service.WarmEntry {
 	return warm
 }
 
-// finish marks the job done with its trailer and wakes all followers.
-func (j *coordJob) finish(tr service.JobTrailer) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.done = true
-	j.trailer = tr
-	close(j.notify)
-}
-
 // runJob executes a planned job to completion in the background,
 // holding the admission slot the handler acquired. Detaching
 // execution from the client connection keeps cluster semantics
 // aligned with durable single-node asimd: a client that disconnects
 // mid-merge abandons its stream, not the job, and resumes from the
-// merge buffer.
+// job's log.
 func (c *Coordinator) runJob(j *coordJob) {
-	defer func() { <-c.slots }()
+	defer c.fe.Release()
 	c.met.jobsActive.Add(1)
 	defer c.met.jobsActive.Add(-1)
 	t0 := time.Now()
 
-	deadline := c.cfg.defaultDeadline()
-	if j.req.DeadlineMS > 0 {
-		deadline = time.Duration(j.req.DeadlineMS) * time.Millisecond
-	}
-	if max := c.cfg.maxDeadline(); deadline > max {
-		deadline = max
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	ctx, cancel := context.WithTimeout(context.Background(), c.fe.Deadline(j.req.DeadlineMS))
 	defer cancel()
 	ctx = telemetry.WithTrace(ctx, j.trace)
 
@@ -320,47 +161,32 @@ func (c *Coordinator) runJob(j *coordJob) {
 	default:
 	}
 
-	// The trailer's summary is reconstructed from the merged lines,
-	// exactly as a resumed single-node stream's is: totals are exact,
-	// the per-memory breakdown collapsed when the lines were rendered.
-	j.mu.Lock()
-	var results []campaign.Result
-	for _, line := range j.lines {
-		if line == nil {
-			continue
-		}
-		var l service.RunLine
-		if json.Unmarshal(line, &l) == nil {
-			results = append(results, service.LineResult(l))
-		}
-	}
-	j.mu.Unlock()
-	tr := service.JobTrailer{Done: true, Summary: campaign.Summarize(results, 0)}
-	outcome := "completed"
+	// Ending the log releases every follower to its trailer, which
+	// summarizes the lines the log holds — on failure, the index-ordered
+	// prefix that was delivered, not stragglers merged past a gap.
+	outcome, errText := "completed", ""
 	if execErr != nil {
-		tr.Err = execErr.Error()
+		outcome, errText = "failed", execErr.Error()
 		c.met.jobsFailed.Add(1)
-		outcome = "failed"
 	} else {
 		c.met.jobsCompleted.Add(1)
 	}
 	dur := time.Since(t0)
 	c.met.busyNanos.Add(dur.Nanoseconds())
 	c.jobLatency.Observe(dur.Seconds())
-	sp := telemetry.Span{Trace: j.trace, Job: j.header.Job, Name: "job", Runs: j.n()}
-	if execErr != nil {
-		sp.Err = execErr.Error()
-	}
-	c.tracer.Record(telemetry.Timed(sp, t0))
-	c.log.Info("job finished", "job", j.header.Job, "trace", j.trace,
+	c.fe.Tracer.Record(telemetry.Timed(telemetry.Span{
+		Trace: j.trace, Job: j.header.Job, Name: "job", Runs: j.n(), Err: errText}, t0))
+	c.fe.Log.Info("job finished", "job", j.header.Job, "trace", j.trace,
 		"outcome", outcome, "runs", j.n(), "dur", dur)
-	j.finish(tr)
+	j.log.Finish(errText)
 	c.retire(j.header.Job)
 }
 
 // transportError marks dispatch failures that indict the shard — a
-// refused connection, a reset stream, a missing trailer — as opposed
-// to the job (an engine error a retry would just reproduce).
+// refused connection, a reset stream, a missing trailer, a 5xx or a
+// 429 — and are worth another shard. Any other error is the job's: an
+// engine error in a shard's trailer, or a 4xx, would only be
+// reproduced by a retry, so it fails the job as is.
 type transportError struct{ err error }
 
 func (e transportError) Error() string { return e.err.Error() }
@@ -370,7 +196,8 @@ func (e transportError) Error() string { return e.err.Error() }
 // re-dispatch whatever is still undelivered — warm-started from the
 // checkpoints the dead stream managed to deliver — to the next
 // willing shard. The chunk's state machine is: dispatched → streaming
-// → (delivered | failed → re-dispatched, up to Retries times).
+// → (delivered | shard failed → re-dispatched, up to Retries times |
+// job failed).
 func (c *Coordinator) runChunk(ctx context.Context, j *coordJob, pick []int) error {
 	for attempt := 0; ; attempt++ {
 		sh, err := c.acquireShard(ctx, j.pref)
@@ -380,7 +207,7 @@ func (c *Coordinator) runChunk(ctx context.Context, j *coordJob, pick []int) err
 		if attempt > 0 {
 			sh.chunksRedispatched.Add(1)
 			c.met.chunksRedispatched.Add(1)
-			c.log.Warn("chunk redispatched", "job", j.header.Job, "trace", j.trace,
+			c.fe.Log.Warn("chunk redispatched", "job", j.header.Job, "trace", j.trace,
 				"shard", sh.url, "attempt", attempt+1, "runs", len(pick))
 		}
 		sh.chunksDispatched.Add(1)
@@ -394,7 +221,7 @@ func (c *Coordinator) runChunk(ctx context.Context, j *coordJob, pick []int) err
 		if err != nil {
 			sp.Err = err.Error()
 		}
-		c.tracer.Record(telemetry.Timed(sp, start))
+		c.fe.Tracer.Record(telemetry.Timed(sp, start))
 
 		left := j.undelivered(pick)
 		if len(left) == 0 {
@@ -408,16 +235,21 @@ func (c *Coordinator) runChunk(ctx context.Context, j *coordJob, pick []int) err
 		if err == nil {
 			err = transportError{fmt.Errorf("stream ended with %d of %d runs undelivered", len(left), len(pick))}
 		}
-		if _, isTransport := err.(transportError); isTransport {
-			// Couple dispatch failures into health: a SIGKILLed worker
-			// is off the routing table after HealthFails in-flight
-			// chunks die, without waiting out a probe cycle.
-			sh.failures.Add(1)
-			sh.noteFailure(c.cfg.healthFails())
+		if _, isTransport := err.(transportError); !isTransport {
+			// The request's fault, or the campaign's: the shard is
+			// fine, so its health and failure books stay untouched.
+			return fmt.Errorf("chunk [%d..%d]: %v", pick[0], pick[len(pick)-1], err)
 		}
 		if ctx.Err() != nil {
+			// The job's deadline, or a sibling chunk failing the job,
+			// cut this stream: no evidence against the shard either.
 			return fmt.Errorf("chunk [%d..%d] on %s: %v", pick[0], pick[len(pick)-1], sh.url, ctx.Err())
 		}
+		// Couple dispatch failures into health: a SIGKILLed worker is
+		// off the routing table after HealthFails in-flight chunks
+		// die, without waiting out a probe cycle.
+		sh.failures.Add(1)
+		sh.noteFailure(c.cfg.healthFails())
 		if attempt >= c.cfg.retries() {
 			return fmt.Errorf("chunk [%d..%d]: %v (giving up after %d attempts)", pick[0], pick[len(pick)-1], err, attempt+1)
 		}
@@ -449,7 +281,8 @@ func (c *Coordinator) acquireShard(ctx context.Context, pref []*shard) (*shard, 
 // shard rendered them under global indices already), checkpoint lines
 // feed the warm-start map, and the trailer closes the books. Any
 // transport-level defect is a transportError so the caller re-routes;
-// a trailer carrying an engine error is returned plain.
+// a trailer carrying an engine error, and a 4xx other than 429, are
+// returned plain.
 func (c *Coordinator) streamChunk(ctx context.Context, sh *shard, j *coordJob, pick []int) error {
 	creq := j.req
 	creq.Chunk = &service.ChunkRequest{Pick: append([]int(nil), pick...)}
@@ -471,11 +304,22 @@ func (c *Coordinator) streamChunk(ctx context.Context, sh *shard, j *coordJob, p
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		// Non-200s are all retryable against another shard: 429 means
-		// busy, 400 would mean a protocol bug but is not the job's
-		// engine failing.
-		return transportError{fmt.Errorf("shard answered %d: %s", resp.StatusCode, bytes.TrimSpace(msg))}
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		var body struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(raw, &body) != nil || body.Error == "" {
+			body.Error = string(bytes.TrimSpace(raw))
+		}
+		err := fmt.Errorf("shard %s answered %d: %s", sh.url, resp.StatusCode, body.Error)
+		// 429 means busy and 5xx means broken — another shard may do
+		// better. Any other 4xx is the shard refusing this request (it
+		// applies its own -max-runs, -max-cycles and -max-body to the
+		// full run list): every healthy shard would refuse it alike.
+		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
+			return transportError{err}
+		}
+		return err
 	}
 
 	sc := bufio.NewScanner(resp.Body)
@@ -524,53 +368,4 @@ func (c *Coordinator) streamChunk(ctx context.Context, sh *shard, j *coordJob, p
 		return fmt.Errorf("shard %s: %s", sh.url, trailer.Err)
 	}
 	return nil
-}
-
-// follow streams a job's merge buffer to one client in strict global
-// index order from line `from`, waiting on the job's notifications as
-// later lines land, and ends with the job's trailer. Both the
-// original handler and resume streams are followers — the merge
-// itself never depends on any client keeping up.
-func (c *Coordinator) follow(w http.ResponseWriter, r *http.Request, j *coordJob, from int, resumed bool) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Job-Id", j.header.Job)
-	out := &lineWriter{w: w, rc: http.NewResponseController(w), timeout: c.cfg.writeTimeout(), stall: c.writeStall}
-	hdr := j.header
-	hdr.Resumed = resumed
-	out.line(hdr)
-
-	next := from
-	for {
-		wake := j.wait()
-		j.mu.Lock()
-		var batch [][]byte
-		for next < len(j.lines) && j.lines[next] != nil {
-			batch = append(batch, j.lines[next])
-			next++
-		}
-		done, trailer := j.done, j.trailer
-		j.mu.Unlock()
-		for _, line := range batch {
-			out.raw(line)
-		}
-		if out.err != nil {
-			if !resumed && !done {
-				c.met.jobsAbandoned.Add(1)
-			}
-			return
-		}
-		if done {
-			out.line(trailer)
-			_ = out.rc.SetWriteDeadline(time.Time{})
-			return
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			if !resumed {
-				c.met.jobsAbandoned.Add(1)
-			}
-			return
-		}
-	}
 }

@@ -7,14 +7,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// counters is the coordinator's internal metric state, all atomics.
+// counters is the coordinator's internal metric state, all atomics
+// (the front end keeps the admission books).
 type counters struct {
 	jobsAccepted       atomic.Int64
 	jobsCompleted      atomic.Int64
 	jobsFailed         atomic.Int64
-	jobsRejected       atomic.Int64
-	jobsAbandoned      atomic.Int64
-	jobsBad            atomic.Int64
 	jobsResumed        atomic.Int64
 	jobsActive         atomic.Int64
 	chunksDispatched   atomic.Int64
@@ -85,12 +83,12 @@ func (c *Coordinator) Metrics() Metrics {
 		JobsAccepted:  c.met.jobsAccepted.Load(),
 		JobsCompleted: c.met.jobsCompleted.Load(),
 		JobsFailed:    c.met.jobsFailed.Load(),
-		JobsRejected:  c.met.jobsRejected.Load(),
-		JobsAbandoned: c.met.jobsAbandoned.Load(),
-		JobsBad:       c.met.jobsBad.Load(),
+		JobsRejected:  c.fe.JobsRejected.Load(),
+		JobsAbandoned: c.fe.JobsAbandoned.Load(),
+		JobsBad:       c.fe.JobsBad.Load(),
 		JobsResumed:   c.met.jobsResumed.Load(),
 		JobsActive:    c.met.jobsActive.Load(),
-		QueueDepth:    c.queued.Load(),
+		QueueDepth:    c.fe.QueueDepth(),
 
 		ChunksDispatched:   c.met.chunksDispatched.Load(),
 		ChunksCompleted:    c.met.chunksCompleted.Load(),
@@ -101,14 +99,14 @@ func (c *Coordinator) Metrics() Metrics {
 
 		JobLatency:   c.jobLatency.Snapshot(),
 		ChunkLatency: c.chunkLatency.Snapshot(),
-		QueueWait:    c.queueWait.Snapshot(),
-		WriteStall:   c.writeStall.Snapshot(),
+		QueueWait:    c.fe.QueueWait.Snapshot(),
+		WriteStall:   c.fe.WriteStall.Snapshot(),
 
-		TraceSpans:   int64(c.tracer.Len()),
-		TraceDropped: c.tracer.Dropped(),
+		TraceSpans:   int64(c.fe.Tracer.Len()),
+		TraceDropped: c.fe.Tracer.Dropped(),
 	}
-	m.UptimeSeconds = time.Since(c.start).Seconds()
-	if capacity := m.UptimeSeconds * float64(c.cfg.maxConcurrent()); capacity > 0 {
+	m.UptimeSeconds = time.Since(c.fe.Start).Seconds()
+	if capacity := m.UptimeSeconds * float64(c.fe.MaxConcurrent); capacity > 0 {
 		m.Utilization = m.BusySeconds / capacity
 	}
 	for _, sh := range c.shards {

@@ -52,7 +52,11 @@ type ProgramCache struct {
 
 // DefaultCacheEntries is how many (digest, backend) keys a
 // ProgramCache holds before flushing: generous against any plausible
-// live set of designs, small enough that the worst case is megabytes.
+// live set of designs. It bounds the entry count, not the bytes: a
+// full generation of distinct compiled designs is hundreds of
+// megabytes (the served benchmark's unique_specs workload, which
+// cycles generated designs through a full cache, peaks near 790 MiB
+// resident).
 const DefaultCacheEntries = 4096
 
 type programKey struct {

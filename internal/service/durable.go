@@ -10,7 +10,9 @@ package service
 // that trail:
 //
 //   - handleResume streams a dropped stream's remainder to a client
-//     presenting a resume token (job id + lines already received).
+//     presenting a resume token (job id + lines already received). It
+//     follows the job's LineLog; the trail is read only to seed a log
+//     nobody holds in memory any more, once.
 //   - completeJob finishes an interrupted campaign in the background,
 //     skipping runs with stored results and warm-starting checkpointed
 //     runs from their latest snapshot.
@@ -30,21 +32,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/durable"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
-
-// nextJobID allocates a fresh job id. Recover advances the sequence
-// past every stored job before traffic is served, so recovered and
-// fresh ids never collide.
-func (s *Server) nextJobID() string {
-	return fmt.Sprintf("j%d", s.jobSeq.Add(1))
-}
 
 // persistAdmit records the admitted request. Store errors are
 // swallowed: durability is best-effort next to serving — a job whose
@@ -60,10 +53,31 @@ func (s *Server) persistAdmit(id string, req JobRequest) {
 	_ = s.store.Append(id, durable.Record{Kind: durable.KindAdmit, Data: data})
 }
 
-// persistDone records the campaign's completion: empty data for
-// success, the error string otherwise. Jobs abandoned mid-stream get
-// no done record at all — that absence is what marks them resumable.
-func (s *Server) persistDone(id string, execErr error) {
+// persistResult renders a result as its stream line and, with a
+// store, appends it there before anyone can see it. Persist-then-write:
+// the stored result records are always a superset of what any client
+// or log received, so a resume token's delivered count indexes the
+// stored prefix. It returns nil for a result that is not an outcome: a
+// cancelled run of a store-backed job resumes from its checkpoint
+// later, and persisting nothing and streaming nothing keeps the
+// invariant the resume token rides on — every line a client received
+// has a stored record.
+func (s *Server) persistResult(id string, res campaign.Result) ([]byte, error) {
+	if s.store != nil && errors.Is(res.Err, context.Canceled) {
+		return nil, nil
+	}
+	data, err := json.Marshal(ResultLine(res))
+	if err == nil && s.store != nil {
+		_ = s.store.Append(id, durable.Record{Kind: durable.KindResult, Run: int64(res.Index), Data: data})
+	}
+	return data, err
+}
+
+// persistDone records the campaign's completion — empty data for
+// success, the error string otherwise — and ends the job's log the
+// same way. Jobs abandoned mid-stream get no done record at all: that
+// absence is what marks them resumable.
+func (s *Server) persistDone(id string, lg *LineLog, execErr error) {
 	if s.store == nil {
 		return
 	}
@@ -72,6 +86,7 @@ func (s *Server) persistDone(id string, execErr error) {
 		rec.Data = []byte(execErr.Error())
 	}
 	_ = s.store.Append(id, rec)
+	lg.Finish(string(rec.Data))
 }
 
 // dropJob discards a job's records once they can serve no resume.
@@ -81,149 +96,74 @@ func (s *Server) dropJob(id string) {
 	}
 }
 
-// jobRun is the live handle of an executing job: a notification
-// channel resume streams wait on. bump (a result was persisted) and
-// end (the run finished) close the current channel; waiters re-check
-// the store and grab a fresh channel.
-type jobRun struct {
-	mu     sync.Mutex
-	notify chan struct{}
-	ended  bool
-}
+// errInterrupted ends the log of a run that stopped without a
+// completion marker: its client went away, or the stored job could
+// not be read back. The job itself is still resumable.
+const errInterrupted = "job execution was interrupted; resume again"
 
-func newJobRun() *jobRun { return &jobRun{notify: make(chan struct{})} }
-
-// wait returns a channel closed at the run's next event. Grab it
-// before replaying the store: any record appended after the replay's
-// snapshot closes a channel obtained before it, so no event is lost
-// between the replay and the wait.
-func (jr *jobRun) wait() <-chan struct{} {
-	jr.mu.Lock()
-	defer jr.mu.Unlock()
-	return jr.notify
-}
-
-func (jr *jobRun) bump() {
-	jr.mu.Lock()
-	defer jr.mu.Unlock()
-	if jr.ended {
-		return
-	}
-	close(jr.notify)
-	jr.notify = make(chan struct{})
-}
-
-func (jr *jobRun) end() {
-	jr.mu.Lock()
-	defer jr.mu.Unlock()
-	if jr.ended {
-		return
-	}
-	jr.ended = true
-	close(jr.notify)
-}
-
-func (s *Server) registerRun(id string) *jobRun {
-	jr := newJobRun()
+// finishRun unregisters a run's log and, unless persistDone already
+// ended it, ends it as interrupted.
+func (s *Server) finishRun(id string, lg *LineLog) {
 	s.runMu.Lock()
-	s.running[id] = jr
-	s.runMu.Unlock()
-	return jr
-}
-
-func (s *Server) finishRun(id string, jr *jobRun) {
-	s.runMu.Lock()
-	if s.running[id] == jr {
+	if s.running[id] == lg {
 		delete(s.running, id)
 	}
 	s.runMu.Unlock()
-	jr.end()
+	lg.Finish(errInterrupted)
 }
 
-func (s *Server) lookupRun(id string) *jobRun {
+// ensureRunning returns the log of the job's executing campaign,
+// starting a background completion if nothing is executing it, and
+// reports whether it started one.
+func (s *Server) ensureRunning(id string) (*LineLog, bool) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	return s.running[id]
-}
-
-// ensureRunning starts a background completion for the job unless one
-// (or the job's foreground stream) is already executing. Reports
-// whether it started one.
-func (s *Server) ensureRunning(id string) bool {
-	s.runMu.Lock()
-	if _, ok := s.running[id]; ok {
-		s.runMu.Unlock()
-		return false
+	if lg, ok := s.running[id]; ok {
+		return lg, false
 	}
-	jr := newJobRun()
-	s.running[id] = jr
-	s.runMu.Unlock()
-	go s.completeJob(id, jr)
-	return true
+	lg := NewLineLog(0)
+	s.running[id] = lg
+	go s.completeJob(id, lg)
+	return lg, true
 }
 
-// storeCheckpointer adapts the durable store to the engine's
-// Checkpointer hook. idx, when set, remaps the engine's run indices
-// to the job's original ones (a background completion executes only
-// the unfinished suffix of a job's runs).
-type storeCheckpointer struct {
-	s   *Server
-	job string
-	idx []int
+// checkpointer is a job's engine Checkpointer hook, feeding up to two
+// sinks with the same snapshot. idx, when set, remaps the engine's run
+// indices to the full campaign's (a chunk job executes a partition, a
+// background completion the unfinished remainder). With a store, the
+// snapshot is persisted for crash recovery. With stream set, it is
+// also interleaved into the shard job's NDJSON stream, so a
+// coordinator can warm-start re-dispatched chunks without sharing the
+// shard's disk; checkpoint lines ride the same lineWriter as results
+// — its mutex is what makes concurrent engine workers safe here — but
+// are never persisted as lines and never count toward resume tokens.
+type checkpointer struct {
+	s      *Server
+	job    string
+	idx    []int
+	stream *lineWriter
 }
 
-func (c *storeCheckpointer) Checkpoint(run int, cycle int64, state []byte) {
+func (c *checkpointer) Checkpoint(run int, cycle int64, state []byte) {
 	if c.idx != nil {
 		run = c.idx[run]
 	}
-	err := c.s.store.Append(c.job, durable.Record{
-		Kind: durable.KindCheckpoint, Run: int64(run), Cycle: cycle, Data: state,
-	})
-	if err != nil {
-		c.s.met.checkpointErrors.Add(1)
-		return
+	if c.s.store != nil {
+		err := c.s.store.Append(c.job, durable.Record{
+			Kind: durable.KindCheckpoint, Run: int64(run), Cycle: cycle, Data: state,
+		})
+		if err != nil {
+			c.s.met.checkpointErrors.Add(1)
+		} else {
+			c.s.met.checkpoints.Add(1)
+		}
 	}
-	c.s.met.checkpoints.Add(1)
-}
-
-// streamCheckpointer interleaves checkpoint lines into a shard job's
-// NDJSON stream, remapped to global run indices, so a coordinator can
-// warm-start re-dispatched chunks without sharing the shard's disk.
-// Checkpoint lines ride the same lineWriter as results — its mutex is
-// what makes concurrent engine workers safe here — but are never
-// persisted and never count toward resume tokens.
-type streamCheckpointer struct {
-	out *lineWriter
-	idx []int
-}
-
-func (c *streamCheckpointer) Checkpoint(run int, cycle int64, state []byte) {
-	if c.idx != nil {
-		run = c.idx[run]
-	}
-	// Marshal copies the state bytes before the engine reuses the
-	// buffer; nothing here retains them.
-	data, err := json.Marshal(CheckpointLine{Checkpoint: true, Index: run, Cycle: cycle, State: state})
-	if err != nil {
-		return
-	}
-	c.out.raw(data)
-}
-
-// joinCheckpointers fans one engine hook out to several sinks (store
-// and stream, for a durable shard).
-func joinCheckpointers(cks []campaign.Checkpointer) campaign.Checkpointer {
-	if len(cks) == 1 {
-		return cks[0]
-	}
-	return multiCheckpointer(cks)
-}
-
-type multiCheckpointer []campaign.Checkpointer
-
-func (m multiCheckpointer) Checkpoint(run int, cycle int64, state []byte) {
-	for _, c := range m {
-		c.Checkpoint(run, cycle, state)
+	if c.stream != nil {
+		// Marshal copies the state bytes before the engine reuses the
+		// buffer; nothing here retains them.
+		if data, err := json.Marshal(CheckpointLine{Checkpoint: true, Index: run, Cycle: cycle, State: state}); err == nil {
+			c.stream.raw(data)
+		}
 	}
 }
 
@@ -275,112 +215,69 @@ func (s *Server) loadJobState(id string) (*jobState, error) {
 	return st, nil
 }
 
+// resumeLog finds the log a resume of the job follows: its executing
+// campaign's, or — read back from the store, once — its finished
+// results, or the log of a background completion started here because
+// the job is unfinished and nothing is executing it (the serving
+// process restarted, or the original stream was abandoned). A nil log
+// means the store has never heard of the job.
+func (s *Server) resumeLog(id string) (*LineLog, error) {
+	s.runMu.Lock()
+	lg := s.running[id]
+	s.runMu.Unlock()
+	if lg != nil {
+		return lg, nil
+	}
+	st, err := s.loadJobState(id)
+	if err != nil || st.admit == nil {
+		return nil, err
+	}
+	if st.done {
+		lg = NewLineLog(0)
+		lg.Append(st.lines...)
+		lg.Finish(st.doneErr)
+		return lg, nil
+	}
+	lg, _ = s.ensureRunning(id)
+	return lg, nil
+}
+
 // handleResume streams a job's undelivered remainder to a client
-// presenting a resume token. Stored result lines past the client's
-// delivered count replay byte-identically; if the campaign is still
-// executing, further lines stream as their runs retire; if it is not
-// (the serving process restarted, or the original stream was
-// abandoned), a background completion is started. The stream ends
-// with a trailer summarizing the job's stored results.
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, req JobRequest) {
-	rr := req.Resume
-	fail := func(status int, msg string) {
-		s.met.jobsBad.Add(1)
-		writeJSON(w, status, map[string]string{"error": msg})
-	}
-	if req.Spec != "" || req.Scenario != "" {
-		fail(http.StatusBadRequest, "a resume request takes no spec or scenario")
-		return
-	}
-	if rr.Delivered < 0 {
-		fail(http.StatusBadRequest, "resume.delivered must be non-negative")
-		return
-	}
+// presenting a resume token: stored result lines past the client's
+// delivered count replay byte-identically, further lines stream as
+// their runs retire, and a trailer summarizing the job's results ends
+// the stream.
+func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, rr ResumeRequest) {
 	if s.store == nil {
-		fail(http.StatusNotFound, "this server keeps no durable job records")
+		s.fe.Reject(w, http.StatusNotFound, "this server keeps no durable job records")
 		return
 	}
-	st, err := s.loadJobState(rr.Job)
+	lg, err := s.resumeLog(rr.Job)
 	if err != nil {
-		fail(http.StatusBadRequest, fmt.Sprintf("resume %q: %v", rr.Job, err))
+		s.fe.Reject(w, http.StatusBadRequest, fmt.Sprintf("resume %q: %v", rr.Job, err))
 		return
 	}
-	if st.admit == nil {
-		fail(http.StatusNotFound, fmt.Sprintf("unknown job %q", rr.Job))
+	if lg == nil {
+		s.fe.Reject(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", rr.Job))
 		return
 	}
 
 	s.met.jobsResumed.Add(1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Job-Id", rr.Job)
-	out := &lineWriter{
-		w:       w,
-		rc:      http.NewResponseController(w),
-		timeout: s.cfg.writeTimeout(),
-	}
+	out := s.fe.stream(w, rr.Job, "", nil)
 	out.line(JobHeader{Job: rr.Job, Resumed: true})
-
-	// Replay-then-wait loop. Each pass replays the store and writes
-	// every stored line the client has not seen (the token's count
-	// plus what this stream already sent); between passes it waits on
-	// the executing run's notification channel — obtained before the
-	// replay, so a result persisted during the replay is never missed.
-	sent := 0
-	ensured := false
-	for {
-		jr := s.lookupRun(rr.Job)
-		var wake <-chan struct{}
-		if jr != nil {
-			wake = jr.wait()
-		}
-		if st, err = s.loadJobState(rr.Job); err != nil {
-			out.fail(err)
-			return
-		}
-		for i := rr.Delivered + sent; i < len(st.lines); i++ {
-			out.raw(st.lines[i])
-			sent++
-		}
-		if out.failed() != nil {
-			return
-		}
-		if st.done {
-			break
-		}
-		if jr == nil {
-			if !ensured {
-				ensured = true
-				s.ensureRunning(rr.Job)
-				continue
-			}
-			// The completion we started ended without a marker — it
-			// could not even read the job back. Give up politely.
-			st.doneErr = "job execution was interrupted; resume again"
-			break
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
+	next, ended := lg.follow(r.Context(), rr.Delivered, out)
+	trailer := lg.Trailer()
+	if ended && trailer.Err == errInterrupted {
+		// The run this stream was following stopped under it — the
+		// usual case is a resume racing the wind-down of the very
+		// stream it replaces. Restart the job once and carry on from
+		// where this stream stands.
+		if lg, err = s.resumeLog(rr.Job); err == nil && lg != nil {
+			_, ended = lg.follow(r.Context(), next, out)
+			trailer = lg.Trailer()
 		}
 	}
-
-	// The trailer's summary is reconstructed from the stored lines:
-	// totals (runs, cycles, memory traffic, divergences) are exact;
-	// the per-memory breakdown behind them collapsed into one entry
-	// when the lines were rendered.
-	results := make([]campaign.Result, 0, len(st.lines))
-	for _, line := range st.lines {
-		var l RunLine
-		if json.Unmarshal(line, &l) == nil {
-			results = append(results, LineResult(l))
-		}
-	}
-	trailer := JobTrailer{Done: true, Summary: campaign.Summarize(results, 0)}
-	trailer.Err = st.doneErr
-	out.line(trailer)
-	_ = out.rc.SetWriteDeadline(time.Time{})
-	if st.done && out.failed() == nil {
+	if ended && out.finish(trailer) && trailer.Err != errInterrupted {
 		// Fully delivered: the job's records can serve no further
 		// resume.
 		s.dropJob(rr.Job)
@@ -418,23 +315,30 @@ func LineResult(l RunLine) campaign.Result {
 // runs warm-start from their latest snapshot, and new results are
 // persisted for a later resume to deliver. Takes a job slot like any
 // foreground job.
-func (s *Server) completeJob(id string, jr *jobRun) {
-	defer s.finishRun(id, jr)
-	s.slots <- struct{}{}
-	defer func() { <-s.slots }()
+func (s *Server) completeJob(id string, lg *LineLog) {
+	defer s.finishRun(id, lg)
+	s.fe.Acquire()
+	defer s.fe.Release()
 
 	st, err := s.loadJobState(id)
-	if err != nil || st.admit == nil || st.done {
+	if err != nil || st.admit == nil {
+		return
+	}
+	// Seed the log, once: from here on it grows by the results this
+	// run persists.
+	lg.Append(st.lines...)
+	if st.done {
+		lg.Finish(st.doneErr)
 		return
 	}
 	var req JobRequest
 	if err := json.Unmarshal(st.admit, &req); err != nil {
-		s.persistDone(id, fmt.Errorf("stored request unreadable: %v", err))
+		s.persistDone(id, lg, fmt.Errorf("stored request unreadable: %v", err))
 		return
 	}
 	job, err := s.newJob(id, req)
 	if err != nil {
-		s.persistDone(id, err)
+		s.persistDone(id, lg, err)
 		return
 	}
 
@@ -458,73 +362,18 @@ func (s *Server) completeJob(id string, jr *jobRun) {
 		idx = append(idx, gi)
 	}
 	if len(todo) == 0 {
-		s.persistDone(id, nil)
+		s.persistDone(id, lg, nil)
 		return
 	}
 
 	s.met.jobsActive.Add(1)
 	defer s.met.jobsActive.Add(-1)
 
-	eng := s.cfg.Engine
-	eng.Checkpoint = &storeCheckpointer{s: s, job: id, idx: idx}
-	eng.CheckpointEvery = s.cfg.checkpointCycles()
-	eng.Observe = s.observeDispatch(id)
-
-	deadline := s.cfg.defaultDeadline()
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	if max := s.cfg.maxDeadline(); deadline > max {
-		deadline = max
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	ctx, cancel := context.WithTimeout(context.Background(), s.fe.Deadline(req.DeadlineMS))
 	defer cancel()
 	// A background completion has no client request to carry a trace
 	// id; it gets a fresh one so its spans still group in the ring.
-	trace := telemetry.NewTraceID()
-	ctx = telemetry.WithTrace(ctx, trace)
-
-	t0 := time.Now()
-	results, execErr := eng.ExecuteStream(ctx, todo, func(res campaign.Result) {
-		if errors.Is(res.Err, context.Canceled) {
-			return
-		}
-		res.Index = idx[res.Index]
-		data, err := json.Marshal(ResultLine(res))
-		if err != nil {
-			return
-		}
-		_ = s.store.Append(id, durable.Record{Kind: durable.KindResult, Run: int64(res.Index), Data: data})
-		jr.bump()
-	})
-	elapsed := time.Since(t0)
-
-	sum := campaign.Summarize(results, elapsed)
-	s.met.runsTotal.Add(int64(sum.Runs))
-	s.met.cyclesTotal.Add(sum.Cycles)
-	s.met.busyNanos.Add(int64(elapsed))
-	outcome := "completed"
-	switch {
-	case execErr == nil:
-		s.met.jobsCompleted.Add(1)
-		s.persistDone(id, nil)
-	case errors.Is(execErr, context.Canceled):
-		// Only possible if the whole server is shutting down; the next
-		// process's Recover picks the job up again.
-		outcome = "interrupted"
-	default:
-		s.met.jobsFailed.Add(1)
-		s.persistDone(id, execErr)
-		outcome = "failed"
-	}
-	errStr := ""
-	if execErr != nil {
-		errStr = execErr.Error()
-	}
-	s.tracer.Record(telemetry.Timed(telemetry.Span{
-		Trace: trace, Job: id, Name: "job", Runs: sum.Runs, Cycles: sum.Cycles, Err: errStr}, t0))
-	s.log.Info("background completion finished", "job", id, "trace", trace,
-		"outcome", outcome, "runs", sum.Runs, "cycles", sum.Cycles, "elapsed", elapsed)
+	_, _ = s.execute(telemetry.WithTrace(ctx, telemetry.NewTraceID()), id, todo, idx, nil, false, lg)
 }
 
 // Recover replays the durable store after a restart: every job with
@@ -565,7 +414,7 @@ func (s *Server) Recover() (int, error) {
 		}); err != nil || done {
 			continue
 		}
-		if s.ensureRunning(id) {
+		if _, started := s.ensureRunning(id); started {
 			recovered++
 			s.met.jobsRecovered.Add(1)
 		}

@@ -1,8 +1,9 @@
 // Durability end-to-end tests: stream resumption after a client
 // disconnect, crash recovery across server instances sharing one
-// durable directory, and the serving-layer request-validation fixes
-// (413 for oversized bodies, negative scenario parameters, abandoned
-// vs failed classification — the latter in TestServiceSlowReader).
+// durable directory, the constant store-read cost of following a live
+// job, and the serving-layer request-validation fixes (413 for
+// oversized bodies; abandoned vs failed classification is in
+// TestServiceSlowReader, negative parameters in service.BadRequests).
 package service_test
 
 import (
@@ -10,11 +11,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
@@ -300,7 +301,7 @@ func TestServiceResumeValidation(t *testing.T) {
 // TestServiceOversizedBody: a body past MaxBody is its own protocol
 // condition — 413 naming the limit, not a generic 400.
 func TestServiceOversizedBody(t *testing.T) {
-	srv, ts := newServer(t, service.Config{MaxBody: 256})
+	srv, ts := newServer(t, service.Config{Limits: service.Limits{MaxBody: 256}})
 	body, err := json.Marshal(service.JobRequest{Spec: strings.Repeat("; padding\n", 200)})
 	if err != nil {
 		t.Fatal(err)
@@ -322,25 +323,50 @@ func TestServiceOversizedBody(t *testing.T) {
 	}
 }
 
-// TestServiceNegativeParams: negative size and seed must be rejected
-// before they reach scenario Build (a negative size would flow into
-// spec generation and array sizing).
-func TestServiceNegativeParams(t *testing.T) {
-	srv, ts := newServer(t, service.Config{})
-	for _, req := range []service.JobRequest{
-		{Spec: machines.Counter(), Size: -1},
-		{Spec: machines.Counter(), Seed: -1},
-		{Scenario: "does-not-matter", Size: -4096},
-	} {
-		status, lines := postJob(t, ts.URL, req)
-		if status != http.StatusBadRequest {
-			t.Errorf("size=%d seed=%d: status %d, want 400 (%v)", req.Size, req.Seed, status, lines)
-		}
-		if body := fmt.Sprint(lines); !strings.Contains(body, "non-negative") {
-			t.Errorf("size=%d seed=%d: error does not say non-negative: %v", req.Size, req.Seed, lines)
-		}
+// replayCounter counts Store.Replay calls — each one, on a FileStore,
+// is a re-read of the job's segment.
+type replayCounter struct {
+	durable.Store
+	replays atomic.Int64
+}
+
+func (c *replayCounter) Replay(job string, fn func(durable.Record) error) error {
+	c.replays.Add(1)
+	return c.Store.Replay(job, fn)
+}
+
+// TestServiceResumeReplaysOnce: a resume stream that follows a live
+// 256-run job to its trailer reads the store a constant number of
+// times — once to find the job, once to seed the completion's log —
+// not once per delivered line (which made following an N-run job cost
+// O(N²) record reads).
+func TestServiceResumeReplaysOnce(t *testing.T) {
+	src, err := machines.SieveSpec(20)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m := srv.Metrics(); m.JobsBad != 3 {
-		t.Errorf("jobs_bad = %d, want 3", m.JobsBad)
+	req := service.JobRequest{Spec: src, Runs: 256, Cycles: 6000}
+	store := &replayCounter{Store: durable.NewMemStore()}
+	srv, ts := newServer(t, durableConfig(store))
+	jobID, lines := postPartial(t, ts, req, 3) // header + 2 run lines
+	waitFor(t, "interrupted handler to finish", func() bool {
+		m := srv.Metrics()
+		return m.JobsActive == 0 && m.JobsAbandoned+m.JobsCompleted == 1
+	})
+	if srv.Metrics().JobsAbandoned != 1 {
+		t.Skip("the job finished before the client walked away; nothing live to follow")
+	}
+
+	before := store.replays.Load()
+	status, rlines := resume(t, ts.URL, jobID, len(lines)-1)
+	if status != http.StatusOK {
+		t.Fatalf("resume status %d: %v", status, rlines)
+	}
+	_, raw, _, tr := parseStream(t, rlines)
+	if !tr.Done || tr.Err != "" || len(raw) != req.Runs-(len(lines)-1) {
+		t.Fatalf("resumed stream: %d run lines, trailer %+v", len(raw), tr)
+	}
+	if n := store.replays.Load() - before; n > 3 {
+		t.Errorf("following a live %d-run job replayed the store %d times, want a constant (<= 3)", req.Runs, n)
 	}
 }

@@ -7,46 +7,26 @@ import (
 	"repro/internal/campaign"
 )
 
-// Flags is asimd's full command-line surface, registered onto a
-// FlagSet by RegisterFlags. Keeping the definitions here — not in
-// package main — lets docs_test verify that docs/OPERATIONS.md covers
-// every flag and that its command-line snippets use only flags that
-// exist, without shelling out to a built binary.
-type Flags struct {
-	Addr             string
-	Workers          int
-	Chunk            int64
-	Gang             int
-	Jobs             int
-	Queue            int
-	MaxRuns          int
-	MaxCycles        int64
-	Deadline         time.Duration
-	MaxDeadline      time.Duration
-	MaxBody          int64
-	WriteTimeout     time.Duration
-	StateDir         string
-	CheckpointCycles int64
-	AOT              bool
-	AOTDir           string
-	AOTThreshold     int64
-	Shard            bool
-	Pprof            bool
-	TraceOut         string
-	LogLevel         string
-	LogFormat        string
+// FrontFlags is the command-line surface asimd and asimcoord share:
+// the front end's limits plus the observability switches. Both
+// daemons' Flags embed it, so the twelve flags are registered once.
+type FrontFlags struct {
+	Jobs         int
+	Queue        int
+	MaxRuns      int
+	MaxCycles    int64
+	Deadline     time.Duration
+	MaxDeadline  time.Duration
+	MaxBody      int64
+	WriteTimeout time.Duration
+	Pprof        bool
+	TraceOut     string
+	LogLevel     string
+	LogFormat    string
 }
 
-// RegisterFlags declares every asimd flag on fs with its default and
-// usage text. Command asimd parses these straight into its Config;
-// docs_test walks the same registrations to enforce the operations
-// doc.
-func RegisterFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
-	fs.StringVar(&f.Addr, "addr", ":8420", "listen address")
-	fs.IntVar(&f.Workers, "workers", 0, "engine worker goroutines per job (0 = GOMAXPROCS)")
-	fs.Int64Var(&f.Chunk, "chunk", 0, "cycle granularity of cancellation checks (0 = engine default)")
-	fs.IntVar(&f.Gang, "gang", 0, "gang width for lockstep execution (0 = adaptive per program, 1 disables)")
+// Register declares the shared flags on fs.
+func (f *FrontFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Jobs, "jobs", 0, "concurrent job slots (0 = default 2)")
 	fs.IntVar(&f.Queue, "queue", 0, "jobs allowed to wait for a slot before 429 (0 = default 8)")
 	fs.IntVar(&f.MaxRuns, "max-runs", 0, "per-job run cap (0 = default 4096)")
@@ -55,16 +35,62 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.MaxDeadline, "max-deadline", 0, "cap on requested per-job deadlines (0 = 10m)")
 	fs.Int64Var(&f.MaxBody, "max-body", 0, "request body cap in bytes (0 = 1 MiB)")
 	fs.DurationVar(&f.WriteTimeout, "write-timeout", 0, "per-line stream write deadline; a non-reading client fails after this (0 = 30s)")
+	fs.BoolVar(&f.Pprof, "pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
+	fs.StringVar(&f.TraceOut, "trace-out", "", "write the retained trace spans as Chrome trace_event JSON to this file on shutdown (open in chrome://tracing or Perfetto)")
+	fs.StringVar(&f.LogLevel, "log-level", "info", "structured log level: debug, info, warn or error")
+	fs.StringVar(&f.LogFormat, "log-format", "text", "structured log format: text or json")
+}
+
+// Limits assembles the front-end limits the flags describe.
+func (f *FrontFlags) Limits() Limits {
+	return Limits{
+		MaxConcurrent:   f.Jobs,
+		MaxQueue:        f.Queue,
+		MaxRuns:         f.MaxRuns,
+		MaxCycles:       f.MaxCycles,
+		MaxBody:         f.MaxBody,
+		DefaultDeadline: f.Deadline,
+		MaxDeadline:     f.MaxDeadline,
+		WriteTimeout:    f.WriteTimeout,
+	}
+}
+
+// Flags is asimd's full command-line surface, registered onto a
+// FlagSet by RegisterFlags. Keeping the definitions here — not in
+// package main — lets docs_test verify that docs/OPERATIONS.md covers
+// every flag and that its command-line snippets use only flags that
+// exist, without shelling out to a built binary.
+type Flags struct {
+	FrontFlags
+	Addr             string
+	Workers          int
+	Chunk            int64
+	Gang             int
+	StateDir         string
+	CheckpointCycles int64
+	AOT              bool
+	AOTDir           string
+	AOTThreshold     int64
+	Shard            bool
+}
+
+// RegisterFlags declares every asimd flag on fs with its default and
+// usage text. Command asimd parses these straight into its Config;
+// docs_test walks the same registrations to enforce the operations
+// doc.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	f.Register(fs)
+	fs.StringVar(&f.Addr, "addr", ":8420", "listen address")
+	fs.IntVar(&f.Workers, "workers", 0, "engine worker goroutines per job (0 = GOMAXPROCS)")
+	fs.Int64Var(&f.Chunk, "chunk", 0, "cycle granularity of cancellation checks (0 = engine default)")
+	fs.IntVar(&f.Gang, "gang", 0, "gang width for lockstep execution (0 = adaptive per program, 1 disables)")
 	fs.StringVar(&f.StateDir, "state-dir", "", "durable job store directory; jobs survive restarts and dropped streams resume (empty = durability off)")
 	fs.Int64Var(&f.CheckpointCycles, "checkpoint-cycles", 0, "cycles between run state checkpoints, persisted to -state-dir and/or streamed to a coordinator (0 = default 65536)")
 	fs.BoolVar(&f.AOT, "aot", false, "enable ahead-of-time native workers for compiled-aot jobs above -aot-threshold")
 	fs.StringVar(&f.AOTDir, "aot-dir", "", "worker binary cache directory (default: a per-process temp dir)")
 	fs.Int64Var(&f.AOTThreshold, "aot-threshold", campaign.DefaultAOTThreshold, "campaign cycles x runs below which compiled-aot jobs stay in-process (0 = always use workers)")
 	fs.BoolVar(&f.Shard, "shard", false, "accept the cluster shard protocol (chunk-scoped jobs with streamed checkpoints) from an asimcoord coordinator")
-	fs.BoolVar(&f.Pprof, "pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
-	fs.StringVar(&f.TraceOut, "trace-out", "", "write the retained trace spans as Chrome trace_event JSON to this file on shutdown (open in chrome://tracing or Perfetto)")
-	fs.StringVar(&f.LogLevel, "log-level", "info", "structured log level: debug, info, warn or error")
-	fs.StringVar(&f.LogFormat, "log-format", "text", "structured log format: text or json")
 	return f
 }
 
@@ -75,14 +101,7 @@ func (f *Flags) Config() Config {
 	return Config{
 		Engine: campaign.Engine{Workers: f.Workers, Chunk: f.Chunk, GangSize: f.Gang,
 			Planner: &campaign.Planner{}, AOTThreshold: f.AOTThreshold},
-		MaxConcurrent:    f.Jobs,
-		MaxQueue:         f.Queue,
-		MaxRuns:          f.MaxRuns,
-		MaxCycles:        f.MaxCycles,
-		MaxBody:          f.MaxBody,
-		DefaultDeadline:  f.Deadline,
-		MaxDeadline:      f.MaxDeadline,
-		WriteTimeout:     f.WriteTimeout,
+		Limits:           f.Limits(),
 		CheckpointCycles: f.CheckpointCycles,
 		ShardMode:        f.Shard,
 		Pprof:            f.Pprof,

@@ -183,14 +183,37 @@ func (j *job) global(i int) int {
 	return j.idx[i]
 }
 
-// newJob validates a request and builds its runs under the id the
-// caller assigned (ids are allocated before admission so a queued job
-// can be spilled to the durable store). Every path that errors here
-// is a client error (400): bad source, unknown scenario or backend,
-// limits exceeded. Building is deterministic — the same request under
-// the same id yields runs that execute to byte-identical results,
-// which is what lets recovery rebuild a job from its stored request.
-func (s *Server) newJob(id string, req JobRequest) (*job, error) {
+// Plan is a request that passed every check a server makes before it
+// spends anything on the job — shape, backend, parse, defaults,
+// limits, scenario build — with what was learned on the way. It is the
+// one planner: a coordinator routes and chunks from it as is (a bad
+// spec answers 400 there without a single dispatch), and Server.newJob
+// finishes it into runs.
+type Plan struct {
+	Req    JobRequest
+	Header JobHeader // Job, Runs, and Backend + SpecDigest or Scenario
+
+	// Key is the job's content identity for routing: the spec's
+	// canonical digest — what shards compile under, so a spec's chunks
+	// land where its program and AOT binary are already cached — or
+	// the scenario's name and parameters.
+	Key string
+
+	spec    *core.Spec     // spec jobs: the parsed design,
+	backend core.Backend   // its backend
+	cycles  int64          // and per-run budget
+	runs    []campaign.Run // scenario jobs: the built campaign
+}
+
+// Plan validates a request under these limits. shard says whether the
+// cluster shard protocol (JobRequest.Chunk / StreamCheckpoints / Warm)
+// is accepted. Every error is the client's (400): bad source, unknown
+// scenario or backend, limits exceeded. Planning is deterministic —
+// the same request yields the same plan on every node, which is what
+// lets shards rebuild a coordinator's campaign, and recovery a stored
+// one, from the request alone.
+func (l Limits) Plan(id string, req JobRequest, shard bool) (*Plan, error) {
+	l = l.withDefaults()
 	switch {
 	case req.Spec == "" && req.Scenario == "":
 		return nil, errors.New("job needs a spec or a scenario")
@@ -203,21 +226,155 @@ func (s *Server) newJob(id string, req JobRequest) (*job, error) {
 	if req.Runs < 0 || req.Cycles < 0 || req.DeadlineMS < 0 || req.Size < 0 || req.Seed < 0 {
 		return nil, errors.New("runs, cycles, seed, size and deadline_ms must be non-negative")
 	}
-	// The shard protocol is opt-in: a plain asimd must not let an
-	// arbitrary client partition jobs or pull machine-state bytes off
-	// the stream.
-	if !s.cfg.ShardMode && (req.Chunk != nil || req.StreamCheckpoints || len(req.Warm) > 0) {
+	// The shard protocol is opt-in: it exposes machine-state bytes and
+	// is a coordinator's to send, never an arbitrary client's.
+	if !shard && (req.Chunk != nil || req.StreamCheckpoints || len(req.Warm) > 0) {
 		return nil, errors.New("chunk, stream_checkpoints and warm are the cluster shard protocol; this server is not a shard (asimd -shard)")
 	}
-	var j *job
-	var err error
-	if req.Scenario != "" {
-		j, err = s.newScenarioJob(id, req)
-	} else {
-		j, err = s.newSpecJob(id, req)
+	// Backends are a closed set; validating before any cache sees one
+	// keeps the key space client-independent — garbage backend strings
+	// must not grow the never-evicted cache one error entry per
+	// spelling.
+	if req.Backend != "" {
+		if err := validBackend(core.Backend(req.Backend)); err != nil {
+			return nil, err
+		}
 	}
+	p := &Plan{Req: req, Header: JobHeader{Job: id}}
+	build := p.design
+	if req.Scenario != "" {
+		build = p.scenario
+	}
+	if err := build(l); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// design plans a spec job: a fleet of Runs identical copies.
+func (p *Plan) design(l Limits) error {
+	p.backend = core.Backend(p.Req.Backend)
+	if p.backend == "" {
+		p.backend = core.Compiled
+	}
+	parse := core.ParseString
+	if p.Req.Modules {
+		parse = core.ParseExtendedString
+	}
+	var err error
+	if p.spec, err = parse("job", p.Req.Spec); err != nil {
+		return fmt.Errorf("spec: %v", err)
+	}
+	n := p.Req.Runs
+	if n == 0 {
+		n = 1
+	}
+	if p.cycles = p.Req.Cycles; p.cycles == 0 {
+		p.cycles = p.spec.DefaultCycles(10000)
+	}
+	if err := l.checkLimits(n, p.cycles); err != nil {
+		return err
+	}
+	// The digest is rendered once and reused for the header, the
+	// route key and the content-addressed compile.
+	p.Key = p.spec.CanonicalDigest()
+	p.Header.Runs, p.Header.Backend, p.Header.SpecDigest = n, string(p.backend), p.Key
+	return nil
+}
+
+// scenarioSizeCap bounds a scenario's Size parameter: Size feeds spec
+// generation (memory array lengths), which Build materializes before
+// any post-Build check could see it.
+const scenarioSizeCap = 1 << 20
+
+// scenario plans a named scenario by building it: scenarios apply
+// their own defaults and multipliers, so the campaign's true size —
+// which chunk boundaries need — is only known afterwards.
+func (p *Plan) scenario(l Limits) error {
+	req := p.Req
+	sc, ok := campaign.Lookup(req.Scenario)
+	if !ok {
+		return fmt.Errorf("unknown scenario %q (have %v)", req.Scenario, campaign.Names())
+	}
+	// The requested parameters are capped before Build runs: Build
+	// materializes the run slice (and, for sweeps, generates and
+	// compiles specs), so a post-Build check could not prevent the
+	// allocation the caps exist to bound.
+	if err := l.checkLimits(req.Runs, req.Cycles); err != nil {
+		return err
+	}
+	if req.Size > scenarioSizeCap {
+		return fmt.Errorf("job asks for size %d; this server caps scenario size at %d", req.Size, scenarioSizeCap)
+	}
+	var err error
+	p.runs, err = sc.Build(campaign.Params{
+		N:       req.Runs,
+		Cycles:  req.Cycles,
+		Backend: core.Backend(req.Backend),
+		Seed:    req.Seed,
+		Size:    req.Size,
+	})
+	if err != nil {
+		return fmt.Errorf("scenario %s: %v", req.Scenario, err)
+	}
+	// Post-Build check: what the scenario produced from its own
+	// defaults and multipliers must respect the caps too.
+	maxCycles := int64(0)
+	for _, r := range p.runs {
+		maxCycles = max(maxCycles, r.Cycles)
+	}
+	if err := l.checkLimits(len(p.runs), maxCycles); err != nil {
+		return err
+	}
+	p.Key = fmt.Sprintf("scenario/%s/%d/%d/%s/%d/%d", req.Scenario, req.Runs, req.Cycles, req.Backend, req.Seed, req.Size)
+	p.Header.Runs, p.Header.Scenario = len(p.runs), req.Scenario
+	return nil
+}
+
+func validBackend(b core.Backend) error {
+	for _, k := range core.Backends() {
+		if b == k {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown backend %q (have %v)", b, core.Backends())
+}
+
+func (l Limits) checkLimits(runs int, cycles int64) error {
+	if runs > l.MaxRuns {
+		return fmt.Errorf("job asks for %d runs; this server caps jobs at %d", runs, l.MaxRuns)
+	}
+	if cycles > l.MaxCycles {
+		return fmt.Errorf("job asks for %d cycles per run; this server caps runs at %d", cycles, l.MaxCycles)
+	}
+	return nil
+}
+
+// newJob plans a request and finishes the plan into runs under the id
+// the caller assigned (ids are allocated before admission so a queued
+// job can be spilled to the durable store): the content-addressed
+// compile — one compilation per (digest, backend) across every client
+// the server will ever see — then the fleet, then the request's chunk
+// selection. Errors are client errors (400), like the planner's.
+func (s *Server) newJob(id string, req JobRequest) (*job, error) {
+	p, err := s.fe.Plan(id, req, s.cfg.ShardMode)
 	if err != nil {
 		return nil, err
+	}
+	j := &job{header: p.Header, runs: p.runs}
+	if p.spec != nil {
+		prog, hit, err := s.cache.GetDigest(p.Key, p.spec, p.backend)
+		if err != nil {
+			return nil, fmt.Errorf("compile: %v", err)
+		}
+		j.header.Cache = "miss"
+		if hit {
+			j.header.Cache = "hit"
+		}
+		// The fleet is named "job", not by the job id, so two identical
+		// jobs stream byte-identical run lines — only the header
+		// differs (job id, cache hit vs miss).
+		j.runs = campaign.Fleet("job", prog, p.Header.Runs, p.cycles)
 	}
 	if err := j.partition(req); err != nil {
 		return nil, err
@@ -236,7 +393,7 @@ func (j *job) partition(req JobRequest) error {
 		c := req.Chunk
 		pick := c.Pick
 		if len(pick) == 0 {
-			if c.Count <= 0 || c.Offset < 0 || c.Offset+c.Count > len(j.runs) {
+			if c.Count <= 0 || c.Offset < 0 || c.Offset > len(j.runs) || c.Count > len(j.runs)-c.Offset { // overflow-safe
 				return fmt.Errorf("chunk [%d,%d) is outside the job's %d runs", c.Offset, c.Offset+c.Count, len(j.runs))
 			}
 			pick = campaign.Range(c.Offset, c.Count)
@@ -269,136 +426,6 @@ func (j *job) partition(req JobRequest) error {
 		if w.Cycle > 0 && w.Cycle <= j.runs[i].Cycles {
 			j.runs[i].Warm = campaign.WarmStartFromState(j.runs[i].Program, w.Cycle, w.State)
 		}
-	}
-	return nil
-}
-
-func (s *Server) newSpecJob(id string, req JobRequest) (*job, error) {
-	backend := core.Backend(req.Backend)
-	if backend == "" {
-		backend = core.Compiled
-	}
-	// Backends are a closed set; validating before the cache keeps the
-	// key space client-independent — garbage backend strings must not
-	// grow the never-evicted cache one error entry per spelling.
-	if err := validBackend(backend); err != nil {
-		return nil, err
-	}
-	parse := core.ParseString
-	if req.Modules {
-		parse = core.ParseExtendedString
-	}
-	spec, err := parse("job", req.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %v", err)
-	}
-	n := req.Runs
-	if n == 0 {
-		n = 1
-	}
-	cycles := req.Cycles
-	if cycles == 0 {
-		cycles = spec.DefaultCycles(10000)
-	}
-	if err := s.checkLimits(n, cycles); err != nil {
-		return nil, err
-	}
-	// The content-addressed compile: one compilation per (digest,
-	// backend) across every client the server will ever see. The
-	// digest is rendered once and reused for the header.
-	digest := spec.CanonicalDigest()
-	prog, hit, err := s.cache.GetDigest(digest, spec, backend)
-	if err != nil {
-		return nil, fmt.Errorf("compile: %v", err)
-	}
-	cache := "miss"
-	if hit {
-		cache = "hit"
-	}
-	return &job{
-		header: JobHeader{
-			Job:        id,
-			Runs:       n,
-			Backend:    string(backend),
-			SpecDigest: digest,
-			Cache:      cache,
-		},
-		// The fleet is named "job", not by the job id, so two identical
-		// jobs stream byte-identical run lines — only the header
-		// differs (job id, cache hit vs miss).
-		runs: campaign.Fleet("job", prog, n, cycles),
-	}, nil
-}
-
-// scenarioSizeCap bounds a scenario's Size parameter: Size feeds spec
-// generation (memory array lengths), which Build materializes before
-// any post-Build check could see it.
-const scenarioSizeCap = 1 << 20
-
-func (s *Server) newScenarioJob(id string, req JobRequest) (*job, error) {
-	sc, ok := campaign.Lookup(req.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("unknown scenario %q (have %v)", req.Scenario, campaign.Names())
-	}
-	if req.Backend != "" {
-		if err := validBackend(core.Backend(req.Backend)); err != nil {
-			return nil, err
-		}
-	}
-	// The requested parameters are capped before Build runs: Build
-	// materializes the run slice (and, for sweeps, generates and
-	// compiles specs), so a post-Build check could not prevent the
-	// allocation the caps exist to bound. The post-Build check below
-	// still governs what the scenario actually produced from its own
-	// defaults and multipliers.
-	if err := s.checkLimits(req.Runs, req.Cycles); err != nil {
-		return nil, err
-	}
-	if req.Size > scenarioSizeCap {
-		return nil, fmt.Errorf("job asks for size %d; this server caps scenario size at %d", req.Size, scenarioSizeCap)
-	}
-	runs, err := sc.Build(campaign.Params{
-		N:       req.Runs,
-		Cycles:  req.Cycles,
-		Backend: core.Backend(req.Backend),
-		Seed:    req.Seed,
-		Size:    req.Size,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %v", req.Scenario, err)
-	}
-	// Post-Build check: what the scenario produced from its own
-	// defaults and multipliers must respect the caps too.
-	maxCycles := int64(0)
-	for _, r := range runs {
-		if r.Cycles > maxCycles {
-			maxCycles = r.Cycles
-		}
-	}
-	if err := s.checkLimits(len(runs), maxCycles); err != nil {
-		return nil, err
-	}
-	return &job{
-		header: JobHeader{Job: id, Runs: len(runs), Scenario: req.Scenario},
-		runs:   runs,
-	}, nil
-}
-
-func validBackend(b core.Backend) error {
-	for _, k := range core.Backends() {
-		if b == k {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown backend %q (have %v)", b, core.Backends())
-}
-
-func (s *Server) checkLimits(runs int, cycles int64) error {
-	if max := s.cfg.maxRuns(); runs > max {
-		return fmt.Errorf("job asks for %d runs; this server caps jobs at %d", runs, max)
-	}
-	if max := s.cfg.maxCycles(); cycles > max {
-		return fmt.Errorf("job asks for %d cycles per run; this server caps runs at %d", cycles, max)
 	}
 	return nil
 }

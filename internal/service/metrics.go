@@ -8,16 +8,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// counters is the server's internal metric state. Everything is a
-// plain atomic so the hot path (one job) touches a handful of adds.
+// counters is the server's internal metric state (the front end keeps
+// the admission books). Everything is a plain atomic so the hot path
+// (one job) touches a handful of adds.
 type counters struct {
 	jobsAccepted     atomic.Int64
 	jobsChunked      atomic.Int64
 	jobsCompleted    atomic.Int64
 	jobsFailed       atomic.Int64
-	jobsRejected     atomic.Int64
-	jobsAbandoned    atomic.Int64
-	jobsBad          atomic.Int64
 	jobsActive       atomic.Int64
 	jobsResumed      atomic.Int64
 	jobsRecovered    atomic.Int64
@@ -125,11 +123,11 @@ func (s *Server) Metrics() Metrics {
 		JobsChunked:   s.met.jobsChunked.Load(),
 		JobsCompleted: s.met.jobsCompleted.Load(),
 		JobsFailed:    s.met.jobsFailed.Load(),
-		JobsRejected:  s.met.jobsRejected.Load(),
-		JobsAbandoned: s.met.jobsAbandoned.Load(),
-		JobsBad:       s.met.jobsBad.Load(),
+		JobsRejected:  s.fe.JobsRejected.Load(),
+		JobsAbandoned: s.fe.JobsAbandoned.Load(),
+		JobsBad:       s.fe.JobsBad.Load(),
 		JobsActive:    s.met.jobsActive.Load(),
-		QueueDepth:    s.queued.Load(),
+		QueueDepth:    s.fe.QueueDepth(),
 
 		JobsResumed:      s.met.jobsResumed.Load(),
 		JobsRecovered:    s.met.jobsRecovered.Load(),
@@ -150,11 +148,11 @@ func (s *Server) Metrics() Metrics {
 		CyclesScalar:    s.met.rungCycles[3].Load(),
 
 		JobLatency: s.jobLatency.Snapshot(),
-		QueueWait:  s.queueWait.Snapshot(),
-		WriteStall: s.writeStall.Snapshot(),
+		QueueWait:  s.fe.QueueWait.Snapshot(),
+		WriteStall: s.fe.WriteStall.Snapshot(),
 
-		TraceSpans:   int64(s.tracer.Len()),
-		TraceDropped: s.tracer.Dropped(),
+		TraceSpans:   int64(s.fe.Tracer.Len()),
+		TraceDropped: s.fe.Tracer.Dropped(),
 
 		CacheHits:     s.cache.Hits(),
 		CacheMisses:   s.cache.Misses(),
@@ -163,8 +161,8 @@ func (s *Server) Metrics() Metrics {
 	if m.BusySeconds > 0 {
 		m.CyclesPerS = float64(m.CyclesTotal) / m.BusySeconds
 	}
-	m.UptimeSeconds = time.Since(s.start).Seconds()
-	if capacity := m.UptimeSeconds * float64(s.cfg.maxConcurrent()); capacity > 0 {
+	m.UptimeSeconds = time.Since(s.fe.Start).Seconds()
+	if capacity := m.UptimeSeconds * float64(s.fe.MaxConcurrent); capacity > 0 {
 		m.Utilization = m.BusySeconds / capacity
 	}
 	if aot := s.cfg.Engine.AOT; aot != nil {

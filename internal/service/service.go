@@ -23,12 +23,18 @@
 //     still simulate. A trailer line carries the campaign summary.
 //
 // Endpoints: POST /v1/jobs (NDJSON stream), GET /v1/scenarios,
-// GET /healthz, GET /metrics (JSON counters).
+// GET /v1/trace/{job}, GET /healthz, GET /metrics (JSON counters).
+//
+// Everything between the socket and "what to do with an admitted job"
+// lives in FrontEnd (limits, decoding, admission, the planner, line
+// writing) and LineLog (a job's resumable result lines), and is shared
+// with package cluster: asimcoord serves the same front end and
+// differs only in fanning an admitted plan out instead of executing
+// it.
 package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -54,37 +60,10 @@ type Config struct {
 	// Cache is the shared program cache; nil builds a fresh one.
 	Cache *core.ProgramCache
 
-	// MaxConcurrent is how many jobs execute simultaneously; <= 0
-	// means 2. Each job internally parallelizes across the engine's
-	// workers, so a small number of slots saturates the machine.
-	MaxConcurrent int
-
-	// MaxQueue is how many admitted jobs may wait for a slot; <= 0
-	// means 8. A job past the queue is rejected with 429.
-	MaxQueue int
-
-	// MaxRuns caps a single job's run count; <= 0 means 4096.
-	MaxRuns int
-
-	// MaxCycles caps a single run's cycle budget; <= 0 means 10^8.
-	MaxCycles int64
-
-	// MaxBody caps the request body in bytes; <= 0 means 1 MiB.
-	MaxBody int64
-
-	// DefaultDeadline bounds a job that does not ask for a deadline;
-	// <= 0 means 60s. MaxDeadline caps what a job may ask for; <= 0
-	// means 10m.
-	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-
-	// WriteTimeout bounds each streamed line's write; <= 0 means 30s.
-	// A connected client that stops reading fails its next line after
-	// this long instead of wedging an engine worker (and with it a job
-	// slot) on a blocked Write; the job's campaign is cancelled at the
-	// same moment. A server-wide http.Server.WriteTimeout would be
-	// wrong here — it would kill legitimately long streams.
-	WriteTimeout time.Duration
+	// Limits is the admission surface shared with asimcoord: job
+	// slots and queue, per-job caps, deadlines, the per-line write
+	// timeout.
+	Limits
 
 	// Store, when non-nil, makes jobs durable: admitted requests,
 	// delivered result lines, periodic run checkpoints and completion
@@ -125,167 +104,57 @@ type Config struct {
 	Pprof bool
 }
 
-func (c Config) maxConcurrent() int { return defInt(c.MaxConcurrent, 2) }
-func (c Config) maxQueue() int      { return defInt(c.MaxQueue, 8) }
-func (c Config) maxRuns() int       { return defInt(c.MaxRuns, 4096) }
-func (c Config) maxCycles() int64 {
-	if c.MaxCycles > 0 {
-		return c.MaxCycles
-	}
-	return 100_000_000
-}
-func (c Config) maxBody() int64 {
-	if c.MaxBody > 0 {
-		return c.MaxBody
-	}
-	return 1 << 20
-}
-func (c Config) defaultDeadline() time.Duration { return defDur(c.DefaultDeadline, 60*time.Second) }
-func (c Config) maxDeadline() time.Duration     { return defDur(c.MaxDeadline, 10*time.Minute) }
-func (c Config) writeTimeout() time.Duration    { return defDur(c.WriteTimeout, 30*time.Second) }
-func (c Config) checkpointCycles() int64 {
-	if c.CheckpointCycles > 0 {
-		return c.CheckpointCycles
-	}
-	return 65536
-}
-
-func defInt(v, def int) int {
-	if v > 0 {
-		return v
-	}
-	return def
-}
-
-func defDur(v, def time.Duration) time.Duration {
-	if v > 0 {
-		return v
-	}
-	return def
-}
+func (c Config) checkpointCycles() int64 { return orDefault(c.CheckpointCycles, 65536) }
 
 // Server is the HTTP serving layer. Create with New; Server is an
 // http.Handler, so it mounts under httptest, http.Server or any mux.
 type Server struct {
 	cfg   Config
+	fe    *FrontEnd // decode, admission, deadlines, line writing — shared with asimcoord
 	cache *core.ProgramCache
 	store durable.Store // nil: durability off
 	mux   *http.ServeMux
 
-	slots  chan struct{} // running-job slots (capacity MaxConcurrent)
-	queued atomic.Int64  // jobs waiting for a slot
-
-	// running tracks every job whose campaign is executing right now —
-	// foreground streams and background completions alike — so a
-	// resume stream can wait for its job's next result instead of
-	// polling the store.
+	// running holds the line log of every store-backed job whose
+	// campaign is executing right now — foreground streams and
+	// background completions alike — so a resume stream follows its
+	// job's results as they are persisted instead of polling the store.
 	runMu   sync.Mutex
-	running map[string]*jobRun
+	running map[string]*LineLog
 
-	jobSeq atomic.Int64
-	met    counters
-
-	tracer *telemetry.Tracer
-	log    *slog.Logger
-	start  time.Time
-
+	jobSeq     atomic.Int64
+	met        counters
 	jobLatency *telemetry.Histogram
-	queueWait  *telemetry.Histogram
-	writeStall *telemetry.Histogram
 }
-
-// DefaultTraceSpans is the trace ring capacity New uses when the
-// config does not bring its own Tracer.
-const DefaultTraceSpans = 8192
 
 // New builds a Server from the config.
 func New(cfg Config) *Server {
+	fe := NewFrontEnd(cfg.Limits, cfg.Tracer, cfg.Log)
 	s := &Server{
 		cfg:        cfg,
+		fe:         fe,
 		cache:      cfg.Cache,
 		store:      cfg.Store,
-		slots:      make(chan struct{}, cfg.maxConcurrent()),
-		running:    map[string]*jobRun{},
-		tracer:     cfg.Tracer,
-		log:        cfg.Log,
-		start:      time.Now(),
+		running:    map[string]*LineLog{},
 		jobLatency: telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-		queueWait:  telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-		writeStall: telemetry.NewHistogram(telemetry.LatencyBuckets()...),
 	}
 	if s.cache == nil {
 		s.cache = core.NewProgramCache()
 	}
-	if s.tracer == nil {
-		s.tracer = telemetry.NewTracer(DefaultTraceSpans)
-	}
-	if s.log == nil {
-		s.log = slog.New(slog.DiscardHandler)
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJob)
-	s.mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
-	s.mux.HandleFunc("GET /v1/trace/{job}", s.handleTrace)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.Pprof {
-		telemetry.RegisterPprof(s.mux)
-	}
+	fe.Mount(s.mux, func() any { return s.Metrics() }, s.PromMetrics, cfg.Pprof)
 	return s
 }
 
 // Tracer returns the server's span ring (for -trace-out export).
-func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
+func (s *Server) Tracer() *telemetry.Tracer { return s.fe.Tracer }
 
 // Cache returns the server's shared program cache.
 func (s *Server) Cache() *core.ProgramCache { return s.cache }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", telemetry.ContentType)
-		_, _ = w.Write(s.PromMetrics())
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Metrics())
-}
-
-// handleTrace serves the spans the server recorded for one job as
-// NDJSON, newest spans last. The path accepts either the server's own
-// job id or a fabric-wide trace id — a coordinator's client holds the
-// latter, never the shard-local ids.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	spans := s.tracer.ForJob(r.PathValue("job"))
-	if len(spans) == 0 {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no spans for that job or trace id"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, sp := range spans {
-		_ = enc.Encode(sp)
-	}
-}
-
-func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
-	type scenario struct {
-		Name          string `json:"name"`
-		Desc          string `json:"desc"`
-		FaultCampaign bool   `json:"fault_campaign,omitempty"`
-	}
-	var out []scenario
-	for _, name := range campaign.Names() {
-		sc, _ := campaign.Lookup(name)
-		out = append(out, scenario{Name: sc.Name, Desc: sc.Desc, FaultCampaign: sc.FaultCampaign})
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // handleJob admits, executes and streams one job. The response is
@@ -297,98 +166,39 @@ func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
 // stream can be resumed (see handleResume) and an interrupted
 // campaign recovered after restart (see Recover).
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.met.jobsBad.Add(1)
-		// An oversized body is its own protocol condition: 413 plus the
-		// limit, not a generic 400 — the client's fix (shrink or split
-		// the job) is different from fixing malformed JSON.
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				map[string]string{"error": fmt.Sprintf("request body exceeds this server's %d-byte limit", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad job request: %v", err)})
+	req, ok := s.fe.Decode(w, r)
+	if !ok {
 		return
 	}
 	if req.Resume != nil {
-		s.handleResume(w, r, req)
+		s.handleResume(w, r, *req.Resume)
 		return
 	}
 
-	// Every job gets a trace id: the client's (propagated from the
-	// X-Asim-Trace header — this is how a coordinator's id reaches
-	// shard spans) or a fresh one. It rides the response header and
-	// the span ring only, never the NDJSON stream.
-	arrived := time.Now()
-	trace := r.Header.Get(telemetry.TraceHeader)
-	if trace == "" {
-		trace = telemetry.NewTraceID()
-	}
-
 	// The id is allocated before admission so a queued job can be
-	// spilled to the durable store under its final name.
-	id := s.nextJobID()
-
-	// Admission: take a slot if one is free; otherwise wait in the
-	// bounded queue; past the queue, reject. Admission precedes the
-	// expensive half of the job — parsing and compiling the spec — so
-	// an oversubscribed server answers 429 promptly and cheaply
-	// instead of accumulating compile work it will never run.
-	persisted := false
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		if s.queued.Add(1) > int64(s.cfg.maxQueue()) {
-			s.queued.Add(-1)
-			s.met.jobsRejected.Add(1)
-			s.log.Warn("job rejected", "job", id, "trace", trace, "reason", "queue full")
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "queue full"})
-			return
-		}
-		// Queued: spill the admission to the store before blocking, so
-		// a job that made it past the 429 gate survives a restart even
-		// if it never reaches a slot. Rejected jobs never touch disk.
-		s.persistAdmit(id, req)
-		persisted = true
-		select {
-		case s.slots <- struct{}{}:
-			s.queued.Add(-1)
-		case <-r.Context().Done():
-			// The client gave up while queued: the job was never
-			// executed. Its admit record stays in the store — a resume
-			// (or a restart's recovery) picks it up from there.
-			s.queued.Add(-1)
-			s.met.jobsAbandoned.Add(1)
-			return
-		}
+	// spilled to the durable store under its final name. Recover
+	// advances the sequence past every stored job before traffic is
+	// served, so recovered and fresh ids never collide.
+	id := fmt.Sprintf("j%d", s.jobSeq.Add(1))
+	trace, arrived, ok := s.fe.Admit(w, r, id, func() { s.persistAdmit(id, req) })
+	if !ok {
+		return
 	}
-	defer func() { <-s.slots }()
-	if !persisted {
-		s.persistAdmit(id, req)
-	}
-	queueWait := time.Since(arrived)
-	s.queueWait.Observe(queueWait.Seconds())
-	s.tracer.Record(telemetry.Timed(telemetry.Span{Trace: trace, Job: id, Name: "admit"}, arrived))
+	defer s.fe.Release()
 
 	compileStart := time.Now()
 	job, err := s.newJob(id, req)
 	if err != nil {
-		s.met.jobsBad.Add(1)
-		s.tracer.Record(telemetry.Timed(telemetry.Span{
+		s.fe.Tracer.Record(telemetry.Timed(telemetry.Span{
 			Trace: trace, Job: id, Name: "compile", Err: err.Error()}, compileStart))
-		s.log.Warn("job bad", "job", id, "trace", trace, "err", err)
+		s.fe.Log.Warn("job bad", "job", id, "trace", trace, "err", err)
 		s.dropJob(id)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		s.fe.Reject(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.tracer.Record(telemetry.Timed(telemetry.Span{
+	s.fe.Tracer.Record(telemetry.Timed(telemetry.Span{
 		Trace: trace, Job: id, Name: "compile", Runs: len(job.runs), Cache: job.header.Cache}, compileStart))
-	s.log.Debug("job admitted", "job", id, "trace", trace, "runs", len(job.runs), "queue_wait", queueWait)
+	s.fe.Log.Debug("job admitted", "job", id, "trace", trace, "runs", len(job.runs), "queue_wait", compileStart.Sub(arrived))
 
 	s.met.jobsAccepted.Add(1)
 	if req.Chunk != nil {
@@ -397,114 +207,104 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.met.jobsActive.Add(1)
 	defer s.met.jobsActive.Add(-1)
 
-	jr := s.registerRun(id)
-	defer s.finishRun(id, jr)
+	// Only a store-backed job can ever be resumed, so only it keeps a
+	// log: without a store lg stays nil and the per-line path below
+	// carries no follower bookkeeping at all.
+	var lg *LineLog
+	if s.store != nil {
+		lg = NewLineLog(len(job.runs))
+		s.runMu.Lock()
+		s.running[id] = lg
+		s.runMu.Unlock()
+		defer s.finishRun(id, lg)
+	}
 
-	deadline := s.cfg.defaultDeadline()
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	if max := s.cfg.maxDeadline(); deadline > max {
-		deadline = max
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), s.fe.Deadline(req.DeadlineMS))
 	defer cancel()
-	ctx = telemetry.WithTrace(ctx, trace)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Job-Id", job.header.Job)
-	w.Header().Set(telemetry.TraceHeader, trace)
-	out := &lineWriter{
-		w:       w,
-		rc:      http.NewResponseController(w),
-		timeout: s.cfg.writeTimeout(),
-		cancel:  cancel,
-		stall:   s.writeStall,
-	}
+	// The trace id rides the response header and the span ring only,
+	// never the NDJSON stream.
+	out := s.fe.stream(w, id, trace, cancel)
 	out.line(job.header)
+	sum, execErr := s.execute(telemetry.WithTrace(ctx, trace), id, job.runs, job.idx, out, req.StreamCheckpoints, lg)
+	trailer := JobTrailer{Done: true, Summary: sum}
+	if execErr != nil {
+		trailer.Err = execErr.Error()
+	}
+	delivered := out.finish(trailer)
+	s.jobLatency.ObserveSince(arrived)
 
+	// Everything delivered: the durable record served its purpose.
+	if execErr == nil && delivered {
+		s.dropJob(id)
+	}
+}
+
+// execute runs a job's campaign — all of it for a client's stream, the
+// unfinished remainder for a background completion (out nil: no client
+// attached) — and closes its books. idx, when set, maps the engine's
+// run indices to the indices lines, records and checkpoints carry: the
+// full campaign's, so a chunk's or a remainder's lines are the
+// unchunked, uninterrupted execution's bytes. Each result is
+// persisted, written to the client straight from the engine's delivery
+// callback, and appended to the job's log, in that order.
+func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, idx []int, out *lineWriter, streamCheckpoints bool, lg *LineLog) (campaign.Summary, error) {
 	eng := s.cfg.Engine
 	eng.Observe = s.observeDispatch(id)
-	var cks []campaign.Checkpointer
-	if s.store != nil {
-		cks = append(cks, &storeCheckpointer{s: s, job: id, idx: job.idx})
-	}
-	if req.StreamCheckpoints {
-		cks = append(cks, &streamCheckpointer{out: out, idx: job.idx})
-	}
-	if len(cks) > 0 {
-		eng.Checkpoint = joinCheckpointers(cks)
-		eng.CheckpointEvery = s.cfg.checkpointCycles()
+	if s.store != nil || streamCheckpoints {
+		ck := &checkpointer{s: s, job: id, idx: idx}
+		if streamCheckpoints {
+			ck.stream = out
+		}
+		eng.Checkpoint, eng.CheckpointEvery = ck, s.cfg.checkpointCycles()
 	}
 
 	t0 := time.Now()
-	results, execErr := eng.ExecuteStream(ctx, job.runs, func(res campaign.Result) {
-		if s.store != nil && errors.Is(res.Err, context.Canceled) {
-			// A cancelled run is not an outcome: it resumes from its
-			// checkpoint later. Persisting nothing and streaming
-			// nothing keeps the invariant the resume token rides on —
-			// every line the client received has a stored record.
-			return
+	results, execErr := eng.ExecuteStream(ctx, runs, func(res campaign.Result) {
+		if idx != nil {
+			res.Index = idx[res.Index]
 		}
-		// Chunk jobs render, stream and persist under global indices:
-		// the line bytes must be the unchunked execution's.
-		res.Index = job.global(res.Index)
-		data, err := json.Marshal(ResultLine(res))
+		data, err := s.persistResult(id, res)
 		if err != nil {
 			out.fail(err)
-			return
+		} else if data != nil {
+			out.raw(data)
+			lg.Append(data)
 		}
-		if s.store != nil {
-			// Persist-then-write: the stored result records are always
-			// a superset of what any client received, so a resume
-			// token's delivered count indexes the stored prefix.
-			_ = s.store.Append(id, durable.Record{Kind: durable.KindResult, Run: int64(res.Index), Data: data})
-		}
-		out.raw(data)
-		jr.bump()
 	})
 	elapsed := time.Since(t0)
 
 	sum := campaign.Summarize(results, elapsed)
-	trailer := JobTrailer{Done: true, Summary: sum}
-	outcome := "completed"
-	switch {
-	case execErr == nil:
-		s.met.jobsCompleted.Add(1)
-		s.persistDone(id, nil)
-	case errors.Is(execErr, context.Canceled):
-		// The client went away mid-stream. That is not the job
-		// failing — its runs are checkpointed and no completion marker
-		// is written, so a resume (or restart recovery) finishes it.
-		trailer.Err = execErr.Error()
-		s.met.jobsAbandoned.Add(1)
-		outcome = "abandoned"
-	default:
-		// Deadline exceeded or an engine error: the job genuinely
-		// finished, unsuccessfully.
-		trailer.Err = execErr.Error()
-		s.met.jobsFailed.Add(1)
-		s.persistDone(id, execErr)
-		outcome = "failed"
-	}
 	s.met.runsTotal.Add(int64(sum.Runs))
 	s.met.cyclesTotal.Add(sum.Cycles)
 	s.met.busyNanos.Add(int64(elapsed))
-	out.line(trailer)
-	s.jobLatency.ObserveSince(arrived)
-	s.tracer.Record(telemetry.Timed(telemetry.Span{
-		Trace: trace, Job: id, Name: "job", Runs: sum.Runs, Cycles: sum.Cycles, Err: trailer.Err}, t0))
-	s.log.Info("job finished", "job", id, "trace", trace, "outcome", outcome,
-		"runs", sum.Runs, "cycles", sum.Cycles, "elapsed", elapsed)
-	// The per-line write deadline is connection state, not request
-	// state: left set, it would poison the next request on a
-	// keep-alive connection once it expires.
-	_ = out.rc.SetWriteDeadline(time.Time{})
-
-	// Everything delivered: the durable record served its purpose.
-	if execErr == nil && out.failed() == nil {
-		s.dropJob(id)
+	outcome, errText := "completed", ""
+	switch {
+	case execErr == nil:
+		s.met.jobsCompleted.Add(1)
+		s.persistDone(id, lg, nil)
+	case errors.Is(execErr, context.Canceled):
+		// The client went away mid-stream (or, in the background, the
+		// server is shutting down). That is not the job failing — its
+		// runs are checkpointed and no completion marker is written, so
+		// a resume (or restart recovery) finishes it.
+		outcome, errText = "abandoned", execErr.Error()
+		if out != nil {
+			s.fe.JobsAbandoned.Add(1)
+		}
+	default:
+		// Deadline exceeded or an engine error: the job genuinely
+		// finished, unsuccessfully.
+		outcome, errText = "failed", execErr.Error()
+		s.met.jobsFailed.Add(1)
+		s.persistDone(id, lg, execErr)
 	}
+	trace := telemetry.TraceID(ctx)
+	s.fe.Tracer.Record(telemetry.Timed(telemetry.Span{
+		Trace: trace, Job: id, Name: "job", Runs: sum.Runs, Cycles: sum.Cycles, Err: errText}, t0))
+	s.fe.Log.Info("job finished", "job", id, "trace", trace, "outcome", outcome, "background", out == nil,
+		"runs", sum.Runs, "cycles", sum.Cycles, "elapsed", elapsed)
+	return sum, execErr
 }
 
 // observeDispatch builds the engine hook for one job: every dispatch
@@ -515,99 +315,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) observeDispatch(id string) func(context.Context, campaign.Dispatch) {
 	return func(ctx context.Context, d campaign.Dispatch) {
 		s.met.noteDispatch(d)
-		s.tracer.Record(telemetry.Span{
+		s.fe.Tracer.Record(telemetry.Span{
 			Trace: telemetry.TraceID(ctx), Job: id, Name: "engine." + d.Rung,
 			StartUS: d.Start.UnixMicro(), DurUS: d.Dur.Microseconds(),
 			Rung: d.Rung, Runs: d.Runs, Lanes: d.Runs, Cycles: d.Cycles,
 		})
 	}
-}
-
-// lineWriter writes NDJSON lines, flushing after each so results are
-// on the wire while the campaign still runs. Each write carries a
-// deadline: a connected client that stops reading fails the line
-// after timeout instead of blocking the engine worker delivering it.
-// The first error latches and cancels the job's campaign — a client
-// that cannot receive results should not keep burning a job slot.
-// Writes are serialized by a mutex: result lines arrive through the
-// engine's (already serialized) delivery callback, but streamed
-// checkpoint lines come concurrently from worker goroutines.
-type lineWriter struct {
-	mu      sync.Mutex
-	w       http.ResponseWriter
-	rc      *http.ResponseController
-	timeout time.Duration
-	cancel  context.CancelFunc
-	stall   *telemetry.Histogram // per-line write+flush time; nil skips
-	err     error
-}
-
-func (lw *lineWriter) line(v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		lw.fail(err)
-		return
-	}
-	lw.raw(data)
-}
-
-// raw writes one pre-rendered line (no trailing newline) — the path
-// resumed streams use to replay stored lines byte-identically.
-func (lw *lineWriter) raw(data []byte) {
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	if lw.err != nil {
-		return
-	}
-	start := time.Now()
-	// Best-effort: a ResponseWriter without deadline support just
-	// writes unbounded, as before.
-	_ = lw.rc.SetWriteDeadline(time.Now().Add(lw.timeout))
-	defer func() {
-		if lw.stall != nil {
-			lw.stall.ObserveSince(start)
-		}
-	}()
-	if _, err := lw.w.Write(data); err != nil {
-		lw.failLocked(err)
-		return
-	}
-	if _, err := lw.w.Write([]byte{'\n'}); err != nil {
-		lw.failLocked(err)
-		return
-	}
-	if err := lw.rc.Flush(); err != nil {
-		lw.failLocked(err)
-	}
-}
-
-func (lw *lineWriter) fail(err error) {
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	lw.failLocked(err)
-}
-
-func (lw *lineWriter) failLocked(err error) {
-	if lw.err != nil {
-		return
-	}
-	lw.err = err
-	if lw.cancel != nil {
-		lw.cancel()
-	}
-}
-
-// failed reports whether the stream has latched an error.
-func (lw *lineWriter) failed() error {
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	return lw.err
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

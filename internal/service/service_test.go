@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -234,33 +235,21 @@ func TestServiceScenarioJob(t *testing.T) {
 	}
 }
 
-// TestServiceBadJobs: malformed requests are 400s with a JSON error,
-// and are counted, not executed.
+// TestServiceBadJobs: every request the planner refuses (the one
+// table, service.BadRequests) is a 400 with a JSON error naming the
+// reason, and is counted, not executed.
 func TestServiceBadJobs(t *testing.T) {
-	srv, ts := newServer(t, service.Config{MaxRuns: 4, MaxCycles: 1000})
-	for name, req := range map[string]service.JobRequest{
-		"empty":          {},
-		"both":           {Spec: machines.Counter(), Scenario: "sieve-fleet"},
-		"parse error":    {Spec: "# broken\nnot a spec"},
-		"unknown":        {Scenario: "no-such-scenario"},
-		"over run cap":   {Spec: machines.Counter(), Runs: 5},
-		"over cycle cap": {Spec: machines.Counter(), Cycles: 2000},
-		"bad backend":    {Spec: machines.Counter(), Backend: "no-such-backend"},
-		"negative":       {Spec: machines.Counter(), Runs: -1},
-		// Scenario limits must reject on the *requested* parameters,
-		// before Build could materialize two billion runs or a
-		// gigascale generated spec (OOM, not a 400, if checked after).
-		"scenario runs":    {Scenario: "sieve-fleet", Runs: 2_000_000_000},
-		"scenario cycles":  {Scenario: "sieve-fleet", Cycles: 1 << 40},
-		"scenario size":    {Scenario: "sieve-fleet", Size: 1 << 30},
-		"scenario backend": {Scenario: "sieve-fleet", Backend: "no-such-backend"},
-	} {
-		status, lines := postJob(t, ts.URL, req)
+	srv, ts := newServer(t, service.Config{Limits: service.BadRequestLimits})
+	for _, bad := range service.BadRequests {
+		status, lines := postJob(t, ts.URL, bad.Req)
 		if status != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%v)", name, status, lines)
+			t.Errorf("%s: status %d, want 400 (%v)", bad.Name, status, lines)
+		}
+		if body := fmt.Sprint(lines); !strings.Contains(body, bad.Want) {
+			t.Errorf("%s: error does not say %q: %v", bad.Name, bad.Want, lines)
 		}
 	}
-	if m := srv.Metrics(); m.JobsBad != 12 || m.JobsAccepted != 0 {
+	if m := srv.Metrics(); m.JobsBad != int64(len(service.BadRequests)) || m.JobsAccepted != 0 {
 		t.Errorf("metrics: bad=%d accepted=%d", m.JobsBad, m.JobsAccepted)
 	}
 	// Garbage backend strings must not grow the never-evicted cache.
@@ -332,9 +321,8 @@ func waitFor(t *testing.T, what string, pred func() bool) {
 // with 429 while the first two are still in flight.
 func TestServiceQueueFull(t *testing.T) {
 	srv, ts := newServer(t, service.Config{
-		Engine:        campaign.Engine{Workers: 1, Chunk: 64},
-		MaxConcurrent: 1,
-		MaxQueue:      1,
+		Engine: campaign.Engine{Workers: 1, Chunk: 64},
+		Limits: service.Limits{MaxConcurrent: 1, MaxQueue: 1},
 	})
 
 	cancelA, waitA := startJob(t, ts, slowJob())
@@ -367,9 +355,8 @@ func TestServiceQueueFull(t *testing.T) {
 // stream or is rejected 429; nothing wedges, and the books balance.
 func TestServiceConcurrentJobs(t *testing.T) {
 	srv, ts := newServer(t, service.Config{
-		Engine:        campaign.Engine{Workers: 2, Chunk: 128},
-		MaxConcurrent: 2,
-		MaxQueue:      2,
+		Engine: campaign.Engine{Workers: 2, Chunk: 128},
+		Limits: service.Limits{MaxConcurrent: 2, MaxQueue: 2},
 	})
 	src, err := machines.SieveSpec(18)
 	if err != nil {
@@ -576,10 +563,8 @@ func TestServiceStreamsIncrementally(t *testing.T) {
 // gauges clean — all while the client still holds its connection open.
 func TestServiceSlowReader(t *testing.T) {
 	srv, ts := newServer(t, service.Config{
-		Engine:        campaign.Engine{Workers: 1, Chunk: 64},
-		MaxConcurrent: 1,
-		MaxRuns:       40000,
-		WriteTimeout:  200 * time.Millisecond,
+		Engine: campaign.Engine{Workers: 1, Chunk: 64},
+		Limits: service.Limits{MaxConcurrent: 1, MaxRuns: 40000, WriteTimeout: 200 * time.Millisecond},
 	})
 	// Enough run lines (~40000 × ~110 bytes) to overflow any socket
 	// buffering between server and a non-reading client.
@@ -613,7 +598,7 @@ func TestServiceSlowReader(t *testing.T) {
 // keep-alive connection — after the deadline would have expired —
 // still gets its response.
 func TestServiceKeepAliveAfterStream(t *testing.T) {
-	_, ts := newServer(t, service.Config{WriteTimeout: 50 * time.Millisecond})
+	_, ts := newServer(t, service.Config{Limits: service.Limits{WriteTimeout: 50 * time.Millisecond}})
 	status, _ := postJob(t, ts.URL, service.JobRequest{Spec: machines.Counter(), Cycles: 32})
 	if status != http.StatusOK {
 		t.Fatalf("job status %d", status)

@@ -222,7 +222,7 @@ func TestServicePrometheusExposition(t *testing.T) {
 // lands in exactly one terminal counter, and in the disconnect-free
 // phase runs_total equals the run lines actually delivered.
 func TestServiceCounterBalance(t *testing.T) {
-	_, ts := newServer(t, service.Config{MaxConcurrent: 2, MaxQueue: 2})
+	_, ts := newServer(t, service.Config{Limits: service.Limits{MaxConcurrent: 2, MaxQueue: 2}})
 	src, err := machines.SieveSpec(20)
 	if err != nil {
 		t.Fatal(err)
