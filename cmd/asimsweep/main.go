@@ -52,7 +52,7 @@ func main() {
 	log.SetFlags(0)
 	list := flag.Bool("list", false, "list registered scenarios and exit")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	gang := flag.Int("gang", 0, "gang width for lockstep execution (0 = adaptive per program, 1 disables)")
+	gang := flag.Int("gang", 0, "gang width for lockstep execution (0 = per program: 64 lanes for bit-parallel programs, 32 otherwise; 1 disables)")
 	jsonOut := flag.Bool("json", false, "emit JSON (one report object per scenario)")
 	perRun := flag.Bool("runs", false, "include per-run results in the report")
 	n := flag.Int("n", 0, "fleet size / sweep width (0 = scenario default)")
@@ -86,7 +86,7 @@ func main() {
 		Seed:    *seed,
 		Size:    *size,
 	}
-	eng := campaign.Engine{Workers: *workers, GangSize: *gang, Planner: &campaign.Planner{}}
+	eng := campaign.Engine{Workers: *workers, GangSize: *gang}
 	cleanup := func() {}
 	if *useAOT {
 		dir := *aotDir

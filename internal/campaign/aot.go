@@ -43,25 +43,6 @@ func (e Engine) aotPrograms(runs []Run) map[*core.Program]bool {
 	return eligible
 }
 
-// aotEligible reports whether one dispatch span routes to a native
-// worker: every run gangable, one program, and that program marked by
-// aotPrograms.
-func (p plan) aotEligible(idxs []int, runs []Run) bool {
-	if p.aot == nil {
-		return false
-	}
-	prog := runs[idxs[0]].Program
-	if prog == nil || !p.aot[prog] {
-		return false
-	}
-	for _, i := range idxs {
-		if runs[i].Program != prog || !runGangable(runs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // execAOT performs one span of runs inside the program's native worker
 // subprocess, falling back to the in-process path on any failure. On
 // context cancellation the completed prefix of results is kept and the

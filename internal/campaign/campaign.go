@@ -127,31 +127,22 @@ type Engine struct {
 	Workers int
 
 	// Chunk is the cycle granularity of cancellation checks inside a
-	// single run; <= 0 means 4096. Smaller chunks cancel long runs
-	// sooner at slightly more loop overhead.
+	// single run or gang; <= 0 means 4096. It is the whole cancellation
+	// bound — a unit executes at most one more chunk after ctx is
+	// cancelled, whatever its width — so smaller chunks cancel long
+	// runs sooner at slightly more loop overhead.
 	Chunk int64
 
-	// GangSize caps how many runs of one Program are stepped as a
-	// single struct-of-arrays gang: 0 picks a width per program —
-	// DefaultBitGangSize for programs whose gangs run bit-parallel
-	// kernels (64 lanes is exactly one plane word), DefaultGangSize
-	// otherwise, refined further by Planner when one is attached. Any
-	// value below 2 (but not 0) disables gang execution (a one-lane
-	// gang has nothing to amortize); 2 or more pins every gang to that
-	// width. The planner may narrow gangs further to keep every worker
-	// busy — parallelism is worth more than dispatch amortization (see
-	// plan).
+	// GangSize pins how many runs of one Program are stepped as a
+	// single struct-of-arrays gang. 0 picks a constant per program
+	// capability: DefaultBitGangSize for programs whose gangs run
+	// bit-parallel kernels (64 lanes is exactly one plane word),
+	// DefaultGangSize otherwise. Any value below 2 (but not 0) disables
+	// gang execution (a one-lane gang has nothing to amortize); 2 or
+	// more pins every gang to that width. Either way plan caps the
+	// width at ceil(gangable runs / workers) — parallelism is worth
+	// more than dispatch amortization.
 	GangSize int
-
-	// Planner, when non-nil, adapts gang widths from measured
-	// execution: execGang feeds per-program lane counts, retirement
-	// divergence and stepping time back, and plan narrows future gangs
-	// for programs whose lanes retire out of step (late lanes would
-	// drag a mostly-dead gang) or whose per-cycle cost makes wide
-	// chunks too coarse. Only consulted when GangSize is 0 (adaptive).
-	// Results stay byte-identical whatever the planner decides — gang
-	// width is purely a throughput choice.
-	Planner *Planner
 
 	// Checkpoint, when non-nil, receives binary state snapshots of
 	// in-flight runs: every CheckpointEvery simulated cycles and once
@@ -247,28 +238,31 @@ func runCheckpointable(r Run) bool {
 	return r.Program != nil && r.Opts == (core.Options{}) && len(r.Faults) == 0
 }
 
-// DefaultGangSize is the gang width Engine uses for plain lane-loop
-// programs when GangSize is 0 — wide enough to amortize component
-// dispatch, narrow enough that a gang's working set stays
-// cache-resident on typical specs.
+// DefaultGangSize is the gang width of plain lane-loop programs when
+// GangSize is 0 — wide enough to amortize component dispatch, narrow
+// enough that a gang's working set stays cache-resident on typical
+// specs.
 const DefaultGangSize = 32
 
-// DefaultBitGangSize is the adaptive default for programs whose gangs
-// run bit-parallel kernels: 64 lanes fill exactly one plane word, so
-// the word-ops run at full occupancy.
+// DefaultBitGangSize is the gang width, when GangSize is 0, of programs
+// whose gangs run bit-parallel kernels: 64 lanes fill exactly one plane
+// word, so the word-ops run at full occupancy.
 const DefaultBitGangSize = 64
 
-// gangWidth resolves the engine's width ceiling; 1 disables ganging.
-// When GangSize is 0 the real width is chosen per program (widthFor);
-// this is the capacity bound workers size their pooled gangs to.
-func (e Engine) gangWidth() int {
-	if e.GangSize == 0 {
+// laneWidth maps a program to its gang width, the only place that
+// decision is made: GangSize when pinned (1 — no ganging — for pins
+// below 2), otherwise a constant per program capability. It reads
+// nothing measured, so a program's width is the same on every job.
+func (e Engine) laneWidth(p *core.Program) int {
+	switch {
+	case e.GangSize >= 2:
+		return e.GangSize
+	case e.GangSize != 0:
+		return 1
+	case p.BitGangCapable():
 		return DefaultBitGangSize
 	}
-	if e.GangSize < 2 {
-		return 1
-	}
-	return e.GangSize
+	return DefaultGangSize
 }
 
 // chunk resolves the engine's stepping granularity.
@@ -277,93 +271,6 @@ func (e Engine) chunk() int64 {
 		return 4096
 	}
 	return e.Chunk
-}
-
-// widthFor resolves one program's gang width: pinned by GangSize when
-// set, otherwise the capability default narrowed by planner feedback.
-func (e Engine) widthFor(p *core.Program) int {
-	if e.GangSize != 0 {
-		return e.gangWidth()
-	}
-	base := DefaultGangSize
-	if p.BitGangCapable() {
-		base = DefaultBitGangSize
-	}
-	if e.Planner != nil {
-		return e.Planner.widthFor(p, base, e.chunk())
-	}
-	return base
-}
-
-// Planner is the adaptive gang planner's memory: per-program execution
-// profiles accumulated across gang jobs (and campaigns — attach one
-// Planner to an engine's lifetime, not per Execute). Safe for
-// concurrent use; the zero value is ready.
-type Planner struct {
-	mu   sync.Mutex
-	prof map[*core.Program]*progProfile
-}
-
-// progProfile aggregates one program's gang history.
-type progProfile struct {
-	lanes  int64 // lanes dispatched through gangs
-	early  int64 // lanes that retired before their gang's last survivor
-	cycles int64 // lane-cycles actually executed
-	ns     int64 // wall-clock nanoseconds spent stepping
-}
-
-// plannerChunkBudgetNs bounds how long one full-width gang chunk may
-// run between cancellation checks: programs whose per-lane-cycle cost
-// would blow past it get narrower gangs instead of coarser latency.
-const plannerChunkBudgetNs = 4e6
-
-// widthFor narrows base for one program from its measured profile:
-// heavy retirement divergence halves or quarters the gang (late lanes
-// would otherwise drag a mostly-retired gang through compaction churn),
-// and a high per-lane-cycle cost caps the width so a chunk of gang
-// work stays under the latency budget. Unprofiled programs run at
-// base.
-func (pl *Planner) widthFor(p *core.Program, base int, chunk int64) int {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pr := pl.prof[p]
-	if pr == nil || pr.lanes == 0 {
-		return base
-	}
-	w := base
-	if d := float64(pr.early) / float64(pr.lanes); d > 0.5 {
-		w = base / 4
-	} else if d > 0.25 {
-		w = base / 2
-	}
-	if pr.cycles > 0 {
-		nsPerLaneCycle := float64(pr.ns) / float64(pr.cycles)
-		if lim := plannerChunkBudgetNs / (float64(chunk) * nsPerLaneCycle); lim < float64(w) {
-			w = int(lim)
-		}
-	}
-	if w < 2 {
-		w = 2
-	}
-	return w
-}
-
-// record feeds one finished gang job back into the program's profile.
-func (pl *Planner) record(p *core.Program, lanes, early int, cycles, ns int64) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.prof == nil {
-		pl.prof = make(map[*core.Program]*progProfile)
-	}
-	pr := pl.prof[p]
-	if pr == nil {
-		pr = &progProfile{}
-		pl.prof[p] = pr
-	}
-	pr.lanes += int64(lanes)
-	pr.early += int64(early)
-	pr.cycles += cycles
-	pr.ns += ns
 }
 
 // runGangable reports whether a run may join a gang: it must reference
@@ -376,79 +283,86 @@ func runGangable(r Run) bool {
 		r.Warm == nil && r.Digest == nil && r.Program.GangCapable()
 }
 
-// span is one dispatch unit: a half-open range of plan order. A
-// one-run span executes on the scalar path, a wider one as a gang.
-type span struct{ lo, hi int }
+// span is one dispatch unit: a half-open range of plan order and the
+// rung of the dispatch ladder that executes it.
+type span struct {
+	lo, hi int
+	rung   string
+}
 
-// plan groups a campaign's runs into dispatch units: gangable runs of
-// one Program batch into gangs (a remainder of one falls back to the
-// scalar path), every other run dispatches alone. order holds run
-// indices with each unit's members contiguous.
-//
-// Gang width is resolved per program (widthFor: pinned GangSize, or
-// the capability default refined by planner feedback) and then capped
-// by ceil(gangable runs / workers) — parallelism across workers is
-// worth more than dispatch amortization within a gang, so the planner
-// narrows gangs before it would leave a worker idle. A 16-run fleet on
-// 8 workers dispatches as 8 two-lane gangs, not one idle-everything
-// 16-lane gang; on a single worker it packs full-width gangs.
+// plan is a campaign's whole dispatch shape: order holds run indices
+// with each unit's members contiguous, jobs the units in dispatch
+// order. It is a pure function of (runs, workers, Engine configuration)
+// — nothing measured feeds it — so the same job takes the same shape
+// on every repeat.
 type plan struct {
 	order []int
 	jobs  []span
-	// aot marks programs whose gangable runs clear the engine's
-	// amortization threshold; spans of such runs dispatch to a native
-	// worker. Campaign-level, not span-level: the build is paid once
-	// per program, so the whole campaign's cycles amortize it.
-	aot map[*core.Program]bool
 }
 
+func (p *plan) add(rung string, idxs ...int) {
+	lo := len(p.order)
+	p.order = append(p.order, idxs...)
+	p.jobs = append(p.jobs, span{lo, len(p.order), rung})
+}
+
+// plan groups a campaign's runs into dispatch units and resolves each
+// unit's rung: gangable runs of one Program batch into gangs — on the
+// native worker when the program clears the AOT threshold (campaign-
+// level, not span-level: the build is paid once per program, so the
+// whole campaign's cycles amortize it), else bit-parallel or lane-loop
+// by the program's capability — and every other run, a gang remainder
+// of one included, dispatches alone after them.
+//
+// Gang width is the program's laneWidth capped by ceil(gangable runs /
+// workers) — parallelism across workers is worth more than dispatch
+// amortization within a gang, so gangs narrow before they would leave
+// a worker idle. A 16-run fleet on 8 workers dispatches as 8 two-lane
+// gangs, not one idle-everything 16-lane gang; on a single worker it
+// packs full-width gangs.
 func (e Engine) plan(runs []Run, workers int) plan {
-	gw := e.gangWidth()
-	p := plan{order: make([]int, 0, len(runs)), aot: e.aotPrograms(runs)}
+	p := plan{order: make([]int, 0, len(runs))}
+	aot := e.aotPrograms(runs)
+	byProg := make(map[*core.Program][]int)
+	var progs []*core.Program
 	var scalars []int
-	if gw >= 2 {
-		byProg := make(map[*core.Program][]int)
-		var progs []*core.Program
-		gangable := 0
-		for i, r := range runs {
-			if !runGangable(r) {
-				scalars = append(scalars, i)
-				continue
-			}
-			gangable++
-			if _, ok := byProg[r.Program]; !ok {
-				progs = append(progs, r.Program)
-			}
-			byProg[r.Program] = append(byProg[r.Program], i)
-		}
-		perWorker := 0
-		if workers > 1 && gangable > 0 {
-			perWorker = (gangable + workers - 1) / workers
-		}
-		for _, prog := range progs {
-			idxs := byProg[prog]
-			pw := e.widthFor(prog)
-			if perWorker > 0 && perWorker < pw {
-				pw = perWorker
-			}
-			for pw >= 2 && len(idxs) >= 2 {
-				n := min(pw, len(idxs))
-				lo := len(p.order)
-				p.order = append(p.order, idxs[:n]...)
-				p.jobs = append(p.jobs, span{lo, lo + n})
-				idxs = idxs[n:]
-			}
-			scalars = append(scalars, idxs...)
-		}
-	} else {
-		for i := range runs {
+	gangable := 0
+	for i, r := range runs {
+		if !runGangable(r) {
 			scalars = append(scalars, i)
+			continue
+		}
+		gangable++
+		if _, ok := byProg[r.Program]; !ok {
+			progs = append(progs, r.Program)
+		}
+		byProg[r.Program] = append(byProg[r.Program], i)
+	}
+	perWorker := (gangable + workers - 1) / workers
+	for _, prog := range progs {
+		idxs := byProg[prog]
+		rung := RungLaneLoop
+		if aot[prog] {
+			rung = RungAOT
+		} else if prog.BitGangCapable() {
+			rung = RungBitParallel
+		}
+		pw := min(e.laneWidth(prog), perWorker)
+		for pw >= 2 && len(idxs) >= 2 {
+			n := min(pw, len(idxs))
+			p.add(rung, idxs[:n]...)
+			idxs = idxs[n:]
+		}
+		if rung == RungAOT {
+			for _, i := range idxs {
+				p.add(RungAOT, i)
+			}
+		} else {
+			scalars = append(scalars, idxs...)
 		}
 	}
 	for _, i := range scalars {
-		lo := len(p.order)
-		p.order = append(p.order, i)
-		p.jobs = append(p.jobs, span{lo, lo + 1})
+		p.add(RungScalar, i)
 	}
 	return p
 }
@@ -507,9 +421,8 @@ func (e Engine) ExecuteStream(ctx context.Context, runs []Run, onResult func(Res
 		go func() {
 			defer wg.Done()
 			w := &worker{
-				pool:    make(map[*core.Program]*sim.Machine),
-				gangs:   make(map[*core.Program]*sim.Gang),
-				gangCap: e.gangWidth(),
+				pool:  make(map[*core.Program]*sim.Machine),
+				gangs: make(map[*core.Program]*sim.Gang),
 			}
 			defer w.closeProcs()
 			for s := range jobs {
@@ -518,19 +431,12 @@ func (e Engine) ExecuteStream(ctx context.Context, runs []Run, onResult func(Res
 				if e.Observe != nil {
 					start = time.Now()
 				}
-				var rung string
-				if p.aotEligible(idxs, runs) {
-					rung = RungAOT
+				switch s.rung {
+				case RungAOT:
 					e.execAOT(ctx, w, idxs, runs, results)
-				} else if len(idxs) == 1 {
-					rung = RungScalar
+				case RungScalar:
 					results[idxs[0]] = e.exec(ctx, w, idxs[0], runs[idxs[0]])
-				} else {
-					if runs[idxs[0]].Program.BitGangCapable() {
-						rung = RungBitParallel
-					} else {
-						rung = RungLaneLoop
-					}
+				default:
 					e.execGang(ctx, w, idxs, runs, results)
 				}
 				if e.Observe != nil {
@@ -539,7 +445,7 @@ func (e Engine) ExecuteStream(ctx context.Context, runs []Run, onResult func(Res
 						cycles += results[i].Cycles
 					}
 					e.Observe(ctx, Dispatch{
-						Rung: rung, Runs: len(idxs), Cycles: cycles,
+						Rung: s.rung, Runs: len(idxs), Cycles: cycles,
 						Start: start, Dur: time.Since(start),
 					})
 				}
@@ -576,9 +482,8 @@ type worker struct {
 	pool    map[*core.Program]*sim.Machine
 	gangs   map[*core.Program]*sim.Gang
 	procs   map[*core.Program]*aot.Proc // persistent native workers
-	gangCap int
-	targets []int64 // reused per-gang-job cycle budget buffer
-	ckbuf   []byte  // reused checkpoint snapshot buffer
+	targets []int64                     // reused per-gang-job cycle budget buffer
+	ckbuf   []byte                      // reused checkpoint snapshot buffer
 }
 
 // closeProcs shuts down the worker's native subprocesses at the end of
@@ -591,16 +496,14 @@ func (w *worker) closeProcs() {
 }
 
 // gang returns a pooled gang for the program with room for lanes, or
-// nil when the program cannot gang.
+// nil when the program cannot gang. A gang is allocated at the width
+// of the span that first needs it; plan emits a program's spans widest
+// first, so within a campaign it is never reallocated.
 func (w *worker) gang(p *core.Program, lanes int) *sim.Gang {
 	if g := w.gangs[p]; g != nil && g.Capacity() >= lanes {
 		return g
 	}
-	capacity := w.gangCap
-	if lanes > capacity {
-		capacity = lanes
-	}
-	g, ok := p.NewGang(capacity)
+	g, ok := p.NewGang(lanes)
 	if !ok {
 		return nil
 	}
@@ -639,12 +542,13 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 	g.Reset(targets)
 
 	chunk := e.chunk()
-	start := time.Now()
 	// Gang lanes are gangable by construction, and gangable implies
 	// checkpointable (zero Options, no faults), so the whole gang
-	// checkpoints together: every lane snapshots at the same stepping
-	// boundary, SaveLaneState bytes being interchangeable with
-	// Machine.SaveState by design.
+	// checkpoints together: every lane still running snapshots at the
+	// same stepping boundary, SaveLaneState bytes being interchangeable
+	// with Machine.SaveState by design. A lane that has halted — budget
+	// reached or runtime error — has nothing new to save until the
+	// retirement pass below.
 	var sinceCk int64
 	var ctxErr error
 	for g.Step(chunk) {
@@ -652,6 +556,9 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 			if sinceCk += chunk; sinceCk >= e.CheckpointEvery {
 				sinceCk = 0
 				for l, i := range idxs {
+					if g.LaneErr(l) != nil || g.LaneCycle(l) >= targets[l] {
+						continue
+					}
 					w.ckbuf = g.AppendLaneState(l, w.ckbuf[:0])
 					e.Checkpoint.Checkpoint(i, g.LaneCycle(l), w.ckbuf)
 				}
@@ -661,23 +568,6 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 			ctxErr = err
 			break
 		}
-	}
-	if e.Planner != nil {
-		var maxCycle, laneCycles int64
-		for l := range idxs {
-			if c := g.LaneCycle(l); c > maxCycle {
-				maxCycle = c
-			}
-		}
-		early := 0
-		for l := range idxs {
-			c := g.LaneCycle(l)
-			laneCycles += c
-			if c < maxCycle {
-				early++
-			}
-		}
-		e.Planner.record(runs[idxs[0]].Program, len(idxs), early, laneCycles, time.Since(start).Nanoseconds())
 	}
 	for l, i := range idxs {
 		res := &results[i]
@@ -774,7 +664,9 @@ func (e Engine) exec(ctx context.Context, w *worker, idx int, r Run) Result {
 			break
 		}
 		remaining -= n
-		if ckpt && e.CheckpointEvery > 0 {
+		// Periodic checkpoints are for runs still executing; one that
+		// just finished is snapshotted by the retirement pass below.
+		if ckpt && e.CheckpointEvery > 0 && remaining > 0 {
 			if sinceCk += n; sinceCk >= e.CheckpointEvery {
 				sinceCk = 0
 				w.ckbuf = m.AppendState(w.ckbuf[:0])

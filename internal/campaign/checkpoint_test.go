@@ -8,7 +8,9 @@ package campaign_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -104,6 +106,119 @@ func TestEngineCheckpoints(t *testing.T) {
 				if got != ck.lastC[i] {
 					t.Errorf("run %d: snapshot says cycle %d, hook reported %d", i, got, ck.lastC[i])
 				}
+			}
+		})
+	}
+}
+
+// TestCheckpointsOnlyWhileRunning: periodic checkpoints are for runs
+// still executing. A run that has halted — early, or exactly on an
+// interval boundary — is snapshotted once more, at retirement, however
+// long its gang's last survivor keeps stepping; a run that died on a
+// runtime error emits nothing from its fault on. So per run the
+// checkpoint cycles strictly increase.
+func TestCheckpointsOnlyWhileRunning(t *testing.T) {
+	// count steps by one per cycle and indexes a 150-case selector:
+	// every run budgeted past cycle 150 faults there.
+	late, err := core.ParseString("late", "#late\ninc count sel .\nA inc 4 count 1\nM count 0 inc 1 1\n"+
+		"S sel count"+strings.Repeat(" 0", 150)+"\n.\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := core.Compile(late, core.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := sieveProgram(t)
+	var runs []campaign.Run
+	for _, p := range []*core.Program{clean, faulty} {
+		for _, cycles := range []int64{100, 100, 128, 20000} {
+			runs = append(runs, campaign.Run{Name: "r", Program: p, Cycles: cycles})
+		}
+	}
+	for name, gang := range map[string]int{"scalar": 1, "gang": 0} {
+		t.Run(name, func(t *testing.T) {
+			ck := newMemCheckpointer()
+			eng := campaign.Engine{Workers: 1, Chunk: 64, GangSize: gang,
+				Checkpoint: ck, CheckpointEvery: 64}
+			results, err := eng.Execute(context.Background(), runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range results {
+				hist := ck.cycles[i]
+				for j := 1; j < len(hist); j++ {
+					if hist[j] <= hist[j-1] {
+						t.Errorf("run %d (budget %d): checkpoint %d of %d is at cycle %d, after one at %d",
+							i, runs[i].Cycles, j+1, len(hist), hist[j], hist[j-1])
+						break
+					}
+				}
+				if len(hist) == 0 {
+					t.Fatalf("run %d: no checkpoints", i)
+				}
+				last := hist[len(hist)-1]
+				if r.Err == nil {
+					if last != runs[i].Cycles {
+						t.Errorf("run %d: last checkpoint at %d, want the retirement one at %d", i, last, runs[i].Cycles)
+					}
+					continue
+				}
+				if runs[i].Program != faulty || r.Cycles != 150 {
+					t.Fatalf("run %d: unexpected failure at cycle %d: %v", i, r.Cycles, r.Err)
+				}
+				if last >= r.Cycles {
+					t.Errorf("run %d faulted at cycle %d but checkpointed at %v", i, r.Cycles, hist)
+				}
+			}
+		})
+	}
+}
+
+// cancelOnCheckpoint cancels its context from inside the first
+// Checkpoint call — a cancellation at a known simulated cycle, with no
+// wall clock involved.
+type cancelOnCheckpoint struct {
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnCheckpoint) Checkpoint(int, int64, []byte) { c.once.Do(c.cancel) }
+
+// TestCancellationBoundedByChunk: how far a run executes past a
+// cancellation is bounded by Engine.Chunk in simulated cycles — a full
+// 64-lane gang and a scalar run both stop within two chunks of it — and
+// every unfinished run reports the context's error.
+func TestCancellationBoundedByChunk(t *testing.T) {
+	p := sieveProgram(t)
+	const chunk = 256
+	for name, tc := range map[string]struct{ gang, runs int }{
+		"gang":   {64, 64},
+		"scalar": {1, 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			eng := campaign.Engine{Workers: 1, Chunk: chunk, GangSize: tc.gang,
+				Checkpoint: &cancelOnCheckpoint{cancel: cancel}, CheckpointEvery: chunk}
+			results, err := eng.Execute(ctx, campaign.Fleet("f", p, tc.runs, 1<<40))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("Execute returned %v, want context.Canceled", err)
+			}
+			started := 0
+			for i, r := range results {
+				if !errors.Is(r.Err, context.Canceled) {
+					t.Errorf("run %d: err %v, want context.Canceled", i, r.Err)
+				}
+				if r.Cycles > 2*chunk {
+					t.Errorf("run %d executed %d cycles past a cancellation in its first %d", i, r.Cycles, chunk)
+				}
+				if r.Cycles > 0 {
+					started++
+				}
+			}
+			if started == 0 {
+				t.Error("no run was executing when the context was cancelled")
 			}
 		})
 	}

@@ -14,8 +14,32 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/machines"
 	"repro/internal/specgen"
 )
+
+func bitMixProgram(t *testing.T) *core.Program {
+	t.Helper()
+	spec, err := core.ParseString("bitmix", machines.BitMixSpec(8, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Compile(spec, core.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// divergentFleet is 24 runs of one program whose budgets spread from 20
+// to 2090 cycles: most lanes of any gang retire long before its last.
+func divergentFleet(p *core.Program) []Run {
+	runs := make([]Run, 24)
+	for i := range runs {
+		runs[i] = Run{Name: fmt.Sprintf("m%d", i), Program: p, Cycles: int64(20 + 90*i)}
+	}
+	return runs
+}
 
 // requireSameResults compares two result sets field by field, ignoring
 // nothing: digests, statistics, cycle counts and error strings all
@@ -55,21 +79,27 @@ func executeScalar(t *testing.T, runs []Run) []Result {
 	return results
 }
 
-// TestGangDispatchEquivalence: one fleet, every dispatch shape.
+// TestGangDispatchEquivalence: every dispatch shape, over a lockstep
+// lane-loop fleet and a bit-parallel fleet whose lanes retire far out
+// of step (compaction at every chunk boundary).
 func TestGangDispatchEquivalence(t *testing.T) {
-	prog := sieveProgram(t, 20, core.Compiled)
-	runs := Fleet("sieve", prog, 13, 700)
-	want := executeScalar(t, runs)
-	for _, gs := range []int{0, 2, 3, 13, 64} {
-		for _, workers := range []int{1, 4} {
-			eng := Engine{Workers: workers, GangSize: gs}
-			results, err := eng.Execute(context.Background(), runs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResults(t, fmt.Sprintf("gang=%d workers=%d", gs, workers), results, want)
-			if sum := Summarize(results, 0); sum.Divergences != 0 || sum.Errors != 0 {
-				t.Errorf("gang=%d workers=%d: %s", gs, workers, sum)
+	for name, runs := range map[string][]Run{
+		"sieve":     Fleet("sieve", sieveProgram(t, 20, core.Compiled), 13, 700),
+		"divergent": divergentFleet(bitMixProgram(t)),
+	} {
+		want := executeScalar(t, runs)
+		for _, gs := range []int{0, 2, 3, 13, 64} {
+			for _, workers := range []int{1, 4} {
+				eng := Engine{Workers: workers, GangSize: gs, Chunk: 64}
+				results, err := eng.Execute(context.Background(), runs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s gang=%d workers=%d", name, gs, workers)
+				requireSameResults(t, label, results, want)
+				if sum := Summarize(results, 0); sum.Divergences != 0 || sum.Errors != 0 {
+					t.Errorf("%s: %s", label, sum)
+				}
 			}
 		}
 	}
@@ -223,6 +253,118 @@ func TestGangDispatchCancellation(t *testing.T) {
 	for i, r := range <-done {
 		if r.Err == nil && r.Cycles != short[i].Cycles {
 			t.Errorf("run %d: no error but only %d cycles executed", i, r.Cycles)
+		}
+	}
+}
+
+// TestWidthForDefaults: pinned GangSize wins outright; otherwise the
+// width is the capability default — one plane word for bit-parallel
+// programs, DefaultGangSize for lane-loop gangs.
+func TestWidthForDefaults(t *testing.T) {
+	sieve := sieveProgram(t, 20, core.Compiled)
+	bitmix := bitMixProgram(t)
+	if bitmix.BitGangCapable() == sieve.BitGangCapable() {
+		t.Fatal("fixture programs must differ in bit-gang capability")
+	}
+	if w := (Engine{GangSize: 8}).laneWidth(bitmix); w != 8 {
+		t.Errorf("pinned GangSize: width %d, want 8", w)
+	}
+	if w := (Engine{}).laneWidth(sieve); w != DefaultGangSize {
+		t.Errorf("lane-loop program: width %d, want %d", w, DefaultGangSize)
+	}
+	if w := (Engine{}).laneWidth(bitmix); w != DefaultBitGangSize {
+		t.Errorf("bit-parallel program: width %d, want %d", w, DefaultBitGangSize)
+	}
+}
+
+// planShape renders a plan as one "<runs> <rung>" entry per dispatch
+// unit, after checking the units tile the run list exactly once.
+func planShape(t *testing.T, eng Engine, runs []Run, workers int) []string {
+	t.Helper()
+	p := eng.plan(runs, workers)
+	seen := make([]bool, len(runs))
+	next := 0
+	shape := make([]string, 0, len(p.jobs))
+	for _, s := range p.jobs {
+		if s.lo != next || s.hi <= s.lo {
+			t.Fatalf("span %+v does not continue plan order at %d", s, next)
+		}
+		next = s.hi
+		for _, i := range p.order[s.lo:s.hi] {
+			if seen[i] {
+				t.Fatalf("run %d planned twice", i)
+			}
+			seen[i] = true
+		}
+		shape = append(shape, fmt.Sprintf("%d %s", s.hi-s.lo, s.rung))
+	}
+	if next != len(runs) {
+		t.Fatalf("plan covers %d of %d runs", next, len(runs))
+	}
+	return shape
+}
+
+// TestPlanShapePure: the dispatch shape — every unit's width and rung
+// — is a function of the run list, the worker count and the Engine's
+// configuration, and of nothing the engine has executed: the same
+// long-lived Engine value plans every case identically before and
+// after running a heavily divergent fleet three times.
+func TestPlanShapePure(t *testing.T) {
+	sieve := sieveProgram(t, 20, core.Compiled)
+	interp := sieveProgram(t, 20, core.Interp)
+	native := sieveProgram(t, 20, core.CompiledAOT)
+	bitmix := bitMixProgram(t)
+	cache := newTestAOTCache(t)
+	mixed := Fleet("sieve", sieve, 33, 100)
+	mixed = append(mixed, Fleet("bitmix", bitmix, 65, 100)...)
+	mixed = append(mixed, Run{Name: "traced", Program: sieve, Cycles: 100, Opts: core.Options{Trace: discard{}}})
+	mixed = append(mixed, Fleet("interp", interp, 2, 100)...)
+
+	for _, tc := range []struct {
+		name    string
+		eng     Engine
+		runs    []Run
+		workers int
+		want    []string
+	}{
+		{"lane-loop", Engine{}, Fleet("f", sieve, 70, 100), 1,
+			[]string{"32 lane-loop", "32 lane-loop", "6 lane-loop"}},
+		{"bit-plane", Engine{}, Fleet("f", bitmix, 130, 100), 1,
+			[]string{"64 bit-parallel", "64 bit-parallel", "2 bit-parallel"}},
+		{"pinned", Engine{GangSize: 8}, Fleet("f", bitmix, 17, 100), 1,
+			[]string{"8 bit-parallel", "8 bit-parallel", "1 scalar"}},
+		{"pinned wider than the default", Engine{GangSize: 48}, Fleet("f", sieve, 50, 100), 1,
+			[]string{"48 lane-loop", "2 lane-loop"}},
+		{"ganging off", Engine{GangSize: 1}, Fleet("f", sieve, 3, 100), 1,
+			[]string{"1 scalar", "1 scalar", "1 scalar"}},
+		{"capped by runs per worker", Engine{}, Fleet("f", bitmix, 128, 100), 4,
+			[]string{"32 bit-parallel", "32 bit-parallel", "32 bit-parallel", "32 bit-parallel"}},
+		{"cap leaves an odd run", Engine{}, Fleet("f", sieve, 7, 100), 2,
+			[]string{"4 lane-loop", "3 lane-loop"}},
+		{"one run per worker", Engine{}, Fleet("f", sieve, 4, 100), 4,
+			[]string{"1 scalar", "1 scalar", "1 scalar", "1 scalar"}},
+		{"backend cannot gang", Engine{}, Fleet("f", interp, 3, 100), 1,
+			[]string{"1 scalar", "1 scalar", "1 scalar"}},
+		{"native worker", Engine{AOT: cache}, Fleet("f", native, 33, 100), 1,
+			[]string{"32 aot", "1 aot"}},
+		{"native worker below threshold", Engine{AOT: cache, AOTThreshold: 1 << 40}, Fleet("f", native, 33, 100), 1,
+			[]string{"32 lane-loop", "1 scalar"}},
+		// Gangs first, program by program in order of first appearance;
+		// then the runs no gang can carry, then the gang remainders.
+		{"mixed programs", Engine{}, mixed, 1,
+			[]string{"32 lane-loop", "64 bit-parallel", "1 scalar", "1 scalar", "1 scalar", "1 scalar", "1 scalar"}},
+	} {
+		before := planShape(t, tc.eng, tc.runs, tc.workers)
+		if !reflect.DeepEqual(before, tc.want) {
+			t.Errorf("%s: plan = %q, want %q", tc.name, before, tc.want)
+		}
+		for round := 0; round < 3; round++ {
+			if _, err := tc.eng.Execute(context.Background(), divergentFleet(bitmix)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := planShape(t, tc.eng, tc.runs, tc.workers); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: plan after three divergent campaigns = %q, before %q", tc.name, after, before)
 		}
 	}
 }

@@ -84,7 +84,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Addr, "addr", ":8420", "listen address")
 	fs.IntVar(&f.Workers, "workers", 0, "engine worker goroutines per job (0 = GOMAXPROCS)")
 	fs.Int64Var(&f.Chunk, "chunk", 0, "cycle granularity of cancellation checks (0 = engine default)")
-	fs.IntVar(&f.Gang, "gang", 0, "gang width for lockstep execution (0 = adaptive per program, 1 disables)")
+	fs.IntVar(&f.Gang, "gang", 0, "gang width for lockstep execution (0 = per program: 64 lanes for bit-parallel programs, 32 otherwise; 1 disables)")
 	fs.StringVar(&f.StateDir, "state-dir", "", "durable job store directory; jobs survive restarts and dropped streams resume (empty = durability off)")
 	fs.Int64Var(&f.CheckpointCycles, "checkpoint-cycles", 0, "cycles between run state checkpoints, persisted to -state-dir and/or streamed to a coordinator (0 = default 65536)")
 	fs.BoolVar(&f.AOT, "aot", false, "enable ahead-of-time native workers for compiled-aot jobs above -aot-threshold")
@@ -99,8 +99,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 // engine's AOT fields are left for the caller to fill alongside it.
 func (f *Flags) Config() Config {
 	return Config{
-		Engine: campaign.Engine{Workers: f.Workers, Chunk: f.Chunk, GangSize: f.Gang,
-			Planner: &campaign.Planner{}, AOTThreshold: f.AOTThreshold},
+		Engine:           campaign.Engine{Workers: f.Workers, Chunk: f.Chunk, GangSize: f.Gang, AOTThreshold: f.AOTThreshold},
 		Limits:           f.Limits(),
 		CheckpointCycles: f.CheckpointCycles,
 		ShardMode:        f.Shard,

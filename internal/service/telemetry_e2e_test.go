@@ -8,8 +8,10 @@ package service_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"math/rand"
 	"net/http"
@@ -161,6 +163,63 @@ func TestServiceTraceSpans(t *testing.T) {
 	// Unknown ids are a 404, not an empty stream.
 	if status, _ := getTrace(t, ts.URL, "no-such-job"); status != http.StatusNotFound {
 		t.Errorf("unknown trace id answered %d, want 404", status)
+	}
+}
+
+// TestServiceDispatchShapeRepeats: under the daemon's own
+// configuration — the one asimd builds from its flags — a job's
+// dispatch shape depends on the job alone. The same fleet sent three
+// times runs at its program's full gang width every time: one plane
+// word on the bit-parallel rung, DefaultGangSize on the lane-loop rung,
+// however long the earlier jobs took.
+func TestServiceDispatchShapeRepeats(t *testing.T) {
+	fs := flag.NewFlagSet("asimd", flag.ContinueOnError)
+	flags := service.RegisterFlags(fs)
+	if err := fs.Parse([]string{"-workers", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newServer(t, flags.Config())
+	sieve, err := machines.SieveSpec(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		req   service.JobRequest
+		rung  string
+		lanes int
+	}{
+		{service.JobRequest{Spec: machines.BitMixSpec(8, 12), Runs: 128, Cycles: 2000},
+			campaign.RungBitParallel, campaign.DefaultBitGangSize},
+		{service.JobRequest{Spec: sieve, Runs: 64, Cycles: 2000},
+			campaign.RungLaneLoop, campaign.DefaultGangSize},
+	} {
+		for round := 1; round <= 3; round++ {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(mustJSON(t, tc.req)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobID := resp.Header.Get("X-Job-Id")
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s job %d: status %d, %v", tc.rung, round, resp.StatusCode, err)
+			}
+			_, spans := getTrace(t, ts.URL, jobID)
+			runs := 0
+			for _, sp := range spans {
+				if !strings.HasPrefix(sp.Name, "engine.") {
+					continue
+				}
+				runs += sp.Runs
+				if sp.Name != "engine."+tc.rung || sp.Lanes != tc.lanes {
+					t.Errorf("%s job %d: dispatch %s with %d lanes, want every gang %d wide",
+						tc.rung, round, sp.Name, sp.Lanes, tc.lanes)
+				}
+			}
+			if runs != tc.req.Runs {
+				t.Errorf("%s job %d: engine spans cover %d runs, want %d", tc.rung, round, runs, tc.req.Runs)
+			}
+		}
 	}
 }
 
