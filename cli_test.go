@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // runCLI executes one of the repo's commands via `go run`.
@@ -31,6 +32,24 @@ func TestCLIAsimCounter(t *testing.T) {
 	want := "Cycle   0 count= 0 carry= 0\nCycle   1 count= 1 carry= 0\nCycle   2 count= 2 carry= 0\n"
 	if out != want {
 		t.Errorf("asim output = %q", out)
+	}
+}
+
+// TestCLIAsimHelpListsBackends: the -backend usage string is built
+// from Backends(), so a new backend cannot go missing from `asim -h`.
+func TestCLIAsimHelpListsBackends(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	_, usage := runCLI(t, "", "./cmd/asim", "-h")
+	listed := map[string]bool{}
+	for _, word := range strings.FieldsFunc(usage, func(r rune) bool { return r == ',' || unicode.IsSpace(r) }) {
+		listed[word] = true
+	}
+	for _, b := range Backends() {
+		if !listed[string(b)] {
+			t.Errorf("asim -h does not list backend %s:\n%s", b, usage)
+		}
 	}
 }
 

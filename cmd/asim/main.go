@@ -24,7 +24,11 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	backend := flag.String("backend", string(asim2.Compiled), "execution backend: interp, interp-naive, bytecode, compiled, compiled-nofold")
+	var backends []string
+	for _, b := range asim2.Backends() {
+		backends = append(backends, string(b))
+	}
+	backend := flag.String("backend", string(asim2.Compiled), "execution backend: "+strings.Join(backends, ", "))
 	cycles := flag.Int64("cycles", 0, "cycles to run (default: the spec's '=' count, else 100)")
 	trace := flag.Bool("trace", true, "print the per-cycle trace of '*'-marked signals")
 	stats := flag.Bool("stats", false, "print execution statistics")

@@ -54,7 +54,6 @@ type Report struct {
 	Go                string  `json:"go"`
 	GOMAXPROCS        int     `json:"gomaxprocs"`
 	Short             bool    `json:"short"`
-	FusedSpeedup      float64 `json:"fused_speedup"`      // compiled-fused vs compiled, sieve
 	FleetBuildSpeedup float64 `json:"fleetbuild_speedup"` // pooled vs per-run construction, short-run fleet
 	GangSpeedup       float64 `json:"gang_speedup"`       // gang fleet vs pooled scalar fleet, Figure 5.1 workload
 	// BitParallelSpeedup is the bit-plane gang kernels against the
@@ -140,7 +139,6 @@ func main() {
 	}
 	backends := []asim2.Backend{asim2.Interp, asim2.Bytecode, asim2.Compiled}
 
-	var compiledNs, fusedNs float64
 	var sieveSpec *asim2.Spec
 	for _, s := range specs {
 		src, err := s.src()
@@ -168,21 +166,12 @@ func main() {
 				log.Fatal(err)
 			}
 			rep.Results = append(rep.Results, r)
-			if s.name == "sieve" && b == asim2.Compiled {
-				compiledNs = r.NsPerCycle
-			}
 		}
 		r, err := timeMachine(s.name+"/compiled-fused", spec, asim2.Compiled, perBackend, s.resetEvery, true)
 		if err != nil {
 			log.Fatal(err)
 		}
 		rep.Results = append(rep.Results, r)
-		if s.name == "sieve" {
-			fusedNs = r.NsPerCycle
-		}
-	}
-	if fusedNs > 0 {
-		rep.FusedSpeedup = compiledNs / fusedNs
 	}
 	endSection("backends")
 
@@ -493,7 +482,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "%-32s %10.1f ns/cycle %14.0f cycles/s\n", r.Name, r.NsPerCycle, r.CyclesPerS)
 	}
-	fmt.Fprintf(os.Stderr, "fused speedup (sieve): %.2fx\n", rep.FusedSpeedup)
 	fmt.Fprintf(os.Stderr, "fleet-build speedup (pooled vs per-run construction): %.2fx\n", rep.FleetBuildSpeedup)
 	fmt.Fprintf(os.Stderr, "gang speedup (gang fleet vs pooled scalar fleet): %.2fx\n", rep.GangSpeedup)
 	fmt.Fprintf(os.Stderr, "bit-parallel speedup (bit-plane vs lane-loop gang kernels): %.2fx\n", rep.BitParallelSpeedup)

@@ -39,10 +39,7 @@ package compile
 // the gang never reads (sim.Gang materializes a lane's plane bits into
 // its column before detaching it or serving state).
 
-import (
-	"repro/internal/rtl/ast"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // bitFn evaluates one combinational component for a bit-parallel gang:
 // either a word-op over planes[...], or a lane-loop over vals with a
@@ -72,88 +69,83 @@ func (c *Compiled) StepCycleGangBits(vals []int64, planes []uint64, addr, data, 
 	}
 }
 
-// buildBit classifies the program and compiles the bit-parallel kernel
-// list, once, on first bit-gang probe. It leaves bitSlots nil — no bit
-// path — when disabled by options or when the word-ops would not pay
-// for their pack/scatter mirrors.
+// bitFacts is what classification knows about each slot while buildBit
+// plans the word-ops: whether the signal is 0/1, whether it is a memory
+// output register, and (once assigned) its plane ordinal or -1.
+type bitFacts struct {
+	is01    []bool
+	isMem   []bool
+	planeOf []int
+}
+
+// buildBit classifies the lowered program and compiles the bit-parallel
+// kernel list, once, on first bit-gang probe. It leaves bitSlots nil —
+// no bit path — when disabled by options or when the word-ops would not
+// pay for their pack/scatter mirrors.
 func (c *Compiled) buildBit() {
 	if c.opts.NoFold || c.opts.NoBitParallel {
 		return
 	}
 	c.gangOnce.Do(c.buildGang)
-	info := c.info
-	is01 := c.classify01()
-	isMem := make([]bool, len(info.Order))
-	for _, m := range info.Mems {
-		isMem[info.Slot[m.Name]] = true
+	p := &c.prog
+	f := bitFacts{is01: p.classify01(), isMem: make([]bool, p.slots), planeOf: make([]int, p.slots)}
+	for i := range p.latches {
+		f.isMem[p.latches[i].slot] = true
 	}
 
-	// Pass 1: which components compile to word-ops. A component
-	// qualifies when its output is 0/1 and every operand is a plane
+	// Pass 1: which ops compile to word-ops. An op qualifies when its
+	// output is 0/1 and every operand its word-op reads is a plane
 	// (whole/low-bit reference to a 0/1 combinational signal) or a
 	// broadcastable constant.
-	wordable := make([]bool, len(info.Comb))
-	srcsOf := make([][]int, len(info.Comb))
-	for i, comp := range info.Comb {
-		if !is01[info.Slot[comp.CompName()]] {
-			continue
-		}
-		switch comp := comp.(type) {
-		case *ast.ALU:
-			fv, ok := comp.Funct.ConstValue()
-			if !ok {
-				continue
+	wordable := make([]bool, len(p.ops))
+	srcsOf := make([][]int, len(p.ops))
+	for i := range p.ops {
+		o := &p.ops[i]
+		switch {
+		case !f.is01[o.out]:
+		case o.sel:
+			// Only the 2-case 0/1 mux is branch- and fault-free as a
+			// word-op. (A 1-case selector faults when the 0/1 select
+			// reads 1; a constant out-of-range select faults every
+			// cycle and stays on its lane-loop kernel.)
+			if len(o.cases) == 2 && f.expr01(o.ctl) {
+				srcsOf[i], wordable[i] = f.wordSrcs(o.ctl, o.cases[0], o.cases[1])
 			}
-			switch fv {
+		case o.folded:
+			switch o.fn {
 			case sim.FnNot, sim.FnAdd, sim.FnSub, sim.FnShl:
-				// Not 0/1-preserving (classify01 agrees) — unreachable
-				// here, but keep the word-op set explicit.
-			case sim.FnZero, sim.FnUnused:
-				wordable[i] = true
+				// Not 0/1-preserving (op01 agrees) — unreachable here,
+				// but keep the word-op set explicit.
 			case sim.FnLeft:
-				srcsOf[i], wordable[i] = c.wordSrcs(is01, isMem, &comp.Left)
+				srcsOf[i], wordable[i] = f.wordSrcs(o.left)
 			case sim.FnRight:
-				srcsOf[i], wordable[i] = c.wordSrcs(is01, isMem, &comp.Right)
+				srcsOf[i], wordable[i] = f.wordSrcs(o.right)
 			case sim.FnAnd, sim.FnMul, sim.FnOr, sim.FnXor, sim.FnEq, sim.FnLt:
-				srcsOf[i], wordable[i] = c.wordSrcs(is01, isMem, &comp.Left, &comp.Right)
+				srcsOf[i], wordable[i] = f.wordSrcs(o.left, o.right)
 			default:
-				// Out-of-range constant function: evaluates to 0.
+				// Zero, unused and out-of-range constants evaluate to 0.
 				wordable[i] = true
-			}
-		case *ast.Selector:
-			if sv, ok := comp.Select.ConstValue(); ok {
-				if sv >= 0 && sv < int64(len(comp.Cases)) {
-					srcsOf[i], wordable[i] = c.wordSrcs(is01, isMem, &comp.Cases[sv])
-				}
-				// Out-of-range constant select faults every cycle;
-				// leave it on the lane-loop kernel.
-				continue
-			}
-			// Dynamic select: only the 2-case 0/1 mux is branch- and
-			// fault-free as a word-op. (A 1-case selector faults when
-			// the 0/1 select reads 1.)
-			if len(comp.Cases) == 2 && c.expr01(is01, &comp.Select) {
-				srcsOf[i], wordable[i] = c.wordSrcs(is01, isMem, &comp.Select, &comp.Cases[0], &comp.Cases[1])
 			}
 		}
 	}
 
 	// Pass 2: the plane set — word-op outputs plus their plane sources,
 	// ordinals assigned in first-encounter dependency order.
-	planeOf := make([]int, len(info.Order))
-	for i := range planeOf {
-		planeOf[i] = -1
+	for i := range f.planeOf {
+		f.planeOf[i] = -1
 	}
 	var slots []int
 	addPlane := func(slot int) {
-		if planeOf[slot] < 0 {
-			planeOf[slot] = len(slots)
+		if f.planeOf[slot] < 0 {
+			f.planeOf[slot] = len(slots)
 			slots = append(slots, slot)
 		}
 	}
-	for i, comp := range info.Comb {
+	wordOut := make([]bool, p.slots)
+	for i := range p.ops {
 		if wordable[i] {
-			addPlane(info.Slot[comp.CompName()])
+			wordOut[p.ops[i].out] = true
+			addPlane(p.ops[i].out)
 			for _, s := range srcsOf[i] {
 				addPlane(s)
 			}
@@ -166,59 +158,41 @@ func (c *Compiled) buildBit() {
 	// Pass 3: which planes the remaining lane-loop code reads — those
 	// must scatter back into their columns after the word-op. (A pack
 	// slot's column is already fresh — its lane-loop kernel wrote it —
-	// so only word-op outputs ever need the mirror.) Memory latches
-	// honor the dead-data elision, like the kernels they feed.
-	wordOut := make([]bool, len(info.Order))
-	for i, comp := range info.Comb {
-		if wordable[i] {
-			wordOut[info.Slot[comp.CompName()]] = true
-		}
-	}
-	scatter := make([]bool, len(info.Order))
-	markRefs := func(e *ast.Expr) {
-		for _, name := range e.Refs() {
-			if s := info.Slot[name]; wordOut[s] {
-				scatter[s] = true
+	// so only word-op outputs ever need the mirror.) A dead data latch
+	// is a constant by now and marks nothing.
+	scatter := make([]bool, p.slots)
+	markRefs := func(e expr) {
+		for i := range e {
+			if t := &e[i]; !t.cnst && wordOut[t.slot] {
+				scatter[t.slot] = true
 			}
 		}
 	}
-	for i, comp := range info.Comb {
-		if wordable[i] {
-			continue
-		}
-		switch comp := comp.(type) {
-		case *ast.ALU:
-			markRefs(&comp.Funct)
-			markRefs(&comp.Left)
-			markRefs(&comp.Right)
-		case *ast.Selector:
-			markRefs(&comp.Select)
-			for j := range comp.Cases {
-				markRefs(&comp.Cases[j])
+	for i := range p.ops {
+		if o := &p.ops[i]; !wordable[i] {
+			markRefs(o.ctl)
+			markRefs(o.left)
+			markRefs(o.right)
+			for _, e := range o.cases {
+				markRefs(e)
 			}
 		}
 	}
-	for _, m := range info.Mems {
-		markRefs(&m.Addr)
-		markRefs(&m.Opn)
-		if v, ok := m.Opn.ConstValue(); ok {
-			if op := v & 3; op == sim.OpRead || op == sim.OpInput {
-				continue // dead data latch never reads
-			}
-		}
-		markRefs(&m.Data)
+	for i := range p.latches {
+		markRefs(p.latches[i].addr)
+		markRefs(p.latches[i].data)
+		markRefs(p.latches[i].opn)
 	}
 
 	// The profitability gate: every word-op saves a lane loop, every
 	// pack or scatter adds one back. Require a strict net win so a
 	// mostly-wide program (sieve) keeps its measured plain-gang speed.
 	nWord, nPack, nScatter := 0, 0, 0
-	for i, comp := range info.Comb {
-		slot := info.Slot[comp.CompName()]
+	for i := range p.ops {
 		switch {
 		case wordable[i]:
 			nWord++
-		case planeOf[slot] >= 0:
+		case f.planeOf[p.ops[i].out] >= 0:
 			nPack++
 		}
 	}
@@ -235,152 +209,114 @@ func (c *Compiled) buildBit() {
 	// column when lane-loop code reads it); 0/1-but-wideworld components
 	// run their gang kernel then pack; everything else is the gang
 	// kernel unchanged.
-	comb := make([]bitFn, 0, len(info.Comb))
-	for i, comp := range info.Comb {
-		slot := info.Slot[comp.CompName()]
-		gf := c.gangComb[i]
+	comb := make([]bitFn, len(p.ops))
+	for i := range p.ops {
+		slot, gf := p.ops[i].out, c.gangComb[i]
 		switch {
 		case wordable[i]:
-			fn := c.wordFn(comp, is01, isMem, planeOf)
+			comb[i] = f.wordFn(&p.ops[i])
 			if scatter[slot] {
-				fn = withScatter(fn, slot, planeOf[slot])
+				comb[i] = withScatter(comb[i], slot, f.planeOf[slot])
 			}
-			comb = append(comb, fn)
-		case planeOf[slot] >= 0:
-			comb = append(comb, withPack(gf, slot, planeOf[slot]))
+		case f.planeOf[slot] >= 0:
+			comb[i] = withPack(gf, slot, f.planeOf[slot])
 		default:
-			comb = append(comb, liftGang(gf))
+			comb[i] = liftGang(gf)
 		}
 	}
 	c.bitComb, c.bitSlots = comb, slots
 }
 
 // classify01 computes, per slot, whether the signal provably stays in
-// {0, 1} for every reachable machine state. Combinational components
-// classify in one dependency-order pass given an assumption about each
-// memory; memories start optimistic (all initial cells 0/1) and demote
-// when their written data is not provably 0/1, iterating to a fixed
-// point. Conservative everywhere: false never breaks correctness, it
-// only forfeits a word-op.
-func (c *Compiled) classify01() []bool {
-	info := c.info
-	is01 := make([]bool, len(info.Order))
-	memOK := make([]bool, len(info.Mems))
-	for i, m := range info.Mems {
-		ok := true
-		for _, v := range m.Init {
+// {0, 1} for every reachable machine state. Ops classify in one
+// dependency-order pass given an assumption about each memory; memories
+// start optimistic (all initial cells 0/1) and demote when their
+// written data is not provably 0/1, iterating to a fixed point. (A
+// memory that is never written has a constant-0 data latch, so its 0/1
+// initial image persists.) Conservative everywhere: false never breaks
+// correctness, it only forfeits a word-op.
+func (p *program) classify01() []bool {
+	f := bitFacts{is01: make([]bool, p.slots)}
+	memOK := make([]bool, len(p.latches))
+	for i := range p.latches {
+		memOK[i] = true
+		for _, v := range p.latches[i].init {
 			if v != 0 && v != 1 {
-				ok = false
+				memOK[i] = false
 				break
 			}
 		}
-		memOK[i] = ok
 	}
 	for {
-		for i, m := range info.Mems {
-			is01[info.Slot[m.Name]] = memOK[i]
+		for i := range p.latches {
+			f.is01[p.latches[i].slot] = memOK[i]
 		}
-		for _, comp := range info.Comb {
-			slot := info.Slot[comp.CompName()]
-			switch comp := comp.(type) {
-			case *ast.ALU:
-				is01[slot] = c.alu01(is01, comp)
-			case *ast.Selector:
-				is01[slot] = c.sel01(is01, comp)
-			}
+		for i := range p.ops {
+			f.is01[p.ops[i].out] = f.op01(&p.ops[i])
 		}
 		changed := false
-		for i, m := range info.Mems {
-			if memOK[i] && !c.mem01(is01, m) {
+		for i := range p.latches {
+			if memOK[i] && !f.expr01(p.latches[i].data) {
 				memOK[i] = false
 				changed = true
 			}
 		}
 		if !changed {
-			return is01
+			return f.is01
 		}
 	}
 }
 
-func (c *Compiled) alu01(is01 []bool, a *ast.ALU) bool {
-	fv, ok := a.Funct.ConstValue()
-	if !ok {
+// op01 reports whether an op's output provably stays in {0, 1}.
+func (f *bitFacts) op01(o *op) bool {
+	if o.sel {
+		reach := o.cases
+		if f.expr01(o.ctl) && len(reach) > 2 {
+			reach = reach[:2] // a 0/1 select only reaches the first two
+		}
+		for _, e := range reach {
+			if !f.expr01(e) {
+				return false
+			}
+		}
+		return true
+	}
+	if !o.folded {
 		return false
 	}
-	switch fv {
-	case sim.FnZero, sim.FnUnused, sim.FnEq, sim.FnLt:
-		return true
+	l, r := f.expr01(o.left), f.expr01(o.right)
+	switch o.fn {
 	case sim.FnLeft:
-		return c.expr01(is01, &a.Left)
+		return l
 	case sim.FnRight:
-		return c.expr01(is01, &a.Right)
-	case sim.FnAnd, sim.FnMul:
+		return r
+	case sim.FnAnd:
 		// Land truncates to 32 bits first, so one 0/1 operand bounds
 		// AND; MUL has no truncation and needs both.
-		if fv == sim.FnAnd {
-			return c.expr01(is01, &a.Left) || c.expr01(is01, &a.Right)
-		}
-		return c.expr01(is01, &a.Left) && c.expr01(is01, &a.Right)
-	case sim.FnOr, sim.FnXor:
-		return c.expr01(is01, &a.Left) && c.expr01(is01, &a.Right)
+		return l || r
+	case sim.FnMul, sim.FnOr, sim.FnXor:
+		return l && r
 	case sim.FnNot, sim.FnAdd, sim.FnSub, sim.FnShl:
 		// NOT is Mask-l; ADD/SUB escape the range; SHL of 0/1 by 1 is
 		// 2. None preserve {0,1}.
 		return false
 	default:
-		return true // out-of-range constant function yields 0
+		return true // EQ and LT compare; zero, unused and out-of-range yield 0
 	}
-}
-
-func (c *Compiled) sel01(is01 []bool, s *ast.Selector) bool {
-	if sv, ok := s.Select.ConstValue(); ok {
-		if sv >= 0 && sv < int64(len(s.Cases)) {
-			return c.expr01(is01, &s.Cases[sv])
-		}
-		return false // faults every cycle; nothing to prove
-	}
-	reach := s.Cases
-	if c.expr01(is01, &s.Select) && len(reach) > 2 {
-		reach = reach[:2] // a 0/1 select only reaches the first two
-	}
-	for i := range reach {
-		if !c.expr01(is01, &reach[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// mem01 reports whether a memory whose cells are currently all 0/1
-// stays that way for one more cycle.
-func (c *Compiled) mem01(is01 []bool, m *ast.Memory) bool {
-	if v, ok := m.Opn.ConstValue(); ok {
-		if op := v & 3; op == sim.OpRead || op == sim.OpInput {
-			return true // never written; the 0/1 initial image persists
-		}
-	}
-	return c.expr01(is01, &m.Data)
 }
 
 // expr01 reports whether an expression provably evaluates to 0 or 1.
-func (c *Compiled) expr01(is01 []bool, e *ast.Expr) bool {
-	if v, ok := e.ConstValue(); ok {
-		return v == 0 || v == 1
-	}
-	if len(e.Parts) != 1 {
+func (f *bitFacts) expr01(e expr) bool {
+	if !e.simple() {
 		return false // concatenations shift left; assume wide
 	}
-	r, ok := e.Parts[0].(*ast.Ref)
-	if !ok {
-		return false
-	}
-	switch r.Mode {
-	case ast.RefBit:
+	switch t := &e[0]; {
+	case t.cnst:
+		return t.val == 0 || t.val == 1
+	case t.field && t.mask>>t.from <= 1:
 		return true // a single extracted bit is 0/1 by construction
-	case ast.RefRange:
-		return r.From == r.To || is01[c.info.Slot[r.Name]]
-	default: // RefWhole
-		return is01[c.info.Slot[r.Name]]
+	default:
+		return f.is01[t.slot]
 	}
 }
 
@@ -403,45 +339,32 @@ func (s wordSrc) at(planes []uint64, pwords, w int) uint64 {
 // constant (slot -1 with the word), or not word-representable at all
 // (ok false). Memory slots are columns, never planes, so a reference
 // to one disqualifies the component rather than packing the memory.
-func (c *Compiled) wordSrcSlot(is01, isMem []bool, e *ast.Expr) (slot int, cw uint64, ok bool) {
-	if v, cok := e.ConstValue(); cok {
-		switch v {
-		case 0:
-			return -1, 0, true
-		case 1:
+func (f *bitFacts) wordSrcSlot(e expr) (slot int, cw uint64, ok bool) {
+	if !e.simple() {
+		return -1, 0, false
+	}
+	t := &e[0]
+	switch {
+	case t.cnst:
+		if t.val == 1 {
 			return -1, ^uint64(0), true
 		}
+		return -1, 0, t.val == 0
+	case f.isMem[t.slot] || !f.is01[t.slot]:
 		return -1, 0, false
-	}
-	if len(e.Parts) != 1 {
-		return -1, 0, false
-	}
-	r, rok := e.Parts[0].(*ast.Ref)
-	if !rok {
-		return -1, 0, false
-	}
-	s := c.info.Slot[r.Name]
-	if isMem[s] || !is01[s] {
-		return -1, 0, false
-	}
-	switch r.Mode {
-	case ast.RefWhole:
-		return s, 0, true
-	case ast.RefBit, ast.RefRange:
-		if r.From == 0 {
-			return s, 0, true // low bit/range of a 0/1 value is the value
-		}
+	case t.field && t.from != 0:
 		return -1, 0, true // any higher bit of a 0/1 value is 0
+	default:
+		return t.slot, 0, true // the value, or its low bit/range, which is the value
 	}
-	return -1, 0, false
 }
 
-// wordSrcs resolves a component's operand expressions, returning the
+// wordSrcs resolves the operands a word-op would read, returning the
 // plane-source slots and whether every operand is word-representable.
-func (c *Compiled) wordSrcs(is01, isMem []bool, exprs ...*ast.Expr) ([]int, bool) {
+func (f *bitFacts) wordSrcs(exprs ...expr) ([]int, bool) {
 	var srcs []int
 	for _, e := range exprs {
-		slot, _, ok := c.wordSrcSlot(is01, isMem, e)
+		slot, _, ok := f.wordSrcSlot(e)
 		if !ok {
 			return nil, false
 		}
@@ -453,79 +376,22 @@ func (c *Compiled) wordSrcs(is01, isMem []bool, exprs ...*ast.Expr) ([]int, bool
 }
 
 // wordSrcFor is wordSrcSlot lowered to the runtime descriptor, once
-// plane ordinals exist. Only valid for expressions wordSrcs accepted.
-func (c *Compiled) wordSrcFor(is01, isMem []bool, planeOf []int, e *ast.Expr) wordSrc {
-	slot, cw, _ := c.wordSrcSlot(is01, isMem, e)
+// plane ordinals exist. Only meaningful for expressions wordSrcs
+// accepted.
+func (f *bitFacts) wordSrcFor(e expr) wordSrc {
+	slot, cw, _ := f.wordSrcSlot(e)
 	if slot < 0 {
 		return wordSrc{plane: -1, cval: cw}
 	}
-	return wordSrc{plane: planeOf[slot]}
+	return wordSrc{plane: f.planeOf[slot]}
 }
 
-// wordFn compiles one word-op component. Callers guarantee the
-// component passed pass 1, so every case here is total.
-func (c *Compiled) wordFn(comp ast.Component, is01, isMem []bool, planeOf []int) bitFn {
-	po := planeOf[c.info.Slot[comp.CompName()]]
-	switch comp := comp.(type) {
-	case *ast.ALU:
-		fv, _ := comp.Funct.ConstValue()
-		ls := c.wordSrcFor(is01, isMem, planeOf, &comp.Left)
-		rs := c.wordSrcFor(is01, isMem, planeOf, &comp.Right)
-		switch fv {
-		case sim.FnLeft:
-			return wordCopy(po, ls)
-		case sim.FnRight:
-			return wordCopy(po, rs)
-		case sim.FnAnd, sim.FnMul:
-			return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
-				ob := po * pwords
-				for w := 0; w < words; w++ {
-					planes[ob+w] = ls.at(planes, pwords, w) & rs.at(planes, pwords, w)
-				}
-			}
-		case sim.FnOr:
-			return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
-				ob := po * pwords
-				for w := 0; w < words; w++ {
-					planes[ob+w] = ls.at(planes, pwords, w) | rs.at(planes, pwords, w)
-				}
-			}
-		case sim.FnXor:
-			return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
-				ob := po * pwords
-				for w := 0; w < words; w++ {
-					planes[ob+w] = ls.at(planes, pwords, w) ^ rs.at(planes, pwords, w)
-				}
-			}
-		case sim.FnEq:
-			return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
-				ob := po * pwords
-				for w := 0; w < words; w++ {
-					planes[ob+w] = ^(ls.at(planes, pwords, w) ^ rs.at(planes, pwords, w))
-				}
-			}
-		case sim.FnLt:
-			return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
-				ob := po * pwords
-				for w := 0; w < words; w++ {
-					planes[ob+w] = ^ls.at(planes, pwords, w) & rs.at(planes, pwords, w)
-				}
-			}
-		default: // FnZero, FnUnused, out-of-range constants
-			return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
-				ob := po * pwords
-				for w := 0; w < words; w++ {
-					planes[ob+w] = 0
-				}
-			}
-		}
-	case *ast.Selector:
-		if sv, ok := comp.Select.ConstValue(); ok {
-			return wordCopy(po, c.wordSrcFor(is01, isMem, planeOf, &comp.Cases[sv]))
-		}
-		ss := c.wordSrcFor(is01, isMem, planeOf, &comp.Select)
-		c0 := c.wordSrcFor(is01, isMem, planeOf, &comp.Cases[0])
-		c1 := c.wordSrcFor(is01, isMem, planeOf, &comp.Cases[1])
+// wordFn compiles one word-op. Callers guarantee the op passed pass 1,
+// so every case here is total.
+func (f *bitFacts) wordFn(o *op) bitFn {
+	po := f.planeOf[o.out]
+	if o.sel {
+		ss, c0, c1 := f.wordSrcFor(o.ctl), f.wordSrcFor(o.cases[0]), f.wordSrcFor(o.cases[1])
 		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
 			ob := po * pwords
 			for w := 0; w < words; w++ {
@@ -534,7 +400,55 @@ func (c *Compiled) wordFn(comp ast.Component, is01, isMem []bool, planeOf []int)
 			}
 		}
 	}
-	panic("compile: wordFn on unknown component type")
+	ls, rs := f.wordSrcFor(o.left), f.wordSrcFor(o.right)
+	switch o.fn {
+	case sim.FnLeft:
+		return wordCopy(po, ls)
+	case sim.FnRight:
+		return wordCopy(po, rs)
+	case sim.FnAnd, sim.FnMul:
+		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+			ob := po * pwords
+			for w := 0; w < words; w++ {
+				planes[ob+w] = ls.at(planes, pwords, w) & rs.at(planes, pwords, w)
+			}
+		}
+	case sim.FnOr:
+		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+			ob := po * pwords
+			for w := 0; w < words; w++ {
+				planes[ob+w] = ls.at(planes, pwords, w) | rs.at(planes, pwords, w)
+			}
+		}
+	case sim.FnXor:
+		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+			ob := po * pwords
+			for w := 0; w < words; w++ {
+				planes[ob+w] = ls.at(planes, pwords, w) ^ rs.at(planes, pwords, w)
+			}
+		}
+	case sim.FnEq:
+		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+			ob := po * pwords
+			for w := 0; w < words; w++ {
+				planes[ob+w] = ^(ls.at(planes, pwords, w) ^ rs.at(planes, pwords, w))
+			}
+		}
+	case sim.FnLt:
+		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+			ob := po * pwords
+			for w := 0; w < words; w++ {
+				planes[ob+w] = ^ls.at(planes, pwords, w) & rs.at(planes, pwords, w)
+			}
+		}
+	default: // FnZero, FnUnused, out-of-range constants
+		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+			ob := po * pwords
+			for w := 0; w < words; w++ {
+				planes[ob+w] = 0
+			}
+		}
+	}
 }
 
 func wordCopy(po int, src wordSrc) bitFn {

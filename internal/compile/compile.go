@@ -3,8 +3,12 @@
 // over pre-specialized code rather than an interpretation of the
 // component tables. This is the in-process counterpart of the thesis'
 // Pascal code generation (package codegen/gogen produces the actual
-// source-code form), and it applies the same optimizations §4.4
-// describes:
+// source-code form).
+//
+// There is one lowering and three kernel families. lower.go walks the
+// syntax tree once per program and produces a flat, slot-resolved list
+// of ops and memory latch triples; it is also the only place the
+// optimizations §4.4 describes are decided:
 //
 //   - an ALU whose function operand is constant is compiled into the
 //     specific operation instead of a dologic dispatch;
@@ -16,22 +20,19 @@
 //     in-process form of §5.4's "heuristics to determine which
 //     memories do not need temporary variables".
 //
-// Options.NoFold disables all of these for the ablation benchmarks.
+// Options.NoFold is an argument of that lowering: it disables all of
+// these for the ablation benchmarks. The scalar kernels (fused.go), the
+// lane-loop gang kernels (gang.go) and the bit-plane gang kernels
+// (bitparallel.go) are consumers of the lowered program and never touch
+// the syntax tree; Comb, MemInputs and StepCycle run one and the same
+// scalar kernel list.
 package compile
 
 import (
 	"sync"
 
-	"repro/internal/rtl/ast"
 	"repro/internal/rtl/sem"
-	"repro/internal/sim"
 )
-
-// exprFn evaluates one expression against the value vector.
-type exprFn func(vals []int64) int64
-
-// combFn computes one combinational component's output into vals.
-type combFn func(vals []int64, cycle int64)
 
 // Options tunes the compiler.
 type Options struct {
@@ -55,22 +56,22 @@ type Options struct {
 	Name string
 }
 
-// Compiled implements sim.Evaluator with pre-compiled closures,
-// sim.CycleStepper with a single fused per-cycle closure (fused.go),
-// and sim.GangStepper with lane-loop kernels over struct-of-arrays
-// fleet state (gang.go). It is stateless after construction — the
-// closures capture only immutable compile-time data (slots, masks,
+// Compiled implements sim.Evaluator and sim.CycleStepper with one list
+// of scalar kernels (fused.go), sim.GangStepper with lane-loop kernels
+// over struct-of-arrays fleet state (gang.go), and sim.BitGangStepper
+// with word-ops over bit planes (bitparallel.go) — all three built from
+// the one lowered program. It is stateless after construction — the
+// kernels capture only immutable compile-time data (slots, masks,
 // constants) and operate solely on the vectors passed in — so one
 // Compiled may be shared by any number of machines and goroutines (the
 // sim.Evaluator contract). The gang kernels are built lazily on first
 // use behind a sync.Once and are immutable afterwards, which keeps the
 // contract intact.
 type Compiled struct {
-	info *sem.Info
-	opts Options
-	comb []combFn
-	mems []memFns
-	step stepFn
+	opts    Options
+	prog    program
+	comb    []combFn
+	latches []latchFn
 
 	gangOnce    sync.Once
 	gangComb    []gangFn
@@ -81,46 +82,27 @@ type Compiled struct {
 	bitSlots []int
 }
 
-type memFns struct {
-	addr exprFn
-	data exprFn
-	opn  exprFn
-}
-
 // New compiles info with all optimizations enabled.
 func New(info *sem.Info) *Compiled { return NewWithOptions(info, Options{}) }
 
-// NewWithOptions compiles info with explicit optimization settings.
+// NewWithOptions compiles info with explicit optimization settings: it
+// lowers the specification once and builds the scalar kernels.
 func NewWithOptions(info *sem.Info, opts Options) *Compiled {
-	c := &Compiled{info: info, opts: opts}
-	for _, comp := range info.Comb {
-		switch comp := comp.(type) {
-		case *ast.ALU:
-			c.comb = append(c.comb, c.compileALU(comp))
-		case *ast.Selector:
-			c.comb = append(c.comb, c.compileSelector(comp))
+	c := &Compiled{opts: opts, prog: lower(info, !opts.NoFold)}
+	c.comb = make([]combFn, len(c.prog.ops))
+	for i := range c.prog.ops {
+		if o := &c.prog.ops[i]; o.sel {
+			c.comb[i] = scalarSelector(o)
+		} else {
+			c.comb[i] = scalarALU(o)
 		}
 	}
-	for _, m := range info.Mems {
-		fns := memFns{
-			addr: c.compileExpr(&m.Addr),
-			data: c.compileExpr(&m.Data),
-			opn:  c.compileExpr(&m.Opn),
-		}
-		// Dead data latch: constant read/input operations never use
-		// the data value.
-		if v, ok := m.Opn.ConstValue(); ok && !opts.NoFold {
-			if op := v & 3; op == sim.OpRead || op == sim.OpInput {
-				fns.data = zeroExpr
-			}
-		}
-		c.mems = append(c.mems, fns)
+	c.latches = make([]latchFn, len(c.prog.latches))
+	for i := range c.prog.latches {
+		c.latches[i] = scalarLatch(i, &c.prog.latches[i])
 	}
-	c.buildStep()
 	return c
 }
-
-func zeroExpr([]int64) int64 { return 0 }
 
 // BackendName implements sim.Evaluator.
 func (c *Compiled) BackendName() string {
@@ -134,178 +116,4 @@ func (c *Compiled) BackendName() string {
 		return "compiled-nobitpar"
 	}
 	return "compiled"
-}
-
-// Comb implements sim.Evaluator.
-func (c *Compiled) Comb(vals []int64, cycle int64) {
-	for _, fn := range c.comb {
-		fn(vals, cycle)
-	}
-}
-
-// MemInputs implements sim.Evaluator.
-func (c *Compiled) MemInputs(vals []int64, addr, data, opn []int64, cycle int64) {
-	for i := range c.mems {
-		m := &c.mems[i]
-		addr[i] = m.addr(vals)
-		data[i] = m.data(vals)
-		opn[i] = m.opn(vals)
-	}
-}
-
-// compileALU specializes on a constant function operand, mirroring
-// Figure 4.1's "add := left + 3048" against the generic
-// "alu := dologic(compute, left, 3048)".
-func (c *Compiled) compileALU(a *ast.ALU) combFn {
-	slot := c.info.Slot[a.Name]
-	lf := c.compileExpr(&a.Left)
-	rf := c.compileExpr(&a.Right)
-	if fv, ok := a.Funct.ConstValue(); ok && !c.opts.NoFold {
-		switch fv {
-		case sim.FnZero, sim.FnUnused:
-			return func(vals []int64, _ int64) { vals[slot] = 0 }
-		case sim.FnRight:
-			return func(vals []int64, _ int64) { vals[slot] = rf(vals) }
-		case sim.FnLeft:
-			return func(vals []int64, _ int64) { vals[slot] = lf(vals) }
-		case sim.FnNot:
-			return func(vals []int64, _ int64) { vals[slot] = sim.Mask - lf(vals) }
-		case sim.FnAdd:
-			return func(vals []int64, _ int64) { vals[slot] = lf(vals) + rf(vals) }
-		case sim.FnSub:
-			return func(vals []int64, _ int64) { vals[slot] = lf(vals) - rf(vals) }
-		case sim.FnMul:
-			return func(vals []int64, _ int64) { vals[slot] = lf(vals) * rf(vals) }
-		case sim.FnAnd:
-			return func(vals []int64, _ int64) { vals[slot] = sim.Land(lf(vals), rf(vals)) }
-		case sim.FnOr:
-			return func(vals []int64, _ int64) {
-				l, r := lf(vals), rf(vals)
-				vals[slot] = l + r - sim.Land(l, r)
-			}
-		case sim.FnXor:
-			return func(vals []int64, _ int64) {
-				l, r := lf(vals), rf(vals)
-				vals[slot] = l + r - sim.Land(l, r)*2
-			}
-		case sim.FnEq:
-			return func(vals []int64, _ int64) {
-				if lf(vals) == rf(vals) {
-					vals[slot] = 1
-				} else {
-					vals[slot] = 0
-				}
-			}
-		case sim.FnLt:
-			return func(vals []int64, _ int64) {
-				if lf(vals) < rf(vals) {
-					vals[slot] = 1
-				} else {
-					vals[slot] = 0
-				}
-			}
-		default:
-			// Shift keeps its loop semantics; other constants are
-			// out-of-range and yield 0 like dologic.
-			if fv == sim.FnShl {
-				return func(vals []int64, _ int64) { vals[slot] = sim.DoLogic(sim.FnShl, lf(vals), rf(vals)) }
-			}
-			return func(vals []int64, _ int64) { vals[slot] = 0 }
-		}
-	}
-	ff := c.compileExpr(&a.Funct)
-	return func(vals []int64, _ int64) {
-		vals[slot] = sim.DoLogic(ff(vals), lf(vals), rf(vals))
-	}
-}
-
-func (c *Compiled) compileSelector(s *ast.Selector) combFn {
-	slot := c.info.Slot[s.Name]
-	cases := make([]exprFn, len(s.Cases))
-	for i := range s.Cases {
-		cases[i] = c.compileExpr(&s.Cases[i])
-	}
-	n := int64(len(cases))
-	name := s.Name
-	if sv, ok := s.Select.ConstValue(); ok && !c.opts.NoFold {
-		// A constant selector collapses to the chosen case; a
-		// constant out-of-range index faults on every cycle, which we
-		// preserve (the original generated a Pascal case statement
-		// that faulted at runtime too).
-		if sv >= 0 && sv < n {
-			cf := cases[sv]
-			return func(vals []int64, _ int64) { vals[slot] = cf(vals) }
-		}
-		return func(vals []int64, cycle int64) {
-			sim.Fail(name, cycle, "selector index %d outside 0..%d", sv, n-1)
-		}
-	}
-	sf := c.compileExpr(&s.Select)
-	return func(vals []int64, cycle int64) {
-		idx := sf(vals)
-		if idx < 0 || idx >= n {
-			sim.Fail(name, cycle, "selector index %d outside 0..%d", idx, n-1)
-		}
-		vals[slot] = cases[idx](vals)
-	}
-}
-
-// compileExpr lowers a concatenation into a closure. Single-part
-// expressions — the overwhelmingly common case — compile to direct
-// loads; multi-part concatenations compile to a sum of pre-shifted
-// part closures.
-func (c *Compiled) compileExpr(e *ast.Expr) exprFn {
-	if v, ok := e.ConstValue(); ok && !c.opts.NoFold {
-		return func([]int64) int64 { return v }
-	}
-	if len(e.Parts) == 1 {
-		return c.compilePart(e.Parts[0], 0)
-	}
-	fns := make([]exprFn, 0, len(e.Parts))
-	shift := 0
-	for i := len(e.Parts) - 1; i >= 0; i-- {
-		p := e.Parts[i]
-		fns = append(fns, c.compilePart(p, shift))
-		if w := p.Width(); w == ast.WidthUnbounded {
-			shift = ast.WidthUnbounded
-		} else {
-			shift += w
-		}
-	}
-	return func(vals []int64) int64 {
-		var total int64
-		for _, fn := range fns {
-			total += fn(vals)
-		}
-		return total
-	}
-}
-
-// compilePart compiles one concatenation part with a fixed left shift.
-func (c *Compiled) compilePart(p ast.Part, shift int) exprFn {
-	sh := uint(shift)
-	switch p := p.(type) {
-	case *ast.Num:
-		v := p.Masked() << sh
-		return func([]int64) int64 { return v }
-	case *ast.Bits:
-		v := p.Value() << sh
-		return func([]int64) int64 { return v }
-	case *ast.Ref:
-		slot := c.info.Slot[p.Name]
-		switch {
-		case p.Mode == ast.RefWhole && shift == 0:
-			return func(vals []int64) int64 { return vals[slot] }
-		case p.Mode == ast.RefWhole:
-			return func(vals []int64) int64 { return vals[slot] << sh }
-		default:
-			mask := uint32(p.SelMask())
-			from := uint(p.From)
-			return func(vals []int64) int64 {
-				return int64((uint32(vals[slot])&mask)>>from) << sh
-			}
-		}
-	default:
-		panic("compile: unknown part type")
-	}
 }

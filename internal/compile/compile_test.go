@@ -1,12 +1,16 @@
 package compile
 
 import (
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/interp"
 	"repro/internal/rtl/parser"
 	"repro/internal/rtl/sem"
 	"repro/internal/sim"
+	"repro/internal/specgen"
 )
 
 func analyze(t *testing.T, src string) *sem.Info {
@@ -32,28 +36,101 @@ func TestBackendNames(t *testing.T) {
 	}
 }
 
-// TestEveryConstFunction drives each of the 14 ALU functions (plus an
-// out-of-range code) through both the folded specialization and the
-// interpreter, requiring identical outputs over a sweep of operand
-// values.
+// cycleOut is one cycle's evaluation through one entry point, reshaped
+// to the scalar layout whatever layout the entry point ran on.
+type cycleOut struct {
+	vals, addr, data, opn []int64
+}
+
+// newCycleOut is the state before a cycle: init and zeroed latches.
+func newCycleOut(init []int64, mems int) cycleOut {
+	return cycleOut{append([]int64(nil), init...), make([]int64, mems), make([]int64, mems), make([]int64, mems)}
+}
+
+// entryPoints are the three ways a cycle reaches the kernels. Each runs
+// one cycle from the initial value vector init. The gang entry runs at
+// stride 3 with only lane 1 active and requires lanes 0 and 2 — filled
+// with poison — to come back untouched.
+var entryPoints = []struct {
+	name string
+	run  func(t *testing.T, c *Compiled, init []int64, mems int) cycleOut
+}{
+	{"Comb+MemInputs", func(t *testing.T, c *Compiled, init []int64, mems int) cycleOut {
+		o := newCycleOut(init, mems)
+		c.Comb(o.vals, 0)
+		c.MemInputs(o.vals, o.addr, o.data, o.opn, 0)
+		return o
+	}},
+	{"StepCycle", func(t *testing.T, c *Compiled, init []int64, mems int) cycleOut {
+		o := newCycleOut(init, mems)
+		c.StepCycle(o.vals, o.addr, o.data, o.opn, 0)
+		return o
+	}},
+	{"StepCycleGang", func(t *testing.T, c *Compiled, init []int64, mems int) cycleOut {
+		const stride, lane, poison = 3, 1, -7
+		spread := func(src []int64) []int64 {
+			v := make([]int64, len(src)*stride)
+			for i := range v {
+				v[i] = poison
+			}
+			for i, x := range src {
+				v[i*stride+lane] = x
+			}
+			return v
+		}
+		gather := func(v []int64) []int64 {
+			out := make([]int64, len(v)/stride)
+			for i := range v {
+				switch {
+				case i%stride == lane:
+					out[i/stride] = v[i]
+				case v[i] != poison:
+					t.Errorf("gang kernel wrote inactive lane %d of row %d", i%stride, i/stride)
+				}
+			}
+			return out
+		}
+		o := newCycleOut(init, mems)
+		vals, addr, data, opn := spread(o.vals), spread(o.addr), spread(o.data), spread(o.opn)
+		c.StepCycleGang(vals, addr, data, opn, stride, []int{lane}, make([]int64, stride))
+		return cycleOut{gather(vals), gather(addr), gather(data), gather(opn)}
+	}},
+}
+
+// foldings are the two arguments the lowering takes.
+var foldings = []struct {
+	name string
+	opts Options
+}{{"fold", Options{}}, {"nofold", Options{NoFold: true}}}
+
+// TestEveryConstFunction drives each of the 16 ALU function codes (14
+// functions, the unused code and an out-of-range one) through every
+// entry point, folded and unfolded, with simple operands and with a
+// compound (concatenated) one, requiring the interpreter's outputs and
+// latches over a sweep of operand values.
 func TestEveryConstFunction(t *testing.T) {
 	for funct := 0; funct <= 15; funct++ {
-		src := "#f\na l r .\n" +
-			"A a " + itoa(funct) + " l r\n" +
-			"A l 1 0 m.0.7\nA r 1 0 m.8.15\nM m 0 a 1 1\n.\n"
-		info := analyze(t, src)
-		c := New(info)
-		it := interp.New(info)
-		valsC := make([]int64, len(info.Order))
-		valsI := make([]int64, len(info.Order))
-		for _, seed := range []int64{0, 1, 0x55AA, 0xFFFF, 0x1234, 0xFF00} {
-			valsC[info.Slot["m"]] = seed
-			valsI[info.Slot["m"]] = seed
-			c.Comb(valsC, 0)
-			it.Comb(valsI, 0)
-			if valsC[info.Slot["a"]] != valsI[info.Slot["a"]] {
-				t.Errorf("funct %d seed %#x: compiled %d != interp %d",
-					funct, seed, valsC[info.Slot["a"]], valsI[info.Slot["a"]])
+		for _, left := range []string{"l", "l.0.3,r.0.3"} {
+			src := "#f\na l r .\n" +
+				"A a " + itoa(funct) + " " + left + " r\n" +
+				"A l 1 0 m.0.7\nA r 1 0 m.8.15\nM m 0 a 1 1\n.\n"
+			info := analyze(t, src)
+			it := interp.New(info)
+			for _, f := range foldings {
+				c := NewWithOptions(info, f.opts)
+				for _, seed := range []int64{0, 1, 0x55AA, 0xFFFF, 0x1234, 0xFF00} {
+					init := make([]int64, len(info.Order))
+					init[info.Slot["m"]] = seed
+					want := newCycleOut(init, 1)
+					it.Comb(want.vals, 0)
+					it.MemInputs(want.vals, want.addr, want.data, want.opn, 0)
+					for _, ep := range entryPoints {
+						if got := ep.run(t, c, init, 1); !reflect.DeepEqual(got, want) {
+							t.Errorf("funct %d left %q %s %s seed %#x: %+v, interp has %+v",
+								funct, left, f.name, ep.name, seed, got, want)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -66,27 +143,56 @@ func itoa(v int) string {
 	return string(rune('0' + v))
 }
 
-// TestConstSelectorCollapses: a constant in-range select compiles to a
-// direct case; a constant out-of-range select faults every cycle.
+// TestConstSelectorCollapses: a constant in-range select yields the
+// chosen case — simple or compound — through every entry point, folded
+// (where the selector is lowered to a copy) or not; a constant
+// out-of-range select faults every cycle with the dynamic selector's
+// message.
 func TestConstSelectorCollapses(t *testing.T) {
-	info := analyze(t, "#s\ns m .\nS s 1 10 20 30\nM m 0 s 1 1\n.")
-	c := New(info)
-	vals := make([]int64, len(info.Order))
-	c.Comb(vals, 0)
-	if vals[info.Slot["s"]] != 20 {
-		t.Errorf("const selector = %d, want 20", vals[info.Slot["s"]])
+	for _, tc := range []struct {
+		chosen string
+		want   int64
+	}{{"20", 20}, {"m.0.3,m.0.3", 0x99}} {
+		info := analyze(t, "#s\ns m .\nS s 1 10 "+tc.chosen+" 30\nM m 0 s 1 1\n.")
+		init := make([]int64, len(info.Order))
+		init[info.Slot["m"]] = 9
+		for _, f := range foldings {
+			c := NewWithOptions(info, f.opts)
+			if folded := !c.prog.ops[0].sel; folded != !f.opts.NoFold {
+				t.Errorf("case %q %s: selector lowered to a copy = %v", tc.chosen, f.name, folded)
+			}
+			for _, ep := range entryPoints {
+				if got := ep.run(t, c, init, 1).vals[info.Slot["s"]]; got != tc.want {
+					t.Errorf("case %q %s %s: const selector = %d, want %d", tc.chosen, f.name, ep.name, got, tc.want)
+				}
+			}
+		}
 	}
 
 	// sem warns about the constant out-of-range select but still
 	// compiles it; execution must fault.
-	info = analyze(t, "#s\ns .\nS s 7 10 20\n.")
-	c = New(info)
-	defer func() {
-		if recover() == nil {
-			t.Error("constant out-of-range select should fault at run time")
+	info := analyze(t, "#s\ns .\nS s 7 10 20\n.")
+	const want = "selector index 7 outside 0..1"
+	for _, f := range foldings {
+		c := NewWithOptions(info, f.opts)
+		for _, ep := range entryPoints {
+			func() {
+				defer func() {
+					var msg string
+					switch r := recover().(type) {
+					case *sim.RuntimeError:
+						msg = r.Msg
+					case *sim.GangFault:
+						msg = r.Err.Msg
+					}
+					if msg != want {
+						t.Errorf("%s %s: fault %q, want %q", f.name, ep.name, msg, want)
+					}
+				}()
+				ep.run(t, c, make([]int64, len(info.Order)), 0)
+			}()
 		}
-	}()
-	c.Comb(make([]int64, len(info.Order)), 0)
+	}
 }
 
 // TestNoFoldStillCorrect: with folding disabled the generic paths must
@@ -146,28 +252,28 @@ func TestMemInputLatching(t *testing.T) {
 }
 
 // TestDeadDataLatchElision: a constant-read memory never consumes its
-// data expression, so the compiled latch returns 0 — while the
-// unoptimized build still evaluates it.
+// data expression — simple or compound — so the folded latch returns 0
+// through every entry point, while the unfolded build still evaluates it.
 func TestDeadDataLatchElision(t *testing.T) {
-	src := "#d\nx m .\nA x 4 m 9\nM m 0 x 0 2\n.\n"
-	info := analyze(t, src)
-	vals := make([]int64, len(info.Order))
-	vals[info.Slot["m"]] = 1
-	addr := make([]int64, 1)
-	data := make([]int64, 1)
-	opn := make([]int64, 1)
-
-	c := New(info)
-	c.Comb(vals, 0) // x = 10
-	c.MemInputs(vals, addr, data, opn, 0)
-	if data[0] != 0 {
-		t.Errorf("optimized data latch = %d, want 0 (elided)", data[0])
-	}
-	nf := NewWithOptions(info, Options{NoFold: true})
-	nf.Comb(vals, 0)
-	nf.MemInputs(vals, addr, data, opn, 0)
-	if data[0] != 10 {
-		t.Errorf("unoptimized data latch = %d, want 10", data[0])
+	for _, tc := range []struct {
+		data string
+		live int64 // the data operand's value when x = 10, m = 1
+	}{{"x", 10}, {"x.0.3,m.0.1", 10<<2 | 1}} {
+		info := analyze(t, "#d\nx m .\nA x 4 m 9\nM m 0 "+tc.data+" 0 2\n.\n")
+		init := make([]int64, len(info.Order))
+		init[info.Slot["m"]] = 1
+		for _, f := range foldings {
+			want := int64(0)
+			if f.opts.NoFold {
+				want = tc.live
+			}
+			c := NewWithOptions(info, f.opts)
+			for _, ep := range entryPoints {
+				if got := ep.run(t, c, init, 1).data[0]; got != want {
+					t.Errorf("data %q %s %s: data latch = %d, want %d", tc.data, f.name, ep.name, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -205,5 +311,58 @@ func TestConstExprFolding(t *testing.T) {
 	it.Comb(v2, 0)
 	if v1[info.Slot["a"]] != v2[info.Slot["a"]] {
 		t.Errorf("const fold %d != interp %d", v1[info.Slot["a"]], v2[info.Slot["a"]])
+	}
+}
+
+// footprintSpecs are the designs the served unique_specs workload
+// compiles one of per job: the lowering runs on every program-cache
+// miss, so what it allocates is what that workload retains.
+func footprintSpecs(tb testing.TB) []*sem.Info {
+	infos := make([]*sem.Info, 64)
+	for seed := range infos {
+		src := specgen.Generate(rand.New(rand.NewSource(int64(seed))), specgen.Config{Combs: 40, Mems: 6})
+		spec, err := parser.ParseString("footprint", src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if infos[seed], err = sem.Analyze(spec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return infos
+}
+
+// TestCompileFootprint bounds what one New costs in allocations and
+// bytes. A closure per operand measured 563 allocations; a fat operand
+// struct measured 55.8 KB per program and pushed unique_specs' peak RSS
+// past its bound.
+func TestCompileFootprint(t *testing.T) {
+	infos := footprintSpecs(t)
+	const maxAllocs, maxBytes = 150, 24 << 10
+	var keep *Compiled
+	for seed, info := range infos {
+		if allocs := testing.AllocsPerRun(10, func() { keep = New(info) }); allocs > maxAllocs {
+			t.Errorf("seed %d: %.0f allocations per New, want <= %d", seed, allocs, maxAllocs)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, info := range infos {
+		keep = New(info)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(infos)); per > maxBytes {
+		t.Errorf("%d bytes allocated per program, want <= %d", per, maxBytes)
+	}
+}
+
+// BenchmarkCompileNew is the in-package cause of core.compile_us_p50.
+func BenchmarkCompileNew(b *testing.B) {
+	infos := footprintSpecs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(infos[i%len(infos)])
 	}
 }

@@ -1,63 +1,56 @@
 package compile
 
-// The fused fast path (sim.CycleStepper): one specialized closure per
-// cycle instead of a closure per operand per cycle.
+// The scalar kernels (sim.Evaluator and sim.CycleStepper): one
+// specialized closure per component and one per memory latch, built
+// from the lowered program.
 //
-// Profiling the per-component path shows the cycle cost is dominated
-// not by the arithmetic but by indirect closure calls for trivial
-// operands — a whole-component reference compiles to a one-line
-// closure (`return vals[slot]`) whose call overhead exceeds the load
-// it performs. The fused program therefore re-specializes every
-// component around operand descriptors: a constant, a whole slot load
-// or a masked field extract each become a branch of the inlinable
-// operand.load instead of an indirect call. Components with genuinely
-// compound operands (multi-part concatenations — rare) keep their
-// generic compiled closure. Memory input latches get the same
-// treatment, with each memory's ordinal burned into its fused latch.
+// Profiling a closure-per-operand design shows the cycle cost is
+// dominated not by the arithmetic but by indirect calls for trivial
+// operands — a whole-component reference is a one-line load whose call
+// overhead exceeds the load itself. Each kernel therefore copies its
+// simple operands (a constant, a whole slot load or a masked field
+// extract) into its closure, where they are branches of the inlinable
+// operand.load instead of indirect calls, and a constant function
+// selects the specific operation. A component with a compound operand
+// (a multi-part concatenation — rare in hand-written machines) runs one
+// closure over the lowering's term loop instead.
 //
-// Comb/MemInputs keep the per-component closures, so the unfused path
-// still exists for comparison (and for Machine.step's hook-bearing
-// cycle); StepCycle runs the fused program. The two are bit-identical
-// by construction, and the cross-path equivalence tests enforce it.
-//
-// Under Options.NoFold the fused program degrades to a plain loop over
-// the generic per-component closures, so the ablation keeps measuring
-// §4.4's folding rather than the fusion.
+// Comb, MemInputs and StepCycle iterate the same two kernel lists, so a
+// hook-bearing cycle (tracing, VCD, fault injection) and the batch fast
+// path execute the same code.
 
-import (
-	"repro/internal/rtl/ast"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
-// stepFn executes the evaluation half of one full cycle.
-type stepFn func(vals []int64, addr, data, opn []int64, cycle int64)
+// combFn computes one combinational component's output into vals.
+type combFn func(vals []int64, cycle int64)
 
 // latchFn latches one memory's inputs into its ordinal position.
 type latchFn func(vals []int64, addr, data, opn []int64)
 
-// StepCycle implements sim.CycleStepper: one fused call evaluates
-// every combinational component in dependency order and latches every
-// memory's address/data/operation — bit-identical to Comb followed by
-// MemInputs.
+// Comb implements sim.Evaluator.
+func (c *Compiled) Comb(vals []int64, cycle int64) {
+	for _, fn := range c.comb {
+		fn(vals, cycle)
+	}
+}
+
+// MemInputs implements sim.Evaluator.
+func (c *Compiled) MemInputs(vals []int64, addr, data, opn []int64, cycle int64) {
+	for _, fn := range c.latches {
+		fn(vals, addr, data, opn)
+	}
+}
+
+// StepCycle implements sim.CycleStepper: Comb followed by MemInputs in
+// one call.
 func (c *Compiled) StepCycle(vals []int64, addr, data, opn []int64, cycle int64) {
-	c.step(vals, addr, data, opn, cycle)
+	c.Comb(vals, cycle)
+	c.MemInputs(vals, addr, data, opn, cycle)
 }
 
-// operand is a specialized simple operand: a constant, a whole slot
-// load, or a masked field extract. Compound expressions do not get an
-// operand (see Compiled.operand); keeping them out holds load below
-// the inlining budget, which is the entire point.
-type operand struct {
-	slot  int
-	mask  uint32 // field selection mask (field extracts only)
-	from  uint8  // field low-bit position
-	field bool
-	cnst  bool
-	val   int64 // constant value
-}
-
-// load evaluates the operand against the value vector. It must stay
-// small enough to inline into the fused component closures.
+// load evaluates a simple operand against the value vector. It must
+// stay small enough to inline into the kernel closures, which is why
+// compound expressions are kept out of it.
 func (o *operand) load(vals []int64) int64 {
 	if o.cnst {
 		return o.val
@@ -69,90 +62,18 @@ func (o *operand) load(vals []int64) int64 {
 	return v
 }
 
-// operand classifies an expression, reporting ok=false for compound
-// shapes that must stay on a generic closure.
-func (c *Compiled) operand(e *ast.Expr) (operand, bool) {
-	if v, ok := e.ConstValue(); ok {
-		return operand{cnst: true, val: v}, true
-	}
-	if len(e.Parts) == 1 {
-		if p, ok := e.Parts[0].(*ast.Ref); ok {
-			if p.Mode == ast.RefWhole {
-				return operand{slot: c.info.Slot[p.Name]}, true
-			}
-			return operand{
-				slot:  c.info.Slot[p.Name],
-				mask:  uint32(p.SelMask()),
-				from:  uint8(p.From),
-				field: true,
-			}, true
-		}
-	}
-	return operand{}, false
-}
-
-// buildStep builds the fused per-cycle closure StepCycle runs. Called
-// once at compile time, after c.comb and c.mems are populated.
-func (c *Compiled) buildStep() {
-	if c.opts.NoFold {
-		// Ablation mode: fuse nothing, just chain the generic paths.
-		c.step = func(vals []int64, addr, data, opn []int64, cycle int64) {
-			c.Comb(vals, cycle)
-			c.MemInputs(vals, addr, data, opn, cycle)
-		}
-		return
-	}
-	comb := make([]combFn, 0, len(c.comb))
-	ci := 0
-	for _, comp := range c.info.Comb {
-		generic := c.comb[ci]
-		ci++
-		var fn combFn
-		switch comp := comp.(type) {
-		case *ast.ALU:
-			fn = c.fuseALU(comp)
-		case *ast.Selector:
-			fn = c.fuseSelector(comp)
-		}
-		if fn == nil {
-			fn = generic
-		}
-		comb = append(comb, fn)
-	}
-	latches := make([]latchFn, len(c.info.Mems))
-	for i, m := range c.info.Mems {
-		latches[i] = c.fuseLatch(i, m)
-	}
-	c.step = func(vals []int64, addr, data, opn []int64, cycle int64) {
-		for _, fn := range comb {
-			fn(vals, cycle)
-		}
-		for _, fn := range latches {
-			fn(vals, addr, data, opn)
-		}
-	}
-}
-
-// fuseLatch specializes one memory's three input expressions into a
-// single closure with the memory's ordinal burned in, falling back to
-// the memory's generic compiled closures for compound operands.
-func (c *Compiled) fuseLatch(i int, m *ast.Memory) latchFn {
-	ao, aok := c.operand(&m.Addr)
-	do, dok := c.operand(&m.Data)
-	oo, ook := c.operand(&m.Opn)
-	if v, ok := m.Opn.ConstValue(); ok {
-		if op := v & 3; op == sim.OpRead || op == sim.OpInput {
-			do, dok = operand{cnst: true}, true // dead data latch
-		}
-	}
-	if !aok || !dok || !ook {
-		fns := c.mems[i]
+// scalarLatch builds one memory's latch kernel with the memory's
+// ordinal burned in.
+func scalarLatch(i int, m *latch) latchFn {
+	if !m.simple() {
+		a, d, o := m.addr, m.data, m.opn
 		return func(vals []int64, addr, data, opn []int64) {
-			addr[i] = fns.addr(vals)
-			data[i] = fns.data(vals)
-			opn[i] = fns.opn(vals)
+			addr[i] = a.at(vals, 1, 0)
+			data[i] = d.at(vals, 1, 0)
+			opn[i] = o.at(vals, 1, 0)
 		}
 	}
+	ao, do, oo := m.addr[0], m.data[0], m.opn[0]
 	return func(vals []int64, addr, data, opn []int64) {
 		addr[i] = ao.load(vals)
 		data[i] = do.load(vals)
@@ -160,108 +81,93 @@ func (c *Compiled) fuseLatch(i int, m *ast.Memory) latchFn {
 	}
 }
 
-// fuseALU is compileALU with operand-direct loads: a constant function
-// operand selects the specific operation and both operands load
-// without an indirect call. It returns nil when an operand is
-// compound, keeping the component on its generic closure.
-func (c *Compiled) fuseALU(a *ast.ALU) combFn {
-	slot := c.info.Slot[a.Name]
-	lo, lok := c.operand(&a.Left)
-	ro, rok := c.operand(&a.Right)
-	if !lok || !rok {
-		return nil
-	}
-	if fv, ok := a.Funct.ConstValue(); ok {
-		switch fv {
-		case sim.FnZero, sim.FnUnused:
-			return func(vals []int64, _ int64) { vals[slot] = 0 }
-		case sim.FnRight:
-			return func(vals []int64, _ int64) { vals[slot] = ro.load(vals) }
-		case sim.FnLeft:
-			return func(vals []int64, _ int64) { vals[slot] = lo.load(vals) }
-		case sim.FnNot:
-			return func(vals []int64, _ int64) { vals[slot] = sim.Mask - lo.load(vals) }
-		case sim.FnAdd:
-			return func(vals []int64, _ int64) { vals[slot] = lo.load(vals) + ro.load(vals) }
-		case sim.FnSub:
-			return func(vals []int64, _ int64) { vals[slot] = lo.load(vals) - ro.load(vals) }
-		case sim.FnMul:
-			return func(vals []int64, _ int64) { vals[slot] = lo.load(vals) * ro.load(vals) }
-		case sim.FnAnd:
-			return func(vals []int64, _ int64) { vals[slot] = sim.Land(lo.load(vals), ro.load(vals)) }
-		case sim.FnOr:
-			return func(vals []int64, _ int64) {
-				l, r := lo.load(vals), ro.load(vals)
-				vals[slot] = l + r - sim.Land(l, r)
-			}
-		case sim.FnXor:
-			return func(vals []int64, _ int64) {
-				l, r := lo.load(vals), ro.load(vals)
-				vals[slot] = l + r - sim.Land(l, r)*2
-			}
-		case sim.FnEq:
-			return func(vals []int64, _ int64) {
-				if lo.load(vals) == ro.load(vals) {
-					vals[slot] = 1
-				} else {
-					vals[slot] = 0
-				}
-			}
-		case sim.FnLt:
-			return func(vals []int64, _ int64) {
-				if lo.load(vals) < ro.load(vals) {
-					vals[slot] = 1
-				} else {
-					vals[slot] = 0
-				}
-			}
-		default:
-			if fv == sim.FnShl {
-				return func(vals []int64, _ int64) {
-					vals[slot] = sim.DoLogic(sim.FnShl, lo.load(vals), ro.load(vals))
-				}
-			}
-			return func(vals []int64, _ int64) { vals[slot] = 0 }
+// scalarALU mirrors Figure 4.1's "add := left + 3048" against the
+// generic "alu := dologic(compute, left, 3048)": a folded function is
+// the specific operation over operand-direct loads.
+func scalarALU(o *op) combFn {
+	slot := o.out
+	if !o.simple() {
+		// sim.DoLogic reproduces every specialization below exactly, and
+		// the (constant) ctl term evaluates to the folded function.
+		f, l, r := o.ctl, o.left, o.right
+		return func(vals []int64, _ int64) {
+			vals[slot] = sim.DoLogic(f.at(vals, 1, 0), l.at(vals, 1, 0), r.at(vals, 1, 0))
 		}
 	}
-	fo, fok := c.operand(&a.Funct)
-	if !fok {
-		return nil
+	fo, lo, ro := o.ctl[0], o.left[0], o.right[0]
+	if !o.folded {
+		return func(vals []int64, _ int64) {
+			vals[slot] = sim.DoLogic(fo.load(vals), lo.load(vals), ro.load(vals))
+		}
 	}
-	return func(vals []int64, _ int64) {
-		vals[slot] = sim.DoLogic(fo.load(vals), lo.load(vals), ro.load(vals))
+	switch o.fn {
+	case sim.FnRight:
+		return func(vals []int64, _ int64) { vals[slot] = ro.load(vals) }
+	case sim.FnLeft:
+		return func(vals []int64, _ int64) { vals[slot] = lo.load(vals) }
+	case sim.FnNot:
+		return func(vals []int64, _ int64) { vals[slot] = sim.Mask - lo.load(vals) }
+	case sim.FnAdd:
+		return func(vals []int64, _ int64) { vals[slot] = lo.load(vals) + ro.load(vals) }
+	case sim.FnSub:
+		return func(vals []int64, _ int64) { vals[slot] = lo.load(vals) - ro.load(vals) }
+	case sim.FnMul:
+		return func(vals []int64, _ int64) { vals[slot] = lo.load(vals) * ro.load(vals) }
+	case sim.FnAnd:
+		return func(vals []int64, _ int64) { vals[slot] = sim.Land(lo.load(vals), ro.load(vals)) }
+	case sim.FnOr:
+		return func(vals []int64, _ int64) {
+			l, r := lo.load(vals), ro.load(vals)
+			vals[slot] = l + r - sim.Land(l, r)
+		}
+	case sim.FnXor:
+		return func(vals []int64, _ int64) {
+			l, r := lo.load(vals), ro.load(vals)
+			vals[slot] = l + r - sim.Land(l, r)*2
+		}
+	case sim.FnEq:
+		return func(vals []int64, _ int64) {
+			if lo.load(vals) == ro.load(vals) {
+				vals[slot] = 1
+			} else {
+				vals[slot] = 0
+			}
+		}
+	case sim.FnLt:
+		return func(vals []int64, _ int64) {
+			if lo.load(vals) < ro.load(vals) {
+				vals[slot] = 1
+			} else {
+				vals[slot] = 0
+			}
+		}
+	case sim.FnShl:
+		// Shift keeps dologic's loop semantics.
+		return func(vals []int64, _ int64) {
+			vals[slot] = sim.DoLogic(sim.FnShl, lo.load(vals), ro.load(vals))
+		}
+	default:
+		// Zero, unused and out-of-range constants all yield 0.
+		return func(vals []int64, _ int64) { vals[slot] = 0 }
 	}
 }
 
-// fuseSelector is compileSelector with the select expression and every
-// case lowered to operands, so the common whole-reference cases run
-// without an indirect call per cycle. It returns nil when any case or
-// the select expression is compound.
-func (c *Compiled) fuseSelector(s *ast.Selector) combFn {
-	slot := c.info.Slot[s.Name]
-	cases := make([]operand, len(s.Cases))
-	for i := range s.Cases {
-		o, ok := c.operand(&s.Cases[i])
-		if !ok {
-			return nil
-		}
-		cases[i] = o
-	}
-	n := int64(len(cases))
-	name := s.Name
-	if sv, ok := s.Select.ConstValue(); ok {
-		if sv >= 0 && sv < n {
-			co := cases[sv]
-			return func(vals []int64, _ int64) { vals[slot] = co.load(vals) }
-		}
+// scalarSelector routes cases[ctl]. An out-of-range index — dynamic or
+// constant — faults at run time (the original generated a Pascal case
+// statement that faulted at run time too).
+func scalarSelector(o *op) combFn {
+	slot, name, n := o.out, o.name, int64(len(o.cases))
+	if !o.simple() {
+		sel, cases := o.ctl, o.cases
 		return func(vals []int64, cycle int64) {
-			sim.Fail(name, cycle, "selector index %d outside 0..%d", sv, n-1)
+			idx := sel.at(vals, 1, 0)
+			if idx < 0 || idx >= n {
+				sim.Fail(name, cycle, "selector index %d outside 0..%d", idx, n-1)
+			}
+			vals[slot] = cases[idx].at(vals, 1, 0)
 		}
 	}
-	so, ok := c.operand(&s.Select)
-	if !ok {
-		return nil
-	}
+	so, cases := o.ctl[0], o.simpleCases()
 	return func(vals []int64, cycle int64) {
 		idx := so.load(vals)
 		if idx < 0 || idx >= n {

@@ -1,24 +1,22 @@
 package compile
 
-// Gang kernels (sim.GangStepper): the fused fast path re-specialized
+// Gang kernels (sim.GangStepper): the scalar kernels re-specialized
 // across machines instead of across operands.
 //
-// The fused path (fused.go) removed the per-operand indirect call; the
-// per-component call remains, and a fleet of N machines pays it N
+// The scalar kernels (fused.go) removed the per-operand indirect call;
+// the per-component call remains, and a fleet of N machines pays it N
 // times per component per cycle. Gang kernels hoist the component
-// dispatch out of the fleet: each component compiles to one closure
-// whose body is a loop over the gang's active lanes, reading and
-// writing the struct-of-arrays layout sim.Gang maintains
+// dispatch out of the fleet: each op of the lowered program becomes one
+// closure whose body is a loop over the gang's active lanes, reading
+// and writing the struct-of-arrays layout sim.Gang maintains
 // (vals[slot*stride+lane]). One indirect call per component per cycle
-// serves the whole gang, and the lane loop's body is the same
-// inlinable operand load the fused path uses — now with the component
-// column contiguous in memory across lanes.
+// serves the whole gang, and the lane loop's body is the same inlinable
+// operand load the scalar kernels use — now with the component column
+// contiguous in memory across lanes.
 //
-// Components whose operands are compound (multi-part concatenations —
-// rare) fall back to generic lane-indexed expression closures, so
-// every compiled program gangs; the fallback only reintroduces the
-// per-operand call for the components that need it. Kernels are built
-// lazily on first gang use (most programs never gang) and are immutable
+// A component with a compound operand runs the lowering's term loop per
+// lane, so every compiled program gangs. Kernels are built lazily on
+// first gang use (most programs never gang) and are immutable
 // afterwards, preserving the evaluator's statelessness contract.
 //
 // Per-lane runtime errors (selector faults) leave through
@@ -27,20 +25,13 @@ package compile
 // idempotent within a cycle — they are, because evaluation only
 // derives from pre-commit state.
 
-import (
-	"repro/internal/rtl/ast"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // gangFn evaluates one combinational component for every active lane.
 type gangFn func(vals []int64, stride int, active []int, cycles []int64)
 
 // gangLatchFn latches one memory's inputs for every active lane.
 type gangLatchFn func(vals, addr, data, opn []int64, stride int, active []int)
-
-// gangExprFn evaluates one expression for one lane of the strided
-// value vector — the generic fallback the specialized kernels avoid.
-type gangExprFn func(vals []int64, stride, lane int) int64
 
 // StepCycleGang implements sim.GangStepper: component-major evaluation
 // of one cycle for every active lane, bit-identical per lane to
@@ -71,224 +62,168 @@ func (o *operand) at(vals []int64, stride, lane int) int64 {
 
 // buildGang builds the lane-loop kernels, once, on first gang use.
 func (c *Compiled) buildGang() {
-	comb := make([]gangFn, 0, len(c.info.Comb))
-	for _, comp := range c.info.Comb {
-		var fn gangFn
-		switch comp := comp.(type) {
-		case *ast.ALU:
-			if fn = c.gangALU(comp); fn == nil {
-				fn = c.gangALUGeneric(comp)
-			}
-		case *ast.Selector:
-			if fn = c.gangSelector(comp); fn == nil {
-				fn = c.gangSelectorGeneric(comp)
-			}
+	comb := make([]gangFn, len(c.prog.ops))
+	for i := range c.prog.ops {
+		if o := &c.prog.ops[i]; o.sel {
+			comb[i] = gangSelector(o)
+		} else {
+			comb[i] = gangALU(o)
 		}
-		comb = append(comb, fn)
 	}
-	latches := make([]gangLatchFn, len(c.info.Mems))
-	for i, m := range c.info.Mems {
-		latches[i] = c.gangLatchFor(i, m)
+	latches := make([]gangLatchFn, len(c.prog.latches))
+	for i := range c.prog.latches {
+		latches[i] = gangLatch(i, &c.prog.latches[i])
 	}
 	c.gangComb, c.gangLatches = comb, latches
 }
 
-// gangALU is fuseALU's lane-loop form: a constant function operand
-// selects the specific operation, both operands load inline, and one
-// closure call evaluates the component for the whole gang. It returns
-// nil when an operand is compound.
-func (c *Compiled) gangALU(a *ast.ALU) gangFn {
-	slot := c.info.Slot[a.Name]
-	lo, lok := c.operand(&a.Left)
-	ro, rok := c.operand(&a.Right)
-	if !lok || !rok {
-		return nil
-	}
-	if fv, ok := a.Funct.ConstValue(); ok && !c.opts.NoFold {
-		switch fv {
-		case sim.FnZero, sim.FnUnused:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = 0
-				}
-			}
-		case sim.FnRight:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = ro.at(vals, stride, l)
-				}
-			}
-		case sim.FnLeft:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = lo.at(vals, stride, l)
-				}
-			}
-		case sim.FnNot:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = sim.Mask - lo.at(vals, stride, l)
-				}
-			}
-		case sim.FnAdd:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = lo.at(vals, stride, l) + ro.at(vals, stride, l)
-				}
-			}
-		case sim.FnSub:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = lo.at(vals, stride, l) - ro.at(vals, stride, l)
-				}
-			}
-		case sim.FnMul:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = lo.at(vals, stride, l) * ro.at(vals, stride, l)
-				}
-			}
-		case sim.FnAnd:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = sim.Land(lo.at(vals, stride, l), ro.at(vals, stride, l))
-				}
-			}
-		case sim.FnOr:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					lv, rv := lo.at(vals, stride, l), ro.at(vals, stride, l)
-					vals[ob+l] = lv + rv - sim.Land(lv, rv)
-				}
-			}
-		case sim.FnXor:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					lv, rv := lo.at(vals, stride, l), ro.at(vals, stride, l)
-					vals[ob+l] = lv + rv - sim.Land(lv, rv)*2
-				}
-			}
-		case sim.FnEq:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					if lo.at(vals, stride, l) == ro.at(vals, stride, l) {
-						vals[ob+l] = 1
-					} else {
-						vals[ob+l] = 0
-					}
-				}
-			}
-		case sim.FnLt:
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					if lo.at(vals, stride, l) < ro.at(vals, stride, l) {
-						vals[ob+l] = 1
-					} else {
-						vals[ob+l] = 0
-					}
-				}
-			}
-		default:
-			if fv == sim.FnShl {
-				return func(vals []int64, stride int, active []int, _ []int64) {
-					ob := slot * stride
-					for _, l := range active {
-						vals[ob+l] = sim.DoLogic(sim.FnShl, lo.at(vals, stride, l), ro.at(vals, stride, l))
-					}
-				}
-			}
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = 0
-				}
-			}
-		}
-	}
-	fo, fok := c.operand(&a.Funct)
-	if !fok {
-		return nil
-	}
-	return func(vals []int64, stride int, active []int, _ []int64) {
-		ob := slot * stride
-		for _, l := range active {
-			vals[ob+l] = sim.DoLogic(fo.at(vals, stride, l), lo.at(vals, stride, l), ro.at(vals, stride, l))
-		}
-	}
-}
-
-// gangALUGeneric handles compound operands through generic lane-indexed
-// expression closures; sim.DoLogic reproduces every constant-function
-// specialization exactly, so the results match the scalar path.
-func (c *Compiled) gangALUGeneric(a *ast.ALU) gangFn {
-	slot := c.info.Slot[a.Name]
-	lf := c.gangExpr(&a.Left)
-	rf := c.gangExpr(&a.Right)
-	if fv, ok := a.Funct.ConstValue(); ok && !c.opts.NoFold {
+// gangALU is scalarALU's lane-loop form: a folded function selects the
+// specific operation, both operands load inline, and one closure call
+// evaluates the component for the whole gang.
+func gangALU(o *op) gangFn {
+	slot := o.out
+	if !o.simple() {
+		fx, lx, rx := o.ctl, o.left, o.right
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = sim.DoLogic(fv, lf(vals, stride, l), rf(vals, stride, l))
+				vals[ob+l] = sim.DoLogic(fx.at(vals, stride, l), lx.at(vals, stride, l), rx.at(vals, stride, l))
 			}
 		}
 	}
-	ff := c.gangExpr(&a.Funct)
-	return func(vals []int64, stride int, active []int, _ []int64) {
-		ob := slot * stride
-		for _, l := range active {
-			vals[ob+l] = sim.DoLogic(ff(vals, stride, l), lf(vals, stride, l), rf(vals, stride, l))
+	fo, lo, ro := o.ctl[0], o.left[0], o.right[0]
+	if !o.folded {
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = sim.DoLogic(fo.at(vals, stride, l), lo.at(vals, stride, l), ro.at(vals, stride, l))
+			}
+		}
+	}
+	switch o.fn {
+	case sim.FnRight:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = ro.at(vals, stride, l)
+			}
+		}
+	case sim.FnLeft:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = lo.at(vals, stride, l)
+			}
+		}
+	case sim.FnNot:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = sim.Mask - lo.at(vals, stride, l)
+			}
+		}
+	case sim.FnAdd:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = lo.at(vals, stride, l) + ro.at(vals, stride, l)
+			}
+		}
+	case sim.FnSub:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = lo.at(vals, stride, l) - ro.at(vals, stride, l)
+			}
+		}
+	case sim.FnMul:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = lo.at(vals, stride, l) * ro.at(vals, stride, l)
+			}
+		}
+	case sim.FnAnd:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = sim.Land(lo.at(vals, stride, l), ro.at(vals, stride, l))
+			}
+		}
+	case sim.FnOr:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				lv, rv := lo.at(vals, stride, l), ro.at(vals, stride, l)
+				vals[ob+l] = lv + rv - sim.Land(lv, rv)
+			}
+		}
+	case sim.FnXor:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				lv, rv := lo.at(vals, stride, l), ro.at(vals, stride, l)
+				vals[ob+l] = lv + rv - sim.Land(lv, rv)*2
+			}
+		}
+	case sim.FnEq:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				if lo.at(vals, stride, l) == ro.at(vals, stride, l) {
+					vals[ob+l] = 1
+				} else {
+					vals[ob+l] = 0
+				}
+			}
+		}
+	case sim.FnLt:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				if lo.at(vals, stride, l) < ro.at(vals, stride, l) {
+					vals[ob+l] = 1
+				} else {
+					vals[ob+l] = 0
+				}
+			}
+		}
+	case sim.FnShl:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = sim.DoLogic(sim.FnShl, lo.at(vals, stride, l), ro.at(vals, stride, l))
+			}
+		}
+	default:
+		return func(vals []int64, stride int, active []int, _ []int64) {
+			ob := slot * stride
+			for _, l := range active {
+				vals[ob+l] = 0
+			}
 		}
 	}
 }
 
-// gangSelector is fuseSelector's lane-loop form. A lane whose index is
-// out of range faults out through sim.FailLane with the scalar path's
-// exact error. It returns nil when the select expression or any case
-// is compound.
-func (c *Compiled) gangSelector(s *ast.Selector) gangFn {
-	slot := c.info.Slot[s.Name]
-	cases := make([]operand, len(s.Cases))
-	for i := range s.Cases {
-		o, ok := c.operand(&s.Cases[i])
-		if !ok {
-			return nil
-		}
-		cases[i] = o
-	}
-	n := int64(len(cases))
-	name := s.Name
-	if sv, ok := s.Select.ConstValue(); ok && !c.opts.NoFold {
-		if sv >= 0 && sv < n {
-			co := cases[sv]
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = co.at(vals, stride, l)
-				}
-			}
-		}
-		return func(_ []int64, _ int, active []int, cycles []int64) {
+// gangSelector is scalarSelector's lane-loop form. A lane whose index
+// is out of range faults out through sim.FailLane with the scalar
+// path's exact error.
+func gangSelector(o *op) gangFn {
+	slot, name, n := o.out, o.name, int64(len(o.cases))
+	if !o.simple() {
+		sel, cases := o.ctl, o.cases
+		return func(vals []int64, stride int, active []int, cycles []int64) {
+			ob := slot * stride
 			for _, l := range active {
-				sim.FailLane(l, name, cycles[l], "selector index %d outside 0..%d", sv, n-1)
+				idx := sel.at(vals, stride, l)
+				if idx < 0 || idx >= n {
+					sim.FailLane(l, name, cycles[l], "selector index %d outside 0..%d", idx, n-1)
+				}
+				vals[ob+l] = cases[idx].at(vals, stride, l)
 			}
 		}
 	}
-	so, ok := c.operand(&s.Select)
-	if !ok {
-		return nil
-	}
+	so, cases := o.ctl[0], o.simpleCases()
 	return func(vals []int64, stride int, active []int, cycles []int64) {
 		ob := slot * stride
 		for _, l := range active {
@@ -301,139 +236,26 @@ func (c *Compiled) gangSelector(s *ast.Selector) gangFn {
 	}
 }
 
-// gangSelectorGeneric handles compound select/case expressions.
-func (c *Compiled) gangSelectorGeneric(s *ast.Selector) gangFn {
-	slot := c.info.Slot[s.Name]
-	cases := make([]gangExprFn, len(s.Cases))
-	for i := range s.Cases {
-		cases[i] = c.gangExpr(&s.Cases[i])
-	}
-	n := int64(len(cases))
-	name := s.Name
-	if sv, ok := s.Select.ConstValue(); ok && !c.opts.NoFold {
-		if sv >= 0 && sv < n {
-			cf := cases[sv]
-			return func(vals []int64, stride int, active []int, _ []int64) {
-				ob := slot * stride
-				for _, l := range active {
-					vals[ob+l] = cf(vals, stride, l)
-				}
-			}
-		}
-		return func(_ []int64, _ int, active []int, cycles []int64) {
-			for _, l := range active {
-				sim.FailLane(l, name, cycles[l], "selector index %d outside 0..%d", sv, n-1)
-			}
-		}
-	}
-	sf := c.gangExpr(&s.Select)
-	return func(vals []int64, stride int, active []int, cycles []int64) {
-		ob := slot * stride
-		for _, l := range active {
-			idx := sf(vals, stride, l)
-			if idx < 0 || idx >= n {
-				sim.FailLane(l, name, cycles[l], "selector index %d outside 0..%d", idx, n-1)
-			}
-			vals[ob+l] = cases[idx](vals, stride, l)
-		}
-	}
-}
-
-// gangLatchFor specializes one memory's three input expressions into a
-// single lane-loop closure, with the same dead-data-latch elision the
-// scalar compile applies.
-func (c *Compiled) gangLatchFor(i int, m *ast.Memory) gangLatchFn {
-	ao, aok := c.operand(&m.Addr)
-	do, dok := c.operand(&m.Data)
-	oo, ook := c.operand(&m.Opn)
-	if v, ok := m.Opn.ConstValue(); ok && !c.opts.NoFold {
-		if op := v & 3; op == sim.OpRead || op == sim.OpInput {
-			do, dok = operand{cnst: true}, true // dead data latch
-		}
-	}
-	if aok && dok && ook {
+// gangLatch is scalarLatch's lane-loop form.
+func gangLatch(i int, m *latch) gangLatchFn {
+	if !m.simple() {
+		a, d, o := m.addr, m.data, m.opn
 		return func(vals, addr, data, opn []int64, stride int, active []int) {
 			base := i * stride
 			for _, l := range active {
-				addr[base+l] = ao.at(vals, stride, l)
-				data[base+l] = do.at(vals, stride, l)
-				opn[base+l] = oo.at(vals, stride, l)
+				addr[base+l] = a.at(vals, stride, l)
+				data[base+l] = d.at(vals, stride, l)
+				opn[base+l] = o.at(vals, stride, l)
 			}
 		}
 	}
-	af := c.gangExpr(&m.Addr)
-	df := c.gangExpr(&m.Data)
-	of := c.gangExpr(&m.Opn)
-	if v, ok := m.Opn.ConstValue(); ok && !c.opts.NoFold {
-		if op := v & 3; op == sim.OpRead || op == sim.OpInput {
-			df = func([]int64, int, int) int64 { return 0 }
-		}
-	}
+	ao, do, oo := m.addr[0], m.data[0], m.opn[0]
 	return func(vals, addr, data, opn []int64, stride int, active []int) {
 		base := i * stride
 		for _, l := range active {
-			addr[base+l] = af(vals, stride, l)
-			data[base+l] = df(vals, stride, l)
-			opn[base+l] = of(vals, stride, l)
+			addr[base+l] = ao.at(vals, stride, l)
+			data[base+l] = do.at(vals, stride, l)
+			opn[base+l] = oo.at(vals, stride, l)
 		}
-	}
-}
-
-// gangExpr lowers a concatenation into a lane-indexed closure — the
-// strided counterpart of compileExpr, used only where the operand
-// descriptors cannot reach.
-func (c *Compiled) gangExpr(e *ast.Expr) gangExprFn {
-	if v, ok := e.ConstValue(); ok && !c.opts.NoFold {
-		return func([]int64, int, int) int64 { return v }
-	}
-	if len(e.Parts) == 1 {
-		return c.gangPart(e.Parts[0], 0)
-	}
-	fns := make([]gangExprFn, 0, len(e.Parts))
-	shift := 0
-	for i := len(e.Parts) - 1; i >= 0; i-- {
-		p := e.Parts[i]
-		fns = append(fns, c.gangPart(p, shift))
-		if w := p.Width(); w == ast.WidthUnbounded {
-			shift = ast.WidthUnbounded
-		} else {
-			shift += w
-		}
-	}
-	return func(vals []int64, stride, lane int) int64 {
-		var total int64
-		for _, fn := range fns {
-			total += fn(vals, stride, lane)
-		}
-		return total
-	}
-}
-
-// gangPart compiles one concatenation part with a fixed left shift.
-func (c *Compiled) gangPart(p ast.Part, shift int) gangExprFn {
-	sh := uint(shift)
-	switch p := p.(type) {
-	case *ast.Num:
-		v := p.Masked() << sh
-		return func([]int64, int, int) int64 { return v }
-	case *ast.Bits:
-		v := p.Value() << sh
-		return func([]int64, int, int) int64 { return v }
-	case *ast.Ref:
-		slot := c.info.Slot[p.Name]
-		switch {
-		case p.Mode == ast.RefWhole && shift == 0:
-			return func(vals []int64, stride, lane int) int64 { return vals[slot*stride+lane] }
-		case p.Mode == ast.RefWhole:
-			return func(vals []int64, stride, lane int) int64 { return vals[slot*stride+lane] << sh }
-		default:
-			mask := uint32(p.SelMask())
-			from := uint(p.From)
-			return func(vals []int64, stride, lane int) int64 {
-				return int64((uint32(vals[slot*stride+lane])&mask)>>from) << sh
-			}
-		}
-	default:
-		panic("compile: unknown part type")
 	}
 }

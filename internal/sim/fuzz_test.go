@@ -1,15 +1,18 @@
 package sim_test
 
-// Differential fuzzing of the three execution paths. The bit-parallel
-// kernels' correctness argument is a static classification proof
-// (internal/compile/bitparallel.go); this harness is its adversary: it
-// generates random-but-valid specifications, runs the scalar fused
-// path, the plain lane-loop gang, and the bit-parallel gang over
-// divergent per-lane budgets, and fails on any difference in
-// architectural hash, statistics, cycle count or runtime error. Every
-// gang here retires lanes out of step, so compaction is fuzzed for
-// free. `go test -fuzz=FuzzGangEquivalence` explores; the committed
-// corpus under testdata/fuzz/ pins the interesting shapes as ordinary
+// Differential fuzzing of the three compiled kernel families against
+// the interpreter. The bit-parallel kernels' correctness argument is a
+// static classification proof (internal/compile/bitparallel.go), and
+// all three families consume one lowering, so their reference must not:
+// this harness generates random-but-valid specifications, takes the
+// reference from an interpreted program (an AST walker that imports
+// nothing from internal/compile), runs the compiled scalar path, the
+// plain lane-loop gang and the bit-parallel gang over divergent
+// per-lane budgets, and fails on any difference in architectural
+// hash, statistics, cycle count or runtime error. Every gang here
+// retires lanes out of step, so compaction is fuzzed for free.
+// `go test -fuzz=FuzzGangEquivalence` explores; the committed corpus
+// under testdata/fuzz/ pins the interesting shapes as ordinary
 // regression tests.
 
 import (
@@ -33,15 +36,9 @@ func fuzzBudgets(base int64, lanes int) []int64 {
 	return budgets
 }
 
-// laneOutcome is one lane's observable result on any path.
-type laneOutcome struct {
-	hash   uint64
-	cycles int64
-	stats  core.Stats
-	errstr string
-}
-
-func gangOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64) []laneOutcome {
+// gangOutcomes steps one gang to completion and captures every lane as
+// the scalarOutcome its stand-alone machine must equal.
+func gangOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64) []scalarOutcome {
 	t.Helper()
 	g, ok := p.NewGang(len(budgets))
 	if !ok {
@@ -50,13 +47,13 @@ func gangOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64) [
 	g.Reset(budgets)
 	for g.Step(chunk) {
 	}
-	out := make([]laneOutcome, len(budgets))
+	out := make([]scalarOutcome, len(budgets))
 	for l := range budgets {
 		var errstr string
 		if err := g.LaneErr(l); err != nil {
 			errstr = err.Error()
 		}
-		out[l] = laneOutcome{hash: g.LaneArchHash(l), cycles: g.LaneCycle(l), stats: g.LaneStats(l), errstr: errstr}
+		out[l] = scalarOutcome{hash: g.LaneArchHash(l), cycles: g.LaneCycle(l), stats: g.LaneStats(l), errstr: errstr}
 	}
 	return out
 }
@@ -93,6 +90,10 @@ func FuzzGangEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated spec failed to parse: %v\n%s", err, src)
 		}
+		ref, err := core.Compile(spec, core.Interp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		bit, err := core.Compile(spec, core.Compiled)
 		if err != nil {
 			t.Fatal(err)
@@ -103,22 +104,29 @@ func FuzzGangEquivalence(f *testing.F) {
 		}
 		budgets := fuzzBudgets(norm(cycles, 1, 400), 6)
 
-		// Scalar reference per budget, then both gang paths in odd
-		// chunks so lanes retire mid-chunk.
-		want := make([]laneOutcome, len(budgets))
-		for l, budget := range budgets {
-			s := scalarRun(t, bit, budget)
-			want[l] = laneOutcome{hash: s.hash, cycles: s.cycles, stats: s.stats, errstr: s.errstr}
+		// Interpreter reference per budget; then the compiled scalar
+		// path, and both gang paths in odd chunks so lanes retire
+		// mid-chunk.
+		scalarOutcomes := func(p *core.Program) []scalarOutcome {
+			out := make([]scalarOutcome, len(budgets))
+			for l, budget := range budgets {
+				out[l] = scalarRun(t, p, budget)
+			}
+			return out
 		}
+		want := scalarOutcomes(ref)
 		for _, path := range []struct {
 			name string
-			prog *core.Program
-		}{{"gang", plain}, {"bitgang", bit}} {
-			got := gangOutcomes(t, path.prog, budgets, 7)
+			got  []scalarOutcome
+		}{
+			{"scalar", scalarOutcomes(bit)},
+			{"gang", gangOutcomes(t, plain, budgets, 7)},
+			{"bitgang", gangOutcomes(t, bit, budgets, 7)},
+		} {
 			for l := range budgets {
-				if !reflect.DeepEqual(got[l], want[l]) {
-					t.Errorf("%s lane %d (budget %d): %+v, scalar has %+v\nspec:\n%s",
-						path.name, l, budgets[l], got[l], want[l], src)
+				if !reflect.DeepEqual(path.got[l], want[l]) {
+					t.Errorf("%s lane %d (budget %d): %+v, interp has %+v\nspec:\n%s",
+						path.name, l, budgets[l], path.got[l], want[l], src)
 				}
 			}
 		}

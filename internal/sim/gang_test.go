@@ -20,8 +20,10 @@ import (
 	"repro/internal/specgen"
 )
 
-// scalarOutcome runs a fresh machine for budget cycles on the fused
-// batch path and captures everything a gang lane must reproduce.
+// scalarOutcome is everything a gang lane must reproduce, captured by
+// scalarRun from a fresh machine run for budget cycles through
+// RunBatch (the batch fast path on a compiled program, the per-cycle
+// path on an interpreted one).
 type scalarOutcome struct {
 	hash   uint64
 	cycles int64
@@ -40,12 +42,18 @@ func scalarRun(t *testing.T, p *core.Program, budget int64) scalarOutcome {
 }
 
 // requireGangEquivalence steps one gang with the given per-lane
-// budgets and checks every lane against its scalar reference.
+// budgets and checks every lane — and the compiled scalar path —
+// against the interpreter, which shares no code with the compiled
+// kernels' lowering: a lowering bug cannot hide as common mode.
 func requireGangEquivalence(t *testing.T, name, src string, budgets []int64) {
 	t.Helper()
 	spec, err := core.ParseString(name, src)
 	if err != nil {
 		t.Fatalf("%s: parse: %v\n%s", name, err, src)
+	}
+	ref, err := core.Compile(spec, core.Interp)
+	if err != nil {
+		t.Fatal(err)
 	}
 	p, err := core.Compile(spec, core.Compiled)
 	if err != nil {
@@ -60,23 +68,26 @@ func requireGangEquivalence(t *testing.T, name, src string, budgets []int64) {
 	for g.Step(7) {
 	}
 	for l, budget := range budgets {
-		want := scalarRun(t, p, budget)
+		want := scalarRun(t, ref, budget)
 		label := fmt.Sprintf("%s lane %d (budget %d)", name, l, budget)
+		if got := scalarRun(t, p, budget); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: compiled scalar %+v, interp has %+v\nspec:\n%s", label, got, want, src)
+		}
 		var errstr string
 		if err := g.LaneErr(l); err != nil {
 			errstr = err.Error()
 		}
 		if errstr != want.errstr {
-			t.Errorf("%s: err %q, scalar has %q", label, errstr, want.errstr)
+			t.Errorf("%s: err %q, interp has %q", label, errstr, want.errstr)
 		}
 		if got := g.LaneCycle(l); got != want.cycles {
-			t.Errorf("%s: cycle %d, scalar has %d", label, got, want.cycles)
+			t.Errorf("%s: cycle %d, interp has %d", label, got, want.cycles)
 		}
 		if got := g.LaneArchHash(l); got != want.hash {
-			t.Errorf("%s: arch hash %016x, scalar has %016x\nspec:\n%s", label, got, want.hash, src)
+			t.Errorf("%s: arch hash %016x, interp has %016x\nspec:\n%s", label, got, want.hash, src)
 		}
 		if got := g.LaneStats(l); !reflect.DeepEqual(got, want.stats) {
-			t.Errorf("%s: stats %+v, scalar has %+v", label, got, want.stats)
+			t.Errorf("%s: stats %+v, interp has %+v", label, got, want.stats)
 		}
 	}
 }
@@ -169,7 +180,8 @@ func TestGangCapability(t *testing.T) {
 }
 
 // TestGangNoFoldEquivalence runs the ablation backend's gang kernels
-// (fully generic lane closures) against its scalar path.
+// (built from the unfolded lowering: dologic dispatch per lane, no
+// dead-latch elision) against its scalar path.
 func TestGangNoFoldEquivalence(t *testing.T) {
 	src, err := machines.SieveSpec(16)
 	if err != nil {

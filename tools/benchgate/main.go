@@ -5,8 +5,9 @@
 //
 //	benchgate -baseline BENCH_fused.json -fresh BENCH_ci.json -max-regression 0.25
 //
-// Only the report's speedup *ratios* are gated — fused vs compiled,
-// pooled vs per-run construction, gang fleet vs pooled scalar fleet.
+// Only the report's speedup *ratios* are gated — pooled vs per-run
+// construction, gang fleet vs pooled scalar fleet, bit-plane vs
+// lane-loop gang kernels, native workers vs in-process.
 // Ratios compare two configurations measured in the same process on
 // the same machine, so they transfer between the committed baseline's
 // hardware and whatever runner CI lands on; absolute ns/cycle numbers
@@ -32,7 +33,6 @@ import (
 // report is the slice of asimbench's JSON shape the gate reads.
 type report struct {
 	Go                 string  `json:"go"`
-	FusedSpeedup       float64 `json:"fused_speedup"`
 	FleetBuildSpeedup  float64 `json:"fleetbuild_speedup"`
 	GangSpeedup        float64 `json:"gang_speedup"`
 	BitParallelSpeedup float64 `json:"bitparallel_speedup"`
@@ -47,7 +47,6 @@ type metric struct {
 
 func metrics(baseline, fresh report) []metric {
 	return []metric{
-		{"fused_speedup", baseline.FusedSpeedup, fresh.FusedSpeedup},
 		{"fleetbuild_speedup", baseline.FleetBuildSpeedup, fresh.FleetBuildSpeedup},
 		{"gang_speedup", baseline.GangSpeedup, fresh.GangSpeedup},
 		{"bitparallel_speedup", baseline.BitParallelSpeedup, fresh.BitParallelSpeedup},

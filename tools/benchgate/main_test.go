@@ -8,25 +8,25 @@ import (
 )
 
 func TestGatePassesOnEqualAndImproved(t *testing.T) {
-	base := report{FusedSpeedup: 1.3, FleetBuildSpeedup: 1.6, GangSpeedup: 1.65}
+	base := report{FleetBuildSpeedup: 1.6, GangSpeedup: 1.65}
 	if v := gate(base, base, 0.25); len(v) != 0 {
 		t.Errorf("identical reports violated the gate: %v", v)
 	}
-	better := report{FusedSpeedup: 1.5, FleetBuildSpeedup: 2.0, GangSpeedup: 2.5}
+	better := report{FleetBuildSpeedup: 2.0, GangSpeedup: 2.5}
 	if v := gate(base, better, 0.25); len(v) != 0 {
 		t.Errorf("improved report violated the gate: %v", v)
 	}
 }
 
 func TestGateTolerenceBoundary(t *testing.T) {
-	base := report{FusedSpeedup: 2.0, FleetBuildSpeedup: 2.0, GangSpeedup: 2.0}
+	base := report{FleetBuildSpeedup: 2.0, GangSpeedup: 2.0, AOTSpeedup: 2.0}
 	// Exactly at the floor (2.0 * 0.75 = 1.5): not a violation.
-	at := report{FusedSpeedup: 1.5, FleetBuildSpeedup: 1.5, GangSpeedup: 1.5}
+	at := report{FleetBuildSpeedup: 1.5, GangSpeedup: 1.5, AOTSpeedup: 1.5}
 	if v := gate(base, at, 0.25); len(v) != 0 {
 		t.Errorf("at-floor report violated the gate: %v", v)
 	}
 	// Just below: all three violate.
-	below := report{FusedSpeedup: 1.49, FleetBuildSpeedup: 1.49, GangSpeedup: 1.49}
+	below := report{FleetBuildSpeedup: 1.49, GangSpeedup: 1.49, AOTSpeedup: 1.49}
 	if v := gate(base, below, 0.25); len(v) != 3 {
 		t.Errorf("below-floor report produced %d violations, want 3: %v", len(v), v)
 	}
@@ -35,16 +35,15 @@ func TestGateTolerenceBoundary(t *testing.T) {
 // TestGateFailsOnSyntheticRegression is the gate's reason to exist: a
 // >25% drop in any one speedup fails, naming the metric.
 func TestGateFailsOnSyntheticRegression(t *testing.T) {
-	base := report{FusedSpeedup: 1.3, FleetBuildSpeedup: 1.6, GangSpeedup: 1.65, BitParallelSpeedup: 2.5, AOTSpeedup: 3.0}
+	base := report{FleetBuildSpeedup: 1.6, GangSpeedup: 1.65, BitParallelSpeedup: 2.5, AOTSpeedup: 3.0}
 	for _, tc := range []struct {
 		name  string
 		fresh report
 	}{
-		{"fused_speedup", report{FusedSpeedup: 0.9, FleetBuildSpeedup: 1.6, GangSpeedup: 1.65, BitParallelSpeedup: 2.5, AOTSpeedup: 3.0}},
-		{"fleetbuild_speedup", report{FusedSpeedup: 1.3, FleetBuildSpeedup: 1.1, GangSpeedup: 1.65, BitParallelSpeedup: 2.5, AOTSpeedup: 3.0}},
-		{"gang_speedup", report{FusedSpeedup: 1.3, FleetBuildSpeedup: 1.6, GangSpeedup: 0.8, BitParallelSpeedup: 2.5, AOTSpeedup: 3.0}},
-		{"bitparallel_speedup", report{FusedSpeedup: 1.3, FleetBuildSpeedup: 1.6, GangSpeedup: 1.65, BitParallelSpeedup: 1.2, AOTSpeedup: 3.0}},
-		{"aot_speedup", report{FusedSpeedup: 1.3, FleetBuildSpeedup: 1.6, GangSpeedup: 1.65, BitParallelSpeedup: 2.5, AOTSpeedup: 1.0}},
+		{"fleetbuild_speedup", report{FleetBuildSpeedup: 1.1, GangSpeedup: 1.65, BitParallelSpeedup: 2.5, AOTSpeedup: 3.0}},
+		{"gang_speedup", report{FleetBuildSpeedup: 1.6, GangSpeedup: 0.8, BitParallelSpeedup: 2.5, AOTSpeedup: 3.0}},
+		{"bitparallel_speedup", report{FleetBuildSpeedup: 1.6, GangSpeedup: 1.65, BitParallelSpeedup: 1.2, AOTSpeedup: 3.0}},
+		{"aot_speedup", report{FleetBuildSpeedup: 1.6, GangSpeedup: 1.65, BitParallelSpeedup: 2.5, AOTSpeedup: 1.0}},
 	} {
 		v := gate(base, tc.fresh, 0.25)
 		if len(v) != 1 {
@@ -59,15 +58,15 @@ func TestGateFailsOnSyntheticRegression(t *testing.T) {
 
 func TestGateMissingMetrics(t *testing.T) {
 	// Metric absent from the baseline: skipped, nothing to defend.
-	base := report{FusedSpeedup: 1.3}
-	fresh := report{FusedSpeedup: 1.3}
+	base := report{FleetBuildSpeedup: 1.6}
+	fresh := report{FleetBuildSpeedup: 1.6}
 	if v := gate(base, fresh, 0.25); len(v) != 0 {
-		t.Errorf("baseline without gang/fleetbuild metrics violated the gate: %v", v)
+		t.Errorf("baseline without gang/bit-parallel/aot metrics violated the gate: %v", v)
 	}
 	// Metric present in the baseline but missing from the fresh
 	// report: that is a lost benchmark, and it fails.
-	base = report{FusedSpeedup: 1.3, GangSpeedup: 1.65}
-	fresh = report{FusedSpeedup: 1.3}
+	base = report{FleetBuildSpeedup: 1.6, GangSpeedup: 1.65}
+	fresh = report{FleetBuildSpeedup: 1.6}
 	if v := gate(base, fresh, 0.25); len(v) != 1 {
 		t.Errorf("lost gang_speedup produced %d violations, want 1: %v", len(v), v)
 	}
