@@ -1,11 +1,18 @@
 // Package codegen holds the pieces shared by the Go and Pascal source
-// generators: identifier mangling (the original prefixed every signal
-// with "ljb", the author's initials — we keep the convention), trace
-// feasibility analysis, and the §4.4 constant-operation classification.
+// printers: identifier mangling (the original prefixed every signal
+// with "ljb", the author's initials — we keep the convention), the
+// printing of a lowered expression around each language's one term
+// printer, and the commit-time view of a lowered memory latch. The
+// printers decide nothing of §4.4 themselves: they print the program
+// internal/lower produced.
 package codegen
 
 import (
-	"repro/internal/rtl/ast"
+	"strconv"
+	"strings"
+
+	"repro/internal/lower"
+	"repro/internal/rtl/sem"
 	"repro/internal/sim"
 )
 
@@ -22,10 +29,62 @@ func Adr(name string) string  { return "adr" + name }
 func Data(name string) string { return "data" + name }
 func Opn(name string) string  { return "opn" + name }
 
+// Vars returns the variable holding each value slot, in slot order:
+// combinational outputs by their ljb name, memories by their output
+// register (which, like the original, is what a reference reads).
+func Vars(info *sem.Info) []string {
+	vars := make([]string, len(info.Order))
+	for i, c := range info.Order {
+		if i < len(info.Comb) {
+			vars[i] = Comb(c.CompName())
+		} else {
+			vars[i] = Temp(c.CompName())
+		}
+	}
+	return vars
+}
+
+// Expr prints a lowered expression: a constant as its value, anything
+// else as its terms, most significant first, joined by '+', with
+// constant-zero terms elided. term is the language's term printer.
+func Expr(e lower.Expr, term func(lower.Term) string) string {
+	if v, ok := e.Constant(); ok {
+		return strconv.FormatInt(v, 10)
+	}
+	var b strings.Builder
+	for i := len(e) - 1; i >= 0; i-- {
+		if e[i].Const && e[i].Val == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString(" + ")
+		}
+		b.WriteString(term(e[i]))
+	}
+	return b.String()
+}
+
+// ParenOperand wraps a printed expression for embedding in a context
+// that binds tighter than the '+' joining its concatenation terms —
+// subtraction's right side, multiplication, complement. Without it
+// "mask - a<<5 + 28" parses as "(mask - a<<5) + 28"; Go puts '*' and
+// '<<' on one precedence level and Pascal puts '*' and 'div' on one, so
+// "a * b<<5" and "a * land(x, m) div 4" would bind the product first.
+// Identifiers and literals stay bare.
+func ParenOperand(s string) string {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z') {
+			return "(" + s + ")"
+		}
+	}
+	return s
+}
+
 // MemOpCase describes what a memory's commit code must handle.
 type MemOpCase struct {
-	// Const is set when the operation expression is constant; Op is
-	// then its low two bits and the trace flags are statically known.
+	// Const is set when the lowered operation is constant; Op is then
+	// its low two bits and the trace flags are statically known.
 	Const       bool
 	Op          int64
 	TraceWrites bool
@@ -38,18 +97,12 @@ type MemOpCase struct {
 	MayTraceReads  bool
 }
 
-// ClassifyMemOp analyzes a memory's operation expression.
-func ClassifyMemOp(m *ast.Memory) MemOpCase {
-	var c MemOpCase
-	if v, ok := m.Opn.ConstValue(); ok {
-		c.Const = true
-		c.Op = v & 3
-		c.TraceWrites = sim.TraceWrite(v)
-		c.TraceReads = sim.TraceRead(v)
-		return c
+// ClassifyMemOp reads a lowered latch's operation. Trace feasibility is
+// a tracing fact, not a §4.4 one, so the caller supplies the operation
+// expression's declared width.
+func ClassifyMemOp(l *lower.Latch, opnWidth int) MemOpCase {
+	if v, ok := l.Opn.Constant(); ok {
+		return MemOpCase{Const: true, Op: v & 3, TraceWrites: sim.TraceWrite(v), TraceReads: sim.TraceRead(v)}
 	}
-	w := m.Opn.Width()
-	c.MayTraceWrites = w >= 3
-	c.MayTraceReads = w >= 4
-	return c
+	return MemOpCase{MayTraceWrites: opnWidth >= 3, MayTraceReads: opnWidth >= 4}
 }

@@ -3,8 +3,9 @@ package codegen
 import (
 	"testing"
 
-	"repro/internal/rtl/ast"
+	"repro/internal/lower"
 	"repro/internal/rtl/parser"
+	"repro/internal/rtl/sem"
 )
 
 func TestNameMangling(t *testing.T) {
@@ -18,13 +19,21 @@ func TestNameMangling(t *testing.T) {
 	}
 }
 
-func mem(t *testing.T, opn string) *ast.Memory {
+// mem lowers a one-memory spec with the given operation expression and
+// returns its latch and the operation's declared width, ClassifyMemOp's
+// two arguments.
+func mem(t *testing.T, opn string) (*lower.Latch, int) {
 	t.Helper()
-	e, err := parser.ParseExpr(opn)
+	spec, err := parser.ParseString("m", "#m\nx a r m .\nA x 1 0 0\nA a 1 0 0\nA r 1 0 0\nM m 0 0 "+opn+" 1\n.\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ast.Memory{Name: "m", Opn: *e, Size: 1}
+	info, err := sem.Analyze(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := lower.Lower(info, true)
+	return &p.Latches[0], info.Mems[0].Opn.Width()
 }
 
 func TestClassifyConstOps(t *testing.T) {

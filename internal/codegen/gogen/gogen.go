@@ -3,18 +3,20 @@
 // thesis' Pascal output (Appendix E). The generated program depends
 // only on the standard library and is compiled with the ordinary Go
 // toolchain, exactly as the original piped its output through the
-// Pascal compiler. All of §4.4's optimizations are applied:
-// constant-function ALUs become inline operations (Figure 4.1),
-// constant selectors collapse, and constant memory operations drop the
-// dispatch switch (Figure 4.3).
+// Pascal compiler. The generator prints the program internal/lower
+// produced, so all of §4.4's optimizations are applied exactly as the
+// in-process kernels apply them: constant-function ALUs become inline
+// operations (Figure 4.1), constant selectors collapse, and constant
+// memory operations drop the dispatch switch (Figure 4.3).
 package gogen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/codegen"
-	"repro/internal/rtl/ast"
+	"repro/internal/lower"
 	"repro/internal/rtl/sem"
 	"repro/internal/sim"
 )
@@ -42,13 +44,15 @@ type Options struct {
 
 // Generate produces the Go source for an analyzed specification.
 func Generate(info *sem.Info, opts Options) string {
-	g := &generator{info: info, opts: opts}
+	g := &generator{info: info, opts: opts, prog: lower.Lower(info, true), vars: codegen.Vars(info)}
 	return g.run()
 }
 
 type generator struct {
 	info *sem.Info
 	opts Options
+	prog lower.Program
+	vars []string // slot -> variable
 	b    strings.Builder
 	ind  int
 }
@@ -88,25 +92,20 @@ func (g *generator) run() string {
 }
 
 func (g *generator) needsInput() bool {
-	need := false
-	for _, m := range g.info.Mems {
-		c := codegen.ClassifyMemOp(m)
-		if (c.Const && c.Op == sim.OpInput) || !c.Const {
-			need = true
+	for i := range g.prog.Latches {
+		if v, ok := g.prog.Latches[i].Opn.Constant(); !ok || v&3 == sim.OpInput {
+			return true
 		}
 	}
-	return need
+	return false
 }
 
+// needsDologic reports whether some ALU is unfolded or folded to the
+// shift, which keeps dologic's loop.
 func (g *generator) needsDologic() bool {
-	for _, c := range g.info.Comb {
-		if a, ok := c.(*ast.ALU); ok {
-			if _, isConst := a.Funct.ConstValue(); !isConst {
-				return true
-			}
-			if fv, _ := a.Funct.ConstValue(); fv == sim.FnShl {
-				return true
-			}
+	for i := range g.prog.Ops {
+		if o := &g.prog.Ops[i]; !o.Sel && (!o.Folded || o.Fn == sim.FnShl) {
+			return true
 		}
 	}
 	return false
@@ -264,47 +263,22 @@ func (g *generator) emitMain() {
 	}
 	g.p("for cyclecount := int64(0); cyclecount < cycles; cyclecount++ {")
 	g.ind++
-
-	g.p("// combinational components, dependency order")
-	for _, c := range g.info.Comb {
-		switch c := c.(type) {
-		case *ast.ALU:
-			g.emitALU(c)
-		case *ast.Selector:
-			g.emitSelector(c)
-		}
-	}
-
-	g.p("// latch memory inputs")
-	for _, m := range g.info.Mems {
-		g.p("%s = %s", codegen.Adr(m.Name), g.expr(&m.Addr))
-		// A constant read/input operation never consumes data; the
-		// latch is elided (§5.4's dead-temporary heuristic).
-		c := codegen.ClassifyMemOp(m)
-		if !(c.Const && (c.Op == sim.OpRead || c.Op == sim.OpInput)) {
-			g.p("%s = %s", codegen.Data(m.Name), g.expr(&m.Data))
-		}
-		if !c.Const {
-			g.p("%s = %s", codegen.Opn(m.Name), g.expr(&m.Opn))
-		}
-	}
+	g.emitEval()
 
 	if !g.opts.NoTrace && len(g.info.Traced) > 0 {
 		g.p("// per-cycle trace")
-		parts := "fmt.Printf(\"Cycle %3d\", cyclecount)"
-		g.p("%s", parts)
+		g.p("fmt.Printf(\"Cycle %%3d\", cyclecount)")
 		for _, name := range g.info.Traced {
-			if _, ok := g.info.Slot[name]; !ok {
-				continue // declared but not defined
+			if slot, ok := g.info.Slot[name]; ok { // else declared but not defined
+				g.p("fmt.Printf(\" %s= %%d\", %s)", name, g.vars[slot])
 			}
-			g.p("fmt.Printf(\" %s= %%d\", %s)", name, g.valueOf(name))
 		}
 		g.p("fmt.Println()")
 	}
 
 	g.p("// commit memory operations")
-	for _, m := range g.info.Mems {
-		g.emitMemoryCommit(m)
+	for i := range g.prog.Latches {
+		g.emitMemoryCommit(i)
 	}
 
 	g.ind--
@@ -313,149 +287,152 @@ func (g *generator) emitMain() {
 	g.p("}")
 }
 
-// valueOf returns the variable holding a component's current value at
-// the trace point (memory output registers, like the original, show
-// the value the cycle computed with).
-func (g *generator) valueOf(name string) string {
-	if g.info.IsMemory(name) {
-		return codegen.Temp(name)
+// emitEval prints one cycle's evaluation, the same in both modes:
+// combinational ops in dependency order, then the memory latches. A
+// worker stores every latch every cycle, so its snapshots hold what a
+// Machine's hold; the stand-alone program never snapshots and keeps
+// §5.4's elision of a dead (constant 0) data latch and of a constant
+// operation latch, which its specialized commit never reads.
+func (g *generator) emitEval() {
+	g.p("// combinational components, dependency order")
+	for i := range g.prog.Ops {
+		g.emitOp(&g.prog.Ops[i])
 	}
-	return codegen.Comb(name)
-}
-
-// emitALU mirrors Figure 4.1: constant functions inline, everything
-// else calls dologic.
-func (g *generator) emitALU(a *ast.ALU) {
-	out := codegen.Comb(a.Name)
-	left := func() string { return g.expr(&a.Left) }
-	right := func() string { return g.expr(&a.Right) }
-	if fv, ok := a.Funct.ConstValue(); ok {
-		switch fv {
-		case sim.FnZero, sim.FnUnused:
-			g.p("%s = 0", out)
-		case sim.FnRight:
-			g.p("%s = %s", out, right())
-		case sim.FnLeft:
-			g.p("%s = %s", out, left())
-		case sim.FnNot:
-			g.p("%s = mask - %s", out, parenOperand(left()))
-		case sim.FnAdd:
-			g.p("%s = %s + %s", out, left(), right())
-		case sim.FnSub:
-			g.p("%s = %s - %s", out, left(), parenOperand(right()))
-		case sim.FnShl:
-			g.p("%s = dologic(6, %s, %s)", out, left(), right())
-		case sim.FnMul:
-			g.p("%s = %s * %s", out, parenOperand(left()), parenOperand(right()))
-		case sim.FnAnd:
-			g.p("%s = land(%s, %s)", out, left(), right())
-		case sim.FnOr:
-			g.p("{ var l, r int64 = %s, %s; %s = l + r - land(l, r) }", left(), right(), out)
-		case sim.FnXor:
-			g.p("{ var l, r int64 = %s, %s; %s = l + r - land(l, r)*2 }", left(), right(), out)
-		case sim.FnEq:
-			g.p("if %s == %s {", left(), right())
-			g.p("\t%s = 1", out)
-			g.p("} else {")
-			g.p("\t%s = 0", out)
-			g.p("}")
-		case sim.FnLt:
-			g.p("if %s < %s {", left(), right())
-			g.p("\t%s = 1", out)
-			g.p("} else {")
-			g.p("\t%s = 0", out)
-			g.p("}")
-		default:
-			g.p("%s = 0 // function %d undefined", out, fv)
+	g.p("// latch memory inputs")
+	for i := range g.prog.Latches {
+		l, name := &g.prog.Latches[i], g.info.Mems[i].Name
+		g.p("%s = %s", codegen.Adr(name), codegen.Expr(l.Addr, g.term))
+		if v, ok := l.Data.Constant(); g.opts.Worker || !ok || v != 0 {
+			g.p("%s = %s", codegen.Data(name), codegen.Expr(l.Data, g.term))
 		}
-		return
+		if _, ok := l.Opn.Constant(); g.opts.Worker || !ok {
+			g.p("%s = %s", codegen.Opn(name), codegen.Expr(l.Opn, g.term))
+		}
 	}
-	g.p("%s = dologic(%s, %s, %s)", out, g.expr(&a.Funct), left(), right())
 }
 
-// emitSelector mirrors Figure 4.2's case statement.
-func (g *generator) emitSelector(s *ast.Selector) {
-	out := codegen.Comb(s.Name)
-	if sv, ok := s.Select.ConstValue(); ok && sv >= 0 && sv < int64(len(s.Cases)) {
-		g.p("%s = %s", out, g.expr(&s.Cases[sv]))
+// emitOp prints one lowered op. A folded ALU is the specific operation
+// (Figure 4.1) — a collapsed selector is one folded to "left" — an
+// unfolded one calls dologic, and a selector is Figure 4.2's case
+// dispatch, whose default faults the way the mode reports faults.
+func (g *generator) emitOp(o *lower.Op) {
+	out := g.vars[o.Out]
+	if o.Sel {
+		sel := codegen.Expr(o.Ctl, g.term)
+		g.p("switch %s {", sel)
+		for i, e := range o.Cases {
+			g.p("case %d:", i)
+			g.p("\t%s = %s", out, codegen.Expr(e, g.term))
+		}
+		g.p("default:")
+		if g.opts.Worker {
+			g.p("\tfail(%q, \"selector index %%d outside 0..%%d\", %s, int64(%d))", o.Name, sel, len(o.Cases)-1)
+			g.p("\treturn false")
+		} else {
+			g.p("\tfmt.Fprintf(os.Stderr, \"cycle %%d: selector %s out of range\\n\", cyclecount)", o.Name)
+			g.p("\tos.Exit(1)")
+		}
+		g.p("}")
 		return
 	}
-	g.p("switch %s {", g.expr(&s.Select))
-	for i := range s.Cases {
-		g.p("case %d:", i)
-		g.p("\t%s = %s", out, g.expr(&s.Cases[i]))
+	left, right := codegen.Expr(o.Left, g.term), codegen.Expr(o.Right, g.term)
+	if !o.Folded {
+		g.p("%s = dologic(%s, %s, %s)", out, codegen.Expr(o.Ctl, g.term), left, right)
+		return
 	}
-	g.p("default:")
-	g.p("\tfmt.Fprintf(os.Stderr, \"cycle %%d: selector %s out of range\\n\", cyclecount)", s.Name)
-	g.p("\tos.Exit(1)")
+	switch o.Fn {
+	case sim.FnZero, sim.FnUnused:
+		g.p("%s = 0", out)
+	case sim.FnRight:
+		g.p("%s = %s", out, right)
+	case sim.FnLeft:
+		g.p("%s = %s", out, left)
+	case sim.FnNot:
+		g.p("%s = mask - %s", out, codegen.ParenOperand(left))
+	case sim.FnAdd:
+		g.p("%s = %s + %s", out, left, right)
+	case sim.FnSub:
+		g.p("%s = %s - %s", out, left, codegen.ParenOperand(right))
+	case sim.FnShl:
+		g.p("%s = dologic(6, %s, %s)", out, left, right)
+	case sim.FnMul:
+		g.p("%s = %s * %s", out, codegen.ParenOperand(left), codegen.ParenOperand(right))
+	case sim.FnAnd:
+		g.p("%s = land(%s, %s)", out, left, right)
+	case sim.FnOr:
+		g.p("{ var l, r int64 = %s, %s; %s = l + r - land(l, r) }", left, right, out)
+	case sim.FnXor:
+		g.p("{ var l, r int64 = %s, %s; %s = l + r - land(l, r)*2 }", left, right, out)
+	case sim.FnEq:
+		g.p("if %s == %s {", left, right)
+		g.p("\t%s = 1", out)
+		g.p("} else {")
+		g.p("\t%s = 0", out)
+		g.p("}")
+	case sim.FnLt:
+		g.p("if %s < %s {", left, right)
+		g.p("\t%s = 1", out)
+		g.p("} else {")
+		g.p("\t%s = 0", out)
+		g.p("}")
+	default:
+		g.p("%s = 0 // function %d undefined", out, o.Fn)
+	}
+}
+
+// emitDispatch mirrors Figure 4.3's commit: a constant operation prints
+// its one case, a dynamic one switches on the operation's low two bits.
+// cases are indexed by sim.OpRead..sim.OpOutput.
+func (g *generator) emitDispatch(c codegen.MemOpCase, opn string, cases [4]func(pfx string)) {
+	if c.Const {
+		cases[c.Op]("")
+		return
+	}
+	g.p("switch %s & 3 {", opn)
+	for op, emit := range cases {
+		g.p("case %d:", op)
+		emit("\t")
+	}
 	g.p("}")
 }
 
-// emitMemoryCommit mirrors Figure 4.3: a constant operation drops the
-// dispatch switch; trace statements are emitted only when the
-// operation can request them.
-func (g *generator) emitMemoryCommit(m *ast.Memory) {
+// emitMemoryCommit is the stand-alone commit: the operation through
+// sinput/soutput, then the trace statements the operation can request.
+func (g *generator) emitMemoryCommit(i int) {
+	m := g.info.Mems[i]
 	arr := codegen.Comb(m.Name)
 	temp := codegen.Temp(m.Name)
 	adr := codegen.Adr(m.Name)
 	data := codegen.Data(m.Name)
 	opn := codegen.Opn(m.Name)
-	c := codegen.ClassifyMemOp(m)
-
-	emitRead := func(pfx string) {
-		g.p("%s%s = %s[%s]", pfx, temp, arr, adr)
-	}
-	emitWrite := func(pfx string) {
-		g.p("%s%s = %s", pfx, temp, data)
-		g.p("%s%s[%s] = %s", pfx, arr, adr, data)
-	}
-	emitInput := func(pfx string) {
-		g.p("%s%s = sinput(%s)", pfx, temp, adr)
-	}
-	emitOutput := func(pfx string) {
-		g.p("%s%s = %s", pfx, temp, data)
-		g.p("%ssoutput(%s, %s)", pfx, adr, data)
-	}
-
-	if c.Const {
-		switch c.Op {
-		case sim.OpRead:
-			emitRead("")
-		case sim.OpWrite:
-			emitWrite("")
-		case sim.OpInput:
-			emitInput("")
-		case sim.OpOutput:
-			emitOutput("")
-		}
-	} else {
-		g.p("switch %s & 3 {", opn)
-		g.p("case 0:")
-		emitRead("\t")
-		g.p("case 1:")
-		emitWrite("\t")
-		g.p("case 2:")
-		emitInput("\t")
-		g.p("case 3:")
-		emitOutput("\t")
-		g.p("}")
-	}
-
+	c := codegen.ClassifyMemOp(&g.prog.Latches[i], m.Opn.Width())
+	g.emitDispatch(c, opn, [4]func(string){
+		func(pfx string) { g.p("%s%s = %s[%s]", pfx, temp, arr, adr) },
+		func(pfx string) {
+			g.p("%s%s = %s", pfx, temp, data)
+			g.p("%s%s[%s] = %s", pfx, arr, adr, data)
+		},
+		func(pfx string) { g.p("%s%s = sinput(%s)", pfx, temp, adr) },
+		func(pfx string) {
+			g.p("%s%s = %s", pfx, temp, data)
+			g.p("%ssoutput(%s, %s)", pfx, adr, data)
+		},
+	})
 	if g.opts.NoTrace {
 		return
 	}
 	// Write trace: land(op, 5) == 5.
-	if c.Const && c.TraceWrites {
+	if c.TraceWrites {
 		g.p("fmt.Printf(\" Write to %s at %%d: %%d\\n\", %s, %s)", m.Name, adr, temp)
-	} else if !c.Const && c.MayTraceWrites {
+	} else if c.MayTraceWrites {
 		g.p("if land(%s, 5) == 5 {", opn)
 		g.p("\tfmt.Printf(\" Write to %s at %%d: %%d\\n\", %s, %s)", m.Name, adr, temp)
 		g.p("}")
 	}
 	// Read trace: land(op, 9) == 8.
-	if c.Const && c.TraceReads {
+	if c.TraceReads {
 		g.p("fmt.Printf(\" Read from %s at %%d: %%d\\n\", %s, %s)", m.Name, adr, temp)
-	} else if !c.Const && c.MayTraceReads {
+	} else if c.MayTraceReads {
 		g.p("if land(%s, 9) == 8 {", opn)
 		g.p("\tfmt.Printf(\" Read from %s at %%d: %%d\\n\", %s, %s)", m.Name, adr, temp)
 		g.p("}")
@@ -464,77 +441,17 @@ func (g *generator) emitMemoryCommit(m *ast.Memory) {
 
 func stripNewlines(s string) string { return strings.ReplaceAll(s, "\n", " ") }
 
-func itoa(v int64) string { return fmt.Sprintf("%d", v) }
-
-// parenOperand wraps an expression for embedding in a context that
-// binds tighter than the '+' joining its concatenation terms —
-// subtraction's right side, multiplication, complement. Without it
-// "mask - a<<5 + 28" parses as "(mask - a<<5) + 28", and since Go
-// puts '*' and '<<' on one precedence level, "a * b<<5" parses as
-// "(a*b)<<5". Identifiers and literals stay bare.
-func parenOperand(s string) string {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z') {
-			return "(" + s + ")"
-		}
+// term is the one printer of a lowered term as Go.
+func (g *generator) term(t lower.Term) string {
+	if t.Const {
+		return strconv.FormatInt(t.Val, 10)
+	}
+	s := g.vars[t.Slot]
+	if t.Field {
+		s = fmt.Sprintf("int64((uint32(%s)&%#x)>>%d)", s, t.Mask, t.From)
+	}
+	if t.Shift > 0 {
+		s = fmt.Sprintf("%s<<%d", s, t.Shift)
 	}
 	return s
-}
-
-// expr lowers an expression to a Go expression string.
-func (g *generator) expr(e *ast.Expr) string {
-	if v, ok := e.ConstValue(); ok {
-		return fmt.Sprintf("%d", v)
-	}
-	var terms []string
-	shift := 0
-	for i := len(e.Parts) - 1; i >= 0; i-- {
-		p := e.Parts[i]
-		if t := g.part(p, shift); t != "" {
-			terms = append(terms, t)
-		}
-		if w := p.Width(); w == ast.WidthUnbounded {
-			shift = ast.WidthUnbounded
-		} else {
-			shift += w
-		}
-	}
-	// Most-significant terms first, for readability.
-	for l, r := 0, len(terms)-1; l < r; l, r = l+1, r-1 {
-		terms[l], terms[r] = terms[r], terms[l]
-	}
-	return strings.Join(terms, " + ")
-}
-
-// part lowers one concatenation part; constant-zero terms are elided.
-func (g *generator) part(p ast.Part, shift int) string {
-	switch p := p.(type) {
-	case *ast.Num:
-		v := p.Masked() << uint(shift)
-		if v == 0 {
-			return ""
-		}
-		return fmt.Sprintf("%d", v)
-	case *ast.Bits:
-		v := p.Value() << uint(shift)
-		if v == 0 {
-			return ""
-		}
-		return fmt.Sprintf("%d", v)
-	case *ast.Ref:
-		v := g.valueOf(p.Name)
-		var t string
-		if p.Mode == ast.RefWhole {
-			t = v
-		} else {
-			t = fmt.Sprintf("int64((uint32(%s)&%#x)>>%d)", v, uint32(p.SelMask()), p.From)
-		}
-		if shift > 0 {
-			t = fmt.Sprintf("%s<<%d", t, shift)
-		}
-		return t
-	default:
-		return ""
-	}
 }

@@ -191,7 +191,7 @@ func TestGeneratedCounterMatchesMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trace bytes.Buffer
-	m, err := core.NewMachine(spec, core.Compiled, core.Options{Trace: &trace})
+	m, err := core.NewMachine(spec, core.Interp, core.Options{Trace: &trace})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package gogen
 import (
 	"repro/internal/aot"
 	"repro/internal/codegen"
-	"repro/internal/rtl/ast"
 	"repro/internal/sim"
 )
 
@@ -88,10 +87,10 @@ func ins(name string) string  { return "ins" + codegen.Comb(name) }
 func outs(name string) string { return "outs" + codegen.Comb(name) }
 
 // emitReset restores the power-on state between runs, exactly like a
-// Machine.Reset followed by the first touch of the latches: values and
-// arrays zeroed, declared initializers applied, statistics cleared. A
-// constant memory operation's opn latch is set here once — the
-// in-process backend recomputes the same constant every cycle.
+// Machine.Reset: values, latches and arrays zeroed, declared
+// initializers applied, statistics cleared. runcycle stores every latch
+// from its lowered expression, so a snapshot at any cycle — 0 included
+// — matches the machine's byte for byte.
 func (g *generator) emitReset() {
 	g.p("func reset() {")
 	g.ind++
@@ -99,11 +98,7 @@ func (g *generator) emitReset() {
 		g.p("%s = 0", codegen.Comb(c.CompName()))
 	}
 	for _, m := range g.info.Mems {
-		opn := "0"
-		if v, ok := m.Opn.ConstValue(); ok {
-			opn = itoa(v)
-		}
-		g.p("%s, %s, %s, %s = 0, 0, 0, %s", codegen.Temp(m.Name), codegen.Adr(m.Name), codegen.Data(m.Name), codegen.Opn(m.Name), opn)
+		g.p("%s, %s, %s, %s = 0, 0, 0, 0", codegen.Temp(m.Name), codegen.Adr(m.Name), codegen.Data(m.Name), codegen.Opn(m.Name))
 		g.p("for i := range %s {", codegen.Comb(m.Name))
 		g.p("\t%s[i] = 0", codegen.Comb(m.Name))
 		g.p("}")
@@ -125,68 +120,18 @@ func (g *generator) emitFail() {
 }
 
 // emitRunCycle is the worker counterpart of the standalone main loop
-// body: combinational evaluation in dependency order, input latching,
-// memory commit — but faults report through fail and bail instead of
-// exiting, and every commit counts into the statistics.
+// body: the same evaluation (emitEval), then the memory commit — but
+// faults report through fail and bail instead of exiting, and every
+// commit counts into the statistics.
 func (g *generator) emitRunCycle() {
 	g.p("func runcycle() bool {")
 	g.ind++
-	g.p("// combinational components, dependency order")
-	for _, c := range g.info.Comb {
-		switch c := c.(type) {
-		case *ast.ALU:
-			g.emitALU(c)
-		case *ast.Selector:
-			g.emitSelectorWorker(c)
-		}
-	}
-	g.p("// latch memory inputs")
-	for _, m := range g.info.Mems {
-		g.p("%s = %s", codegen.Adr(m.Name), g.expr(&m.Addr))
-		c := codegen.ClassifyMemOp(m)
-		if !(c.Const && (c.Op == sim.OpRead || c.Op == sim.OpInput)) {
-			g.p("%s = %s", codegen.Data(m.Name), g.expr(&m.Data))
-		}
-		if !c.Const {
-			g.p("%s = %s", codegen.Opn(m.Name), g.expr(&m.Opn))
-		}
-	}
+	g.emitEval()
 	g.p("// commit memory operations")
-	for _, m := range g.info.Mems {
-		g.emitMemoryCommitWorker(m)
+	for i := range g.prog.Latches {
+		g.emitMemoryCommitWorker(i)
 	}
 	g.p("return true")
-	g.ind--
-	g.p("}")
-}
-
-// emitSelectorWorker mirrors the compiled backend's selector: bounds
-// check first, identical fault message, then the case dispatch.
-func (g *generator) emitSelectorWorker(s *ast.Selector) {
-	out := codegen.Comb(s.Name)
-	n := len(s.Cases)
-	if sv, ok := s.Select.ConstValue(); ok {
-		if sv >= 0 && sv < int64(n) {
-			g.p("%s = %s", out, g.expr(&s.Cases[sv]))
-			return
-		}
-		g.p("fail(%q, \"selector index %%d outside 0..%%d\", int64(%d), int64(%d))", s.Name, sv, n-1)
-		g.p("return false")
-		return
-	}
-	g.p("{")
-	g.ind++
-	g.p("sel := %s", g.expr(&s.Select))
-	g.p("if sel < 0 || sel >= %d {", n)
-	g.p("\tfail(%q, \"selector index %%d outside 0..%%d\", sel, int64(%d))", s.Name, n-1)
-	g.p("\treturn false")
-	g.p("}")
-	g.p("switch sel {")
-	for i := range s.Cases {
-		g.p("case %d:", i)
-		g.p("\t%s = %s", out, g.expr(&s.Cases[i]))
-	}
-	g.p("}")
 	g.ind--
 	g.p("}")
 }
@@ -196,13 +141,13 @@ func (g *generator) emitSelectorWorker(s *ast.Selector) {
 // have no input device), output is counted and discarded. Statistics
 // are bumped only after a successful commit, matching the in-process
 // partial-state-on-error semantics.
-func (g *generator) emitMemoryCommitWorker(m *ast.Memory) {
+func (g *generator) emitMemoryCommitWorker(i int) {
+	m := g.info.Mems[i]
 	arr := codegen.Comb(m.Name)
 	temp := codegen.Temp(m.Name)
 	adr := codegen.Adr(m.Name)
 	data := codegen.Data(m.Name)
 	opn := codegen.Opn(m.Name)
-	c := codegen.ClassifyMemOp(m)
 	size := m.Size
 
 	bounds := func(pfx, verb string) {
@@ -211,49 +156,27 @@ func (g *generator) emitMemoryCommitWorker(m *ast.Memory) {
 		g.p("%s\treturn false", pfx)
 		g.p("%s}", pfx)
 	}
-	emitRead := func(pfx string) {
-		bounds(pfx, "read")
-		g.p("%s%s = %s[%s]", pfx, temp, arr, adr)
-		g.p("%s%s++", pfx, rds(m.Name))
-	}
-	emitWrite := func(pfx string) {
-		bounds(pfx, "write")
-		g.p("%s%s = %s", pfx, temp, data)
-		g.p("%s%s[%s] = %s", pfx, arr, adr, data)
-		g.p("%s%s++", pfx, wrs(m.Name))
-	}
-	emitInput := func(pfx string) {
-		g.p("%sfail(%q, \"input operation with no input attached\")", pfx, m.Name)
-		g.p("%sreturn false", pfx)
-	}
-	emitOutput := func(pfx string) {
-		g.p("%s%s = %s", pfx, temp, data)
-		g.p("%s%s++", pfx, outs(m.Name))
-	}
-
-	if c.Const {
-		switch c.Op {
-		case sim.OpRead:
-			emitRead("")
-		case sim.OpWrite:
-			emitWrite("")
-		case sim.OpInput:
-			emitInput("")
-		case sim.OpOutput:
-			emitOutput("")
-		}
-		return
-	}
-	g.p("switch %s & 3 {", opn)
-	g.p("case 0:")
-	emitRead("\t")
-	g.p("case 1:")
-	emitWrite("\t")
-	g.p("case 2:")
-	emitInput("\t")
-	g.p("case 3:")
-	emitOutput("\t")
-	g.p("}")
+	g.emitDispatch(codegen.ClassifyMemOp(&g.prog.Latches[i], m.Opn.Width()), opn, [4]func(string){
+		func(pfx string) {
+			bounds(pfx, "read")
+			g.p("%s%s = %s[%s]", pfx, temp, arr, adr)
+			g.p("%s%s++", pfx, rds(m.Name))
+		},
+		func(pfx string) {
+			bounds(pfx, "write")
+			g.p("%s%s = %s", pfx, temp, data)
+			g.p("%s%s[%s] = %s", pfx, arr, adr, data)
+			g.p("%s%s++", pfx, wrs(m.Name))
+		},
+		func(pfx string) {
+			g.p("%sfail(%q, \"input operation with no input attached\")", pfx, m.Name)
+			g.p("%sreturn false", pfx)
+		},
+		func(pfx string) {
+			g.p("%s%s = %s", pfx, temp, data)
+			g.p("%s%s++", pfx, outs(m.Name))
+		},
+	})
 }
 
 func (g *generator) emitRunTo() {
@@ -276,7 +199,7 @@ func (g *generator) emitArchHash() {
 	g.p("func archhash() uint64 {")
 	g.ind++
 	g.p("h := uint64(%d)", sim.ArchHashOffset)
-	for _, v := range g.slotVars() {
+	for _, v := range g.vars {
 		g.p("h = (h ^ uint64(%s)) * %d", v, sim.ArchHashPrime)
 	}
 	for _, m := range g.info.Mems {
@@ -287,16 +210,6 @@ func (g *generator) emitArchHash() {
 	g.p("return h")
 	g.ind--
 	g.p("}")
-}
-
-// slotVars returns the variable holding each value slot, in slot
-// order — the order Machine.vals uses for hashing and snapshots.
-func (g *generator) slotVars() []string {
-	vars := make([]string, len(g.info.Slot))
-	for name, slot := range g.info.Slot {
-		vars[slot] = g.valueOf(name)
-	}
-	return vars
 }
 
 // emitSaveState emits Machine.SaveState's exact byte layout.
@@ -311,9 +224,8 @@ func (g *generator) emitSaveState() {
 	g.ind++
 	g.p("statebuf = statebuf[:0]")
 	g.p("put(int64(%d)) // snapshot magic", sim.SnapshotMagic)
-	vars := g.slotVars()
-	g.p("put(%d) // value slots", len(vars))
-	for _, v := range vars {
+	g.p("put(%d) // value slots", len(g.vars))
+	for _, v := range g.vars {
 		g.p("put(%s)", v)
 	}
 	g.p("put(%d) // memories", len(g.info.Mems))

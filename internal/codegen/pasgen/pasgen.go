@@ -4,27 +4,31 @@
 // artifact is the Go generator — so the emphasis is on matching the
 // published code patterns: ljb-prefixed variables, dologic, sinput /
 // soutput, the per-memory temp/adr/data/opn quartet, and the
-// constant-operation optimizations.
+// constant-operation optimizations, printed from the program
+// internal/lower produced.
 package pasgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/codegen"
-	"repro/internal/rtl/ast"
+	"repro/internal/lower"
 	"repro/internal/rtl/sem"
 	"repro/internal/sim"
 )
 
 // Generate produces Pascal source for an analyzed specification.
 func Generate(info *sem.Info) string {
-	g := &generator{info: info}
+	g := &generator{info: info, prog: lower.Lower(info, true), vars: codegen.Vars(info)}
 	return g.run()
 }
 
 type generator struct {
 	info *sem.Info
+	prog lower.Program
+	vars []string // slot -> variable
 	b    strings.Builder
 }
 
@@ -176,34 +180,30 @@ func (g *generator) emitMain() {
 	g.p("  cyclecount := 0;")
 	g.p("  while cyclecount < cycles do begin")
 
-	for _, c := range g.info.Comb {
-		switch c := c.(type) {
-		case *ast.ALU:
-			g.emitALU(c)
-		case *ast.Selector:
-			g.emitSelector(c)
-		}
+	for i := range g.prog.Ops {
+		g.emitOp(&g.prog.Ops[i])
 	}
 
-	for _, m := range g.info.Mems {
-		g.p("  %s := %s;", codegen.Adr(m.Name), g.expr(&m.Addr))
-		g.p("  %s := %s;", codegen.Data(m.Name), g.expr(&m.Data))
-		g.p("  %s := %s;", codegen.Opn(m.Name), g.expr(&m.Opn))
+	// Pascal variables start undefined, so every latch is stored.
+	for i := range g.prog.Latches {
+		l, name := &g.prog.Latches[i], g.info.Mems[i].Name
+		g.p("  %s := %s;", codegen.Adr(name), codegen.Expr(l.Addr, g.term))
+		g.p("  %s := %s;", codegen.Data(name), codegen.Expr(l.Data, g.term))
+		g.p("  %s := %s;", codegen.Opn(name), codegen.Expr(l.Opn, g.term))
 	}
 
 	if len(g.info.Traced) > 0 {
 		g.p("  write('Cycle ', cyclecount:3);")
 		for _, name := range g.info.Traced {
-			if _, ok := g.info.Slot[name]; !ok {
-				continue
+			if slot, ok := g.info.Slot[name]; ok {
+				g.p("  write(' %s= ', %s:1);", name, g.vars[slot])
 			}
-			g.p("  write(' %s= ', %s:1);", name, g.valueOf(name))
 		}
 		g.p("  writeln;")
 	}
 
-	for _, m := range g.info.Mems {
-		g.emitMemoryCommit(m)
+	for i := range g.prog.Latches {
+		g.emitMemoryCommit(i)
 	}
 
 	g.p("  cyclecount := cyclecount + 1;")
@@ -211,95 +211,70 @@ func (g *generator) emitMain() {
 	g.p("end.")
 }
 
-func (g *generator) valueOf(name string) string {
-	if g.info.IsMemory(name) {
-		return codegen.Temp(name)
-	}
-	return codegen.Comb(name)
-}
-
-// parenOperand wraps an expression for embedding in a context that
-// binds tighter than the '+' joining its concatenation terms —
-// subtraction's right side, multiplication, complement. Pascal puts
-// '*' and 'div' on one precedence level, so "a * land(x, m) div 4"
-// parses as "(a * land(x, m)) div 4". Identifiers and literals stay
-// bare.
-func parenOperand(s string) string {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z') {
-			return "(" + s + ")"
+// emitOp prints one lowered op: a folded ALU (or collapsed selector) as
+// the specific operation, an unfolded one through dologic, a selector as
+// Figure 4.2's case statement.
+func (g *generator) emitOp(o *lower.Op) {
+	out := g.vars[o.Out]
+	if o.Sel {
+		g.p("  case %s of", codegen.Expr(o.Ctl, g.term))
+		for i, e := range o.Cases {
+			sep := ";"
+			if i == len(o.Cases)-1 {
+				sep = ""
+			}
+			g.p("  %d : %s := %s%s", i, out, codegen.Expr(e, g.term), sep)
 		}
-	}
-	return s
-}
-
-func (g *generator) emitALU(a *ast.ALU) {
-	out := codegen.Comb(a.Name)
-	left := func() string { return g.expr(&a.Left) }
-	right := func() string { return g.expr(&a.Right) }
-	if fv, ok := a.Funct.ConstValue(); ok {
-		switch fv {
-		case sim.FnZero, sim.FnUnused:
-			g.p("  %s := 0;", out)
-		case sim.FnRight:
-			g.p("  %s := %s;", out, right())
-		case sim.FnLeft:
-			g.p("  %s := %s;", out, left())
-		case sim.FnNot:
-			g.p("  %s := %d - %s;", out, sim.Mask, parenOperand(left()))
-		case sim.FnAdd:
-			g.p("  %s := %s + %s;", out, left(), right())
-		case sim.FnSub:
-			g.p("  %s := %s - %s;", out, left(), parenOperand(right()))
-		case sim.FnShl:
-			g.p("  %s := dologic(6, %s, %s);", out, left(), right())
-		case sim.FnMul:
-			g.p("  %s := %s * %s;", out, parenOperand(left()), parenOperand(right()))
-		case sim.FnAnd:
-			g.p("  %s := land(%s, %s);", out, left(), right())
-		case sim.FnOr:
-			g.p("  %s := %s + %s - land(%s, %s);", out, left(), right(), left(), right())
-		case sim.FnXor:
-			g.p("  %s := %s + %s - land(%s, %s) * 2;", out, left(), right(), left(), right())
-		case sim.FnEq:
-			g.p("  if %s = %s then %s := 1", left(), right(), out)
-			g.p("  else %s := 0;", out)
-		case sim.FnLt:
-			g.p("  if %s < %s then %s := 1", left(), right(), out)
-			g.p("  else %s := 0;", out)
-		default:
-			g.p("  %s := 0; {function %d undefined}", out, fv)
-		}
+		g.p("  end;")
 		return
 	}
-	g.p("  %s := dologic(%s, %s, %s);", out, g.expr(&a.Funct), left(), right())
-}
-
-func (g *generator) emitSelector(s *ast.Selector) {
-	out := codegen.Comb(s.Name)
-	if sv, ok := s.Select.ConstValue(); ok && sv >= 0 && sv < int64(len(s.Cases)) {
-		g.p("  %s := %s;", out, g.expr(&s.Cases[sv]))
+	left, right := codegen.Expr(o.Left, g.term), codegen.Expr(o.Right, g.term)
+	if !o.Folded {
+		g.p("  %s := dologic(%s, %s, %s);", out, codegen.Expr(o.Ctl, g.term), left, right)
 		return
 	}
-	g.p("  case %s of", g.expr(&s.Select))
-	for i := range s.Cases {
-		sep := ";"
-		if i == len(s.Cases)-1 {
-			sep = ""
-		}
-		g.p("  %d : %s := %s%s", i, out, g.expr(&s.Cases[i]), sep)
+	switch o.Fn {
+	case sim.FnZero, sim.FnUnused:
+		g.p("  %s := 0;", out)
+	case sim.FnRight:
+		g.p("  %s := %s;", out, right)
+	case sim.FnLeft:
+		g.p("  %s := %s;", out, left)
+	case sim.FnNot:
+		g.p("  %s := %d - %s;", out, sim.Mask, codegen.ParenOperand(left))
+	case sim.FnAdd:
+		g.p("  %s := %s + %s;", out, left, right)
+	case sim.FnSub:
+		g.p("  %s := %s - %s;", out, left, codegen.ParenOperand(right))
+	case sim.FnShl:
+		g.p("  %s := dologic(6, %s, %s);", out, left, right)
+	case sim.FnMul:
+		g.p("  %s := %s * %s;", out, codegen.ParenOperand(left), codegen.ParenOperand(right))
+	case sim.FnAnd:
+		g.p("  %s := land(%s, %s);", out, left, right)
+	case sim.FnOr:
+		g.p("  %s := %s + %s - land(%s, %s);", out, left, right, left, right)
+	case sim.FnXor:
+		g.p("  %s := %s + %s - land(%s, %s) * 2;", out, left, right, left, right)
+	case sim.FnEq:
+		g.p("  if %s = %s then %s := 1", left, right, out)
+		g.p("  else %s := 0;", out)
+	case sim.FnLt:
+		g.p("  if %s < %s then %s := 1", left, right, out)
+		g.p("  else %s := 0;", out)
+	default:
+		g.p("  %s := 0; {function %d undefined}", out, o.Fn)
 	}
-	g.p("  end;")
 }
 
-func (g *generator) emitMemoryCommit(m *ast.Memory) {
+func (g *generator) emitMemoryCommit(i int) {
+	m := g.info.Mems[i]
 	arr := codegen.Comb(m.Name)
 	temp := codegen.Temp(m.Name)
 	adr := codegen.Adr(m.Name)
 	data := codegen.Data(m.Name)
 	opn := codegen.Opn(m.Name)
-	c := codegen.ClassifyMemOp(m)
+	c := codegen.ClassifyMemOp(&g.prog.Latches[i], m.Opn.Width())
 
 	if c.Const {
 		switch c.Op {
@@ -329,75 +304,35 @@ func (g *generator) emitMemoryCommit(m *ast.Memory) {
 		g.p("  end; {case}")
 	}
 
-	if c.Const && c.TraceWrites {
+	if c.TraceWrites {
 		g.p("  writeln(' Write to %s at ', %s:1, ': ', %s:1);", m.Name, adr, temp)
-	} else if !c.Const && c.MayTraceWrites {
+	} else if c.MayTraceWrites {
 		g.p("  if land(%s, 5) = 5 then", opn)
 		g.p("    writeln(' Write to %s at ', %s:1, ': ', %s:1);", m.Name, adr, temp)
 	}
-	if c.Const && c.TraceReads {
+	if c.TraceReads {
 		g.p("  writeln(' Read from %s at ', %s:1, ': ', %s:1);", m.Name, adr, temp)
-	} else if !c.Const && c.MayTraceReads {
+	} else if c.MayTraceReads {
 		g.p("  if land(%s, 9) = 8 then", opn)
 		g.p("    writeln(' Read from %s at ', %s:1, ': ', %s:1);", m.Name, adr, temp)
 	}
 }
 
-// expr lowers an expression to Pascal (land masks and div/mul shifts,
-// exactly as the original expr procedure generated).
-func (g *generator) expr(e *ast.Expr) string {
-	if v, ok := e.ConstValue(); ok {
-		return fmt.Sprintf("%d", v)
+// term is the one printer of a lowered term as Pascal: land masks and
+// div/mul shifts, exactly as the original expr procedure generated.
+func (g *generator) term(t lower.Term) string {
+	if t.Const {
+		return strconv.FormatInt(t.Val, 10)
 	}
-	var terms []string
-	shift := 0
-	for i := len(e.Parts) - 1; i >= 0; i-- {
-		p := e.Parts[i]
-		if t := g.part(p, shift); t != "" {
-			terms = append(terms, t)
-		}
-		if w := p.Width(); w == ast.WidthUnbounded {
-			shift = ast.WidthUnbounded
-		} else {
-			shift += w
+	s := g.vars[t.Slot]
+	if t.Field {
+		s = fmt.Sprintf("land(%s, %d)", s, t.Mask)
+		if t.From > 0 {
+			s = fmt.Sprintf("%s div %d", s, int64(1)<<t.From)
 		}
 	}
-	for l, r := 0, len(terms)-1; l < r; l, r = l+1, r-1 {
-		terms[l], terms[r] = terms[r], terms[l]
+	if t.Shift > 0 {
+		s = fmt.Sprintf("%s * %d", s, int64(1)<<t.Shift)
 	}
-	return strings.Join(terms, " + ")
-}
-
-func (g *generator) part(p ast.Part, shift int) string {
-	switch p := p.(type) {
-	case *ast.Num:
-		v := p.Masked() << uint(shift)
-		if v == 0 {
-			return ""
-		}
-		return fmt.Sprintf("%d", v)
-	case *ast.Bits:
-		v := p.Value() << uint(shift)
-		if v == 0 {
-			return ""
-		}
-		return fmt.Sprintf("%d", v)
-	case *ast.Ref:
-		v := g.valueOf(p.Name)
-		var t string
-		if p.Mode == ast.RefWhole {
-			t = v
-		} else {
-			t = fmt.Sprintf("land(%s, %d)", v, p.SelMask())
-			if p.From > 0 {
-				t = fmt.Sprintf("%s div %d", t, int64(1)<<uint(p.From))
-			}
-		}
-		if shift > 0 {
-			t = fmt.Sprintf("%s * %d", t, int64(1)<<uint(shift))
-		}
-		return t
-	default:
-		return ""
-	}
+	return s
 }

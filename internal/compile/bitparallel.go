@@ -39,7 +39,10 @@ package compile
 // the gang never reads (sim.Gang materializes a lane's plane bits into
 // its column before detaching it or serving state).
 
-import "repro/internal/sim"
+import (
+	"repro/internal/lower"
+	"repro/internal/sim"
+)
 
 // bitFn evaluates one combinational component for a bit-parallel gang:
 // either a word-op over planes[...], or a lane-loop over vals with a
@@ -88,40 +91,40 @@ func (c *Compiled) buildBit() {
 	}
 	c.gangOnce.Do(c.buildGang)
 	p := &c.prog
-	f := bitFacts{is01: p.classify01(), isMem: make([]bool, p.slots), planeOf: make([]int, p.slots)}
-	for i := range p.latches {
-		f.isMem[p.latches[i].slot] = true
+	f := bitFacts{is01: classify01(p), isMem: make([]bool, p.Slots), planeOf: make([]int, p.Slots)}
+	for i := range p.Latches {
+		f.isMem[p.Latches[i].Slot] = true
 	}
 
 	// Pass 1: which ops compile to word-ops. An op qualifies when its
 	// output is 0/1 and every operand its word-op reads is a plane
 	// (whole/low-bit reference to a 0/1 combinational signal) or a
 	// broadcastable constant.
-	wordable := make([]bool, len(p.ops))
-	srcsOf := make([][]int, len(p.ops))
-	for i := range p.ops {
-		o := &p.ops[i]
+	wordable := make([]bool, len(p.Ops))
+	srcsOf := make([][]int, len(p.Ops))
+	for i := range p.Ops {
+		o := &p.Ops[i]
 		switch {
-		case !f.is01[o.out]:
-		case o.sel:
+		case !f.is01[o.Out]:
+		case o.Sel:
 			// Only the 2-case 0/1 mux is branch- and fault-free as a
 			// word-op. (A 1-case selector faults when the 0/1 select
 			// reads 1; a constant out-of-range select faults every
 			// cycle and stays on its lane-loop kernel.)
-			if len(o.cases) == 2 && f.expr01(o.ctl) {
-				srcsOf[i], wordable[i] = f.wordSrcs(o.ctl, o.cases[0], o.cases[1])
+			if len(o.Cases) == 2 && f.expr01(o.Ctl) {
+				srcsOf[i], wordable[i] = f.wordSrcs(o.Ctl, o.Cases[0], o.Cases[1])
 			}
-		case o.folded:
-			switch o.fn {
+		case o.Folded:
+			switch o.Fn {
 			case sim.FnNot, sim.FnAdd, sim.FnSub, sim.FnShl:
 				// Not 0/1-preserving (op01 agrees) — unreachable here,
 				// but keep the word-op set explicit.
 			case sim.FnLeft:
-				srcsOf[i], wordable[i] = f.wordSrcs(o.left)
+				srcsOf[i], wordable[i] = f.wordSrcs(o.Left)
 			case sim.FnRight:
-				srcsOf[i], wordable[i] = f.wordSrcs(o.right)
+				srcsOf[i], wordable[i] = f.wordSrcs(o.Right)
 			case sim.FnAnd, sim.FnMul, sim.FnOr, sim.FnXor, sim.FnEq, sim.FnLt:
-				srcsOf[i], wordable[i] = f.wordSrcs(o.left, o.right)
+				srcsOf[i], wordable[i] = f.wordSrcs(o.Left, o.Right)
 			default:
 				// Zero, unused and out-of-range constants evaluate to 0.
 				wordable[i] = true
@@ -141,11 +144,11 @@ func (c *Compiled) buildBit() {
 			slots = append(slots, slot)
 		}
 	}
-	wordOut := make([]bool, p.slots)
-	for i := range p.ops {
+	wordOut := make([]bool, p.Slots)
+	for i := range p.Ops {
 		if wordable[i] {
-			wordOut[p.ops[i].out] = true
-			addPlane(p.ops[i].out)
+			wordOut[p.Ops[i].Out] = true
+			addPlane(p.Ops[i].Out)
 			for _, s := range srcsOf[i] {
 				addPlane(s)
 			}
@@ -160,39 +163,39 @@ func (c *Compiled) buildBit() {
 	// slot's column is already fresh — its lane-loop kernel wrote it —
 	// so only word-op outputs ever need the mirror.) A dead data latch
 	// is a constant by now and marks nothing.
-	scatter := make([]bool, p.slots)
-	markRefs := func(e expr) {
+	scatter := make([]bool, p.Slots)
+	markRefs := func(e lower.Expr) {
 		for i := range e {
-			if t := &e[i]; !t.cnst && wordOut[t.slot] {
-				scatter[t.slot] = true
+			if t := &e[i]; !t.Const && wordOut[t.Slot] {
+				scatter[t.Slot] = true
 			}
 		}
 	}
-	for i := range p.ops {
-		if o := &p.ops[i]; !wordable[i] {
-			markRefs(o.ctl)
-			markRefs(o.left)
-			markRefs(o.right)
-			for _, e := range o.cases {
+	for i := range p.Ops {
+		if o := &p.Ops[i]; !wordable[i] {
+			markRefs(o.Ctl)
+			markRefs(o.Left)
+			markRefs(o.Right)
+			for _, e := range o.Cases {
 				markRefs(e)
 			}
 		}
 	}
-	for i := range p.latches {
-		markRefs(p.latches[i].addr)
-		markRefs(p.latches[i].data)
-		markRefs(p.latches[i].opn)
+	for i := range p.Latches {
+		markRefs(p.Latches[i].Addr)
+		markRefs(p.Latches[i].Data)
+		markRefs(p.Latches[i].Opn)
 	}
 
 	// The profitability gate: every word-op saves a lane loop, every
 	// pack or scatter adds one back. Require a strict net win so a
 	// mostly-wide program (sieve) keeps its measured plain-gang speed.
 	nWord, nPack, nScatter := 0, 0, 0
-	for i := range p.ops {
+	for i := range p.Ops {
 		switch {
 		case wordable[i]:
 			nWord++
-		case f.planeOf[p.ops[i].out] >= 0:
+		case f.planeOf[p.Ops[i].Out] >= 0:
 			nPack++
 		}
 	}
@@ -209,12 +212,12 @@ func (c *Compiled) buildBit() {
 	// column when lane-loop code reads it); 0/1-but-wideworld components
 	// run their gang kernel then pack; everything else is the gang
 	// kernel unchanged.
-	comb := make([]bitFn, len(p.ops))
-	for i := range p.ops {
-		slot, gf := p.ops[i].out, c.gangComb[i]
+	comb := make([]bitFn, len(p.Ops))
+	for i := range p.Ops {
+		slot, gf := p.Ops[i].Out, c.gangComb[i]
 		switch {
 		case wordable[i]:
-			comb[i] = f.wordFn(&p.ops[i])
+			comb[i] = f.wordFn(&p.Ops[i])
 			if scatter[slot] {
 				comb[i] = withScatter(comb[i], slot, f.planeOf[slot])
 			}
@@ -235,12 +238,12 @@ func (c *Compiled) buildBit() {
 // memory that is never written has a constant-0 data latch, so its 0/1
 // initial image persists.) Conservative everywhere: false never breaks
 // correctness, it only forfeits a word-op.
-func (p *program) classify01() []bool {
-	f := bitFacts{is01: make([]bool, p.slots)}
-	memOK := make([]bool, len(p.latches))
-	for i := range p.latches {
+func classify01(p *lower.Program) []bool {
+	f := bitFacts{is01: make([]bool, p.Slots)}
+	memOK := make([]bool, len(p.Latches))
+	for i := range p.Latches {
 		memOK[i] = true
-		for _, v := range p.latches[i].init {
+		for _, v := range p.Latches[i].Init {
 			if v != 0 && v != 1 {
 				memOK[i] = false
 				break
@@ -248,15 +251,15 @@ func (p *program) classify01() []bool {
 		}
 	}
 	for {
-		for i := range p.latches {
-			f.is01[p.latches[i].slot] = memOK[i]
+		for i := range p.Latches {
+			f.is01[p.Latches[i].Slot] = memOK[i]
 		}
-		for i := range p.ops {
-			f.is01[p.ops[i].out] = f.op01(&p.ops[i])
+		for i := range p.Ops {
+			f.is01[p.Ops[i].Out] = f.op01(&p.Ops[i])
 		}
 		changed := false
-		for i := range p.latches {
-			if memOK[i] && !f.expr01(p.latches[i].data) {
+		for i := range p.Latches {
+			if memOK[i] && !f.expr01(p.Latches[i].Data) {
 				memOK[i] = false
 				changed = true
 			}
@@ -268,10 +271,10 @@ func (p *program) classify01() []bool {
 }
 
 // op01 reports whether an op's output provably stays in {0, 1}.
-func (f *bitFacts) op01(o *op) bool {
-	if o.sel {
-		reach := o.cases
-		if f.expr01(o.ctl) && len(reach) > 2 {
+func (f *bitFacts) op01(o *lower.Op) bool {
+	if o.Sel {
+		reach := o.Cases
+		if f.expr01(o.Ctl) && len(reach) > 2 {
 			reach = reach[:2] // a 0/1 select only reaches the first two
 		}
 		for _, e := range reach {
@@ -281,11 +284,11 @@ func (f *bitFacts) op01(o *op) bool {
 		}
 		return true
 	}
-	if !o.folded {
+	if !o.Folded {
 		return false
 	}
-	l, r := f.expr01(o.left), f.expr01(o.right)
-	switch o.fn {
+	l, r := f.expr01(o.Left), f.expr01(o.Right)
+	switch o.Fn {
 	case sim.FnLeft:
 		return l
 	case sim.FnRight:
@@ -306,17 +309,17 @@ func (f *bitFacts) op01(o *op) bool {
 }
 
 // expr01 reports whether an expression provably evaluates to 0 or 1.
-func (f *bitFacts) expr01(e expr) bool {
-	if !e.simple() {
+func (f *bitFacts) expr01(e lower.Expr) bool {
+	if !e.Simple() {
 		return false // concatenations shift left; assume wide
 	}
 	switch t := &e[0]; {
-	case t.cnst:
-		return t.val == 0 || t.val == 1
-	case t.field && t.mask>>t.from <= 1:
+	case t.Const:
+		return t.Val == 0 || t.Val == 1
+	case t.Field && t.Mask>>t.From <= 1:
 		return true // a single extracted bit is 0/1 by construction
 	default:
-		return f.is01[t.slot]
+		return f.is01[t.Slot]
 	}
 }
 
@@ -339,29 +342,29 @@ func (s wordSrc) at(planes []uint64, pwords, w int) uint64 {
 // constant (slot -1 with the word), or not word-representable at all
 // (ok false). Memory slots are columns, never planes, so a reference
 // to one disqualifies the component rather than packing the memory.
-func (f *bitFacts) wordSrcSlot(e expr) (slot int, cw uint64, ok bool) {
-	if !e.simple() {
+func (f *bitFacts) wordSrcSlot(e lower.Expr) (slot int, cw uint64, ok bool) {
+	if !e.Simple() {
 		return -1, 0, false
 	}
 	t := &e[0]
 	switch {
-	case t.cnst:
-		if t.val == 1 {
+	case t.Const:
+		if t.Val == 1 {
 			return -1, ^uint64(0), true
 		}
-		return -1, 0, t.val == 0
-	case f.isMem[t.slot] || !f.is01[t.slot]:
+		return -1, 0, t.Val == 0
+	case f.isMem[t.Slot] || !f.is01[t.Slot]:
 		return -1, 0, false
-	case t.field && t.from != 0:
+	case t.Field && t.From != 0:
 		return -1, 0, true // any higher bit of a 0/1 value is 0
 	default:
-		return t.slot, 0, true // the value, or its low bit/range, which is the value
+		return t.Slot, 0, true // the value, or its low bit/range, which is the value
 	}
 }
 
 // wordSrcs resolves the operands a word-op would read, returning the
 // plane-source slots and whether every operand is word-representable.
-func (f *bitFacts) wordSrcs(exprs ...expr) ([]int, bool) {
+func (f *bitFacts) wordSrcs(exprs ...lower.Expr) ([]int, bool) {
 	var srcs []int
 	for _, e := range exprs {
 		slot, _, ok := f.wordSrcSlot(e)
@@ -378,7 +381,7 @@ func (f *bitFacts) wordSrcs(exprs ...expr) ([]int, bool) {
 // wordSrcFor is wordSrcSlot lowered to the runtime descriptor, once
 // plane ordinals exist. Only meaningful for expressions wordSrcs
 // accepted.
-func (f *bitFacts) wordSrcFor(e expr) wordSrc {
+func (f *bitFacts) wordSrcFor(e lower.Expr) wordSrc {
 	slot, cw, _ := f.wordSrcSlot(e)
 	if slot < 0 {
 		return wordSrc{plane: -1, cval: cw}
@@ -388,10 +391,10 @@ func (f *bitFacts) wordSrcFor(e expr) wordSrc {
 
 // wordFn compiles one word-op. Callers guarantee the op passed pass 1,
 // so every case here is total.
-func (f *bitFacts) wordFn(o *op) bitFn {
-	po := f.planeOf[o.out]
-	if o.sel {
-		ss, c0, c1 := f.wordSrcFor(o.ctl), f.wordSrcFor(o.cases[0]), f.wordSrcFor(o.cases[1])
+func (f *bitFacts) wordFn(o *lower.Op) bitFn {
+	po := f.planeOf[o.Out]
+	if o.Sel {
+		ss, c0, c1 := f.wordSrcFor(o.Ctl), f.wordSrcFor(o.Cases[0]), f.wordSrcFor(o.Cases[1])
 		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
 			ob := po * pwords
 			for w := 0; w < words; w++ {
@@ -400,8 +403,8 @@ func (f *bitFacts) wordFn(o *op) bitFn {
 			}
 		}
 	}
-	ls, rs := f.wordSrcFor(o.left), f.wordSrcFor(o.right)
-	switch o.fn {
+	ls, rs := f.wordSrcFor(o.Left), f.wordSrcFor(o.Right)
+	switch o.Fn {
 	case sim.FnLeft:
 		return wordCopy(po, ls)
 	case sim.FnRight:

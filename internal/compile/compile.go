@@ -2,13 +2,13 @@
 // specification into closures once, so the per-cycle work is a walk
 // over pre-specialized code rather than an interpretation of the
 // component tables. This is the in-process counterpart of the thesis'
-// Pascal code generation (package codegen/gogen produces the actual
-// source-code form).
+// Pascal code generation (packages codegen/gogen and codegen/pasgen
+// produce the actual source-code form, printed from the same lowering).
 //
-// There is one lowering and three kernel families. lower.go walks the
-// syntax tree once per program and produces a flat, slot-resolved list
-// of ops and memory latch triples; it is also the only place the
-// optimizations §4.4 describes are decided:
+// There is one lowering and three kernel families here. Package lower
+// walks the syntax tree once per program and produces a flat,
+// slot-resolved list of ops and memory latch triples; it is also the
+// only place the optimizations §4.4 describes are decided:
 //
 //   - an ALU whose function operand is constant is compiled into the
 //     specific operation instead of a dologic dispatch;
@@ -31,6 +31,7 @@ package compile
 import (
 	"sync"
 
+	"repro/internal/lower"
 	"repro/internal/rtl/sem"
 )
 
@@ -69,7 +70,7 @@ type Options struct {
 // contract intact.
 type Compiled struct {
 	opts    Options
-	prog    program
+	prog    lower.Program
 	comb    []combFn
 	latches []latchFn
 
@@ -88,18 +89,18 @@ func New(info *sem.Info) *Compiled { return NewWithOptions(info, Options{}) }
 // NewWithOptions compiles info with explicit optimization settings: it
 // lowers the specification once and builds the scalar kernels.
 func NewWithOptions(info *sem.Info, opts Options) *Compiled {
-	c := &Compiled{opts: opts, prog: lower(info, !opts.NoFold)}
-	c.comb = make([]combFn, len(c.prog.ops))
-	for i := range c.prog.ops {
-		if o := &c.prog.ops[i]; o.sel {
+	c := &Compiled{opts: opts, prog: lower.Lower(info, !opts.NoFold)}
+	c.comb = make([]combFn, len(c.prog.Ops))
+	for i := range c.prog.Ops {
+		if o := &c.prog.Ops[i]; o.Sel {
 			c.comb[i] = scalarSelector(o)
 		} else {
 			c.comb[i] = scalarALU(o)
 		}
 	}
-	c.latches = make([]latchFn, len(c.prog.latches))
-	for i := range c.prog.latches {
-		c.latches[i] = scalarLatch(i, &c.prog.latches[i])
+	c.latches = make([]latchFn, len(c.prog.Latches))
+	for i := range c.prog.Latches {
+		c.latches[i] = scalarLatch(i, &c.prog.Latches[i])
 	}
 	return c
 }

@@ -158,7 +158,7 @@ func TestConstSelectorCollapses(t *testing.T) {
 		init[info.Slot["m"]] = 9
 		for _, f := range foldings {
 			c := NewWithOptions(info, f.opts)
-			if folded := !c.prog.ops[0].sel; folded != !f.opts.NoFold {
+			if folded := !c.prog.Ops[0].Sel; folded != !f.opts.NoFold {
 				t.Errorf("case %q %s: selector lowered to a copy = %v", tc.chosen, f.name, folded)
 			}
 			for _, ep := range entryPoints {

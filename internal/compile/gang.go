@@ -10,9 +10,9 @@ package compile
 // closure whose body is a loop over the gang's active lanes, reading
 // and writing the struct-of-arrays layout sim.Gang maintains
 // (vals[slot*stride+lane]). One indirect call per component per cycle
-// serves the whole gang, and the lane loop's body is the same inlinable
-// operand load the scalar kernels use — now with the component column
-// contiguous in memory across lanes.
+// serves the whole gang, and the lane loop's body is the inlinable
+// lower.Term.At — the scalar kernels' load, now with the component
+// column contiguous in memory across lanes.
 //
 // A component with a compound operand runs the lowering's term loop per
 // lane, so every compiled program gangs. Kernels are built lazily on
@@ -25,7 +25,10 @@ package compile
 // idempotent within a cycle — they are, because evaluation only
 // derives from pre-commit state.
 
-import "repro/internal/sim"
+import (
+	"repro/internal/lower"
+	"repro/internal/sim"
+)
 
 // gangFn evaluates one combinational component for every active lane.
 type gangFn func(vals []int64, stride int, active []int, cycles []int64)
@@ -46,33 +49,19 @@ func (c *Compiled) StepCycleGang(vals []int64, addr, data, opn []int64, stride i
 	}
 }
 
-// at evaluates the operand for one lane of a gang's strided value
-// vector. Like load, it must stay small enough to inline into the
-// lane loops.
-func (o *operand) at(vals []int64, stride, lane int) int64 {
-	if o.cnst {
-		return o.val
-	}
-	v := vals[o.slot*stride+lane]
-	if o.field {
-		v = int64((uint32(v) & o.mask) >> o.from)
-	}
-	return v
-}
-
 // buildGang builds the lane-loop kernels, once, on first gang use.
 func (c *Compiled) buildGang() {
-	comb := make([]gangFn, len(c.prog.ops))
-	for i := range c.prog.ops {
-		if o := &c.prog.ops[i]; o.sel {
+	comb := make([]gangFn, len(c.prog.Ops))
+	for i := range c.prog.Ops {
+		if o := &c.prog.Ops[i]; o.Sel {
 			comb[i] = gangSelector(o)
 		} else {
 			comb[i] = gangALU(o)
 		}
 	}
-	latches := make([]gangLatchFn, len(c.prog.latches))
-	for i := range c.prog.latches {
-		latches[i] = gangLatch(i, &c.prog.latches[i])
+	latches := make([]gangLatchFn, len(c.prog.Latches))
+	for i := range c.prog.Latches {
+		latches[i] = gangLatch(i, &c.prog.Latches[i])
 	}
 	c.gangComb, c.gangLatches = comb, latches
 }
@@ -80,81 +69,81 @@ func (c *Compiled) buildGang() {
 // gangALU is scalarALU's lane-loop form: a folded function selects the
 // specific operation, both operands load inline, and one closure call
 // evaluates the component for the whole gang.
-func gangALU(o *op) gangFn {
-	slot := o.out
-	if !o.simple() {
-		fx, lx, rx := o.ctl, o.left, o.right
+func gangALU(o *lower.Op) gangFn {
+	slot := o.Out
+	if !o.Simple() {
+		fx, lx, rx := o.Ctl, o.Left, o.Right
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = sim.DoLogic(fx.at(vals, stride, l), lx.at(vals, stride, l), rx.at(vals, stride, l))
+				vals[ob+l] = sim.DoLogic(fx.At(vals, stride, l), lx.At(vals, stride, l), rx.At(vals, stride, l))
 			}
 		}
 	}
-	fo, lo, ro := o.ctl[0], o.left[0], o.right[0]
-	if !o.folded {
+	fo, lo, ro := o.Ctl[0], o.Left[0], o.Right[0]
+	if !o.Folded {
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = sim.DoLogic(fo.at(vals, stride, l), lo.at(vals, stride, l), ro.at(vals, stride, l))
+				vals[ob+l] = sim.DoLogic(fo.At(vals, stride, l), lo.At(vals, stride, l), ro.At(vals, stride, l))
 			}
 		}
 	}
-	switch o.fn {
+	switch o.Fn {
 	case sim.FnRight:
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = ro.at(vals, stride, l)
+				vals[ob+l] = ro.At(vals, stride, l)
 			}
 		}
 	case sim.FnLeft:
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = lo.at(vals, stride, l)
+				vals[ob+l] = lo.At(vals, stride, l)
 			}
 		}
 	case sim.FnNot:
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = sim.Mask - lo.at(vals, stride, l)
+				vals[ob+l] = sim.Mask - lo.At(vals, stride, l)
 			}
 		}
 	case sim.FnAdd:
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = lo.at(vals, stride, l) + ro.at(vals, stride, l)
+				vals[ob+l] = lo.At(vals, stride, l) + ro.At(vals, stride, l)
 			}
 		}
 	case sim.FnSub:
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = lo.at(vals, stride, l) - ro.at(vals, stride, l)
+				vals[ob+l] = lo.At(vals, stride, l) - ro.At(vals, stride, l)
 			}
 		}
 	case sim.FnMul:
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = lo.at(vals, stride, l) * ro.at(vals, stride, l)
+				vals[ob+l] = lo.At(vals, stride, l) * ro.At(vals, stride, l)
 			}
 		}
 	case sim.FnAnd:
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = sim.Land(lo.at(vals, stride, l), ro.at(vals, stride, l))
+				vals[ob+l] = sim.Land(lo.At(vals, stride, l), ro.At(vals, stride, l))
 			}
 		}
 	case sim.FnOr:
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				lv, rv := lo.at(vals, stride, l), ro.at(vals, stride, l)
+				lv, rv := lo.At(vals, stride, l), ro.At(vals, stride, l)
 				vals[ob+l] = lv + rv - sim.Land(lv, rv)
 			}
 		}
@@ -162,7 +151,7 @@ func gangALU(o *op) gangFn {
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				lv, rv := lo.at(vals, stride, l), ro.at(vals, stride, l)
+				lv, rv := lo.At(vals, stride, l), ro.At(vals, stride, l)
 				vals[ob+l] = lv + rv - sim.Land(lv, rv)*2
 			}
 		}
@@ -170,7 +159,7 @@ func gangALU(o *op) gangFn {
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				if lo.at(vals, stride, l) == ro.at(vals, stride, l) {
+				if lo.At(vals, stride, l) == ro.At(vals, stride, l) {
 					vals[ob+l] = 1
 				} else {
 					vals[ob+l] = 0
@@ -181,7 +170,7 @@ func gangALU(o *op) gangFn {
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				if lo.at(vals, stride, l) < ro.at(vals, stride, l) {
+				if lo.At(vals, stride, l) < ro.At(vals, stride, l) {
 					vals[ob+l] = 1
 				} else {
 					vals[ob+l] = 0
@@ -192,7 +181,7 @@ func gangALU(o *op) gangFn {
 		return func(vals []int64, stride int, active []int, _ []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				vals[ob+l] = sim.DoLogic(sim.FnShl, lo.at(vals, stride, l), ro.at(vals, stride, l))
+				vals[ob+l] = sim.DoLogic(sim.FnShl, lo.At(vals, stride, l), ro.At(vals, stride, l))
 			}
 		}
 	default:
@@ -208,54 +197,54 @@ func gangALU(o *op) gangFn {
 // gangSelector is scalarSelector's lane-loop form. A lane whose index
 // is out of range faults out through sim.FailLane with the scalar
 // path's exact error.
-func gangSelector(o *op) gangFn {
-	slot, name, n := o.out, o.name, int64(len(o.cases))
-	if !o.simple() {
-		sel, cases := o.ctl, o.cases
+func gangSelector(o *lower.Op) gangFn {
+	slot, name, n := o.Out, o.Name, int64(len(o.Cases))
+	if !o.Simple() {
+		sel, cases := o.Ctl, o.Cases
 		return func(vals []int64, stride int, active []int, cycles []int64) {
 			ob := slot * stride
 			for _, l := range active {
-				idx := sel.at(vals, stride, l)
+				idx := sel.At(vals, stride, l)
 				if idx < 0 || idx >= n {
 					sim.FailLane(l, name, cycles[l], "selector index %d outside 0..%d", idx, n-1)
 				}
-				vals[ob+l] = cases[idx].at(vals, stride, l)
+				vals[ob+l] = cases[idx].At(vals, stride, l)
 			}
 		}
 	}
-	so, cases := o.ctl[0], o.simpleCases()
+	so, cases := o.Ctl[0], simpleCases(o)
 	return func(vals []int64, stride int, active []int, cycles []int64) {
 		ob := slot * stride
 		for _, l := range active {
-			idx := so.at(vals, stride, l)
+			idx := so.At(vals, stride, l)
 			if idx < 0 || idx >= n {
 				sim.FailLane(l, name, cycles[l], "selector index %d outside 0..%d", idx, n-1)
 			}
-			vals[ob+l] = cases[idx].at(vals, stride, l)
+			vals[ob+l] = cases[idx].At(vals, stride, l)
 		}
 	}
 }
 
 // gangLatch is scalarLatch's lane-loop form.
-func gangLatch(i int, m *latch) gangLatchFn {
-	if !m.simple() {
-		a, d, o := m.addr, m.data, m.opn
+func gangLatch(i int, m *lower.Latch) gangLatchFn {
+	if !m.Simple() {
+		a, d, o := m.Addr, m.Data, m.Opn
 		return func(vals, addr, data, opn []int64, stride int, active []int) {
 			base := i * stride
 			for _, l := range active {
-				addr[base+l] = a.at(vals, stride, l)
-				data[base+l] = d.at(vals, stride, l)
-				opn[base+l] = o.at(vals, stride, l)
+				addr[base+l] = a.At(vals, stride, l)
+				data[base+l] = d.At(vals, stride, l)
+				opn[base+l] = o.At(vals, stride, l)
 			}
 		}
 	}
-	ao, do, oo := m.addr[0], m.data[0], m.opn[0]
+	ao, do, oo := m.Addr[0], m.Data[0], m.Opn[0]
 	return func(vals, addr, data, opn []int64, stride int, active []int) {
 		base := i * stride
 		for _, l := range active {
-			addr[base+l] = ao.at(vals, stride, l)
-			data[base+l] = do.at(vals, stride, l)
-			opn[base+l] = oo.at(vals, stride, l)
+			addr[base+l] = ao.At(vals, stride, l)
+			data[base+l] = do.At(vals, stride, l)
+			opn[base+l] = oo.At(vals, stride, l)
 		}
 	}
 }

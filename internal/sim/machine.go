@@ -189,9 +189,10 @@ func (m *Machine) Observe(o Observer) { m.observers = append(m.observers, o) }
 // to model stuck-at and transient register faults.
 func (m *Machine) AfterCommit(o Observer) { m.committers = append(m.committers, o) }
 
-// Reset restores power-on state: every component output 0, memory
-// arrays zeroed except declared initial values, cycle 0. Statistics
-// are cleared.
+// Reset restores power-on state: every component output and memory
+// latch 0, memory arrays zeroed except declared initial values, cycle
+// 0 — a reset machine's snapshot equals a fresh one's. Statistics are
+// cleared.
 func (m *Machine) Reset() {
 	for i := range m.vals {
 		m.vals[i] = 0
@@ -202,6 +203,9 @@ func (m *Machine) Reset() {
 			arr[j] = 0
 		}
 		copy(arr, mem.Init)
+	}
+	for i := range m.addr {
+		m.addr[i], m.data[i], m.opn[i] = 0, 0, 0
 	}
 	m.cycle = 0
 	// Reuse the MemOps backing array: Reset+run cycles on a pooled

@@ -171,7 +171,8 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 }
 
 // TestStatsOwnership: the Stats a caller received must not change when
-// the machine is Reset and reused (the pooled-worker pattern).
+// the machine is Reset and reused (the pooled-worker pattern), and the
+// reset machine's snapshot is a fresh machine's.
 func TestStatsOwnership(t *testing.T) {
 	src, err := machines.SieveSpec(20)
 	if err != nil {
@@ -194,6 +195,15 @@ func TestStatsOwnership(t *testing.T) {
 		t.Fatal("workload performed no reads")
 	}
 	m.Reset()
+	// A pooled machine's power-on snapshot is a fresh machine's: the
+	// previous run's memory latches must not survive Reset.
+	fresh, err := core.NewMachine(spec, core.Compiled, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.SaveState(), fresh.SaveState()) {
+		t.Error("SaveState after run+Reset differs from a fresh machine's")
+	}
 	if err := m.Run(10); err != nil {
 		t.Fatal(err)
 	}
