@@ -135,6 +135,7 @@ type Coordinator struct {
 	cfg          Config
 	fe           *service.FrontEnd // decode, admission, deadlines, following — shared with asimd
 	shards       []*shard
+	freed        wake // any shard's slot released, or a shard readmitted
 	ring         *ring
 	client       *http.Client // chunk streams
 	healthClient *http.Client // /healthz probes
@@ -184,7 +185,7 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: duplicate shard %s", url)
 		}
 		seen[url] = true
-		c.shards = append(c.shards, newShard(url, cfg.shardInflight()))
+		c.shards = append(c.shards, newShard(url, cfg.shardInflight(), &c.freed))
 	}
 	c.ring = newRing(c.shards)
 	if c.client == nil {

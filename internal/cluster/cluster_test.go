@@ -514,6 +514,49 @@ func TestClusterShardRefusal(t *testing.T) {
 	}
 }
 
+// TestClusterBigSnapshot: a design whose machine state renders past a
+// chunk stream's line cap must not break the stream, let alone indict
+// the shards. The shards leave such snapshots off their streams, so
+// the job completes byte-identical to single-node, with no re-dispatch
+// and both shards healthy.
+func TestClusterBigSnapshot(t *testing.T) {
+	const src = `# an 8-bit counter addressing a 200000-word memory
+= 200
+ctr big inc .
+A inc 4 ctr 1
+M ctr 0 inc.0.7 1 1
+M big ctr.0.7 inc 1 200000
+.
+`
+	const runs, cycles = 2, 200
+	want := specReference(t, src, runs, cycles)
+	urls := []string{newShardServer(t).URL, newShardServer(t).URL}
+	coord := newCoordServer(t, cluster.Config{Shards: urls, HealthFails: 1})
+
+	status, lines := postJob(t, coord.URL, service.JobRequest{Spec: src, Runs: runs, Cycles: cycles})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %v", status, lines)
+	}
+	_, raw, tr := parseMerged(t, lines)
+	if !tr.Done || tr.Err != "" || len(raw) != runs {
+		t.Fatalf("trailer %+v after %d run lines", tr, len(raw))
+	}
+	for i, l := range raw {
+		if l != want[i] {
+			t.Errorf("run %d: merged line differs from single-node:\n merged: %s\n single: %s", i, l, want[i])
+		}
+	}
+	m := getMetrics(t, coord.URL)
+	if m.JobsCompleted != 1 || m.ShardsHealthy != 2 || m.ChunksRedispatched != 0 {
+		t.Errorf("metrics after a big-snapshot job: %+v", m)
+	}
+	for _, sh := range m.Shards {
+		if sh.Failures != 0 || !sh.Healthy {
+			t.Errorf("shard indicted by a big snapshot: %+v", sh)
+		}
+	}
+}
+
 // getMetrics fetches the coordinator's JSON metrics snapshot.
 func getMetrics(t *testing.T, url string) cluster.Metrics {
 	t.Helper()

@@ -18,7 +18,9 @@ import (
 
 // coordJob is one campaign being merged: the reorder buffer chunk
 // streams land in, the log followers stream from, and the latest
-// streamed checkpoint per run (the warm-start feed for re-dispatch).
+// streamed checkpoint per undelivered run (the warm-start feed for
+// re-dispatch — a run's entry goes when its line merges, and the map
+// when the job ends).
 // Exactly-once delivery is the setLine dedup: a slow shard and its
 // replacement may both deliver a run, but only the first line lands,
 // and since both are byte-identical by the shard protocol's contract
@@ -40,7 +42,7 @@ type coordJob struct {
 	mu       sync.Mutex
 	merged   [][]byte                  // run lines by global index; nil = not yet merged
 	released int                       // merged[:released] are in the log
-	warm     map[int]service.WarmEntry // latest checkpoint per run
+	warm     map[int]service.WarmEntry // latest checkpoint per undelivered run; nil until the first
 }
 
 func newCoordJob(p *service.Plan, pref []*shard, trace string) *coordJob {
@@ -51,7 +53,6 @@ func newCoordJob(p *service.Plan, pref []*shard, trace string) *coordJob {
 		trace:  trace,
 		log:    service.NewLineLog(p.Header.Runs),
 		merged: make([][]byte, p.Header.Runs),
-		warm:   map[int]service.WarmEntry{},
 	}
 }
 
@@ -67,6 +68,7 @@ func (j *coordJob) setLine(i int, line []byte) bool {
 		return false
 	}
 	j.merged[i] = line
+	delete(j.warm, i)
 	from := j.released
 	for j.released < len(j.merged) && j.merged[j.released] != nil {
 		j.released++
@@ -75,16 +77,33 @@ func (j *coordJob) setLine(i int, line []byte) bool {
 	return true
 }
 
-// noteWarm keeps the latest checkpoint per run. The coordinator never
-// inspects the state bytes — validity is the re-dispatched shard's
-// problem (a bad snapshot cold-starts the run there).
+// noteWarm keeps the latest checkpoint per undelivered run; a run
+// already merged — say, by a faster stream than the one still sending
+// its snapshots — needs none. The coordinator never inspects the state
+// bytes — validity is the re-dispatched shard's problem (a bad
+// snapshot cold-starts the run there).
 func (j *coordJob) noteWarm(ck service.CheckpointLine) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if ck.Index < 0 || ck.Index >= len(j.merged) || j.merged[ck.Index] != nil {
+		return
+	}
 	if prev, ok := j.warm[ck.Index]; ok && prev.Cycle >= ck.Cycle {
 		return
 	}
+	if j.warm == nil {
+		j.warm = map[int]service.WarmEntry{}
+	}
 	j.warm[ck.Index] = service.WarmEntry{Run: ck.Index, Cycle: ck.Cycle, State: ck.State}
+}
+
+// dropWarm releases the job's warm-start feed once no chunk can be
+// re-dispatched: a retained finished job keeps its lines, not its
+// snapshots.
+func (j *coordJob) dropWarm() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.warm = nil
 }
 
 // undelivered filters pick down to the runs still missing a line.
@@ -155,6 +174,7 @@ func (c *Coordinator) runJob(j *coordJob) {
 		}(campaign.Range(lo, n))
 	}
 	wg.Wait()
+	j.dropWarm()
 	var execErr error
 	select {
 	case execErr = <-errc:
@@ -200,7 +220,21 @@ func (e transportError) Error() string { return e.err.Error() }
 // job failed).
 func (c *Coordinator) runChunk(ctx context.Context, j *coordJob, pick []int) error {
 	for attempt := 0; ; attempt++ {
-		sh, err := c.acquireShard(ctx, j.pref)
+		waitStart := time.Now()
+		sh, waited, err := c.acquireShard(ctx, j.pref)
+		if waited {
+			// Time spent with every preferred shard busy or down is the
+			// job's too: its own span, outside the chunk span.
+			sp := telemetry.Span{Trace: j.trace, Job: j.header.Job, Name: "chunk.wait",
+				Attempt: attempt + 1, Runs: len(pick)}
+			if sh != nil {
+				sp.Shard = sh.url
+			}
+			if err != nil {
+				sp.Err = err.Error()
+			}
+			c.fe.Tracer.Record(telemetry.Timed(sp, waitStart))
+		}
 		if err != nil {
 			return fmt.Errorf("chunk [%d..%d]: %v", pick[0], pick[len(pick)-1], err)
 		}
@@ -258,20 +292,24 @@ func (c *Coordinator) runChunk(ctx context.Context, j *coordJob, pick []int) err
 }
 
 // acquireShard claims an in-flight slot on the first healthy shard in
-// preference order, polling until one frees up or the job's deadline
-// expires. Spilling past the home shard trades cache affinity for
+// preference order. When none is free it sleeps until a slot is
+// released or a shard readmitted anywhere in the fabric, then looks
+// again — until the job's deadline expires. waited reports whether it
+// slept. Spilling past the home shard trades cache affinity for
 // progress — an idle second-choice beats a queue on the first.
-func (c *Coordinator) acquireShard(ctx context.Context, pref []*shard) (*shard, error) {
+func (c *Coordinator) acquireShard(ctx context.Context, pref []*shard) (sh *shard, waited bool, err error) {
 	for {
-		for _, sh := range pref {
-			if sh.isHealthy() && sh.tryAcquire() {
-				return sh, nil
+		freed := c.freed.wait()
+		for _, s := range pref {
+			if s.isHealthy() && s.tryAcquire() {
+				return s, waited, nil
 			}
 		}
+		waited = true
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(10 * time.Millisecond):
+			return nil, true, ctx.Err()
+		case <-freed:
 		}
 	}
 }
@@ -322,8 +360,14 @@ func (c *Coordinator) streamChunk(ctx context.Context, sh *shard, j *coordJob, p
 		return err
 	}
 
+	// The reader starts small and grows only as far as the longest line
+	// a shard may send. Lines are classified by their leading bytes:
+	// run lines merge as is, checkpoint lines are decoded for the
+	// warm-start feed, and anything else must be the trailer.
+	var lines lineSplit
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, service.MaxStreamLine)
+	sc.Split(lines.split)
 	first := true
 	var trailer *service.JobTrailer
 	for sc.Scan() {
@@ -332,31 +376,24 @@ func (c *Coordinator) streamChunk(ctx context.Context, sh *shard, j *coordJob, p
 			first = false // the shard's chunk header; the merged stream has its own
 			continue
 		}
-		var probe struct {
-			Checkpoint bool  `json:"checkpoint"`
-			Done       *bool `json:"done"`
-			Index      *int  `json:"index"`
+		if i, ok := service.LineIndex(line); ok && (!lines.tail || json.Valid(line)) {
+			if j.setLine(i, bytes.Clone(line)) {
+				c.met.runsMerged.Add(1)
+			}
+			continue
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return transportError{fmt.Errorf("unparseable stream line: %v", err)}
-		}
-		switch {
-		case probe.Checkpoint:
+		if bytes.HasPrefix(line, checkpointPrefix) {
 			var ck service.CheckpointLine
 			if err := json.Unmarshal(line, &ck); err == nil {
 				j.noteWarm(ck)
 			}
-		case probe.Done != nil:
-			tr := service.JobTrailer{}
-			if err := json.Unmarshal(line, &tr); err != nil {
-				return transportError{fmt.Errorf("unparseable trailer: %v", err)}
-			}
-			trailer = &tr
-		case probe.Index != nil:
-			if j.setLine(*probe.Index, append([]byte(nil), line...)) {
-				c.met.runsMerged.Add(1)
-			}
+			continue
 		}
+		var tr service.JobTrailer
+		if err := json.Unmarshal(line, &tr); err != nil || !tr.Done {
+			return transportError{fmt.Errorf("unparseable stream line %.80q", line)}
+		}
+		trailer = &tr
 	}
 	if err := sc.Err(); err != nil {
 		return transportError{err}
@@ -368,4 +405,25 @@ func (c *Coordinator) streamChunk(ctx context.Context, sh *shard, j *coordJob, p
 		return fmt.Errorf("shard %s: %s", sh.url, trailer.Err)
 	}
 	return nil
+}
+
+// checkpointPrefix is how a service.CheckpointLine renders its leading
+// discriminator field; run lines, headers and trailers never start so.
+var checkpointPrefix = []byte(`{"checkpoint":true`)
+
+// lineSplit is bufio.ScanLines for a stream that may be cut: a line is
+// whole once its newline arrived, and tail records that the last token
+// returned is instead the unterminated fragment a cut stream leaves —
+// a line only if it parses.
+type lineSplit struct{ tail bool }
+
+func (s *lineSplit) split(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		s.tail = true
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }

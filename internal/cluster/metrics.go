@@ -62,7 +62,7 @@ type Metrics struct {
 
 	// Latency histograms (seconds): full job merge latency, one chunk
 	// dispatch attempt's stream, time jobs waited for a slot, and
-	// per-line merged-stream write stalls.
+	// merged-stream write stalls (one per batch of ready lines).
 	JobLatency   telemetry.HistogramSnapshot `json:"job_latency_seconds"`
 	ChunkLatency telemetry.HistogramSnapshot `json:"chunk_latency_seconds"`
 	QueueWait    telemetry.HistogramSnapshot `json:"queue_wait_seconds"`
@@ -152,7 +152,7 @@ func (c *Coordinator) PromMetrics() []byte {
 	p.Histogram("asimcoord_job_latency_seconds", "Full job merge latency, admission to trailer.", m.JobLatency)
 	p.Histogram("asimcoord_chunk_latency_seconds", "One chunk dispatch attempt's stream duration.", m.ChunkLatency)
 	p.Histogram("asimcoord_queue_wait_seconds", "Time jobs waited for a slot.", m.QueueWait)
-	p.Histogram("asimcoord_write_stall_seconds", "Per-line merged-stream write+flush time.", m.WriteStall)
+	p.Histogram("asimcoord_write_stall_seconds", "Merged-stream write+flush time per batch of ready lines.", m.WriteStall)
 	p.Gauge("asimcoord_trace_spans", "Spans retained in the trace ring.", float64(m.TraceSpans))
 	p.Counter("asimcoord_trace_dropped_total", "Spans evicted from the trace ring.", float64(m.TraceDropped))
 	p.Gauge("asimcoord_shards_healthy", "Shards currently routable.", float64(m.ShardsHealthy))

@@ -11,7 +11,7 @@ import (
 // deterministic, and removing the home shard from consideration (the
 // failover walk) never changes where the other shards fall.
 func TestRingPreference(t *testing.T) {
-	shards := []*shard{newShard("http://a", 1), newShard("http://b", 1), newShard("http://c", 1)}
+	shards := []*shard{newShard("http://a", 1, nil), newShard("http://b", 1, nil), newShard("http://c", 1, nil)}
 	r := newRing(shards)
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("digest-%d", i)
@@ -36,7 +36,7 @@ func TestRingPreference(t *testing.T) {
 // distinct keys every shard is some key's home — one shard owning
 // everything would make the cluster a proxy, not a fabric.
 func TestRingAffinity(t *testing.T) {
-	shards := []*shard{newShard("http://a", 1), newShard("http://b", 1), newShard("http://c", 1), newShard("http://d", 1)}
+	shards := []*shard{newShard("http://a", 1, nil), newShard("http://b", 1, nil), newShard("http://c", 1, nil), newShard("http://d", 1, nil)}
 	r := newRing(shards)
 	homes := map[string]int{}
 	for i := 0; i < 400; i++ {

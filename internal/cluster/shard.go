@@ -10,8 +10,9 @@ import (
 // base URL, a bounded count of in-flight chunks, a health state fed by
 // both the periodic prober and dispatch failures, and its books.
 type shard struct {
-	url string
-	sem chan struct{} // in-flight chunk slots
+	url   string
+	sem   chan struct{} // in-flight chunk slots
+	freed *wake         // the coordinator's: signalled when a slot frees or the shard is readmitted
 
 	mu      sync.Mutex
 	healthy bool
@@ -27,11 +28,38 @@ type shard struct {
 	failures           atomic.Int64 // dispatch attempts that errored (transport or truncated stream)
 }
 
-func newShard(url string, inflight int) *shard {
+func newShard(url string, inflight int, freed *wake) *shard {
 	// Optimistic start: a shard is routable until evidence says
 	// otherwise, so jobs posted before the first probe round-trips
 	// are not refused.
-	return &shard{url: url, sem: make(chan struct{}, inflight), healthy: true}
+	return &shard{url: url, sem: make(chan struct{}, inflight), freed: freed, healthy: true}
+}
+
+// wake is a broadcast the chunk dispatcher sleeps on: wait returns a
+// channel that closes at the next signal. A waiter takes the channel
+// before looking for a free slot, so a signal that lands while it looks
+// is never lost.
+type wake struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+func (w *wake) wait() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.ch == nil {
+		w.ch = make(chan struct{})
+	}
+	return w.ch
+}
+
+func (w *wake) signal() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.ch != nil {
+		close(w.ch)
+		w.ch = nil
+	}
 }
 
 // tryAcquire claims an in-flight slot without blocking.
@@ -44,7 +72,10 @@ func (sh *shard) tryAcquire() bool {
 	}
 }
 
-func (sh *shard) release() { <-sh.sem }
+func (sh *shard) release() {
+	<-sh.sem
+	sh.freed.signal()
+}
 
 func (sh *shard) isHealthy() bool {
 	sh.mu.Lock()
@@ -53,12 +84,17 @@ func (sh *shard) isHealthy() bool {
 }
 
 // noteOK records evidence of life — a successful probe or a cleanly
-// finished chunk stream — and restores the shard immediately.
+// finished chunk stream — and restores the shard immediately, waking
+// the dispatcher if that readmits it.
 func (sh *shard) noteOK() {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	readmitted := !sh.healthy
 	sh.healthy = true
 	sh.fails, sh.skip, sh.backoff = 0, 0, 0
+	sh.mu.Unlock()
+	if readmitted {
+		sh.freed.signal()
+	}
 }
 
 // noteFailure records a probe or dispatch failure; threshold

@@ -174,6 +174,69 @@ func TestClusterTraceCoherence(t *testing.T) {
 	}
 }
 
+// TestClusterChunkWaitSpans: with more chunks than in-flight slots,
+// chunks queue for a shard, and that wait is on the trace — one
+// chunk.wait span per attempt that waited, carrying the trace, job,
+// the shard it got and the chunk's runs, ahead of its chunk span.
+func TestClusterChunkWaitSpans(t *testing.T) {
+	sh1, sh2 := newShardServer(t), newShardServer(t)
+	coord := newCoordServer(t, cluster.Config{
+		Shards:        []string{sh1.URL, sh2.URL},
+		ChunkRuns:     2,
+		ShardInflight: 1,
+	})
+	src, err := machines.SieveSpec(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(service.JobRequest{Spec: src, Runs: 16, Cycles: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, coord.URL+"/v1/jobs", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trace = "5107f00d5107f00d"
+	req.Header.Set(telemetry.TraceHeader, trace)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobID := resp.Header.Get("X-Job-Id")
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, err %v: %s", resp.StatusCode, err, raw)
+	}
+	if _, runs, tr := parseMerged(t, strings.Split(strings.TrimSpace(string(raw)), "\n")); len(runs) != 16 || !tr.Done || tr.Err != "" {
+		t.Fatalf("merged stream: %d lines, trailer %+v", len(runs), tr)
+	}
+
+	chunkShards := map[string]int{} // chunk spans per shard
+	var waits []telemetry.Span
+	for _, sp := range getSpans(t, coord.URL, trace) {
+		switch sp.Name {
+		case "chunk":
+			chunkShards[sp.Shard]++
+		case "chunk.wait":
+			waits = append(waits, sp)
+		}
+	}
+	// Eight chunks over two one-slot shards: only two can start at once.
+	if len(waits) == 0 {
+		t.Fatal("no chunk.wait span for 8 chunks over 2 in-flight slots")
+	}
+	for _, sp := range waits {
+		if sp.Trace != trace || sp.Job != jobID || sp.Runs != 2 || sp.Attempt < 1 || sp.Err != "" {
+			t.Errorf("chunk.wait span %+v, want trace %q, job %q, 2 runs, an attempt", sp, trace, jobID)
+		}
+		if chunkShards[sp.Shard] == 0 {
+			t.Errorf("chunk.wait span %+v names a shard with no chunk span", sp)
+		}
+	}
+}
+
 // TestClusterPrometheusExposition: after a merged job, both tiers'
 // ?format=prometheus renderings pass the strict validator, and the
 // coordinator's carries per-shard labeled series for each worker.

@@ -8,9 +8,11 @@ package service_test
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/machines"
 	"repro/internal/service"
 )
@@ -131,8 +133,11 @@ func TestServiceChunkJob(t *testing.T) {
 
 // TestServiceChunkCheckpointStream asks a shard for streamed
 // checkpoints and verifies they interleave with results: global run
-// indices, increasing cycles per run, non-empty machine state — and
-// that their presence does not perturb the result lines.
+// indices, increasing cycles per run, non-empty machine state, none at
+// a run's budget (a finished run's result line supersedes its
+// retirement snapshot) — and that their presence does not perturb the
+// result lines. A chunk whose runs are shorter than the checkpoint
+// period streams no checkpoint line at all.
 func TestServiceChunkCheckpointStream(t *testing.T) {
 	_, ts := newServer(t, service.Config{ShardMode: true, CheckpointCycles: 64})
 	src, err := machines.SieveSpec(20)
@@ -165,6 +170,9 @@ func TestServiceChunkCheckpointStream(t *testing.T) {
 		if ck.Cycle <= last[ck.Index] || ck.Cycle > cycles {
 			t.Errorf("run %d: checkpoint cycle %d after %d", ck.Index, ck.Cycle, last[ck.Index])
 		}
+		if ck.Cycle == cycles {
+			t.Errorf("run %d: retirement checkpoint streamed at its budget %d", ck.Index, cycles)
+		}
 		last[ck.Index] = ck.Cycle
 		if len(ck.State) == 0 {
 			t.Errorf("run %d: empty checkpoint state", ck.Index)
@@ -177,6 +185,66 @@ func TestServiceChunkCheckpointStream(t *testing.T) {
 		}
 		if l != want[rl.Index] {
 			t.Errorf("run %d: line differs from unchunked job with checkpoints on:\n chunk: %s\n full:  %s", rl.Index, l, want[rl.Index])
+		}
+	}
+
+	short := service.JobRequest{Spec: machines.Counter(), Runs: 64, Cycles: 50,
+		Chunk: &service.ChunkRequest{Offset: 0, Count: 64}, StreamCheckpoints: true}
+	status, lines = postJob(t, ts.URL, short)
+	if status != http.StatusOK {
+		t.Fatalf("short chunk: status %d: %v", status, lines)
+	}
+	_, raw, cks, tr = splitShardStream(t, lines)
+	if !tr.Done || tr.Err != "" || len(raw) != 64 {
+		t.Fatalf("short chunk: trailer %+v, %d run lines", tr, len(raw))
+	}
+	if len(cks) != 0 {
+		t.Errorf("50-cycle runs under a 64-cycle checkpoint period streamed %d checkpoint lines, want 0", len(cks))
+	}
+}
+
+// TestLineIndex pins the run-line prefix a coordinator classifies
+// chunk streams by: every rendered run line starts {"index":N, — so
+// reordering RunLine's fields fails here — and nothing else a stream
+// carries does.
+func TestLineIndex(t *testing.T) {
+	for _, i := range []int{0, 7, 1 << 20} {
+		for name, r := range map[string]campaign.Result{
+			"plain":     {Index: i, Name: "job", Cycles: 50, Digest: "d"},
+			"grouped":   {Index: i, Name: "job", Group: "g", Cycles: 50, Digest: "d"},
+			"error":     {Index: i, Name: "job", Err: errors.New("boom")},
+			"activated": {Index: i, Name: "job", Activated: []int64{3, 4}},
+		} {
+			data, err := json.Marshal(service.ResultLine(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := service.LineIndex(data); !ok || got != i {
+				t.Errorf("%s line %s: LineIndex = %d, %v; want %d, true", name, data, got, ok, i)
+			}
+		}
+	}
+
+	not := map[string]any{
+		"checkpoint": service.CheckpointLine{Checkpoint: true, Index: 3, Cycle: 64, State: []byte{1}},
+		"trailer":    service.JobTrailer{Done: true},
+		"header":     service.JobHeader{Job: "j1", Runs: 4},
+	}
+	for name, v := range not {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, ok := service.LineIndex(data); ok {
+			t.Errorf("%s line %s: LineIndex = %d, true; want false", name, data, i)
+		}
+	}
+	for _, line := range []string{
+		``, `{`, `{"index":`, `{"index":7`, `{"index":,`, `{"index":x7,`, `{"index":-7,`,
+		`{"index":7x,`, `{"index":07,`, `{"index": 7,`, `{"index":99999999999999999999999,`,
+	} {
+		if i, ok := service.LineIndex([]byte(line)); ok {
+			t.Errorf("LineIndex(%q) = %d, true; want false", line, i)
 		}
 	}
 }

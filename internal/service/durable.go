@@ -130,21 +130,26 @@ func (s *Server) ensureRunning(id string) (*LineLog, bool) {
 // checkpointer is a job's engine Checkpointer hook, feeding up to two
 // sinks with the same snapshot. idx, when set, remaps the engine's run
 // indices to the full campaign's (a chunk job executes a partition, a
-// background completion the unfinished remainder). With a store, the
-// snapshot is persisted for crash recovery. With stream set, it is
-// also interleaved into the shard job's NDJSON stream, so a
-// coordinator can warm-start re-dispatched chunks without sharing the
-// shard's disk; checkpoint lines ride the same lineWriter as results
-// — its mutex is what makes concurrent engine workers safe here — but
-// are never persisted as lines and never count toward resume tokens.
+// background completion the unfinished remainder). With a store, every
+// snapshot is persisted for crash recovery. With stream set, snapshots
+// of runs short of their budget are also interleaved into the shard
+// job's NDJSON stream, so a coordinator can warm-start re-dispatched
+// chunks without sharing the shard's disk. A snapshot at the budget is
+// a finished run's retirement, and its result line — next on the same
+// stream — supersedes it. Checkpoint lines ride the same lineWriter as
+// results — its mutex is what makes concurrent engine workers safe
+// here — but are never persisted as lines and never count toward
+// resume tokens.
 type checkpointer struct {
 	s      *Server
 	job    string
+	runs   []campaign.Run // the engine's runs, for their budgets
 	idx    []int
 	stream *lineWriter
 }
 
 func (c *checkpointer) Checkpoint(run int, cycle int64, state []byte) {
+	finished := cycle >= c.runs[run].Cycles
 	if c.idx != nil {
 		run = c.idx[run]
 	}
@@ -158,10 +163,11 @@ func (c *checkpointer) Checkpoint(run int, cycle int64, state []byte) {
 			c.s.met.checkpoints.Add(1)
 		}
 	}
-	if c.stream != nil {
+	if c.stream != nil && !finished {
 		// Marshal copies the state bytes before the engine reuses the
 		// buffer; nothing here retains them.
-		if data, err := json.Marshal(CheckpointLine{Checkpoint: true, Index: run, Cycle: cycle, State: state}); err == nil {
+		data, err := json.Marshal(CheckpointLine{Checkpoint: true, Index: run, Cycle: cycle, State: state})
+		if err == nil && len(data) < MaxStreamLine {
 			c.stream.raw(data)
 		}
 	}

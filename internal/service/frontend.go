@@ -326,9 +326,10 @@ func (fe *FrontEnd) stream(w http.ResponseWriter, job, trace string, cancel cont
 	}
 }
 
-// lineWriter writes NDJSON lines, flushing after each so results are
-// on the wire while the campaign still runs. Each write carries a
-// deadline: a connected client that stops reading fails the line
+// lineWriter writes NDJSON lines, flushing after each write so results
+// are on the wire while the campaign still runs; a write is one line,
+// or every line a log follower found ready. Each write carries a
+// deadline: a connected client that stops reading fails the write
 // after timeout instead of blocking whoever is delivering it. The
 // first error latches and calls cancel (asimd's foreground stream
 // cancels the job's campaign — a client that cannot receive results
@@ -342,7 +343,7 @@ type lineWriter struct {
 	rc      *http.ResponseController
 	timeout time.Duration
 	cancel  context.CancelFunc   // nil: nothing to cancel
-	stall   *telemetry.Histogram // per-line write+flush time
+	stall   *telemetry.Histogram // per-write write+flush time
 	err     error
 }
 
@@ -355,10 +356,11 @@ func (lw *lineWriter) line(v any) {
 	lw.raw(data)
 }
 
-// raw writes one pre-rendered line (no trailing newline) — the path
-// followers use to replay stored lines byte-identically. A nil
+// raw writes pre-rendered lines (no trailing newlines) under one write
+// deadline and one flush — the path followers use to replay stored
+// lines byte-identically, a whole ready batch at a time. A nil
 // lineWriter is a job with no client attached: nothing is written.
-func (lw *lineWriter) raw(data []byte) {
+func (lw *lineWriter) raw(lines ...[]byte) {
 	if lw == nil {
 		return
 	}
@@ -372,13 +374,15 @@ func (lw *lineWriter) raw(data []byte) {
 	// Best-effort: a ResponseWriter without deadline support just
 	// writes unbounded.
 	_ = lw.rc.SetWriteDeadline(start.Add(lw.timeout))
-	if _, err := lw.w.Write(data); err != nil {
-		lw.failLocked(err)
-		return
-	}
-	if _, err := lw.w.Write([]byte{'\n'}); err != nil {
-		lw.failLocked(err)
-		return
+	for _, data := range lines {
+		if _, err := lw.w.Write(data); err != nil {
+			lw.failLocked(err)
+			return
+		}
+		if _, err := lw.w.Write([]byte{'\n'}); err != nil {
+			lw.failLocked(err)
+			return
+		}
 	}
 	if err := lw.rc.Flush(); err != nil {
 		lw.failLocked(err)

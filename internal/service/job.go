@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -47,11 +49,15 @@ type JobRequest struct {
 	Chunk *ChunkRequest `json:"chunk,omitempty"`
 
 	// StreamCheckpoints interleaves CheckpointLine records into the
-	// NDJSON stream every CheckpointCycles simulated cycles and at each
-	// run's retirement — the coordinator's feed for warm-starting a
-	// failed shard's chunks elsewhere. Checkpoint lines are never
-	// persisted and do not count toward a resume token's delivered run
-	// lines.
+	// NDJSON stream — the coordinator's feed for warm-starting a failed
+	// shard's chunks elsewhere: a periodic snapshot of each run still
+	// executing every CheckpointCycles simulated cycles, and an
+	// interruption snapshot of a run cut short by cancellation. A run
+	// that finishes streams no snapshot of its retirement: its result
+	// line follows and supersedes it. Nor does a snapshot whose line
+	// would exceed MaxStreamLine (the run re-simulates if it must be
+	// re-dispatched). Checkpoint lines are never persisted and do not
+	// count toward a resume token's delivered run lines.
 	StreamCheckpoints bool `json:"stream_checkpoints,omitempty"`
 
 	// Warm seeds listed runs from machine-state snapshots (previously
@@ -81,9 +87,11 @@ type WarmEntry struct {
 }
 
 // CheckpointLine is the NDJSON record interleaved into a chunk job's
-// stream when StreamCheckpoints is set: a run's latest machine-state
-// snapshot, fit to hand back as a WarmEntry. The leading Checkpoint
-// field discriminates it from RunLines (which never carry it).
+// stream when StreamCheckpoints is set: a periodic or interruption
+// snapshot of a run that has not reached its budget, fit to hand back
+// as a WarmEntry (a finished run's result line supersedes any
+// snapshot). The leading Checkpoint field discriminates it from
+// RunLines (which never carry it).
 type CheckpointLine struct {
 	Checkpoint bool   `json:"checkpoint"`
 	Index      int    `json:"index"`
@@ -155,6 +163,41 @@ func ResultLine(r campaign.Result) RunLine {
 		line.Err = r.Err.Error()
 	}
 	return line
+}
+
+// MaxStreamLine is the longest line, newline included, a chunk stream
+// carries. A coordinator reads shard streams with this cap, and a shard
+// drops a checkpoint line that would exceed it rather than break the
+// stream: a missing warm-start entry costs re-simulation, never
+// correctness.
+const MaxStreamLine = 1 << 20
+
+// LineIndex reads a run line's index from the leading {"index":N,
+// that RunLine's field order renders, without decoding the rest, and
+// reports whether line starts that way. Checkpoint lines, headers and
+// trailers — and truncated or malformed prefixes — report false.
+func LineIndex(line []byte) (int, bool) {
+	const prefix = `{"index":`
+	if !bytes.HasPrefix(line, []byte(prefix)) {
+		return 0, false
+	}
+	digits := line[len(prefix):]
+	n := 0
+	for n < len(digits) && '0' <= digits[n] && digits[n] <= '9' {
+		n++
+	}
+	// JSON numbers carry no leading zeros.
+	if n == 0 || n == len(digits) || digits[n] != ',' || (n > 1 && digits[0] == '0') {
+		return 0, false
+	}
+	i := 0
+	for _, d := range digits[:n] {
+		if i > (math.MaxInt-9)/10 {
+			return 0, false
+		}
+		i = i*10 + int(d-'0')
+	}
+	return i, true
 }
 
 // JobTrailer is the stream's final NDJSON line.

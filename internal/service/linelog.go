@@ -63,7 +63,8 @@ func (l *LineLog) wakeLocked() {
 
 // follow writes the log's lines from index `from` on to out, waiting
 // for later lines as they land, until the log ends, ctx is done or out
-// fails. It returns the next undelivered index and whether the log
+// fails. Every line ready at a wake-up goes out as one write and one
+// flush. It returns the next undelivered index and whether the log
 // ended with every line up to it written.
 func (l *LineLog) follow(ctx context.Context, from int, out *lineWriter) (next int, ended bool) {
 	for {
@@ -84,8 +85,8 @@ func (l *LineLog) follow(ctx context.Context, from int, out *lineWriter) (next i
 		}
 		l.mu.Unlock()
 
-		for _, line := range batch {
-			out.raw(line)
+		if len(batch) > 0 {
+			out.raw(batch...)
 		}
 		from += len(batch)
 		switch {

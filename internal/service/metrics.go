@@ -94,8 +94,9 @@ type Metrics struct {
 	CyclesScalar    int64 `json:"cycles_scalar"`
 
 	// Latency histograms (seconds): full job latency from arrival to
-	// trailer, time spent waiting for a job slot, and per-line stream
-	// write stalls (how long each NDJSON line took to write+flush).
+	// trailer, time spent waiting for a job slot, and stream write
+	// stalls (how long each NDJSON line — or a resume follower's ready
+	// batch — took to write+flush).
 	JobLatency telemetry.HistogramSnapshot `json:"job_latency_seconds"`
 	QueueWait  telemetry.HistogramSnapshot `json:"queue_wait_seconds"`
 	WriteStall telemetry.HistogramSnapshot `json:"write_stall_seconds"`
@@ -211,7 +212,7 @@ func (s *Server) PromMetrics() []byte {
 	})
 	p.Histogram("asimd_job_latency_seconds", "Full job latency, arrival to trailer.", m.JobLatency)
 	p.Histogram("asimd_queue_wait_seconds", "Time jobs waited for a slot.", m.QueueWait)
-	p.Histogram("asimd_write_stall_seconds", "Per-line stream write+flush time.", m.WriteStall)
+	p.Histogram("asimd_write_stall_seconds", "Stream write+flush time per write (a line, or a resume follower's ready batch).", m.WriteStall)
 	p.Gauge("asimd_trace_spans", "Spans retained in the trace ring.", float64(m.TraceSpans))
 	p.Counter("asimd_trace_dropped_total", "Spans evicted from the trace ring.", float64(m.TraceDropped))
 	p.Counter("asimd_cache_hits_total", "Program-cache hits.", float64(m.CacheHits))

@@ -76,7 +76,10 @@ type Config struct {
 	// CheckpointCycles is how often, in simulated cycles, an executing
 	// run's machine state is checkpointed into Store; <= 0 means
 	// 65536. The same period drives streamed checkpoint lines for
-	// shard-mode chunk jobs. Ignored without a Store or ShardMode.
+	// shard-mode chunk jobs, so a chunk whose runs are all shorter than
+	// it streams none (finished runs stream no retirement snapshot; see
+	// JobRequest.StreamCheckpoints). Ignored without a Store or
+	// ShardMode.
 	CheckpointCycles int64
 
 	// ShardMode accepts the cluster fabric's shard protocol
@@ -252,7 +255,7 @@ func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, id
 	eng := s.cfg.Engine
 	eng.Observe = s.observeDispatch(id)
 	if s.store != nil || streamCheckpoints {
-		ck := &checkpointer{s: s, job: id, idx: idx}
+		ck := &checkpointer{s: s, job: id, runs: runs, idx: idx}
 		if streamCheckpoints {
 			ck.stream = out
 		}
