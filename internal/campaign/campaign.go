@@ -341,6 +341,14 @@ func (e Engine) plan(runs []Run, workers int) plan {
 	perWorker := (gangable + workers - 1) / workers
 	for _, prog := range progs {
 		idxs := byProg[prog]
+		// Width and rung are only consulted where a span of two lanes can
+		// form or the program goes native: probing the bit-plane
+		// capability builds the program's gang kernels, which a run that
+		// dispatches alone never uses and a cached program would keep.
+		if !aot[prog] && (perWorker < 2 || len(idxs) < 2) {
+			scalars = append(scalars, idxs...)
+			continue
+		}
 		rung := RungLaneLoop
 		if aot[prog] {
 			rung = RungAOT

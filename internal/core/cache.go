@@ -13,9 +13,11 @@ import (
 // source file name all normalize away, so two specifications that
 // format identically share a digest. The digest plus a Backend is
 // the ProgramCache key; `asimfmt -digest` prints it so clients can
-// pre-compute the cache key a serving job will hit.
+// pre-compute the cache key a serving job will hit. The text is
+// rendered into a buffer and hashed, never built as a string.
 func (s *Spec) CanonicalDigest() string {
-	sum := sha256.Sum256([]byte(s.AST.String()))
+	var buf [4096]byte
+	sum := sha256.Sum256(s.AST.AppendTo(buf[:0]))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -52,11 +54,12 @@ type ProgramCache struct {
 
 // DefaultCacheEntries is how many (digest, backend) keys a
 // ProgramCache holds before flushing: generous against any plausible
-// live set of designs. It bounds the entry count, not the bytes: a
-// full generation of distinct compiled designs is hundreds of
-// megabytes (the served benchmark's unique_specs workload, which
-// cycles generated designs through a full cache, peaks near 790 MiB
-// resident).
+// live set of designs. It bounds the entry count, not the bytes. A
+// compiled program of the served benchmark's unique_specs design shape
+// keeps ≈ 23 KiB of heap once cached (campaign's
+// TestCachedProgramRetainedBytes holds it to at most 32 KiB), so a full
+// generation is ≈ 100 MiB live, and unique_specs, which cycles
+// generated designs through a full cache, peaks near 330 MiB resident.
 const DefaultCacheEntries = 4096
 
 type programKey struct {

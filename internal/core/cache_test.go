@@ -1,11 +1,19 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math/rand"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/machines"
+	"repro/internal/rtl/ast"
+	"repro/internal/rtl/numlit"
+	"repro/internal/specgen"
 )
 
 // TestCanonicalDigest: the digest is a function of the canonical form
@@ -154,5 +162,144 @@ func TestProgramCacheConcurrent(t *testing.T) {
 	wantKeys := int64(len(specs) * len(backends))
 	if c.Misses() != wantKeys || c.Len() != int(wantKeys) {
 		t.Errorf("misses=%d len=%d, want %d compiled keys", c.Misses(), c.Len(), wantKeys)
+	}
+}
+
+// legacyText is the strings.Builder renderer the syntax tree had before
+// ast.Spec.AppendTo, kept as the reference the append renderer (and so
+// the canonical digest) must reproduce byte for byte.
+func legacyText(s *ast.Spec) string {
+	var b strings.Builder
+	b.WriteString("#" + s.Comment + "\n")
+	if s.HasCycles {
+		b.WriteString("= " + numlit.FormatDecimal(s.Cycles) + "\n")
+	}
+	for i, n := range s.Names {
+		if i > 0 {
+			b.WriteString(" ")
+		}
+		b.WriteString(n.Name)
+		if n.Trace {
+			b.WriteString("*")
+		}
+	}
+	b.WriteString(" .\n")
+	for _, c := range s.Components {
+		b.WriteString(legacyComponent(c) + "\n")
+	}
+	b.WriteString(".\n")
+	return b.String()
+}
+
+func legacyComponent(c ast.Component) string {
+	switch c := c.(type) {
+	case *ast.ALU:
+		return "A " + c.Name + " " + legacyExpr(&c.Funct) + " " + legacyExpr(&c.Left) + " " + legacyExpr(&c.Right)
+	case *ast.Selector:
+		s := "S " + c.Name + " " + legacyExpr(&c.Select)
+		for i := range c.Cases {
+			s += " " + legacyExpr(&c.Cases[i])
+		}
+		return s
+	case *ast.Memory:
+		s := "M " + c.Name + " " + legacyExpr(&c.Addr) + " " + legacyExpr(&c.Data) + " " + legacyExpr(&c.Opn) + " "
+		if c.Init == nil {
+			return s + numlit.FormatDecimal(int64(c.Size))
+		}
+		s += "-" + numlit.FormatDecimal(int64(c.Size))
+		for _, v := range c.Init {
+			s += " " + numlit.FormatDecimal(v)
+		}
+		return s
+	}
+	return ""
+}
+
+func legacyExpr(e *ast.Expr) string {
+	var parts []string
+	for _, p := range e.Parts {
+		switch p := p.(type) {
+		case *ast.Num:
+			s := p.Text
+			if s == "" {
+				s = numlit.FormatDecimal(p.Value)
+			}
+			if p.HasWidth {
+				s += "." + numlit.FormatDecimal(int64(p.WidthLim))
+			}
+			parts = append(parts, s)
+		case *ast.Bits:
+			parts = append(parts, "#"+p.Digits)
+		case *ast.Ref:
+			switch p.Mode {
+			case ast.RefBit:
+				parts = append(parts, p.Name+"."+numlit.FormatDecimal(int64(p.From)))
+			case ast.RefRange:
+				parts = append(parts, p.Name+"."+numlit.FormatDecimal(int64(p.From))+"."+numlit.FormatDecimal(int64(p.To)))
+			default:
+				parts = append(parts, p.Name)
+			}
+		}
+	}
+	return strings.Join(parts, ",")
+}
+
+// TestCanonicalTextMatchesLegacyRenderer: String, every component's
+// String and the canonical digest are byte-identical to the renderer
+// they replaced, over the bundled machines and testdata files, the
+// examples' designs, a module-dialect design and 256 generated ones.
+func TestCanonicalTextMatchesLegacyRenderer(t *testing.T) {
+	specs := map[string]*Spec{}
+	add := func(name string, spec *Spec, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		specs[name] = spec
+	}
+	files, err := filepath.Glob("../../testdata/*.sim")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("testdata: %v (%d files)", err, len(files))
+	}
+	for _, f := range files {
+		spec, err := ParseFile(f)
+		add(f, spec, err)
+	}
+	tiny, err := machines.TinyComputer(machines.TinyDivideImage(47, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sieve, err := machines.SieveSpec(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{"counter": machines.Counter(), "tinycpu": tiny, "sieve": sieve, "bitmix": machines.BitMixSpec(8, 12)} {
+		spec, err := ParseString(name, src)
+		add(name, spec, err)
+	}
+	spec, err := ParseExtendedString("bcd", machines.BCDCounter(3))
+	add("bcd (modules)", spec, err)
+	for seed := int64(0); seed < 256; seed++ {
+		cfg := specgen.Config{Combs: 40, Mems: 6}
+		if seed%2 == 1 {
+			cfg = specgen.Config{}
+		}
+		spec, err := ParseString("gen", specgen.Generate(rand.New(rand.NewSource(seed)), cfg))
+		add(fmt.Sprint("specgen ", seed), spec, err)
+	}
+	for name, spec := range specs {
+		want := legacyText(spec.AST)
+		if got := spec.AST.String(); got != want {
+			t.Errorf("%s: String differs from the legacy renderer:\n%s\nwant:\n%s", name, got, want)
+			continue
+		}
+		for _, c := range spec.AST.Components {
+			if got, want := c.String(), legacyComponent(c); got != want {
+				t.Errorf("%s: component renders %q, legacy %q", name, got, want)
+			}
+		}
+		if sum := sha256.Sum256([]byte(want)); spec.CanonicalDigest() != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s: digest is not the SHA-256 of the legacy text", name)
+		}
 	}
 }

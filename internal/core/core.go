@@ -142,42 +142,51 @@ func (s *Spec) DefaultCycles(def int64) int64 {
 // Program makes the split explicit so a fleet of machines pays it
 // once.
 //
+// A Program keeps what runs, not what it was compiled from: the
+// evaluator and the slot layout (sim.Layout) that machines, gangs,
+// tracing, VCD dumps and fault injection read. It never holds the
+// Spec, so a cached program does not keep its syntax tree alive — only
+// the interp and bytecode evaluators walk the tree, and they keep their
+// own reference to it; a compiled-aot program keeps the analysis until
+// it has printed its native worker's source.
+//
 // A Program is safe for concurrent use. Backend evaluators are
 // stateless by contract (see sim.Evaluator): after construction they
 // hold only immutable tables and closures, so any number of machines
 // on any number of goroutines can share one Program. All mutable
 // simulation state lives in the Machines it builds.
 type Program struct {
-	spec    *Spec
 	backend Backend
 	eval    sim.Evaluator
+	layout  *sim.Layout
 
 	aotOnce sync.Once
+	aotInfo *sem.Info // compiled-aot only, until AOTWorkerSource prints
 	aotSrc  string
 }
 
-// Compile builds the chosen backend's evaluator for an analyzed spec
-// once, returning the shareable Program.
+// Compile builds the chosen backend's evaluator and the slot layout for
+// an analyzed spec once, returning the shareable Program.
 func Compile(s *Spec, b Backend) (*Program, error) {
 	ev, err := NewEvaluator(s.Info, b)
 	if err != nil {
 		return nil, err
 	}
-	return &Program{spec: s, backend: b, eval: ev}, nil
+	p := &Program{backend: b, eval: ev, layout: sim.NewLayout(s.Info)}
+	if b == CompiledAOT {
+		p.aotInfo = s.Info
+	}
+	return p, nil
 }
-
-// Spec returns the analyzed specification the program was compiled
-// from.
-func (p *Program) Spec() *Spec { return p.spec }
 
 // Backend returns the backend the program was compiled for.
 func (p *Program) Backend() Backend { return p.backend }
 
 // NewMachine builds a machine running this program. Only the machine's
-// mutable state is allocated; the compiled evaluator and analysis
-// tables are shared with every other machine of the program.
+// mutable state is allocated; the compiled evaluator and the layout are
+// shared with every other machine of the program.
 func (p *Program) NewMachine(opts Options) *Machine {
-	return sim.New(p.spec.Info, p.eval, opts)
+	return sim.New(p.layout, p.eval, opts)
 }
 
 // GangCapable reports whether the program's backend can step gangs
@@ -196,7 +205,7 @@ func (p *Program) BitGangCapable() bool { return sim.CanBitGang(p.eval) }
 // implement sim.GangStepper. Like machines, gangs hold only mutable
 // state; the evaluator is shared.
 func (p *Program) NewGang(capacity int) (*sim.Gang, bool) {
-	return sim.NewGang(p.spec.Info, p.eval, capacity)
+	return sim.NewGang(p.layout, p.eval, capacity)
 }
 
 // AOTCapable reports whether the program opted into ahead-of-time
@@ -208,10 +217,15 @@ func (p *Program) AOTCapable() bool { return p.backend == CompiledAOT }
 // native protocol worker (gogen worker mode), generated once and
 // cached. The source text is also the binary cache's identity: its
 // digest covers the spec, the generator version and the generation
-// options, so any change misses cleanly.
+// options, so any change misses cleanly. Only compiled-aot programs
+// have one (any other returns ""); the analysis it is printed from is
+// released once it is.
 func (p *Program) AOTWorkerSource() string {
 	p.aotOnce.Do(func() {
-		p.aotSrc = gogen.Generate(p.spec.Info, gogen.Options{Worker: true, NoTrace: true})
+		if p.aotInfo != nil {
+			p.aotSrc = gogen.Generate(p.aotInfo, gogen.Options{Worker: true, NoTrace: true})
+			p.aotInfo = nil
+		}
 	})
 	return p.aotSrc
 }

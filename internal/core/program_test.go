@@ -19,8 +19,8 @@ func TestProgramNewMachine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%s): %v", b, err)
 		}
-		if p.Backend() != b || p.Spec() != spec {
-			t.Errorf("%s: program accessors: backend %q, spec %p", b, p.Backend(), p.Spec())
+		if p.Backend() != b {
+			t.Errorf("%s: program accessor: backend %q", b, p.Backend())
 		}
 		pm := p.NewMachine(Options{})
 		wm, err := NewMachine(spec, b, Options{})

@@ -75,9 +75,9 @@ type Injector struct {
 // recomputed from registers every cycle, so register faults subsume
 // them at this abstraction level).
 func Inject(m *sim.Machine, faults ...Fault) (*Injector, error) {
-	info := m.Info()
+	layout := m.Layout()
 	for _, f := range faults {
-		if !info.IsMemory(f.Component) {
+		if _, ok := layout.Memory(f.Component); !ok {
 			return nil, fmt.Errorf("fault: <%s> is not a memory output", f.Component)
 		}
 		if f.Bit < 0 || f.Bit > numlit.MaxBits {

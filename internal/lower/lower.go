@@ -181,17 +181,18 @@ func Lower(info *sem.Info, fold bool) Program {
 		Ops:     make([]Op, 0, len(info.Comb)),
 		Latches: make([]Latch, 0, len(info.Mems)),
 	}
-	for _, comp := range info.Comb {
+	// Order is Comb then Mems, so a component's slot is its position.
+	for slot, comp := range info.Comb {
 		switch comp := comp.(type) {
 		case *ast.ALU:
-			o := Op{Out: info.Slot[comp.Name], Name: comp.Name,
+			o := Op{Out: slot, Name: comp.Name,
 				Ctl: lw.expr(&comp.Funct), Left: lw.expr(&comp.Left), Right: lw.expr(&comp.Right)}
 			if fv, ok := o.Ctl.Constant(); ok && fold {
 				o.Folded, o.Fn = true, fv
 			}
 			p.Ops = append(p.Ops, o)
 		case *ast.Selector:
-			o := Op{Out: info.Slot[comp.Name], Name: comp.Name, Ctl: lw.expr(&comp.Select)}
+			o := Op{Out: slot, Name: comp.Name, Ctl: lw.expr(&comp.Select)}
 			if sv, ok := o.Ctl.Constant(); ok && fold && sv >= 0 && sv < int64(len(comp.Cases)) {
 				// A copy of the chosen case, which is the ALU "left";
 				// right is never read, so any constant serves.
@@ -208,8 +209,8 @@ func Lower(info *sem.Info, fold bool) Program {
 			p.Ops = append(p.Ops, o)
 		}
 	}
-	for _, m := range info.Mems {
-		l := Latch{Slot: info.Slot[m.Name], Init: m.Init, Addr: lw.expr(&m.Addr), Opn: lw.expr(&m.Opn)}
+	for i, m := range info.Mems {
+		l := Latch{Slot: len(info.Comb) + i, Init: m.Init, Addr: lw.expr(&m.Addr), Opn: lw.expr(&m.Opn)}
 		if v, ok := l.Opn.Constant(); ok && fold && (v&3 == sim.OpRead || v&3 == sim.OpInput) {
 			l.Data = lw.constant(0)
 		} else {

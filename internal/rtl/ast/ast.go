@@ -13,7 +13,7 @@
 package ast
 
 import (
-	"strings"
+	"strconv"
 
 	"repro/internal/rtl/numlit"
 	"repro/internal/rtl/source"
@@ -100,15 +100,19 @@ func (n *Num) Masked() int64 {
 	return n.Value & (numlit.Pow2(n.WidthLim) - 1)
 }
 
-func (n *Num) String() string {
-	s := n.Text
-	if s == "" {
-		s = numlit.FormatDecimal(n.Value)
+func (n *Num) String() string { return string(n.appendTo(nil)) }
+
+func (n *Num) appendTo(b []byte) []byte {
+	if n.Text != "" {
+		b = append(b, n.Text...)
+	} else {
+		b = strconv.AppendInt(b, n.Value, 10)
 	}
 	if n.HasWidth {
-		s += "." + numlit.FormatDecimal(int64(n.WidthLim))
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(n.WidthLim), 10)
 	}
-	return s
+	return b
 }
 
 // Bits is a '#' bit-string literal; its width is exactly the number of
@@ -130,7 +134,9 @@ func (b *Bits) Value() int64 {
 	return v
 }
 
-func (b *Bits) String() string { return "#" + b.Digits }
+func (b *Bits) String() string { return string(b.appendTo(nil)) }
+
+func (b *Bits) appendTo(buf []byte) []byte { return append(append(buf, '#'), b.Digits...) }
 
 // RefMode distinguishes the three component-reference shapes.
 type RefMode int
@@ -190,15 +196,19 @@ func (r *Ref) SelMask() int64 {
 	}
 }
 
-func (r *Ref) String() string {
-	switch r.Mode {
-	case RefBit:
-		return r.Name + "." + numlit.FormatDecimal(int64(r.From))
-	case RefRange:
-		return r.Name + "." + numlit.FormatDecimal(int64(r.From)) + "." + numlit.FormatDecimal(int64(r.To))
-	default:
-		return r.Name
+func (r *Ref) String() string { return string(r.appendTo(nil)) }
+
+func (r *Ref) appendTo(b []byte) []byte {
+	b = append(b, r.Name...)
+	if r.Mode == RefBit || r.Mode == RefRange {
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(r.From), 10)
 	}
+	if r.Mode == RefRange {
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(r.To), 10)
+	}
+	return b
 }
 
 // Expr is a concatenation of parts; Parts[0] is the most significant.
@@ -208,15 +218,28 @@ type Expr struct {
 	Pos   source.Pos
 }
 
-func (e *Expr) String() string {
-	var b strings.Builder
+func (e *Expr) String() string { return string(e.appendTo(nil)) }
+
+// appendOperand appends e as a blank-separated operand.
+func (e *Expr) appendOperand(b []byte) []byte { return e.appendTo(append(b, ' ')) }
+
+func (e *Expr) appendTo(b []byte) []byte {
 	for i, p := range e.Parts {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(p.String())
+		// A type switch, not a method on Part: the static calls let a
+		// caller's buffer stay on its stack.
+		switch p := p.(type) {
+		case *Num:
+			b = p.appendTo(b)
+		case *Bits:
+			b = p.appendTo(b)
+		case *Ref:
+			b = p.appendTo(b)
+		}
 	}
-	return b.String()
+	return b
 }
 
 // Width returns the total concatenation width, clamped to
@@ -300,9 +323,7 @@ func (a *ALU) CompKind() Kind       { return KindALU }
 func (a *ALU) Operands() []*Expr    { return []*Expr{&a.Funct, &a.Left, &a.Right} }
 func (a *ALU) Position() source.Pos { return a.Pos }
 
-func (a *ALU) String() string {
-	return "A " + a.Name + " " + a.Funct.String() + " " + a.Left.String() + " " + a.Right.String()
-}
+func (a *ALU) String() string { return string(appendComponent(nil, a)) }
 
 // Selector routes Cases[Select] to its output combinationally each
 // cycle (Figure 4.2); an out-of-range select is a runtime error.
@@ -325,14 +346,7 @@ func (s *Selector) Operands() []*Expr {
 	return ops
 }
 
-func (s *Selector) String() string {
-	var b strings.Builder
-	b.WriteString("S " + s.Name + " " + s.Select.String())
-	for i := range s.Cases {
-		b.WriteString(" " + s.Cases[i].String())
-	}
-	return b.String()
-}
+func (s *Selector) String() string { return string(appendComponent(nil, s)) }
 
 // Memory is the only stateful primitive (Figure 4.3): an array of
 // Size cells plus an output register. Each cycle it performs the
@@ -355,19 +369,32 @@ func (m *Memory) CompKind() Kind       { return KindMemory }
 func (m *Memory) Operands() []*Expr    { return []*Expr{&m.Addr, &m.Data, &m.Opn} }
 func (m *Memory) Position() source.Pos { return m.Pos }
 
-func (m *Memory) String() string {
-	var b strings.Builder
-	b.WriteString("M " + m.Name + " " + m.Addr.String() + " " + m.Data.String() + " " + m.Opn.String() + " ")
-	if m.Init != nil {
-		b.WriteString("-")
-		b.WriteString(numlit.FormatDecimal(int64(m.Size)))
-		for _, v := range m.Init {
-			b.WriteString(" " + numlit.FormatDecimal(v))
+func (m *Memory) String() string { return string(appendComponent(nil, m)) }
+
+// appendComponent appends a component's specification syntax to b: its
+// letter, name and operands separated by blanks, and for a memory its
+// size — negated when initial values follow it.
+func appendComponent(b []byte, c Component) []byte {
+	b = append(append(append(b, c.CompKind().Letter()...), ' '), c.CompName()...)
+	switch c := c.(type) {
+	case *ALU:
+		b = c.Right.appendOperand(c.Left.appendOperand(c.Funct.appendOperand(b)))
+	case *Selector:
+		b = c.Select.appendOperand(b)
+		for i := range c.Cases {
+			b = c.Cases[i].appendOperand(b)
 		}
-	} else {
-		b.WriteString(numlit.FormatDecimal(int64(m.Size)))
+	case *Memory:
+		b = append(c.Opn.appendOperand(c.Data.appendOperand(c.Addr.appendOperand(b))), ' ')
+		if c.Init != nil {
+			b = append(b, '-')
+		}
+		b = strconv.AppendInt(b, int64(c.Size), 10)
+		for _, v := range c.Init {
+			b = strconv.AppendInt(append(b, ' '), v, 10)
+		}
 	}
-	return b.String()
+	return b
 }
 
 // Macro is a recorded macro definition ("~name text").
@@ -419,30 +446,36 @@ func (s *Spec) TracedNames() []string {
 
 // String renders the whole specification in source syntax. Parsing the
 // result yields an equivalent Spec (macros are expanded away).
-func (s *Spec) String() string {
-	var b strings.Builder
-	b.WriteString("#")
-	b.WriteString(s.Comment)
-	b.WriteString("\n")
+func (s *Spec) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends String's rendering to b and returns the extended
+// slice. It is the one renderer of the syntax tree — String and every
+// node's String wrap it — and the canonical digest hashes its buffer
+// without building the string.
+func (s *Spec) AppendTo(b []byte) []byte {
+	b = append(b, '#')
+	b = append(b, s.Comment...)
+	b = append(b, '\n')
 	if s.HasCycles {
-		b.WriteString("= " + numlit.FormatDecimal(s.Cycles) + "\n")
+		b = append(b, "= "...)
+		b = strconv.AppendInt(b, s.Cycles, 10)
+		b = append(b, '\n')
 	}
 	for i, n := range s.Names {
 		if i > 0 {
-			b.WriteString(" ")
+			b = append(b, ' ')
 		}
-		b.WriteString(n.Name)
+		b = append(b, n.Name...)
 		if n.Trace {
-			b.WriteString("*")
+			b = append(b, '*')
 		}
 	}
-	b.WriteString(" .\n")
+	b = append(b, " .\n"...)
 	for _, c := range s.Components {
-		b.WriteString(c.String())
-		b.WriteString("\n")
+		b = appendComponent(b, c)
+		b = append(b, '\n')
 	}
-	b.WriteString(".\n")
-	return b.String()
+	return append(b, ".\n"...)
 }
 
 // Walk calls fn for every operand expression of every component.

@@ -95,12 +95,12 @@ U t1 taker m.0.2,#01
 
 func TestLocalsDoNotLeakAcrossInstances(t *testing.T) {
 	_, m := run(t, twoCounters, core.Compiled)
-	info := m.Info()
-	if _, ok := info.Slot["value"]; ok {
+	layout := m.Layout()
+	if _, ok := layout.Slot("value"); ok {
 		t.Error("unprefixed local leaked into the global namespace")
 	}
 	for _, want := range []string{"slownext", "slowvalue", "fastnext", "fastvalue"} {
-		if _, ok := info.Slot[want]; !ok {
+		if _, ok := layout.Slot(want); !ok {
 			t.Errorf("missing instantiated component %s", want)
 		}
 	}
@@ -129,7 +129,7 @@ U p pair 1
 	if got := m.Value("plobval"); got != 0 {
 		t.Errorf("plobval after 4 cycles = %d, want 0", got)
 	}
-	if _, ok := m.Info().Slot["psum"]; !ok {
+	if _, ok := m.Layout().Slot("psum"); !ok {
 		t.Error("outer module component psum missing")
 	}
 }

@@ -19,6 +19,7 @@ package sem
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/rtl/ast"
@@ -47,14 +48,11 @@ type Info struct {
 	// Traced lists the '*'-marked names in declaration order.
 	Traced []string
 
+	// Widths holds each slot's estimated output width (see OutputWidth).
+	Widths []int
+
 	// Warnings are non-fatal findings, in a stable order.
 	Warnings []string
-}
-
-// IsMemory reports whether name refers to a memory component.
-func (in *Info) IsMemory(name string) bool {
-	c, ok := in.Spec.Component(name).(*ast.Memory)
-	return ok && c != nil
 }
 
 // EstWidth estimates how many bits an expression's value can occupy.
@@ -64,70 +62,104 @@ func (in *Info) IsMemory(name string) bool {
 // unbounded; Info.ExprWidth refines them through the referenced
 // component's own output width.
 func EstWidth(e *ast.Expr) int {
-	return estWidth(e, nil, nil)
-}
-
-// estWidth is the shared implementation: when in is non-nil, whole
-// references resolve through the referenced component's output width
-// (visiting guards against combinational-through-register cycles).
-func estWidth(e *ast.Expr, in *Info, visiting map[string]bool) int {
-	w := 0
-	for _, p := range e.Parts {
-		switch p := p.(type) {
-		case *ast.Num:
-			w += valueBits(p.Masked())
-		case *ast.Bits:
-			w += len(p.Digits)
-		case *ast.Ref:
-			if p.Mode == ast.RefWhole && in != nil {
-				w += in.widthOf(p.Name, visiting)
-			} else {
-				w += p.Width()
-			}
-		default:
-			w += p.Width()
-		}
-	}
-	if w > ast.WidthUnbounded {
-		w = ast.WidthUnbounded
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return (&widthWalk{}).expr(e)
 }
 
 // ExprWidth estimates an expression's width, following whole component
 // references through to the referenced components.
 func (in *Info) ExprWidth(e *ast.Expr) int {
-	return estWidth(e, in, map[string]bool{})
+	return in.walk().expr(e)
 }
 
-// widthOf resolves a component's output width by name, returning the
-// unbounded width for unknown names or reference cycles.
-func (in *Info) widthOf(name string, visiting map[string]bool) int {
-	if visiting[name] {
+// widthWalk is one width estimate. With in set, a whole reference
+// resolves through the referenced component's own output width,
+// depth-first: onPath marks the components on the current path, and a
+// reference back to one of them (a loop through a memory) counts as
+// unbounded. The search follows paths, not components — reconvergent
+// fan-out resolves a shared component once per path, and a
+// feedback-rich design has exponentially many — so it is budgeted: once
+// a walk has resolved budget references, every further whole reference
+// counts as unbounded. The budget can only widen an estimate, and it is
+// linear in the design, so estimating every output width of a design
+// costs time linear in its size.
+type widthWalk struct {
+	in     *Info
+	onPath []bool // by slot
+	budget int
+}
+
+// widthBudgetPerSlot is a walk's budget per component of the design.
+// The bundled machines use at most two per component, the small bit-mix
+// fabrics fourteen; every analysis pays for this table, so the budget
+// also bounds what a hostile design can cost it.
+const widthBudgetPerSlot = 32
+
+func (in *Info) walk() *widthWalk {
+	return &widthWalk{in: in, onPath: make([]bool, len(in.Order)), budget: widthBudgetPerSlot * (len(in.Order) + 1)}
+}
+
+// expr estimates a concatenation's width: the sum of its parts'. The
+// parts after the sum reaches the unbounded width cannot change the
+// estimate and are not estimated.
+func (w *widthWalk) expr(e *ast.Expr) int {
+	width := 0
+	for _, p := range e.Parts {
+		if width >= ast.WidthUnbounded {
+			break
+		}
+		switch p := p.(type) {
+		case *ast.Num:
+			width += valueBits(p.Masked())
+		case *ast.Bits:
+			width += len(p.Digits)
+		case *ast.Ref:
+			if p.Mode == ast.RefWhole && w.in != nil {
+				width += w.ref(p.Name)
+			} else {
+				width += p.Width()
+			}
+		default:
+			width += p.Width()
+		}
+	}
+	return clampWidth(width)
+}
+
+// ref resolves a whole reference: unbounded for an unknown name, for a
+// component already on the path, and once the budget is spent.
+func (w *widthWalk) ref(name string) int {
+	slot, ok := w.in.Slot[name]
+	if !ok || w.onPath[slot] || w.budget <= 0 {
 		return ast.WidthUnbounded
 	}
-	c := in.Spec.Component(name)
-	if c == nil {
+	w.budget--
+	return w.component(slot)
+}
+
+// component estimates the output width of the component at slot,
+// holding it on the path while its operands resolve.
+func (w *widthWalk) component(slot int) int {
+	w.onPath[slot] = true
+	width := w.output(w.in.Order[slot])
+	w.onPath[slot] = false
+	return width
+}
+
+func clampWidth(w int) int {
+	if w > ast.WidthUnbounded {
 		return ast.WidthUnbounded
 	}
-	visiting[name] = true
-	defer delete(visiting, name)
-	return in.outputWidth(c, visiting)
+	if w < 1 {
+		return 1
+	}
+	return w
 }
 
 func valueBits(v int64) int {
 	if v < 0 {
 		return ast.WidthUnbounded
 	}
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
+	return bits.Len64(uint64(v))
 }
 
 // OutputWidth estimates how many bits a component's output can occupy.
@@ -135,31 +167,33 @@ func valueBits(v int64) int {
 // (comparisons are one bit, an add carries one bit past the wider
 // operand, and so on); everything else is bounded by operand widths,
 // with whole references resolved through the referenced components.
-// The netlist exporter and the VCD dumper use it, clamped to 31.
+// The netlist exporter and the VCD dumper (through sim.Layout) use it.
+// c must be one of the analyzed components.
 func (in *Info) OutputWidth(c ast.Component) int {
-	return in.outputWidth(c, map[string]bool{c.CompName(): true})
+	return in.Widths[in.Slot[c.CompName()]]
 }
 
-func (in *Info) outputWidth(c ast.Component, visiting map[string]bool) int {
-	clamp := func(w int) int {
-		if w > ast.WidthUnbounded {
-			return ast.WidthUnbounded
-		}
-		if w < 1 {
-			return 1
-		}
-		return w
+// outputWidths estimates every slot's width in one walk: its budget is
+// shared, so the whole table costs time linear in the design.
+func (in *Info) outputWidths() []int {
+	w := in.walk()
+	widths := make([]int, len(in.Order))
+	for slot := range widths {
+		widths[slot] = w.component(slot)
 	}
+	return widths
+}
+
+// output estimates a component's width from its operands'. Like expr it
+// stops estimating operands once the result is decided: the search is
+// over paths, and every operand skipped is a subtree of paths not taken.
+func (w *widthWalk) output(c ast.Component) int {
+	const unbounded = ast.WidthUnbounded
 	switch c := c.(type) {
 	case *ast.ALU:
-		l, r := estWidth(&c.Left, in, visiting), estWidth(&c.Right, in, visiting)
-		max := l
-		if r > max {
-			max = r
-		}
 		fv, isConst := c.Funct.ConstValue()
 		if !isConst {
-			return ast.WidthUnbounded
+			return unbounded
 		}
 		// ALU function codes as defined in Appendix A (kept local to
 		// avoid an import cycle with the execution packages).
@@ -167,39 +201,48 @@ func (in *Info) outputWidth(c ast.Component, visiting map[string]bool) int {
 		case 0, 11, 12, 13: // zero, unused, =, <
 			return 1
 		case 1: // right
-			return clamp(r)
+			return w.expr(&c.Right)
 		case 2: // left
-			return clamp(l)
+			return w.expr(&c.Left)
 		case 3, 5, 6: // NOT, subtract, shift
 			// NOT spans the whole mask; SUB can go negative; SHL can
 			// reach the top of the 31-bit range.
-			return ast.WidthUnbounded
-		case 4: // add
-			return clamp(max + 1)
-		case 7: // multiply
-			return clamp(l + r)
-		case 8: // AND
-			if l < r {
-				return clamp(l)
+			return unbounded
+		case 4, 7: // add, multiply
+			// One bit past the wider operand, or the operands' sum: a
+			// left operand of 30 bits or more decides either.
+			l := w.expr(&c.Left)
+			if l >= unbounded-1 {
+				return unbounded
 			}
-			return clamp(r)
+			r := w.expr(&c.Right)
+			if fv == 4 {
+				return clampWidth(max(l, r) + 1)
+			}
+			return clampWidth(l + r)
+		case 8: // AND
+			if l := w.expr(&c.Left); l > 1 {
+				return min(l, w.expr(&c.Right))
+			}
+			return 1
 		case 9, 10: // OR, XOR
-			return clamp(max)
+			if l := w.expr(&c.Left); l < unbounded {
+				return max(l, w.expr(&c.Right))
+			}
+			return unbounded
 		default:
 			return 1 // undefined functions yield 0
 		}
 	case *ast.Selector:
-		w := 0
-		for i := range c.Cases {
-			if cw := estWidth(&c.Cases[i], in, visiting); cw > w {
-				w = cw
-			}
+		width := 1
+		for i := 0; i < len(c.Cases) && width < unbounded; i++ {
+			width = max(width, w.expr(&c.Cases[i]))
 		}
-		return clamp(w)
+		return width
 	case *ast.Memory:
-		return clamp(estWidth(&c.Data, in, visiting))
+		return w.expr(&c.Data)
 	default:
-		return ast.WidthUnbounded
+		return unbounded
 	}
 }
 
@@ -264,6 +307,7 @@ func Analyze(spec *ast.Spec) (*Info, error) {
 	in.checkDeclarations(defined)
 	in.checkRanges()
 	in.Traced = spec.TracedNames()
+	in.Widths = in.outputWidths()
 	return in, nil
 }
 

@@ -1,11 +1,15 @@
 package sem
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/machines"
 	"repro/internal/rtl/ast"
 	"repro/internal/rtl/parser"
+	"repro/internal/specgen"
 )
 
 func analyze(t *testing.T, src string) (*Info, error) {
@@ -181,11 +185,8 @@ func TestSlots(t *testing.T) {
 	}
 }
 
-func TestIsMemoryAndTraced(t *testing.T) {
+func TestTraced(t *testing.T) {
 	in := mustAnalyze(t, "#c\na* m .\nA a 1 m 0\nM m 0 a 1 1\n.")
-	if !in.IsMemory("m") || in.IsMemory("a") || in.IsMemory("nope") {
-		t.Error("IsMemory misclassifies")
-	}
 	if len(in.Traced) != 1 || in.Traced[0] != "a" {
 		t.Errorf("Traced = %v", in.Traced)
 	}
@@ -294,5 +295,125 @@ M m 0 d 1 1
 	}
 	if !(pos["a"] < pos["b"] && pos["a"] < pos["c"] && pos["b"] < pos["d"] && pos["c"] < pos["d"]) {
 		t.Errorf("order = %v violates diamond constraints", order(in))
+	}
+}
+
+// pathWidth is the search OutputWidth's table is an economy of: every
+// path followed in full, no budget, no pruning, a reference back onto
+// the path counting as unbounded. It is exponential on feedback-rich
+// designs and serves here as the reference on designs it can finish.
+func pathWidth(in *Info, c ast.Component, onPath map[string]bool) int {
+	expr := func(e *ast.Expr) int {
+		w := 0
+		for _, p := range e.Parts {
+			switch p := p.(type) {
+			case *ast.Num:
+				w += valueBits(p.Masked())
+			case *ast.Bits:
+				w += len(p.Digits)
+			case *ast.Ref:
+				if p.Mode != ast.RefWhole {
+					w += p.Width()
+				} else if onPath[p.Name] {
+					w += ast.WidthUnbounded
+				} else {
+					onPath[p.Name] = true
+					w += pathWidth(in, in.Spec.Component(p.Name), onPath)
+					delete(onPath, p.Name)
+				}
+			}
+		}
+		return clampWidth(w)
+	}
+	switch c := c.(type) {
+	case *ast.ALU:
+		l, r := expr(&c.Left), expr(&c.Right)
+		fv, ok := c.Funct.ConstValue()
+		switch {
+		case !ok || fv == 3 || fv == 5 || fv == 6:
+			return ast.WidthUnbounded
+		case fv == 1:
+			return r
+		case fv == 2:
+			return l
+		case fv == 4:
+			return clampWidth(max(l, r) + 1)
+		case fv == 7:
+			return clampWidth(l + r)
+		case fv == 8:
+			return min(l, r)
+		case fv == 9 || fv == 10:
+			return max(l, r)
+		}
+		return 1
+	case *ast.Selector:
+		w := 1
+		for i := range c.Cases {
+			w = max(w, expr(&c.Cases[i]))
+		}
+		return w
+	default:
+		return expr(&c.(*ast.Memory).Data)
+	}
+}
+
+// TestOutputWidthsMatchPathSearch: the budgeted, pruned table equals the
+// full path search on every bundled machine, small bit-mix fabrics
+// (feedback through every register) and generated designs.
+func TestOutputWidthsMatchPathSearch(t *testing.T) {
+	srcs, err := machines.Testdata()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{2, 1}, {3, 2}, {4, 3}} {
+		srcs[fmt.Sprintf("bitmix%dx%d", r[0], r[1])] = machines.BitMixSpec(r[0], r[1])
+	}
+	// Each early exit of the walk, and its boundary: concatenations whose
+	// first part is 28 and 31 bits wide, an add and a multiply whose left
+	// operand is 30 bits, ANDs whose left operand is one bit and four, an
+	// OR and a selector whose first operand is unbounded.
+	srcs["exits"] = `# exits
+cat28 cat31 add mul and1 and4 or sel m .
+A cat28 2 134217728,m.0.3 0
+A cat31 2 2147483647,m.0.3 0
+A add 4 m.0.29 m.0.3
+A mul 7 m.0.29 m.0
+A and1 8 m.0 m
+A and4 8 m.0.3 m.0.1
+A or 9 m m.0.3
+S sel m.0 m m.0.3
+M m 0 cat28 1 1
+.
+`
+	for seed := int64(0); seed < 64; seed++ {
+		for i, cfg := range []specgen.Config{{}, {Combs: 12, Mems: 3}, {Combs: 40, Mems: 6}} {
+			srcs[fmt.Sprintf("specgen%d/%d", seed, i)] = specgen.Generate(rand.New(rand.NewSource(seed)), cfg)
+		}
+	}
+	for name, src := range srcs {
+		in := mustAnalyze(t, src)
+		for slot, c := range in.Order {
+			if want := pathWidth(in, c, map[string]bool{c.CompName(): true}); in.Widths[slot] != want {
+				t.Errorf("%s: <%s> width %d, path search %d", name, c.CompName(), in.Widths[slot], want)
+			}
+		}
+	}
+}
+
+// TestOutputWidthsBounded: on a fabric whose feedback paths the full
+// search never finishes enumerating, the table is still estimated —
+// the budget runs out, every width is a valid estimate, and the walk
+// resolved no more references than the budget allows.
+func TestOutputWidthsBounded(t *testing.T) {
+	in := mustAnalyze(t, machines.BitMixSpec(8, 12))
+	w := in.walk()
+	budget := w.budget
+	for slot := range in.Order {
+		if got := w.component(slot); got != in.Widths[slot] || got < 1 || got > ast.WidthUnbounded {
+			t.Fatalf("slot %d: width %d, table has %d", slot, got, in.Widths[slot])
+		}
+	}
+	if w.budget != 0 || budget != widthBudgetPerSlot*(len(in.Order)+1) {
+		t.Errorf("walk left %d of a %d-reference budget; the fabric should exhaust it", w.budget, budget)
 	}
 }

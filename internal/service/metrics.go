@@ -108,6 +108,7 @@ type Metrics struct {
 
 	CacheHits     int64 `json:"cache_hits"`     // program-cache hits
 	CacheMisses   int64 `json:"cache_misses"`   // program-cache compilations
+	CacheFlushes  int64 `json:"cache_flushes"`  // program-cache generations dropped at the key bound
 	CachePrograms int   `json:"cache_programs"` // distinct cached (digest, backend) keys
 
 	// AOT binary-cache counters, all zero unless the engine was built
@@ -157,6 +158,7 @@ func (s *Server) Metrics() Metrics {
 
 		CacheHits:     s.cache.Hits(),
 		CacheMisses:   s.cache.Misses(),
+		CacheFlushes:  s.cache.Flushes(),
 		CachePrograms: s.cache.Len(),
 	}
 	if m.BusySeconds > 0 {
@@ -217,6 +219,7 @@ func (s *Server) PromMetrics() []byte {
 	p.Counter("asimd_trace_dropped_total", "Spans evicted from the trace ring.", float64(m.TraceDropped))
 	p.Counter("asimd_cache_hits_total", "Program-cache hits.", float64(m.CacheHits))
 	p.Counter("asimd_cache_misses_total", "Program-cache compilations.", float64(m.CacheMisses))
+	p.Counter("asimd_cache_flushes_total", "Program-cache generations dropped at the key bound.", float64(m.CacheFlushes))
 	p.Gauge("asimd_cache_programs", "Distinct cached (digest, backend) keys.", float64(m.CachePrograms))
 	p.Counter("asimd_aot_builds_total", "AOT worker binaries compiled.", float64(m.AOTBuilds))
 	p.Counter("asimd_aot_hits_total", "AOT requests served from the disk cache.", float64(m.AOTHits))

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -243,7 +244,8 @@ func mustJSON(t *testing.T, v any) []byte {
 
 // TestServicePrometheusExposition: after real traffic, the ?format=
 // prometheus rendering passes the strict line-format validator, keeps
-// the declared content type, and the plain JSON endpoint still works.
+// the declared content type, and the plain JSON endpoint still works
+// and carries the same program-cache counters.
 func TestServicePrometheusExposition(t *testing.T) {
 	_, ts := newServer(t, service.Config{})
 	if status, lines := postJob(t, ts.URL, service.JobRequest{Scenario: "sieve-fleet", Runs: 4, Cycles: 200}); status != http.StatusOK {
@@ -270,8 +272,19 @@ func TestServicePrometheusExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if m := getMetrics(t, ts.URL); m.JobsAccepted != 1 || m.RunsTotal != 4 {
+	m := getMetrics(t, ts.URL)
+	if m.JobsAccepted != 1 || m.RunsTotal != 4 {
 		t.Errorf("JSON metrics after prometheus fetch: %+v", m)
+	}
+	// The program-cache books agree across the two renderings.
+	for name, v := range map[string]int64{
+		"asimd_cache_hits_total":    m.CacheHits,
+		"asimd_cache_misses_total":  m.CacheMisses,
+		"asimd_cache_flushes_total": m.CacheFlushes,
+	} {
+		if want := fmt.Sprintf("\n%s %d\n", name, v); !strings.Contains(string(text), want) {
+			t.Errorf("exposition lacks %q (the JSON snapshot's value)", strings.TrimSpace(want))
+		}
 	}
 }
 

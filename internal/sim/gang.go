@@ -3,8 +3,6 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/rtl/sem"
 )
 
 // Gang execution: many machines of one program stepped in lockstep
@@ -115,7 +113,7 @@ func FailLane(lane int, component string, cycle int64, format string, args ...in
 // machine with no input attached; output operations are counted and
 // discarded).
 type Gang struct {
-	info   *sem.Info
+	layout *Layout
 	eval   GangStepper
 	stride int // lane capacity; the slot-to-slot distance in vals
 
@@ -152,10 +150,10 @@ type Gang struct {
 	err    []error // per-phys-slot fault, nil while healthy
 }
 
-// NewGang builds a gang of up to capacity lanes for an analyzed spec,
+// NewGang builds a gang of up to capacity lanes for a program's layout,
 // or reports ok=false when the evaluator does not implement
 // GangStepper. The gang starts with zero lanes; Reset configures them.
-func NewGang(info *sem.Info, eval Evaluator, capacity int) (*Gang, bool) {
+func NewGang(layout *Layout, eval Evaluator, capacity int) (*Gang, bool) {
 	gs, ok := eval.(GangStepper)
 	if !ok {
 		return nil, false
@@ -163,12 +161,12 @@ func NewGang(info *sem.Info, eval Evaluator, capacity int) (*Gang, bool) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	nm := len(info.Mems)
+	nm := len(layout.Mems)
 	g := &Gang{
-		info:    info,
+		layout:  layout,
 		eval:    gs,
 		stride:  capacity,
-		vals:    make([]int64, len(info.Order)*capacity),
+		vals:    make([]int64, layout.Slots()*capacity),
 		arrays:  make([][]int64, nm),
 		addr:    make([]int64, nm*capacity),
 		data:    make([]int64, nm*capacity),
@@ -182,9 +180,9 @@ func NewGang(info *sem.Info, eval Evaluator, capacity int) (*Gang, bool) {
 		phys:    make([]int, capacity),
 		logOf:   make([]int, capacity),
 	}
-	for i, mem := range info.Mems {
+	for i, mem := range layout.Mems {
 		g.arrays[i] = make([]int64, mem.Size*capacity)
-		g.memSlot[i] = info.Slot[mem.Name]
+		g.memSlot[i] = mem.Slot
 		g.memSize[i] = mem.Size
 	}
 	for l := range g.stats {
@@ -234,7 +232,7 @@ func (g *Gang) Reset(targets []int64) {
 	for i := range g.vals {
 		g.vals[i] = 0
 	}
-	for i, mem := range g.info.Mems {
+	for i, mem := range g.layout.Mems {
 		arr := g.arrays[i]
 		for j := range arr {
 			arr[j] = 0
@@ -327,7 +325,7 @@ func (g *Gang) maybeCompact() {
 // swapSlots exchanges two physical slots' entire per-lane state and
 // updates the logical<->physical maps.
 func (g *Gang) swapSlots(a, b int) {
-	for s := 0; s < len(g.info.Order); s++ {
+	for s := 0; s < g.layout.Slots(); s++ {
 		base := s * g.stride
 		g.vals[base+a], g.vals[base+b] = g.vals[base+b], g.vals[base+a]
 	}
@@ -467,14 +465,14 @@ func (g *Gang) commitAdvance() {
 			switch op & 3 {
 			case OpRead:
 				if a < 0 || a >= int64(size) {
-					g.failLane(l, g.info.Mems[i].Name, "read address %d outside 0..%d", a, size-1)
+					g.failLane(l, g.layout.Mems[i].Name, "read address %d outside 0..%d", a, size-1)
 					break mems
 				}
 				temp = arr[base+int(a)]
 				ops[i].Reads++
 			case OpWrite:
 				if a < 0 || a >= int64(size) {
-					g.failLane(l, g.info.Mems[i].Name, "write address %d outside 0..%d", a, size-1)
+					g.failLane(l, g.layout.Mems[i].Name, "write address %d outside 0..%d", a, size-1)
 					break mems
 				}
 				temp = d
@@ -483,7 +481,7 @@ func (g *Gang) commitAdvance() {
 			case OpInput:
 				// Gang lanes never have an input device, like a machine
 				// built with zero Options.
-				g.failLane(l, g.info.Mems[i].Name, "input operation with no input attached")
+				g.failLane(l, g.layout.Mems[i].Name, "input operation with no input attached")
 				break mems
 			case OpOutput:
 				// Counted and discarded; zero-Options machines write to
@@ -544,7 +542,7 @@ func (g *Gang) LaneStats(l int) Stats {
 // Machine.Value.
 func (g *Gang) LaneValue(l int, name string) int64 {
 	p := g.slotOf(l)
-	slot, ok := g.info.Slot[name]
+	slot, ok := g.layout.Slot(name)
 	if !ok {
 		panic(fmt.Sprintf("sim: unknown component %q", name))
 	}
@@ -559,7 +557,7 @@ func (g *Gang) LaneArchHash(l int) uint64 {
 	p := g.slotOf(l)
 	g.materializeSlot(p)
 	h := archHashOffset
-	for slot := 0; slot < len(g.info.Order); slot++ {
+	for slot := 0; slot < g.layout.Slots(); slot++ {
 		h = archHashWord(h, g.vals[slot*g.stride+p])
 	}
 	for i, arr := range g.arrays {
@@ -574,7 +572,7 @@ func (g *Gang) LaneArchHash(l int) uint64 {
 // laneStateLen mirrors Machine.stateLen for one lane.
 func (g *Gang) laneStateLen() int {
 	n := 8 + // magic
-		8 + 8*len(g.info.Order) + // value vector
+		8 + 8*g.layout.Slots() + // value vector
 		8 // memory count
 	for _, size := range g.memSize {
 		n += 8 + 8*size
@@ -598,8 +596,8 @@ func (g *Gang) AppendLaneState(l int, buf []byte) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	put(int64(stateMagic))
-	put(int64(len(g.info.Order)))
-	for slot := 0; slot < len(g.info.Order); slot++ {
+	put(int64(g.layout.Slots()))
+	for slot := 0; slot < g.layout.Slots(); slot++ {
 		put(g.vals[slot*g.stride+p])
 	}
 	put(int64(len(g.arrays)))
@@ -654,7 +652,7 @@ func (g *Gang) RestoreLaneState(l int, st []byte) error {
 	if uint64(get(0)) != stateMagic {
 		return fmt.Errorf("sim: not a machine state snapshot (bad magic %#x)", uint64(get(0)))
 	}
-	nslots := len(g.info.Order)
+	nslots := g.layout.Slots()
 	if n := get(8); n != int64(nslots) {
 		return fmt.Errorf("sim: snapshot has %d component slots, this gang has %d", n, nslots)
 	}

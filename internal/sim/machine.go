@@ -3,9 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/rtl/ast"
-	"repro/internal/rtl/sem"
 )
 
 // RuntimeError is a simulation-time failure: a selector index beyond
@@ -32,8 +29,8 @@ func Fail(component string, cycle int64, format string, args ...interface{}) {
 
 // Evaluator is a compiled specification: the product of one of the
 // backends (interp, compile, bytecode). Implementations read and write
-// the value vector indexed by sem.Info.Slot and report runtime errors
-// by panicking with *RuntimeError (use Fail).
+// the value vector indexed by slot (Layout.Names; sem.Info.Slot) and
+// report runtime errors by panicking with *RuntimeError (use Fail).
 //
 // Evaluators must be stateless: after construction they hold only
 // immutable tables and closures, with every piece of mutable
@@ -54,7 +51,7 @@ type Evaluator interface {
 
 	// MemInputs latches every memory's address, data and operation
 	// expressions into the parallel slices, indexed by memory ordinal
-	// (the order of sem.Info.Mems). It must not modify vals.
+	// (the order of Layout.Mems). It must not modify vals.
 	MemInputs(vals []int64, addr, data, opn []int64, cycle int64)
 }
 
@@ -95,18 +92,15 @@ type Options struct {
 // Machine simulates one analyzed specification. It owns all state; the
 // Evaluator supplies the per-cycle expression evaluation strategy.
 type Machine struct {
-	info *sem.Info
-	eval Evaluator
-	opts Options
+	layout *Layout
+	eval   Evaluator
+	opts   Options
 
 	vals   []int64   // per-slot outputs: comb current, memory output registers
 	arrays [][]int64 // per-memory backing store, by memory ordinal
 	addr   []int64   // latched memory addresses
 	data   []int64   // latched memory data
 	opn    []int64   // latched memory operations
-
-	memSlot  []int // slot of each memory, by ordinal
-	traceIdx []int // slots of traced components, in name-list order
 
 	cycle int64
 	stats Stats
@@ -125,27 +119,20 @@ type Machine struct {
 // machine state (fault injectors do).
 type Observer func(m *Machine)
 
-// New builds a Machine for an analyzed spec with a compiled evaluator.
-// The evaluator and the analysis tables are referenced, never copied:
-// machines built from the same info+eval share them, and only the
+// New builds a Machine for a program's layout with its compiled
+// evaluator. The evaluator and the layout are referenced, never copied:
+// machines built from the same layout+eval share them, and only the
 // mutable state vectors are allocated per machine.
-func New(info *sem.Info, eval Evaluator, opts Options) *Machine {
-	m := &Machine{info: info, eval: eval, opts: opts}
-	nm := len(info.Mems)
-	m.vals = make([]int64, len(info.Order))
+func New(layout *Layout, eval Evaluator, opts Options) *Machine {
+	m := &Machine{layout: layout, eval: eval, opts: opts}
+	nm := len(layout.Mems)
+	m.vals = make([]int64, layout.Slots())
 	m.arrays = make([][]int64, nm)
 	m.addr = make([]int64, nm)
 	m.data = make([]int64, nm)
 	m.opn = make([]int64, nm)
-	m.memSlot = make([]int, nm)
-	for i, mem := range info.Mems {
+	for i, mem := range layout.Mems {
 		m.arrays[i] = make([]int64, mem.Size)
-		m.memSlot[i] = info.Slot[mem.Name]
-	}
-	for _, name := range info.Traced {
-		if slot, ok := info.Slot[name]; ok {
-			m.traceIdx = append(m.traceIdx, slot)
-		}
 	}
 	if opts.Input != nil {
 		m.inDev = newInputDevice(opts.Input)
@@ -155,14 +142,14 @@ func New(info *sem.Info, eval Evaluator, opts Options) *Machine {
 		m.out = io.Discard
 	}
 	if opts.Trace != nil {
-		m.tracer = newTracer(opts.Trace, info, m.traceIdx)
+		m.tracer = newTracer(opts.Trace, layout)
 	}
 	m.Reset()
 	return m
 }
 
-// Info returns the analyzed specification the machine runs.
-func (m *Machine) Info() *sem.Info { return m.info }
+// Layout returns the slot layout of the program the machine runs.
+func (m *Machine) Layout() *Layout { return m.layout }
 
 // Backend returns the evaluator's name.
 func (m *Machine) Backend() string { return m.eval.BackendName() }
@@ -197,7 +184,7 @@ func (m *Machine) Reset() {
 	for i := range m.vals {
 		m.vals[i] = 0
 	}
-	for i, mem := range m.info.Mems {
+	for i, mem := range m.layout.Mems {
 		arr := m.arrays[i]
 		for j := range arr {
 			arr[j] = 0
@@ -211,7 +198,7 @@ func (m *Machine) Reset() {
 	// Reuse the MemOps backing array: Reset+run cycles on a pooled
 	// machine must not allocate.
 	if m.stats.MemOps == nil {
-		m.stats = Stats{MemOps: make([]MemOpStats, len(m.info.Mems))}
+		m.stats = Stats{MemOps: make([]MemOpStats, len(m.layout.Mems))}
 	} else {
 		ops := m.stats.MemOps
 		for i := range ops {
@@ -231,10 +218,10 @@ func (m *Machine) ClearHooks() {
 }
 
 // Value returns a component's current output (for memories, the output
-// register). It panics if the name is unknown; use Info().Slot to
+// register). It panics if the name is unknown; use Layout().Slot to
 // check first.
 func (m *Machine) Value(name string) int64 {
-	slot, ok := m.info.Slot[name]
+	slot, ok := m.layout.Slot(name)
 	if !ok {
 		panic(fmt.Sprintf("sim: unknown component %q", name))
 	}
@@ -245,7 +232,7 @@ func (m *Machine) Value(name string) int64 {
 // tests use it; overriding a combinational output lasts only until the
 // next cycle recomputes it.
 func (m *Machine) SetValue(name string, v int64) {
-	slot, ok := m.info.Slot[name]
+	slot, ok := m.layout.Slot(name)
 	if !ok {
 		panic(fmt.Sprintf("sim: unknown component %q", name))
 	}
@@ -266,23 +253,22 @@ func (m *Machine) SetMemCell(name string, index int, v int64) {
 func (m *Machine) MemLen(name string) int { return len(m.memArray(name)) }
 
 func (m *Machine) memArray(name string) []int64 {
-	for i, mem := range m.info.Mems {
-		if mem.Name == name {
-			return m.arrays[i]
-		}
+	i, ok := m.layout.Memory(name)
+	if !ok {
+		panic(fmt.Sprintf("sim: unknown memory %q", name))
 	}
-	panic(fmt.Sprintf("sim: unknown memory %q", name))
+	return m.arrays[i]
 }
 
 // Snapshot captures every component output and memory array, keyed by
 // component name (memory arrays under "name[]"). The cross-backend
 // equivalence tests diff snapshots.
 func (m *Machine) Snapshot() map[string][]int64 {
-	snap := make(map[string][]int64, len(m.info.Order)+len(m.info.Mems))
-	for name, slot := range m.info.Slot {
+	snap := make(map[string][]int64, len(m.vals)+len(m.arrays))
+	for slot, name := range m.layout.Names {
 		snap[name] = []int64{m.vals[slot]}
 	}
-	for i, mem := range m.info.Mems {
+	for i, mem := range m.layout.Mems {
 		snap[mem.Name+"[]"] = append([]int64(nil), m.arrays[i]...)
 	}
 	return snap
@@ -384,7 +370,8 @@ func (m *Machine) step() {
 // commitMems commits every memory's latched operation — the second
 // phase of a cycle, shared by the per-cycle and fused batch paths.
 func (m *Machine) commitMems() {
-	for i, mem := range m.info.Mems {
+	for i := range m.layout.Mems {
+		mem := &m.layout.Mems[i]
 		a, d, op := m.addr[i], m.data[i], m.opn[i]
 		arr := m.arrays[i]
 		var temp int64
@@ -425,10 +412,6 @@ func (m *Machine) commitMems() {
 				m.tracer.memTrace("Read from", mem.Name, a, temp)
 			}
 		}
-		m.vals[m.memSlot[i]] = temp
+		m.vals[mem.Slot] = temp
 	}
 }
-
-// Mems exposes the analyzed memory list (ordinal order), for observers
-// that need the memory layout (the VCD dumper does).
-func (m *Machine) Mems() []*ast.Memory { return m.info.Mems }

@@ -20,7 +20,7 @@ func machine(t *testing.T, src string, opts sim.Options) *sim.Machine {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	return sim.New(info, interp.New(info), opts)
+	return sim.New(sim.NewLayout(info), interp.New(info), opts)
 }
 
 const counterSrc = `# counter

@@ -21,7 +21,7 @@ func (s MemOpStats) Total() int64 { return s.Reads + s.Writes + s.Inputs + s.Out
 // memory accesses" the thesis' §1.4 calls invaluable.
 type Stats struct {
 	Cycles int64
-	MemOps []MemOpStats // indexed by memory ordinal (sem.Info.Mems)
+	MemOps []MemOpStats // indexed by memory ordinal (Layout.Mems)
 }
 
 // MemReads sums read operations across all memories.
@@ -43,7 +43,7 @@ func (s Stats) MemWrites() int64 {
 }
 
 // Report renders a human-readable statistics summary. names must be
-// the memory names in ordinal order (sem.Info.Mems).
+// the memory names in ordinal order (Layout.Mems).
 func (s Stats) Report(names []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycles: %d\n", s.Cycles)

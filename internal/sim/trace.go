@@ -4,33 +4,24 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-
-	"repro/internal/rtl/sem"
 )
 
 // tracer renders the per-cycle trace the generated Pascal printed: a
 // "Cycle   N" line listing every '*'-marked signal, plus "Write to" /
 // "Read from" lines for memory operations whose trace bits are set.
 type tracer struct {
-	w     *bufio.Writer
-	names []string // traced names, in name-list order
-	slots []int
+	w      *bufio.Writer
+	layout *Layout
 }
 
-func newTracer(w io.Writer, info *sem.Info, slots []int) *tracer {
-	t := &tracer{w: bufio.NewWriter(w), slots: slots}
-	for _, name := range info.Traced {
-		if _, ok := info.Slot[name]; ok {
-			t.names = append(t.names, name)
-		}
-	}
-	return t
+func newTracer(w io.Writer, layout *Layout) *tracer {
+	return &tracer{w: bufio.NewWriter(w), layout: layout}
 }
 
 func (t *tracer) cycleLine(cycle int64, vals []int64) {
 	fmt.Fprintf(t.w, "Cycle %3d", cycle)
-	for i, slot := range t.slots {
-		fmt.Fprintf(t.w, " %s= %d", t.names[i], vals[slot])
+	for _, slot := range t.layout.Traced {
+		fmt.Fprintf(t.w, " %s= %d", t.layout.Names[slot], vals[slot])
 	}
 	t.w.WriteByte('\n')
 	t.w.Flush()

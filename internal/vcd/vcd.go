@@ -30,26 +30,24 @@ type Dumper struct {
 // traced signals) and registers it as an observer on m. Call Close
 // after the run to flush.
 func Attach(m *sim.Machine, w io.Writer, signals []string) (*Dumper, error) {
-	info := m.Info()
+	layout := m.Layout()
 	if signals == nil {
-		signals = info.Traced
+		for _, slot := range layout.Traced {
+			signals = append(signals, layout.Names[slot])
+		}
 	}
 	if len(signals) == 0 {
 		return nil, fmt.Errorf("vcd: no signals to dump (mark names with '*' or pass them explicitly)")
 	}
 	d := &Dumper{w: bufio.NewWriter(w)}
 	for i, name := range signals {
-		c := info.Spec.Component(name)
-		if c == nil {
+		slot, ok := layout.Slot(name)
+		if !ok {
 			return nil, fmt.Errorf("vcd: unknown signal %q", name)
 		}
 		d.names = append(d.names, name)
 		d.ids = append(d.ids, idFor(i))
-		width := info.OutputWidth(c)
-		if width < 1 {
-			width = 1
-		}
-		d.widths = append(d.widths, width)
+		d.widths = append(d.widths, int(layout.Widths[slot]))
 	}
 	d.last = make([]int64, len(d.names))
 	m.Observe(d.sample)

@@ -1,6 +1,8 @@
 package vcd
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -106,6 +108,44 @@ func TestIDAllocation(t *testing.T) {
 			if r < '!' || r > '~' {
 				t.Fatalf("id %q contains non-printable rune", id)
 			}
+		}
+	}
+}
+
+// TestDumpsByteIdentical pins whole dumps of the bundled machines on the
+// compiled backend — every component, or the traced set — to the bytes
+// the dumper wrote when it still read widths off the syntax tree; the
+// widths now come from the machine's layout.
+func TestDumpsByteIdentical(t *testing.T) {
+	srcs, err := machines.Testdata()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec   string
+		traced bool
+		sha256 string
+	}{
+		{"counter.sim", true, "4c91fd8b940f6ade871c802d9ef4fe7d48ad8e569cb662f1b869bf28ea47cbf3"},
+		{"counter.sim", false, "deabcd299c0286eba27d66b2cbe4d5f54ed570a585550aa8b5e2ffa399fef5e0"},
+		{"ibsm1986.sim", false, "7b711b253c1551333f6875a025539db348c05a00d37370fe868f0f25a325b3e5"},
+		{"sieve.sim", false, "4a7c0dadfad0c9d4aebdb36d25efdabd92d0e17200c73b815000e629ed185814"},
+		{"tinycpu.sim", true, "a03d30452c9a407ab24e65e1aa9cea0ba613c5b24c1317d14c2bb1db4ea3caea"},
+		{"tinycpu.sim", false, "3dd543cbfb48ac610d2116365aa714586c5b03d9c5d9bb276c28e2dcd4841aa9"},
+	} {
+		spec, err := core.ParseString(tc.spec, srcs[tc.spec])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var signals []string
+		if !tc.traced {
+			for _, c := range spec.Info.Order {
+				signals = append(signals, c.CompName())
+			}
+		}
+		out := run(t, srcs[tc.spec], signals, 200)
+		if sum := sha256.Sum256([]byte(out)); hex.EncodeToString(sum[:]) != tc.sha256 {
+			t.Errorf("%s (traced only: %v): dump hashes to %x, want %s", tc.spec, tc.traced, sum, tc.sha256)
 		}
 	}
 }
