@@ -186,19 +186,25 @@ func TestOperationsFlagCoverage(t *testing.T) {
 }
 
 // TestOperationsMetricsCoverage requires every JSON field either
-// daemon serves at /metrics — including the coordinator's per-shard
-// books, the nested histogram shapes, and the trace span fields
-// served at /v1/trace — to appear in docs/OPERATIONS.md as `tag`.
-// The walk recurses into nested structs (histograms and their
-// buckets) so new telemetry shapes cannot ship undocumented.
+// daemon serves at /metrics — including the shared job books embedded
+// from service.JobMetrics, the coordinator's per-shard books, the
+// nested histogram shapes, and the trace span fields served at
+// /v1/trace — to appear in docs/OPERATIONS.md as `tag`. The walk
+// recurses into embedded and nested structs (histograms and their
+// buckets) so new telemetry shapes cannot ship undocumented. Every
+// metric the Prometheus view exposes must also carry its HELP text in
+// a help tag; the members of a labeled family after its first share
+// the first's.
 func TestOperationsMetricsCoverage(t *testing.T) {
 	data, err := os.ReadFile("docs/OPERATIONS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := string(data)
-	var walk func(rt reflect.Type)
-	walk = func(rt reflect.Type) {
+	histogram := reflect.TypeOf(telemetry.HistogramSnapshot{})
+	helped := map[string]bool{} // labeled families with a help tag
+	var walk func(rt reflect.Type, exposed bool)
+	walk = func(rt reflect.Type, exposed bool) {
 		for rt.Kind() == reflect.Ptr || rt.Kind() == reflect.Slice {
 			rt = rt.Elem()
 		}
@@ -207,24 +213,36 @@ func TestOperationsMetricsCoverage(t *testing.T) {
 		}
 		for i := 0; i < rt.NumField(); i++ {
 			f := rt.Field(i)
-			tag := f.Tag.Get("json")
-			if comma := strings.IndexByte(tag, ','); comma >= 0 {
-				tag = tag[:comma]
+			if f.Anonymous {
+				walk(f.Type, exposed)
+				continue
 			}
+			tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
 			if tag == "" || tag == "-" {
 				continue
 			}
 			if !strings.Contains(doc, "`"+tag+"`") {
 				t.Errorf("docs/OPERATIONS.md glossary is missing %s.%s field `%s`", rt.Name(), f.Name, tag)
 			}
-			walk(f.Type)
+			prom := f.Tag.Get("prom")
+			family, _, labeled := strings.Cut(prom, ",")
+			kind := f.Type.Kind()
+			leaf := f.Type == histogram || kind >= reflect.Bool && kind <= reflect.Float64 // a histogram, number or bool
+			switch {
+			case !exposed || !leaf || prom == "-":
+			case f.Tag.Get("help") != "":
+				helped[family] = true
+			case labeled && helped[family]:
+			default:
+				t.Errorf("%s.%s (`%s`) is exposed to Prometheus without a help tag", rt.Name(), f.Name, tag)
+			}
+			walk(f.Type, exposed && f.Type != histogram)
 		}
 	}
-	for _, m := range []interface{}{
-		service.Metrics{}, cluster.Metrics{}, cluster.ShardMetrics{}, telemetry.Span{},
-	} {
-		walk(reflect.TypeOf(m))
+	for _, m := range []interface{}{service.Metrics{}, cluster.Metrics{}} {
+		walk(reflect.TypeOf(m), true)
 	}
+	walk(reflect.TypeOf(telemetry.Span{}), false)
 }
 
 // TestDocsQuoteBenchSpeedups keeps the prose honest about measured

@@ -145,10 +145,8 @@ type Coordinator struct {
 	jobs     map[string]*coordJob
 	finished []string // retention order of finished jobs
 
-	jobSeq atomic.Int64
-	met    counters
-
-	jobLatency   *telemetry.Histogram
+	jobSeq       atomic.Int64
+	met          counters
 	chunkLatency *telemetry.Histogram
 
 	stop     chan struct{}
@@ -169,7 +167,6 @@ func New(cfg Config) (*Coordinator, error) {
 		jobs:   map[string]*coordJob{},
 		stop:   make(chan struct{}),
 
-		jobLatency:   telemetry.NewHistogram(telemetry.LatencyBuckets()...),
 		chunkLatency: telemetry.NewHistogram(telemetry.LatencyBuckets()...),
 	}
 	seen := map[string]bool{}
@@ -200,7 +197,7 @@ func New(cfg Config) (*Coordinator, error) {
 	// The operator's routing-table view: the per-shard slice of
 	// /metrics, without the coordinator totals.
 	c.mux.HandleFunc("GET /v1/shards", service.JSONHandler(func() any { return c.Metrics().Shards }))
-	fe.Mount(c.mux, func() any { return c.Metrics() }, c.PromMetrics, cfg.Pprof)
+	fe.Mount(c.mux, "asimcoord_", func() any { return c.Metrics() }, cfg.Pprof)
 
 	go c.probeLoop()
 	return c, nil
@@ -268,7 +265,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	c.jobMu.Lock()
 	c.jobs[id] = j
 	c.jobMu.Unlock()
-	c.met.jobsAccepted.Add(1)
+	c.fe.JobsAccepted.Add(1)
 	c.fe.Log.Debug("job admitted", "job", id, "trace", trace, "runs", p.Header.Runs, "home", j.pref[0].url)
 
 	// The merge runs detached, holding the slot; this handler is just
@@ -297,7 +294,7 @@ func (c *Coordinator) handleResume(w http.ResponseWriter, r *http.Request, rr se
 		c.fe.Reject(w, http.StatusBadRequest, fmt.Sprintf("resume.delivered %d exceeds the job's %d runs", rr.Delivered, j.n()))
 		return
 	}
-	c.met.jobsResumed.Add(1)
+	c.fe.JobsResumed.Add(1)
 	hdr := j.header
 	hdr.Resumed = true
 	c.fe.Follow(w, r, hdr, j.trace, j.log, rr.Delivered)

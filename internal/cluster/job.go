@@ -140,8 +140,8 @@ func (j *coordJob) warmFor(pick []int) []service.WarmEntry {
 // job's log.
 func (c *Coordinator) runJob(j *coordJob) {
 	defer c.fe.Release()
-	c.met.jobsActive.Add(1)
-	defer c.met.jobsActive.Add(-1)
+	c.fe.JobsActive.Add(1)
+	defer c.fe.JobsActive.Add(-1)
 	t0 := time.Now()
 
 	ctx, cancel := context.WithTimeout(context.Background(), c.fe.Deadline(j.req.DeadlineMS))
@@ -187,13 +187,13 @@ func (c *Coordinator) runJob(j *coordJob) {
 	outcome, errText := "completed", ""
 	if execErr != nil {
 		outcome, errText = "failed", execErr.Error()
-		c.met.jobsFailed.Add(1)
+		c.fe.JobsFailed.Add(1)
 	} else {
-		c.met.jobsCompleted.Add(1)
+		c.fe.JobsCompleted.Add(1)
 	}
 	dur := time.Since(t0)
-	c.met.busyNanos.Add(dur.Nanoseconds())
-	c.jobLatency.Observe(dur.Seconds())
+	c.fe.BusyNanos.Add(dur.Nanoseconds())
+	c.fe.JobLatency.Observe(dur.Seconds())
 	c.fe.Tracer.Record(telemetry.Timed(telemetry.Span{
 		Trace: j.trace, Job: j.header.Job, Name: "job", Runs: j.n(), Err: errText}, t0))
 	c.fe.Log.Info("job finished", "job", j.header.Job, "trace", j.trace,

@@ -11,6 +11,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -237,9 +239,48 @@ func TestClusterChunkWaitSpans(t *testing.T) {
 	}
 }
 
-// TestClusterPrometheusExposition: after a merged job, both tiers'
-// ?format=prometheus renderings pass the strict validator, and the
-// coordinator's carries per-shard labeled series for each worker.
+// asimcoordFamilies pins every family asimcoord's exposition serves:
+// name, TYPE and label key. Family names are the wire contract
+// dashboards and alerts are written against, so a field rename or a
+// changed tag that moves one fails here, not in production.
+var asimcoordFamilies = []struct{ name, typ, label string }{
+	{"asimcoord_jobs_accepted_total", "counter", ""},
+	{"asimcoord_jobs_completed_total", "counter", ""},
+	{"asimcoord_jobs_failed_total", "counter", ""},
+	{"asimcoord_jobs_rejected_total", "counter", ""},
+	{"asimcoord_jobs_abandoned_total", "counter", ""},
+	{"asimcoord_jobs_bad_total", "counter", ""},
+	{"asimcoord_jobs_resumed_total", "counter", ""},
+	{"asimcoord_jobs_active", "gauge", ""},
+	{"asimcoord_queue_depth", "gauge", ""},
+	{"asimcoord_chunks_dispatched_total", "counter", ""},
+	{"asimcoord_chunks_completed_total", "counter", ""},
+	{"asimcoord_chunks_redispatched_total", "counter", ""},
+	{"asimcoord_runs_merged_total", "counter", ""},
+	{"asimcoord_busy_seconds_total", "counter", ""},
+	{"asimcoord_uptime_seconds", "gauge", ""},
+	{"asimcoord_utilization", "gauge", ""},
+	{"asimcoord_job_latency_seconds", "histogram", "le"},
+	{"asimcoord_chunk_latency_seconds", "histogram", "le"},
+	{"asimcoord_queue_wait_seconds", "histogram", "le"},
+	{"asimcoord_write_stall_seconds", "histogram", "le"},
+	{"asimcoord_trace_spans", "gauge", ""},
+	{"asimcoord_trace_dropped_total", "counter", ""},
+	{"asimcoord_shards_healthy", "gauge", ""},
+	{"asimcoord_shard_healthy", "gauge", "shard"},
+	{"asimcoord_shard_jobs_routed_total", "counter", "shard"},
+	{"asimcoord_shard_chunks_dispatched_total", "counter", "shard"},
+	{"asimcoord_shard_chunks_completed_total", "counter", "shard"},
+	{"asimcoord_shard_chunks_redispatched_total", "counter", "shard"},
+	{"asimcoord_shard_failures_total", "counter", "shard"},
+}
+
+// TestClusterPrometheusExposition: after a merged job and a resume,
+// both tiers' ?format=prometheus renderings pass the strict validator;
+// the coordinator's serves exactly the pinned families and carries
+// every scalar of its JSON snapshot as its sample — each shard's books
+// as samples labeled by the shard's URL, each histogram as its _count
+// and _sum.
 func TestClusterPrometheusExposition(t *testing.T) {
 	sh1, sh2 := newShardServer(t), newShardServer(t)
 	coord := newCoordServer(t, cluster.Config{
@@ -252,6 +293,9 @@ func TestClusterPrometheusExposition(t *testing.T) {
 	}
 	if status, lines := postJob(t, coord.URL, service.JobRequest{Spec: src, Runs: 8, Cycles: 200}); status != http.StatusOK {
 		t.Fatalf("job status %d: %v", status, lines)
+	}
+	if status, lines := postJob(t, coord.URL, service.JobRequest{Resume: &service.ResumeRequest{Job: "c1", Delivered: 3}}); status != http.StatusOK {
+		t.Fatalf("resume status %d: %v", status, lines)
 	}
 
 	fetch := func(url string) string {
@@ -272,23 +316,138 @@ func TestClusterPrometheusExposition(t *testing.T) {
 		}
 		return string(text)
 	}
-
-	coordText := fetch(coord.URL)
-	for _, want := range []string{
-		"asimcoord_jobs_accepted_total 1",
-		"asimcoord_runs_merged_total 8",
-		`asimcoord_shard_healthy{shard="` + sh1.URL + `"}`,
-		`asimcoord_shard_healthy{shard="` + sh2.URL + `"}`,
-		"asimcoord_chunk_latency_seconds_bucket{le=",
-	} {
-		if !strings.Contains(coordText, want) {
-			t.Errorf("coordinator exposition missing %q", want)
+	for _, sh := range []*httptest.Server{sh1, sh2} {
+		if text := fetch(sh.URL); !strings.Contains(text, "asimd_jobs_chunked_total") {
+			t.Errorf("shard exposition missing asimd_jobs_chunked_total")
 		}
 	}
-	for _, sh := range []*httptest.Server{sh1, sh2} {
-		text := fetch(sh.URL)
-		if !strings.Contains(text, "asimd_jobs_chunked_total") {
-			t.Errorf("shard exposition missing asimd_jobs_chunked_total")
+
+	// A follower books its last write stall after the client already
+	// holds the trailer, so compare the views only once a JSON snapshot
+	// taken after the exposition equals one taken before it. The
+	// clock-driven uptime_seconds and utilization advance between any
+	// two fetches and are left out.
+	var snap map[string]any
+	var text string
+	for try := 0; ; try++ {
+		before := getJSON(t, coord.URL)
+		text = fetch(coord.URL)
+		if snap = getJSON(t, coord.URL); reflect.DeepEqual(before, snap) {
+			break
+		}
+		if try == 100 {
+			t.Fatalf("metrics never settled: %v, then %v", before, snap)
+		}
+	}
+	types, samples := parseExposition(text)
+	if snap["jobs_accepted"] != 1.0 || snap["runs_merged"] != 8.0 || snap["jobs_resumed"] != 1.0 {
+		t.Errorf("JSON metrics after the traffic: %v", snap)
+	}
+	if len(types) != len(asimcoordFamilies) {
+		t.Errorf("exposition serves %d families, want the %d pinned", len(types), len(asimcoordFamilies))
+	}
+	for _, f := range asimcoordFamilies {
+		if types[f.name] != f.typ {
+			t.Errorf("family %s has TYPE %q, want %q", f.name, types[f.name], f.typ)
+		}
+		if !hasSample(samples, f.name, f.label) {
+			t.Errorf("family %s has no sample labeled by %q", f.name, f.label)
+		}
+	}
+
+	for key, v := range snap {
+		switch key {
+		case "shards":
+			shards := v.([]any)
+			if len(shards) != 2 {
+				t.Fatalf("JSON has %d shards, want 2", len(shards))
+			}
+			for _, sh := range shards {
+				books := sh.(map[string]any)
+				label := `{shard="` + books["url"].(string) + `"}`
+				for k, v := range books {
+					if k != "url" {
+						checkSample(t, samples, "asimcoord_shard_"+k, label, k, v)
+					}
+				}
+			}
+		default:
+			checkSample(t, samples, "asimcoord_"+key, "", key, v)
+		}
+	}
+}
+
+// getJSON fetches the JSON metrics snapshot, less its clock-driven
+// gauges.
+func getJSON(t *testing.T, url string) map[string]any {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	delete(snap, "uptime_seconds")
+	delete(snap, "utilization")
+	return snap
+}
+
+// parseExposition reads a valid exposition's TYPE lines (family →
+// type) and samples (name plus label set as written → value).
+func parseExposition(text string) (types, samples map[string]string) {
+	types, samples = map[string]string{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			types[name] = typ
+		} else if !strings.HasPrefix(line, "#") {
+			i := strings.LastIndexByte(line, ' ')
+			samples[line[:i]] = line[i+1:]
+		}
+	}
+	return types, samples
+}
+
+// hasSample reports whether family has a sample labeled by exactly
+// label ("": unlabeled; "le": a histogram's buckets).
+func hasSample(samples map[string]string, family, label string) bool {
+	for k := range samples {
+		if label == "" && k == family ||
+			label == "le" && strings.HasPrefix(k, family+`_bucket{le="`) ||
+			label != "" && strings.HasPrefix(k, family+"{"+label+`="`) && strings.Count(k, `="`) == 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// checkSample requires the JSON value v of key to be the exposition's
+// sample name+labels (name with _total if it is a counter; a bool as
+// 1 or 0), or for a histogram its name_count and name_sum.
+func checkSample(t *testing.T, samples map[string]string, name, labels, key string, v any) {
+	t.Helper()
+	want := map[string]any{}
+	switch v := v.(type) {
+	case map[string]any:
+		want[name+"_count"], want[name+"_sum"] = v["count"], v["sum"]
+	case bool:
+		want[name+labels] = 0.0
+		if v {
+			want[name+labels] = 1.0
+		}
+	default:
+		if _, ok := samples[name+labels]; !ok {
+			name += "_total"
+		}
+		want[name+labels] = v
+	}
+	for name, v := range want {
+		got, ok := samples[name]
+		if f, isNum := v.(float64); !ok || !isNum || got != strconv.FormatFloat(f, 'g', -1, 64) {
+			t.Errorf("JSON %s = %v, but the exposition's %s is %q (present: %v)", key, v, name, got, ok)
 		}
 	}
 }

@@ -268,7 +268,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, rr ResumeR
 		return
 	}
 
-	s.met.jobsResumed.Add(1)
+	s.fe.JobsResumed.Add(1)
 	out := s.fe.stream(w, rr.Job, "", nil)
 	out.line(JobHeader{Job: rr.Job, Resumed: true})
 	next, ended := lg.follow(r.Context(), rr.Delivered, out)
@@ -372,8 +372,8 @@ func (s *Server) completeJob(id string, lg *LineLog) {
 		return
 	}
 
-	s.met.jobsActive.Add(1)
-	defer s.met.jobsActive.Add(-1)
+	s.fe.JobsActive.Add(1)
+	defer s.fe.JobsActive.Add(-1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), s.fe.Deadline(req.DeadlineMS))
 	defer cancel()

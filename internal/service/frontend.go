@@ -93,11 +93,20 @@ type FrontEnd struct {
 	Log    *slog.Logger
 	Start  time.Time
 
-	// Books every front end keeps; each daemon serves them under the
-	// same /metrics keys.
-	JobsBad       atomic.Int64
+	// The job books both daemons keep, served by JobMetrics. The front
+	// end counts what it decides itself (bad, rejected, queue-abandoned
+	// requests, queue waits, write stalls); each daemon books the rest
+	// where its own job path decides them.
+	JobsAccepted  atomic.Int64
+	JobsCompleted atomic.Int64
+	JobsFailed    atomic.Int64
 	JobsRejected  atomic.Int64
 	JobsAbandoned atomic.Int64
+	JobsBad       atomic.Int64
+	JobsResumed   atomic.Int64
+	JobsActive    atomic.Int64
+	BusyNanos     atomic.Int64
+	JobLatency    *telemetry.Histogram
 	QueueWait     *telemetry.Histogram
 	WriteStall    *telemetry.Histogram
 
@@ -113,6 +122,7 @@ func NewFrontEnd(lim Limits, tracer *telemetry.Tracer, log *slog.Logger) *FrontE
 		Tracer:     tracer,
 		Log:        log,
 		Start:      time.Now(),
+		JobLatency: telemetry.NewHistogram(telemetry.LatencyBuckets()...),
 		QueueWait:  telemetry.NewHistogram(telemetry.LatencyBuckets()...),
 		WriteStall: telemetry.NewHistogram(telemetry.LatencyBuckets()...),
 	}
@@ -126,15 +136,68 @@ func NewFrontEnd(lim Limits, tracer *telemetry.Tracer, log *slog.Logger) *FrontE
 	return fe
 }
 
-// QueueDepth is how many jobs are waiting for a slot right now.
-func (fe *FrontEnd) QueueDepth() int64 { return fe.queued.Load() }
+// JobMetrics is the half of /metrics both daemons serve alike: the
+// front end's job books. Each daemon's Metrics embeds it, so its JSON
+// keys sit at the top level beside the daemon's own. Counters are
+// monotonic over the daemon's lifetime; the prom:"gauge" fields are
+// not. Each field's help tag is its Prometheus HELP text
+// (telemetry.Exposition), one sentence serving both daemons.
+type JobMetrics struct {
+	JobsAccepted  int64   `json:"jobs_accepted" help:"Jobs admitted to run (after any queueing)."`
+	JobsCompleted int64   `json:"jobs_completed" help:"Jobs that finished without error."`
+	JobsFailed    int64   `json:"jobs_failed" help:"Jobs that exceeded their deadline, hit an engine error or exhausted chunk retries."`
+	JobsRejected  int64   `json:"jobs_rejected" help:"Jobs rejected with 429 (queue full)."`
+	JobsAbandoned int64   `json:"jobs_abandoned" help:"Jobs whose client disconnected while queued or mid-stream."`
+	JobsBad       int64   `json:"jobs_bad" help:"Malformed or over-limit requests (400/413)."`
+	JobsResumed   int64   `json:"jobs_resumed" help:"Resume streams served."`
+	JobsActive    int64   `json:"jobs_active" prom:"gauge" help:"Jobs executing (on asimcoord: merging) right now."`
+	QueueDepth    int64   `json:"queue_depth" prom:"gauge" help:"Jobs waiting for a slot."`
+	BusySeconds   float64 `json:"busy_seconds" help:"Summed per-job wall-clock time (execution, or asimcoord's merge)."`
+	UptimeSeconds float64 `json:"uptime_seconds" prom:"gauge" help:"Seconds since the daemon started."`
+	Utilization   float64 `json:"utilization" prom:"gauge" help:"busy_seconds / (uptime x job slots)."`
+
+	JobLatency telemetry.HistogramSnapshot `json:"job_latency_seconds" help:"Full job latency to the trailer: from arrival on asimd, from admission on asimcoord."`
+	QueueWait  telemetry.HistogramSnapshot `json:"queue_wait_seconds" help:"Time jobs waited for a slot."`
+	WriteStall telemetry.HistogramSnapshot `json:"write_stall_seconds" help:"Stream write+flush time per write (one line, or a follower's batch of ready lines)."`
+
+	TraceSpans   int64 `json:"trace_spans" prom:"gauge" help:"Spans retained in the trace ring."`
+	TraceDropped int64 `json:"trace_dropped" help:"Spans evicted from the trace ring."`
+}
+
+// JobMetrics snapshots the front end's job books.
+func (fe *FrontEnd) JobMetrics() JobMetrics {
+	m := JobMetrics{
+		JobsAccepted:  fe.JobsAccepted.Load(),
+		JobsCompleted: fe.JobsCompleted.Load(),
+		JobsFailed:    fe.JobsFailed.Load(),
+		JobsRejected:  fe.JobsRejected.Load(),
+		JobsAbandoned: fe.JobsAbandoned.Load(),
+		JobsBad:       fe.JobsBad.Load(),
+		JobsResumed:   fe.JobsResumed.Load(),
+		JobsActive:    fe.JobsActive.Load(),
+		QueueDepth:    fe.queued.Load(),
+		BusySeconds:   float64(fe.BusyNanos.Load()) / 1e9,
+		UptimeSeconds: time.Since(fe.Start).Seconds(),
+		JobLatency:    fe.JobLatency.Snapshot(),
+		QueueWait:     fe.QueueWait.Snapshot(),
+		WriteStall:    fe.WriteStall.Snapshot(),
+		TraceSpans:    int64(fe.Tracer.Len()),
+		TraceDropped:  fe.Tracer.Dropped(),
+	}
+	if capacity := m.UptimeSeconds * float64(fe.MaxConcurrent); capacity > 0 {
+		m.Utilization = m.BusySeconds / capacity
+	}
+	return m
+}
 
 // Mount registers the endpoints both daemons answer alike: /healthz,
 // /v1/scenarios, /v1/trace/{job} (the path accepts the daemon's own
 // job id or a fabric-wide trace id — a coordinator's client holds the
 // latter, never the shard-local ids) and /metrics, which serves
-// metrics() as JSON or prom() under ?format=prometheus.
-func (fe *FrontEnd) Mount(mux *http.ServeMux, metrics func() any, prom func() []byte, pprof bool) {
+// metrics() as JSON, or under ?format=prometheus as the exposition
+// telemetry.Exposition derives from it, every family named prefix +
+// its JSON key.
+func (fe *FrontEnd) Mount(mux *http.ServeMux, prefix string, metrics func() any, pprof bool) {
 	mux.HandleFunc("GET /healthz", JSONHandler(func() any { return map[string]string{"status": "ok"} }))
 	mux.HandleFunc("GET /v1/scenarios", JSONHandler(scenarioList))
 	mux.HandleFunc("GET /v1/trace/{job}", func(w http.ResponseWriter, r *http.Request) {
@@ -156,7 +219,7 @@ func (fe *FrontEnd) Mount(mux *http.ServeMux, metrics func() any, prom func() []
 			return
 		}
 		w.Header().Set("Content-Type", telemetry.ContentType)
-		_, _ = w.Write(prom())
+		_, _ = w.Write(telemetry.Exposition(prefix, metrics()))
 	})
 	if pprof {
 		telemetry.RegisterPprof(mux)

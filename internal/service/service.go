@@ -125,28 +125,26 @@ type Server struct {
 	runMu   sync.Mutex
 	running map[string]*LineLog
 
-	jobSeq     atomic.Int64
-	met        counters
-	jobLatency *telemetry.Histogram
+	jobSeq atomic.Int64
+	met    counters
 }
 
 // New builds a Server from the config.
 func New(cfg Config) *Server {
 	fe := NewFrontEnd(cfg.Limits, cfg.Tracer, cfg.Log)
 	s := &Server{
-		cfg:        cfg,
-		fe:         fe,
-		cache:      cfg.Cache,
-		store:      cfg.Store,
-		running:    map[string]*LineLog{},
-		jobLatency: telemetry.NewHistogram(telemetry.LatencyBuckets()...),
+		cfg:     cfg,
+		fe:      fe,
+		cache:   cfg.Cache,
+		store:   cfg.Store,
+		running: map[string]*LineLog{},
 	}
 	if s.cache == nil {
 		s.cache = core.NewProgramCache()
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJob)
-	fe.Mount(s.mux, func() any { return s.Metrics() }, s.PromMetrics, cfg.Pprof)
+	fe.Mount(s.mux, "asimd_", func() any { return s.Metrics() }, cfg.Pprof)
 	return s
 }
 
@@ -203,12 +201,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		Trace: trace, Job: id, Name: "compile", Runs: len(job.runs), Cache: job.header.Cache}, compileStart))
 	s.fe.Log.Debug("job admitted", "job", id, "trace", trace, "runs", len(job.runs), "queue_wait", compileStart.Sub(arrived))
 
-	s.met.jobsAccepted.Add(1)
+	s.fe.JobsAccepted.Add(1)
 	if req.Chunk != nil {
 		s.met.jobsChunked.Add(1)
 	}
-	s.met.jobsActive.Add(1)
-	defer s.met.jobsActive.Add(-1)
+	s.fe.JobsActive.Add(1)
+	defer s.fe.JobsActive.Add(-1)
 
 	// Only a store-backed job can ever be resumed, so only it keeps a
 	// log: without a store lg stays nil and the per-line path below
@@ -235,7 +233,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		trailer.Err = execErr.Error()
 	}
 	delivered := out.finish(trailer)
-	s.jobLatency.ObserveSince(arrived)
+	s.fe.JobLatency.ObserveSince(arrived)
 
 	// Everything delivered: the durable record served its purpose.
 	if execErr == nil && delivered {
@@ -280,11 +278,11 @@ func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, id
 	sum := campaign.Summarize(results, elapsed)
 	s.met.runsTotal.Add(int64(sum.Runs))
 	s.met.cyclesTotal.Add(sum.Cycles)
-	s.met.busyNanos.Add(int64(elapsed))
+	s.fe.BusyNanos.Add(int64(elapsed))
 	outcome, errText := "completed", ""
 	switch {
 	case execErr == nil:
-		s.met.jobsCompleted.Add(1)
+		s.fe.JobsCompleted.Add(1)
 		s.persistDone(id, lg, nil)
 	case errors.Is(execErr, context.Canceled):
 		// The client went away mid-stream (or, in the background, the
@@ -299,7 +297,7 @@ func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, id
 		// Deadline exceeded or an engine error: the job genuinely
 		// finished, unsuccessfully.
 		outcome, errText = "failed", execErr.Error()
-		s.met.jobsFailed.Add(1)
+		s.fe.JobsFailed.Add(1)
 		s.persistDone(id, lg, execErr)
 	}
 	trace := telemetry.TraceID(ctx)

@@ -12,10 +12,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,17 +242,69 @@ func mustJSON(t *testing.T, v any) []byte {
 	return data
 }
 
+// asimdFamilies pins every family asimd's exposition serves: name,
+// TYPE and label key. Family names are the wire contract dashboards
+// and alerts are written against, so a field rename or a changed tag
+// that moves one fails here, not in production.
+var asimdFamilies = []struct{ name, typ, label string }{
+	{"asimd_jobs_accepted_total", "counter", ""},
+	{"asimd_jobs_chunked_total", "counter", ""},
+	{"asimd_jobs_completed_total", "counter", ""},
+	{"asimd_jobs_failed_total", "counter", ""},
+	{"asimd_jobs_rejected_total", "counter", ""},
+	{"asimd_jobs_abandoned_total", "counter", ""},
+	{"asimd_jobs_bad_total", "counter", ""},
+	{"asimd_jobs_active", "gauge", ""},
+	{"asimd_queue_depth", "gauge", ""},
+	{"asimd_jobs_resumed_total", "counter", ""},
+	{"asimd_jobs_recovered_total", "counter", ""},
+	{"asimd_checkpoints_total", "counter", ""},
+	{"asimd_checkpoint_errors_total", "counter", ""},
+	{"asimd_runs_total", "counter", ""},
+	{"asimd_cycles_total", "counter", ""},
+	{"asimd_busy_seconds_total", "counter", ""},
+	{"asimd_uptime_seconds", "gauge", ""},
+	{"asimd_utilization", "gauge", ""},
+	{"asimd_rung_runs_total", "counter", "rung"},
+	{"asimd_rung_cycles_total", "counter", "rung"},
+	{"asimd_job_latency_seconds", "histogram", "le"},
+	{"asimd_queue_wait_seconds", "histogram", "le"},
+	{"asimd_write_stall_seconds", "histogram", "le"},
+	{"asimd_trace_spans", "gauge", ""},
+	{"asimd_trace_dropped_total", "counter", ""},
+	{"asimd_cache_hits_total", "counter", ""},
+	{"asimd_cache_misses_total", "counter", ""},
+	{"asimd_cache_flushes_total", "counter", ""},
+	{"asimd_cache_programs", "gauge", ""},
+	{"asimd_aot_builds_total", "counter", ""},
+	{"asimd_aot_hits_total", "counter", ""},
+	{"asimd_aot_fallbacks_total", "counter", ""},
+}
+
 // TestServicePrometheusExposition: after real traffic, the ?format=
 // prometheus rendering passes the strict line-format validator, keeps
-// the declared content type, and the plain JSON endpoint still works
-// and carries the same program-cache counters.
+// the declared content type, serves exactly the pinned families, and
+// carries every scalar of the JSON snapshot as its sample — each rung
+// book as its labeled sample, each histogram as its _count and _sum.
 func TestServicePrometheusExposition(t *testing.T) {
 	_, ts := newServer(t, service.Config{})
 	if status, lines := postJob(t, ts.URL, service.JobRequest{Scenario: "sieve-fleet", Runs: 4, Cycles: 200}); status != http.StatusOK {
 		t.Fatalf("job status %d: %v", status, lines)
 	}
+	postJob(t, ts.URL, service.JobRequest{Spec: "machine broken\n"})
+	waitBalanced(t, ts.URL)
 
-	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/metrics?format=prometheus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,23 +319,95 @@ func TestServicePrometheusExposition(t *testing.T) {
 	if err := telemetry.ValidateExposition(text); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, text)
 	}
-	for _, want := range []string{"asimd_jobs_accepted_total", "asimd_rung_runs_total{rung=", "asimd_job_latency_seconds_bucket{le="} {
-		if !strings.Contains(string(text), want) {
-			t.Errorf("exposition missing %q", want)
+	if snap["jobs_accepted"] != 1.0 || snap["runs_total"] != 4.0 || snap["jobs_bad"] != 1.0 {
+		t.Errorf("JSON metrics after the traffic: %v", snap)
+	}
+
+	types, samples := parseExposition(string(text))
+	if len(types) != len(asimdFamilies) {
+		t.Errorf("exposition serves %d families, want the %d pinned", len(types), len(asimdFamilies))
+	}
+	for _, f := range asimdFamilies {
+		if types[f.name] != f.typ {
+			t.Errorf("family %s has TYPE %q, want %q", f.name, types[f.name], f.typ)
+		}
+		if !hasSample(samples, f.name, f.label) {
+			t.Errorf("family %s has no sample labeled by %q", f.name, f.label)
 		}
 	}
-	m := getMetrics(t, ts.URL)
-	if m.JobsAccepted != 1 || m.RunsTotal != 4 {
-		t.Errorf("JSON metrics after prometheus fetch: %+v", m)
+
+	rungSample := map[string]string{} // JSON key → its labeled sample
+	for _, r := range campaign.Rungs {
+		u := strings.ReplaceAll(r, "-", "_")
+		rungSample["runs_"+u] = `asimd_rung_runs_total{rung="` + r + `"}`
+		rungSample["cycles_"+u] = `asimd_rung_cycles_total{rung="` + r + `"}`
 	}
-	// The program-cache books agree across the two renderings.
-	for name, v := range map[string]int64{
-		"asimd_cache_hits_total":    m.CacheHits,
-		"asimd_cache_misses_total":  m.CacheMisses,
-		"asimd_cache_flushes_total": m.CacheFlushes,
-	} {
-		if want := fmt.Sprintf("\n%s %d\n", name, v); !strings.Contains(string(text), want) {
-			t.Errorf("exposition lacks %q (the JSON snapshot's value)", strings.TrimSpace(want))
+	for key, v := range snap {
+		switch key {
+		case "uptime_seconds", "utilization": // advance between the two fetches
+			continue
+		case "cycles_per_s": // JSON-only: a ratio of two exposed counters
+			if _, ok := samples["asimd_"+key]; ok {
+				t.Errorf("JSON-only %s is exposed", key)
+			}
+			continue
+		}
+		name := rungSample[key]
+		if name == "" {
+			name = "asimd_" + key
+		}
+		checkSample(t, samples, name, key, v)
+	}
+}
+
+// parseExposition reads a valid exposition's TYPE lines (family →
+// type) and samples (name plus label set as written → value).
+func parseExposition(text string) (types, samples map[string]string) {
+	types, samples = map[string]string{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			types[name] = typ
+		} else if !strings.HasPrefix(line, "#") {
+			i := strings.LastIndexByte(line, ' ')
+			samples[line[:i]] = line[i+1:]
+		}
+	}
+	return types, samples
+}
+
+// hasSample reports whether family has a sample labeled by exactly
+// label ("": unlabeled; "le": a histogram's buckets).
+func hasSample(samples map[string]string, family, label string) bool {
+	for k := range samples {
+		if label == "" && k == family ||
+			label == "le" && strings.HasPrefix(k, family+`_bucket{le="`) ||
+			label != "" && strings.HasPrefix(k, family+"{"+label+`="`) && strings.Count(k, `="`) == 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// checkSample requires the JSON value v of key to be the exposition's
+// sample name (with _total if it is a counter), or for a histogram its
+// name_count and name_sum.
+func checkSample(t *testing.T, samples map[string]string, name, key string, v any) {
+	t.Helper()
+	want := map[string]any{}
+	switch v := v.(type) {
+	case map[string]any:
+		want[name+"_count"], want[name+"_sum"] = v["count"], v["sum"]
+	default:
+		if _, ok := samples[name]; !ok {
+			name += "_total"
+		}
+		want[name] = v
+	}
+	for name, v := range want {
+		got, ok := samples[name]
+		if f, isNum := v.(float64); !ok || !isNum || got != strconv.FormatFloat(f, 'g', -1, 64) {
+			t.Errorf("JSON %s = %v, but the exposition's %s is %q (present: %v)", key, v, name, got, ok)
 		}
 	}
 }

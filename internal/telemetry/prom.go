@@ -3,23 +3,186 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Prom builds a Prometheus text exposition (format version 0.0.4)
-// without external dependencies. Families are emitted in call order,
-// each with its # HELP / # TYPE pair; ValidateExposition below checks
-// the same grammar, so the writer and the e2e validator can't drift
-// apart silently.
-type Prom struct {
-	b strings.Builder
-}
-
 // ContentType is the value to serve with a text exposition.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// Exposition renders a metrics snapshot struct as a Prometheus text
+// exposition (format version 0.0.4). A daemon declares each metric
+// once, as a field of the struct it also serves as JSON, and this view
+// is derived from the field's tags: its json key names it, its help
+// tag is the family's # HELP text, and its prom tag says how to expose
+// it. A field becomes the family prefix + key:
+//
+//   - a signed integer, float or bool field is a counter, named with a
+//     _total suffix unless its name already ends in one; tagged
+//     prom:"gauge", it is a gauge;
+//   - a HistogramSnapshot is an (unlabeled) histogram;
+//   - prom:"-" keeps a field JSON-only;
+//   - prom:"family,label=value" makes the field the sample labeled
+//     label=value of family prefix + family; the family's help tag
+//     sits on its first field;
+//   - a slice of structs tagged prom:"label=key" gives each field of
+//     the element type the family prefix + label + "_" + field key,
+//     with one sample per element labeled by the element's key field.
+//
+// Embedded structs are flattened as encoding/json flattens them, and
+// fields of any other kind (strings) are skipped. Families come out in
+// field order. ValidateExposition below checks the same grammar, so
+// the writer and the e2e validator cannot drift apart silently.
+func Exposition(prefix string, snapshot any) []byte {
+	var e exposition
+	e.fields(prefix, reflect.ValueOf(snapshot), "")
+	var b strings.Builder
+	for _, f := range e {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		b.WriteString(f.samples.String())
+	}
+	return []byte(b.String())
+}
+
+var (
+	histogramType = reflect.TypeOf(HistogramSnapshot{})
+	labelEscaper  = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+)
+
+// exposition collects families in the order their first field appears.
+type exposition []*family
+
+type family struct {
+	name, typ, help string
+	samples         strings.Builder
+}
+
+// family returns the named family, opening it on first use.
+func (e *exposition) family(name, typ, help string) *family {
+	for _, f := range *e {
+		if f.name == name {
+			return f
+		}
+	}
+	f := &family{name: name, typ: typ, help: help}
+	*e = append(*e, f)
+	return f
+}
+
+// fields adds the struct v's fields to the exposition; labels is the
+// rendered label set every sample of v carries.
+func (e *exposition) fields(prefix string, v reflect.Value, labels string) {
+	for i := 0; i < v.NumField(); i++ {
+		sf, fv := v.Type().Field(i), v.Field(i)
+		if sf.Anonymous {
+			e.fields(prefix, fv, labels)
+			continue
+		}
+		key, tag, help := jsonKey(sf), sf.Tag.Get("prom"), sf.Tag.Get("help")
+		if !sf.IsExported() || key == "" || key == "-" || tag == "-" {
+			continue
+		}
+		if sf.Type == histogramType {
+			e.family(prefix+key, "histogram", help).histogram(fv.Interface().(HistogramSnapshot))
+			continue
+		}
+		if fv.Kind() == reflect.Slice {
+			label, from, _ := strings.Cut(tag, "=")
+			for j := 0; j < fv.Len(); j++ {
+				el := fv.Index(j)
+				e.fields(prefix+label+"_", el, withLabel(labels, label, labelValue(el, from)))
+			}
+			continue
+		}
+		val, ok := sampleValue(fv)
+		if !ok {
+			continue
+		}
+		name, typ, own := key, "counter", labels
+		for rest := tag; rest != ""; {
+			var part string
+			part, rest, _ = strings.Cut(rest, ",")
+			switch k, lv, isLabel := strings.Cut(part, "="); {
+			case part == "gauge":
+				typ = "gauge"
+			case isLabel:
+				own = withLabel(own, k, lv)
+			case part != "":
+				name = part
+			}
+		}
+		if typ == "counter" && !strings.HasSuffix(name, "_total") {
+			name += "_total"
+		}
+		e.family(prefix+name, typ, help).sample("", own, promFloat(val))
+	}
+}
+
+// histogram writes a snapshot's samples: cumulative _bucket samples
+// over the finite bounds, the +Inf bucket (equal to _count by
+// construction), then _sum and _count.
+func (f *family) histogram(s HistogramSnapshot) {
+	for _, b := range s.Buckets {
+		f.sample("_bucket", `le="`+promFloat(b.LE)+`"`, strconv.FormatInt(b.N, 10))
+	}
+	f.sample("_bucket", `le="+Inf"`, strconv.FormatInt(s.Count, 10))
+	f.sample("_sum", "", promFloat(s.Sum))
+	f.sample("_count", "", strconv.FormatInt(s.Count, 10))
+}
+
+// sample writes one sample line: the family name plus suffix, the
+// label set (if any) and the value.
+func (f *family) sample(suffix, labels, value string) {
+	f.samples.WriteString(f.name)
+	f.samples.WriteString(suffix)
+	if labels != "" {
+		f.samples.WriteString("{" + labels + "}")
+	}
+	f.samples.WriteString(" " + value + "\n")
+}
+
+func jsonKey(sf reflect.StructField) string {
+	key, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+	return key
+}
+
+// labelValue is the struct v's field with json key key, as a label value.
+func labelValue(v reflect.Value, key string) string {
+	for i := 0; i < v.NumField(); i++ {
+		if jsonKey(v.Type().Field(i)) == key {
+			return fmt.Sprint(v.Field(i).Interface())
+		}
+	}
+	return ""
+}
+
+func withLabel(labels, name, value string) string {
+	l := name + `="` + labelEscaper.Replace(value) + `"`
+	if labels == "" {
+		return l
+	}
+	return labels + "," + l
+}
+
+// sampleValue is a numeric or bool field's sample value (a bool is 1
+// or 0); ok is false for any other kind.
+func sampleValue(v reflect.Value) (val float64, ok bool) {
+	switch {
+	case v.Kind() == reflect.Bool:
+		if v.Bool() {
+			return 1, true
+		}
+		return 0, true
+	case v.CanInt():
+		return float64(v.Int()), true
+	case v.CanFloat():
+		return v.Float(), true
+	}
+	return 0, false
+}
 
 func promFloat(v float64) string {
 	switch {
@@ -33,72 +196,15 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func (p *Prom) header(name, typ, help string) {
-	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// Counter emits a single-sample counter family.
-func (p *Prom) Counter(name, help string, v float64) {
-	p.header(name, "counter", help)
-	fmt.Fprintf(&p.b, "%s %s\n", name, promFloat(v))
-}
-
-// Gauge emits a single-sample gauge family.
-func (p *Prom) Gauge(name, help string, v float64) {
-	p.header(name, "gauge", help)
-	fmt.Fprintf(&p.b, "%s %s\n", name, promFloat(v))
-}
-
-// LabeledValue is one sample of a labeled family: Label is the label
-// value (the label name is given per family), V the sample value.
-type LabeledValue struct {
-	Label string
-	V     float64
-}
-
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-// CounterVec emits a counter family with one label dimension.
-func (p *Prom) CounterVec(name, help, label string, samples []LabeledValue) {
-	p.header(name, "counter", help)
-	for _, s := range samples {
-		fmt.Fprintf(&p.b, "%s{%s=%q} %s\n", name, label, escapeLabel(s.Label), promFloat(s.V))
-	}
-}
-
-// GaugeVec emits a gauge family with one label dimension.
-func (p *Prom) GaugeVec(name, help, label string, samples []LabeledValue) {
-	p.header(name, "gauge", help)
-	for _, s := range samples {
-		fmt.Fprintf(&p.b, "%s{%s=%q} %s\n", name, label, escapeLabel(s.Label), promFloat(s.V))
-	}
-}
-
-// Histogram emits a histogram family from a snapshot: cumulative
-// _bucket samples over the finite bounds, the +Inf bucket (equal to
-// _count by construction), then _sum and _count.
-func (p *Prom) Histogram(name, help string, s HistogramSnapshot) {
-	p.header(name, "histogram", help)
-	for _, b := range s.Buckets {
-		fmt.Fprintf(&p.b, "%s_bucket{le=%q} %d\n", name, promFloat(b.LE), b.N)
-	}
-	fmt.Fprintf(&p.b, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
-	fmt.Fprintf(&p.b, "%s_sum %s\n", name, promFloat(s.Sum))
-	fmt.Fprintf(&p.b, "%s_count %d\n", name, s.Count)
-}
-
-// Bytes returns the accumulated exposition.
-func (p *Prom) Bytes() []byte {
-	return []byte(p.b.String())
-}
+// A label is name="value", the value escaping only \\, \" and \n; a
+// sample's label set is one or more comma-separated labels, with an
+// optional trailing comma.
+const labelPat = `([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\[\\"n])*)"`
 
 var (
 	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	sampleRE     = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{([^}]*)\})? (\S+)$`)
-	labelRE      = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
+	labelRE      = regexp.MustCompile(labelPat)
+	sampleRE     = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(` + labelPat + `(?:,` + labelPat + `)*,?)\})? (\S+)$`)
 )
 
 type promFamily struct {
@@ -120,10 +226,12 @@ type promFamily struct {
 // # TYPE pair, metric and label names must be well-formed, histogram
 // buckets must carry ascending le edges with monotone non-decreasing
 // cumulative counts, a +Inf bucket must be present and equal _count,
-// and counters must be finite and non-negative. The e2e suites run
-// it against live /metrics?format=prometheus responses.
+// counters must be finite and non-negative, and no series (name plus
+// label set) may appear twice. The e2e suites run it against live
+// /metrics?format=prometheus responses.
 func ValidateExposition(data []byte) error {
 	fams := make(map[string]*promFamily)
+	series := make(map[string]bool)
 	baseOf := func(name string) (string, string) {
 		for _, suf := range []string{"_bucket", "_sum", "_count"} {
 			base := strings.TrimSuffix(name, suf)
@@ -155,10 +263,10 @@ func ValidateExposition(data []byte) error {
 				f = &promFamily{}
 				fams[name] = f
 			}
+			if len(parts) < 4 || strings.TrimSpace(parts[3]) == "" {
+				return fmt.Errorf("line %d: %s for %s has no text", lineNo, parts[1], name)
+			}
 			if parts[1] == "HELP" {
-				if len(parts) < 4 || strings.TrimSpace(parts[3]) == "" {
-					return fmt.Errorf("line %d: HELP for %s has no text", lineNo, name)
-				}
 				f.help = true
 			} else {
 				if f.typ != "" {
@@ -180,21 +288,24 @@ func ValidateExposition(data []byte) error {
 		if m == nil {
 			return fmt.Errorf("line %d: malformed sample %q", lineNo, line)
 		}
-		name, labels, valStr := m[1], m[3], m[4]
+		name, labels, valStr := m[1], m[2], m[len(m)-1]
+		if series[name+"{"+labels+"}"] {
+			return fmt.Errorf("line %d: duplicate series %s{%s}", lineNo, name, labels)
+		}
+		series[name+"{"+labels+"}"] = true
 		val, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
 			return fmt.Errorf("line %d: bad value %q: %v", lineNo, valStr, err)
 		}
 		var le string
-		if labels != "" {
-			for _, lv := range strings.Split(labels, ",") {
-				lm := labelRE.FindStringSubmatch(strings.TrimSpace(lv))
-				if lm == nil {
-					return fmt.Errorf("line %d: malformed label %q", lineNo, lv)
-				}
-				if lm[1] == "le" {
-					le = lm[2]
-				}
+		seen := map[string]bool{}
+		for _, lm := range labelRE.FindAllStringSubmatch(labels, -1) {
+			if seen[lm[1]] {
+				return fmt.Errorf("line %d: label %s repeated", lineNo, lm[1])
+			}
+			seen[lm[1]] = true
+			if lm[1] == "le" {
+				le = lm[2]
 			}
 		}
 		base, suffix := baseOf(name)
@@ -205,9 +316,11 @@ func ValidateExposition(data []byte) error {
 		f.samples++
 		switch {
 		case f.typ == "counter":
-			if math.IsNaN(val) || val < 0 {
+			if math.IsNaN(val) || math.IsInf(val, 0) || val < 0 {
 				return fmt.Errorf("line %d: counter %s has invalid value %s", lineNo, name, valStr)
 			}
+		case f.typ == "histogram" && suffix == "":
+			return fmt.Errorf("line %d: histogram %s has a sample that is no _bucket, _sum or _count", lineNo, name)
 		case f.typ == "histogram" && suffix == "_bucket":
 			if le == "" {
 				return fmt.Errorf("line %d: histogram bucket %s lacks an le label", lineNo, name)
@@ -217,8 +330,8 @@ func ValidateExposition(data []byte) error {
 				break
 			}
 			edge, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				return fmt.Errorf("line %d: bad le %q: %v", lineNo, le, err)
+			if err != nil || math.IsNaN(edge) {
+				return fmt.Errorf("line %d: bad le %q", lineNo, le)
 			}
 			f.buckets = append(f.buckets, Bucket{LE: edge, N: int64(val)})
 		case f.typ == "histogram" && suffix == "_sum":

@@ -8,7 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -220,60 +221,175 @@ func TestNewHistogramRejectsUnsortedBounds(t *testing.T) {
 	NewHistogram(1, 1)
 }
 
+// promRow is one element of promSnapshot's labeled slice.
+type promRow struct {
+	Name string  `json:"name"`
+	Up   bool    `json:"up" prom:"gauge" help:"Row health."`
+	Runs int64   `json:"runs" help:"Runs per row."`
+	Load float64 `json:"load" prom:"-"`
+}
+
+// promBase is embedded in promSnapshot, as JobMetrics is in the
+// daemons' snapshots.
+type promBase struct {
+	JobsAccepted int64   `json:"jobs_accepted" help:"Jobs accepted."`
+	BusySeconds  float64 `json:"busy_seconds" help:"Busy time."`
+}
+
+// promSnapshot exercises every shape Exposition derives.
+type promSnapshot struct {
+	promBase
+	RunsTotal   int64             `json:"runs_total" help:"Runs."`
+	Utilization float64           `json:"utilization" prom:"gauge" help:"Busy ratio."`
+	CyclesPerS  float64           `json:"cycles_per_s" prom:"-"`
+	RunsAOT     int64             `json:"runs_aot" prom:"rung_runs,rung=aot" help:"Runs per rung."`
+	RunsScalar  int64             `json:"runs_scalar" prom:"rung_runs,rung=scalar"`
+	Latency     HistogramSnapshot `json:"job_latency_seconds" help:"Job latency."`
+	Version     string            `json:"version"`
+	Rows        []promRow         `json:"rows" prom:"row=name"`
+}
+
 func TestPromWriterPassesOwnValidator(t *testing.T) {
 	h := NewHistogram(0.01, 0.1, 1)
 	h.Observe(0.05)
 	h.Observe(5)
-	var p Prom
-	p.Counter("asimd_jobs_accepted_total", "Jobs accepted.", 12)
-	p.Gauge("asimd_utilization", "Busy ratio.", 0.375)
-	p.CounterVec("asimd_rung_runs_total", "Runs per rung.", "rung", []LabeledValue{
-		{"aot", 100}, {"bit-parallel", 50}, {"lane-loop", 25}, {"scalar", 3},
-	})
-	p.GaugeVec("asimcoord_shard_healthy", "Shard health.", "shard", []LabeledValue{
-		{`http://h1:8422`, 1}, {`odd"label\x`, 0},
-	})
-	p.Histogram("asimd_job_latency_seconds", "Job latency.", h.Snapshot())
-	if err := ValidateExposition(p.Bytes()); err != nil {
-		t.Fatalf("writer output fails validator: %v\n%s", err, p.Bytes())
+	snap := promSnapshot{
+		promBase:    promBase{JobsAccepted: 12, BusySeconds: 1.5},
+		RunsTotal:   40,
+		Utilization: 0.375,
+		CyclesPerS:  9,
+		RunsAOT:     100,
+		RunsScalar:  3,
+		Latency:     h.Snapshot(),
+		Version:     "v1",
+		Rows:        []promRow{{Name: "http://h1:8422", Up: true, Runs: 7}, {Name: "odd\"label\\x},=\n", Runs: 1}},
 	}
-	out := string(p.Bytes())
-	for _, want := range []string{
-		"# TYPE asimd_jobs_accepted_total counter",
-		`asimd_rung_runs_total{rung="aot"} 100`,
-		`asimd_job_latency_seconds_bucket{le="+Inf"} 2`,
-		"asimd_job_latency_seconds_count 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
+	got := string(Exposition("asimd_", snap))
+	if err := ValidateExposition([]byte(got)); err != nil {
+		t.Fatalf("writer output fails validator: %v\n%s", err, got)
+	}
+	want := `# HELP asimd_jobs_accepted_total Jobs accepted.
+# TYPE asimd_jobs_accepted_total counter
+asimd_jobs_accepted_total 12
+# HELP asimd_busy_seconds_total Busy time.
+# TYPE asimd_busy_seconds_total counter
+asimd_busy_seconds_total 1.5
+# HELP asimd_runs_total Runs.
+# TYPE asimd_runs_total counter
+asimd_runs_total 40
+# HELP asimd_utilization Busy ratio.
+# TYPE asimd_utilization gauge
+asimd_utilization 0.375
+# HELP asimd_rung_runs_total Runs per rung.
+# TYPE asimd_rung_runs_total counter
+asimd_rung_runs_total{rung="aot"} 100
+asimd_rung_runs_total{rung="scalar"} 3
+# HELP asimd_job_latency_seconds Job latency.
+# TYPE asimd_job_latency_seconds histogram
+asimd_job_latency_seconds_bucket{le="0.01"} 0
+asimd_job_latency_seconds_bucket{le="0.1"} 1
+asimd_job_latency_seconds_bucket{le="1"} 1
+asimd_job_latency_seconds_bucket{le="+Inf"} 2
+asimd_job_latency_seconds_sum 5.05
+asimd_job_latency_seconds_count 2
+# HELP asimd_row_up Row health.
+# TYPE asimd_row_up gauge
+asimd_row_up{row="http://h1:8422"} 1
+asimd_row_up{row="odd\"label\\x},=\n"} 0
+# HELP asimd_row_runs_total Runs per row.
+# TYPE asimd_row_runs_total counter
+asimd_row_runs_total{row="http://h1:8422"} 7
+asimd_row_runs_total{row="odd\"label\\x},=\n"} 1
+`
+	if got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
+// brokenExpositions are inputs ValidateExposition must reject.
+var brokenExpositions = map[string]string{
+	"sample without HELP/TYPE": "foo 1\n",
+	"TYPE before HELP":         "# TYPE foo counter\n# HELP foo x\nfoo 1\n",
+	"TYPE without a type":      "# HELP foo x\n# TYPE foo\nfoo 1\n",
+	"negative counter":         "# HELP foo x\n# TYPE foo counter\nfoo -1\n",
+	"infinite counter":         "# HELP foo x\n# TYPE foo counter\nfoo +Inf\n",
+	"bad metric name":          "# HELP 1foo x\n# TYPE 1foo counter\n1foo 1\n",
+	"unparsable value":         "# HELP foo x\n# TYPE foo gauge\nfoo abc\n",
+	"family without samples":   "# HELP foo x\n# TYPE foo counter\n",
+	"repeated label":           "# HELP foo x\n# TYPE foo gauge\nfoo{a=\"1\",a=\"2\"} 1\n",
+	"duplicate series":         "# HELP foo x\n# TYPE foo gauge\nfoo{a=\"1\"} 1\nfoo{a=\"1\"} 2\n",
+	"unknown label escape":     "# HELP foo x\n# TYPE foo gauge\nfoo{a=\"\\x\"} 1\n",
+	"labels without a comma":   "# HELP foo x\n# TYPE foo gauge\nfoo{a=\"1\"b=\"2\"} 1\n",
+	"histogram missing +Inf": "# HELP h x\n# TYPE h histogram\n" +
+		"h_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
+	"histogram count mismatch": "# HELP h x\n# TYPE h histogram\n" +
+		"h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
+	"histogram non-monotone": "# HELP h x\n# TYPE h histogram\n" +
+		"h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
+	"histogram edges descend": "# HELP h x\n# TYPE h histogram\n" +
+		"h_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n",
+	"histogram missing sum": "# HELP h x\n# TYPE h histogram\n" +
+		"h_bucket{le=\"+Inf\"} 1\nh_count 1\n",
+	"histogram NaN edge": "# HELP h x\n# TYPE h histogram\n" +
+		"h_bucket{le=\"NaN\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	"histogram bare sample": "# HELP h x\n# TYPE h histogram\n" +
+		"h 3\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+}
+
 func TestValidateExpositionRejectsBrokenInput(t *testing.T) {
-	cases := map[string]string{
-		"sample without HELP/TYPE": "foo 1\n",
-		"TYPE before HELP":         "# TYPE foo counter\n# HELP foo x\nfoo 1\n",
-		"negative counter":         "# HELP foo x\n# TYPE foo counter\nfoo -1\n",
-		"bad metric name":          "# HELP 1foo x\n# TYPE 1foo counter\n1foo 1\n",
-		"unparsable value":         "# HELP foo x\n# TYPE foo gauge\nfoo abc\n",
-		"family without samples":   "# HELP foo x\n# TYPE foo counter\n",
-		"histogram missing +Inf": "# HELP h x\n# TYPE h histogram\n" +
-			"h_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
-		"histogram count mismatch": "# HELP h x\n# TYPE h histogram\n" +
-			"h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
-		"histogram non-monotone": "# HELP h x\n# TYPE h histogram\n" +
-			"h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
-		"histogram edges descend": "# HELP h x\n# TYPE h histogram\n" +
-			"h_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n",
-		"histogram missing sum": "# HELP h x\n# TYPE h histogram\n" +
-			"h_bucket{le=\"+Inf\"} 1\nh_count 1\n",
-	}
-	for name, input := range cases {
+	for name, input := range brokenExpositions {
 		if err := ValidateExposition([]byte(input)); err == nil {
 			t.Errorf("%s: validator accepted broken exposition:\n%s", name, input)
 		}
 	}
+}
+
+// FuzzValidateExposition: the validator never panics on arbitrary
+// bytes, and whatever counter, gauge and histogram values and label
+// strings a snapshot holds, Exposition's rendering of it validates —
+// the writer and the validator agree. Seeds are both daemons' live
+// expositions (testdata/*.prom, captured after real traffic) and the
+// broken-input table.
+func FuzzValidateExposition(f *testing.F) {
+	seeds, err := filepath.Glob("testdata/*.prom")
+	if err != nil || len(seeds) < 2 {
+		f.Fatalf("exposition seeds: %v, %v", seeds, err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, uint64(12), 1.5, 0.375, 0.05, "http://h1:8422")
+	}
+	for _, input := range brokenExpositions {
+		f.Add([]byte(input), uint64(0), 0.0, math.NaN(), math.Inf(1), "odd\"label\\x},=\n")
+	}
+	f.Fuzz(func(t *testing.T, data []byte, count uint64, seconds, level, obs float64, label string) {
+		_ = ValidateExposition(data)
+
+		// A counter is finite and non-negative by definition; every
+		// other value goes through as fuzzed.
+		if !(seconds >= 0) || math.IsInf(seconds, 1) {
+			seconds = 0
+		}
+		h := NewHistogram(LatencyBuckets()...)
+		h.Observe(obs)
+		h.Observe(level)
+		snap := promSnapshot{
+			promBase:    promBase{JobsAccepted: int64(count >> 1), BusySeconds: seconds},
+			RunsTotal:   int64(count >> 1),
+			Utilization: level,
+			CyclesPerS:  obs,
+			RunsAOT:     int64(count >> 2),
+			Latency:     h.Snapshot(),
+			Version:     label,
+			Rows:        []promRow{{Name: label, Up: count%2 == 0, Runs: int64(count >> 3)}, {Name: label + "'"}},
+		}
+		if out := Exposition("x_", snap); ValidateExposition(out) != nil {
+			t.Fatalf("rendered exposition fails validation: %v\n%s", ValidateExposition(out), out)
+		}
+	})
 }
 
 func TestValidateExpositionAcceptsMinimal(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package telemetry is the dependency-light tracing and metrics core
 // shared by asimd and asimcoord: a bounded in-memory span ring with
-// Chrome trace_event export, fixed-bucket histograms, a Prometheus
-// text exposition writer (plus a strict format validator used by the
-// e2e suites), and small slog/pprof helpers. Everything here is
+// Chrome trace_event export, fixed-bucket histograms, the Prometheus
+// text exposition derived from a metrics snapshot struct (plus a
+// strict format validator used by the e2e suites), and small
+// slog/pprof helpers. Everything here is
 // stdlib-only and safe for concurrent use.
 package telemetry
 
