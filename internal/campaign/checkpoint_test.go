@@ -480,6 +480,10 @@ func TestWarmStartDegradesToCold(t *testing.T) {
 			bad[0] ^= 0xff
 			return bad
 		}()),
+		// A claim other than the snapshot's own cycle: trusting it would
+		// resume at 200 and count the budget from the claim.
+		"claim-below-snapshot": campaign.WarmStartFromState(p, 100, good),
+		"claim-above-snapshot": campaign.WarmStartFromState(p, 300, good),
 	} {
 		runs := []campaign.Run{{Name: "cold", Program: p, Cycles: cycles, Warm: warm}}
 		got, err := campaign.Engine{Workers: 1}.Execute(context.Background(), runs)

@@ -102,10 +102,17 @@ func NewWarmStart(p *core.Program, cycles int64) *WarmStart {
 // simulated: runs restore the bytes as-is. The snapshot must belong to
 // the program (same specification shape) and cycle must be the cycle
 // counter it was saved at; a mismatch degrades affected runs to a
-// cold start, which re-executes from power-on and stays correct.
+// cold start, which re-executes from power-on and stays correct. The
+// cycle is checked here, against the snapshot's framed cycle
+// (sim.SnapshotCycle): a run restored at one cycle must not count its
+// remaining budget from another.
 func WarmStartFromState(p *core.Program, cycle int64, state []byte) *WarmStart {
 	ws := &WarmStart{program: p, cycles: cycle, state: state}
-	ws.once.Do(func() {}) // the snapshot is already materialized
+	ws.once.Do(func() { // the snapshot is already materialized
+		if framed, err := sim.SnapshotCycle(state); err != nil || framed != cycle {
+			ws.err = fmt.Errorf("campaign: warm-start state is not a snapshot at cycle %d", cycle)
+		}
+	})
 	return ws
 }
 

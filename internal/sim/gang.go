@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Gang execution: many machines of one program stepped in lockstep
 // over struct-of-arrays state.
@@ -113,15 +110,8 @@ func FailLane(lane int, component string, cycle int64, format string, args ...in
 // machine with no input attached; output operations are counted and
 // discarded).
 type Gang struct {
-	layout *Layout
-	eval   GangStepper
-	stride int // lane capacity; the slot-to-slot distance in vals
-
-	vals   []int64   // [slot*stride+slot-column], indexed by physical slot
-	arrays [][]int64 // per memory ordinal, lane-major: [phys*size+cell]
-	addr   []int64   // [mem*stride+phys]
-	data   []int64   // [mem*stride+phys]
-	opn    []int64   // [mem*stride+phys]
+	state // one column per physical slot; stride is the lane capacity
+	eval  GangStepper
 
 	memSlot []int // slot of each memory, by ordinal
 	memSize []int // cells per lane of each memory, by ordinal
@@ -163,14 +153,8 @@ func NewGang(layout *Layout, eval Evaluator, capacity int) (*Gang, bool) {
 	}
 	nm := len(layout.Mems)
 	g := &Gang{
-		layout:  layout,
+		state:   newState(layout, capacity),
 		eval:    gs,
-		stride:  capacity,
-		vals:    make([]int64, layout.Slots()*capacity),
-		arrays:  make([][]int64, nm),
-		addr:    make([]int64, nm*capacity),
-		data:    make([]int64, nm*capacity),
-		opn:     make([]int64, nm*capacity),
 		memSlot: make([]int, nm),
 		memSize: make([]int, nm),
 		cycle:   make([]int64, capacity),
@@ -181,7 +165,6 @@ func NewGang(layout *Layout, eval Evaluator, capacity int) (*Gang, bool) {
 		logOf:   make([]int, capacity),
 	}
 	for i, mem := range layout.Mems {
-		g.arrays[i] = make([]int64, mem.Size*capacity)
 		g.memSlot[i] = mem.Slot
 		g.memSize[i] = mem.Size
 	}
@@ -229,33 +212,12 @@ func (g *Gang) Reset(targets []int64) {
 		panic(fmt.Sprintf("sim: gang Reset with %d lanes exceeds capacity %d", len(targets), g.stride))
 	}
 	g.lanes = len(targets)
-	for i := range g.vals {
-		g.vals[i] = 0
-	}
-	for i, mem := range g.layout.Mems {
-		arr := g.arrays[i]
-		for j := range arr {
-			arr[j] = 0
-		}
-		size := g.memSize[i]
-		for l := 0; l < g.lanes; l++ {
-			copy(arr[l*size:(l+1)*size], mem.Init)
-		}
-	}
-	for i := range g.addr {
-		g.addr[i], g.data[i], g.opn[i] = 0, 0, 0
-	}
-	for l := 0; l < g.stride; l++ {
-		g.cycle[l] = 0
-		g.target[l] = 0
-		g.err[l] = nil
-		g.phys[l] = l
-		g.logOf[l] = l
-		ops := g.stats[l].MemOps
-		for i := range ops {
-			ops[i] = MemOpStats{}
-		}
-		g.stats[l] = Stats{MemOps: ops}
+	for p := 0; p < g.stride; p++ {
+		g.column(p).reset()
+		g.target[p] = 0
+		g.err[p] = nil
+		g.phys[p] = p
+		g.logOf[p] = p
 	}
 	if g.bit != nil {
 		for i := range g.planes {
@@ -550,38 +512,16 @@ func (g *Gang) LaneValue(l int, name string) int64 {
 	return g.vals[slot*g.stride+p]
 }
 
+// column is physical slot p's state.
+func (g *Gang) column(p int) column { return column{&g.state, p, &g.cycle[p], &g.stats[p]} }
+
 // LaneArchHash folds lane l's architectural state into the same hash
-// Machine.ArchHash computes (shared fold, same slot/ordinal order): a
-// gang lane and a machine in identical state hash identically.
+// Machine.ArchHash computes: a gang lane and a machine in identical
+// state hash identically.
 func (g *Gang) LaneArchHash(l int) uint64 {
 	p := g.slotOf(l)
 	g.materializeSlot(p)
-	h := archHashOffset
-	for slot := 0; slot < g.layout.Slots(); slot++ {
-		h = archHashWord(h, g.vals[slot*g.stride+p])
-	}
-	for i, arr := range g.arrays {
-		size := g.memSize[i]
-		for _, v := range arr[p*size : (p+1)*size] {
-			h = archHashWord(h, v)
-		}
-	}
-	return h
-}
-
-// laneStateLen mirrors Machine.stateLen for one lane.
-func (g *Gang) laneStateLen() int {
-	n := 8 + // magic
-		8 + 8*g.layout.Slots() + // value vector
-		8 // memory count
-	for _, size := range g.memSize {
-		n += 8 + 8*size
-	}
-	nm := len(g.arrays)
-	n += 3 * 8 * nm // addr/data/opn latches
-	n += 8 + 8      // cycle + stats.Cycles
-	n += 4 * 8 * nm // per-memory operation counters
-	return n
+	return g.column(p).archHash()
 }
 
 // AppendLaneState appends lane l's state snapshot to buf in exactly
@@ -592,48 +532,12 @@ func (g *Gang) laneStateLen() int {
 func (g *Gang) AppendLaneState(l int, buf []byte) []byte {
 	p := g.slotOf(l)
 	g.materializeSlot(p)
-	put := func(v int64) {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	put(int64(stateMagic))
-	put(int64(g.layout.Slots()))
-	for slot := 0; slot < g.layout.Slots(); slot++ {
-		put(g.vals[slot*g.stride+p])
-	}
-	put(int64(len(g.arrays)))
-	for i, arr := range g.arrays {
-		size := g.memSize[i]
-		put(int64(size))
-		for _, v := range arr[p*size : (p+1)*size] {
-			put(v)
-		}
-	}
-	nm := len(g.arrays)
-	for i := 0; i < nm; i++ {
-		put(g.addr[i*g.stride+p])
-	}
-	for i := 0; i < nm; i++ {
-		put(g.data[i*g.stride+p])
-	}
-	for i := 0; i < nm; i++ {
-		put(g.opn[i*g.stride+p])
-	}
-	put(g.cycle[p])
-	put(g.stats[p].Cycles)
-	for _, ops := range g.stats[p].MemOps {
-		put(ops.Reads)
-		put(ops.Writes)
-		put(ops.Inputs)
-		put(ops.Outputs)
-	}
-	return buf
+	return g.column(p).appendState(buf)
 }
 
 // SaveLaneState returns a binary snapshot of lane l, byte-identical to
 // what a Machine in the same state would save.
-func (g *Gang) SaveLaneState(l int) []byte {
-	return g.AppendLaneState(l, make([]byte, 0, g.laneStateLen()))
-}
+func (g *Gang) SaveLaneState(l int) []byte { return g.AppendLaneState(l, nil) }
 
 // RestoreLaneState loads a Machine/Gang snapshot into lane l. The
 // snapshot must come from the same specification; a mismatched or
@@ -642,64 +546,8 @@ func (g *Gang) SaveLaneState(l int) []byte {
 // resumes stepping until it reaches its target cycle.
 func (g *Gang) RestoreLaneState(l int, st []byte) error {
 	p := g.slotOf(l)
-	if len(st) != g.laneStateLen() {
-		return fmt.Errorf("sim: snapshot is %d bytes, this gang's lane state is %d", len(st), g.laneStateLen())
-	}
-	get := func(off int) int64 {
-		return int64(binary.LittleEndian.Uint64(st[off:]))
-	}
-	// Validate the full layout before touching any state.
-	if uint64(get(0)) != stateMagic {
-		return fmt.Errorf("sim: not a machine state snapshot (bad magic %#x)", uint64(get(0)))
-	}
-	nslots := g.layout.Slots()
-	if n := get(8); n != int64(nslots) {
-		return fmt.Errorf("sim: snapshot has %d component slots, this gang has %d", n, nslots)
-	}
-	off := 16 + 8*nslots
-	if n := get(off); n != int64(len(g.arrays)) {
-		return fmt.Errorf("sim: snapshot has %d memories, this gang has %d", n, len(g.arrays))
-	}
-	off += 8
-	arrOff := make([]int, len(g.arrays))
-	for i, size := range g.memSize {
-		if n := get(off); n != int64(size) {
-			return fmt.Errorf("sim: snapshot memory %d has %d cells, this gang has %d", i, n, size)
-		}
-		arrOff[i] = off + 8
-		off += 8 + 8*size
-	}
-
-	// Shape verified; scatter everything in.
-	for slot := 0; slot < nslots; slot++ {
-		g.vals[slot*g.stride+p] = get(16 + 8*slot)
-	}
-	for i, arr := range g.arrays {
-		size := g.memSize[i]
-		base := arrOff[i]
-		lane := arr[p*size : (p+1)*size]
-		for j := range lane {
-			lane[j] = get(base + 8*j)
-		}
-	}
-	nm := len(g.arrays)
-	for i := 0; i < nm; i++ {
-		g.addr[i*g.stride+p] = get(off + 8*i)
-		g.data[i*g.stride+p] = get(off + 8*(nm+i))
-		g.opn[i*g.stride+p] = get(off + 8*(2*nm+i))
-	}
-	off += 3 * 8 * nm
-	g.cycle[p] = get(off)
-	g.stats[p].Cycles = get(off + 8)
-	off += 16
-	for i := range g.stats[p].MemOps {
-		g.stats[p].MemOps[i] = MemOpStats{
-			Reads:   get(off),
-			Writes:  get(off + 8),
-			Inputs:  get(off + 16),
-			Outputs: get(off + 24),
-		}
-		off += 32
+	if err := g.column(p).restoreState(st); err != nil {
+		return err
 	}
 	// Repack the restored vals into the slot's plane bits, so the bit
 	// path's planes are authoritative again from the first step — and a

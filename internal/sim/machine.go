@@ -92,15 +92,9 @@ type Options struct {
 // Machine simulates one analyzed specification. It owns all state; the
 // Evaluator supplies the per-cycle expression evaluation strategy.
 type Machine struct {
-	layout *Layout
-	eval   Evaluator
-	opts   Options
-
-	vals   []int64   // per-slot outputs: comb current, memory output registers
-	arrays [][]int64 // per-memory backing store, by memory ordinal
-	addr   []int64   // latched memory addresses
-	data   []int64   // latched memory data
-	opn    []int64   // latched memory operations
+	state // one column: per-slot outputs, memory arrays, latched memory inputs
+	eval  Evaluator
+	opts  Options
 
 	cycle int64
 	stats Stats
@@ -124,16 +118,8 @@ type Observer func(m *Machine)
 // machines built from the same layout+eval share them, and only the
 // mutable state vectors are allocated per machine.
 func New(layout *Layout, eval Evaluator, opts Options) *Machine {
-	m := &Machine{layout: layout, eval: eval, opts: opts}
-	nm := len(layout.Mems)
-	m.vals = make([]int64, layout.Slots())
-	m.arrays = make([][]int64, nm)
-	m.addr = make([]int64, nm)
-	m.data = make([]int64, nm)
-	m.opn = make([]int64, nm)
-	for i, mem := range layout.Mems {
-		m.arrays[i] = make([]int64, mem.Size)
-	}
+	m := &Machine{state: newState(layout, 1), eval: eval, opts: opts}
+	m.stats.MemOps = make([]MemOpStats, len(layout.Mems))
 	if opts.Input != nil {
 		m.inDev = newInputDevice(opts.Input)
 	}
@@ -180,33 +166,35 @@ func (m *Machine) AfterCommit(o Observer) { m.committers = append(m.committers, 
 // latch 0, memory arrays zeroed except declared initial values, cycle
 // 0 — a reset machine's snapshot equals a fresh one's. Statistics are
 // cleared.
-func (m *Machine) Reset() {
-	for i := range m.vals {
-		m.vals[i] = 0
-	}
-	for i, mem := range m.layout.Mems {
-		arr := m.arrays[i]
-		for j := range arr {
-			arr[j] = 0
-		}
-		copy(arr, mem.Init)
-	}
-	for i := range m.addr {
-		m.addr[i], m.data[i], m.opn[i] = 0, 0, 0
-	}
-	m.cycle = 0
-	// Reuse the MemOps backing array: Reset+run cycles on a pooled
-	// machine must not allocate.
-	if m.stats.MemOps == nil {
-		m.stats = Stats{MemOps: make([]MemOpStats, len(m.layout.Mems))}
-	} else {
-		ops := m.stats.MemOps
-		for i := range ops {
-			ops[i] = MemOpStats{}
-		}
-		m.stats = Stats{MemOps: ops}
-	}
-}
+func (m *Machine) Reset() { m.column().reset() }
+
+// column is the machine's state as the one column of a stride-1 state.
+func (m *Machine) column() column { return column{&m.state, 0, &m.cycle, &m.stats} }
+
+// AppendState appends the machine's state snapshot to buf and returns
+// the extended slice. Passing a reused buffer (buf[:0]) makes repeated
+// snapshotting allocation-free once the buffer has grown to size.
+func (m *Machine) AppendState(buf []byte) []byte { return m.column().appendState(buf) }
+
+// SaveState returns a binary snapshot of the machine's complete
+// mutable state (see state.go for what a snapshot does and does not
+// capture).
+func (m *Machine) SaveState() []byte { return m.AppendState(nil) }
+
+// RestoreState loads a snapshot produced by SaveState, AppendState or
+// Gang.SaveLaneState. The snapshot must come from a machine of
+// identical shape (same specification); a mismatched or corrupt
+// snapshot is rejected with an error before any machine state is
+// modified.
+func (m *Machine) RestoreState(st []byte) error { return m.column().restoreState(st) }
+
+// ArchHash folds the machine's architectural state — the per-slot
+// value vector and every memory array, the same data Snapshot
+// captures — into a 64-bit hash. Campaign digests use it instead of
+// building the name-keyed snapshot map: equal state hashes equal, and
+// a pooled worker's digest allocates nothing beyond the digest string.
+// A gang lane in the same state hashes identically (Gang.LaneArchHash).
+func (m *Machine) ArchHash() uint64 { return m.column().archHash() }
 
 // ClearHooks detaches every observer and after-commit hook, returning
 // the machine to the hook-free state in which RunBatch takes the fused

@@ -3,111 +3,44 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
-// Machine state snapshots.
+// Machine state: one definition, two layouts.
 //
-// SaveState serializes the complete mutable state of a machine — the
-// per-slot value vector, every memory backing array, the latched
-// memory inputs, the cycle counter and the execution statistics — into
-// a compact binary form, and RestoreState loads it back. The snapshot
-// deliberately excludes everything immutable (the analyzed spec, the
-// evaluator) and everything environmental (trace writers, I/O streams,
-// observers): a snapshot taken from one machine restores onto any
-// machine built for the same specification, which is what lets a fault
-// campaign simulate a shared golden prefix once and warm-start every
-// run from it.
+// The thesis defines one machine state — the component outputs, the
+// memory arrays and the latched memory inputs, committed in two phases
+// (Appendix A). A Machine holds one copy of it; a Gang holds one per
+// lane, interleaved so its kernels loop over lanes. Both store it as a
+// state: column p's output for slot s at vals[s*stride+p], its cells
+// of memory i at arrays[i][p*size:(p+1)*size], its latches at
+// addr/data/opn[i*stride+p]. A Machine is column 0 of stride 1, so the
+// index expressions below are its own vectors, and everything that
+// reads or writes one machine's state as a whole — the snapshot
+// format, the architectural hash, the power-on reset — is written once,
+// against a column, for both.
 //
-// The round trip is bit-identical: a restored machine produces exactly
-// the same trajectory, statistics and digests as the machine the
-// snapshot was taken from (enforced across all backends by
-// state_test.go). Note that the position of an attached input stream
-// is not part of machine state; warm-starting an input-consuming run
-// needs the stream positioned to match the snapshot.
+// A snapshot serializes a column's complete mutable state — values,
+// memory arrays, latches, cycle counter and statistics — and excludes
+// everything immutable (the layout, the evaluator) and everything
+// environmental (trace writers, I/O streams, observers). A snapshot
+// taken from one machine or lane therefore restores onto any machine or
+// lane of the same specification, on any backend, which is what lets a
+// fault campaign simulate a shared golden prefix once and warm-start
+// every run from it. The round trip is bit-identical (state_test.go,
+// gang_test.go). The position of an attached input stream is not part
+// of machine state; warm-starting an input-consuming run needs the
+// stream positioned to match the snapshot.
+//
+// Format (little-endian 64-bit words): magic, slot count, slot values,
+// memory count, per memory its cell count and cells, every memory's
+// address latch, then data latches, then operation latches, cycle,
+// stats.Cycles, per memory its Reads/Writes/Inputs/Outputs.
 
 // SnapshotMagic identifies snapshot format version 1. It is exported
 // so generated native workers (internal/codegen/gogen worker mode) can
 // emit byte-compatible snapshots from the one authoritative constant.
 const SnapshotMagic uint64 = 0x4153494d53543101 // "ASIMST" 0x1 0x01
-
-const stateMagic = SnapshotMagic
-
-// stateLen returns the exact byte length of this machine's snapshot.
-func (m *Machine) stateLen() int {
-	n := 8 + // magic
-		8 + 8*len(m.vals) + // value vector
-		8 // memory count
-	for _, arr := range m.arrays {
-		n += 8 + 8*len(arr) // array length + cells
-	}
-	nm := len(m.arrays)
-	n += 3 * 8 * nm // addr/data/opn latches
-	n += 8 + 8      // cycle + stats.Cycles
-	n += 4 * 8 * nm // per-memory operation counters
-	return n
-}
-
-// AppendState appends the machine's state snapshot to buf and returns
-// the extended slice. Passing a reused buffer (buf[:0]) makes repeated
-// snapshotting allocation-free once the buffer has grown to size.
-func (m *Machine) AppendState(buf []byte) []byte {
-	put := func(v int64) {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	put(int64(stateMagic))
-	put(int64(len(m.vals)))
-	for _, v := range m.vals {
-		put(v)
-	}
-	put(int64(len(m.arrays)))
-	for _, arr := range m.arrays {
-		put(int64(len(arr)))
-		for _, v := range arr {
-			put(v)
-		}
-	}
-	for _, v := range m.addr {
-		put(v)
-	}
-	for _, v := range m.data {
-		put(v)
-	}
-	for _, v := range m.opn {
-		put(v)
-	}
-	put(m.cycle)
-	put(m.stats.Cycles)
-	for _, ops := range m.stats.MemOps {
-		put(ops.Reads)
-		put(ops.Writes)
-		put(ops.Inputs)
-		put(ops.Outputs)
-	}
-	return buf
-}
-
-// ArchHash folds the machine's architectural state — the per-slot
-// value vector and every memory array, the same data Snapshot
-// captures, in deterministic slot/ordinal order — into a 64-bit
-// FNV-1a-style hash, one multiply per word. Campaign digests use it
-// instead of building the name-keyed snapshot map: equal state hashes
-// equal, and a pooled worker's digest allocates nothing beyond the
-// digest string. It deliberately excludes the memory-input latches,
-// whose values are backend-dependent scratch (a compiled backend
-// elides dead data latches), so identical architectures hash equal on
-// every backend.
-func (m *Machine) ArchHash() uint64 {
-	h := archHashOffset
-	for _, v := range m.vals {
-		h = archHashWord(h, v)
-	}
-	for _, arr := range m.arrays {
-		for _, v := range arr {
-			h = archHashWord(h, v)
-		}
-	}
-	return h
-}
 
 // ArchHashOffset/ArchHashPrime define the FNV-1a fold shared by
 // Machine.ArchHash, Gang.LaneArchHash and the generated native workers:
@@ -118,17 +51,232 @@ const (
 	ArchHashPrime  = uint64(1099511628211)
 )
 
-const archHashOffset = ArchHashOffset
+// state holds stride columns of one program's machine state.
+type state struct {
+	layout *Layout
+	stride int
 
-func archHashWord(h uint64, v int64) uint64 {
-	return (h ^ uint64(v)) * ArchHashPrime
+	vals   []int64   // [slot*stride+col]
+	arrays [][]int64 // per memory ordinal, column-major: [col*size+cell]
+	addr   []int64   // [mem*stride+col]
+	data   []int64   // [mem*stride+col]
+	opn    []int64   // [mem*stride+col]
 }
 
-// SaveState returns a binary snapshot of the machine's complete
-// mutable state. See the package comment above for what a snapshot
-// does and does not capture.
-func (m *Machine) SaveState() []byte {
-	return m.AppendState(make([]byte, 0, m.stateLen()))
+func newState(layout *Layout, stride int) state {
+	nm := len(layout.Mems)
+	s := state{
+		layout: layout,
+		stride: stride,
+		vals:   make([]int64, layout.Slots()*stride),
+		arrays: make([][]int64, nm),
+		addr:   make([]int64, nm*stride),
+		data:   make([]int64, nm*stride),
+		opn:    make([]int64, nm*stride),
+	}
+	for i, mem := range layout.Mems {
+		s.arrays[i] = make([]int64, mem.Size*stride)
+	}
+	return s
+}
+
+// column is one machine's state inside a state: column col, with its
+// cycle counter and statistics.
+type column struct {
+	*state
+	col   int
+	cycle *int64
+	stats *Stats
+}
+
+// row returns the column's cells of memory i.
+func (c column) row(i int) []int64 {
+	size := c.layout.Mems[i].Size
+	return c.arrays[i][c.col*size : (c.col+1)*size]
+}
+
+// reset restores power-on state: every component output and memory
+// latch 0, memory arrays zeroed except declared initial values, cycle
+// 0, statistics cleared (their MemOps backing array is reused, so a
+// pooled machine or gang resets without allocating).
+func (c column) reset() {
+	for k := c.col; k < len(c.vals); k += c.stride {
+		c.vals[k] = 0
+	}
+	for i, mem := range c.layout.Mems {
+		row := c.row(i)
+		clear(row)
+		copy(row, mem.Init)
+	}
+	for k := c.col; k < len(c.addr); k += c.stride {
+		c.addr[k], c.data[k], c.opn[k] = 0, 0, 0
+	}
+	*c.cycle = 0
+	clear(c.stats.MemOps)
+	*c.stats = Stats{MemOps: c.stats.MemOps}
+}
+
+// archHash folds the column's architectural state — the slot values
+// and every memory array, in slot/ordinal order — into a 64-bit
+// FNV-1a-style hash, one multiply per word. It deliberately excludes
+// the memory-input latches, whose values are backend-dependent scratch
+// (a compiled backend elides dead data latches), so identical
+// architectures hash equal on every backend.
+func (c column) archHash() uint64 {
+	h := ArchHashOffset
+	for k := c.col; k < len(c.vals); k += c.stride {
+		h = (h ^ uint64(c.vals[k])) * ArchHashPrime
+	}
+	for i := range c.arrays {
+		for _, v := range c.row(i) {
+			h = (h ^ uint64(v)) * ArchHashPrime
+		}
+	}
+	return h
+}
+
+// stateLen returns the exact byte length of the column's snapshot.
+func (c column) stateLen() int {
+	nm := len(c.layout.Mems)
+	n := 8 * (3 + c.layout.Slots() + nm + 3*nm + 2 + 4*nm)
+	for _, mem := range c.layout.Mems {
+		n += 8 * mem.Size
+	}
+	return n
+}
+
+// appendState appends the column's snapshot to buf.
+func (c column) appendState(buf []byte) []byte {
+	buf = slices.Grow(buf, c.stateLen())
+	put := func(v int64) {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	put(int64(SnapshotMagic))
+	put(int64(c.layout.Slots()))
+	for k := c.col; k < len(c.vals); k += c.stride {
+		put(c.vals[k])
+	}
+	put(int64(len(c.arrays)))
+	for i := range c.arrays {
+		row := c.row(i)
+		put(int64(len(row)))
+		for _, v := range row {
+			put(v)
+		}
+	}
+	for _, latch := range [][]int64{c.addr, c.data, c.opn} {
+		for k := c.col; k < len(latch); k += c.stride {
+			put(latch[k])
+		}
+	}
+	put(*c.cycle)
+	put(c.stats.Cycles)
+	for _, ops := range c.stats.MemOps {
+		put(ops.Reads)
+		put(ops.Writes)
+		put(ops.Inputs)
+		put(ops.Outputs)
+	}
+	return buf
+}
+
+// restoreState loads a snapshot into the column. The framing is
+// checked against the column's layout in full before anything is
+// written, so a foreign, torn or corrupt snapshot leaves the column
+// untouched.
+func (c column) restoreState(st []byte) error {
+	if _, err := frame(st, c.layout); err != nil {
+		return err
+	}
+	off := 16 // magic, slot count
+	get := func() int64 {
+		v := int64(binary.LittleEndian.Uint64(st[off:]))
+		off += 8
+		return v
+	}
+	for k := c.col; k < len(c.vals); k += c.stride {
+		c.vals[k] = get()
+	}
+	off += 8 // memory count
+	for i := range c.arrays {
+		off += 8 // cell count
+		row := c.row(i)
+		for j := range row {
+			row[j] = get()
+		}
+	}
+	for _, latch := range [][]int64{c.addr, c.data, c.opn} {
+		for k := c.col; k < len(latch); k += c.stride {
+			latch[k] = get()
+		}
+	}
+	*c.cycle = get()
+	c.stats.Cycles = get()
+	for i := range c.stats.MemOps {
+		c.stats.MemOps[i] = MemOpStats{Reads: get(), Writes: get(), Inputs: get(), Outputs: get()}
+	}
+	return nil
+}
+
+// frame walks a snapshot's self-describing framing — magic, slot
+// count, memory count, each memory's cell count — and returns the
+// offset of the cycle field. Every count is bounds-checked before it is
+// used and the total length must match exactly, so a truncated, padded
+// or torn snapshot is an error, never a misread. Given a layout, every
+// count must also be the layout's.
+func frame(st []byte, want *Layout) (int, error) {
+	word := func(off int) (int64, bool) {
+		if off+8 > len(st) {
+			return 0, false
+		}
+		return int64(binary.LittleEndian.Uint64(st[off:])), true
+	}
+	// count reads the count word at off: it must fit in the snapshot
+	// and, when want >= 0, equal want.
+	count := func(off, want int) (int, error) {
+		n, ok := word(off)
+		switch {
+		case !ok || n < 0 || n > int64(len(st)):
+			return 0, fmt.Errorf("out of range")
+		case want >= 0 && n != int64(want):
+			return 0, fmt.Errorf("%d, the program's is %d", n, want)
+		}
+		return int(n), nil
+	}
+	slots, mems := -1, -1
+	if want != nil {
+		slots, mems = want.Slots(), len(want.Mems)
+	}
+	if magic, ok := word(0); !ok || uint64(magic) != SnapshotMagic {
+		return 0, fmt.Errorf("sim: not a machine state snapshot")
+	}
+	nvals, err := count(8, slots)
+	if err != nil {
+		return 0, fmt.Errorf("sim: snapshot slot count %v", err)
+	}
+	off := 16 + 8*nvals
+	nmems, err := count(off, mems)
+	if err != nil {
+		return 0, fmt.Errorf("sim: snapshot memory count %v", err)
+	}
+	off += 8
+	for i := 0; i < nmems; i++ {
+		size := -1
+		if want != nil {
+			size = want.Mems[i].Size
+		}
+		cells, err := count(off, size)
+		if err != nil {
+			return 0, fmt.Errorf("sim: snapshot memory %d cell count %v", i, err)
+		}
+		off += 8 + 8*cells
+	}
+	off += 3 * 8 * nmems // addr/data/opn latches
+	// cycle + stats.Cycles + 4 counters per memory complete the layout.
+	if n := off + 16 + 4*8*nmems; len(st) != n {
+		return 0, fmt.Errorf("sim: snapshot is %d bytes, framing says %d", len(st), n)
+	}
+	return off, nil
 }
 
 // SnapshotCycle reads the cycle counter out of a state snapshot
@@ -139,106 +287,9 @@ func (m *Machine) SaveState() []byte {
 // cycle against the snapshot it frames before trusting either. A
 // malformed or truncated snapshot is rejected with an error.
 func SnapshotCycle(st []byte) (int64, error) {
-	get := func(off int) (int64, bool) {
-		if off < 0 || off+8 > len(st) {
-			return 0, false
-		}
-		return int64(binary.LittleEndian.Uint64(st[off:])), true
+	off, err := frame(st, nil)
+	if err != nil {
+		return 0, err
 	}
-	magic, ok := get(0)
-	if !ok || uint64(magic) != stateMagic {
-		return 0, fmt.Errorf("sim: not a machine state snapshot")
-	}
-	nvals, ok := get(8)
-	if !ok || nvals < 0 || nvals > int64(len(st)) {
-		return 0, fmt.Errorf("sim: snapshot slot count %d out of range", nvals)
-	}
-	off := 16 + 8*int(nvals)
-	nmems, ok := get(off)
-	if !ok || nmems < 0 || nmems > int64(len(st)) {
-		return 0, fmt.Errorf("sim: snapshot memory count %d out of range", nmems)
-	}
-	off += 8
-	for i := int64(0); i < nmems; i++ {
-		cells, ok := get(off)
-		if !ok || cells < 0 || cells > int64(len(st)) {
-			return 0, fmt.Errorf("sim: snapshot memory %d length out of range", i)
-		}
-		off += 8 + 8*int(cells)
-	}
-	off += 3 * 8 * int(nmems) // addr/data/opn latches
-	cycle, ok := get(off)
-	if !ok {
-		return 0, fmt.Errorf("sim: snapshot truncated before cycle field")
-	}
-	// cycle + stats.Cycles + 4 counters per memory complete the layout;
-	// the total must match exactly or the snapshot is torn.
-	if want := off + 16 + 4*8*int(nmems); len(st) != want {
-		return 0, fmt.Errorf("sim: snapshot is %d bytes, framing says %d", len(st), want)
-	}
-	return cycle, nil
-}
-
-// RestoreState loads a snapshot produced by SaveState or AppendState.
-// The snapshot must come from a machine of identical shape (same
-// specification); a mismatched or corrupt snapshot is rejected with an
-// error before any machine state is modified.
-func (m *Machine) RestoreState(st []byte) error {
-	if len(st) != m.stateLen() {
-		return fmt.Errorf("sim: snapshot is %d bytes, this machine's state is %d", len(st), m.stateLen())
-	}
-	get := func(off int) int64 {
-		return int64(binary.LittleEndian.Uint64(st[off:]))
-	}
-	// Validate the full layout before touching any state.
-	if uint64(get(0)) != stateMagic {
-		return fmt.Errorf("sim: not a machine state snapshot (bad magic %#x)", uint64(get(0)))
-	}
-	if n := get(8); n != int64(len(m.vals)) {
-		return fmt.Errorf("sim: snapshot has %d component slots, this machine has %d", n, len(m.vals))
-	}
-	off := 16 + 8*len(m.vals)
-	if n := get(off); n != int64(len(m.arrays)) {
-		return fmt.Errorf("sim: snapshot has %d memories, this machine has %d", n, len(m.arrays))
-	}
-	off += 8
-	arrOff := make([]int, len(m.arrays))
-	for i, arr := range m.arrays {
-		if n := get(off); n != int64(len(arr)) {
-			return fmt.Errorf("sim: snapshot memory %d has %d cells, this machine has %d", i, n, len(arr))
-		}
-		arrOff[i] = off + 8
-		off += 8 + 8*len(arr)
-	}
-
-	// Shape verified; copy everything in.
-	for i := range m.vals {
-		m.vals[i] = get(16 + 8*i)
-	}
-	for i, arr := range m.arrays {
-		base := arrOff[i]
-		for j := range arr {
-			arr[j] = get(base + 8*j)
-		}
-	}
-	nm := len(m.arrays)
-	for i := 0; i < nm; i++ {
-		m.addr[i] = get(off + 8*i)
-		m.data[i] = get(off + 8*(nm+i))
-		m.opn[i] = get(off + 8*(2*nm+i))
-	}
-	off += 3 * 8 * nm
-	m.cycle = get(off)
-	m.stats.Cycles = get(off + 8)
-	off += 16
-	for i := range m.stats.MemOps {
-		m.stats.MemOps[i] = MemOpStats{
-			Reads:   get(off),
-			Writes:  get(off + 8),
-			Inputs:  get(off + 16),
-			Outputs: get(off + 24),
-		}
-		off += 32
-	}
-	return nil
+	return int64(binary.LittleEndian.Uint64(st[off:])), nil
 }

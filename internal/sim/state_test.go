@@ -126,8 +126,9 @@ func TestSaveRestoreAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsMismatch: restoring a foreign or corrupt snapshot
-// fails cleanly, leaving the target machine untouched.
+// TestRestoreRejectsMismatch: restoring a foreign, corrupt or
+// mis-shaped snapshot fails cleanly, on a machine and on a gang lane
+// alike, leaving the target's state untouched.
 func TestRestoreRejectsMismatch(t *testing.T) {
 	counter, err := core.ParseString("counter", machines.Counter())
 	if err != nil {
@@ -145,28 +146,76 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := core.NewMachine(sieve, core.Compiled, core.Options{})
+	sp, err := core.Compile(sieve, core.Compiled)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sm := sp.NewMachine(core.Options{})
 	if err := sm.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	before := campaign.SnapshotDigest(sm)
+	g, ok := sp.NewGang(2)
+	if !ok {
+		t.Fatal("compiled program should gang")
+	}
+	g.Reset([]int64{80, 120})
+	for g.Step(1000) {
+	}
 
-	if err := sm.RestoreState(cm.SaveState()); err == nil {
-		t.Error("foreign snapshot accepted")
+	good := sm.SaveState()
+	word := func(off int) int64 { return int64(binary.LittleEndian.Uint64(good[off:])) }
+	memCount := 16 + 8*int(word(8))
+	mem0 := memCount + 8
+	mem1 := mem0 + 8 + 8*int(word(mem0))
+	// bump returns st with the word at each offset moved by d.
+	bump := func(st []byte, d int64, offs ...int) []byte {
+		st = append([]byte(nil), st...)
+		for _, off := range offs {
+			binary.LittleEndian.PutUint64(st[off:], uint64(int64(binary.LittleEndian.Uint64(st[off:]))+d))
+		}
+		return st
 	}
-	if err := sm.RestoreState(nil); err == nil {
-		t.Error("empty snapshot accepted")
+	badMagic := append([]byte(nil), good...)
+	badMagic[0] ^= 0xff // corrupt the magic
+	cases := []struct {
+		name string
+		st   []byte
+	}{
+		{"foreign shape", cm.SaveState()},
+		{"empty", nil},
+		{"bad magic", badMagic},
+		{"wrong slot count", bump(good, 1, 8)},
+		{"wrong memory count", bump(good, 1, memCount)},
+		{"wrong memory size", bump(good, 1, mem0)},
+		// Same total length: only the shape check can tell.
+		{"memory sizes traded", bump(bump(good, 1, mem0), -1, mem1)},
 	}
-	bad := sm.SaveState()
-	bad[0] ^= 0xff // corrupt the magic
-	if err := sm.RestoreState(bad); err == nil {
-		t.Error("corrupt snapshot accepted")
+	targets := []struct {
+		name    string
+		restore func([]byte) error
+		state   func() []byte // everything a failed restore must not touch
+	}{
+		{"machine", sm.RestoreState, func() []byte {
+			return append(sm.SaveState(), campaign.SnapshotDigest(sm)...)
+		}},
+		{"gang lane", func(st []byte) error { return g.RestoreLaneState(1, st) }, func() []byte {
+			return append(g.SaveLaneState(0), g.SaveLaneState(1)...)
+		}},
 	}
-	if campaign.SnapshotDigest(sm) != before {
-		t.Error("failed restore modified machine state")
+	for _, tg := range targets {
+		before := tg.state()
+		for _, c := range cases {
+			if err := tg.restore(c.st); err == nil {
+				t.Errorf("%s: %s snapshot accepted", tg.name, c.name)
+			}
+			if !bytes.Equal(tg.state(), before) {
+				t.Errorf("%s: failed restore of %s snapshot modified state", tg.name, c.name)
+			}
+		}
+		// The cases above would be vacuous if good snapshots failed too.
+		if err := tg.restore(good); err != nil {
+			t.Errorf("%s: good snapshot rejected: %v", tg.name, err)
+		}
 	}
 }
 
@@ -295,4 +344,96 @@ func TestSnapshotCycle(t *testing.T) {
 			t.Errorf("lane %d: SnapshotCycle = %d, want %d", l, got, g.LaneCycle(l))
 		}
 	}
+}
+
+// FuzzSnapshotDecode feeds arbitrary bytes to the one snapshot decoder
+// machines and gang lanes share, over a counter and a sieve program.
+// Nothing may panic; Machine.RestoreState and Gang.RestoreLaneState
+// must accept exactly the same inputs; a rejected input must leave the
+// target's snapshot and hash unchanged; an accepted one must re-encode
+// byte-identically on both, hash equal on both, and carry the restored
+// cycle where SnapshotCycle reads it. The seeds are real machine and
+// lane snapshots at several cycles, plus truncations.
+func FuzzSnapshotDecode(f *testing.F) {
+	sieveSrc, err := machines.SieveSpec(20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var progs []*core.Program
+	for name, src := range map[string]string{"counter": machines.Counter(), "sieve": sieveSrc} {
+		spec, err := core.ParseString(name, src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		p, err := core.Compile(spec, core.Compiled)
+		if err != nil {
+			f.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	// fresh returns a machine and a two-lane gang mid-run, the targets
+	// every input is restored onto.
+	fresh := func(t *testing.T, p *core.Program) (*sim.Machine, *sim.Gang) {
+		m := p.NewMachine(core.Options{})
+		if err := m.Run(37); err != nil {
+			t.Fatal(err)
+		}
+		g, ok := p.NewGang(2)
+		if !ok {
+			t.Fatal("compiled program should gang")
+		}
+		g.Reset([]int64{50, 50})
+		g.Step(23)
+		return m, g
+	}
+	for _, p := range progs {
+		m := p.NewMachine(core.Options{})
+		g, _ := p.NewGang(1)
+		for _, cycle := range []int64{0, 17, 100} {
+			if err := m.Run(cycle - m.Cycle()); err != nil {
+				f.Fatal(err)
+			}
+			g.Reset([]int64{cycle})
+			for g.Step(64) {
+			}
+			for _, st := range [][]byte{m.SaveState(), g.SaveLaneState(0)} {
+				f.Add(st)
+				for _, n := range []int{0, 8, 16, len(st) / 2, len(st) - 1} {
+					f.Add(st[:n])
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, st []byte) {
+		framed, ferr := sim.SnapshotCycle(st)
+		for _, p := range progs {
+			m, g := fresh(t, p)
+			mBefore, mHash := m.SaveState(), m.ArchHash()
+			gBefore := append(g.SaveLaneState(0), g.SaveLaneState(1)...)
+			gHash := g.LaneArchHash(1)
+			merr := m.RestoreState(st)
+			gerr := g.RestoreLaneState(1, st)
+			if (merr == nil) != (gerr == nil) {
+				t.Fatalf("%s: machine restore error %v, lane restore error %v", p.Backend(), merr, gerr)
+			}
+			if merr != nil {
+				if !bytes.Equal(m.SaveState(), mBefore) || m.ArchHash() != mHash {
+					t.Fatalf("rejected snapshot (%v) modified the machine", merr)
+				}
+				if !bytes.Equal(append(g.SaveLaneState(0), g.SaveLaneState(1)...), gBefore) || g.LaneArchHash(1) != gHash {
+					t.Fatalf("rejected snapshot (%v) modified the gang", gerr)
+				}
+				continue
+			}
+			if !bytes.Equal(m.SaveState(), st) || !bytes.Equal(g.SaveLaneState(1), st) {
+				t.Fatal("accepted snapshot does not re-encode byte-identically")
+			}
+			if m.ArchHash() != g.LaneArchHash(1) {
+				t.Fatal("machine and lane restored from one snapshot hash differently")
+			}
+			if ferr != nil || framed != m.Cycle() {
+				t.Fatalf("SnapshotCycle = %d, %v; restored cycle is %d", framed, ferr, m.Cycle())
+			}
+		}
+	})
 }
