@@ -178,7 +178,7 @@ type Engine struct {
 	// with the rung of the dispatch ladder it resolved to. The serving
 	// layer hangs tracing and per-rung metering off this. Calls come
 	// concurrently from worker goroutines (implementations synchronize
-	// themselves) with the context ExecuteStream was given, so a trace
+	// themselves) with the context ExecuteBursts was given, so a trace
 	// id carried in ctx reaches every record. A nil Observe costs one
 	// branch per dispatch unit and nothing per cycle; it never changes
 	// results.
@@ -381,22 +381,41 @@ func (e Engine) plan(runs []Run, workers int) plan {
 // error in their Result and Execute returns it; already-finished
 // results are kept.
 func (e Engine) Execute(ctx context.Context, runs []Run) ([]Result, error) {
-	return e.ExecuteStream(ctx, runs, nil)
+	return e.ExecuteBursts(ctx, runs, nil)
 }
 
-// ExecuteStream is Execute with streaming delivery: every Result is
-// additionally passed to onResult exactly once, as soon as its run
-// (or its gang) finishes — the serving layer's NDJSON stream rides
-// this. Calls to onResult are serialized (never concurrent), so the
-// callback may write to a shared sink without locking, but they come
-// from worker goroutines in completion order, not index order; a
+// ExecuteStream is ExecuteBursts with one callback per Result: every
+// Result is passed to onResult exactly once, a burst's results back to
+// back. A nil onResult is exactly Execute.
+func (e Engine) ExecuteStream(ctx context.Context, runs []Run, onResult func(Result)) ([]Result, error) {
+	if onResult == nil {
+		return e.ExecuteBursts(ctx, runs, nil)
+	}
+	return e.ExecuteBursts(ctx, runs, func(burst []Result) {
+		for _, r := range burst {
+			onResult(r)
+		}
+	})
+}
+
+// ExecuteBursts is Execute with streaming delivery: every Result is
+// additionally passed to onBurst exactly once, together with the rest
+// of its dispatch unit, as soon as that unit retires — a gang's or an
+// AOT span's lanes in one burst, a scalar run alone — so a consumer
+// pays its per-delivery costs (a socket write and flush, say) once per
+// unit rather than once per run. The serving layer's NDJSON stream
+// rides this. Calls to onBurst are serialized (never concurrent), so
+// the callback may write to a shared sink without locking, but they
+// come from worker goroutines in completion order, not index order; a
 // consumer that needs index order has Result.Index, or the returned
 // slice, which is identical to Execute's — same indexed placement,
 // same digests, statistics and errors for any worker count. Runs
-// cancelled before dispatch are delivered too (with ctx's error),
-// after the workers drain. onResult must not call back into the
-// engine for the same campaign. A nil onResult is exactly Execute.
-func (e Engine) ExecuteStream(ctx context.Context, runs []Run, onResult func(Result)) ([]Result, error) {
+// cancelled before dispatch are delivered too (with ctx's error), one
+// burst per undispatched unit, after the workers drain. The burst
+// slice is only valid during the call (the engine reuses it); onBurst
+// must not call back into the engine for the same campaign. A nil
+// onBurst is exactly Execute.
+func (e Engine) ExecuteBursts(ctx context.Context, runs []Run, onBurst func([]Result)) ([]Result, error) {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -411,15 +430,18 @@ func (e Engine) ExecuteStream(ctx context.Context, runs []Run, onResult func(Res
 	}
 
 	var emitMu sync.Mutex
+	var burst []Result
 	emit := func(idxs []int) {
-		if onResult == nil {
+		if onBurst == nil {
 			return
 		}
 		emitMu.Lock()
 		defer emitMu.Unlock()
+		burst = burst[:0]
 		for _, i := range idxs {
-			onResult(results[i])
+			burst = append(burst, results[i])
 		}
+		onBurst(burst)
 	}
 
 	jobs := make(chan span)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -207,5 +208,105 @@ func TestExecuteStreamTimely(t *testing.T) {
 	}
 	if !firstAt.Before(lastAt) {
 		t.Error("all deliveries collapsed into one instant; streaming is not incremental")
+	}
+}
+
+// TestExecuteBurstsMatchDispatches: ExecuteBursts delivers each
+// dispatch unit's results together — one burst per Observe record,
+// each burst the size of its unit — every run exactly once, and
+// returns Execute's slice. A mixed campaign, so gang units (several
+// runs a burst) and scalar units (one) both deliver.
+func TestExecuteBurstsMatchDispatches(t *testing.T) {
+	runs := sieveFleet(t, 9, 800)
+	runs = append(runs, faultRuns(t)...)
+	for _, workers := range []int{1, 2} {
+		want, err := Engine{Workers: workers, Chunk: 128}.Execute(context.Background(), runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &dispatchLog{}
+		eng := Engine{Workers: workers, Chunk: 128, Observe: log.hook()}
+		var sizes []int
+		delivered := make([]int, len(runs))
+		got, err := eng.ExecuteBursts(context.Background(), runs, func(burst []Result) {
+			sizes = append(sizes, len(burst))
+			for _, r := range burst {
+				delivered[r.Index]++
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range delivered {
+			if n != 1 {
+				t.Fatalf("workers=%d: run %d delivered %d times", workers, i, n)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: ExecuteBursts slice differs from Execute", workers)
+		}
+		var units []int
+		for _, d := range log.ds {
+			units = append(units, d.Runs)
+		}
+		if workers > 1 {
+			// Dispatch records and bursts come from concurrent workers;
+			// only their multisets must agree.
+			sort.Ints(sizes)
+			sort.Ints(units)
+		}
+		if !reflect.DeepEqual(sizes, units) {
+			t.Errorf("workers=%d: burst sizes %v, dispatch units %v", workers, sizes, units)
+		}
+		if len(units) == len(runs) {
+			t.Errorf("workers=%d: every unit held one run; the campaign formed no gang", workers)
+		}
+	}
+}
+
+// TestExecuteBurstsCancellation: runs never dispatched after
+// cancellation arrive in bursts too, one per undispatched unit, every
+// result carrying ctx's error.
+func TestExecuteBurstsCancellation(t *testing.T) {
+	runs := sieveFleet(t, 32, 200000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	log := &dispatchLog{}
+	eng := Engine{Workers: 1, Chunk: 64, GangSize: 4, Observe: log.hook()}
+	var bursts [][]Result
+	delivered := make([]int, len(runs))
+	_, err := eng.ExecuteBursts(ctx, runs, func(burst []Result) {
+		bursts = append(bursts, append([]Result(nil), burst...))
+		for _, r := range burst {
+			delivered[r.Index]++
+		}
+		cancel()
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for i, n := range delivered {
+		if n != 1 {
+			t.Errorf("run %d delivered %d times", i, n)
+		}
+	}
+	if len(bursts) != len(runs)/4 {
+		t.Fatalf("%d bursts, want one per 4-lane unit (%d)", len(bursts), len(runs)/4)
+	}
+	dispatched := len(log.ds)
+	if dispatched == len(bursts) {
+		t.Fatal("every unit was dispatched; cancellation came too late to test")
+	}
+	// One worker: bursts arrive in dispatch order, the undispatched
+	// units' after the worker drains.
+	for _, burst := range bursts[dispatched:] {
+		if len(burst) != 4 {
+			t.Errorf("undispatched burst of %d runs, want 4", len(burst))
+		}
+		for _, r := range burst {
+			if r.Err != context.Canceled {
+				t.Errorf("undispatched run %d: err %v, want context.Canceled", r.Index, r.Err)
+			}
+		}
 	}
 }

@@ -20,11 +20,13 @@ package service
 //     previous process left without a completion marker.
 //
 // The invariant everything rides on: a result line is appended to the
-// store before it is written to any client, and cancelled runs are
-// neither persisted nor streamed. So a client's delivered count is
-// always a prefix of the stored result records, and a run either has
-// a stored result (final, replayable) or will be re-executed —
-// exactly once, never both.
+// store before it is written to any client, cancelled runs are neither
+// persisted nor streamed, and once the store refuses a result line
+// neither it nor any later line of the job is streamed (the campaign
+// is interrupted there; see Server.execute). So a client's delivered
+// count is always a prefix of the stored result records, and a run
+// either has a stored result (final, replayable) or will be
+// re-executed — exactly once, never both.
 
 import (
 	"context"
@@ -51,26 +53,6 @@ func (s *Server) persistAdmit(id string, req JobRequest) {
 		return
 	}
 	_ = s.store.Append(id, durable.Record{Kind: durable.KindAdmit, Data: data})
-}
-
-// persistResult renders a result as its stream line and, with a
-// store, appends it there before anyone can see it. Persist-then-write:
-// the stored result records are always a superset of what any client
-// or log received, so a resume token's delivered count indexes the
-// stored prefix. It returns nil for a result that is not an outcome: a
-// cancelled run of a store-backed job resumes from its checkpoint
-// later, and persisting nothing and streaming nothing keeps the
-// invariant the resume token rides on — every line a client received
-// has a stored record.
-func (s *Server) persistResult(id string, res campaign.Result) ([]byte, error) {
-	if s.store != nil && errors.Is(res.Err, context.Canceled) {
-		return nil, nil
-	}
-	data, err := json.Marshal(ResultLine(res))
-	if err == nil && s.store != nil {
-		_ = s.store.Append(id, durable.Record{Kind: durable.KindResult, Run: int64(res.Index), Data: data})
-	}
-	return data, err
 }
 
 // persistDone records the campaign's completion — empty data for

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -368,5 +369,71 @@ func TestServiceResumeReplaysOnce(t *testing.T) {
 	}
 	if n := store.replays.Load() - before; n > 3 {
 		t.Errorf("following a live %d-run job replayed the store %d times, want a constant (<= 3)", req.Runs, n)
+	}
+}
+
+// refusingStore refuses one result record — the failAt-th result
+// Append it sees — and passes every other call through.
+type refusingStore struct {
+	durable.Store
+	failAt  int64
+	results atomic.Int64
+	refused atomic.Bool
+}
+
+func (s *refusingStore) Append(job string, rec durable.Record) error {
+	if rec.Kind == durable.KindResult && s.results.Add(1) == s.failAt {
+		s.refused.Store(true)
+		return errors.New("injected result append failure")
+	}
+	return s.Store.Append(job, rec)
+}
+
+// TestServiceUnstoredResultRedelivered: a result line the store
+// refuses is never delivered, and neither is any later line of the
+// job — the campaign stops there without a completion marker, so the
+// runs without a stored result execute again. An interrupted job is
+// recovered by a server whose store refuses the background
+// completion's second result; once that completion stops, a resume
+// from nothing still receives every run exactly once, byte-identical
+// to an uninterrupted execution.
+func TestServiceUnstoredResultRedelivered(t *testing.T) {
+	req := durableJob(t)
+	want := referenceLines(t, req)
+	store := durable.NewMemStore()
+
+	// First life: interrupt the job mid-stream.
+	srvA, tsA := newServer(t, durableConfig(store))
+	jobID, _ := postPartial(t, tsA, req, 3)
+	waitFor(t, "interrupted handler to finish", func() bool {
+		m := srvA.Metrics()
+		return m.JobsActive == 0 && m.JobsAbandoned+m.JobsCompleted == 1
+	})
+
+	// Second life: recovery's background completion meets a store that
+	// refuses its second result.
+	refusing := &refusingStore{Store: store, failAt: 2}
+	srvB, tsB := newServer(t, durableConfig(refusing))
+	if recovered, err := srvB.Recover(); err != nil || recovered != 1 {
+		t.Fatalf("recovered %d jobs (err %v), want 1", recovered, err)
+	}
+	waitFor(t, "the background completion to stop", func() bool {
+		return refusing.refused.Load() && srvB.Metrics().JobsActive == 0
+	})
+
+	status, rlines := resume(t, tsB.URL, jobID, 0)
+	if status != http.StatusOK {
+		t.Fatalf("resume status %d: %v", status, rlines)
+	}
+	_, raw, _, tr := parseStream(t, rlines)
+	if !tr.Done || tr.Err != "" {
+		t.Errorf("resume trailer: %+v", tr)
+	}
+	if len(raw) != req.Runs || tr.Summary.Runs != req.Runs {
+		t.Fatalf("resumed stream has %d run lines and a trailer of %d runs, want %d",
+			len(raw), tr.Summary.Runs, req.Runs)
+	}
+	if got := sortedRunLines(t, raw); got != want {
+		t.Errorf("resumed job differs from uninterrupted job:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -45,13 +45,13 @@ type Limits struct {
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
 
-	// WriteTimeout bounds each streamed line's write; <= 0 means 30s.
-	// A connected client that stops reading fails its next line after
-	// this long instead of wedging whatever is delivering it (on asimd
-	// an engine worker, and with it a job slot — the job's campaign is
-	// cancelled at the same moment). A server-wide
-	// http.Server.WriteTimeout would be wrong here — it would kill
-	// legitimately long streams.
+	// WriteTimeout bounds each stream write — one line, or one burst
+	// of lines — and its flush; <= 0 means 30s. A connected client
+	// that stops reading fails its next write after this long instead
+	// of wedging whatever is delivering it (on asimd an engine worker,
+	// and with it a job slot — the job's campaign is cancelled at the
+	// same moment). A server-wide http.Server.WriteTimeout would be
+	// wrong here — it would kill legitimately long streams.
 	WriteTimeout time.Duration
 }
 
@@ -147,7 +147,7 @@ type JobMetrics struct {
 	JobsCompleted int64   `json:"jobs_completed" help:"Jobs that finished without error."`
 	JobsFailed    int64   `json:"jobs_failed" help:"Jobs that exceeded their deadline, hit an engine error or exhausted chunk retries."`
 	JobsRejected  int64   `json:"jobs_rejected" help:"Jobs rejected with 429 (queue full)."`
-	JobsAbandoned int64   `json:"jobs_abandoned" help:"Jobs whose client disconnected while queued or mid-stream."`
+	JobsAbandoned int64   `json:"jobs_abandoned" help:"Jobs whose client disconnected while queued or mid-stream, or whose stream stopped at a result the store refused."`
 	JobsBad       int64   `json:"jobs_bad" help:"Malformed or over-limit requests (400/413)."`
 	JobsResumed   int64   `json:"jobs_resumed" help:"Resume streams served."`
 	JobsActive    int64   `json:"jobs_active" prom:"gauge" help:"Jobs executing (on asimcoord: merging) right now."`
@@ -158,7 +158,7 @@ type JobMetrics struct {
 
 	JobLatency telemetry.HistogramSnapshot `json:"job_latency_seconds" help:"Full job latency to the trailer: from arrival on asimd, from admission on asimcoord."`
 	QueueWait  telemetry.HistogramSnapshot `json:"queue_wait_seconds" help:"Time jobs waited for a slot."`
-	WriteStall telemetry.HistogramSnapshot `json:"write_stall_seconds" help:"Stream write+flush time per write (one line, or a follower's batch of ready lines)."`
+	WriteStall telemetry.HistogramSnapshot `json:"write_stall_seconds" help:"Stream write+flush time per write: a header or trailer, one retirement burst's run lines (a gang's, or a single run's), or the lines a follower found ready."`
 
 	TraceSpans   int64 `json:"trace_spans" prom:"gauge" help:"Spans retained in the trace ring."`
 	TraceDropped int64 `json:"trace_dropped" help:"Spans evicted from the trace ring."`
@@ -390,14 +390,15 @@ func (fe *FrontEnd) stream(w http.ResponseWriter, job, trace string, cancel cont
 }
 
 // lineWriter writes NDJSON lines, flushing after each write so results
-// are on the wire while the campaign still runs; a write is one line,
-// or every line a log follower found ready. Each write carries a
+// are on the wire while the campaign still runs; a write is one line
+// (a header or trailer), one retirement burst's run lines, or every
+// line a log follower found ready. Each write carries a
 // deadline: a connected client that stops reading fails the write
 // after timeout instead of blocking whoever is delivering it. The
 // first error latches and calls cancel (asimd's foreground stream
 // cancels the job's campaign — a client that cannot receive results
 // should not keep burning a job slot). Writes are serialized by a
-// mutex: result lines arrive through the engine's (already
+// mutex: result bursts arrive through the engine's (already
 // serialized) delivery callback, but streamed checkpoint lines come
 // concurrently from worker goroutines.
 type lineWriter struct {
@@ -420,8 +421,9 @@ func (lw *lineWriter) line(v any) {
 }
 
 // raw writes pre-rendered lines (no trailing newlines) under one write
-// deadline and one flush — the path followers use to replay stored
-// lines byte-identically, a whole ready batch at a time. A nil
+// deadline and one flush — the path a job's retirement bursts take,
+// and followers use to replay stored lines byte-identically, a whole
+// ready batch at a time. A nil
 // lineWriter is a job with no client attached: nothing is written.
 func (lw *lineWriter) raw(lines ...[]byte) {
 	if lw == nil {

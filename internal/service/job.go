@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -132,7 +134,9 @@ type JobHeader struct {
 // order; Index is the run's position in the job, so a consumer that
 // wants batch order re-sorts on it. ResultLine is the single encoding
 // of a campaign.Result both the stream and any batch rendering use,
-// which is what makes streamed and batch output byte-identical.
+// which is what makes streamed and batch output byte-identical; the
+// stream renders it with appendJSON, byte for byte json.Marshal's
+// rendering.
 type RunLine struct {
 	Index     int    `json:"index"`
 	Name      string `json:"name"`
@@ -163,6 +167,91 @@ func ResultLine(r campaign.Result) RunLine {
 		line.Err = r.Err.Error()
 	}
 	return line
+}
+
+// appendJSON appends the line's JSON rendering to dst — exactly the
+// bytes json.Marshal(l) produces: field order, omitempty, and the
+// standard encoder's string escaping (HTML-safe <, > and &, U+2028 and
+// U+2029 escaped, invalid UTF-8 as U+FFFD) — without reflection or an
+// allocation per line. FuzzRunLineEncoding holds it to json.Marshal.
+func (l RunLine) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(l.Index), 10)
+	dst = append(dst, `,"name":`...)
+	dst = appendJSONString(dst, l.Name)
+	if l.Group != "" {
+		dst = append(dst, `,"group":`...)
+		dst = appendJSONString(dst, l.Group)
+	}
+	dst = append(dst, `,"cycles":`...)
+	dst = strconv.AppendInt(dst, l.Cycles, 10)
+	dst = append(dst, `,"mem_reads":`...)
+	dst = strconv.AppendInt(dst, l.MemReads, 10)
+	dst = append(dst, `,"mem_writes":`...)
+	dst = strconv.AppendInt(dst, l.MemWrites, 10)
+	dst = append(dst, `,"digest":`...)
+	dst = appendJSONString(dst, l.Digest)
+	if l.Activated != 0 {
+		dst = append(dst, `,"activated":`...)
+		dst = strconv.AppendInt(dst, l.Activated, 10)
+	}
+	if l.Err != "" {
+		dst = append(dst, `,"error":`...)
+		dst = appendJSONString(dst, l.Err)
+	}
+	return append(dst, '}')
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json
+// renders one with HTML escaping on (its default).
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default: // other control bytes, and <, > and &
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // MaxStreamLine is the longest line, newline included, a chunk stream

@@ -14,7 +14,7 @@ import (
 // delivered count. It is a coordinator job's merge output (the merge
 // releases lines into it in index order) and what a durable asimd
 // job's resume streams follow (seeded once from the store, then
-// appended as each result is persisted). A nil *LineLog is a job
+// appended a retirement burst at a time as its results are persisted). A nil *LineLog is a job
 // nobody can follow: appends to it are dropped.
 type LineLog struct {
 	mu     sync.Mutex

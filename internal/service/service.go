@@ -17,10 +17,12 @@
 //     compile exactly once, and the stream's header says whether the
 //     job hit. `asimfmt -digest` prints the same digest clients can
 //     pre-compute.
-//   - Streaming. Results ride campaign.Engine.ExecuteStream: each
-//     run's line is written and flushed as its run (or gang) retires,
-//     so a fleet's early finishers are on the wire while late runs
-//     still simulate. A trailer line carries the campaign summary.
+//   - Streaming. Results ride campaign.Engine.ExecuteBursts: each
+//     dispatch unit's lines — a gang's together, a scalar run's alone
+//     — are rendered into one buffer, then written and flushed once,
+//     as the unit retires, so a fleet's early finishers are on the
+//     wire while late runs still simulate. A trailer line carries the
+//     campaign summary.
 //
 // Endpoints: POST /v1/jobs (NDJSON stream), GET /v1/scenarios,
 // GET /v1/trace/{job}, GET /healthz, GET /metrics (JSON counters).
@@ -160,8 +162,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // handleJob admits, executes and streams one job. The response is
 // NDJSON: a JobHeader line, one RunLine per run in completion order
-// (each flushed as its run retires), and a JobTrailer line with the
-// campaign summary. With a durable store configured, the admitted
+// (flushed a retirement burst at a time: a gang's lines together, a
+// scalar run's alone), and a JobTrailer line with the campaign
+// summary. With a durable store configured, the admitted
 // request, every delivered result line, periodic checkpoints and the
 // completion marker are persisted as the stream runs, so a dropped
 // stream can be resumed (see handleResume) and an interrupted
@@ -209,7 +212,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	defer s.fe.JobsActive.Add(-1)
 
 	// Only a store-backed job can ever be resumed, so only it keeps a
-	// log: without a store lg stays nil and the per-line path below
+	// log: without a store lg stays nil and the burst path below
 	// carries no follower bookkeeping at all.
 	var lg *LineLog
 	if s.store != nil {
@@ -246,9 +249,20 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // attached) — and closes its books. idx, when set, maps the engine's
 // run indices to the indices lines, records and checkpoints carry: the
 // full campaign's, so a chunk's or a remainder's lines are the
-// unchunked, uninterrupted execution's bytes. Each result is
-// persisted, written to the client straight from the engine's delivery
-// callback, and appended to the job's log, in that order.
+// unchunked, uninterrupted execution's bytes.
+//
+// Results arrive a dispatch unit at a time, straight from the engine's
+// delivery callback: a burst's lines are rendered into one buffer,
+// persisted one record per line, then written to the client under one
+// deadline and one flush and appended to the job's log in one call.
+// Persist-then-write: no line reaches a client or the log before its
+// record is stored, so a resume token's delivered count always indexes
+// the stored prefix. A cancelled run of a store-backed job is not an
+// outcome — it resumes from its checkpoint later — so it is neither
+// persisted nor delivered. A line whose record cannot be stored is not
+// delivered either, nor is any later line of the job: the campaign is
+// interrupted there, without a done record, and a resume or a
+// restart's recovery re-executes every run that has no stored result.
 func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, idx []int, out *lineWriter, streamCheckpoints bool, lg *LineLog) (campaign.Summary, error) {
 	eng := s.cfg.Engine
 	eng.Observe = s.observeDispatch(id)
@@ -259,21 +273,54 @@ func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, id
 		}
 		eng.Checkpoint, eng.CheckpointEvery = ck, s.cfg.checkpointCycles()
 	}
+	ctx, interrupt := context.WithCancel(ctx)
+	defer interrupt()
 
+	var (
+		unstored error    // the first result the store refused
+		buf      []byte   // the burst's rendered lines, back to back
+		lines    [][]byte // one slice of buf per line
+	)
 	t0 := time.Now()
-	results, execErr := eng.ExecuteStream(ctx, runs, func(res campaign.Result) {
-		if idx != nil {
-			res.Index = idx[res.Index]
+	results, execErr := eng.ExecuteBursts(ctx, runs, func(burst []campaign.Result) {
+		if unstored != nil {
+			return
 		}
-		data, err := s.persistResult(id, res)
-		if err != nil {
-			out.fail(err)
-		} else if data != nil {
-			out.raw(data)
-			lg.Append(data)
+		if lg != nil || cap(buf) == 0 {
+			// A log keeps its lines, so their bytes are never reused;
+			// without one, a single buffer serves every burst.
+			buf = make([]byte, 0, 128*len(burst))
+		}
+		buf, lines = buf[:0], lines[:0]
+		for _, res := range burst {
+			if s.store != nil && errors.Is(res.Err, context.Canceled) {
+				continue
+			}
+			if idx != nil {
+				res.Index = idx[res.Index]
+			}
+			start := len(buf)
+			buf = ResultLine(res).appendJSON(buf)
+			line := buf[start:len(buf):len(buf)]
+			if s.store != nil {
+				rec := durable.Record{Kind: durable.KindResult, Run: int64(res.Index), Data: line}
+				if err := s.store.Append(id, rec); err != nil {
+					unstored = fmt.Errorf("storing run %d's result: %v; %s", res.Index, err, errInterrupted)
+					interrupt()
+					break
+				}
+			}
+			lines = append(lines, line)
+		}
+		if len(lines) > 0 {
+			out.raw(lines...)
+			lg.Append(lines...)
 		}
 	})
 	elapsed := time.Since(t0)
+	if unstored != nil {
+		execErr = unstored
+	}
 
 	sum := campaign.Summarize(results, elapsed)
 	s.met.runsTotal.Add(int64(sum.Runs))
@@ -284,11 +331,12 @@ func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, id
 	case execErr == nil:
 		s.fe.JobsCompleted.Add(1)
 		s.persistDone(id, lg, nil)
-	case errors.Is(execErr, context.Canceled):
+	case unstored != nil || errors.Is(execErr, context.Canceled):
 		// The client went away mid-stream (or, in the background, the
-		// server is shutting down). That is not the job failing — its
-		// runs are checkpointed and no completion marker is written, so
-		// a resume (or restart recovery) finishes it.
+		// server is shutting down), or a result could not be stored.
+		// That is not the job failing — its runs are checkpointed and no
+		// completion marker is written, so a resume (or restart
+		// recovery) finishes it.
 		outcome, errText = "abandoned", execErr.Error()
 		if out != nil {
 			s.fe.JobsAbandoned.Add(1)

@@ -619,3 +619,34 @@ func TestServiceKeepAliveAfterStream(t *testing.T) {
 		t.Errorf("status %d, completed %d", resp.StatusCode, m.JobsCompleted)
 	}
 }
+
+// TestServiceOneWritePerBurst: a job's run lines go out one retirement
+// burst at a time — one write and one flush per engine dispatch unit —
+// so a store-less 256-run job raises the write-stall histogram by its
+// engine span count plus the header and the trailer, not once per run.
+func TestServiceOneWritePerBurst(t *testing.T) {
+	srv, ts := newServer(t, service.Config{})
+	before := srv.Metrics().WriteStall.Count
+	status, lines := postJob(t, ts.URL, service.JobRequest{Spec: machines.Counter(), Runs: 256, Cycles: 50})
+	if status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	hdr, raw, _, tr := parseStream(t, lines)
+	if len(raw) != 256 || tr.Err != "" {
+		t.Fatalf("stream: %d run lines, trailer error %q", len(raw), tr.Err)
+	}
+	// The trailer's write is booked after the client has read it.
+	waitFor(t, "handler to finish", func() bool { return srv.Metrics().JobsActive == 0 })
+	units := 0
+	for _, sp := range srv.Tracer().ForJob(hdr.Job) {
+		if strings.HasPrefix(sp.Name, "engine.") {
+			units++
+		}
+	}
+	if units == 0 || units == len(raw) {
+		t.Fatalf("%d engine spans for %d runs; the job formed no gang", units, len(raw))
+	}
+	if writes := srv.Metrics().WriteStall.Count - before; writes != int64(units)+2 {
+		t.Errorf("%d stream writes, want %d (one per engine span, plus header and trailer)", writes, units+2)
+	}
+}
