@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -19,14 +20,32 @@ import (
 // fleet of identical deterministic machines must agree, so any
 // divergence in the summary flags a simulator bug.
 func Fleet(name string, p *core.Program, n int, cycles int64) []Run {
+	// Member i is named name#i. The names are rendered into one buffer
+	// and converted once; each run's name is a substring of it.
+	digits := 1
+	for d := 10; d < n; d *= 10 {
+		digits++
+	}
+	buf := make([]byte, 0, n*(len(name)+1+digits))
+	for i := range n {
+		buf = append(buf, name...)
+		buf = append(buf, '#')
+		buf = strconv.AppendInt(buf, int64(i), 10)
+	}
+	names := string(buf)
 	runs := make([]Run, n)
+	at, width, wider := 0, len(name)+2, 10 // member i's name is width bytes while i < wider
 	for i := range runs {
+		if i == wider {
+			width, wider = width+1, wider*10
+		}
 		runs[i] = Run{
-			Name:    fmt.Sprintf("%s#%d", name, i),
+			Name:    names[at : at+width],
 			Group:   name,
 			Program: p,
 			Cycles:  cycles,
 		}
+		at += width
 	}
 	return runs
 }

@@ -31,7 +31,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -270,31 +269,6 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, rr ResumeR
 		// resume.
 		s.dropJob(rr.Job)
 	}
-}
-
-// LineResult reconstructs a campaign.Result from its stream line, for
-// summarizing — the inverse the resume path and the cluster merge both
-// use. Totals survive exactly; the per-memory breakdown is a single
-// synthetic entry carrying the sums.
-func LineResult(l RunLine) campaign.Result {
-	r := campaign.Result{
-		Index:  l.Index,
-		Name:   l.Name,
-		Group:  l.Group,
-		Cycles: l.Cycles,
-		Digest: l.Digest,
-		Stats: sim.Stats{
-			Cycles: l.Cycles,
-			MemOps: []sim.MemOpStats{{Reads: l.MemReads, Writes: l.MemWrites}},
-		},
-	}
-	if l.Activated > 0 {
-		r.Activated = []int64{l.Activated}
-	}
-	if l.Err != "" {
-		r.Err = errors.New(l.Err)
-	}
-	return r
 }
 
 // completeJob finishes an interrupted job with no client attached:

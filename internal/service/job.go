@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"repro/internal/campaign"
@@ -287,6 +289,114 @@ func LineIndex(line []byte) (int, bool) {
 		i = i*10 + int(d-'0')
 	}
 	return i, true
+}
+
+// decodeRunLine reads a run line back into a RunLine: through
+// scanRunLine when the line has appendJSON's canonical layout, through
+// json.Unmarshal otherwise. It reports false for lines json.Unmarshal
+// rejects.
+func decodeRunLine(line []byte) (RunLine, bool) {
+	if l, ok := scanRunLine(string(line)); ok {
+		return l, true
+	}
+	var l RunLine
+	return l, json.Unmarshal(line, &l) == nil
+}
+
+// scanRunLine decodes the exact layout appendJSON renders — every key
+// in RunLine's field order, the optional ones present or absent, no
+// whitespace, canonical integers — when every string is printable
+// ASCII without escapes; the strings are substrings of line. Any other
+// line reports false, and json.Unmarshal reads it instead.
+// FuzzRunLineEncoding holds it to json.Unmarshal.
+func scanRunLine(line string) (l RunLine, ok bool) {
+	s := lineScanner{rest: line, ok: true}
+	s.lit(`{"index":`)
+	index := s.int()
+	l.Index = int(index)
+	s.lit(`,"name":`)
+	l.Name = s.str()
+	if s.opt(`,"group":`) {
+		l.Group = s.str()
+	}
+	s.lit(`,"cycles":`)
+	l.Cycles = s.int()
+	s.lit(`,"mem_reads":`)
+	l.MemReads = s.int()
+	s.lit(`,"mem_writes":`)
+	l.MemWrites = s.int()
+	s.lit(`,"digest":`)
+	l.Digest = s.str()
+	if s.opt(`,"activated":`) {
+		l.Activated = s.int()
+	}
+	if s.opt(`,"error":`) {
+		l.Err = s.str()
+	}
+	s.lit(`}`)
+	return l, s.ok && s.rest == "" && int64(l.Index) == index
+}
+
+// lineScanner is scanRunLine's cursor: each step consumes a token from
+// rest, or clears ok and leaves rest as it was.
+type lineScanner struct {
+	rest string
+	ok   bool
+}
+
+// opt consumes p if rest starts with it.
+func (s *lineScanner) opt(p string) bool {
+	if !s.ok || !strings.HasPrefix(s.rest, p) {
+		return false
+	}
+	s.rest = s.rest[len(p):]
+	return true
+}
+
+// lit consumes p, which must come next.
+func (s *lineScanner) lit(p string) {
+	if !s.opt(p) {
+		s.ok = false
+	}
+}
+
+// int consumes an integer as strconv.AppendInt renders one: an
+// optional minus, no leading zeros, no "-0", within int64.
+func (s *lineScanner) int() int64 {
+	digits := strings.TrimPrefix(s.rest, "-")
+	n := 0
+	for n < len(digits) && '0' <= digits[n] && digits[n] <= '9' {
+		n++
+	}
+	n += len(s.rest) - len(digits)
+	v, err := strconv.ParseInt(s.rest[:n], 10, 64)
+	if !s.ok || err != nil || digits[0] == '0' && n > 1 {
+		s.ok = false
+		return 0
+	}
+	s.rest = s.rest[n:]
+	return v
+}
+
+// str consumes a string of printable ASCII with no escapes.
+func (s *lineScanner) str() string {
+	if !s.ok || s.rest == "" || s.rest[0] != '"' {
+		s.ok = false
+		return ""
+	}
+	for i := 1; i < len(s.rest); i++ {
+		switch c := s.rest[i]; {
+		case c == '"':
+			v := s.rest[1:i]
+			s.rest = s.rest[i+1:]
+			return v
+		case c < ' ' || c > '~' || c == '\\':
+			s.ok = false
+			return ""
+		}
+	}
+	s.ok = false
+	return ""
 }
 
 // JobTrailer is the stream's final NDJSON line.

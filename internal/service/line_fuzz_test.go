@@ -10,10 +10,13 @@ import (
 // FuzzRunLineEncoding: for any RunLine, appendJSON renders exactly
 // json.Marshal's bytes — escaping of HTML characters, quotes, control
 // bytes, invalid UTF-8 and U+2028/U+2029, zero and omitted fields
-// included — and LineIndex reads the index back from the rendering.
-// On arbitrary bytes LineIndex never panics, and when it reports an
-// index of a JSON object holding one index key, json.Unmarshal reads
-// the same one.
+// included — LineIndex reads the index back from the rendering, and
+// decodeRunLine reads back what json.Unmarshal does, through the
+// scanner (never encoding/json) when no string needed an escape. On
+// arbitrary bytes LineIndex and decodeRunLine never panic; when
+// LineIndex reports an index of a JSON object holding one index key,
+// json.Unmarshal reads the same one, and whenever the scanner accepts
+// a line, json.Unmarshal accepts it and reads the same RunLine.
 //
 //	go test -run '^$' -fuzz=FuzzRunLineEncoding -fuzztime=30s ./internal/service
 func FuzzRunLineEncoding(f *testing.F) {
@@ -24,6 +27,10 @@ func FuzzRunLineEncoding(f *testing.F) {
 		int64(-4), "bad \xff\xfe utf8 \"quoted\" \\ \b\f\n\r\t \xe2\x80", []byte(`{"index":017,"name":""}`))
 	f.Add(-3, "", "", int64(0), int64(0), int64(0), "", int64(0), "runtime error", []byte(`{"index":1,"INDEX":2}`))
 	f.Add(9, "x", "", int64(0), int64(0), int64(0), "", int64(0), "", []byte(`{"index":99999999999999999999,"name":"x"}`))
+	f.Add(4, "job#4", "job", int64(50), int64(0), int64(0), "d", int64(0), "",
+		[]byte(`{"index":4,"name":"job#4","group":"job","cycles":-9223372036854775808,"mem_reads":0,"mem_writes":9223372036854775807,"digest":"d","activated":2,"error":"e"}`))
+	f.Add(5, "job#5", "", int64(0), int64(0), int64(0), "", int64(0), "",
+		[]byte(`{"index":5,"name":"a\u0062","cycles":-0,"mem_reads":01,"mem_writes":9223372036854775808,"digest":""} `))
 	f.Fuzz(func(t *testing.T, index int, name, group string, cycles, reads, writes int64,
 		digest string, activated int64, errText string, raw []byte) {
 		l := RunLine{
@@ -45,6 +52,25 @@ func FuzzRunLineEncoding(f *testing.F) {
 			t.Fatalf("LineIndex(%q) = %d, %v; want %d", want, i, ok, index)
 		}
 
+		var back RunLine
+		if err := json.Unmarshal(want, &back); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := decodeRunLine(want); !ok || got != back {
+			t.Fatalf("decodeRunLine(%q) = %+v, %v; json.Unmarshal reads %+v", want, got, ok, back)
+		}
+		_, scanned := scanRunLine(string(want))
+		if plain := unescaped(name) && unescaped(group) && unescaped(digest) && unescaped(errText); scanned != plain {
+			t.Fatalf("scanRunLine(%q) accepts %v; strings need no escape: %v", want, scanned, plain)
+		}
+
+		decodeRunLine(raw)
+		if got, ok := scanRunLine(string(raw)); ok {
+			var v RunLine
+			if err := json.Unmarshal(raw, &v); err != nil || v != got {
+				t.Fatalf("scanRunLine(%q) = %+v; json.Unmarshal reads %+v (err %v)", raw, got, v, err)
+			}
+		}
 		i, ok := LineIndex(raw)
 		if !ok || !json.Valid(raw) || indexKeys(raw) != 1 {
 			return
@@ -56,6 +82,18 @@ func FuzzRunLineEncoding(f *testing.F) {
 			t.Fatalf("LineIndex(%q) = %d, json.Unmarshal reads %d (err %v)", raw, i, v.Index, err)
 		}
 	})
+}
+
+// unescaped reports whether appendJSON renders s as is: printable
+// ASCII other than the quote, the backslash and the HTML-escaped <, >
+// and &.
+func unescaped(s string) bool {
+	for _, c := range []byte(s) {
+		if c < ' ' || c > '~' || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // indexKeys counts the top-level keys of a JSON object that

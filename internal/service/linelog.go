@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 
 	"repro/internal/campaign"
@@ -14,14 +13,22 @@ import (
 // delivered count. It is a coordinator job's merge output (the merge
 // releases lines into it in index order) and what a durable asimd
 // job's resume streams follow (seeded once from the store, then
-// appended a retirement burst at a time as its results are persisted). A nil *LineLog is a job
-// nobody can follow: appends to it are dropped.
+// appended a retirement burst at a time as its results are persisted).
+// It keeps the trailer's summary as a fold over its lines, each line
+// decoded once over the log's life. A nil *LineLog is a job nobody can
+// follow: appends to it are dropped.
 type LineLog struct {
 	mu     sync.Mutex
 	lines  [][]byte
 	done   bool
 	err    string
 	notify chan struct{} // closed at the next event; nil while nobody waits
+
+	// lines[:folded] are summarized in sum, with each group's
+	// reference digest — its first completed line's — in ref.
+	sum    campaign.Summary
+	ref    map[string]string
+	folded int
 }
 
 // NewLineLog returns an empty log with room for capacity lines.
@@ -105,20 +112,49 @@ func (l *LineLog) follow(ctx context.Context, from int, out *lineWriter) (next i
 	}
 }
 
-// Trailer summarizes the log as a stream's final line. The summary is
-// reconstructed from the lines themselves: totals (runs, cycles,
+// Trailer summarizes the log as a stream's final line. It folds the
+// lines appended since the last call into the kept summary, so each
+// line is decoded once however many streams end: totals (runs, cycles,
 // memory traffic, divergences) are exact; the per-memory breakdown
 // behind them collapsed into one entry when the lines were rendered.
+// A line that does not decode as a RunLine is skipped.
 func (l *LineLog) Trailer() JobTrailer {
 	l.mu.Lock()
-	lines, errText := l.lines, l.err
-	l.mu.Unlock()
-	results := make([]campaign.Result, 0, len(lines))
-	for _, line := range lines {
-		var rl RunLine
-		if json.Unmarshal(line, &rl) == nil {
-			results = append(results, LineResult(rl))
+	defer l.mu.Unlock()
+	for _, line := range l.lines[l.folded:] {
+		if rl, ok := decodeRunLine(line); ok {
+			l.fold(rl)
 		}
 	}
-	return JobTrailer{Done: true, Summary: campaign.Summarize(results, 0), Err: errText}
+	l.folded = len(l.lines)
+	return JobTrailer{Done: true, Summary: l.sum, Err: l.err}
+}
+
+// fold adds one run line to the summary: campaign.Summarize's
+// arithmetic over the result the line renders, with divergences
+// counted among completed lines against each group's first.
+func (l *LineLog) fold(r RunLine) {
+	s := &l.sum
+	s.Runs++
+	s.Cycles += r.Cycles
+	s.MemReads += r.MemReads
+	s.MemWrites += r.MemWrites
+	if r.Err != "" {
+		s.Errors++
+	}
+	if r.Activated > 0 {
+		s.FaultRuns++
+		s.FaultsActivated += r.Activated
+	}
+	if r.Group == "" || r.Err != "" {
+		return
+	}
+	if want, ok := l.ref[r.Group]; !ok {
+		if l.ref == nil {
+			l.ref = make(map[string]string)
+		}
+		l.ref[r.Group] = r.Digest
+	} else if r.Digest != want {
+		s.Divergences++
+	}
 }
