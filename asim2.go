@@ -11,8 +11,7 @@
 //	spec, err := asim2.ParseString("counter", src)
 //	prog, err := asim2.Compile(spec, asim2.Compiled) // compile once
 //	m := prog.NewMachine(asim2.Options{Output: os.Stdout})
-//	err = m.Run(1000)        // per-cycle path: traces, observers, hooks
-//	err = m.RunBatch(100000) // fused batch fast path when no hooks are attached
+//	err = m.Run(1000) // traces, observers and hooks fire every cycle
 //
 // Machines of one Program share its compiled evaluator; build fleets
 // with one Compile and many NewMachine calls. asim2.NewMachine(spec,
@@ -24,10 +23,11 @@
 //
 // Backends: Interp is the table-walking baseline (the original ASIM),
 // Compiled pre-compiles the specification to closures (the ASIM II
-// side of the thesis' Figure 5.1) and additionally fuses each cycle
-// into one specialized call for Machine.RunBatch, Bytecode sits
-// between them, and the codegen packages emit stand-alone Go or
-// Pascal simulators.
+// side of the thesis' Figure 5.1), Bytecode sits between them —
+// internal/lower's unfolded program run through one generic loop —
+// and the codegen packages emit stand-alone Go or Pascal simulators.
+// Every backend evaluates a cycle with one StepCycle call, and a
+// Machine steps every cycle, hooked or not, through one loop.
 package asim2
 
 //go:generate go run ./tools/gentestdata

@@ -47,22 +47,6 @@ func benchMachine(b *testing.B, spec *Spec, backend Backend) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// benchMachineFused is benchMachine through Machine.RunBatch: with no
-// hooks attached and a CycleStepper backend, the whole batch runs on
-// the fused fast path.
-func benchMachineFused(b *testing.B, spec *Spec, backend Backend) {
-	b.Helper()
-	m, err := NewMachine(spec, backend, Options{Output: io.Discard})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if err := m.RunBatch(int64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-}
-
 // BenchmarkFigure51Sieve times one simulated cycle of the sieve
 // workload on every backend — the reproduction's core comparison.
 // The machine halts and spins after ~5.8k cycles; per-cycle cost in
@@ -75,9 +59,6 @@ func BenchmarkFigure51Sieve(b *testing.B) {
 			benchMachine(b, spec, backend)
 		})
 	}
-	b.Run("compiled-fused", func(b *testing.B) {
-		benchMachineFused(b, spec, Compiled)
-	})
 }
 
 // BenchmarkFigure51IBSM1986 times the thesis' own stack machine
@@ -89,7 +70,7 @@ func BenchmarkFigure51IBSM1986(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, backend Backend, batch bool) {
+	run := func(b *testing.B, backend Backend) {
 		m, err := NewMachine(spec, backend, Options{Output: io.Discard})
 		if err != nil {
 			b.Fatal(err)
@@ -101,12 +82,7 @@ func BenchmarkFigure51IBSM1986(b *testing.B) {
 				chunk = rest
 			}
 			m.Reset()
-			if batch {
-				err = m.RunBatch(chunk)
-			} else {
-				err = m.Run(chunk)
-			}
-			if err != nil {
+			if err := m.Run(chunk); err != nil {
 				b.Fatal(err)
 			}
 			done += chunk
@@ -114,9 +90,8 @@ func BenchmarkFigure51IBSM1986(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 	}
 	for _, backend := range Backends() {
-		b.Run(string(backend), func(b *testing.B) { run(b, backend, false) })
+		b.Run(string(backend), func(b *testing.B) { run(b, backend) })
 	}
-	b.Run("compiled-fused", func(b *testing.B) { run(b, Compiled, true) })
 }
 
 // BenchmarkCounter times the smallest machine, isolating per-cycle
@@ -322,7 +297,7 @@ func BenchmarkFleetBuild(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := m.RunBatch(perRun); err != nil {
+			if err := m.Run(perRun); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -334,7 +309,7 @@ func BenchmarkFleetBuild(b *testing.B) {
 	b.Run("compile-once", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := prog.NewMachine(Options{}).RunBatch(perRun); err != nil {
+			if err := prog.NewMachine(Options{}).Run(perRun); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -345,7 +320,7 @@ func BenchmarkFleetBuild(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.Reset()
-			if err := m.RunBatch(perRun); err != nil {
+			if err := m.Run(perRun); err != nil {
 				b.Fatal(err)
 			}
 		}

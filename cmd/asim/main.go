@@ -103,14 +103,7 @@ func main() {
 	if n == 0 {
 		n = spec.DefaultCycles(100)
 	}
-	// With no trace, VCD, fault or interactive flags the machine has no
-	// hooks, so the whole run rides the fused batch fast path; any of
-	// those flags keeps the per-cycle path that services them.
-	run := m.Run
-	if !*trace && *vcdPath == "" && *faultSpecs == "" && !*interactive {
-		run = m.RunBatch
-	}
-	if err := run(n); err != nil {
+	if err := m.Run(n); err != nil {
 		log.Fatal(err)
 	}
 

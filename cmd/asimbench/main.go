@@ -1,6 +1,6 @@
 // Command asimbench runs the repository's standing benchmark set
 // outside `go test`: the Figure 5.1 single-machine comparison (every
-// backend plus the fused batch fast path), the campaign scaling
+// backend), the campaign scaling
 // fleet, the gang-vs-pooled-scalar fleet comparison, and the
 // fleet-build comparison (per-run construction vs compile-once vs
 // pooled machines, with allocation profiles), with a built-in digest
@@ -61,7 +61,7 @@ type Report struct {
 	// headline for the width-specialized path.
 	BitParallelSpeedup float64 `json:"bitparallel_speedup"`
 	// AOTSpeedup is compiled-aot native workers against the in-process
-	// compiled-fused path on the Figure 5.1 sieve fleet, warm (binary
+	// compiled scalar path on the Figure 5.1 sieve fleet, warm (binary
 	// cached). AOTBuildSeconds is the one-time cold `go build`;
 	// AOTBreakevenCycles is the campaign length whose per-cycle savings
 	// pay for it — the empirical anchor for the dispatch threshold.
@@ -153,25 +153,20 @@ func main() {
 			sieveSpec = spec
 		}
 
-		// Digest cross-check before timing: every backend and both
-		// execution paths must reach bit-identical state, or the
-		// numbers below are measuring a broken simulator.
+		// Digest cross-check before timing: every backend must reach
+		// bit-identical state, or the numbers below are measuring a
+		// broken simulator.
 		if err := crossCheck(spec, backends, s.resetEvery); err != nil {
 			log.Fatalf("%s: %v", s.name, err)
 		}
 
 		for _, b := range backends {
-			r, err := timeMachine(s.name+"/"+string(b), spec, b, perBackend, s.resetEvery, false)
+			r, err := timeMachine(s.name+"/"+string(b), spec, b, perBackend, s.resetEvery)
 			if err != nil {
 				log.Fatal(err)
 			}
 			rep.Results = append(rep.Results, r)
 		}
-		r, err := timeMachine(s.name+"/compiled-fused", spec, asim2.Compiled, perBackend, s.resetEvery, true)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep.Results = append(rep.Results, r)
 	}
 	endSection("backends")
 
@@ -184,7 +179,7 @@ func main() {
 
 	// Campaign scaling: an identical-machine sieve fleet through the
 	// engine at each worker count. GangSize 1 pins the pooled scalar
-	// path (each chunk through RunBatch) so the rows isolate worker
+	// path (each chunk through Machine.Run) so the rows isolate worker
 	// scaling; the gang/* section below measures gang execution.
 	// Aggregate cycles/s is the fleet-throughput metric.
 	for _, ws := range strings.Split(*workers, ",") {
@@ -329,7 +324,7 @@ func main() {
 	endSection("bitparallel")
 
 	// Ahead-of-time native workers: the same Figure 5.1 sieve fleet
-	// through the engine's in-process fused path and through
+	// through the engine's in-process scalar path and through
 	// compiled-aot subprocess workers, single-worker, digest
 	// cross-checked run by run. The one-time `go build` is timed
 	// separately (cold, on a fresh cache); the fleet rows measure
@@ -406,7 +401,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return m.RunBatch(perShortRun)
+			return m.Run(perShortRun)
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -415,7 +410,7 @@ func main() {
 		perRunNs = r.NsPerRun
 
 		r, err = timeRuns("fleetbuild/compile-once", fleetRuns, perShortRun, func() error {
-			return sieveProg.NewMachine(asim2.Options{}).RunBatch(perShortRun)
+			return sieveProg.NewMachine(asim2.Options{}).Run(perShortRun)
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -425,7 +420,7 @@ func main() {
 		pooled := sieveProg.NewMachine(asim2.Options{})
 		r, err = timeRuns("fleetbuild/pooled", fleetRuns, perShortRun, func() error {
 			pooled.Reset()
-			return pooled.RunBatch(perShortRun)
+			return pooled.Run(perShortRun)
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -485,7 +480,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "fleet-build speedup (pooled vs per-run construction): %.2fx\n", rep.FleetBuildSpeedup)
 	fmt.Fprintf(os.Stderr, "gang speedup (gang fleet vs pooled scalar fleet): %.2fx\n", rep.GangSpeedup)
 	fmt.Fprintf(os.Stderr, "bit-parallel speedup (bit-plane vs lane-loop gang kernels): %.2fx\n", rep.BitParallelSpeedup)
-	fmt.Fprintf(os.Stderr, "aot speedup (native workers vs compiled-fused): %.2fx (build %.2fs, break-even %d cycles)\n",
+	fmt.Fprintf(os.Stderr, "aot speedup (native workers vs in-process compiled): %.2fx (build %.2fs, break-even %d cycles)\n",
 		rep.AOTSpeedup, rep.AOTBuildSeconds, rep.AOTBreakevenCycles)
 }
 
@@ -547,14 +542,14 @@ func timeRuns(name string, n int, perRun int64, run func() error) (Result, error
 }
 
 // timeMachine runs one machine for a fixed cycle budget after a short
-// warmup, through Run or (batch) RunBatch, resetting every resetEvery
-// cycles when the workload demands it.
-func timeMachine(name string, spec *asim2.Spec, b asim2.Backend, cycles, resetEvery int64, batch bool) (Result, error) {
+// warmup, resetting every resetEvery cycles when the workload demands
+// it.
+func timeMachine(name string, spec *asim2.Spec, b asim2.Backend, cycles, resetEvery int64) (Result, error) {
 	m, err := asim2.NewMachine(spec, b, asim2.Options{Output: io.Discard})
 	if err != nil {
 		return Result{}, err
 	}
-	drive := func(run func(int64) error, total int64) error {
+	drive := func(total int64) error {
 		chunk := resetEvery
 		if chunk <= 0 {
 			chunk = total
@@ -564,25 +559,21 @@ func timeMachine(name string, spec *asim2.Spec, b asim2.Backend, cycles, resetEv
 			if resetEvery > 0 {
 				m.Reset()
 			}
-			if err := run(n); err != nil {
+			if err := m.Run(n); err != nil {
 				return err
 			}
 			done += n
 		}
 		return nil
 	}
-	run := m.Run
-	if batch {
-		run = m.RunBatch
-	}
-	// Warm up through the measured path, so the first timed repetition
-	// is not charged for cold caches and branch predictors.
-	if err := drive(run, cycles/10); err != nil {
+	// Warm up first, so the first timed repetition is not charged for
+	// cold caches and branch predictors.
+	if err := drive(cycles / 10); err != nil {
 		return Result{}, fmt.Errorf("%s warmup: %w", name, err)
 	}
 	sec, err := minSeconds(func() (float64, error) {
 		start := time.Now()
-		if err := drive(run, cycles); err != nil {
+		if err := drive(cycles); err != nil {
 			return 0, fmt.Errorf("%s: %w", name, err)
 		}
 		return time.Since(start).Seconds(), nil
@@ -600,46 +591,34 @@ func timeMachine(name string, spec *asim2.Spec, b asim2.Backend, cycles, resetEv
 }
 
 // crossCheck runs the spec a fixed number of cycles on every backend
-// through the per-cycle path, and on the compiled backend through the
-// fused batch path, and requires one common state digest.
+// and requires one common state digest.
 func crossCheck(spec *asim2.Spec, backends []asim2.Backend, resetEvery int64) error {
 	cycles := int64(8192)
 	if resetEvery > 0 && resetEvery < cycles {
 		cycles = resetEvery
 	}
-	digest := func(b asim2.Backend, batch bool) (string, error) {
+	digest := func(b asim2.Backend) (string, error) {
 		m, err := asim2.NewMachine(spec, b, asim2.Options{Output: io.Discard})
 		if err != nil {
 			return "", err
 		}
-		run := m.Run
-		if batch {
-			run = m.RunBatch
-		}
-		if err := run(cycles); err != nil {
+		if err := m.Run(cycles); err != nil {
 			return "", err
 		}
 		return campaign.SnapshotDigest(m), nil
 	}
-	want, err := digest(backends[0], false)
+	want, err := digest(backends[0])
 	if err != nil {
 		return err
 	}
 	for _, b := range backends[1:] {
-		got, err := digest(b, false)
+		got, err := digest(b)
 		if err != nil {
 			return err
 		}
 		if got != want {
 			return fmt.Errorf("digest divergence: %s=%s, %s=%s", backends[0], want, b, got)
 		}
-	}
-	got, err := digest(asim2.Compiled, true)
-	if err != nil {
-		return err
-	}
-	if got != want {
-		return fmt.Errorf("fused path digest divergence: per-cycle=%s fused=%s", want, got)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os/exec"
+	"slices"
 	"time"
 )
 
@@ -113,44 +114,11 @@ func (p *Proc) Run(ctx context.Context, job Job, onCheckpoint func(run int, cycl
 		return nil, p.fail(ctx, fmt.Errorf("aot: write job: %w", err))
 	}
 
-	results := make([]RunResult, 0, len(job.Targets))
-	for {
-		kind, err := p.ru32()
-		if err != nil {
-			return results, p.fail(ctx, fmt.Errorf("aot: read frame: %w", err))
-		}
-		switch kind {
-		case EndMagic:
-			if len(results) != len(job.Targets) {
-				return results, p.fail(ctx, fmt.Errorf("aot: job ended after %d of %d runs", len(results), len(job.Targets)))
-			}
-			return results, nil
-		case CheckpointMagic:
-			run, err := p.ru32()
-			if err != nil {
-				return results, p.fail(ctx, err)
-			}
-			cycle, err := p.ru64()
-			if err != nil {
-				return results, p.fail(ctx, err)
-			}
-			st, err := p.rbytes(maxStateLen)
-			if err != nil {
-				return results, p.fail(ctx, err)
-			}
-			if onCheckpoint != nil {
-				onCheckpoint(int(run), int64(cycle), st)
-			}
-		case RunMagic:
-			rr, err := p.readRun()
-			if err != nil {
-				return results, p.fail(ctx, err)
-			}
-			results = append(results, rr)
-		default:
-			return results, p.fail(ctx, fmt.Errorf("aot: unexpected frame %#x", kind))
-		}
+	results, err := readJob(p.out, len(job.Targets), onCheckpoint)
+	if err != nil {
+		return results, p.fail(ctx, err)
 	}
+	return results, nil
 }
 
 // fail maps a protocol error to ctx.Err() when the context caused it,
@@ -165,61 +133,128 @@ func (p *Proc) fail(ctx context.Context, err error) error {
 	return err
 }
 
-func (p *Proc) readRun() (RunResult, error) {
-	var rr RunResult
-	if _, err := p.ru32(); err != nil { // run index; results are ordered
-		return rr, err
+// readJob reads a worker's answer to a job of n runs: checkpoint
+// frames for the run in progress, one run frame per run in run order,
+// and the end frame. It returns the runs read so far with an error for
+// anything else, and never more than n runs.
+func readJob(r *bufio.Reader, n int, onCheckpoint func(run int, cycle int64, state []byte)) ([]RunResult, error) {
+	results := make([]RunResult, 0, n)
+	for {
+		kind, err := ru32(r)
+		if err != nil {
+			return results, fmt.Errorf("aot: read frame: %w", err)
+		}
+		switch kind {
+		case EndMagic:
+			if len(results) != n {
+				return results, fmt.Errorf("aot: job ended after %d of %d runs", len(results), n)
+			}
+			return results, nil
+		case CheckpointMagic:
+			run, err := runIndex(r, len(results), n)
+			if err != nil {
+				return results, err
+			}
+			cycle, err := ru64(r)
+			if err != nil {
+				return results, err
+			}
+			st, err := rbytes(r, maxStateLen)
+			if err != nil {
+				return results, err
+			}
+			if onCheckpoint != nil {
+				onCheckpoint(run, int64(cycle), st)
+			}
+		case RunMagic:
+			if _, err := runIndex(r, len(results), n); err != nil {
+				return results, err
+			}
+			rr, err := readRun(r)
+			if err != nil {
+				return results, err
+			}
+			results = append(results, rr)
+		default:
+			return results, fmt.Errorf("aot: unexpected frame %#x", kind)
+		}
 	}
-	cyc, err := p.ru64()
+}
+
+// runIndex reads a frame's run index, which must name the run in
+// progress: run frames arrive in run order and checkpoints belong to
+// the run not yet reported.
+func runIndex(r *bufio.Reader, next, n int) (int, error) {
+	run, err := ru32(r)
+	if err != nil {
+		return 0, err
+	}
+	if next >= n || run != uint32(next) {
+		return 0, fmt.Errorf("aot: frame for run %d, expected run %d of %d", run, next, n)
+	}
+	return next, nil
+}
+
+// readRun reads the rest of a run frame after its run index.
+func readRun(r *bufio.Reader) (RunResult, error) {
+	var rr RunResult
+	cyc, err := ru64(r)
 	if err != nil {
 		return rr, err
 	}
 	rr.Cycles = int64(cyc)
-	if rr.Hash, err = p.ru64(); err != nil {
+	if rr.Hash, err = ru64(r); err != nil {
 		return rr, err
 	}
-	sc, err := p.ru64()
+	sc, err := ru64(r)
 	if err != nil {
 		return rr, err
 	}
 	rr.StatCycles = int64(sc)
-	nm, err := p.ru32()
+	nm, err := ru32(r)
 	if err != nil {
 		return rr, err
 	}
 	if nm > maxMems {
 		return rr, fmt.Errorf("aot: worker reports %d memories", nm)
 	}
-	rr.MemOps = make([][4]int64, nm)
-	for i := range rr.MemOps {
-		for j := 0; j < 4; j++ {
-			v, err := p.ru64()
+	// Grown as the counts arrive, like rbytes, not sized by the claim.
+	rr.MemOps = make([][4]int64, 0, min(nm, 256))
+	for range nm {
+		var ops [4]int64
+		for j := range ops {
+			v, err := ru64(r)
 			if err != nil {
 				return rr, err
 			}
-			rr.MemOps[i][j] = int64(v)
+			ops[j] = int64(v)
 		}
+		rr.MemOps = append(rr.MemOps, ops)
 	}
-	errFlag, err := p.ru32()
+	errFlag, err := ru32(r)
 	if err != nil {
 		return rr, err
 	}
-	if errFlag != 0 {
-		ec, err := p.ru64()
+	switch errFlag {
+	case 0:
+	case 1:
+		ec, err := ru64(r)
 		if err != nil {
 			return rr, err
 		}
-		comp, err := p.rbytes(maxStrLen)
+		comp, err := rbytes(r, maxStrLen)
 		if err != nil {
 			return rr, err
 		}
-		msg, err := p.rbytes(maxStrLen)
+		msg, err := rbytes(r, maxStrLen)
 		if err != nil {
 			return rr, err
 		}
 		rr.Err = &RunError{Component: string(comp), Cycle: int64(ec), Msg: string(msg)}
+	default:
+		return rr, fmt.Errorf("aot: run error flag %d", errFlag)
 	}
-	st, err := p.rbytes(maxStateLen)
+	st, err := rbytes(r, maxStateLen)
 	if err != nil {
 		return rr, err
 	}
@@ -229,36 +264,47 @@ func (p *Proc) readRun() (RunResult, error) {
 	return rr, nil
 }
 
-func (p *Proc) ru32() (uint32, error) {
+func ru32(r *bufio.Reader) (uint32, error) {
 	var b [4]byte
-	if _, err := io.ReadFull(p.out, b[:]); err != nil {
+	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
-func (p *Proc) ru64() (uint64, error) {
+func ru64(r *bufio.Reader) (uint64, error) {
 	var b [8]byte
-	if _, err := io.ReadFull(p.out, b[:]); err != nil {
+	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-func (p *Proc) rbytes(max uint32) ([]byte, error) {
-	n, err := p.ru32()
-	if err != nil {
+// readChunk is the most rbytes allocates before the bytes arrive.
+const readChunk = 64 << 10
+
+// rbytes reads a length-prefixed byte field of at most max bytes. The
+// buffer grows as the bytes arrive, doubling from readChunk, so a
+// length the worker merely claims costs at most one chunk before the
+// short read fails it.
+func rbytes(r *bufio.Reader, max uint32) ([]byte, error) {
+	n, err := ru32(r)
+	if err != nil || n == 0 {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	if n > max {
 		return nil, fmt.Errorf("aot: frame field of %d bytes exceeds bound %d", n, max)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(p.out, b); err != nil {
-		return nil, err
+	b := make([]byte, 0, min(int(n), readChunk))
+	for len(b) < int(n) {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(int(n)-len(b), len(b)))
+		}
+		k, err := io.ReadFull(r, b[len(b):min(cap(b), int(n))])
+		b = b[:len(b)+k]
+		if err != nil {
+			return nil, err
+		}
 	}
 	return b, nil
 }

@@ -1,177 +1,66 @@
 // Package bytecode is a third execution backend sitting between the
-// AST-walking interpreter and the closure compiler: expressions are
-// lowered once into flat part-programs with pre-resolved slots, masks
-// and shifts, and a small accumulator VM executes them each cycle.
-// It exists as an ablation point for the Figure 5.1 reproduction —
-// how much of ASIM II's speedup comes from merely pre-resolving the
-// tables versus fully specializing the code.
+// AST-walking interpreter and the closure compiler: it runs the
+// program internal/lower produces with folding off — flat, slot-
+// resolved terms with pre-resolved masks and shifts — through one
+// generic loop each cycle. Every operand is a term sum, every ALU a
+// dologic dispatch, every selector a dynamic index; none of the §4.4
+// decisions (constant function, constant select, dead data latch) is
+// taken. It exists as an ablation point for the Figure 5.1
+// reproduction — how much of ASIM II's speedup comes from merely
+// pre-resolving the tables versus fully specializing the code.
 package bytecode
 
 import (
-	"repro/internal/rtl/ast"
+	"repro/internal/lower"
 	"repro/internal/rtl/sem"
 	"repro/internal/sim"
 )
 
-// instruction kinds: every instruction adds one term to the
-// accumulator.
-const (
-	iConst = iota // acc += val
-	iWhole        // acc += vals[slot] << shift
-	iField        // acc += ((vals[slot] & mask) >> from) << shift
-)
-
-type instr struct {
-	kind  uint8
-	from  uint8
-	shift uint8
-	slot  int32
-	mask  uint32
-	val   int64
-}
-
-// program is one lowered expression; its value is the sum of its
-// instructions' contributions.
-type program []instr
-
-func run(p program, vals []int64) int64 {
-	var acc int64
-	for i := range p {
-		in := &p[i]
-		switch in.kind {
-		case iConst:
-			acc += in.val
-		case iWhole:
-			acc += vals[in.slot] << in.shift
-		case iField:
-			acc += int64((uint32(vals[in.slot])&in.mask)>>in.from) << in.shift
-		}
-	}
-	return acc
-}
-
-type combOp struct {
-	isSelector bool
-	slot       int
-	name       string
-
-	// ALU
-	funct, left, right program
-
-	// Selector
-	sel   program
-	cases []program
-}
-
-type memOp struct {
-	addr, data, opn program
-}
-
-// VM implements sim.Evaluator by running lowered part-programs. It is
-// stateless after construction — the part-programs are immutable and
-// the accumulator lives on the stack of each run call — so one VM may
-// be shared by any number of machines and goroutines (the
+// VM implements sim.Evaluator over an unfolded lowered program. It is
+// stateless after construction — the program is an immutable view and
+// every intermediate value lives on the stack of StepCycle — so one VM
+// may be shared by any number of machines and goroutines (the
 // sim.Evaluator contract).
 type VM struct {
-	comb []combOp
-	mems []memOp
+	prog lower.Program
 }
 
-// New lowers an analyzed specification.
-func New(info *sem.Info) *VM {
-	vm := &VM{}
-	for _, c := range info.Comb {
-		switch c := c.(type) {
-		case *ast.ALU:
-			vm.comb = append(vm.comb, combOp{
-				slot:  info.Slot[c.Name],
-				name:  c.Name,
-				funct: lower(info, &c.Funct),
-				left:  lower(info, &c.Left),
-				right: lower(info, &c.Right),
-			})
-		case *ast.Selector:
-			op := combOp{
-				isSelector: true,
-				slot:       info.Slot[c.Name],
-				name:       c.Name,
-				sel:        lower(info, &c.Select),
-			}
-			for i := range c.Cases {
-				op.cases = append(op.cases, lower(info, &c.Cases[i]))
-			}
-			vm.comb = append(vm.comb, op)
-		}
-	}
-	for _, m := range info.Mems {
-		vm.mems = append(vm.mems, memOp{
-			addr: lower(info, &m.Addr),
-			data: lower(info, &m.Data),
-			opn:  lower(info, &m.Opn),
-		})
-	}
-	return vm
-}
-
-// lower flattens an expression into a part-program.
-func lower(info *sem.Info, e *ast.Expr) program {
-	var p program
-	shift := 0
-	for i := len(e.Parts) - 1; i >= 0; i-- {
-		part := e.Parts[i]
-		switch part := part.(type) {
-		case *ast.Num:
-			p = append(p, instr{kind: iConst, val: part.Masked() << uint(shift)})
-		case *ast.Bits:
-			p = append(p, instr{kind: iConst, val: part.Value() << uint(shift)})
-		case *ast.Ref:
-			slot := int32(info.Slot[part.Name])
-			if part.Mode == ast.RefWhole {
-				p = append(p, instr{kind: iWhole, slot: slot, shift: uint8(shift)})
-			} else {
-				p = append(p, instr{
-					kind:  iField,
-					slot:  slot,
-					mask:  uint32(part.SelMask()),
-					from:  uint8(part.From),
-					shift: uint8(shift),
-				})
-			}
-		}
-		if w := part.Width(); w == ast.WidthUnbounded {
-			shift = ast.WidthUnbounded
-		} else {
-			shift += w
-		}
-	}
-	return p
-}
+// New lowers an analyzed specification without folding.
+func New(info *sem.Info) *VM { return &VM{prog: lower.Lower(info, false)} }
 
 // BackendName implements sim.Evaluator.
 func (vm *VM) BackendName() string { return "bytecode" }
 
-// Comb implements sim.Evaluator.
-func (vm *VM) Comb(vals []int64, cycle int64) {
-	for i := range vm.comb {
-		op := &vm.comb[i]
-		if op.isSelector {
-			idx := run(op.sel, vals)
-			if idx < 0 || idx >= int64(len(op.cases)) {
-				sim.Fail(op.name, cycle, "selector index %d outside 0..%d", idx, len(op.cases)-1)
+// StepCycle implements sim.Evaluator. The two halves stay separate
+// functions: inlined into one, their operand loops spill registers and
+// the cycle runs about 10 % slower.
+func (vm *VM) StepCycle(vals []int64, addr, data, opn []int64, cycle int64) {
+	vm.comb(vals, cycle)
+	vm.latch(vals, addr, data, opn)
+}
+
+// comb evaluates every combinational component in dependency order.
+func (vm *VM) comb(vals []int64, cycle int64) {
+	for i := range vm.prog.Ops {
+		o := &vm.prog.Ops[i]
+		if o.Sel {
+			idx := o.Ctl.At(vals, 1, 0)
+			if idx < 0 || idx >= int64(len(o.Cases)) {
+				sim.Fail(o.Name, cycle, "selector index %d outside 0..%d", idx, len(o.Cases)-1)
 			}
-			vals[op.slot] = run(op.cases[idx], vals)
+			vals[o.Out] = o.Cases[idx].At(vals, 1, 0)
 			continue
 		}
-		vals[op.slot] = sim.DoLogic(run(op.funct, vals), run(op.left, vals), run(op.right, vals))
+		vals[o.Out] = sim.DoLogic(o.Ctl.At(vals, 1, 0), o.Left.At(vals, 1, 0), o.Right.At(vals, 1, 0))
 	}
 }
 
-// MemInputs implements sim.Evaluator.
-func (vm *VM) MemInputs(vals []int64, addr, data, opn []int64, cycle int64) {
-	for i := range vm.mems {
-		m := &vm.mems[i]
-		addr[i] = run(m.addr, vals)
-		data[i] = run(m.data, vals)
-		opn[i] = run(m.opn, vals)
+// latch latches every memory's address, data and operation.
+func (vm *VM) latch(vals []int64, addr, data, opn []int64) {
+	for i := range vm.prog.Latches {
+		l := &vm.prog.Latches[i]
+		addr[i] = l.Addr.At(vals, 1, 0)
+		data[i] = l.Data.At(vals, 1, 0)
+		opn[i] = l.Opn.At(vals, 1, 0)
 	}
 }

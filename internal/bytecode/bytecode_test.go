@@ -27,50 +27,28 @@ func TestBackendName(t *testing.T) {
 	}
 }
 
-// TestLoweredProgramShapes inspects the instruction lowering directly:
-// constants collapse into iConst terms, refs become iWhole/iField.
-func TestLoweredProgramShapes(t *testing.T) {
-	info := analyze(t, "#l\nx m .\nA x 1 0 m.2.4,#01,m.0\nM m 0 x 1 1\n.")
-	e, err := parser.ParseExpr("m.2.4,#01,m.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := lower(info, e)
-	if len(p) != 3 {
-		t.Fatalf("program length = %d, want 3", len(p))
-	}
-	// Right-to-left: m.0 (field, shift 0), #01 (const 1<<1), m.2.4
-	// (field, shift 3).
-	if p[0].kind != iField || p[0].shift != 0 || p[0].from != 0 || p[0].mask != 1 {
-		t.Errorf("p[0] = %+v", p[0])
-	}
-	if p[1].kind != iConst || p[1].val != 1<<1 {
-		t.Errorf("p[1] = %+v", p[1])
-	}
-	if p[2].kind != iField || p[2].shift != 3 || p[2].from != 2 || p[2].mask != 0b11100 {
-		t.Errorf("p[2] = %+v", p[2])
-	}
-
-	// Whole refs lower to iWhole.
-	e, _ = parser.ParseExpr("m")
-	p = lower(info, e)
-	if len(p) != 1 || p[0].kind != iWhole || p[0].shift != 0 {
-		t.Errorf("whole ref program = %+v", p)
-	}
+// step runs one StepCycle over vals and returns the memory latches.
+func step(vm *VM, vals []int64, mems int, cycle int64) (addr, data, opn []int64) {
+	addr, data, opn = make([]int64, mems), make([]int64, mems), make([]int64, mems)
+	vm.StepCycle(vals, addr, data, opn, cycle)
+	return addr, data, opn
 }
 
+// TestRunAccumulates: a concatenated operand is the sum of its shifted
+// terms, fields and constants alike.
 func TestRunAccumulates(t *testing.T) {
-	info := analyze(t, "#r\nx m .\nA x 1 0 m\nM m 0 x 1 1\n.")
-	e, _ := parser.ParseExpr("m.0.3,#11,5.2")
-	p := lower(info, e)
+	info := analyze(t, "#r\nx m .\nA x 1 0 m.0.3,#11,5.2\nM m 0 x 1 1\n.")
 	vals := make([]int64, len(info.Order))
 	vals[info.Slot["m"]] = 0b1010
+	step(New(info), vals, 1, 0)
 	// Layout: m.0.3 (4 bits) | 11 (2 bits) | 5.2 (2 bits) = 1010_11_01.
-	if got := run(p, vals); got != 0b10101101 {
-		t.Errorf("run = %#b, want 10101101", got)
+	if got := vals[info.Slot["x"]]; got != 0b10101101 {
+		t.Errorf("x = %#b, want 10101101", got)
 	}
 }
 
+// TestCombAndMemInputs: one StepCycle computes the combinational
+// outputs in dependency order, then latches the memory inputs from them.
 func TestCombAndMemInputs(t *testing.T) {
 	info := analyze(t, `#c
 sum sel m .
@@ -82,17 +60,13 @@ M m sum.0.1 sel 1 4
 	vm := New(info)
 	vals := make([]int64, len(info.Order))
 	vals[info.Slot["m"]] = 2
-	vm.Comb(vals, 0)
+	addr, data, opn := step(vm, vals, 1, 0)
 	if vals[info.Slot["sum"]] != 3 {
 		t.Errorf("sum = %d", vals[info.Slot["sum"]])
 	}
 	if vals[info.Slot["sel"]] != 3 { // m.0 = 0 -> case 0 = sum
 		t.Errorf("sel = %d", vals[info.Slot["sel"]])
 	}
-	addr := make([]int64, 1)
-	data := make([]int64, 1)
-	opn := make([]int64, 1)
-	vm.MemInputs(vals, addr, data, opn, 0)
 	if addr[0] != 3 || data[0] != 3 || opn[0] != 1 {
 		t.Errorf("latches = %d %d %d", addr[0], data[0], opn[0])
 	}
@@ -108,7 +82,7 @@ func TestSelectorFault(t *testing.T) {
 			t.Error("expected selector fault")
 		}
 	}()
-	vm.Comb(vals, 3)
+	step(vm, vals, 1, 3)
 }
 
 // TestDynamicALUFunct: dologic dispatch with a runtime function code.
@@ -118,7 +92,7 @@ func TestDynamicALUFunct(t *testing.T) {
 	vals := make([]int64, len(info.Order))
 	for funct, want := range map[int64]int64{4: 8, 5: 4, 7: 12, 12: 0, 13: 0} {
 		vals[info.Slot["m"]] = funct
-		vm.Comb(vals, 0)
+		step(vm, vals, 1, 0)
 		if got := vals[info.Slot["a"]]; got != want {
 			t.Errorf("funct %d: %d, want %d", funct, got, want)
 		}

@@ -680,16 +680,13 @@ func (e Engine) exec(ctx context.Context, w *worker, idx int, r Run) Result {
 	chunk := e.chunk()
 	ckpt := e.Checkpoint != nil && runCheckpointable(r)
 	var sinceCk int64
-	// Each chunk goes through the fused batch fast path when the run's
-	// machine supports it (compiled backend, no observers attached);
-	// fault runs attach after-commit hooks and fall back automatically.
 	for remaining := r.Cycles - warmed; remaining > 0; {
 		if err := ctx.Err(); err != nil {
 			res.Err = err
 			break
 		}
 		n := min(chunk, remaining)
-		if err := m.RunBatch(n); err != nil {
+		if err := m.Run(n); err != nil {
 			res.Err = err
 			break
 		}

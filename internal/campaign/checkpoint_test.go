@@ -463,7 +463,7 @@ func TestWarmStartDegradesToCold(t *testing.T) {
 	// A genuine snapshot of p at cycle 200 — the raw material the
 	// corrupt variants start from.
 	m := p.NewMachine(core.Options{})
-	if err := m.RunBatch(200); err != nil {
+	if err := m.Run(200); err != nil {
 		t.Fatal(err)
 	}
 	good := m.SaveState()

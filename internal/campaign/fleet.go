@@ -141,7 +141,7 @@ func WarmStartFromState(p *core.Program, cycle int64, state []byte) *WarmStart {
 func (ws *WarmStart) snapshot() ([]byte, int64, error) {
 	ws.once.Do(func() {
 		m := ws.program.NewMachine(core.Options{})
-		if err := m.RunBatch(ws.cycles); err != nil {
+		if err := m.Run(ws.cycles); err != nil {
 			ws.err = err
 			return
 		}

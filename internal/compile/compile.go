@@ -24,8 +24,8 @@
 // these for the ablation benchmarks. The scalar kernels (fused.go), the
 // lane-loop gang kernels (gang.go) and the bit-plane gang kernels
 // (bitparallel.go) are consumers of the lowered program and never touch
-// the syntax tree; Comb, MemInputs and StepCycle run one and the same
-// scalar kernel list.
+// the syntax tree; Machine.Run steps every cycle, traced or not,
+// through the one scalar StepCycle.
 package compile
 
 import (
@@ -57,9 +57,9 @@ type Options struct {
 	Name string
 }
 
-// Compiled implements sim.Evaluator and sim.CycleStepper with one list
-// of scalar kernels (fused.go), sim.GangStepper with lane-loop kernels
-// over struct-of-arrays fleet state (gang.go), and sim.BitGangStepper
+// Compiled implements sim.Evaluator with one list of scalar kernels
+// (fused.go), sim.GangStepper with lane-loop kernels over
+// struct-of-arrays fleet state (gang.go), and sim.BitGangStepper
 // with word-ops over bit planes (bitparallel.go) — all three built from
 // the one lowered program. It is stateless after construction — the
 // kernels capture only immutable compile-time data (slots, masks,

@@ -47,7 +47,7 @@ func newCycleOut(init []int64, mems int) cycleOut {
 	return cycleOut{append([]int64(nil), init...), make([]int64, mems), make([]int64, mems), make([]int64, mems)}
 }
 
-// entryPoints are the three ways a cycle reaches the kernels. Each runs
+// entryPoints are the two ways a cycle reaches the kernels. Each runs
 // one cycle from the initial value vector init. The gang entry runs at
 // stride 3 with only lane 1 active and requires lanes 0 and 2 — filled
 // with poison — to come back untouched.
@@ -55,12 +55,6 @@ var entryPoints = []struct {
 	name string
 	run  func(t *testing.T, c *Compiled, init []int64, mems int) cycleOut
 }{
-	{"Comb+MemInputs", func(t *testing.T, c *Compiled, init []int64, mems int) cycleOut {
-		o := newCycleOut(init, mems)
-		c.Comb(o.vals, 0)
-		c.MemInputs(o.vals, o.addr, o.data, o.opn, 0)
-		return o
-	}},
 	{"StepCycle", func(t *testing.T, c *Compiled, init []int64, mems int) cycleOut {
 		o := newCycleOut(init, mems)
 		c.StepCycle(o.vals, o.addr, o.data, o.opn, 0)
@@ -122,8 +116,7 @@ func TestEveryConstFunction(t *testing.T) {
 					init := make([]int64, len(info.Order))
 					init[info.Slot["m"]] = seed
 					want := newCycleOut(init, 1)
-					it.Comb(want.vals, 0)
-					it.MemInputs(want.vals, want.addr, want.data, want.opn, 0)
+					it.StepCycle(want.vals, want.addr, want.data, want.opn, 0)
 					for _, ep := range entryPoints {
 						if got := ep.run(t, c, init, 1); !reflect.DeepEqual(got, want) {
 							t.Errorf("funct %d left %q %s %s seed %#x: %+v, interp has %+v",
@@ -210,11 +203,12 @@ M m 0 s 1 2
 	nofold := NewWithOptions(info, Options{NoFold: true})
 	v1 := make([]int64, len(info.Order))
 	v2 := make([]int64, len(info.Order))
+	latch := make([]int64, 1)
 	for cyc := int64(0); cyc < 4; cyc++ {
 		v1[info.Slot["m"]] = cyc
 		v2[info.Slot["m"]] = cyc
-		fold.Comb(v1, cyc)
-		nofold.Comb(v2, cyc)
+		fold.StepCycle(v1, latch, latch, latch, cyc)
+		nofold.StepCycle(v2, latch, latch, latch, cyc)
 		for i := range v1 {
 			if v1[i] != v2[i] {
 				t.Fatalf("cycle %d slot %d: %d != %d", cyc, i, v1[i], v2[i])
@@ -223,24 +217,21 @@ M m 0 s 1 2
 	}
 }
 
-// TestMemInputLatching: MemInputs fills the parallel slices without
-// touching vals.
+// TestMemInputLatching: StepCycle latches the memory inputs from the
+// combinational values it just computed, into the parallel slices, and
+// leaves the memory output slots alone.
 func TestMemInputLatching(t *testing.T) {
 	info := analyze(t, "#m\nx m n .\nA x 4 m n\nM m x.0.1 x 1 4\nM n 0 x 0 2\n.")
 	c := New(info)
 	vals := make([]int64, len(info.Order))
 	vals[info.Slot["m"]] = 2
 	vals[info.Slot["n"]] = 3
-	c.Comb(vals, 0) // x = 5
-	before := append([]int64(nil), vals...)
 	addr := make([]int64, 2)
 	data := make([]int64, 2)
 	opn := make([]int64, 2)
-	c.MemInputs(vals, addr, data, opn, 0)
-	for i := range vals {
-		if vals[i] != before[i] {
-			t.Fatal("MemInputs modified vals")
-		}
+	c.StepCycle(vals, addr, data, opn, 0) // x = 5
+	if vals[info.Slot["x"]] != 5 || vals[info.Slot["m"]] != 2 || vals[info.Slot["n"]] != 3 {
+		t.Fatalf("vals = %v, want x 5, m 2, n 3", vals)
 	}
 	if addr[0] != 5&3 || data[0] != 5 || opn[0] != 1 {
 		t.Errorf("m latches = %d %d %d", addr[0], data[0], opn[0])
@@ -283,13 +274,14 @@ func TestShiftKeepsLoopSemantics(t *testing.T) {
 	info := analyze(t, "#s\na m .\nA a 6 1 m\nM m 0 0 0 1\n.")
 	c := New(info)
 	vals := make([]int64, len(info.Order))
+	latch := make([]int64, 1)
 	vals[info.Slot["m"]] = 0
-	c.Comb(vals, 0)
+	c.StepCycle(vals, latch, latch, latch, 0)
 	if vals[info.Slot["a"]] != 0 {
 		t.Errorf("shift by 0 = %d, want 0 (the thesis' quirk)", vals[info.Slot["a"]])
 	}
 	vals[info.Slot["m"]] = 4
-	c.Comb(vals, 0)
+	c.StepCycle(vals, latch, latch, latch, 0)
 	if vals[info.Slot["a"]] != 16 {
 		t.Errorf("1<<4 = %d", vals[info.Slot["a"]])
 	}
@@ -307,8 +299,9 @@ func TestConstExprFolding(t *testing.T) {
 	it := interp.New(info)
 	v1 := make([]int64, len(info.Order))
 	v2 := make([]int64, len(info.Order))
-	c.Comb(v1, 0)
-	it.Comb(v2, 0)
+	latch := make([]int64, 1)
+	c.StepCycle(v1, latch, latch, latch, 0)
+	it.StepCycle(v2, latch, latch, latch, 0)
 	if v1[info.Slot["a"]] != v2[info.Slot["a"]] {
 		t.Errorf("const fold %d != interp %d", v1[info.Slot["a"]], v2[info.Slot["a"]])
 	}

@@ -1,8 +1,7 @@
 package compile
 
-// The scalar kernels (sim.Evaluator and sim.CycleStepper): one
-// specialized closure per component and one per memory latch, built
-// from the lowered program.
+// The scalar kernels (sim.Evaluator): one specialized closure per
+// component and one per memory latch, built from the lowered program.
 //
 // Profiling a closure-per-operand design shows the cycle cost is
 // dominated not by the arithmetic but by indirect calls for trivial
@@ -14,10 +13,6 @@ package compile
 // selects the specific operation. A component with a compound operand
 // (a multi-part concatenation — rare in hand-written machines) runs one
 // closure over the lowering's term loop instead.
-//
-// Comb, MemInputs and StepCycle iterate the same two kernel lists, so a
-// hook-bearing cycle (tracing, VCD, fault injection) and the batch fast
-// path execute the same code.
 
 import (
 	"repro/internal/lower"
@@ -30,25 +25,15 @@ type combFn func(vals []int64, cycle int64)
 // latchFn latches one memory's inputs into its ordinal position.
 type latchFn func(vals []int64, addr, data, opn []int64)
 
-// Comb implements sim.Evaluator.
-func (c *Compiled) Comb(vals []int64, cycle int64) {
+// StepCycle implements sim.Evaluator: the component kernels in
+// dependency order, then the latch kernels.
+func (c *Compiled) StepCycle(vals []int64, addr, data, opn []int64, cycle int64) {
 	for _, fn := range c.comb {
 		fn(vals, cycle)
 	}
-}
-
-// MemInputs implements sim.Evaluator.
-func (c *Compiled) MemInputs(vals []int64, addr, data, opn []int64, cycle int64) {
 	for _, fn := range c.latches {
 		fn(vals, addr, data, opn)
 	}
-}
-
-// StepCycle implements sim.CycleStepper: Comb followed by MemInputs in
-// one call.
-func (c *Compiled) StepCycle(vals []int64, addr, data, opn []int64, cycle int64) {
-	c.Comb(vals, cycle)
-	c.MemInputs(vals, addr, data, opn, cycle)
 }
 
 // simpleCases flattens a simple selector's cases to one term each, for

@@ -56,8 +56,8 @@ const (
 	// disabled, pinning gangs to the plain lane-loop path (ablation,
 	// and the reference side of the bit-parallel differential tests).
 	CompiledNoBitpar Backend = "compiled-nobitpar"
-	// Bytecode lowers expressions to flat part-programs run by an
-	// accumulator VM (ablation midpoint).
+	// Bytecode runs the unfolded lowering through one generic loop:
+	// pre-resolved tables, no specialization (ablation midpoint).
 	Bytecode Backend = "bytecode"
 	// CompiledAOT is Compiled plus ahead-of-time native execution: the
 	// campaign engine may route eligible long runs to a gogen-generated
@@ -146,8 +146,8 @@ func (s *Spec) DefaultCycles(def int64) int64 {
 // evaluator and the slot layout (sim.Layout) that machines, gangs,
 // tracing, VCD dumps and fault injection read. It never holds the
 // Spec, so a cached program does not keep its syntax tree alive — only
-// the interp and bytecode evaluators walk the tree, and they keep their
-// own reference to it; a compiled-aot program keeps the analysis until
+// the interp evaluators walk the tree, and they keep their own
+// reference to it; a compiled-aot program keeps the analysis until
 // it has printed its native worker's source.
 //
 // A Program is safe for concurrent use. Backend evaluators are

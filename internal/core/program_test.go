@@ -83,12 +83,7 @@ func TestProgramSharedAcrossGoroutines(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					m := p.NewMachine(Options{})
-					// Interleave batch and per-cycle execution so both
-					// evaluator entry points run concurrently.
-					if errs[g] = m.RunBatch(cycles / 2); errs[g] != nil {
-						return
-					}
-					if errs[g] = m.Run(cycles - cycles/2); errs[g] != nil {
+					if errs[g] = m.Run(cycles); errs[g] != nil {
 						return
 					}
 					vals[g] = m.Snapshot()

@@ -103,8 +103,8 @@ func (it *Interp) Eval(e *ast.Expr, vals []int64) int64 {
 	return total
 }
 
-// Comb implements sim.Evaluator.
-func (it *Interp) Comb(vals []int64, cycle int64) {
+// StepCycle implements sim.Evaluator.
+func (it *Interp) StepCycle(vals []int64, addr, data, opn []int64, cycle int64) {
 	for _, c := range it.comb {
 		switch c := c.(type) {
 		case *ast.ALU:
@@ -120,10 +120,6 @@ func (it *Interp) Comb(vals []int64, cycle int64) {
 			vals[it.slot(c.Name)] = it.Eval(&c.Cases[idx], vals)
 		}
 	}
-}
-
-// MemInputs implements sim.Evaluator.
-func (it *Interp) MemInputs(vals []int64, addr, data, opn []int64, cycle int64) {
 	for i, m := range it.mems {
 		addr[i] = it.Eval(&m.Addr, vals)
 		data[i] = it.Eval(&m.Data, vals)

@@ -51,17 +51,15 @@ func TestNaiveMatchesIndexed(t *testing.T) {
 	vals2[info.Slot["m"]] = 3
 
 	for cycle := int64(0); cycle < 8; cycle++ {
-		fast.Comb(vals1, cycle)
-		slow.Comb(vals2, cycle)
+		a1, d1, o1 := make([]int64, 1), make([]int64, 1), make([]int64, 1)
+		a2, d2, o2 := make([]int64, 1), make([]int64, 1), make([]int64, 1)
+		fast.StepCycle(vals1, a1, d1, o1, cycle)
+		slow.StepCycle(vals2, a2, d2, o2, cycle)
 		for i := range vals1 {
 			if vals1[i] != vals2[i] {
 				t.Fatalf("cycle %d slot %d: %d != %d", cycle, i, vals1[i], vals2[i])
 			}
 		}
-		a1, d1, o1 := make([]int64, 1), make([]int64, 1), make([]int64, 1)
-		a2, d2, o2 := make([]int64, 1), make([]int64, 1), make([]int64, 1)
-		fast.MemInputs(vals1, a1, d1, o1, cycle)
-		slow.MemInputs(vals2, a2, d2, o2, cycle)
 		if a1[0] != a2[0] || d1[0] != d2[0] || o1[0] != o2[0] {
 			t.Fatalf("cycle %d: latches differ", cycle)
 		}
@@ -128,14 +126,15 @@ func TestCombWritesDependencyOrder(t *testing.T) {
 	info := analyze(t, src)
 	it := New(info)
 	vals := make([]int64, len(info.Order))
+	latch := make([]int64, 1)
 	vals[info.Slot["m"]] = 3 // m.0 = 1 -> selector picks b
-	it.Comb(vals, 0)
+	it.StepCycle(vals, latch, latch, latch, 0)
 	// a = m + 1 = 4; b = a*a = 16; s = b (m.0 = 1).
 	if vals[info.Slot["a"]] != 4 || vals[info.Slot["b"]] != 16 || vals[info.Slot["s"]] != 16 {
 		t.Errorf("vals: a=%d b=%d s=%d", vals[info.Slot["a"]], vals[info.Slot["b"]], vals[info.Slot["s"]])
 	}
 	vals[info.Slot["m"]] = 2 // m.0 = 0 -> selector picks a
-	it.Comb(vals, 1)
+	it.StepCycle(vals, latch, latch, latch, 1)
 	if vals[info.Slot["s"]] != vals[info.Slot["a"]] {
 		t.Error("selector case 0 should pick a")
 	}
@@ -151,5 +150,6 @@ func TestSelectorFailurePanicsRuntimeError(t *testing.T) {
 			t.Error("expected panic for out-of-range selector")
 		}
 	}()
-	it.Comb(vals, 0)
+	latch := make([]int64, 1)
+	it.StepCycle(vals, latch, latch, latch, 0)
 }

@@ -1,8 +1,8 @@
 // Package lower is the one walk over the analyzed specification. Every
 // consumer — the scalar, lane-loop and bit-plane kernel families in
-// internal/compile, and the Go and Pascal printers in internal/codegen —
-// is built from the Program this package produces and never sees the
-// syntax tree. Three decisions are made here and nowhere else (§4.4 /
+// internal/compile, the bytecode ablation's generic loop, and the Go
+// and Pascal printers in internal/codegen — is built from the Program
+// this package produces and never sees the syntax tree. Three decisions are made here and nowhere else (§4.4 /
 // Figure 4.1):
 //
 //   - constant function: an ALU whose function operand is constant is
@@ -17,9 +17,10 @@
 //   - dead data latch: a memory whose operation is a constant read or
 //     input never consumes its data operand, which becomes constant 0.
 //
-// With fold false (compile.Options.NoFold) none of the three is taken
-// and multi-part constant expressions stay sums evaluated at run time,
-// so the ablation measures the folding and nothing else.
+// With fold false (compile.Options.NoFold, and always for the bytecode
+// backend) none of the three is taken and multi-part constant
+// expressions stay sums evaluated at run time, so the ablations measure
+// the folding and nothing else.
 //
 // The Program is a read-only view: consumers index it and never modify
 // it. Layout is deliberate: the lowering runs on every program-cache
@@ -92,12 +93,19 @@ func (e Expr) Constant() (int64, bool) {
 }
 
 // At evaluates the expression for one lane of a strided value vector:
-// the single term loop behind every compound operand. Scalar kernels
-// call it with stride 1, lane 0.
+// the single term loop behind every compound operand and every bytecode
+// operand. Scalar callers pass stride 1, lane 0. A constant is added
+// as is, because its value is pre-shifted; skipping the variable shift
+// for it is measurable in the bytecode loop, where most terms are
+// constants.
 func (e Expr) At(vals []int64, stride, lane int) int64 {
 	var total int64
 	for i := range e {
-		total += e[i].At(vals, stride, lane) << e[i].Shift
+		if t := &e[i]; t.Const {
+			total += t.Val
+		} else {
+			total += t.At(vals, stride, lane) << t.Shift
+		}
 	}
 	return total
 }

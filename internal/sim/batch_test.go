@@ -1,11 +1,11 @@
 package sim_test
 
-// Cross-path equivalence for the fused batch fast path: for every
-// backend, Machine.RunBatch must be observationally identical to the
-// per-cycle Machine.Run — same state digest, same statistics, same
-// error — on the canonical machines and on generated specifications,
-// and must fall back to the hook-bearing path whenever a trace writer,
-// observer or after-commit hook is attached.
+// Machine.RunBatch is a synonym for Machine.Run. On every backend it
+// must be observationally identical to the interpreter's Run — same state
+// digest, same statistics, same error — on the canonical machines and
+// on generated specifications, and a run with a trace writer, observer
+// or after-commit hook attached must fire it every cycle and still end
+// where the hook-free run does.
 
 import (
 	"bytes"
@@ -46,8 +46,8 @@ func runOutcome(t *testing.T, spec *core.Spec, b core.Backend, cycles int64, bat
 	return outcome{digest: campaign.SnapshotDigest(m), stats: m.Stats(), errstr: errstr}
 }
 
-// requireBatchEquivalence checks every backend × {Run, RunBatch}
-// against the interp/Run reference.
+// requireBatchEquivalence checks every backend's RunBatch against the
+// interp/Run reference.
 func requireBatchEquivalence(t *testing.T, name, src string, cycles int64) {
 	t.Helper()
 	spec, err := core.ParseString(name, src)
@@ -56,18 +56,16 @@ func requireBatchEquivalence(t *testing.T, name, src string, cycles int64) {
 	}
 	ref := runOutcome(t, spec, core.Interp, cycles, false)
 	for _, b := range core.Backends() {
-		for _, batch := range []bool{false, true} {
-			got := runOutcome(t, spec, b, cycles, batch)
-			label := fmt.Sprintf("%s/%s batch=%v", name, b, batch)
-			if got.digest != ref.digest {
-				t.Errorf("%s: digest %s, interp/Run has %s\nspec:\n%s", label, got.digest, ref.digest, src)
-			}
-			if got.errstr != ref.errstr {
-				t.Errorf("%s: err %q, interp/Run has %q", label, got.errstr, ref.errstr)
-			}
-			if !reflect.DeepEqual(got.stats, ref.stats) {
-				t.Errorf("%s: stats %+v, interp/Run has %+v", label, got.stats, ref.stats)
-			}
+		got := runOutcome(t, spec, b, cycles, true)
+		label := fmt.Sprintf("%s/%s", name, b)
+		if got.digest != ref.digest {
+			t.Errorf("%s: digest %s, interp/Run has %s\nspec:\n%s", label, got.digest, ref.digest, src)
+		}
+		if got.errstr != ref.errstr {
+			t.Errorf("%s: err %q, interp/Run has %q", label, got.errstr, ref.errstr)
+		}
+		if !reflect.DeepEqual(got.stats, ref.stats) {
+			t.Errorf("%s: stats %+v, interp/Run has %+v", label, got.stats, ref.stats)
 		}
 	}
 }
@@ -87,7 +85,7 @@ func TestRunBatchEquivalenceTestdata(t *testing.T) {
 
 // TestRunBatchEquivalenceRandom sweeps generated specifications, which
 // also exercise the runtime-error paths (selector faults, address
-// faults) through both execution paths.
+// faults) on every backend.
 func TestRunBatchEquivalenceRandom(t *testing.T) {
 	n := 60
 	if testing.Short() {
@@ -105,45 +103,9 @@ func TestRunBatchEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestCompiledIsCycleStepper pins the capability: the compiled backend
-// (with and without folding) fuses, and RunBatch on a stepper-less
-// backend still works via the fallback.
-func TestCompiledIsCycleStepper(t *testing.T) {
-	spec, err := core.ParseString("c", "#c\nc .\nA c 1 0 1\n.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []core.Backend{core.Compiled, core.CompiledNoFold} {
-		ev, err := core.NewEvaluator(spec.Info, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := ev.(sim.CycleStepper); !ok {
-			t.Errorf("backend %s does not implement sim.CycleStepper", b)
-		}
-	}
-	ev, err := core.NewEvaluator(spec.Info, core.Interp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ev.(sim.CycleStepper); ok {
-		t.Errorf("interp unexpectedly implements sim.CycleStepper; the fallback test below is vacuous")
-	}
-	m, err := core.NewMachine(spec, core.Interp, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RunBatch(16); err != nil {
-		t.Fatalf("RunBatch on stepper-less backend: %v", err)
-	}
-	if m.Cycle() != 16 {
-		t.Fatalf("cycle = %d, want 16", m.Cycle())
-	}
-}
-
 // TestRunBatchObserverFallback attaches each kind of hook and checks
-// RunBatch takes the per-cycle path: hooks fire every cycle and the
-// outcome still matches the hook-free fast path.
+// that RunBatch services it: hooks fire every cycle and the outcome
+// still matches the hook-free run.
 func TestRunBatchObserverFallback(t *testing.T) {
 	src, err := machines.SieveSpec(16)
 	if err != nil {
@@ -155,14 +117,14 @@ func TestRunBatchObserverFallback(t *testing.T) {
 	}
 	const cycles = 512
 
-	fast, err := core.NewMachine(spec, core.Compiled, core.Options{Output: io.Discard})
+	free, err := core.NewMachine(spec, core.Compiled, core.Options{Output: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fast.RunBatch(cycles); err != nil {
+	if err := free.Run(cycles); err != nil {
 		t.Fatal(err)
 	}
-	want := campaign.SnapshotDigest(fast)
+	want := campaign.SnapshotDigest(free)
 
 	t.Run("observer", func(t *testing.T) {
 		m, err := core.NewMachine(spec, core.Compiled, core.Options{Output: io.Discard})
@@ -178,7 +140,7 @@ func TestRunBatchObserverFallback(t *testing.T) {
 			t.Errorf("observer fired %d times, want %d", calls, cycles)
 		}
 		if got := campaign.SnapshotDigest(m); got != want {
-			t.Errorf("digest %s, fast path has %s", got, want)
+			t.Errorf("digest %s, hook-free run has %s", got, want)
 		}
 	})
 
@@ -196,7 +158,7 @@ func TestRunBatchObserverFallback(t *testing.T) {
 			t.Errorf("after-commit hook fired %d times, want %d", calls, cycles)
 		}
 		if got := campaign.SnapshotDigest(m); got != want {
-			t.Errorf("digest %s, fast path has %s", got, want)
+			t.Errorf("digest %s, hook-free run has %s", got, want)
 		}
 	})
 
@@ -218,11 +180,11 @@ func TestRunBatchObserverFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := campaign.SnapshotDigest(m); got != want {
-				t.Errorf("%s digest %s, fast path has %s", tc.name, got, want)
+				t.Errorf("%s digest %s, hook-free run has %s", tc.name, got, want)
 			}
 		}
 		if viaRun.Len() == 0 {
-			t.Fatal("trace produced no output; fallback test is vacuous")
+			t.Fatal("trace produced no output; the trace comparison is vacuous")
 		}
 		if viaRun.String() != viaBatch.String() {
 			t.Error("RunBatch trace output differs from Run")

@@ -38,7 +38,7 @@ import "fmt"
 // reporting; active lanes need not agree on it).
 //
 // For every active lane the result must be bit-identical to
-// StepCycle/Comb+MemInputs on a Machine in the same state. A per-lane
+// StepCycle on a Machine in the same state. A per-lane
 // runtime error is reported by panicking with *GangFault (use
 // FailLane); the gang recovers it, faults the lane out and re-runs the
 // evaluation for the remaining lanes, so kernels must not cache state
@@ -332,7 +332,7 @@ func (g *Gang) Done() bool { return len(g.active) == 0 }
 // runtime error records it (LaneErr) and faults out with its state
 // frozen exactly where a stand-alone machine's error would have left
 // it; the other lanes are unaffected. Callers loop Step with a chunk
-// size to interleave cancellation checks, as they would RunBatch.
+// size to interleave cancellation checks, as they would Machine.Run.
 func (g *Gang) Step(max int64) bool {
 	for max > 0 && len(g.active) > 0 {
 		max -= g.run(max)

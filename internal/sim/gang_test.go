@@ -21,9 +21,7 @@ import (
 )
 
 // scalarOutcome is everything a gang lane must reproduce, captured by
-// scalarRun from a fresh machine run for budget cycles through
-// RunBatch (the batch fast path on a compiled program, the per-cycle
-// path on an interpreted one).
+// scalarRun from a fresh machine run for budget cycles.
 type scalarOutcome struct {
 	hash   uint64
 	cycles int64
@@ -35,7 +33,7 @@ func scalarRun(t *testing.T, p *core.Program, budget int64) scalarOutcome {
 	t.Helper()
 	m := p.NewMachine(core.Options{})
 	var errstr string
-	if err := m.RunBatch(budget); err != nil {
+	if err := m.Run(budget); err != nil {
 		errstr = err.Error()
 	}
 	return scalarOutcome{hash: m.ArchHash(), cycles: m.Cycle(), stats: m.Stats(), errstr: errstr}
@@ -286,11 +284,11 @@ func TestGangBitLaneSnapshotInterop(t *testing.T) {
 	const mid, end = 333, 1024
 
 	m := p.NewMachine(core.Options{})
-	if err := m.RunBatch(mid); err != nil {
+	if err := m.Run(mid); err != nil {
 		t.Fatal(err)
 	}
 	midState := m.SaveState()
-	if err := m.RunBatch(end - mid); err != nil {
+	if err := m.Run(end - mid); err != nil {
 		t.Fatal(err)
 	}
 	wantHash := m.ArchHash()
@@ -339,11 +337,11 @@ func TestGangLaneSnapshotInterop(t *testing.T) {
 
 	// Scalar reference: run to mid, snapshot, run to end.
 	m := p.NewMachine(core.Options{})
-	if err := m.RunBatch(mid); err != nil {
+	if err := m.Run(mid); err != nil {
 		t.Fatal(err)
 	}
 	midState := m.SaveState()
-	if err := m.RunBatch(end - mid); err != nil {
+	if err := m.Run(end - mid); err != nil {
 		t.Fatal(err)
 	}
 	wantHash := m.ArchHash()
@@ -388,7 +386,7 @@ func TestGangLaneSnapshotInterop(t *testing.T) {
 	if err := m2.RestoreState(laneState); err != nil {
 		t.Fatalf("machine RestoreState of lane snapshot: %v", err)
 	}
-	if err := m2.RunBatch(end - mid); err != nil {
+	if err := m2.Run(end - mid); err != nil {
 		t.Fatal(err)
 	}
 	if got := m2.ArchHash(); got != wantHash {
@@ -488,7 +486,7 @@ func TestGangCompactionProperty(t *testing.T) {
 			scalarState := func(budget int64) ([]byte, scalarOutcome) {
 				m := p.NewMachine(core.Options{})
 				var errstr string
-				if err := m.RunBatch(budget); err != nil {
+				if err := m.Run(budget); err != nil {
 					errstr = err.Error()
 				}
 				return m.SaveState(), scalarOutcome{hash: m.ArchHash(), cycles: m.Cycle(), stats: m.Stats(), errstr: errstr}

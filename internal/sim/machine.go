@@ -43,35 +43,13 @@ type Evaluator interface {
 	// BackendName identifies the backend for reports and benchmarks.
 	BackendName() string
 
-	// Comb evaluates every combinational component in dependency
-	// order, writing each output into vals at its slot. Memory slots
-	// hold the previous cycle's output registers and must not be
-	// written.
-	Comb(vals []int64, cycle int64)
-
-	// MemInputs latches every memory's address, data and operation
-	// expressions into the parallel slices, indexed by memory ordinal
-	// (the order of Layout.Mems). It must not modify vals.
-	MemInputs(vals []int64, addr, data, opn []int64, cycle int64)
-}
-
-// CycleStepper is an optional Evaluator capability: a backend that can
-// execute the evaluation half of an entire cycle — combinational
-// evaluation in dependency order followed by memory-input latching —
-// as one specialized call, with no per-component dispatch. Machine
-// memory commit, statistics and hooks stay with the Machine; the
-// stepper only replaces the Comb+MemInputs pair.
-//
-// A CycleStepper must be observationally identical to calling Comb
-// then MemInputs: Machine.RunBatch relies on the two paths producing
-// bit-identical state, and the equivalence tests enforce it.
-type CycleStepper interface {
-	Evaluator
-
-	// StepCycle evaluates one full cycle's combinational outputs into
-	// vals and latches every memory's addr/data/opn, exactly as
-	// Comb(vals, cycle) followed by MemInputs(vals, addr, data, opn,
-	// cycle) would.
+	// StepCycle evaluates the first half of a cycle in one call:
+	// every combinational component in dependency order, each output
+	// written into vals at its slot, then every memory's address, data
+	// and operation latched into the parallel slices, indexed by memory
+	// ordinal (the order of Layout.Mems). Memory slots hold the
+	// previous cycle's output registers and must not be written, and
+	// the latches read the combinational values this call computed.
 	StepCycle(vals []int64, addr, data, opn []int64, cycle int64)
 }
 
@@ -197,9 +175,9 @@ func (m *Machine) RestoreState(st []byte) error { return m.column().restoreState
 func (m *Machine) ArchHash() uint64 { return m.column().archHash() }
 
 // ClearHooks detaches every observer and after-commit hook, returning
-// the machine to the hook-free state in which RunBatch takes the fused
-// fast path. Campaign workers call it before returning a machine to
-// the pool, so one run's fault injectors never leak into the next.
+// the machine to its hook-free state. Campaign workers call it before
+// returning a machine to the pool, so one run's fault injectors never
+// leak into the next.
 func (m *Machine) ClearHooks() {
 	m.observers = nil
 	m.committers = nil
@@ -271,28 +249,8 @@ func (m *Machine) Run(n int64) (err error) {
 	return nil
 }
 
-// RunBatch executes n cycles through the fused fast path when it is
-// available: the evaluator implements CycleStepper and no trace writer,
-// observers or after-commit hooks are attached. The fast loop performs
-// one fused StepCycle call plus the memory commit per cycle, with every
-// hook check hoisted out of the loop; otherwise it falls back to the
-// per-cycle path. Both paths produce bit-identical machine state and
-// statistics, so callers may treat RunBatch as Run with the hook
-// checks amortized over the batch.
-func (m *Machine) RunBatch(n int64) (err error) {
-	stepper, ok := m.eval.(CycleStepper)
-	if !ok || m.tracer != nil || len(m.observers) > 0 || len(m.committers) > 0 {
-		return m.Run(n)
-	}
-	defer recoverRuntime(&err)
-	for i := int64(0); i < n; i++ {
-		stepper.StepCycle(m.vals, m.addr, m.data, m.opn, m.cycle)
-		m.commitMems()
-		m.cycle++
-		m.stats.Cycles++
-	}
-	return nil
-}
+// RunBatch is a synonym for Run, kept for existing callers.
+func (m *Machine) RunBatch(n int64) error { return m.Run(n) }
 
 // Step executes exactly one cycle.
 func (m *Machine) Step() (err error) {
@@ -326,18 +284,18 @@ func recoverRuntime(err *error) {
 	}
 }
 
-// step runs one cycle:
-//  1. evaluate combinational components in dependency order;
-//  2. latch every memory's addr/data/opn from pre-commit state;
-//  3. trace point: per-cycle trace line and observers;
-//  4. commit memory operations (and their read/write traces).
+// step runs one cycle, the one cycle loop every Run, Step and RunUntil
+// goes through:
+//  1. StepCycle: evaluate combinational components in dependency order
+//     and latch every memory's addr/data/opn from pre-commit state;
+//  2. trace point: per-cycle trace line and observers;
+//  3. commit memory operations (and their read/write traces).
 //
 // Unlike the original generated code, which updated memory output
 // registers one after another, step latches all inputs before any
 // commit, so results never depend on memory declaration order.
 func (m *Machine) step() {
-	m.eval.Comb(m.vals, m.cycle)
-	m.eval.MemInputs(m.vals, m.addr, m.data, m.opn, m.cycle)
+	m.eval.StepCycle(m.vals, m.addr, m.data, m.opn, m.cycle)
 
 	if m.tracer != nil {
 		m.tracer.cycleLine(m.cycle, m.vals)
@@ -356,7 +314,7 @@ func (m *Machine) step() {
 }
 
 // commitMems commits every memory's latched operation — the second
-// phase of a cycle, shared by the per-cycle and fused batch paths.
+// phase of a cycle.
 func (m *Machine) commitMems() {
 	for i := range m.layout.Mems {
 		mem := &m.layout.Mems[i]

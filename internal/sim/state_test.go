@@ -69,7 +69,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 				if warm.Cycle() != prefix {
 					t.Fatalf("restored cycle = %d, want %d", warm.Cycle(), prefix)
 				}
-				if err := warm.RunBatch(total - prefix); err != nil {
+				if err := warm.Run(total - prefix); err != nil {
 					t.Fatal(err)
 				}
 
@@ -117,7 +117,7 @@ func TestSaveRestoreAcrossBackends(t *testing.T) {
 		if err := m.RestoreState(st); err != nil {
 			t.Fatalf("%s: restore: %v", b, err)
 		}
-		if err := m.RunBatch(total - prefix); err != nil {
+		if err := m.Run(total - prefix); err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
 		if got := campaign.SnapshotDigest(m); got != want {
