@@ -1,0 +1,5 @@
+//go:build race
+
+package allocpin
+
+const raceEnabled = true

@@ -31,6 +31,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -107,10 +108,12 @@ type Result struct {
 }
 
 // Engine executes campaigns across a worker pool. Each worker keeps a
-// pool of one machine per program, Reset-reusing it between runs, so
-// the steady-state cost of a run is its simulated cycles — no
-// compilation and (for hook-free runs) no per-run allocation beyond
-// the result's digest string and statistics.
+// pool of one machine per program, Reset-reusing it between runs, and
+// gang jobs take their gangs from the program's own pool
+// (core.Program.GetGang), so the steady-state cost of a run is its
+// simulated cycles — no compilation and (for hook-free runs) no
+// per-run allocation beyond the result's digest string and statistics,
+// which a gang's lanes share one of each.
 //
 // Runs that share a Program and carry no hooks, faults, I/O, warm
 // start or custom digest are additionally stepped as gangs: up to
@@ -320,48 +323,81 @@ func (p *plan) add(rung string, idxs ...int) {
 // a worker idle. A 16-run fleet on 8 workers dispatches as 8 two-lane
 // gangs, not one idle-everything 16-lane gang; on a single worker it
 // packs full-width gangs.
+//
+// A counting pass sizes every list once — the served path plans once
+// per job. The counts only size the lists; the appends decide where
+// runs go, so a miscount costs an allocation, never a misplaced run.
 func (e Engine) plan(runs []Run, workers int) plan {
-	p := plan{order: make([]int, 0, len(runs))}
 	aot := e.aotPrograms(runs)
-	byProg := make(map[*core.Program][]int)
-	var progs []*core.Program
+	// group is one program's gangable runs, in run order, and how they
+	// dispatch; rung is "" when every one of them dispatches alone.
+	type group struct {
+		prog  *core.Program
+		n     int
+		idxs  []int
+		rung  string
+		width int
+	}
+	ord := make(map[*core.Program]int)
+	var groups []group
 	var scalars []int
-	gangable := 0
 	for i, r := range runs {
 		if !runGangable(r) {
 			scalars = append(scalars, i)
 			continue
 		}
-		gangable++
-		if _, ok := byProg[r.Program]; !ok {
-			progs = append(progs, r.Program)
+		k, ok := ord[r.Program]
+		if !ok {
+			k = len(groups)
+			ord[r.Program] = k
+			groups = append(groups, group{prog: r.Program})
 		}
-		byProg[r.Program] = append(byProg[r.Program], i)
+		groups[k].n++
 	}
+	gangable := len(runs) - len(scalars)
 	perWorker := (gangable + workers - 1) / workers
-	for _, prog := range progs {
-		idxs := byProg[prog]
+	backing := make([]int, gangable)
+	units := len(scalars)
+	for k := range groups {
+		g := &groups[k]
+		g.idxs, backing = backing[:0:g.n], backing[g.n:]
+		units += g.n
 		// Width and rung are only consulted where a span of two lanes can
 		// form or the program goes native: probing the bit-plane
 		// capability builds the program's gang kernels, which a run that
 		// dispatches alone never uses and a cached program would keep.
-		if !aot[prog] && (perWorker < 2 || len(idxs) < 2) {
+		if !aot[g.prog] && (perWorker < 2 || g.n < 2) {
+			continue
+		}
+		g.rung = RungLaneLoop
+		if aot[g.prog] {
+			g.rung = RungAOT
+		} else if g.prog.BitGangCapable() {
+			g.rung = RungBitParallel
+		}
+		if g.width = min(e.laneWidth(g.prog), perWorker); g.width >= 2 {
+			units += (g.n+g.width-1)/g.width - g.n // gangs, and a last run alone
+		}
+	}
+	for i, r := range runs {
+		if runGangable(r) {
+			g := &groups[ord[r.Program]]
+			g.idxs = append(g.idxs, i)
+		}
+	}
+	p := plan{order: make([]int, 0, len(runs)), jobs: make([]span, 0, units)}
+	for _, g := range groups {
+		idxs := g.idxs
+		if g.rung == "" {
 			scalars = append(scalars, idxs...)
 			continue
 		}
-		rung := RungLaneLoop
-		if aot[prog] {
-			rung = RungAOT
-		} else if prog.BitGangCapable() {
-			rung = RungBitParallel
-		}
-		pw := min(e.laneWidth(prog), perWorker)
-		for pw >= 2 && len(idxs) >= 2 {
-			n := min(pw, len(idxs))
-			p.add(rung, idxs[:n]...)
+		for g.width >= 2 && len(idxs) >= 2 {
+			n := min(g.width, len(idxs))
+			p.add(g.rung, idxs[:n]...)
 			idxs = idxs[n:]
 		}
-		if rung == RungAOT {
+		if g.rung == RungAOT {
 			for _, i := range idxs {
 				p.add(RungAOT, i)
 			}
@@ -381,7 +417,7 @@ func (e Engine) plan(runs []Run, workers int) plan {
 // error in their Result and Execute returns it; already-finished
 // results are kept.
 func (e Engine) Execute(ctx context.Context, runs []Run) ([]Result, error) {
-	return e.ExecuteBursts(ctx, runs, nil)
+	return e.ExecuteBursts(ctx, runs, nil, nil)
 }
 
 // ExecuteStream is ExecuteBursts with one callback per Result: every
@@ -389,9 +425,9 @@ func (e Engine) Execute(ctx context.Context, runs []Run) ([]Result, error) {
 // back. A nil onResult is exactly Execute.
 func (e Engine) ExecuteStream(ctx context.Context, runs []Run, onResult func(Result)) ([]Result, error) {
 	if onResult == nil {
-		return e.ExecuteBursts(ctx, runs, nil)
+		return e.ExecuteBursts(ctx, runs, nil, nil)
 	}
-	return e.ExecuteBursts(ctx, runs, func(burst []Result) {
+	return e.ExecuteBursts(ctx, runs, nil, func(burst []Result) {
 		for _, r := range burst {
 			onResult(r)
 		}
@@ -415,12 +451,22 @@ func (e Engine) ExecuteStream(ctx context.Context, runs []Run, onResult func(Res
 // slice is only valid during the call (the engine reuses it); onBurst
 // must not call back into the engine for the same campaign. A nil
 // onBurst is exactly Execute.
-func (e Engine) ExecuteBursts(ctx context.Context, runs []Run, onBurst func([]Result)) ([]Result, error) {
+//
+// The returned slice is results, resliced to len(runs), when its
+// capacity suffices — a caller executing job after job passes the
+// previous job's slice back and the engine allocates no new one —
+// else a new slice; every element is overwritten either way. nil
+// always allocates.
+func (e Engine) ExecuteBursts(ctx context.Context, runs []Run, results []Result, onBurst func([]Result)) ([]Result, error) {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	results := make([]Result, len(runs))
+	if cap(results) >= len(runs) {
+		results = results[:len(runs)]
+	} else {
+		results = make([]Result, len(runs))
+	}
 	if len(runs) == 0 {
 		return results, ctx.Err()
 	}
@@ -429,6 +475,7 @@ func (e Engine) ExecuteBursts(ctx context.Context, runs []Run, onBurst func([]Re
 		workers = len(p.jobs)
 	}
 
+	// burst is sized once, to the widest unit, on the first delivery.
 	var emitMu sync.Mutex
 	var burst []Result
 	emit := func(idxs []int) {
@@ -437,6 +484,13 @@ func (e Engine) ExecuteBursts(ctx context.Context, runs []Run, onBurst func([]Re
 		}
 		emitMu.Lock()
 		defer emitMu.Unlock()
+		if burst == nil {
+			widest := 0
+			for _, s := range p.jobs {
+				widest = max(widest, s.hi-s.lo)
+			}
+			burst = make([]Result, 0, widest)
+		}
 		burst = burst[:0]
 		for _, i := range idxs {
 			burst = append(burst, results[i])
@@ -450,10 +504,7 @@ func (e Engine) ExecuteBursts(ctx context.Context, runs []Run, onBurst func([]Re
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &worker{
-				pool:  make(map[*core.Program]*sim.Machine),
-				gangs: make(map[*core.Program]*sim.Gang),
-			}
+			var w worker
 			defer w.closeProcs()
 			for s := range jobs {
 				idxs := p.order[s.lo:s.hi]
@@ -463,11 +514,11 @@ func (e Engine) ExecuteBursts(ctx context.Context, runs []Run, onBurst func([]Re
 				}
 				switch s.rung {
 				case RungAOT:
-					e.execAOT(ctx, w, idxs, runs, results)
+					e.execAOT(ctx, &w, idxs, runs, results)
 				case RungScalar:
-					results[idxs[0]] = e.exec(ctx, w, idxs[0], runs[idxs[0]])
+					results[idxs[0]] = e.exec(ctx, &w, idxs[0], runs[idxs[0]])
 				default:
-					e.execGang(ctx, w, idxs, runs, results)
+					e.execGang(ctx, &w, idxs, runs, results)
 				}
 				if e.Observe != nil {
 					var cycles int64
@@ -506,11 +557,12 @@ dispatch:
 	return results, ctx.Err()
 }
 
-// worker is one goroutine's execution context: the per-program
-// machine and gang pools.
+// worker is one goroutine's execution context for one campaign: its
+// pooled machines and native workers, and reused buffers. Gangs are
+// not kept here; each gang job takes one from its Program's pool and
+// returns it (core.Program.GetGang), so they outlive the campaign.
 type worker struct {
 	pool    map[*core.Program]*sim.Machine
-	gangs   map[*core.Program]*sim.Gang
 	procs   map[*core.Program]*aot.Proc // persistent native workers
 	targets []int64                     // reused per-gang-job cycle budget buffer
 	ckbuf   []byte                      // reused checkpoint snapshot buffer
@@ -523,22 +575,6 @@ func (w *worker) closeProcs() {
 		p.Close()
 		delete(w.procs, prog)
 	}
-}
-
-// gang returns a pooled gang for the program with room for lanes, or
-// nil when the program cannot gang. A gang is allocated at the width
-// of the span that first needs it; plan emits a program's spans widest
-// first, so within a campaign it is never reallocated.
-func (w *worker) gang(p *core.Program, lanes int) *sim.Gang {
-	if g := w.gangs[p]; g != nil && g.Capacity() >= lanes {
-		return g
-	}
-	g, ok := p.NewGang(lanes)
-	if !ok {
-		return nil
-	}
-	w.gangs[p] = g
-	return g
 }
 
 // execGang performs one gang job — two or more runs of one Program in
@@ -555,14 +591,19 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 		}
 		return
 	}
-	g := w.gang(runs[idxs[0]].Program, len(idxs))
-	if g == nil {
+	prog := runs[idxs[0]].Program
+	g, ok := prog.GetGang(len(idxs))
+	if !ok {
 		// Unreachable while plan gates on GangCapable, but degrading to
 		// the scalar path is always correct.
 		for _, i := range idxs {
 			results[i] = e.exec(ctx, w, i, runs[i])
 		}
 		return
+	}
+	defer prog.PutGang(g)
+	if cap(w.targets) < len(idxs) {
+		w.targets = make([]int64, 0, g.Capacity())
 	}
 	targets := w.targets[:0]
 	for _, i := range idxs {
@@ -599,15 +640,22 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 			break
 		}
 	}
+	// The gang's lanes share one statistics block and one digest
+	// string, each lane's a slice of it: two allocations per gang job,
+	// none per lane.
+	ops := make([]sim.MemOpStats, 0, len(idxs)*g.MemCount())
+	var digests strings.Builder
+	digests.Grow(len(idxs) * hexDigits)
 	for l, i := range idxs {
 		res := &results[i]
 		res.Cycles = g.LaneCycle(l)
-		res.Stats = g.LaneStats(l)
+		res.Stats, ops = g.AppendLaneStats(l, ops)
 		res.Err = g.LaneErr(l)
 		if res.Err == nil && ctxErr != nil && res.Cycles < runs[i].Cycles {
 			res.Err = ctxErr
 		}
-		res.Digest = hashHex(g.LaneArchHash(l))
+		var hex [hexDigits]byte
+		digests.Write(appendHex(hex[:0], g.LaneArchHash(l)))
 		if e.Checkpoint != nil && g.LaneErr(l) == nil {
 			// Retirement (or interruption) checkpoint: emitted for clean
 			// and cancelled lanes alike — a cancelled lane's snapshot is
@@ -616,6 +664,10 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 			w.ckbuf = g.AppendLaneState(l, w.ckbuf[:0])
 			e.Checkpoint.Checkpoint(i, res.Cycles, w.ckbuf)
 		}
+	}
+	all := digests.String()
+	for l, i := range idxs {
+		results[i].Digest = all[l*hexDigits : (l+1)*hexDigits]
 	}
 }
 
@@ -631,6 +683,9 @@ func (w *worker) machine(r Run) *sim.Machine {
 		return m
 	}
 	m := r.Program.NewMachine(core.Options{})
+	if w.pool == nil {
+		w.pool = make(map[*core.Program]*sim.Machine)
+	}
 	w.pool[r.Program] = m
 	return m
 }
@@ -735,16 +790,23 @@ func archDigest(m *sim.Machine) string {
 	return hashHex(m.ArchHash())
 }
 
+// hexDigits is the length of a digest string: a 64-bit hash in hex.
+const hexDigits = 16
+
 // hashHex renders a 64-bit state hash as the 16-digit hex digest
-// string both execution paths report.
+// string every execution path reports.
 func hashHex(h uint64) string {
+	var out [hexDigits]byte
+	return string(appendHex(out[:0], h))
+}
+
+// appendHex appends h's 16-digit lower-case hex rendering to dst.
+func appendHex(dst []byte, h uint64) []byte {
 	const hexdigits = "0123456789abcdef"
-	var out [16]byte
-	for i := 15; i >= 0; i-- {
-		out[i] = hexdigits[h&0xf]
-		h >>= 4
+	for i := hexDigits - 1; i >= 0; i-- {
+		dst = append(dst, hexdigits[h>>(4*i)&0xf])
 	}
-	return string(out[:])
+	return dst
 }
 
 // SnapshotDigest hashes the machine's complete architectural state —

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocpin"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/machines"
@@ -308,20 +309,41 @@ func TestWarmStartPrefixChoice(t *testing.T) {
 	}
 }
 
+// Allocation budgets of a steady-state campaign: a fixed number of
+// allocations per campaign (the plan, the worker, the dispatch
+// channel), allocsPerGang per gang job — its lanes' shared statistics
+// block and digest string — and nothing per run.
+const (
+	allocsPerCampaign = 16
+	allocsPerGang     = 2
+)
+
+// gangJobs counts the gang spans the engine plans for runs.
+func gangJobs(eng Engine, runs []Run, workers int) int {
+	n := 0
+	for _, s := range eng.plan(runs, workers).jobs {
+		if s.rung != RungScalar {
+			n++
+		}
+	}
+	return n
+}
+
 // TestPooledFleetAllocs is the compile-once allocation regression
-// test: once a worker's pooled machine exists, each additional fleet
-// run costs only its result bookkeeping (the digest string and the
-// caller-owned stats copy) — a handful of small allocations, not a
-// machine build. The budget below fails loudly if per-run machine
-// construction ever sneaks back into the engine.
+// test: once the program's pooled gang exists, a fleet campaign costs
+// its per-campaign bookkeeping plus allocsPerGang per gang job — not a
+// gang or machine build, and nothing per run. The budget fails loudly
+// if per-run result bookkeeping or per-campaign gang construction ever
+// sneaks back into the engine.
 func TestPooledFleetAllocs(t *testing.T) {
+	allocpin.SkipUnderRace(t)
 	prog := sieveProgram(t, 20, core.Compiled)
 	const fleetSize = 64
 	runs := Fleet("sieve", prog, fleetSize, 300)
 	eng := Engine{Workers: 1}
 	ctx := context.Background()
 
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := allocpin.Least(func() {
 		results, err := eng.Execute(ctx, runs)
 		if err != nil {
 			t.Fatal(err)
@@ -330,12 +352,52 @@ func TestPooledFleetAllocs(t *testing.T) {
 			t.Fatal("fleet did not run")
 		}
 	})
-	perRun := allocs / fleetSize
-	// One machine build per campaign plus ~3 small allocations per run
-	// (digest string, stats copy, engine bookkeeping), amortized. A
-	// per-run machine build would cost dozens.
-	if perRun > 8 {
-		t.Errorf("pooled fleet allocates %.1f objects per run (%.0f per campaign), want ~0", perRun, allocs)
+	gangs := gangJobs(eng, runs, 1)
+	if gangs < 2 {
+		t.Fatalf("%d gang jobs; the fleet must gang", gangs)
+	}
+	// Execute also allocates the results slice, one more per campaign.
+	if budget := float64(allocsPerCampaign + 1 + allocsPerGang*gangs); allocs > budget {
+		t.Errorf("pooled fleet allocates %.0f objects per campaign of %d gang jobs, want <= %.0f", allocs, gangs, budget)
+	}
+}
+
+// TestSteadyStateBurstsAllocPerGang: a caller that passes its results
+// slice back campaign after campaign — the serving layer's steady
+// state — pays only per gang job. Doubling the fleet from 256 to 512
+// runs may add allocsPerGang per extra gang job and nothing per extra
+// run: a per-run allocation would add hundreds.
+func TestSteadyStateBurstsAllocPerGang(t *testing.T) {
+	allocpin.SkipUnderRace(t)
+	prog := sieveProgram(t, 20, core.Compiled)
+	eng := Engine{Workers: 1}
+	ctx := context.Background()
+	measure := func(n int) (float64, int) {
+		runs := Fleet("sieve", prog, n, 300)
+		var results []Result
+		bursts := 0
+		allocs := allocpin.Least(func() {
+			var err error
+			results, err = eng.ExecuteBursts(ctx, runs, results, func([]Result) { bursts++ })
+			if err != nil || results[n-1].Cycles != 300 {
+				t.Fatalf("fleet of %d did not run: %v", n, err)
+			}
+		})
+		if bursts == 0 {
+			t.Fatal("no burst delivered")
+		}
+		return allocs, gangJobs(eng, runs, 1)
+	}
+	small, smallGangs := measure(256)
+	large, largeGangs := measure(512)
+	if largeGangs <= smallGangs {
+		t.Fatalf("gang jobs: %d for 512 runs, %d for 256", largeGangs, smallGangs)
+	}
+	if small > allocsPerCampaign+float64(allocsPerGang*smallGangs) {
+		t.Errorf("256 runs in %d gang jobs allocate %.0f objects, want <= %d", smallGangs, small, allocsPerCampaign+allocsPerGang*smallGangs)
+	}
+	if extra, budget := large-small, float64(allocsPerGang*(largeGangs-smallGangs)); extra > budget {
+		t.Errorf("512 runs allocate %.0f objects more than 256 (%d more gang jobs), want <= %.0f: a per-run allocation is back", extra, largeGangs-smallGangs, budget)
 	}
 }
 

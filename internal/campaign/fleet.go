@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -20,34 +22,43 @@ import (
 // fleet of identical deterministic machines must agree, so any
 // divergence in the summary flags a simulator bug.
 func Fleet(name string, p *core.Program, n int, cycles int64) []Run {
-	// Member i is named name#i. The names are rendered into one buffer
-	// and converted once; each run's name is a substring of it.
+	return AppendFleet(nil, name, p, n, cycles)
+}
+
+// AppendFleet is Fleet appending the n runs to dst, so a caller that
+// builds fleet after fleet reuses one run slice: only the members'
+// names, one string for all of them, are allocated when dst has room.
+func AppendFleet(dst []Run, name string, p *core.Program, n int, cycles int64) []Run {
+	// Member i is named name#i. The names are rendered into one string;
+	// each run's name is a substring of it.
 	digits := 1
 	for d := 10; d < n; d *= 10 {
 		digits++
 	}
-	buf := make([]byte, 0, n*(len(name)+1+digits))
+	var sb strings.Builder
+	sb.Grow(n * (len(name) + 1 + digits))
+	var num [20]byte
 	for i := range n {
-		buf = append(buf, name...)
-		buf = append(buf, '#')
-		buf = strconv.AppendInt(buf, int64(i), 10)
+		sb.WriteString(name)
+		sb.WriteByte('#')
+		sb.Write(strconv.AppendInt(num[:0], int64(i), 10))
 	}
-	names := string(buf)
-	runs := make([]Run, n)
+	names := sb.String()
+	dst = slices.Grow(dst, n)
 	at, width, wider := 0, len(name)+2, 10 // member i's name is width bytes while i < wider
-	for i := range runs {
+	for i := range n {
 		if i == wider {
 			width, wider = width+1, wider*10
 		}
-		runs[i] = Run{
+		dst = append(dst, Run{
 			Name:    names[at : at+width],
 			Group:   name,
 			Program: p,
 			Cycles:  cycles,
-		}
+		})
 		at += width
 	}
-	return runs
+	return dst
 }
 
 // BackendFleet compiles the spec once per backend and builds one run

@@ -22,7 +22,7 @@ func TestFleetNames(t *testing.T) {
 }
 
 // TestFleetAllocs: building a fleet allocates a fixed number of
-// blocks — the run slice and the names' buffer and string — however
+// blocks — the run slice and the names' one string — however
 // many members it has.
 func TestFleetAllocs(t *testing.T) {
 	allocs := func(n int) float64 {

@@ -278,7 +278,8 @@ func TestWidthForDefaults(t *testing.T) {
 }
 
 // planShape renders a plan as one "<runs> <rung>" entry per dispatch
-// unit, after checking the units tile the run list exactly once.
+// unit, after checking the units tile the run list exactly once and
+// that plan's counting pass sized its unit list exactly.
 func planShape(t *testing.T, eng Engine, runs []Run, workers int) []string {
 	t.Helper()
 	p := eng.plan(runs, workers)
@@ -300,6 +301,9 @@ func planShape(t *testing.T, eng Engine, runs []Run, workers int) []string {
 	}
 	if next != len(runs) {
 		t.Fatalf("plan covers %d of %d runs", next, len(runs))
+	}
+	if cap(p.jobs) != len(p.jobs) {
+		t.Fatalf("plan counted %d dispatch units, made %d", cap(p.jobs), len(p.jobs))
 	}
 	return shape
 }

@@ -228,7 +228,7 @@ func TestExecuteBurstsMatchDispatches(t *testing.T) {
 		eng := Engine{Workers: workers, Chunk: 128, Observe: log.hook()}
 		var sizes []int
 		delivered := make([]int, len(runs))
-		got, err := eng.ExecuteBursts(context.Background(), runs, func(burst []Result) {
+		got, err := eng.ExecuteBursts(context.Background(), runs, nil, func(burst []Result) {
 			sizes = append(sizes, len(burst))
 			for _, r := range burst {
 				delivered[r.Index]++
@@ -275,7 +275,7 @@ func TestExecuteBurstsCancellation(t *testing.T) {
 	eng := Engine{Workers: 1, Chunk: 64, GangSize: 4, Observe: log.hook()}
 	var bursts [][]Result
 	delivered := make([]int, len(runs))
-	_, err := eng.ExecuteBursts(ctx, runs, func(burst []Result) {
+	_, err := eng.ExecuteBursts(ctx, runs, nil, func(burst []Result) {
 		bursts = append(bursts, append([]Result(nil), burst...))
 		for _, r := range burst {
 			delivered[r.Index]++

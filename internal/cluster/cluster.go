@@ -247,7 +247,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	// chunk dispatch as X-Asim-Trace, so the shards' spans join the
 	// coordinator's under one id.
 	id := fmt.Sprintf("c%d", c.jobSeq.Add(1))
-	trace, _, ok := c.fe.Admit(w, r, id, func() {}) // nothing to spill: the coordinator keeps jobs in memory
+	trace, _, ok := c.fe.Admit(w, r, id, func() error { return nil }) // nothing to spill: the coordinator keeps jobs in memory
 	if !ok {
 		return
 	}

@@ -160,6 +160,12 @@ type Program struct {
 	eval    sim.Evaluator
 	layout  *sim.Layout
 
+	// gangs holds gangs released by finished campaigns (GetGang /
+	// PutGang). It lives in the program, not in a map keyed by it, so
+	// the pooled gangs are freed with the program when it leaves the
+	// cache.
+	gangs sync.Pool
+
 	aotOnce sync.Once
 	aotInfo *sem.Info // compiled-aot only, until AOTWorkerSource prints
 	aotSrc  string
@@ -207,6 +213,22 @@ func (p *Program) BitGangCapable() bool { return sim.CanBitGang(p.eval) }
 func (p *Program) NewGang(capacity int) (*sim.Gang, bool) {
 	return sim.NewGang(p.layout, p.eval, capacity)
 }
+
+// GetGang returns a gang of this program with room for at least lanes
+// lanes: one a finished campaign released (PutGang) when it is wide
+// enough, else a new one at exactly that width. ok is false when the
+// backend does not implement sim.GangStepper. A pooled gang is handed
+// out as it was left; the caller Resets it before stepping.
+func (p *Program) GetGang(lanes int) (g *sim.Gang, ok bool) {
+	if g, _ := p.gangs.Get().(*sim.Gang); g != nil && g.Capacity() >= lanes {
+		return g, true
+	}
+	return p.NewGang(lanes)
+}
+
+// PutGang releases a gang of this program for reuse by a later
+// GetGang. The caller must not touch the gang afterwards.
+func (p *Program) PutGang(g *sim.Gang) { p.gangs.Put(g) }
 
 // AOTCapable reports whether the program opted into ahead-of-time
 // native execution (backend compiled-aot). The campaign engine uses it

@@ -47,6 +47,10 @@ const (
 	// field cannot make the scan allocate the universe. Checkpoint
 	// snapshots of the largest admissible machines fit comfortably.
 	maxRecordData = 1 << 30
+	// maxKeptFrame bounds the frame buffer an open segment keeps for
+	// reuse: result lines and small checkpoints fit, large snapshots
+	// are framed in a buffer of their own.
+	maxKeptFrame = 16 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -89,22 +93,24 @@ func validJob(job string) error {
 // of the last valid record — anything beyond is a truncated torn tail
 // or not yet written).
 type segment struct {
-	mu   sync.Mutex
-	f    *os.File
-	size int64
+	mu    sync.Mutex
+	f     *os.File
+	size  int64
+	frame []byte // Append's reused frame buffer, guarded by mu
 }
 
 // seg returns the job's open segment, recovering an existing file or
 // creating a fresh one (create=false returns nil for a job with no
-// segment on disk).
+// segment on disk). The job name is validated only when a segment is
+// opened: every name in segs passed that check already.
 func (s *FileStore) seg(job string, create bool) (*segment, error) {
-	if err := validJob(job); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sg := s.segs[job]; sg != nil {
 		return sg, nil
+	}
+	if err := validJob(job); err != nil {
+		return nil, err
 	}
 	path := filepath.Join(s.dir, job+segSuffix)
 	flags := os.O_RDWR
@@ -197,7 +203,24 @@ func (s *FileStore) Append(job string, rec Record) error {
 	if len(rec.Data) > maxRecordData {
 		return fmt.Errorf("durable: record data %d bytes exceeds the %d limit", len(rec.Data), maxRecordData)
 	}
-	frame := make([]byte, frameHead+payloadHead+len(rec.Data))
+	sg.mu.Lock()
+	defer sg.mu.Unlock()
+	if sg.f == nil {
+		return fmt.Errorf("durable: job %s was dropped", job)
+	}
+	// One frame buffer per segment, reused by every record up to
+	// maxKeptFrame bytes (appends of one job are serialized by sg.mu
+	// anyway); a larger record, a big checkpoint, gets a frame of its
+	// own, so an open segment never keeps one alive.
+	n := frameHead + payloadHead + len(rec.Data)
+	frame := sg.frame
+	if cap(frame) < n {
+		frame = make([]byte, n)
+		if n <= maxKeptFrame {
+			sg.frame = frame
+		}
+	}
+	frame = frame[:n]
 	payload := frame[frameHead:]
 	payload[0] = byte(rec.Kind)
 	binary.LittleEndian.PutUint64(payload[1:], uint64(rec.Run))
@@ -205,12 +228,6 @@ func (s *FileStore) Append(job string, rec Record) error {
 	copy(payload[payloadHead:], rec.Data)
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	if sg.f == nil {
-		return fmt.Errorf("durable: job %s was dropped", job)
-	}
 	if _, err := sg.f.WriteAt(frame, sg.size); err != nil {
 		return fmt.Errorf("durable: %v", err)
 	}

@@ -40,24 +40,34 @@ import (
 	"repro/internal/telemetry"
 )
 
-// persistAdmit records the admitted request. Store errors are
-// swallowed: durability is best-effort next to serving — a job whose
-// admit record failed to write simply cannot be recovered or resumed.
-func (s *Server) persistAdmit(id string, req JobRequest) {
+// persistAdmit records the admitted request. A store that refuses it
+// refuses the job: every later record of a job — its results, its
+// resume token, its recovery — hangs off the admit record, so a job
+// without one could stream but never be resumed. The front end answers
+// 503 before any work (see FrontEnd.Admit), and whatever the store
+// did keep of the job is dropped.
+func (s *Server) persistAdmit(id string, req JobRequest) error {
 	if s.store == nil {
-		return
+		return nil
 	}
 	data, err := json.Marshal(req)
-	if err != nil {
-		return
+	if err == nil {
+		err = s.store.Append(id, durable.Record{Kind: durable.KindAdmit, Data: data})
 	}
-	_ = s.store.Append(id, durable.Record{Kind: durable.KindAdmit, Data: data})
+	if err != nil {
+		s.dropJob(id)
+	}
+	return err
 }
 
 // persistDone records the campaign's completion — empty data for
 // success, the error string otherwise — and ends the job's log the
 // same way. Jobs abandoned mid-stream get no done record at all: that
-// absence is what marks them resumable.
+// absence is what marks them resumable. A refused done record is
+// logged and otherwise harmless: the job's results are stored, so the
+// job reads as unfinished, and a restart's Recover re-admits it,
+// finds every run's result stored, re-simulates nothing and writes
+// the done record then (TestServiceLostDoneRecordSelfHeals).
 func (s *Server) persistDone(id string, lg *LineLog, execErr error) {
 	if s.store == nil {
 		return
@@ -66,7 +76,9 @@ func (s *Server) persistDone(id string, lg *LineLog, execErr error) {
 	if execErr != nil {
 		rec.Data = []byte(execErr.Error())
 	}
-	_ = s.store.Append(id, rec)
+	if err := s.store.Append(id, rec); err != nil {
+		s.fe.Log.Warn("job done record not stored", "job", id, "err", err)
+	}
 	lg.Finish(string(rec.Data))
 }
 
@@ -298,7 +310,9 @@ func (s *Server) completeJob(id string, lg *LineLog) {
 		s.persistDone(id, lg, fmt.Errorf("stored request unreadable: %v", err))
 		return
 	}
-	job, err := s.newJob(id, req)
+	scr := getScratch()
+	defer scr.release()
+	job, err := s.newJob(id, req, scr)
 	if err != nil {
 		s.persistDone(id, lg, err)
 		return
@@ -335,7 +349,7 @@ func (s *Server) completeJob(id string, lg *LineLog) {
 	defer cancel()
 	// A background completion has no client request to carry a trace
 	// id; it gets a fresh one so its spans still group in the ring.
-	_, _ = s.execute(telemetry.WithTrace(ctx, telemetry.NewTraceID()), id, todo, idx, nil, false, lg)
+	_, _ = s.execute(telemetry.WithTrace(ctx, telemetry.NewTraceID()), id, todo, idx, nil, false, lg, scr)
 }
 
 // Recover replays the durable store after a restart: every job with

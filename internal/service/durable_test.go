@@ -437,3 +437,150 @@ func TestServiceUnstoredResultRedelivered(t *testing.T) {
 		t.Errorf("resumed job differs from uninterrupted job:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// kindRefusingStore refuses every record of one kind and counts the
+// records of each kind it stores.
+type kindRefusingStore struct {
+	durable.Store
+	refuse  atomic.Uint32 // the durable.Kind refused; 0 refuses none
+	refused atomic.Int64
+	stored  [durable.KindDone + 1]atomic.Int64
+}
+
+func refusingKind(store durable.Store, kind durable.Kind) *kindRefusingStore {
+	s := &kindRefusingStore{Store: store}
+	s.refuse.Store(uint32(kind))
+	return s
+}
+
+func (s *kindRefusingStore) Append(job string, rec durable.Record) error {
+	if uint32(rec.Kind) == s.refuse.Load() {
+		s.refused.Add(1)
+		return errors.New("injected " + rec.Kind.String() + " append failure")
+	}
+	if err := s.Store.Append(job, rec); err != nil {
+		return err
+	}
+	if int(rec.Kind) < len(s.stored) {
+		s.stored[rec.Kind].Add(1)
+	}
+	return nil
+}
+
+// TestServiceRefusedAdmitRejects: a job whose admit record the store
+// refuses is refused itself — 503 before any work, logged and counted
+// as a rejection — instead of streaming a job no resume could find.
+// Nothing of it stays in the store, and the server serves the next
+// job once the store accepts again.
+func TestServiceRefusedAdmitRejects(t *testing.T) {
+	store := refusingKind(durable.NewMemStore(), durable.KindAdmit)
+	srv, ts := newServer(t, durableConfig(store))
+	status, lines := postJob(t, ts.URL, service.JobRequest{Spec: machines.Counter(), Runs: 4, Cycles: 64})
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %v", status, lines)
+	}
+	if body := strings.Join(lines, "\n"); !strings.Contains(body, "not admitted") {
+		t.Errorf("refusal body %q does not say why", body)
+	}
+	m := srv.Metrics()
+	if m.JobsRejected != 1 || m.JobsAccepted != 0 || m.RunsTotal != 0 || m.JobsActive != 0 {
+		t.Errorf("metrics after a refused admit: rejected=%d accepted=%d runs=%d active=%d",
+			m.JobsRejected, m.JobsAccepted, m.RunsTotal, m.JobsActive)
+	}
+	if n := store.stored[durable.KindResult].Load() + store.stored[durable.KindCheckpoint].Load(); n != 0 {
+		t.Errorf("a refused job stored %d result and checkpoint records", n)
+	}
+	if jobs, err := store.Jobs(); err != nil || len(jobs) != 0 {
+		t.Errorf("store after a refused admit: jobs=%v err=%v", jobs, err)
+	}
+
+	// The refusal released its slot: with the store healthy again, the
+	// server runs jobs as before.
+	store.refuse.Store(0)
+	status, lines = postJob(t, ts.URL, service.JobRequest{Spec: machines.Counter(), Runs: 4, Cycles: 64})
+	if status != http.StatusOK {
+		t.Fatalf("status %d after the store recovered", status)
+	}
+	if _, raw, _, tr := parseStream(t, lines); len(raw) != 4 || tr.Err != "" {
+		t.Errorf("job after the store recovered: %d run lines, trailer error %q", len(raw), tr.Err)
+	}
+}
+
+// TestServiceLostDoneRecordSelfHeals decides what a refused done
+// record costs: nothing but a restart's worth of bookkeeping. A
+// recovered job whose background completion stores every result but
+// not its done record reads as unfinished; the next server's Recover
+// re-admits it, finds every run's result stored and simulates no run,
+// and a resume delivers every line exactly once, byte-identical to an
+// uninterrupted execution, under a clean trailer — even when that
+// store refuses the done record too.
+func TestServiceLostDoneRecordSelfHeals(t *testing.T) {
+	req := durableJob(t)
+	want := referenceLines(t, req)
+	store := durable.NewMemStore()
+
+	// First life: interrupt the job mid-stream.
+	srvA, tsA := newServer(t, durableConfig(store))
+	jobID, _ := postPartial(t, tsA, req, 3)
+	waitFor(t, "interrupted handler to finish", func() bool {
+		m := srvA.Metrics()
+		return m.JobsActive == 0 && m.JobsAbandoned+m.JobsCompleted == 1
+	})
+
+	// Second life: recovery completes the job in the background, but
+	// the store refuses its done record.
+	noDoneB := refusingKind(store, durable.KindDone)
+	srvB, _ := newServer(t, durableConfig(noDoneB))
+	if recovered, err := srvB.Recover(); err != nil || recovered != 1 {
+		t.Fatalf("recovered %d jobs (err %v), want 1", recovered, err)
+	}
+	waitFor(t, "the background completion to finish", func() bool {
+		return noDoneB.refused.Load() == 1 && srvB.Metrics().JobsActive == 0
+	})
+	results := 0
+	if err := store.Replay(jobID, func(rec durable.Record) error {
+		if rec.Kind == durable.KindDone {
+			t.Error("the store holds a done record it refused")
+		}
+		if rec.Kind == durable.KindResult {
+			results++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if results != req.Runs {
+		t.Fatalf("%d results stored, want all %d", results, req.Runs)
+	}
+
+	// Third life: the job is re-admitted and finished without a single
+	// run simulated.
+	noDoneC := refusingKind(store, durable.KindDone)
+	srvC, tsC := newServer(t, durableConfig(noDoneC))
+	if recovered, err := srvC.Recover(); err != nil || recovered != 1 {
+		t.Fatalf("recovered %d jobs (err %v), want 1", recovered, err)
+	}
+	status, rlines := resume(t, tsC.URL, jobID, 0)
+	if status != http.StatusOK {
+		t.Fatalf("resume status %d: %v", status, rlines)
+	}
+	_, raw, _, tr := parseStream(t, rlines)
+	if !tr.Done || tr.Err != "" {
+		t.Errorf("resume trailer: %+v", tr)
+	}
+	if len(raw) != req.Runs || tr.Summary.Runs != req.Runs || tr.Summary.Errors != 0 {
+		t.Fatalf("resumed stream has %d run lines and a trailer of %+v, want %d runs",
+			len(raw), tr.Summary, req.Runs)
+	}
+	if got := sortedRunLines(t, raw); got != want {
+		t.Errorf("resumed job differs from uninterrupted job:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	waitFor(t, "the resumed job to be dropped", func() bool {
+		jobs, err := store.Jobs()
+		return err == nil && len(jobs) == 0
+	})
+	m := srvC.Metrics()
+	if n := noDoneC.stored[durable.KindResult].Load() + noDoneC.stored[durable.KindCheckpoint].Load(); n != 0 || m.RunsTotal != 0 {
+		t.Errorf("the third life simulated: %d records stored, %d runs executed; want none", n, m.RunsTotal)
+	}
+}

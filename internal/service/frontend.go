@@ -146,7 +146,7 @@ type JobMetrics struct {
 	JobsAccepted  int64   `json:"jobs_accepted" help:"Jobs admitted to run (after any queueing)."`
 	JobsCompleted int64   `json:"jobs_completed" help:"Jobs that finished without error."`
 	JobsFailed    int64   `json:"jobs_failed" help:"Jobs that exceeded their deadline, hit an engine error or exhausted chunk retries."`
-	JobsRejected  int64   `json:"jobs_rejected" help:"Jobs rejected with 429 (queue full)."`
+	JobsRejected  int64   `json:"jobs_rejected" help:"Jobs rejected at admission: 429 (queue full) or 503 (admit record not stored)."`
 	JobsAbandoned int64   `json:"jobs_abandoned" help:"Jobs whose client disconnected while queued or mid-stream, or whose stream stopped at a result the store refused."`
 	JobsBad       int64   `json:"jobs_bad" help:"Malformed or over-limit requests (400/413)."`
 	JobsResumed   int64   `json:"jobs_resumed" help:"Resume streams served."`
@@ -306,16 +306,21 @@ func (fe *FrontEnd) Decode(w http.ResponseWriter, r *http.Request) (JobRequest, 
 // admitted runs once for a job that got past the 429 gate, before the
 // job can block in the queue — asimd spills the request to its durable
 // store there, so a queued job survives a restart and a rejected one
-// never touches disk. When ok, the caller holds a slot and owes a
-// Release.
-func (fe *FrontEnd) Admit(w http.ResponseWriter, r *http.Request, id string, admitted func()) (trace string, arrived time.Time, ok bool) {
+// never touches disk. An error from it refuses the job with 503,
+// before any work, logged and counted as a rejection. When ok, the
+// caller holds a slot and owes a Release.
+func (fe *FrontEnd) Admit(w http.ResponseWriter, r *http.Request, id string, admitted func() error) (trace string, arrived time.Time, ok bool) {
 	arrived = time.Now()
 	if trace = r.Header.Get(telemetry.TraceHeader); trace == "" {
 		trace = telemetry.NewTraceID()
 	}
 	select {
 	case fe.slots <- struct{}{}:
-		admitted()
+		if err := admitted(); err != nil {
+			<-fe.slots
+			fe.refuse(w, id, trace, err)
+			return trace, arrived, false
+		}
 	default:
 		if fe.queued.Add(1) > int64(fe.MaxQueue) {
 			fe.queued.Add(-1)
@@ -325,7 +330,11 @@ func (fe *FrontEnd) Admit(w http.ResponseWriter, r *http.Request, id string, adm
 			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "queue full"})
 			return trace, arrived, false
 		}
-		admitted()
+		if err := admitted(); err != nil {
+			fe.queued.Add(-1)
+			fe.refuse(w, id, trace, err)
+			return trace, arrived, false
+		}
 		select {
 		case fe.slots <- struct{}{}:
 			fe.queued.Add(-1)
@@ -341,6 +350,14 @@ func (fe *FrontEnd) Admit(w http.ResponseWriter, r *http.Request, id string, adm
 	fe.QueueWait.ObserveSince(arrived)
 	fe.Tracer.Record(telemetry.Timed(telemetry.Span{Trace: trace, Job: id, Name: "admit"}, arrived))
 	return trace, arrived, true
+}
+
+// refuse answers 503 for a job its admitted callback could not take
+// on (asimd: the durable store refused the admit record).
+func (fe *FrontEnd) refuse(w http.ResponseWriter, id, trace string, err error) {
+	fe.JobsRejected.Add(1)
+	fe.Log.Warn("job rejected", "job", id, "trace", trace, "reason", "admit failed", "err", err)
+	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": fmt.Sprintf("job not admitted: %v", err)})
 }
 
 // Acquire blocks for a job slot on behalf of work no client is
@@ -444,7 +461,7 @@ func (lw *lineWriter) raw(lines ...[]byte) {
 			lw.failLocked(err)
 			return
 		}
-		if _, err := lw.w.Write([]byte{'\n'}); err != nil {
+		if _, err := lw.w.Write(newline); err != nil {
 			lw.failLocked(err)
 			return
 		}
@@ -453,6 +470,10 @@ func (lw *lineWriter) raw(lines ...[]byte) {
 		lw.failLocked(err)
 	}
 }
+
+// newline ends every line raw writes; shared, so a line's terminator
+// is not an allocation of its own.
+var newline = []byte{'\n'}
 
 func (lw *lineWriter) fail(err error) {
 	if lw == nil {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/campaign"
@@ -592,13 +593,44 @@ func (l Limits) checkLimits(runs int, cycles int64) error {
 	return nil
 }
 
+// jobScratch is the working memory one job borrows from scratchPool
+// and gives back when it ends: its fleet's runs, the engine's results,
+// and the burst line buffer and line list. Lifetime rule: from
+// release on, nothing may hold any of it — not a run, a result, a
+// digest or a line's bytes — because the next job overwrites it. A
+// job with a LineLog therefore never renders into buf (the log keeps
+// its lines' bytes); every other consumer of a burst copies what it
+// keeps before the burst callback returns.
+type jobScratch struct {
+	runs    []campaign.Run
+	results []campaign.Result
+	buf     []byte
+	lines   [][]byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(jobScratch) }}
+
+func getScratch() *jobScratch { return scratchPool.Get().(*jobScratch) }
+
+// release clears what the scratch references — runs pin their
+// Program, results their digests and names — and returns it to the
+// pool.
+func (sc *jobScratch) release() {
+	clear(sc.runs)
+	clear(sc.results)
+	clear(sc.lines)
+	sc.runs, sc.results, sc.lines = sc.runs[:0], sc.results[:0], sc.lines[:0]
+	scratchPool.Put(sc)
+}
+
 // newJob plans a request and finishes the plan into runs under the id
 // the caller assigned (ids are allocated before admission so a queued
 // job can be spilled to the durable store): the content-addressed
 // compile — one compilation per (digest, backend) across every client
-// the server will ever see — then the fleet, then the request's chunk
-// selection. Errors are client errors (400), like the planner's.
-func (s *Server) newJob(id string, req JobRequest) (*job, error) {
+// the server will ever see — then the fleet, built into the scratch's
+// run slice, then the request's chunk selection. Errors are client
+// errors (400), like the planner's.
+func (s *Server) newJob(id string, req JobRequest, scr *jobScratch) (*job, error) {
 	p, err := s.fe.Plan(id, req, s.cfg.ShardMode)
 	if err != nil {
 		return nil, err
@@ -616,7 +648,8 @@ func (s *Server) newJob(id string, req JobRequest) (*job, error) {
 		// The fleet is named "job", not by the job id, so two identical
 		// jobs stream byte-identical run lines — only the header
 		// differs (job id, cache hit vs miss).
-		j.runs = campaign.Fleet("job", prog, p.Header.Runs, p.cycles)
+		j.runs = campaign.AppendFleet(scr.runs[:0], "job", prog, p.Header.Runs, p.cycles)
+		scr.runs = j.runs
 	}
 	if err := j.partition(req); err != nil {
 		return nil, err

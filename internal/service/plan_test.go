@@ -101,7 +101,7 @@ func FuzzPlanRequest(f *testing.F) {
 		}
 		for _, s := range servers {
 			p, err := lim.Plan("f1", req, s.cfg.ShardMode)
-			j, jerr := s.newJob("f1", req)
+			j, jerr := s.newJob("f1", req, new(jobScratch))
 			if err != nil {
 				if jerr == nil {
 					t.Fatalf("planner refused (%v) what newJob accepted", err)

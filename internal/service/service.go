@@ -184,14 +184,16 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// advances the sequence past every stored job before traffic is
 	// served, so recovered and fresh ids never collide.
 	id := fmt.Sprintf("j%d", s.jobSeq.Add(1))
-	trace, arrived, ok := s.fe.Admit(w, r, id, func() { s.persistAdmit(id, req) })
+	trace, arrived, ok := s.fe.Admit(w, r, id, func() error { return s.persistAdmit(id, req) })
 	if !ok {
 		return
 	}
 	defer s.fe.Release()
 
+	scr := getScratch()
+	defer scr.release()
 	compileStart := time.Now()
-	job, err := s.newJob(id, req)
+	job, err := s.newJob(id, req, scr)
 	if err != nil {
 		s.fe.Tracer.Record(telemetry.Timed(telemetry.Span{
 			Trace: trace, Job: id, Name: "compile", Err: err.Error()}, compileStart))
@@ -230,7 +232,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// never the NDJSON stream.
 	out := s.fe.stream(w, id, trace, cancel)
 	out.line(job.header)
-	sum, execErr := s.execute(telemetry.WithTrace(ctx, trace), id, job.runs, job.idx, out, req.StreamCheckpoints, lg)
+	sum, execErr := s.execute(telemetry.WithTrace(ctx, trace), id, job.runs, job.idx, out, req.StreamCheckpoints, lg, scr)
 	trailer := JobTrailer{Done: true, Summary: sum}
 	if execErr != nil {
 		trailer.Err = execErr.Error()
@@ -263,7 +265,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // delivered either, nor is any later line of the job: the campaign is
 // interrupted there, without a done record, and a resume or a
 // restart's recovery re-executes every run that has no stored result.
-func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, idx []int, out *lineWriter, streamCheckpoints bool, lg *LineLog) (campaign.Summary, error) {
+//
+// The results slice, the per-burst line list and — for a job with no
+// log to keep its bytes — the line buffer come from the job's scratch,
+// so a steady stream of jobs allocates per burst, not per run.
+func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, idx []int, out *lineWriter, streamCheckpoints bool, lg *LineLog, scr *jobScratch) (campaign.Summary, error) {
 	eng := s.cfg.Engine
 	eng.Observe = s.observeDispatch(id)
 	if s.store != nil || streamCheckpoints {
@@ -277,12 +283,12 @@ func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, id
 	defer interrupt()
 
 	var (
-		unstored error    // the first result the store refused
-		buf      []byte   // the burst's rendered lines, back to back
-		lines    [][]byte // one slice of buf per line
+		unstored error           // the first result the store refused
+		buf      = scr.buf       // the burst's rendered lines, back to back
+		lines    = scr.lines[:0] // one slice of buf per line
 	)
 	t0 := time.Now()
-	results, execErr := eng.ExecuteBursts(ctx, runs, func(burst []campaign.Result) {
+	results, execErr := eng.ExecuteBursts(ctx, runs, scr.results, func(burst []campaign.Result) {
 		if unstored != nil {
 			return
 		}
@@ -320,6 +326,10 @@ func (s *Server) execute(ctx context.Context, id string, runs []campaign.Run, id
 	elapsed := time.Since(t0)
 	if unstored != nil {
 		execErr = unstored
+	}
+	scr.results, scr.lines = results, lines
+	if lg == nil {
+		scr.buf = buf
 	}
 
 	sum := campaign.Summarize(results, elapsed)

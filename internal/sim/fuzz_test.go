@@ -53,7 +53,7 @@ func gangOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64) [
 		if err := g.LaneErr(l); err != nil {
 			errstr = err.Error()
 		}
-		out[l] = scalarOutcome{hash: g.LaneArchHash(l), cycles: g.LaneCycle(l), stats: g.LaneStats(l), errstr: errstr}
+		out[l] = scalarOutcome{hash: g.LaneArchHash(l), cycles: g.LaneCycle(l), stats: laneStats(g, l), errstr: errstr}
 	}
 	return out
 }

@@ -492,13 +492,24 @@ func (g *Gang) LaneCycle(l int) int64 { return g.cycle[g.slotOf(l)] }
 // LaneErr returns lane l's runtime error, or nil while it is healthy.
 func (g *Gang) LaneErr(l int) error { return g.err[g.slotOf(l)] }
 
-// LaneStats returns lane l's execution statistics. Like Machine.Stats,
-// the returned value owns its MemOps slice.
-func (g *Gang) LaneStats(l int) Stats {
+// AppendLaneStats returns lane l's execution statistics, copying its
+// MemOps onto the end of ops: the returned statistics' MemOps are the
+// appended entries, and the extended ops is returned too. Like
+// Machine.Stats, the result shares nothing with the gang. A caller
+// collecting every lane of a gang sizes ops once (Lanes × MemCount) and
+// the lanes share that one block; AppendLaneStats(l, nil) gives a lane
+// a block of its own.
+func (g *Gang) AppendLaneStats(l int, ops []MemOpStats) (Stats, []MemOpStats) {
 	s := g.stats[g.slotOf(l)]
-	s.MemOps = append([]MemOpStats(nil), s.MemOps...)
-	return s
+	at := len(ops)
+	ops = append(ops, s.MemOps...)
+	s.MemOps = ops[at:len(ops):len(ops)]
+	return s, ops
 }
+
+// MemCount returns the number of memories each lane's statistics
+// count operations for.
+func (g *Gang) MemCount() int { return len(g.memSlot) }
 
 // LaneValue returns lane l's current output for a component, like
 // Machine.Value.

@@ -39,6 +39,12 @@ func scalarRun(t *testing.T, p *core.Program, budget int64) scalarOutcome {
 	return scalarOutcome{hash: m.ArchHash(), cycles: m.Cycle(), stats: m.Stats(), errstr: errstr}
 }
 
+// laneStats is lane l's statistics in a block of their own.
+func laneStats(g *sim.Gang, l int) sim.Stats {
+	s, _ := g.AppendLaneStats(l, nil)
+	return s
+}
+
 // requireGangEquivalence steps one gang with the given per-lane
 // budgets and checks every lane — and the compiled scalar path —
 // against the interpreter, which shares no code with the compiled
@@ -84,7 +90,7 @@ func requireGangEquivalence(t *testing.T, name, src string, budgets []int64) {
 		if got := g.LaneArchHash(l); got != want.hash {
 			t.Errorf("%s: arch hash %016x, interp has %016x\nspec:\n%s", label, got, want.hash, src)
 		}
-		if got := g.LaneStats(l); !reflect.DeepEqual(got, want.stats) {
+		if got := laneStats(g, l); !reflect.DeepEqual(got, want.stats) {
 			t.Errorf("%s: stats %+v, interp has %+v", label, got, want.stats)
 		}
 	}
@@ -206,7 +212,7 @@ func TestGangNoFoldEquivalence(t *testing.T) {
 		if got := g.LaneArchHash(l); got != want.hash {
 			t.Errorf("lane %d: arch hash %016x, scalar has %016x", l, got, want.hash)
 		}
-		if got := g.LaneStats(l); !reflect.DeepEqual(got, want.stats) {
+		if got := laneStats(g, l); !reflect.DeepEqual(got, want.stats) {
 			t.Errorf("lane %d: stats %+v, scalar has %+v", l, got, want.stats)
 		}
 	}
@@ -368,7 +374,7 @@ func TestGangLaneSnapshotInterop(t *testing.T) {
 			t.Errorf("lane %d: arch hash %016x, scalar has %016x", l, got, wantHash)
 		}
 	}
-	if got := g.LaneStats(1); !reflect.DeepEqual(got, wantStats) {
+	if got := laneStats(g, 1); !reflect.DeepEqual(got, wantStats) {
 		t.Errorf("restored lane stats %+v, scalar has %+v", got, wantStats)
 	}
 
@@ -448,7 +454,7 @@ func TestGangFaultedLaneIsolation(t *testing.T) {
 		if got := g.LaneArchHash(l); got != want.hash {
 			t.Errorf("lane %d arch hash %016x, scalar has %016x", l, got, want.hash)
 		}
-		if got := g.LaneStats(l); !reflect.DeepEqual(got, want.stats) {
+		if got := laneStats(g, l); !reflect.DeepEqual(got, want.stats) {
 			t.Errorf("lane %d stats %+v, scalar has %+v", l, got, want.stats)
 		}
 	}
@@ -524,7 +530,7 @@ func TestGangCompactionProperty(t *testing.T) {
 					if got := g.LaneArchHash(l); got != want.hash {
 						t.Fatalf("seed %d lane %d: arch hash %016x, scalar has %016x", seed, l, got, want.hash)
 					}
-					if got := g.LaneStats(l); !reflect.DeepEqual(got, want.stats) {
+					if got := laneStats(g, l); !reflect.DeepEqual(got, want.stats) {
 						t.Fatalf("seed %d lane %d: stats %+v, scalar has %+v", seed, l, got, want.stats)
 					}
 					if !bytes.Equal(g.SaveLaneState(l), wantState) {
