@@ -25,15 +25,10 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
@@ -41,75 +36,39 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the daemon's life; the coordinator's deferred close runs on
+// every exit path.
+func run() error {
 	f := cluster.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 0 {
-		log.Fatal("usage: asimcoord [flags]; asimcoord -h lists them")
+		return errors.New("usage: asimcoord [flags]; asimcoord -h lists them")
 	}
 
 	logger, err := telemetry.NewLogger(os.Stderr, f.LogLevel, f.LogFormat)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	cfg := f.Config()
 	cfg.Log = logger
 	coord, err := cluster.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer coord.Close()
 
-	httpSrv := &http.Server{
-		Addr:              f.Addr,
-		Handler:           coord,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	// Serve until SIGINT/SIGTERM, then drain gracefully — mirrors
-	// asimd: stop accepting, let merging jobs finish (deadline-bounded
-	// anyway), then exit.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("serving", "addr", f.Addr, "shards", len(cfg.Shards), "pprof", f.Pprof)
-
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	logger.Info("draining")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Fatal(err)
-	}
-	if f.TraceOut != "" {
-		if err := dumpTrace(f.TraceOut, coord.Tracer()); err != nil {
-			logger.Error("trace export failed", "path", f.TraceOut, "err", err)
-		} else {
-			logger.Info("trace exported", "path", f.TraceOut, "spans", coord.Tracer().Len())
-		}
+	if err := f.Serve(f.Addr, coord, coord.Tracer(), logger, "shards", len(cfg.Shards)); err != nil {
+		return err
 	}
 	m := coord.Metrics()
 	logger.Info("merged",
 		"jobs", m.JobsAccepted, "completed", m.JobsCompleted, "failed", m.JobsFailed,
 		"chunks", m.ChunksDispatched, "redispatched", m.ChunksRedispatched, "runs", m.RunsMerged)
-}
-
-// dumpTrace writes the retained span ring as Chrome trace_event JSON,
-// loadable in chrome://tracing or Perfetto.
-func dumpTrace(path string, tr *telemetry.Tracer) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteChromeTrace(out, tr.Spans()); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
+	return nil
 }

@@ -31,15 +31,10 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/aot"
 	"repro/internal/durable"
@@ -49,22 +44,30 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the daemon's life; its deferred cleanup — the store's close,
+// the temporary AOT cache's removal — runs on every exit path.
+func run() error {
 	f := service.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 0 {
-		log.Fatal("usage: asimd [flags]; asimd -h lists them")
+		return errors.New("usage: asimd [flags]; asimd -h lists them")
 	}
 
 	logger, err := telemetry.NewLogger(os.Stderr, f.LogLevel, f.LogFormat)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var store durable.Store
 	if f.StateDir != "" {
 		fs, err := durable.OpenFileStore(f.StateDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer fs.Close()
 		store = fs
@@ -76,14 +79,14 @@ func main() {
 		if dir == "" {
 			tmp, err := os.MkdirTemp("", "asimd-aot-")
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			defer os.RemoveAll(tmp)
 			dir = tmp
 		}
 		c, err := aot.NewCache(dir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		aotCache = c
 		logger.Info("aot worker cache ready", "dir", dir, "threshold", f.AOTThreshold)
@@ -104,63 +107,19 @@ func main() {
 	if store != nil {
 		n, err := srv.Recover()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if n > 0 {
 			logger.Info("recovered interrupted jobs", "n", n, "dir", f.StateDir)
 		}
 	}
 
-	httpSrv := &http.Server{
-		Addr:              f.Addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	// Serve until SIGINT/SIGTERM, then drain gracefully: stop
-	// accepting, let streaming jobs finish (they are deadline-bounded
-	// anyway), then exit.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("serving", "addr", f.Addr, "pprof", f.Pprof)
-
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	logger.Info("draining")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Fatal(err)
-	}
-	if f.TraceOut != "" {
-		if err := dumpTrace(f.TraceOut, srv.Tracer()); err != nil {
-			logger.Error("trace export failed", "path", f.TraceOut, "err", err)
-		} else {
-			logger.Info("trace exported", "path", f.TraceOut, "spans", srv.Tracer().Len())
-		}
+	if err := f.Serve(f.Addr, srv, srv.Tracer(), logger); err != nil {
+		return err
 	}
 	m := srv.Metrics()
 	logger.Info("served",
 		"jobs", m.JobsAccepted, "completed", m.JobsCompleted, "failed", m.JobsFailed,
 		"rejected", m.JobsRejected, "runs", m.RunsTotal, "cycles", m.CyclesTotal)
-}
-
-// dumpTrace writes the retained span ring as Chrome trace_event JSON,
-// loadable in chrome://tracing or Perfetto.
-func dumpTrace(path string, tr *telemetry.Tracer) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteChromeTrace(out, tr.Spans()); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
+	return nil
 }

@@ -18,7 +18,6 @@ import (
 const (
 	maxStateLen = 1 << 30
 	maxStrLen   = 1 << 20
-	maxMems     = 1 << 20
 )
 
 // Proc is one live worker subprocess. It is single-threaded from the
@@ -69,14 +68,15 @@ func (p *Proc) Close() error {
 	}
 }
 
-// Run executes one job on the worker and returns the per-run results
-// in run order. onCheckpoint, when non-nil, is invoked synchronously
-// for every checkpoint frame. If ctx is cancelled mid-job the process
-// is killed and Run returns the completed prefix of results together
-// with ctx's error; any protocol or process failure likewise returns
-// the completed prefix and an error, and in both cases the Proc must
-// not be reused.
-func (p *Proc) Run(ctx context.Context, job Job, onCheckpoint func(run int, cycle int64, state []byte)) ([]RunResult, error) {
+// Run executes one job on the worker. onCheckpoint, when non-nil, is
+// invoked synchronously for every checkpoint frame, and onRun for every
+// run frame, in run order, with the run's fault (nil for a clean run)
+// and its final snapshot; an error from onRun ends the job with that
+// error. Run returns how many runs reached onRun. If ctx is cancelled
+// mid-job the process is killed and Run returns ctx's error; any
+// protocol or process failure, or an onRun error, likewise returns an
+// error, and in every such case the Proc must not be reused.
+func (p *Proc) Run(ctx context.Context, job Job, onCheckpoint func(run int, cycle int64, state []byte), onRun func(run int, fault *RunError, state []byte) error) (int, error) {
 	// Frame the job into one buffered write.
 	p.wbuf.Reset()
 	wu32 := func(v uint32) {
@@ -90,11 +90,6 @@ func (p *Proc) Run(ctx context.Context, job Job, onCheckpoint func(run int, cycl
 		p.wbuf.Write(b[:])
 	}
 	wu32(JobMagic)
-	var flags uint32
-	if job.WantState {
-		flags |= FlagWantState
-	}
-	wu32(flags)
 	every := job.CheckpointEvery
 	if every < 0 {
 		every = 0
@@ -111,19 +106,23 @@ func (p *Proc) Run(ctx context.Context, job Job, onCheckpoint func(run int, cycl
 	defer stop()
 
 	if _, err := p.stdin.Write(p.wbuf.Bytes()); err != nil {
-		return nil, p.fail(ctx, fmt.Errorf("aot: write job: %w", err))
+		return 0, p.fail(ctx, fmt.Errorf("aot: write job: %w", err))
 	}
 
-	results, err := readJob(p.out, len(job.Targets), onCheckpoint)
+	done, err := readJob(p.out, len(job.Targets), onCheckpoint, onRun)
 	if err != nil {
-		return results, p.fail(ctx, err)
+		return done, p.fail(ctx, err)
 	}
-	return results, nil
+	return done, nil
 }
 
-// fail maps a protocol error to ctx.Err() when the context caused it,
-// attaching the worker's stderr otherwise.
+// fail ends the worker, which a failed Proc never serves again, and
+// maps a protocol error to ctx.Err() when the context caused it,
+// attaching the worker's stderr otherwise: reaped, the process has
+// nothing more to copy into it.
 func (p *Proc) fail(ctx context.Context, err error) error {
+	p.cmd.Process.Kill()
+	p.cmd.Wait()
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
@@ -135,48 +134,52 @@ func (p *Proc) fail(ctx context.Context, err error) error {
 
 // readJob reads a worker's answer to a job of n runs: checkpoint
 // frames for the run in progress, one run frame per run in run order,
-// and the end frame. It returns the runs read so far with an error for
-// anything else, and never more than n runs.
-func readJob(r *bufio.Reader, n int, onCheckpoint func(run int, cycle int64, state []byte)) ([]RunResult, error) {
-	results := make([]RunResult, 0, n)
+// and the end frame. It returns how many run frames it handed to onRun,
+// never more than n, with an error for anything else.
+func readJob(r *bufio.Reader, n int, onCheckpoint func(run int, cycle int64, state []byte), onRun func(run int, fault *RunError, state []byte) error) (int, error) {
+	done := 0
 	for {
 		kind, err := ru32(r)
 		if err != nil {
-			return results, fmt.Errorf("aot: read frame: %w", err)
+			return done, fmt.Errorf("aot: read frame: %w", err)
 		}
 		switch kind {
 		case EndMagic:
-			if len(results) != n {
-				return results, fmt.Errorf("aot: job ended after %d of %d runs", len(results), n)
+			if done != n {
+				return done, fmt.Errorf("aot: job ended after %d of %d runs", done, n)
 			}
-			return results, nil
+			return done, nil
 		case CheckpointMagic:
-			run, err := runIndex(r, len(results), n)
+			run, err := runIndex(r, done, n)
 			if err != nil {
-				return results, err
+				return done, err
 			}
 			cycle, err := ru64(r)
 			if err != nil {
-				return results, err
+				return done, err
 			}
 			st, err := rbytes(r, maxStateLen)
 			if err != nil {
-				return results, err
+				return done, err
 			}
 			if onCheckpoint != nil {
 				onCheckpoint(run, int64(cycle), st)
 			}
 		case RunMagic:
-			if _, err := runIndex(r, len(results), n); err != nil {
-				return results, err
-			}
-			rr, err := readRun(r)
+			run, err := runIndex(r, done, n)
 			if err != nil {
-				return results, err
+				return done, err
 			}
-			results = append(results, rr)
+			fault, st, err := readRun(r)
+			if err != nil {
+				return done, err
+			}
+			if err := onRun(run, fault, st); err != nil {
+				return done, err
+			}
+			done++
 		default:
-			return results, fmt.Errorf("aot: unexpected frame %#x", kind)
+			return done, fmt.Errorf("aot: unexpected frame %#x", kind)
 		}
 	}
 }
@@ -195,73 +198,34 @@ func runIndex(r *bufio.Reader, next, n int) (int, error) {
 	return next, nil
 }
 
-// readRun reads the rest of a run frame after its run index.
-func readRun(r *bufio.Reader) (RunResult, error) {
-	var rr RunResult
-	cyc, err := ru64(r)
+// readRun reads the rest of a run frame after its run index: the
+// fault, if any, and the final snapshot.
+func readRun(r *bufio.Reader) (*RunError, []byte, error) {
+	flag, err := ru32(r)
 	if err != nil {
-		return rr, err
+		return nil, nil, err
 	}
-	rr.Cycles = int64(cyc)
-	if rr.Hash, err = ru64(r); err != nil {
-		return rr, err
-	}
-	sc, err := ru64(r)
-	if err != nil {
-		return rr, err
-	}
-	rr.StatCycles = int64(sc)
-	nm, err := ru32(r)
-	if err != nil {
-		return rr, err
-	}
-	if nm > maxMems {
-		return rr, fmt.Errorf("aot: worker reports %d memories", nm)
-	}
-	// Grown as the counts arrive, like rbytes, not sized by the claim.
-	rr.MemOps = make([][4]int64, 0, min(nm, 256))
-	for range nm {
-		var ops [4]int64
-		for j := range ops {
-			v, err := ru64(r)
-			if err != nil {
-				return rr, err
-			}
-			ops[j] = int64(v)
-		}
-		rr.MemOps = append(rr.MemOps, ops)
-	}
-	errFlag, err := ru32(r)
-	if err != nil {
-		return rr, err
-	}
-	switch errFlag {
+	var fault *RunError
+	switch flag {
 	case 0:
 	case 1:
-		ec, err := ru64(r)
-		if err != nil {
-			return rr, err
-		}
 		comp, err := rbytes(r, maxStrLen)
 		if err != nil {
-			return rr, err
+			return nil, nil, err
 		}
 		msg, err := rbytes(r, maxStrLen)
 		if err != nil {
-			return rr, err
+			return nil, nil, err
 		}
-		rr.Err = &RunError{Component: string(comp), Cycle: int64(ec), Msg: string(msg)}
+		fault = &RunError{Component: string(comp), Msg: string(msg)}
 	default:
-		return rr, fmt.Errorf("aot: run error flag %d", errFlag)
+		return nil, nil, fmt.Errorf("aot: run fault flag %d", flag)
 	}
 	st, err := rbytes(r, maxStateLen)
 	if err != nil {
-		return rr, err
+		return nil, nil, err
 	}
-	if len(st) > 0 {
-		rr.State = st
-	}
-	return rr, nil
+	return fault, st, nil
 }
 
 func ru32(r *bufio.Reader) (uint32, error) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -28,27 +29,17 @@ func (w *frames) checkpoint(run int, cycle int64, st []byte) {
 	w.field(st)
 }
 
-func (w *frames) run(i int, rr RunResult) {
+func (w *frames) run(i int, rf runFrame) {
 	w.u32(RunMagic)
 	w.u32(uint32(i))
-	w.u64(uint64(rr.Cycles))
-	w.u64(rr.Hash)
-	w.u64(uint64(rr.StatCycles))
-	w.u32(uint32(len(rr.MemOps)))
-	for _, ops := range rr.MemOps {
-		for _, v := range ops {
-			w.u64(uint64(v))
-		}
-	}
-	if rr.Err == nil {
+	if rf.fault == nil {
 		w.u32(0)
 	} else {
 		w.u32(1)
-		w.u64(uint64(rr.Err.Cycle))
-		w.field([]byte(rr.Err.Component))
-		w.field([]byte(rr.Err.Msg))
+		w.field([]byte(rf.fault.Component))
+		w.field([]byte(rf.fault.Msg))
 	}
-	w.field(rr.State)
+	w.field(rf.state)
 }
 
 func (w *frames) end() { w.u32(EndMagic) }
@@ -60,13 +51,18 @@ type checkpointFrame struct {
 	state []byte
 }
 
-// wellFormed is a two-run job: a checkpoint and a clean run with its
-// state, then a run that faulted.
-func wellFormed() ([]byte, []RunResult, []checkpointFrame) {
-	runs := []RunResult{
-		{Cycles: 100, Hash: 0xfeed, StatCycles: 100, MemOps: [][4]int64{{1, 2, 3, 4}, {5, 6, 7, 8}}, State: []byte("state")},
-		{Cycles: 7, Hash: 0xbeef, StatCycles: 7, MemOps: [][4]int64{{0, 1, 0, 0}, {0, 0, 0, 2}},
-			Err: &RunError{Component: "sel", Cycle: 7, Msg: "selector index 9 outside 0..1"}},
+// runFrame is one run frame as readJob hands it to onRun.
+type runFrame struct {
+	fault *RunError
+	state []byte
+}
+
+// wellFormed is a two-run job: a checkpoint and a clean run, then a
+// run that faulted, each with its final state.
+func wellFormed() ([]byte, []runFrame, []checkpointFrame) {
+	runs := []runFrame{
+		{state: []byte("state")},
+		{fault: &RunError{Component: "sel", Msg: "selector index 9 outside 0..1"}, state: []byte("post-fault")},
 	}
 	cks := []checkpointFrame{{0, 50, []byte("half")}}
 	var w frames
@@ -77,22 +73,35 @@ func wellFormed() ([]byte, []RunResult, []checkpointFrame) {
 	return w.b, runs, cks
 }
 
-func read(data []byte, n int) ([]RunResult, []checkpointFrame, int, error) {
+// read decodes data as the answer to a job of n runs, collecting the
+// frames readJob reports and the bytes it consumed.
+func read(t *testing.T, data []byte, n int) ([]runFrame, []checkpointFrame, int, error) {
 	rd := bytes.NewReader(data)
 	br := bufio.NewReader(rd)
+	var runs []runFrame
 	var cks []checkpointFrame
-	results, err := readJob(br, n, func(run int, cycle int64, st []byte) {
+	done, err := readJob(br, n, func(run int, cycle int64, st []byte) {
 		cks = append(cks, checkpointFrame{run, cycle, st})
+	}, func(run int, fault *RunError, st []byte) error {
+		if run != len(runs) {
+			t.Fatalf("run frame %d handed over as run %d", len(runs), run)
+		}
+		runs = append(runs, runFrame{fault, st})
+		return nil
 	})
-	return results, cks, len(data) - br.Buffered() - rd.Len(), err
+	if done != len(runs) {
+		t.Fatalf("readJob reports %d runs, handed over %d", done, len(runs))
+	}
+	return runs, cks, len(data) - br.Buffered() - rd.Len(), err
 }
 
 // TestReadJob decodes a well-formed job and refuses the frames a worker
 // cannot have meant: runs beyond the job, runs out of order, an unknown
-// error flag and a truncated stream.
+// fault flag and a truncated stream. An error from onRun ends the job
+// after the runs already handed over.
 func TestReadJob(t *testing.T) {
 	data, runs, cks := wellFormed()
-	got, gotCks, used, err := read(data, 2)
+	got, gotCks, used, err := read(t, data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,33 +114,43 @@ func TestReadJob(t *testing.T) {
 	w.run(1, runs[1])
 	w.run(2, runs[1])
 	w.end()
-	if got, _, _, err := read(w.b, 2); err == nil || len(got) != 2 {
+	if got, _, _, err := read(t, w.b, 2); err == nil || len(got) != 2 {
 		t.Errorf("a third run frame for a two-run job: %d runs, err %v", len(got), err)
 	}
 	w = frames{}
 	w.run(1, runs[0])
-	if _, _, _, err := read(w.b, 2); err == nil {
+	if _, _, _, err := read(t, w.b, 2); err == nil {
 		t.Error("run 1 before run 0 was accepted")
 	}
 	w = frames{}
 	w.checkpoint(1, 10, nil)
-	if _, _, _, err := read(w.b, 2); err == nil {
+	if _, _, _, err := read(t, w.b, 2); err == nil {
 		t.Error("a checkpoint for a run not in progress was accepted")
 	}
 	w = frames{}
 	w.checkpoint(cks[0].run, cks[0].cycle, cks[0].state)
 	w.run(0, runs[0])
-	// Run 1's error flag follows its magic, index, three counters, the
-	// memory count and two memories' four counters each.
+	// Run 1's fault flag follows its magic and index.
 	bad := bytes.Clone(data)
-	bad[len(w.b)+4+4+3*8+4+2*4*8] = 2
-	if _, _, _, err := read(bad, 2); err == nil || !strings.Contains(err.Error(), "error flag 2") {
-		t.Errorf("error flag 2: err %v", err)
+	bad[len(w.b)+4+4] = 2
+	if _, _, _, err := read(t, bad, 2); err == nil || !strings.Contains(err.Error(), "fault flag 2") {
+		t.Errorf("fault flag 2: err %v", err)
 	}
 	for cut := range len(data) {
-		if got, _, _, err := read(data[:cut], 2); err == nil || len(got) > 2 {
+		if got, _, _, err := read(t, data[:cut], 2); err == nil || len(got) > 2 {
 			t.Fatalf("truncated at %d: %d runs, err %v", cut, len(got), err)
 		}
+	}
+
+	refuse := errors.New("snapshot refused")
+	done, err := readJob(bufio.NewReader(bytes.NewReader(data)), 2, nil, func(run int, _ *RunError, _ []byte) error {
+		if run == 1 {
+			return refuse
+		}
+		return nil
+	})
+	if done != 1 || err != refuse {
+		t.Errorf("onRun refusing run 1: %d runs, err %v", done, err)
 	}
 }
 
@@ -154,7 +173,7 @@ func TestClaimedLengthNotPreallocated(t *testing.T) {
 			return err
 		}},
 		{"checkpoint", func() error {
-			_, _, _, err := read(ck.b, 1)
+			_, _, _, err := read(t, ck.b, 1)
 			return err
 		}},
 	} {
@@ -190,26 +209,26 @@ func FuzzWorkerFrames(f *testing.F) {
 	claim.u32(512 << 20)
 	f.Add(uint8(1), claim.b)
 	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
-		results, cks, used, err := read(data, int(n))
-		if len(results) > int(n) {
-			t.Fatalf("%d runs for a job of %d", len(results), n)
+		runs, cks, used, err := read(t, data, int(n))
+		if len(runs) > int(n) {
+			t.Fatalf("%d runs for a job of %d", len(runs), n)
 		}
 		if err != nil {
 			return
 		}
-		if len(results) != int(n) {
-			t.Fatalf("accepted %d runs for a job of %d", len(results), n)
+		if len(runs) != int(n) {
+			t.Fatalf("accepted %d runs for a job of %d", len(runs), n)
 		}
 		// A checkpoint names the run in progress, so the frames'
 		// order follows from the run indices.
 		var w frames
-		for i, rr := range results {
+		for i, rf := range runs {
 			for _, ck := range cks {
 				if ck.run == i {
 					w.checkpoint(ck.run, ck.cycle, ck.state)
 				}
 			}
-			w.run(i, rr)
+			w.run(i, rf)
 		}
 		w.end()
 		if !bytes.Equal(w.b, data[:used]) {

@@ -2,7 +2,8 @@
 // workers: specialized Go programs emitted by internal/codegen/gogen
 // in worker mode, compiled once with the host toolchain, cached on
 // disk by source digest, and driven over a framed binary job protocol
-// on stdin/stdout. It is the process-level half of the compiled-aot
+// on stdin/stdout that answers each run with its final machine
+// snapshot. It is the process-level half of the compiled-aot
 // backend; internal/campaign decides when dispatching to a worker
 // amortizes the one-time build cost.
 //
@@ -11,32 +12,28 @@
 // definition without import cycles.
 package aot
 
-// Wire protocol, version 1. All integers are little-endian. The host
+// Wire protocol, version 2. All integers are little-endian. The host
 // writes job frames; the worker answers each job with zero or more
 // checkpoint frames, exactly one run frame per requested run (in run
 // order), and a terminating end frame. EOF on the worker's stdin is
-// the clean shutdown signal.
+// the clean shutdown signal. A run frame's snapshot is the run's
+// result: cycles, statistics and digest are read out of it, and a
+// fault's cycle is the snapshot's, since a fault does not advance the
+// counter.
 //
-//	job:        u32 JobMagic, u32 flags, u64 checkpointEvery,
+//	job:        u32 JobMagic, u64 checkpointEvery,
 //	            u32 nruns, nruns × u64 cycle targets
 //	checkpoint: u32 CheckpointMagic, u32 run, u64 cycle,
 //	            u32 len, len bytes (Machine.SaveState-compatible)
-//	run:        u32 RunMagic, u32 run, u64 cycles, u64 archHash,
-//	            u64 statsCycles, u32 nmems,
-//	            nmems × (u64 reads, u64 writes, u64 inputs, u64 outputs),
-//	            u32 errFlag; if 1: u64 errCycle, u32+bytes component,
-//	            u32+bytes message;
-//	            u32 stateLen, stateLen bytes (0 unless requested and clean)
+//	run:        u32 RunMagic, u32 run, u32 faultFlag;
+//	            if 1: u32+bytes component, u32+bytes message;
+//	            u32 len, len bytes (the final snapshot, always sent)
 //	end:        u32 EndMagic
 const (
 	JobMagic        uint32 = 0x41534a42 // "ASJB"
 	CheckpointMagic uint32 = 0x41434b50 // "ACKP"
 	RunMagic        uint32 = 0x4152554e // "ARUN"
 	EndMagic        uint32 = 0x41454e44 // "AEND"
-
-	// FlagWantState asks the worker to append the final machine state
-	// snapshot to each clean run frame.
-	FlagWantState uint32 = 1
 )
 
 // Job is one batch of runs for a worker process. Every run executes
@@ -48,33 +45,12 @@ type Job struct {
 	// CheckpointEvery, when positive, asks for a state snapshot frame
 	// every that many cycles within each run.
 	CheckpointEvery int64
-	// WantState asks for the final state snapshot on clean runs.
-	WantState bool
 }
 
-// RunError is a simulation-time failure reported by a worker, carrying
-// the same fields as sim.RuntimeError so the host can reconstruct an
-// identical error value.
+// RunError is a simulation-time failure reported by a worker: the
+// component and message of a sim.RuntimeError, whose cycle is the
+// run's snapshot's.
 type RunError struct {
 	Component string
-	Cycle     int64
 	Msg       string
-}
-
-// RunResult is one run's outcome as reported by a worker.
-type RunResult struct {
-	// Cycles is the number of cycles actually executed.
-	Cycles int64
-	// Hash is the architectural state hash (Machine.ArchHash).
-	Hash uint64
-	// StatCycles mirrors sim.Stats.Cycles.
-	StatCycles int64
-	// MemOps holds reads/writes/inputs/outputs per memory, ordinal
-	// order, mirroring sim.Stats.MemOps.
-	MemOps [][4]int64
-	// Err is non-nil when the run ended in a runtime fault.
-	Err *RunError
-	// State is the final Machine.SaveState-compatible snapshot, present
-	// only when the job requested it and the run was clean.
-	State []byte
 }

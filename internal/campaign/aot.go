@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/aot"
 	"repro/internal/core"
@@ -13,9 +14,11 @@ import (
 // digest — the same shape a gang lane requires) and its Program both
 // opted into compiled-aot and cleared the campaign-level amortization
 // threshold. Eligible spans execute inside a generated native worker
-// subprocess; everything the engine reports — cycles, statistics,
+// subprocess, which answers each run with its final snapshot. Restored
+// into a machine, the snapshot goes through the scalar rung's own
+// epilogue, so everything the engine reports — cycles, statistics,
 // digests, runtime errors, checkpoints — is bit-identical to the
-// in-process paths, which is also the escape hatch: any AOT failure
+// in-process paths, which are also the escape hatch: any AOT failure
 // re-runs the span in-process.
 
 // aotPrograms resolves which programs route to native workers for this
@@ -45,35 +48,19 @@ func (e Engine) aotPrograms(runs []Run) map[*core.Program]bool {
 
 // execAOT performs one span of runs inside the program's native worker
 // subprocess, falling back to the in-process path on any failure. On
-// context cancellation the completed prefix of results is kept and the
-// remaining runs record ctx's error, matching the in-process
-// cancellation contract.
+// context cancellation the runs the worker finished keep their results
+// and the rest record ctx's error, matching the in-process cancellation
+// contract.
 func (e Engine) execAOT(ctx context.Context, w *worker, idxs []int, runs []Run, results []Result) {
-	for _, i := range idxs {
-		results[i] = Result{Index: i, Name: runs[i].Name, Group: runs[i].Group}
+	done, err := 0, ctx.Err()
+	if err == nil {
+		done, err = e.runAOT(ctx, w, idxs, runs, results)
 	}
-	if err := ctx.Err(); err != nil {
-		for _, i := range idxs {
-			results[i].Err = err
-		}
-		return
-	}
-	prog := runs[idxs[0]].Program
-	res, err := e.runAOT(ctx, w, prog, idxs, runs)
-	if err != nil {
-		if ctx.Err() != nil {
-			for l, i := range idxs {
-				if l < len(res) {
-					e.fillAOT(&results[i], res[l], i)
-				} else {
-					results[i].Err = ctx.Err()
-				}
-			}
-			return
-		}
+	if err != nil && ctx.Err() == nil {
 		// Graceful degradation: anything the native path cannot do, the
 		// in-process path does identically (just slower). Build errors,
-		// a missing toolchain and worker crashes all land here.
+		// a missing toolchain, worker crashes and snapshots that do not
+		// restore all land here.
 		e.AOT.NoteFallback(err.Error())
 		if len(idxs) == 1 {
 			results[idxs[0]] = e.exec(ctx, w, idxs[0], runs[idxs[0]])
@@ -82,21 +69,23 @@ func (e Engine) execAOT(ctx context.Context, w *worker, idxs []int, runs []Run, 
 		}
 		return
 	}
-	for l, i := range idxs {
-		e.fillAOT(&results[i], res[l], i)
+	for _, i := range idxs[done:] {
+		results[i] = Result{Index: i, Name: runs[i].Name, Group: runs[i].Group, Err: ctx.Err()}
 	}
 }
 
 // runAOT builds (or fetches) the program's worker binary, ensures this
 // engine worker has a live subprocess for it, and executes the span as
-// one job. A binary that won't start is invalidated and rebuilt once —
-// the poisoned-cache path — before giving up. A Proc that fails
-// mid-job is closed and dropped; the next span starts fresh.
-func (e Engine) runAOT(ctx context.Context, w *worker, prog *core.Program, idxs []int, runs []Run) ([]aot.RunResult, error) {
+// one job, filling each run's result as its frame arrives. It returns
+// how many runs it filled. A binary that won't start is invalidated and
+// rebuilt once — the poisoned-cache path — before giving up. A Proc
+// that fails mid-job is closed and dropped; the next span starts fresh.
+func (e Engine) runAOT(ctx context.Context, w *worker, idxs []int, runs []Run, results []Result) (int, error) {
+	prog := runs[idxs[0]].Program
 	src := prog.AOTWorkerSource()
 	bin, err := e.AOT.Binary(src)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	p := w.procs[prog]
 	if p == nil {
@@ -106,10 +95,10 @@ func (e Engine) runAOT(ctx context.Context, w *worker, prog *core.Program, idxs 
 			// is poison: rebuild once, then retry.
 			e.AOT.Invalidate(aot.Key(src))
 			if bin, err = e.AOT.Binary(src); err != nil {
-				return nil, err
+				return 0, err
 			}
 			if p, err = aot.StartProc(bin); err != nil {
-				return nil, err
+				return 0, err
 			}
 		}
 		if w.procs == nil {
@@ -124,42 +113,41 @@ func (e Engine) runAOT(ctx context.Context, w *worker, prog *core.Program, idxs 
 	}
 	w.targets = targets
 
-	job := aot.Job{Targets: targets, WantState: e.Checkpoint != nil}
-	if e.Checkpoint != nil && e.CheckpointEvery > 0 {
-		job.CheckpointEvery = e.CheckpointEvery
-	}
+	job := aot.Job{Targets: targets}
 	var onCk func(run int, cycle int64, state []byte)
 	if e.Checkpoint != nil {
+		job.CheckpointEvery = e.CheckpointEvery
 		onCk = func(run int, cycle int64, state []byte) {
-			if run >= 0 && run < len(idxs) {
-				e.Checkpoint.Checkpoint(idxs[run], cycle, state)
-			}
+			e.Checkpoint.Checkpoint(idxs[run], cycle, state)
 		}
 	}
-	res, err := p.Run(ctx, job, onCk)
+	done, err := p.Run(ctx, job, onCk, func(run int, fault *aot.RunError, state []byte) error {
+		return e.fillAOT(ctx, w, idxs[run], runs, results, fault, state)
+	})
 	if err != nil {
 		p.Close()
 		delete(w.procs, prog)
-		return res, err
 	}
-	return res, nil
+	return done, err
 }
 
-// fillAOT maps one worker-reported run result onto the engine's Result
-// shape, reconstructing the exact sim values the in-process path would
-// have produced.
-func (e Engine) fillAOT(res *Result, rr aot.RunResult, idx int) {
-	res.Cycles = rr.Cycles
-	res.Stats = sim.Stats{Cycles: rr.StatCycles, MemOps: make([]sim.MemOpStats, len(rr.MemOps))}
-	for i, ops := range rr.MemOps {
-		res.Stats.MemOps[i] = sim.MemOpStats{Reads: ops[0], Writes: ops[1], Inputs: ops[2], Outputs: ops[3]}
+// fillAOT turns one worker run frame into the run's Result: the
+// snapshot is restored into this engine worker's pooled machine for the
+// program, and the scalar rung's epilogue reads the cycles, statistics,
+// digest and retirement checkpoint out of it. A fault's cycle is the
+// snapshot's, since a fault does not advance the counter. A snapshot
+// that does not restore onto the program fails the job.
+func (e Engine) fillAOT(ctx context.Context, w *worker, i int, runs []Run, results []Result, fault *aot.RunError, state []byte) error {
+	r := runs[i]
+	m := w.machine(r)
+	if err := m.RestoreState(state); err != nil {
+		return fmt.Errorf("aot: run %d snapshot: %w", i, err)
 	}
-	if rr.Err != nil {
-		res.Err = &sim.RuntimeError{Component: rr.Err.Component, Cycle: rr.Err.Cycle, Msg: rr.Err.Msg}
+	res := Result{Index: i, Name: r.Name, Group: r.Group}
+	if fault != nil {
+		res.Err = &sim.RuntimeError{Component: fault.Component, Cycle: m.Cycle(), Msg: fault.Msg}
 	}
-	res.Digest = hashHex(rr.Hash)
-	if e.Checkpoint != nil && rr.Err == nil && len(rr.State) > 0 {
-		// Retirement checkpoint, mirroring the in-process paths.
-		e.Checkpoint.Checkpoint(idx, rr.Cycles, rr.State)
-	}
+	e.retire(ctx, w, &res, r, m)
+	results[i] = res
+	return nil
 }

@@ -11,6 +11,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -177,6 +180,55 @@ func TestAOTToolchainAbsentFallback(t *testing.T) {
 	}
 	if cache.BuildErrors() == 0 {
 		t.Error("no build error recorded despite missing toolchain")
+	}
+}
+
+// TestAOTCorruptSnapshotFallback: a worker whose run snapshots do not
+// restore onto the program — a binary built from edited source, planted
+// at the real source's cache key — is an AOT failure like any other:
+// the span re-runs in-process with results identical to the scalar
+// path, and the fallback is counted once.
+func TestAOTCorruptSnapshotFallback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles with the go toolchain")
+	}
+	prog := sieveProgram(t, 20, core.CompiledAOT)
+	runs := Fleet("sieve", prog, 4, 300) // one 4-lane span on one worker
+	want := executeScalar(t, runs)
+
+	// Every snapshot the edited worker sends starts with a stray byte.
+	src := prog.AOTWorkerSource()
+	edited := strings.Replace(src, "statebuf = statebuf[:0]", "statebuf = append(statebuf[:0], 0)", 1)
+	if edited == src {
+		t.Fatal("worker source has no snapshot buffer reset to corrupt")
+	}
+	bin, err := newTestAOTCache(t).Binary(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe, err := os.ReadFile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newTestAOTCache(t)
+	planted := filepath.Join(cache.Dir(), aot.Key(src), filepath.Base(bin))
+	if err := os.MkdirAll(filepath.Dir(planted), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(planted, exe, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	results, err := Engine{Workers: 1, AOT: cache, AOTThreshold: 0}.Execute(context.Background(), runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResults(t, "corrupt snapshot", results, want)
+	if cache.Builds() != 0 || cache.Hits() != 1 {
+		t.Errorf("builds %d, hits %d: the planted worker was not the one dispatched", cache.Builds(), cache.Hits())
+	}
+	if cache.Fallbacks() != 1 {
+		t.Errorf("%d fallbacks recorded, want 1", cache.Fallbacks())
 	}
 }
 

@@ -756,27 +756,32 @@ func (e Engine) exec(ctx context.Context, w *worker, idx int, r Run) Result {
 			}
 		}
 	}
-	if ckpt && (res.Err == nil || res.Err == ctx.Err()) {
-		// Retirement (or interruption) checkpoint; runs that died on a
-		// runtime error are terminal and emit nothing.
-		w.ckbuf = m.AppendState(w.ckbuf[:0])
-		e.Checkpoint.Checkpoint(idx, m.Cycle(), w.ckbuf)
-	}
-
-	res.Cycles = m.Cycle()
-	res.Stats = m.Stats()
 	if inj != nil {
 		res.Activated = append([]int64(nil), inj.Applied...)
 	}
-	// A runtime error is a run *outcome* (fault campaigns count on
-	// it), not a campaign failure; the digest of whatever state the
-	// machine reached is still comparable.
+	e.retire(ctx, w, &res, r, m)
+	return res
+}
+
+// retire is the scalar rung's epilogue, shared with the AOT rung (whose
+// run ends as a worker's snapshot restored into m): the retirement (or
+// interruption) checkpoint, then the cycles, statistics and digest of
+// the state the machine reached. A run that died on a runtime error is
+// terminal and checkpoints nothing, but the error is a run *outcome*
+// (fault campaigns count on it), not a campaign failure, so the digest
+// of whatever state the machine reached is still comparable.
+func (e Engine) retire(ctx context.Context, w *worker, res *Result, r Run, m *sim.Machine) {
+	if e.Checkpoint != nil && runCheckpointable(r) && (res.Err == nil || res.Err == ctx.Err()) {
+		w.ckbuf = m.AppendState(w.ckbuf[:0])
+		e.Checkpoint.Checkpoint(res.Index, m.Cycle(), w.ckbuf)
+	}
+	res.Cycles = m.Cycle()
+	res.Stats = m.Stats()
 	if r.Digest != nil {
 		res.Digest = r.Digest(m)
 	} else {
 		res.Digest = archDigest(m)
 	}
-	return res
 }
 
 // archDigest hashes the machine's architectural state (value vector

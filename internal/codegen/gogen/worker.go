@@ -8,17 +8,19 @@ import (
 
 // Worker mode: instead of a standalone program tracing one fixed run,
 // the generated binary speaks the internal/aot job protocol on
-// stdin/stdout — reset, run N cycles, report stats/ArchHash/state —
-// so the campaign engine can drive it as the compiled-aot backend.
+// stdin/stdout — reset, run N cycles, answer with the fault (if any)
+// and the final state snapshot — so the campaign engine can drive it
+// as the compiled-aot backend. The snapshot is the whole result: the
+// host restores it into a machine and reads cycles, statistics and
+// digest out of it.
 //
 // Everything observable must match the in-process backends bit for
-// bit: the architectural hash folds the same slot-ordered values with
-// the same FNV constants, state snapshots use the exact
-// Machine.SaveState layout, statistics count exactly what
-// Machine.commitMems counts, and runtime faults carry the same
-// component/cycle/message triple with the same partial-state
-// semantics (earlier combinational values and memory commits of the
-// failing cycle are retained, the cycle counter is not advanced).
+// bit: state snapshots use the exact Machine.SaveState layout,
+// statistics count exactly what Machine.commitMems counts, and runtime
+// faults carry the same component/message pair with the same
+// partial-state semantics (earlier combinational values and memory
+// commits of the failing cycle are retained, the cycle counter is not
+// advanced, so the snapshot's cycle is the fault's).
 
 func (g *generator) runWorker() string {
 	spec := g.info.Spec
@@ -57,8 +59,6 @@ func (g *generator) runWorker() string {
 	g.p("")
 	g.emitRunTo()
 	g.p("")
-	g.emitArchHash()
-	g.p("")
 	g.emitSaveState()
 	g.p("")
 	g.emitWorkerIO()
@@ -73,7 +73,6 @@ func (g *generator) emitWorkerState() {
 	g.p("cyclecount int64")
 	g.p("errcomp    string")
 	g.p("errmsg     string")
-	g.p("errcycle   int64")
 	for _, m := range g.info.Mems {
 		g.p("%s, %s, %s, %s int64", rds(m.Name), wrs(m.Name), ins(m.Name), outs(m.Name))
 	}
@@ -106,7 +105,7 @@ func (g *generator) emitReset() {
 	}
 	g.p("initvalues()")
 	g.p("cyclecount = 0")
-	g.p("errcomp, errmsg, errcycle = \"\", \"\", 0")
+	g.p("errcomp, errmsg = \"\", \"\"")
 	g.ind--
 	g.p("}")
 }
@@ -114,7 +113,7 @@ func (g *generator) emitReset() {
 func (g *generator) emitFail() {
 	g.p("func fail(comp, format string, args ...interface{}) {")
 	g.ind++
-	g.p("errcomp, errcycle, errmsg = comp, cyclecount, fmt.Sprintf(format, args...)")
+	g.p("errcomp, errmsg = comp, fmt.Sprintf(format, args...)")
 	g.ind--
 	g.p("}")
 }
@@ -189,25 +188,6 @@ func (g *generator) emitRunTo() {
 	g.p("\tcyclecount++")
 	g.p("}")
 	g.p("return true")
-	g.ind--
-	g.p("}")
-}
-
-// emitArchHash folds the slot-ordered value vector and the ordinal-
-// ordered memory arrays with the exact Machine.ArchHash constants.
-func (g *generator) emitArchHash() {
-	g.p("func archhash() uint64 {")
-	g.ind++
-	g.p("h := uint64(%d)", sim.ArchHashOffset)
-	for _, v := range g.vars {
-		g.p("h = (h ^ uint64(%s)) * %d", v, sim.ArchHashPrime)
-	}
-	for _, m := range g.info.Mems {
-		g.p("for _, v := range %s {", codegen.Comb(m.Name))
-		g.p("\th = (h ^ uint64(v)) * %d", sim.ArchHashPrime)
-		g.p("}")
-	}
-	g.p("return h")
 	g.ind--
 	g.p("}")
 }
@@ -316,7 +296,6 @@ func (g *generator) emitWorkerMain() {
 	g.p("if magic != %#x {", aot.JobMagic)
 	g.p("\tos.Exit(2)")
 	g.p("}")
-	g.p("flags := ru32()")
 	g.p("every := int64(ru64())")
 	g.p("nruns := int(ru32())")
 	g.p("for run := 0; run < nruns; run++ {")
@@ -342,31 +321,16 @@ func (g *generator) emitWorkerMain() {
 	g.p("}")
 	g.p("wu32(%#x)", aot.RunMagic)
 	g.p("wu32(uint32(run))")
-	g.p("wu64(uint64(cyclecount))")
-	g.p("wu64(archhash())")
-	g.p("wu64(uint64(cyclecount)) // stats cycles")
-	g.p("wu32(%d) // memories", len(g.info.Mems))
-	for _, m := range g.info.Mems {
-		g.p("wu64(uint64(%s))", rds(m.Name))
-		g.p("wu64(uint64(%s))", wrs(m.Name))
-		g.p("wu64(uint64(%s))", ins(m.Name))
-		g.p("wu64(uint64(%s))", outs(m.Name))
-	}
 	g.p("if ok {")
 	g.p("\twu32(0)")
 	g.p("} else {")
 	g.p("\twu32(1)")
-	g.p("\twu64(uint64(errcycle))")
 	g.p("\twstr(errcomp)")
 	g.p("\twstr(errmsg)")
 	g.p("}")
-	g.p("if ok && flags&%d != 0 {", aot.FlagWantState)
-	g.p("\tst := savestate()")
-	g.p("\twu32(uint32(len(st)))")
-	g.p("\tout.Write(st)")
-	g.p("} else {")
-	g.p("\twu32(0)")
-	g.p("}")
+	g.p("st := savestate()")
+	g.p("wu32(uint32(len(st)))")
+	g.p("out.Write(st)")
 	g.p("out.Flush()")
 	g.ind--
 	g.p("}")

@@ -90,12 +90,33 @@ func buildWorker(t *testing.T, spec *core.Spec) *aot.Proc {
 	return p
 }
 
+// runFrame is one run frame a worker answered with.
+type runFrame struct {
+	fault *aot.RunError
+	state []byte
+}
+
+// runJob executes one job on the worker and returns its run frames.
+func runJob(t *testing.T, p *aot.Proc, job aot.Job, onCheckpoint func(run int, cycle int64, state []byte)) []runFrame {
+	t.Helper()
+	var runs []runFrame
+	_, err := p.Run(context.Background(), job, onCheckpoint, func(_ int, fault *aot.RunError, state []byte) error {
+		runs = append(runs, runFrame{fault, state})
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("worker job: %v", err)
+	}
+	return runs
+}
+
 // TestWorkerMatchesMachine runs every canonical spec for a few cycle
 // budgets — power-on included — in a protocol worker and demands
-// bit-identical observables against the interpreter, which shares
-// nothing with the lowering the worker is printed from: cycle counts,
-// architectural hash, statistics, and the exact SaveState snapshot
-// bytes (see wantState).
+// bit-identical results against the interpreter, which shares nothing
+// with the lowering the worker is printed from: the same fault, and
+// the exact SaveState snapshot bytes (see wantState) whether the run
+// ended clean or faulted, since the snapshot is the result the host
+// reads cycles, statistics and digest out of.
 func TestWorkerMatchesMachine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles with the go toolchain")
@@ -127,6 +148,7 @@ M r 0 0 0 -1 1234567
 M k 0 0 0 -1 987654
 .
 `
+	faults := 0
 	for name, src := range td {
 		spec, err := core.ParseString(name, src)
 		if err != nil {
@@ -139,55 +161,35 @@ M k 0 0 0 -1 987654
 		p := buildWorker(t, spec)
 
 		targets := []int64{0, 1, 17, 500}
-		res, err := p.Run(context.Background(), aot.Job{Targets: targets, WantState: true}, nil)
-		if err != nil {
-			t.Fatalf("%s: worker job: %v", name, err)
-		}
+		res := runJob(t, p, aot.Job{Targets: targets}, nil)
 		for ri, n := range targets {
 			m := prog.NewMachine(core.Options{})
 			runErr := m.Run(n)
-			rr := res[ri]
-			if runErr != nil {
-				if rr.Err == nil || rr.Err.Msg != runErr.(*sim.RuntimeError).Msg {
-					t.Errorf("%s n=%d: worker err %+v, machine err %v", name, n, rr.Err, runErr)
-				} else if rr.Cycles != m.Cycle() || rr.Hash != m.ArchHash() {
-					t.Errorf("%s n=%d: post-fault worker cycle %d hash %#x, machine %d %#x", name, n, rr.Cycles, rr.Hash, m.Cycle(), m.ArchHash())
+			rf := res[ri]
+			if re, ok := runErr.(*sim.RuntimeError); ok {
+				faults++
+				if rf.fault == nil || rf.fault.Component != re.Component || rf.fault.Msg != re.Msg {
+					t.Errorf("%s n=%d: worker fault %+v, machine err %v", name, n, rf.fault, runErr)
 				}
-				continue
+			} else if runErr != nil {
+				t.Fatalf("%s n=%d: %v", name, n, runErr)
+			} else if rf.fault != nil {
+				t.Fatalf("%s n=%d: worker fault %s, machine ran clean", name, n, rf.fault.Msg)
 			}
-			if rr.Err != nil {
-				t.Fatalf("%s n=%d: worker error %s, machine ran clean", name, n, rr.Err.Msg)
-			}
-			if rr.Cycles != m.Cycle() {
-				t.Errorf("%s n=%d: worker cycles %d, machine %d", name, n, rr.Cycles, m.Cycle())
-			}
-			if rr.Hash != m.ArchHash() {
-				t.Errorf("%s n=%d: worker hash %#x, machine %#x", name, n, rr.Hash, m.ArchHash())
-			}
-			st := m.Stats()
-			if rr.StatCycles != st.Cycles {
-				t.Errorf("%s n=%d: worker stat cycles %d, machine %d", name, n, rr.StatCycles, st.Cycles)
-			}
-			if len(rr.MemOps) != len(st.MemOps) {
-				t.Fatalf("%s n=%d: worker has %d memories, machine %d", name, n, len(rr.MemOps), len(st.MemOps))
-			}
-			for i, ops := range st.MemOps {
-				got := rr.MemOps[i]
-				if got[0] != ops.Reads || got[1] != ops.Writes || got[2] != ops.Inputs || got[3] != ops.Outputs {
-					t.Errorf("%s n=%d mem %d: worker ops %v, machine %+v", name, n, i, got, ops)
-				}
-			}
-			if !bytes.Equal(rr.State, wantState(m, spec)) {
-				t.Errorf("%s n=%d: worker state snapshot differs from machine SaveState", name, n)
+			if !bytes.Equal(rf.state, wantState(m, spec)) {
+				t.Errorf("%s n=%d: worker state snapshot differs from machine SaveState (machine err %v)", name, n, runErr)
 			}
 			// The snapshot must restore onto a real machine.
 			m2 := prog.NewMachine(core.Options{})
-			if err := m2.RestoreState(rr.State); err != nil {
+			if err := m2.RestoreState(rf.state); err != nil {
 				t.Errorf("%s n=%d: restore worker state: %v", name, n, err)
-			} else if m2.ArchHash() != rr.Hash {
-				t.Errorf("%s n=%d: restored hash differs", name, n)
+			} else if m2.ArchHash() != m.ArchHash() || m2.Cycle() != m.Cycle() {
+				t.Errorf("%s n=%d: restored hash %#x cycle %d, machine %#x %d", name, n, m2.ArchHash(), m2.Cycle(), m.ArchHash(), m.Cycle())
 			}
 		}
+	}
+	if faults == 0 {
+		t.Error("no run faulted, so no post-fault snapshot was compared")
 	}
 }
 
@@ -228,14 +230,10 @@ func TestWorkerCheckpoints(t *testing.T) {
 		state []byte
 	}
 	var cks []ck
-	res, err := p.Run(context.Background(),
-		aot.Job{Targets: []int64{target, target}, CheckpointEvery: every, WantState: true},
+	res := runJob(t, p, aot.Job{Targets: []int64{target, target}, CheckpointEvery: every},
 		func(run int, cycle int64, state []byte) {
 			cks = append(cks, ck{run, cycle, append([]byte(nil), state...)})
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
 	perRun := 0
 	for _, c := range cks {
 		if c.run == 0 {
@@ -253,14 +251,15 @@ func TestWorkerCheckpoints(t *testing.T) {
 	if wantCk := len(want); perRun != wantCk {
 		t.Errorf("run 0 emitted %d checkpoints, want %d", perRun, wantCk)
 	}
-	if res[0].Hash != res[1].Hash || !bytes.Equal(res[0].State, res[1].State) {
+	if !bytes.Equal(res[0].state, res[1].state) {
 		t.Errorf("identical runs in one job diverged: reset between runs is broken")
 	}
 }
 
 // TestWorkerRuntimeError: a generated worker reports the same
-// component/cycle/message a machine's RuntimeError carries, with the
-// same partial statistics, and keeps serving runs afterwards.
+// component/message a machine's RuntimeError carries, with a snapshot
+// holding the fault's cycle and the same partial statistics, and keeps
+// serving runs afterwards.
 func TestWorkerRuntimeError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles with the go toolchain")
@@ -290,29 +289,26 @@ M m c 0 1 4
 	}
 
 	p := buildWorker(t, spec)
-	res, err := p.Run(context.Background(), aot.Job{Targets: []int64{100, 100}, WantState: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ri, rr := range res {
-		if rr.Err == nil {
+	for ri, rf := range runJob(t, p, aot.Job{Targets: []int64{100, 100}}, nil) {
+		if rf.fault == nil {
 			t.Fatalf("run %d: worker ran clean, machine failed with %v", ri, re)
 		}
-		got := &sim.RuntimeError{Component: rr.Err.Component, Cycle: rr.Err.Cycle, Msg: rr.Err.Msg}
+		wm := prog.NewMachine(core.Options{})
+		if err := wm.RestoreState(rf.state); err != nil {
+			t.Fatalf("run %d: restore post-fault snapshot: %v", ri, err)
+		}
+		got := &sim.RuntimeError{Component: rf.fault.Component, Cycle: wm.Cycle(), Msg: rf.fault.Msg}
 		if got.Error() != re.Error() {
 			t.Errorf("run %d: worker error %q, machine %q", ri, got.Error(), re.Error())
 		}
-		if rr.Cycles != m.Cycle() {
-			t.Errorf("run %d: worker stopped at cycle %d, machine at %d", ri, rr.Cycles, m.Cycle())
+		if wm.Cycle() != m.Cycle() {
+			t.Errorf("run %d: worker stopped at cycle %d, machine at %d", ri, wm.Cycle(), m.Cycle())
 		}
-		if rr.Hash != m.ArchHash() {
+		if wm.ArchHash() != m.ArchHash() {
 			t.Errorf("run %d: post-fault hash differs", ri)
 		}
-		if rr.MemOps[0][1] != m.Stats().MemOps[0].Writes {
-			t.Errorf("run %d: partial write count %d, machine %d", ri, rr.MemOps[0][1], m.Stats().MemOps[0].Writes)
-		}
-		if len(rr.State) != 0 {
-			t.Errorf("run %d: error run should carry no state snapshot", ri)
+		if w, want := wm.Stats().MemOps[0].Writes, m.Stats().MemOps[0].Writes; w != want {
+			t.Errorf("run %d: partial write count %d, machine %d", ri, w, want)
 		}
 		if !strings.Contains(got.Error(), "outside 0..3") {
 			t.Errorf("run %d: unexpected message %q", ri, got.Error())

@@ -220,16 +220,29 @@ func (s *Server) loadJobState(id string) (*jobState, error) {
 // the job is unfinished and nothing is executing it (the serving
 // process restarted, or the original stream was abandoned). A nil log
 // means the store has never heard of the job.
-func (s *Server) resumeLog(id string) (*LineLog, error) {
+//
+// A token that claims more lines than the store holds is refused
+// before anything starts: by persist-then-write no honest client
+// received a line that is not stored, and following such a token to
+// the job's end would drop the records an honest resume still needs.
+// The store decides: an executing log may trail it (a completion seeds
+// its log once it starts, a foreground job appends after the write).
+func (s *Server) resumeLog(id string, delivered int) (*LineLog, error) {
 	s.runMu.Lock()
 	lg := s.running[id]
 	s.runMu.Unlock()
-	if lg != nil {
+	if lg != nil && delivered <= lg.Len() {
 		return lg, nil
 	}
 	st, err := s.loadJobState(id)
 	if err != nil || st.admit == nil {
 		return nil, err
+	}
+	if delivered > len(st.lines) {
+		return nil, fmt.Errorf("delivered %d exceeds the job's %d stored results", delivered, len(st.lines))
+	}
+	if lg != nil {
+		return lg, nil
 	}
 	if st.done {
 		lg = NewLineLog(0)
@@ -251,7 +264,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, rr ResumeR
 		s.fe.Reject(w, http.StatusNotFound, "this server keeps no durable job records")
 		return
 	}
-	lg, err := s.resumeLog(rr.Job)
+	lg, err := s.resumeLog(rr.Job, rr.Delivered)
 	if err != nil {
 		s.fe.Reject(w, http.StatusBadRequest, fmt.Sprintf("resume %q: %v", rr.Job, err))
 		return
@@ -271,7 +284,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, rr ResumeR
 		// usual case is a resume racing the wind-down of the very
 		// stream it replaces. Restart the job once and carry on from
 		// where this stream stands.
-		if lg, err = s.resumeLog(rr.Job); err == nil && lg != nil {
+		if lg, err = s.resumeLog(rr.Job, next); err == nil && lg != nil {
 			_, ended = lg.follow(r.Context(), next, out)
 			trailer = lg.Trailer()
 		}

@@ -299,6 +299,40 @@ func TestServiceResumeValidation(t *testing.T) {
 	}
 }
 
+// TestServiceResumeOverclaim: a resume token claiming more lines than
+// the store holds is a bad request, answered 400 before anything
+// streams, and the job's records survive it: an honest resume of the
+// same interrupted job still receives every remaining run exactly
+// once.
+func TestServiceResumeOverclaim(t *testing.T) {
+	req := durableJob(t)
+	want := referenceLines(t, req)
+
+	store := durable.NewMemStore()
+	srv, ts := newServer(t, durableConfig(store))
+	jobID, lines := postPartial(t, ts, req, 3) // header + 2 run lines
+	got := lines[1:]
+	waitFor(t, "interrupted handler to finish", func() bool {
+		m := srv.Metrics()
+		return m.JobsActive == 0 && m.JobsAbandoned+m.JobsCompleted == 1
+	})
+
+	if status, body := resume(t, ts.URL, jobID, 1000); status != http.StatusBadRequest {
+		t.Fatalf("resume delivered=1000 of an %d-run job: status %d, want 400 (%v)", req.Runs, status, body)
+	}
+	status, rlines := resume(t, ts.URL, jobID, len(got))
+	if status != http.StatusOK {
+		t.Fatalf("honest resume after the overclaim: status %d, want 200 (%v)", status, rlines)
+	}
+	_, raw, _, tr := parseStream(t, rlines)
+	if !tr.Done || tr.Err != "" {
+		t.Errorf("honest resume trailer: %+v", tr)
+	}
+	if merged := sortedRunLines(t, append(got, raw...)); merged != want {
+		t.Errorf("merged streams differ from uninterrupted job:\n got:\n%s\nwant:\n%s", merged, want)
+	}
+}
+
 // TestServiceOversizedBody: a body past MaxBody is its own protocol
 // condition — 413 naming the limit, not a generic 400.
 func TestServiceOversizedBody(t *testing.T) {

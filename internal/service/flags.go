@@ -1,10 +1,18 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"flag"
+	"log/slog"
+	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/telemetry"
 )
 
 // FrontFlags is the command-line surface asimd and asimcoord share:
@@ -53,6 +61,60 @@ func (f *FrontFlags) Limits() Limits {
 		MaxDeadline:     f.MaxDeadline,
 		WriteTimeout:    f.WriteTimeout,
 	}
+}
+
+// Serve is both daemons' serve loop: it serves h on addr until SIGINT
+// or SIGTERM, then drains — stops accepting, lets streaming jobs finish
+// for up to 30 s (they are deadline-bounded anyway) — and writes tr's
+// retained spans to TraceOut when set. It returns the listener's or
+// the drain's error rather than exiting, so the caller's deferred
+// cleanup still runs. attrs ride the "serving" log line after addr.
+func (f *FrontFlags) Serve(addr string, h http.Handler, tr *telemetry.Tracer, log *slog.Logger, attrs ...any) error {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	return f.serve(ctx, addr, h, tr, log, attrs...)
+}
+
+// serve is Serve until ctx ends instead of until a signal.
+func (f *FrontFlags) serve(ctx context.Context, addr string, h http.Handler, tr *telemetry.Tracer, log *slog.Logger, attrs ...any) error {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	log.Info("serving", append(append([]any{"addr", addr}, attrs...), "pprof", f.Pprof)...)
+
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	log.Info("draining")
+	drain, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(drain); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	if f.TraceOut != "" {
+		if err := writeTrace(f.TraceOut, tr); err != nil {
+			log.Error("trace export failed", "path", f.TraceOut, "err", err)
+		} else {
+			log.Info("trace exported", "path", f.TraceOut, "spans", tr.Len())
+		}
+	}
+	return nil
+}
+
+// writeTrace writes the retained span ring as Chrome trace_event JSON,
+// loadable in chrome://tracing or Perfetto.
+func writeTrace(path string, tr *telemetry.Tracer) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := telemetry.WriteChromeTrace(out, tr.Spans()); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 // Flags is asimd's full command-line surface, registered onto a

@@ -50,6 +50,13 @@ func (l *LineLog) Append(lines ...[]byte) {
 	}
 }
 
+// Len returns how many lines the log holds.
+func (l *LineLog) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.lines)
+}
+
 // Finish ends the log — errText is empty for success — and wakes
 // every follower. The first Finish wins.
 func (l *LineLog) Finish(errText string) {

@@ -42,13 +42,14 @@ import (
 // emit byte-compatible snapshots from the one authoritative constant.
 const SnapshotMagic uint64 = 0x4153494d53543101 // "ASIMST" 0x1 0x01
 
-// ArchHashOffset/ArchHashPrime define the FNV-1a fold shared by
-// Machine.ArchHash, Gang.LaneArchHash and the generated native workers:
-// one definition, so the execution paths cannot drift apart and digests
-// stay comparable.
+// archHashOffset/archHashPrime define the FNV-1a fold shared by
+// Machine.ArchHash and Gang.LaneArchHash: one definition, so the
+// execution paths cannot drift apart and digests stay comparable. A
+// native worker computes no hash; its snapshot is restored into a
+// Machine and hashed here.
 const (
-	ArchHashOffset = uint64(14695981039346656037)
-	ArchHashPrime  = uint64(1099511628211)
+	archHashOffset = uint64(14695981039346656037)
+	archHashPrime  = uint64(1099511628211)
 )
 
 // state holds stride columns of one program's machine state.
@@ -123,13 +124,13 @@ func (c column) reset() {
 // (a compiled backend elides dead data latches), so identical
 // architectures hash equal on every backend.
 func (c column) archHash() uint64 {
-	h := ArchHashOffset
+	h := archHashOffset
 	for k := c.col; k < len(c.vals); k += c.stride {
-		h = (h ^ uint64(c.vals[k])) * ArchHashPrime
+		h = (h ^ uint64(c.vals[k])) * archHashPrime
 	}
 	for i := range c.arrays {
 		for _, v := range c.row(i) {
-			h = (h ^ uint64(v)) * ArchHashPrime
+			h = (h ^ uint64(v)) * archHashPrime
 		}
 	}
 	return h
