@@ -33,22 +33,27 @@ package compile
 // otherwise BitPlaneSlots returns nil and gangs take the plain path.
 //
 // Memory slots are never plane-resident: commit writes lane columns,
-// and snapshots read them. The word-ops recompute every lane below the
-// gang's live span each cycle — halted lanes are a fixed point (their
-// packs and memories are frozen), and faulted lanes' bits are garbage
-// the gang never reads (sim.Gang materializes a lane's plane bits into
-// its column before detaching it or serving state).
+// and snapshots read them. sim.Gang keeps its n live lanes in slots
+// [0, n), so the lane loops, packs and scatters run over exactly those
+// lanes and the word-ops over the ceil(n/64) words that cover them. The
+// last word also holds retired lanes (slots n and above), which the
+// word-ops recompute every cycle. A halted lane's bits are a fixed
+// point of that: its pack bits are frozen (a pack keeps every bit at or
+// above n in the word it rebuilds) and the word-ops read only planes,
+// never memories, so they recompute exactly the bits its last cycle
+// left. Faulted lanes' bits are garbage the gang never reads (sim.Gang
+// materializes a lane's plane bits into its column before detaching it
+// or serving state).
 
 import (
 	"repro/internal/lower"
 	"repro/internal/sim"
 )
 
-// bitFn evaluates one combinational component for a bit-parallel gang:
-// either a word-op over planes[...], or a lane-loop over vals with a
-// pack/scatter mirror. words is the plane word count covering the
-// gang's live span; bits beyond the span are garbage and stay so.
-type bitFn func(vals []int64, planes []uint64, stride, pwords, words int, active []int, cycles []int64)
+// bitFn evaluates one combinational component for a bit-parallel gang's
+// live lanes [0, n): either a word-op over the ceil(n/64) plane words
+// that cover them, or a lane-loop over vals with a pack/scatter mirror.
+type bitFn func(vals []int64, planes []uint64, stride, pwords, n int, cycles []int64)
 
 // BitPlaneSlots implements sim.BitGangStepper. A nil result means the
 // program gains nothing from bit-packing and gangs should take the
@@ -62,13 +67,13 @@ func (c *Compiled) BitPlaneSlots() []int {
 // component-major evaluation with 0/1 logic running 64 lanes per word,
 // bit-identical per lane to StepCycle on a machine in the same state.
 // The latch kernels are the gang path's own, unchanged.
-func (c *Compiled) StepCycleGangBits(vals []int64, planes []uint64, addr, data, opn []int64, stride, pwords, words int, active []int, cycles []int64) {
+func (c *Compiled) StepCycleGangBits(vals []int64, planes []uint64, addr, data, opn []int64, stride, pwords, n int, cycles []int64) {
 	c.bitOnce.Do(c.buildBit)
 	for _, fn := range c.bitComb {
-		fn(vals, planes, stride, pwords, words, active, cycles)
+		fn(vals, planes, stride, pwords, n, cycles)
 	}
 	for _, fn := range c.gangLatches {
-		fn(vals, addr, data, opn, stride, active)
+		fn(vals, addr, data, opn, stride, n)
 	}
 }
 
@@ -395,9 +400,9 @@ func (f *bitFacts) wordFn(o *lower.Op) bitFn {
 	po := f.planeOf[o.Out]
 	if o.Sel {
 		ss, c0, c1 := f.wordSrcFor(o.Ctl), f.wordSrcFor(o.Cases[0]), f.wordSrcFor(o.Cases[1])
-		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+		return func(_ []int64, planes []uint64, _, pwords, n int, _ []int64) {
 			ob := po * pwords
-			for w := 0; w < words; w++ {
+			for w := 0; w<<6 < n; w++ {
 				s := ss.at(planes, pwords, w)
 				planes[ob+w] = c0.at(planes, pwords, w)&^s | c1.at(planes, pwords, w)&s
 			}
@@ -410,44 +415,44 @@ func (f *bitFacts) wordFn(o *lower.Op) bitFn {
 	case sim.FnRight:
 		return wordCopy(po, rs)
 	case sim.FnAnd, sim.FnMul:
-		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+		return func(_ []int64, planes []uint64, _, pwords, n int, _ []int64) {
 			ob := po * pwords
-			for w := 0; w < words; w++ {
+			for w := 0; w<<6 < n; w++ {
 				planes[ob+w] = ls.at(planes, pwords, w) & rs.at(planes, pwords, w)
 			}
 		}
 	case sim.FnOr:
-		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+		return func(_ []int64, planes []uint64, _, pwords, n int, _ []int64) {
 			ob := po * pwords
-			for w := 0; w < words; w++ {
+			for w := 0; w<<6 < n; w++ {
 				planes[ob+w] = ls.at(planes, pwords, w) | rs.at(planes, pwords, w)
 			}
 		}
 	case sim.FnXor:
-		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+		return func(_ []int64, planes []uint64, _, pwords, n int, _ []int64) {
 			ob := po * pwords
-			for w := 0; w < words; w++ {
+			for w := 0; w<<6 < n; w++ {
 				planes[ob+w] = ls.at(planes, pwords, w) ^ rs.at(planes, pwords, w)
 			}
 		}
 	case sim.FnEq:
-		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+		return func(_ []int64, planes []uint64, _, pwords, n int, _ []int64) {
 			ob := po * pwords
-			for w := 0; w < words; w++ {
+			for w := 0; w<<6 < n; w++ {
 				planes[ob+w] = ^(ls.at(planes, pwords, w) ^ rs.at(planes, pwords, w))
 			}
 		}
 	case sim.FnLt:
-		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+		return func(_ []int64, planes []uint64, _, pwords, n int, _ []int64) {
 			ob := po * pwords
-			for w := 0; w < words; w++ {
+			for w := 0; w<<6 < n; w++ {
 				planes[ob+w] = ^ls.at(planes, pwords, w) & rs.at(planes, pwords, w)
 			}
 		}
 	default: // FnZero, FnUnused, out-of-range constants
-		return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+		return func(_ []int64, planes []uint64, _, pwords, n int, _ []int64) {
 			ob := po * pwords
-			for w := 0; w < words; w++ {
+			for w := 0; w<<6 < n; w++ {
 				planes[ob+w] = 0
 			}
 		}
@@ -455,9 +460,9 @@ func (f *bitFacts) wordFn(o *lower.Op) bitFn {
 }
 
 func wordCopy(po int, src wordSrc) bitFn {
-	return func(_ []int64, planes []uint64, _, pwords, words int, _ []int, _ []int64) {
+	return func(_ []int64, planes []uint64, _, pwords, n int, _ []int64) {
 		ob := po * pwords
-		for w := 0; w < words; w++ {
+		for w := 0; w<<6 < n; w++ {
 			planes[ob+w] = src.at(planes, pwords, w)
 		}
 	}
@@ -465,19 +470,23 @@ func wordCopy(po int, src wordSrc) bitFn {
 
 // withPack runs a component's lane-loop kernel and mirrors the fresh
 // column into its plane, for 0/1 components the word-ops consume but
-// cannot compute.
+// cannot compute. Each plane word is built in a register and stored
+// once; the last word keeps its bits at slots n and above, which hold
+// retired lanes that sim.Gang may still materialize.
 func withPack(gf gangFn, slot, plane int) bitFn {
-	return func(vals []int64, planes []uint64, stride, pwords, _ int, active []int, cycles []int64) {
-		gf(vals, stride, active, cycles)
-		ob, pb := slot*stride, plane*pwords
-		for _, l := range active {
-			bit := uint(l & 63)
-			pw := pb + l>>6
-			if vals[ob+l] != 0 {
-				planes[pw] |= 1 << bit
-			} else {
-				planes[pw] &^= 1 << bit
+	return func(vals []int64, planes []uint64, stride, pwords, n int, cycles []int64) {
+		gf(vals, stride, n, cycles)
+		col, pl := vals[slot*stride:][:n], planes[plane*pwords:][:(n+63)>>6]
+		for w := range pl {
+			seg := col[w<<6 : min(w<<6+64, n)]
+			var word uint64
+			for b := len(seg) - 1; b >= 0; b-- {
+				word = word<<1 | uint64(seg[b]|-seg[b])>>63 // 1 when nonzero
 			}
+			if len(seg) < 64 {
+				word |= pl[w] &^ (1<<len(seg) - 1)
+			}
+			pl[w] = word
 		}
 	}
 }
@@ -485,18 +494,22 @@ func withPack(gf gangFn, slot, plane int) bitFn {
 // withScatter mirrors a freshly word-computed plane back into its
 // column for the lane-loop code downstream that reads it.
 func withScatter(fn bitFn, slot, plane int) bitFn {
-	return func(vals []int64, planes []uint64, stride, pwords, words int, active []int, cycles []int64) {
-		fn(vals, planes, stride, pwords, words, active, cycles)
-		ob, pb := slot*stride, plane*pwords
-		for _, l := range active {
-			vals[ob+l] = int64(planes[pb+l>>6] >> uint(l&63) & 1)
+	return func(vals []int64, planes []uint64, stride, pwords, n int, cycles []int64) {
+		fn(vals, planes, stride, pwords, n, cycles)
+		col := vals[slot*stride:][:n]
+		for w, word := range planes[plane*pwords:][:(n+63)>>6] {
+			seg := col[w<<6:]
+			for b := range seg[:min(64, len(seg))] {
+				seg[b] = int64(word & 1)
+				word >>= 1
+			}
 		}
 	}
 }
 
 // liftGang adapts an unchanged lane-loop kernel to the bit kernel list.
 func liftGang(gf gangFn) bitFn {
-	return func(vals []int64, _ []uint64, stride, _, _ int, active []int, cycles []int64) {
-		gf(vals, stride, active, cycles)
+	return func(vals []int64, _ []uint64, stride, _, n int, cycles []int64) {
+		gf(vals, stride, n, cycles)
 	}
 }

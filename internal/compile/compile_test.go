@@ -48,9 +48,12 @@ func newCycleOut(init []int64, mems int) cycleOut {
 }
 
 // entryPoints are the two ways a cycle reaches the kernels. Each runs
-// one cycle from the initial value vector init. The gang entry runs at
-// stride 3 with only lane 1 active and requires lanes 0 and 2 — filled
-// with poison — to come back untouched.
+// one cycle from the initial value vector init. The gang entry runs n
+// live lanes at the front of stride 3, each from its own values (lane l
+// adds l*0x111 to every slot of init), and requires the slots at and
+// above n — filled with poison — to come back untouched. Lane 0 is the
+// entry's result; every other lane must equal StepCycle from its own
+// values, so a kernel that read one lane's column for another fails.
 var entryPoints = []struct {
 	name string
 	run  func(t *testing.T, c *Compiled, init []int64, mems int) cycleOut
@@ -61,33 +64,52 @@ var entryPoints = []struct {
 		return o
 	}},
 	{"StepCycleGang", func(t *testing.T, c *Compiled, init []int64, mems int) cycleOut {
-		const stride, lane, poison = 3, 1, -7
-		spread := func(src []int64) []int64 {
-			v := make([]int64, len(src)*stride)
+		const stride, n, poison = 3, 2, -7
+		lanes := make([]cycleOut, n)
+		for l := range lanes {
+			lanes[l] = newCycleOut(init, mems)
+			for i := range lanes[l].vals {
+				lanes[l].vals[i] += int64(l) * 0x111
+			}
+		}
+		spread := func(col func(cycleOut) []int64) []int64 {
+			v := make([]int64, len(col(lanes[0]))*stride)
 			for i := range v {
 				v[i] = poison
 			}
-			for i, x := range src {
-				v[i*stride+lane] = x
+			for l, o := range lanes {
+				for i, x := range col(o) {
+					v[i*stride+l] = x
+				}
 			}
 			return v
 		}
-		gather := func(v []int64) []int64 {
+		gather := func(v []int64, lane int) []int64 {
 			out := make([]int64, len(v)/stride)
 			for i := range v {
 				switch {
 				case i%stride == lane:
 					out[i/stride] = v[i]
-				case v[i] != poison:
-					t.Errorf("gang kernel wrote inactive lane %d of row %d", i%stride, i/stride)
+				case i%stride >= n && v[i] != poison:
+					t.Errorf("gang kernel wrote slot %d of row %d, at or above n = %d", i%stride, i/stride, n)
 				}
 			}
 			return out
 		}
-		o := newCycleOut(init, mems)
-		vals, addr, data, opn := spread(o.vals), spread(o.addr), spread(o.data), spread(o.opn)
-		c.StepCycleGang(vals, addr, data, opn, stride, []int{lane}, make([]int64, stride))
-		return cycleOut{gather(vals), gather(addr), gather(data), gather(opn)}
+		vals := spread(func(o cycleOut) []int64 { return o.vals })
+		addr := spread(func(o cycleOut) []int64 { return o.addr })
+		data := spread(func(o cycleOut) []int64 { return o.data })
+		opn := spread(func(o cycleOut) []int64 { return o.opn })
+		c.StepCycleGang(vals, addr, data, opn, stride, n, make([]int64, stride))
+		for l := 1; l < n; l++ {
+			want := lanes[l]
+			c.StepCycle(want.vals, want.addr, want.data, want.opn, 0)
+			got := cycleOut{gather(vals, l), gather(addr, l), gather(data, l), gather(opn, l)}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("gang lane %d: %+v, StepCycle from its values has %+v", l, got, want)
+			}
+		}
+		return cycleOut{gather(vals, 0), gather(addr, 0), gather(data, 0), gather(opn, 0)}
 	}},
 }
 

@@ -10,12 +10,18 @@ package sim_test
 // plain lane-loop gang and the bit-parallel gang over divergent
 // per-lane budgets, and fails on any difference in architectural
 // hash, statistics, cycle count or runtime error. Every gang here
-// retires lanes out of step, so compaction is fuzzed for free.
+// retires lanes out of step, so compaction is fuzzed for free. Each
+// gang path also runs warm-started: every lane resumes from the
+// interpreter's snapshot at a cycle chosen per lane, so live lanes hold
+// different states in every cycle and fault at different cycles and
+// memories — a kernel that read one lane's column for another would
+// pass the power-on gangs, whose live lanes all agree.
 // `go test -fuzz=FuzzGangEquivalence` explores; the committed corpus
 // under testdata/fuzz/ pins the interesting shapes as ordinary
 // regression tests.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -36,16 +42,60 @@ func fuzzBudgets(base int64, lanes int) []int64 {
 	return budgets
 }
 
+// warmStarts picks each lane's resume cycle, a different eighth of its
+// budget per lane; deterministic in (budgets, seed).
+func warmStarts(budgets []int64, seed int64) []int64 {
+	starts := make([]int64, len(budgets))
+	for l, b := range budgets {
+		starts[l] = b * ((int64(l)*5 + seed) & 7) / 8
+	}
+	return starts
+}
+
+// snapshotAt is p's state after start cycles from power-on, or at the
+// last cycle before its first fault when that comes sooner: restoring
+// a faulted state would replay a half-committed cycle.
+func snapshotAt(t *testing.T, p *core.Program, start int64) []byte {
+	t.Helper()
+	m := p.NewMachine(core.Options{})
+	if err := m.Run(start); err != nil {
+		clean := m.Cycle()
+		m = p.NewMachine(core.Options{})
+		if err := m.Run(clean); err != nil {
+			t.Fatalf("rerun to cycle %d faulted: %v", clean, err)
+		}
+	}
+	return m.SaveState()
+}
+
 // gangOutcomes steps one gang to completion and captures every lane as
-// the scalarOutcome its stand-alone machine must equal.
-func gangOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64) []scalarOutcome {
+// the scalarOutcome its stand-alone machine must equal. With warm
+// snapshots, lane l first restores warm[l], and its final snapshot must
+// equal, byte for byte, that of machine p restored from warm[l] and run
+// to the same budget (p's own latches, not the snapshot source's).
+func gangOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64, warm [][]byte) []scalarOutcome {
 	t.Helper()
 	g, ok := p.NewGang(len(budgets))
 	if !ok {
 		t.Fatalf("%s: program not gang-capable", p.Backend())
 	}
 	g.Reset(budgets)
+	for l, st := range warm {
+		if err := g.RestoreLaneState(l, st); err != nil {
+			t.Fatalf("lane %d: RestoreLaneState: %v", l, err)
+		}
+	}
 	for g.Step(chunk) {
+	}
+	for l, st := range warm {
+		m := p.NewMachine(core.Options{})
+		if err := m.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		_ = m.Run(budgets[l] - m.Cycle()) // a fault shows in the snapshot; LaneErr is checked below
+		if !bytes.Equal(g.SaveLaneState(l), m.SaveState()) {
+			t.Errorf("%s warm lane %d (budget %d): SaveLaneState differs from a restored machine's SaveState", p.Backend(), l, budgets[l])
+		}
 	}
 	out := make([]scalarOutcome, len(budgets))
 	for l := range budgets {
@@ -106,7 +156,13 @@ func FuzzGangEquivalence(f *testing.F) {
 
 		// Interpreter reference per budget; then the compiled scalar
 		// path, and both gang paths in odd chunks so lanes retire
-		// mid-chunk.
+		// mid-chunk, from power-on and warm-started from the reference.
+		// A warm lane's outcome is its cold one: it resumes the
+		// reference's own run.
+		warm := make([][]byte, len(budgets))
+		for l, start := range warmStarts(budgets, seed) {
+			warm[l] = snapshotAt(t, ref, start)
+		}
 		scalarOutcomes := func(p *core.Program) []scalarOutcome {
 			out := make([]scalarOutcome, len(budgets))
 			for l, budget := range budgets {
@@ -120,8 +176,10 @@ func FuzzGangEquivalence(f *testing.F) {
 			got  []scalarOutcome
 		}{
 			{"scalar", scalarOutcomes(bit)},
-			{"gang", gangOutcomes(t, plain, budgets, 7)},
-			{"bitgang", gangOutcomes(t, bit, budgets, 7)},
+			{"gang", gangOutcomes(t, plain, budgets, 7, nil)},
+			{"bitgang", gangOutcomes(t, bit, budgets, 7, nil)},
+			{"gang-warm", gangOutcomes(t, plain, budgets, 7, warm)},
+			{"bitgang-warm", gangOutcomes(t, bit, budgets, 7, warm)},
 		} {
 			for l := range budgets {
 				if !reflect.DeepEqual(path.got[l], want[l]) {

@@ -16,28 +16,33 @@ import "fmt"
 // program (same architectural state, statistics, runtime errors at the
 // same cycles), which the cross-path equivalence tests enforce.
 //
-// Divergence is handled with an active-lane list: a lane leaves the
-// gang when it reaches its target cycle (halts) or hits a runtime
-// error (faults out), and the remaining lanes keep stepping. Because a
-// cycle's evaluation phase is idempotent — combinational outputs and
-// input latches are pure functions of the pre-commit state — a lane
-// fault during evaluation simply deactivates the lane and re-runs the
-// cycle's evaluation for the survivors; memory commit, which does
-// mutate state, handles lane faults in place without re-running.
+// Divergence is handled by keeping the live lanes dense: a lane leaves
+// the gang when it reaches its target cycle (halts) or hits a runtime
+// error (faults out), and its state column trades places with the last
+// live lane's, so the n live lanes always occupy physical slots [0, n)
+// and every kernel is one branch-free loop over that prefix. A lane
+// retires once, so keeping the prefix costs at most one column swap per
+// lane per run. Because a cycle's evaluation phase is idempotent —
+// combinational outputs and input latches are pure functions of the
+// pre-commit state — a lane fault during evaluation simply retires the
+// lane and re-runs the cycle's evaluation for the survivors; memory
+// commit, which does mutate state, handles lane faults in place without
+// re-running.
 
 // GangStepper is an optional Evaluator capability: a backend that can
 // evaluate one cycle for a whole gang of lanes in component-major
 // order — for each combinational component (in dependency order) and
-// each memory latch, one loop over the active lanes — against the
+// each memory latch, one loop over the live lanes — against the
 // struct-of-arrays layout a Gang maintains.
 //
 // Layout: vals[slot*stride+lane] is lane's output for slot;
 // addr/data/opn[mem*stride+lane] are lane's latched memory inputs for
-// memory ordinal mem. active lists the lane indices to evaluate, and
+// memory ordinal mem. The lanes to evaluate are exactly [0, n), and
 // cycles[lane] is each lane's current cycle (for runtime-error
-// reporting; active lanes need not agree on it).
+// reporting; live lanes need not agree on it). Kernels must not write
+// any lane at or above n.
 //
-// For every active lane the result must be bit-identical to
+// For every lane below n the result must be bit-identical to
 // StepCycle on a Machine in the same state. A per-lane
 // runtime error is reported by panicking with *GangFault (use
 // FailLane); the gang recovers it, faults the lane out and re-runs the
@@ -46,7 +51,7 @@ import "fmt"
 type GangStepper interface {
 	Evaluator
 
-	StepCycleGang(vals []int64, addr, data, opn []int64, stride int, active []int, cycles []int64)
+	StepCycleGang(vals []int64, addr, data, opn []int64, stride, n int, cycles []int64)
 }
 
 // CanGang reports whether an evaluator supports gang execution.
@@ -68,10 +73,12 @@ func CanGang(e Evaluator) bool {
 //
 // StepCycleGangBits is StepCycleGang with the plane state threaded
 // through: planes[p*pwords+w] holds plane p's word w, and lane l's bit
-// lives at word l>>6, bit l&63. words is how many words per plane the
-// kernels must process to cover every active lane (the gang trims it
-// to the live span); bits beyond the live span may hold garbage. After
-// the call, for every active lane the plane bits and the vals vector
+// lives at word l>>6, bit l&63. The kernels process the ceil(n/64)
+// words that cover the live lanes [0, n). Bits at slots n and above
+// inside the last of those words belong to retired lanes: the word-ops
+// may recompute them, and a halted lane's are a fixed point of that
+// recomputation, but no kernel may otherwise change them. After the
+// call, for every lane below n the plane bits and the vals vector
 // together are bit-identical to StepCycleGang's vals: a plane slot's
 // architectural value is its lane bit (0 or 1), and the gang
 // materializes bits back into vals whenever lane state is observed.
@@ -79,7 +86,7 @@ type BitGangStepper interface {
 	GangStepper
 
 	BitPlaneSlots() []int
-	StepCycleGangBits(vals []int64, planes []uint64, addr, data, opn []int64, stride, pwords, words int, active []int, cycles []int64)
+	StepCycleGangBits(vals []int64, planes []uint64, addr, data, opn []int64, stride, pwords, n int, cycles []int64)
 }
 
 // CanBitGang reports whether an evaluator has bit-parallel gang
@@ -118,10 +125,9 @@ type Gang struct {
 
 	// Lane compaction: public lane indices are logical and stable; all
 	// per-lane storage is indexed by physical slot. Compaction swaps
-	// retired lanes' columns out of the live span so the kernels' lane
-	// loops (and the bit path's word loops) stop visiting dead slots on
-	// long-tail campaigns. phys and logOf are inverse permutations of
-	// [0, lanes).
+	// retired lanes' columns out of the live prefix [0, n) so the
+	// kernels' lane loops (and the bit path's word loops) never visit a
+	// dead slot. phys and logOf are inverse permutations of [0, lanes).
 	phys  []int // logical lane -> physical slot
 	logOf []int // physical slot -> logical lane
 
@@ -130,13 +136,13 @@ type Gang struct {
 	planeSlots []int    // slot of each plane, in plane order
 	planes     []uint64 // [plane*pwords+word]; phys slot p's bit at word p>>6, bit p&63
 	pwords     int      // words per plane: ceil(stride/64)
-	detached   []bool   // by phys slot: faulted, vals column is authoritative
+	detached   []bool   // by phys slot: vals column is authoritative (faulted, or never steps)
 
 	lanes  int     // lanes configured by the last Reset
-	active []int   // physical slots still stepping, ascending
+	n      int     // live lanes, which occupy physical slots [0, n)
 	cycle  []int64 // per-phys-slot cycle counter
 	target []int64 // per-phys-slot halt cycle
-	stats  []Stats // per-phys-slot statistics
+	stats  []Stats // per-phys-slot Cycles; memory operation counts are in state.ops
 	err    []error // per-phys-slot fault, nil while healthy
 }
 
@@ -168,9 +174,6 @@ func NewGang(layout *Layout, eval Evaluator, capacity int) (*Gang, bool) {
 		g.memSlot[i] = mem.Slot
 		g.memSize[i] = mem.Size
 	}
-	for l := range g.stats {
-		g.stats[l] = Stats{MemOps: make([]MemOpStats, nm)}
-	}
 	if bs, ok := eval.(BitGangStepper); ok {
 		if slots := bs.BitPlaneSlots(); len(slots) > 0 {
 			g.bit = bs
@@ -193,15 +196,10 @@ func (g *Gang) Lanes() int { return g.lanes }
 // bit-parallel kernels (BitGangStepper with at least one plane).
 func (g *Gang) BitParallel() bool { return g.bit != nil }
 
-// LiveSpan returns the extent of physical slots the kernels currently
-// visit: every active lane occupies a slot below it. Compaction shrinks
-// it as lanes retire; exposed for tests and planner telemetry.
-func (g *Gang) LiveSpan() int {
-	if len(g.active) == 0 {
-		return 0
-	}
-	return g.active[len(g.active)-1] + 1
-}
+// LiveSpan returns the number of physical slots the kernels currently
+// visit, which is the number of live lanes: they occupy slots [0, n).
+// It shrinks as lanes retire; exposed for tests.
+func (g *Gang) LiveSpan() int { return g.n }
 
 // Reset configures len(targets) lanes at power-on state — the state
 // Machine.Reset produces — with lane l set to halt upon reaching cycle
@@ -224,63 +222,41 @@ func (g *Gang) Reset(targets []int64) {
 			g.planes[i] = 0
 		}
 		// A lane whose budget is zero retires without ever evaluating,
-		// but the word-ops still sweep its bits (they cover every slot
-		// below the live span). Detach it up front so its power-on
-		// column stays authoritative; every other lane evaluates on the
-		// first step, which makes its plane bits exact.
+		// but the word-ops still sweep its bits when it lands in the
+		// last live word. Detach it up front so its power-on column
+		// stays authoritative; every other lane evaluates on the first
+		// step, which makes its plane bits exact.
 		for l := range g.detached {
 			g.detached[l] = l < len(targets) && targets[l] <= 0
 		}
 	}
 	copy(g.target, targets)
-	g.refreshActive()
+	g.n = g.lanes
+	g.compact()
 }
 
-// refreshActive rebuilds the active-lane list — physical slots that
-// have neither faulted nor reached their target cycle — and compacts
-// the gang when the live span has grown sparse.
-func (g *Gang) refreshActive() {
-	g.active = g.active[:0]
-	for p := 0; p < g.lanes; p++ {
-		if g.err[p] == nil && g.cycle[p] < g.target[p] {
-			g.active = append(g.active, p)
-		}
-	}
-	g.maybeCompact()
-}
+// live reports whether physical slot p has neither faulted nor reached
+// its target cycle.
+func (g *Gang) live(p int) bool { return g.err[p] == nil && g.cycle[p] < g.target[p] }
 
-// compactMinSpan is the live span below which compaction is not worth
-// the column swaps.
-const compactMinSpan = 16
-
-// maybeCompact swaps live lanes' state columns into the low physical
-// slots when retired lanes make up at least half the live span, so
-// both the lane loops' memory traffic and the bit path's word count
-// shrink with the survivor population instead of staying pinned at the
-// high-water mark. Public lane indices are logical and unaffected;
-// results are byte-identical because a lane's whole column (values,
-// memory rows, latches, counters, statistics, plane bits) moves as one.
-func (g *Gang) maybeCompact() {
-	n := len(g.active)
-	if n == 0 {
-		return
-	}
-	span := g.active[n-1] + 1
-	if span < compactMinSpan || span < 2*n {
-		return
-	}
-	d := 0 // next candidate dead slot below n
-	for k := n - 1; k >= 0 && g.active[k] >= n; k-- {
-		for g.err[d] == nil && g.cycle[d] < g.target[d] {
-			d++
+// compact restores the dense prefix after lanes retire: retired slots
+// at the end of [0, n) drop off it, and each retired slot below a live
+// one trades places with the last live slot, so the live lanes occupy
+// exactly [0, n) and a retirement costs at most one column swap.
+// Public lane indices are logical and unaffected; results are
+// byte-identical because a lane's whole column (values, memory rows,
+// latches, counters, statistics, plane bits) moves as one.
+func (g *Gang) compact() {
+	for p := 0; p < g.n; {
+		switch {
+		case g.live(p):
+			p++
+		case !g.live(g.n - 1):
+			g.n--
+		default:
+			g.n--
+			g.swapSlots(p, g.n)
 		}
-		g.swapSlots(g.active[k], d)
-		d++
-	}
-	// Exactly the n live lanes now occupy slots [0, n).
-	g.active = g.active[:0]
-	for p := 0; p < n; p++ {
-		g.active = append(g.active, p)
 	}
 }
 
@@ -301,6 +277,7 @@ func (g *Gang) swapSlots(a, b int) {
 		g.addr[mb+a], g.addr[mb+b] = g.addr[mb+b], g.addr[mb+a]
 		g.data[mb+a], g.data[mb+b] = g.data[mb+b], g.data[mb+a]
 		g.opn[mb+a], g.opn[mb+b] = g.opn[mb+b], g.opn[mb+a]
+		g.ops[mb+a], g.ops[mb+b] = g.ops[mb+b], g.ops[mb+a]
 	}
 	g.cycle[a], g.cycle[b] = g.cycle[b], g.cycle[a]
 	g.target[a], g.target[b] = g.target[b], g.target[a]
@@ -324,20 +301,20 @@ func (g *Gang) swapSlots(a, b int) {
 }
 
 // Done reports whether every lane has halted or faulted.
-func (g *Gang) Done() bool { return len(g.active) == 0 }
+func (g *Gang) Done() bool { return g.n == 0 }
 
-// Step advances every active lane by up to max cycles in lockstep and
-// reports whether any lane remains active. Lanes retire individually:
+// Step advances every live lane by up to max cycles in lockstep and
+// reports whether any lane remains live. Lanes retire individually:
 // a lane that reaches its target cycle halts, a lane that hits a
 // runtime error records it (LaneErr) and faults out with its state
 // frozen exactly where a stand-alone machine's error would have left
 // it; the other lanes are unaffected. Callers loop Step with a chunk
 // size to interleave cancellation checks, as they would Machine.Run.
 func (g *Gang) Step(max int64) bool {
-	for max > 0 && len(g.active) > 0 {
+	for max > 0 && g.n > 0 {
 		max -= g.run(max)
 	}
-	return len(g.active) > 0
+	return g.n > 0
 }
 
 // run executes up to max gang cycles inside one recovery scope and
@@ -355,7 +332,7 @@ func (g *Gang) run(max int64) (n int64) {
 			if !ok {
 				panic(r)
 			}
-			if gf.Lane < 0 || gf.Lane >= g.lanes || g.err[gf.Lane] != nil {
+			if gf.Lane < 0 || gf.Lane >= g.n {
 				panic(fmt.Sprintf("sim: gang kernel reported fault for bad lane %d", gf.Lane))
 			}
 			// On the bit path the faulted slot's plane bits hold exactly
@@ -366,16 +343,14 @@ func (g *Gang) run(max int64) (n int64) {
 			// lanes' re-run will keep rewriting the shared plane words.
 			g.detachSlot(gf.Lane)
 			g.err[gf.Lane] = gf.Err
-			g.refreshActive()
+			g.compact()
 		}
 	}()
-	for ; n < max && len(g.active) > 0; n++ {
+	for ; n < max && g.n > 0; n++ {
 		if g.bit != nil {
-			span := g.active[len(g.active)-1] + 1
-			words := (span + 63) >> 6
-			g.bit.StepCycleGangBits(g.vals, g.planes, g.addr, g.data, g.opn, g.stride, g.pwords, words, g.active, g.cycle)
+			g.bit.StepCycleGangBits(g.vals, g.planes, g.addr, g.data, g.opn, g.stride, g.pwords, g.n, g.cycle)
 		} else {
-			g.eval.StepCycleGang(g.vals, g.addr, g.data, g.opn, g.stride, g.active, g.cycle)
+			g.eval.StepCycleGang(g.vals, g.addr, g.data, g.opn, g.stride, g.n, g.cycle)
 		}
 		g.commitAdvance()
 	}
@@ -407,75 +382,84 @@ func (g *Gang) detachSlot(p int) {
 	g.detached[p] = true
 }
 
-// commitAdvance commits every active lane's latched memory operations
+// commitAdvance commits every live lane's latched memory operations
 // and advances the lanes that completed the cycle. Commit is
-// lane-major (lanes are independent, so the order across lanes is
-// unobservable); within a lane it is memory-major like the scalar
-// commitMems, and a lane that faults at memory i keeps its earlier
-// memories' commits and skips the rest, exactly like the scalar
-// path's panic unwind.
+// memory-major, one dense loop over [0, n) per memory (lanes are
+// independent, so the order across lanes is unobservable); within a
+// lane the memories commit in ordinal order like the scalar commitMems,
+// and a lane that faults at memory i keeps its earlier memories'
+// commits and skips the rest, exactly like the scalar path's panic
+// unwind.
 func (g *Gang) commitAdvance() {
-	retired := false
-	for _, l := range g.active {
-		ops := g.stats[l].MemOps
-	mems:
-		for i, size := range g.memSize {
-			a, d, op := g.addr[i*g.stride+l], g.data[i*g.stride+l], g.opn[i*g.stride+l]
-			arr := g.arrays[i]
-			base := l * size
-			var temp int64
-			switch op & 3 {
+	n, errs := g.n, g.err[:g.n]
+	faulted := false // some lane faulted in this commit: check errs per lane
+	for i, size := range g.memSize {
+		mb := i * g.stride
+		addr, data, opn, counts := g.addr[mb:][:n], g.data[mb:][:n], g.opn[mb:][:n], g.ops[mb:][:n]
+		out := g.vals[g.memSlot[i]*g.stride:][:n]
+		arr := g.arrays[i]
+		for p, op := range opn {
+			if faulted && errs[p] != nil {
+				continue
+			}
+			a, op := addr[p], op&3
+			if op == OpInput || op <= OpWrite && uint64(a) >= uint64(size) {
+				g.commitFault(p, i, op, a)
+				faulted = true
+				continue
+			}
+			switch ops := &counts[p]; op {
 			case OpRead:
-				if a < 0 || a >= int64(size) {
-					g.failLane(l, g.layout.Mems[i].Name, "read address %d outside 0..%d", a, size-1)
-					break mems
-				}
-				temp = arr[base+int(a)]
-				ops[i].Reads++
+				out[p] = arr[p*size+int(a)]
+				ops.Reads++
 			case OpWrite:
-				if a < 0 || a >= int64(size) {
-					g.failLane(l, g.layout.Mems[i].Name, "write address %d outside 0..%d", a, size-1)
-					break mems
-				}
-				temp = d
-				arr[base+int(a)] = d
-				ops[i].Writes++
-			case OpInput:
-				// Gang lanes never have an input device, like a machine
-				// built with zero Options.
-				g.failLane(l, g.layout.Mems[i].Name, "input operation with no input attached")
-				break mems
-			case OpOutput:
+				arr[p*size+int(a)] = data[p]
+				out[p] = data[p]
+				ops.Writes++
+			default:
 				// Counted and discarded; zero-Options machines write to
 				// io.Discard.
-				temp = d
-				ops[i].Outputs++
+				out[p] = data[p]
+				ops.Outputs++
 			}
-			g.vals[g.memSlot[i]*g.stride+l] = temp
 		}
-		if g.err[l] != nil {
-			retired = true
+	}
+	retired := faulted
+	for p := 0; p < n; p++ {
+		if faulted && errs[p] != nil {
 			continue
 		}
-		g.cycle[l]++
-		g.stats[l].Cycles++
-		if g.cycle[l] >= g.target[l] {
+		g.cycle[p]++
+		g.stats[p].Cycles++
+		if g.cycle[p] >= g.target[p] {
 			retired = true
 		}
 	}
 	if retired {
-		g.refreshActive()
+		g.compact()
 	}
 }
 
-// failLane records a commit-phase runtime error for one physical slot,
-// shaped exactly like the scalar path's Fail. The cycle's evaluation
-// completed before commit began, so on the bit path the slot's plane
-// bits are exactly this cycle's combinational outputs — materialized
-// here, before the lane's state freezes.
-func (g *Gang) failLane(l int, component string, format string, args ...interface{}) {
+// commitFault records the commit-phase runtime error of physical slot
+// l's operation op at address a of memory mem, shaped exactly like the
+// scalar path's Fail. The cycle's evaluation completed before commit
+// began, so on the bit path the slot's plane bits are exactly this
+// cycle's combinational outputs — materialized here, before the lane's
+// state freezes.
+func (g *Gang) commitFault(l, mem int, op, a int64) {
+	var msg string
+	switch last := g.memSize[mem] - 1; op {
+	case OpRead:
+		msg = fmt.Sprintf("read address %d outside 0..%d", a, last)
+	case OpWrite:
+		msg = fmt.Sprintf("write address %d outside 0..%d", a, last)
+	default:
+		// Gang lanes never have an input device, like a machine built
+		// with zero Options.
+		msg = "input operation with no input attached"
+	}
 	g.detachSlot(l)
-	g.err[l] = &RuntimeError{Component: component, Cycle: g.cycle[l], Msg: fmt.Sprintf(format, args...)}
+	g.err[l] = &RuntimeError{Component: g.layout.Mems[mem].Name, Cycle: g.cycle[l], Msg: msg}
 }
 
 // slotOf maps a public (logical) lane index to its physical slot.
@@ -500,11 +484,12 @@ func (g *Gang) LaneErr(l int) error { return g.err[g.slotOf(l)] }
 // the lanes share that one block; AppendLaneStats(l, nil) gives a lane
 // a block of its own.
 func (g *Gang) AppendLaneStats(l int, ops []MemOpStats) (Stats, []MemOpStats) {
-	s := g.stats[g.slotOf(l)]
+	p := g.slotOf(l)
 	at := len(ops)
-	ops = append(ops, s.MemOps...)
-	s.MemOps = ops[at:len(ops):len(ops)]
-	return s, ops
+	for k := p; k < len(g.ops); k += g.stride {
+		ops = append(ops, g.ops[k])
+	}
+	return Stats{Cycles: g.stats[p].Cycles, MemOps: ops[at:len(ops):len(ops)]}, ops
 }
 
 // MemCount returns the number of memories each lane's statistics
@@ -560,10 +545,14 @@ func (g *Gang) RestoreLaneState(l int, st []byte) error {
 	if err := g.column(p).restoreState(st); err != nil {
 		return err
 	}
+	g.err[p] = nil
 	// Repack the restored vals into the slot's plane bits, so the bit
 	// path's planes are authoritative again from the first step — and a
 	// fault during that step materializes back to exactly the scalar
-	// path's partial state.
+	// path's partial state. A lane restored at or past its target never
+	// steps, and the word-ops would rewrite its bits from a state that
+	// is not their fixed point, so like a zero-budget lane it stays
+	// detached.
 	if g.bit != nil {
 		w, bit := p>>6, uint(p&63)
 		for i, slot := range g.planeSlots {
@@ -574,9 +563,14 @@ func (g *Gang) RestoreLaneState(l int, st []byte) error {
 				g.planes[pw] &^= 1 << bit
 			}
 		}
-		g.detached[p] = false
+		g.detached[p] = !g.live(p)
 	}
-	g.err[p] = nil
-	g.refreshActive()
+	// A retired lane restored to a live state rejoins the prefix; a live
+	// lane restored at or past its target leaves it.
+	if p >= g.n && g.live(p) {
+		g.swapSlots(p, g.n)
+		g.n++
+	}
+	g.compact()
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/allocpin"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/sim"
@@ -539,5 +540,151 @@ func TestGangCompactionProperty(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGangCommitFaultMemoryOrder pins the memory-major commit's fault
+// rule: in one cycle some lanes fault at memory 1 while the others
+// commit normally, and a faulted lane keeps memory 0's commit and skips
+// memory 2's, exactly like a machine's commit unwinding at memory 1.
+// Memory 0 counts cycles, memory 1 reads at the count and faults once
+// it passes the last cell, memory 2 records the count. Lanes resume
+// from snapshots at different cycles, so they reach the fault cycle at
+// different gang cycles. The "moved" gang first retires two low lanes,
+// so the fault strikes lanes that compaction has moved.
+func TestGangCommitFaultMemoryOrder(t *testing.T) {
+	src := "#order\nc m0 m1 m2 .\nA c 4 m0 1\nM m0 0 c 1 1\nM m1 m0 0 0 8\nM m2 0 c 1 1\n.\n"
+	spec, err := core.ParseString("order", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Compile(spec, core.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(cycles int64) []byte {
+		m := p.NewMachine(core.Options{})
+		if err := m.Run(cycles); err != nil {
+			t.Fatal(err)
+		}
+		return m.SaveState()
+	}
+	starts := []int64{0, 5, 2, 5, 0, 7, 3, 5}
+	for _, tc := range []struct {
+		name    string
+		budgets []int64
+	}{
+		{"in-place", []int64{20, 20, 20, 20, 20, 20, 20, 20}},
+		{"moved", []int64{1, 2, 20, 20, 20, 20, 20, 20}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, ok := p.NewGang(len(starts))
+			if !ok {
+				t.Fatal("not gang-capable")
+			}
+			g.Reset(tc.budgets)
+			for l, start := range starts {
+				if err := g.RestoreLaneState(l, snapshot(start)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Step one cycle at a time until the first faults, which must
+			// leave other lanes healthy and stepping.
+			for g.Step(1) {
+				faulted := 0
+				for l := range starts {
+					if g.LaneErr(l) != nil {
+						faulted++
+					}
+				}
+				if faulted == 0 {
+					continue
+				}
+				if g.Done() {
+					t.Fatal("every lane faulted in the first fault cycle")
+				}
+				if tc.name == "moved" && g.LiveSpan() >= len(starts)-faulted {
+					t.Fatal("no lane retired before the fault cycle; compaction untested")
+				}
+				break
+			}
+			for g.Step(64) {
+			}
+			for l, start := range starts {
+				m := p.NewMachine(core.Options{})
+				if err := m.RestoreState(snapshot(start)); err != nil {
+					t.Fatal(err)
+				}
+				var want string
+				if err := m.Run(tc.budgets[l] - start); err != nil {
+					want = err.Error()
+				}
+				var got string
+				if err := g.LaneErr(l); err != nil {
+					got = err.Error()
+				}
+				if got != want {
+					t.Errorf("lane %d: err %q, machine has %q", l, got, want)
+				}
+				if !bytes.Equal(g.SaveLaneState(l), m.SaveState()) {
+					t.Errorf("lane %d: snapshot differs from the machine's", l)
+				}
+				if tc.budgets[l] > 8 && want == "" { // m0 reaches m1's size at cycle 8
+					t.Errorf("lane %d: machine did not fault; the spec no longer exercises the commit rule", l)
+				}
+			}
+			// The rule itself, on a faulted lane: memory 0 committed the
+			// fault cycle's count (9), memory 2 kept the previous one (8).
+			if m0, m2 := g.LaneValue(2, "m0"), g.LaneValue(2, "m2"); m0 != 9 || m2 != 8 {
+				t.Errorf("faulted lane 2: m0 = %d, m2 = %d, want 9 and 8", m0, m2)
+			}
+		})
+	}
+}
+
+// TestGangStepAllocs pins that stepping a gang allocates nothing, on
+// both kernel paths, with staggered budgets so lanes retire one by one
+// and every retirement swaps columns to keep the live lanes dense.
+func TestGangStepAllocs(t *testing.T) {
+	allocpin.SkipUnderRace(t)
+	sieveSrc, err := machines.SieveSpec(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{"sieve": sieveSrc, "bitmix": machines.BitMixSpec(6, 10)} {
+		spec, err := core.ParseString(name, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := core.Compile(spec, core.Compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const lanes = 40
+		budgets := make([]int64, lanes)
+		for l := range budgets {
+			budgets[l] = 30 + int64(l*37%lanes)*5
+		}
+		g, ok := p.NewGang(lanes)
+		if !ok || g.BitParallel() != (name == "bitmix") {
+			t.Fatalf("%s: gang-capable %v, bit-parallel %v", name, ok, ok && g.BitParallel())
+		}
+		g.Reset(budgets)
+		g.Step(1) // builds the kernels, once
+		var swept bool
+		g.Reset(budgets)
+		for g.Step(16) {
+			swept = swept || g.LiveSpan() < lanes
+		}
+		if !swept {
+			t.Fatalf("%s: no lane retired while others stepped", name)
+		}
+		if allocs := allocpin.Least(func() {
+			g.Reset(budgets)
+			for g.Step(16) {
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per gang run, want 0", name, allocs)
+		}
 	}
 }

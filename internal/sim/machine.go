@@ -97,7 +97,7 @@ type Observer func(m *Machine)
 // mutable state vectors are allocated per machine.
 func New(layout *Layout, eval Evaluator, opts Options) *Machine {
 	m := &Machine{state: newState(layout, 1), eval: eval, opts: opts}
-	m.stats.MemOps = make([]MemOpStats, len(layout.Mems))
+	m.stats.MemOps = m.ops // stride 1: the state's counts are the machine's
 	if opts.Input != nil {
 		m.inDev = newInputDevice(opts.Input)
 	}

@@ -13,8 +13,9 @@ import (
 // (Appendix A). A Machine holds one copy of it; a Gang holds one per
 // lane, interleaved so its kernels loop over lanes. Both store it as a
 // state: column p's output for slot s at vals[s*stride+p], its cells
-// of memory i at arrays[i][p*size:(p+1)*size], its latches at
-// addr/data/opn[i*stride+p]. A Machine is column 0 of stride 1, so the
+// of memory i at arrays[i][p*size:(p+1)*size], its latches and its
+// operation counts of memory i at addr/data/opn/ops[i*stride+p]. A
+// Machine is column 0 of stride 1, so the
 // index expressions below are its own vectors, and everything that
 // reads or writes one machine's state as a whole — the snapshot
 // format, the architectural hash, the power-on reset — is written once,
@@ -62,6 +63,8 @@ type state struct {
 	addr   []int64   // [mem*stride+col]
 	data   []int64   // [mem*stride+col]
 	opn    []int64   // [mem*stride+col]
+
+	ops []MemOpStats // [mem*stride+col]: the column's Stats.MemOps
 }
 
 func newState(layout *Layout, stride int) state {
@@ -74,6 +77,7 @@ func newState(layout *Layout, stride int) state {
 		addr:   make([]int64, nm*stride),
 		data:   make([]int64, nm*stride),
 		opn:    make([]int64, nm*stride),
+		ops:    make([]MemOpStats, nm*stride),
 	}
 	for i, mem := range layout.Mems {
 		s.arrays[i] = make([]int64, mem.Size*stride)
@@ -82,7 +86,8 @@ func newState(layout *Layout, stride int) state {
 }
 
 // column is one machine's state inside a state: column col, with its
-// cycle counter and statistics.
+// cycle counter and its statistics' cycle count (its memory operation
+// counts are in the state).
 type column struct {
 	*state
 	col   int
@@ -98,8 +103,7 @@ func (c column) row(i int) []int64 {
 
 // reset restores power-on state: every component output and memory
 // latch 0, memory arrays zeroed except declared initial values, cycle
-// 0, statistics cleared (their MemOps backing array is reused, so a
-// pooled machine or gang resets without allocating).
+// 0, statistics cleared.
 func (c column) reset() {
 	for k := c.col; k < len(c.vals); k += c.stride {
 		c.vals[k] = 0
@@ -110,11 +114,10 @@ func (c column) reset() {
 		copy(row, mem.Init)
 	}
 	for k := c.col; k < len(c.addr); k += c.stride {
-		c.addr[k], c.data[k], c.opn[k] = 0, 0, 0
+		c.addr[k], c.data[k], c.opn[k], c.ops[k] = 0, 0, 0, MemOpStats{}
 	}
 	*c.cycle = 0
-	clear(c.stats.MemOps)
-	*c.stats = Stats{MemOps: c.stats.MemOps}
+	c.stats.Cycles = 0
 }
 
 // archHash folds the column's architectural state — the slot values
@@ -172,7 +175,8 @@ func (c column) appendState(buf []byte) []byte {
 	}
 	put(*c.cycle)
 	put(c.stats.Cycles)
-	for _, ops := range c.stats.MemOps {
+	for k := c.col; k < len(c.ops); k += c.stride {
+		ops := c.ops[k]
 		put(ops.Reads)
 		put(ops.Writes)
 		put(ops.Inputs)
@@ -213,8 +217,8 @@ func (c column) restoreState(st []byte) error {
 	}
 	*c.cycle = get()
 	c.stats.Cycles = get()
-	for i := range c.stats.MemOps {
-		c.stats.MemOps[i] = MemOpStats{Reads: get(), Writes: get(), Inputs: get(), Outputs: get()}
+	for k := c.col; k < len(c.ops); k += c.stride {
+		c.ops[k] = MemOpStats{Reads: get(), Writes: get(), Inputs: get(), Outputs: get()}
 	}
 	return nil
 }
