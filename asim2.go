@@ -62,7 +62,8 @@ const (
 	CompiledAOT      = core.CompiledAOT
 )
 
-// Backends lists every available backend.
+// Backends lists every available backend. CompiledAOT is an alias of
+// Compiled and is not listed.
 func Backends() []Backend { return core.Backends() }
 
 // ParseString parses and analyzes specification text.

@@ -52,7 +52,7 @@ func TestFacadeParseVariants(t *testing.T) {
 }
 
 func TestFacadeBackends(t *testing.T) {
-	if len(Backends()) != 7 {
+	if len(Backends()) != 6 {
 		t.Errorf("backends = %v", Backends())
 	}
 	spec, err := ParseString("counter", counterSrc)

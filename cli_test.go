@@ -24,6 +24,22 @@ func runCLI(t *testing.T, stdin string, args ...string) (string, string) {
 	return stdout.String(), stderr.String()
 }
 
+// runCLIFailing executes one of the repo's commands via `go run`, with
+// env added to its environment, and demands that it fail; it returns
+// the command's stderr. The go tool's own work directory is kept out of
+// the command's TMPDIR.
+func runCLIFailing(t *testing.T, env []string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command("go", append([]string{"run"}, args...)...)
+	cmd.Env = append(append(os.Environ(), "GOTMPDIR="+t.TempDir()), env...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("go run %v succeeded; want a failure", args)
+	}
+	return stderr.String()
+}
+
 func TestCLIAsimCounter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")
@@ -72,6 +88,52 @@ func TestCLIAsimStatsAndFault(t *testing.T) {
 		"-fault", "count:0:stuck1:0:100", "testdata/counter.sim")
 	if !strings.Contains(stderr, "cycles: 20") {
 		t.Errorf("stats missing: %q", stderr)
+	}
+}
+
+// TestCLIAsimVCDOnFault: a run that faults still flushes its VCD dump,
+// so the file ends with a complete line and holds the faulting cycle.
+func TestCLIAsimVCDOnFault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	path := filepath.Join(t.TempDir(), "out.vcd")
+	stderr := runCLIFailing(t, nil, "./cmd/asim", "-trace=false", "-vcd", path, "-signals", "pc",
+		"-cycles", "7000", "testdata/ibsm1986.sim")
+	if !strings.Contains(stderr, "cycle 5547:") {
+		t.Fatalf("want the run to fault at cycle 5547; stderr: %s", stderr)
+	}
+	dump, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(dump, []byte("\n")) {
+		t.Errorf("dump of %d bytes ends mid-line: %q", len(dump), dump[max(0, len(dump)-20):])
+	}
+	if !bytes.Contains(dump, []byte("\n#5547\n")) {
+		t.Errorf("dump of %d bytes lacks the faulting cycle's marker #5547", len(dump))
+	}
+}
+
+// TestCLIAsimsweepAOTTempDirRemoved: asimsweep -aot removes its
+// temporary worker cache on a failing exit too.
+func TestCLIAsimsweepAOTTempDirRemoved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	for name, args := range map[string][]string{
+		"unknown scenario": {"nosuch"},
+		"trace write":      {"-n", "2", "-cycles", "10", "-trace-out", filepath.Join(t.TempDir(), "missing", "trace.json"), "sieve-fleet"},
+	} {
+		tmp := t.TempDir()
+		runCLIFailing(t, []string{"TMPDIR=" + tmp}, append([]string{"./cmd/asimsweep", "-aot"}, args...)...)
+		left, err := filepath.Glob(filepath.Join(tmp, "asimsweep-aot-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Errorf("%s: asimsweep left %v behind", name, left)
+		}
 	}
 }
 

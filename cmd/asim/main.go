@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -24,11 +25,20 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is one simulation; its deferred cleanup — the VCD dump's flush
+// and close — runs on every exit path, so a run that faults still
+// leaves a complete dump up to the faulting cycle.
+func run() (err error) {
 	var backends []string
 	for _, b := range asim2.Backends() {
 		backends = append(backends, string(b))
 	}
-	backend := flag.String("backend", string(asim2.Compiled), "execution backend: "+strings.Join(backends, ", "))
+	backend := flag.String("backend", string(asim2.Compiled), "execution backend: "+strings.Join(backends, ", ")+" ("+string(asim2.CompiledAOT)+" is an alias of "+string(asim2.Compiled)+")")
 	cycles := flag.Int64("cycles", 0, "cycles to run (default: the spec's '=' count, else 100)")
 	trace := flag.Bool("trace", true, "print the per-cycle trace of '*'-marked signals")
 	stats := flag.Bool("stats", false, "print execution statistics")
@@ -41,21 +51,20 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		log.Fatal("usage: asim [flags] spec.sim")
+		return errors.New("usage: asim [flags] spec.sim")
 	}
 	var spec *asim2.Spec
-	var err error
 	if *extended {
 		data, rerr := os.ReadFile(flag.Arg(0))
 		if rerr != nil {
-			log.Fatal(rerr)
+			return rerr
 		}
 		spec, err = core.ParseExtendedString(flag.Arg(0), string(data))
 	} else {
 		spec, err = asim2.ParseFile(flag.Arg(0))
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *warn {
 		for _, w := range spec.Warnings() {
@@ -69,33 +78,37 @@ func main() {
 	}
 	m, err := asim2.NewMachine(spec, asim2.Backend(*backend), opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if *vcdPath != "" {
 		f, err := os.Create(*vcdPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
 		var sigs []string
 		if *signals != "" {
 			sigs = strings.Split(*signals, ",")
 		}
 		d, err := vcd.Attach(m, f, sigs)
 		if err != nil {
-			log.Fatal(err)
+			f.Close()
+			return err
 		}
-		defer d.Close()
+		defer func() {
+			// The run's own error comes first, then any failure to
+			// flush or close the dump.
+			err = errors.Join(err, d.Close(), f.Close())
+		}()
 	}
 
 	if *faultSpecs != "" {
 		faults, err := parseFaults(*faultSpecs)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if _, err := fault.Inject(m, faults...); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -104,7 +117,7 @@ func main() {
 		n = spec.DefaultCycles(100)
 	}
 	if err := m.Run(n); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The original simulator's continuation loop: "Continue to cycle
@@ -116,7 +129,7 @@ func main() {
 			break
 		}
 		if err := m.Run(target - m.Cycle()); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -127,6 +140,7 @@ func main() {
 		}
 		fmt.Fprint(os.Stderr, m.Stats().Report(names))
 	}
+	return nil
 }
 
 // parseFaults decodes comp:bit:kind:from[:until] descriptors.

@@ -60,7 +60,7 @@ type Report struct {
 	// lane-loop gang kernels on the 1-bit-heavy bit-mix fabric — the
 	// headline for the width-specialized path.
 	BitParallelSpeedup float64 `json:"bitparallel_speedup"`
-	// AOTSpeedup is compiled-aot native workers against the in-process
+	// AOTSpeedup is the compiled program's native workers against the in-process
 	// compiled scalar path on the Figure 5.1 sieve fleet, warm (binary
 	// cached). AOTBuildSeconds is the one-time cold `go build`;
 	// AOTBreakevenCycles is the campaign length whose per-cycle savings
@@ -324,8 +324,8 @@ func main() {
 	endSection("bitparallel")
 
 	// Ahead-of-time native workers: the same Figure 5.1 sieve fleet
-	// through the engine's in-process scalar path and through
-	// compiled-aot subprocess workers, single-worker, digest
+	// through the engine's in-process scalar path and through the
+	// compiled program's subprocess workers, single-worker, digest
 	// cross-checked run by run. The one-time `go build` is timed
 	// separately (cold, on a fresh cache); the fleet rows measure
 	// warm steady state, and the break-even figure converts the build
@@ -341,10 +341,6 @@ func main() {
 		// it against. ~2s of extra CI time buys a transferable number.
 		perAOTRun := int64(200_000)
 		aotFleet := 8
-		aotProg, err := asim2.Compile(sieveSpec, asim2.CompiledAOT)
-		if err != nil {
-			log.Fatal(err)
-		}
 		cacheDir, err := os.MkdirTemp("", "asimbench-aot-")
 		if err != nil {
 			log.Fatal(err)
@@ -355,7 +351,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		if _, err := cache.Binary(aotProg.AOTWorkerSource()); err != nil {
+		if _, err := cache.Binary(sieveProg.AOTWorkerSource()); err != nil {
 			log.Fatalf("aot worker build: %v", err)
 		}
 		rep.AOTBuildSeconds = time.Since(t0).Seconds()
@@ -367,7 +363,7 @@ func main() {
 		}
 		native, nativeResults, err := timeFleetEng("aot/native-fleet",
 			campaign.Engine{Workers: 1, GangSize: 1, AOT: cache, AOTThreshold: 0},
-			aotProg, aotFleet, perAOTRun)
+			sieveProg, aotFleet, perAOTRun)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,7 +8,7 @@
 //	asimd -addr :9000 -workers 8 -gang 32
 //	asimd -jobs 4 -queue 16 -max-cycles 1e9
 //	asimd -state-dir /var/lib/asimd       (durable: jobs survive restarts)
-//	asimd -aot -aot-dir /var/cache/asimd  (native workers for compiled-aot jobs)
+//	asimd -aot -aot-dir /var/cache/asimd  (native workers for compiled jobs)
 //	asimd -shard -addr :8421              (worker behind an asimcoord coordinator)
 //
 // Post a job and stream its results:

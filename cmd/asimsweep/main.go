@@ -9,11 +9,14 @@
 //	asimsweep -workers 8 -n 32 sieve-fleet randspec-sweep
 //	asimsweep -gang 64 -n 256 sieve-fleet
 //	asimsweep -json tiny-divide-faults
-//	asimsweep -aot -aot-threshold 0 -backend compiled-aot sieve-fleet
+//	asimsweep -aot -aot-threshold 0 sieve-fleet
 //
 // With no scenario arguments every registered scenario runs. The
 // -json form emits one object per scenario, suitable for appending to
-// BENCH_*.json throughput trajectories.
+// BENCH_*.json throughput trajectories. -aot adds the native rung to
+// the engine's dispatch: runs of compiled programs (the default
+// backend; compiled-aot is an alias of compiled) whose campaign clears
+// -aot-threshold execute in generated worker subprocesses.
 package main
 
 import (
@@ -50,6 +53,18 @@ type runReport struct {
 
 func main() {
 	log.SetFlags(0)
+	exit, err := run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	os.Exit(exit)
+}
+
+// run executes the campaigns and returns the exit status: 1 when a
+// campaign failed to finish or a comparison fleet diverged. Its
+// deferred cleanup — the temporary AOT cache's removal — runs on every
+// exit path, errors included.
+func run() (int, error) {
 	list := flag.Bool("list", false, "list registered scenarios and exit")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	gang := flag.Int("gang", 0, "gang width for lockstep execution (0 = per program: 64 lanes for bit-parallel programs, 32 otherwise; 1 disables)")
@@ -61,9 +76,9 @@ func main() {
 	seed := flag.Int64("seed", 0, "base seed for generated specifications")
 	size := flag.Int("size", 0, "machine size parameter (0 = scenario default)")
 	timeout := flag.Duration("timeout", 0, "overall campaign deadline (0 = none)")
-	useAOT := flag.Bool("aot", false, "enable ahead-of-time native workers for compiled-aot runs above -aot-threshold")
+	useAOT := flag.Bool("aot", false, "run compiled programs above -aot-threshold in ahead-of-time native workers (compiled-aot is an alias of compiled)")
 	aotDir := flag.String("aot-dir", "", "worker binary cache directory (default: a per-process temp dir)")
-	aotThreshold := flag.Int64("aot-threshold", campaign.DefaultAOTThreshold, "campaign cycles x runs below which compiled-aot runs stay in-process (0 = always use workers)")
+	aotThreshold := flag.Int64("aot-threshold", campaign.DefaultAOTThreshold, "campaign cycles x runs below which compiled runs stay in-process (0 = always use workers)")
 	traceOut := flag.String("trace-out", "", "write per-dispatch engine spans as Chrome trace_event JSON to this file on exit (open in chrome://tracing or Perfetto)")
 	flag.Parse()
 
@@ -72,7 +87,7 @@ func main() {
 			s, _ := campaign.Lookup(name)
 			fmt.Printf("%-20s %s\n", s.Name, s.Desc)
 		}
-		return
+		return 0, nil
 	}
 
 	names := flag.Args()
@@ -87,20 +102,19 @@ func main() {
 		Size:    *size,
 	}
 	eng := campaign.Engine{Workers: *workers, GangSize: *gang}
-	cleanup := func() {}
 	if *useAOT {
 		dir := *aotDir
 		if dir == "" {
 			tmp, err := os.MkdirTemp("", "asimsweep-aot-")
 			if err != nil {
-				log.Fatal(err)
+				return 0, err
 			}
-			cleanup = func() { os.RemoveAll(tmp) }
+			defer os.RemoveAll(tmp)
 			dir = tmp
 		}
 		cache, err := aot.NewCache(dir)
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		eng.AOT = cache
 		eng.AOTThreshold = *aotThreshold
@@ -127,11 +141,11 @@ func main() {
 	for _, name := range names {
 		s, ok := campaign.Lookup(name)
 		if !ok {
-			log.Fatalf("unknown scenario %q (have %v)", name, campaign.Names())
+			return 0, fmt.Errorf("unknown scenario %q (have %v)", name, campaign.Names())
 		}
 		runs, err := s.Build(params)
 		if err != nil {
-			log.Fatalf("scenario %s: %v", name, err)
+			return 0, fmt.Errorf("scenario %s: %v", name, err)
 		}
 		if tracer != nil {
 			trace, job := telemetry.NewTraceID(), name
@@ -190,21 +204,21 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(reports); err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 	}
 	if tracer != nil {
 		out, err := os.Create(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		if err := telemetry.WriteChromeTrace(out, tracer.Spans()); err != nil {
-			log.Fatal(err)
+			out.Close()
+			return 0, err
 		}
 		if err := out.Close(); err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 	}
-	cleanup()
-	os.Exit(exit)
+	return exit, nil
 }

@@ -1,10 +1,10 @@
 // Package aot builds and runs ahead-of-time compiled native simulator
-// workers: specialized Go programs emitted by internal/codegen/gogen
-// in worker mode, compiled once with the host toolchain, cached on
+// workers: specialized Go programs printed by gogen.Worker from a
+// compiled program's layout and lowering, compiled once with the host toolchain, cached on
 // disk by source digest, and driven over a framed binary job protocol
 // on stdin/stdout that answers each run with its final machine
-// snapshot. It is the process-level half of the compiled-aot
-// backend; internal/campaign decides when dispatching to a worker
+// snapshot. It is the native rung of the compiled backend;
+// internal/campaign decides when dispatching to a worker
 // amortizes the one-time build cost.
 //
 // The package depends only on the standard library so the generator,

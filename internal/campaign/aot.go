@@ -11,9 +11,9 @@ import (
 
 // The AOT rung of the dispatch ladder. A span is eligible when every
 // run is gangable (zero Options, no faults, no warm start, no custom
-// digest — the same shape a gang lane requires) and its Program both
-// opted into compiled-aot and cleared the campaign-level amortization
-// threshold. Eligible spans execute inside a generated native worker
+// digest — the same shape a gang lane requires) and its Program is a
+// compiled one (AOTCapable) that cleared the campaign-level
+// amortization threshold. Eligible spans execute inside a generated native worker
 // subprocess, which answers each run with its final snapshot. Restored
 // into a machine, the snapshot goes through the scalar rung's own
 // epilogue, so everything the engine reports — cycles, statistics,
@@ -22,7 +22,7 @@ import (
 // re-runs the span in-process.
 
 // aotPrograms resolves which programs route to native workers for this
-// campaign: compiled-aot programs whose gangable runs total at least
+// campaign: compiled programs whose gangable runs total at least
 // the threshold (cycles×runs, the scale amortizing one `go build`).
 func (e Engine) aotPrograms(runs []Run) map[*core.Program]bool {
 	if e.AOT == nil {

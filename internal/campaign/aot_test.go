@@ -58,6 +58,35 @@ func TestAOTDispatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestAOTRungOfCompiled: native execution is a rung of the compiled
+// backend. A plain compiled fleet on an AOT engine builds a worker and
+// matches the in-process reference; the ablation backends, whose
+// in-process evaluators are what they measure, build nothing.
+func TestAOTRungOfCompiled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles with the go toolchain")
+	}
+	cache := newTestAOTCache(t)
+	eng := Engine{Workers: 2, AOT: cache, AOTThreshold: 0}
+	for _, b := range []core.Backend{core.CompiledNoFold, core.CompiledNoBitpar, core.Compiled} {
+		runs := Fleet("sieve", sieveProgram(t, 20, b), 6, 500)
+		results, err := eng.Execute(context.Background(), runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResults(t, string(b), results, executeScalar(t, runs))
+		if b != core.Compiled && cache.Builds() != 0 {
+			t.Errorf("%s fleet built a native worker", b)
+		}
+	}
+	if cache.Builds() != 1 {
+		t.Errorf("compiled fleet built %d workers, want 1", cache.Builds())
+	}
+	if cache.Fallbacks() != 0 {
+		t.Errorf("clean campaign recorded %d fallbacks", cache.Fallbacks())
+	}
+}
+
 // TestAOTDifferentialSweep: generated specifications — many of which
 // fault with selector or address errors mid-run — plus mixed cycle
 // budgets (including zero) must agree with the in-process reference,

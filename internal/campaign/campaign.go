@@ -162,7 +162,7 @@ type Engine struct {
 
 	// AOT, when non-nil, enables the ahead-of-time native rung of the
 	// dispatch ladder: spans whose runs are gangable, whose Program is
-	// compiled-aot, and whose program clears the amortization threshold
+	// compiled, and whose program clears the amortization threshold
 	// execute in a generated subprocess worker (see internal/aot)
 	// instead of in-process. Results are bit-identical either way; any
 	// AOT failure — no toolchain, build error, worker crash — degrades

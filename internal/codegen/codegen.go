@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/lower"
-	"repro/internal/rtl/sem"
 	"repro/internal/sim"
 )
 
@@ -32,13 +31,14 @@ func Opn(name string) string  { return "opn" + name }
 // Vars returns the variable holding each value slot, in slot order:
 // combinational outputs by their ljb name, memories by their output
 // register (which, like the original, is what a reference reads).
-func Vars(info *sem.Info) []string {
-	vars := make([]string, len(info.Order))
-	for i, c := range info.Order {
-		if i < len(info.Comb) {
-			vars[i] = Comb(c.CompName())
+func Vars(lay *sim.Layout) []string {
+	vars := make([]string, len(lay.Names))
+	comb := len(lay.Names) - len(lay.Mems)
+	for i, name := range lay.Names {
+		if i < comb {
+			vars[i] = Comb(name)
 		} else {
-			vars[i] = Temp(c.CompName())
+			vars[i] = Temp(name)
 		}
 	}
 	return vars

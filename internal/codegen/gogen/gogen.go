@@ -7,7 +7,9 @@
 // produced, so all of §4.4's optimizations are applied exactly as the
 // in-process kernels apply them: constant-function ALUs become inline
 // operations (Figure 4.1), constant selectors collapse, and constant
-// memory operations drop the dispatch switch (Figure 4.3).
+// memory operations drop the dispatch switch (Figure 4.3). Worker
+// prints the same lowering as the native protocol worker a compiled
+// program runs in (worker.go).
 package gogen
 
 import (
@@ -32,30 +34,34 @@ type Options struct {
 	// traces even for '*'-marked signals (used for pure-speed
 	// benchmark builds).
 	NoTrace bool
-
-	// Worker generates an aot protocol worker instead of a standalone
-	// program: the binary reads framed jobs from stdin (see
-	// internal/aot) and reports cycles, statistics, architectural
-	// hashes and Machine.SaveState-compatible snapshots bit-identically
-	// to the in-process backends. Worker implies NoTrace and ignores
-	// Cycles; the job stream supplies every cycle target.
-	Worker bool
 }
 
-// Generate produces the Go source for an analyzed specification.
+// Generate produces the Go source of a standalone program for an
+// analyzed specification. The analysis supplies what only a standalone
+// program prints: the spec's comment, its default cycle count, the
+// traced names and the operation widths that decide read/write traces.
 func Generate(info *sem.Info, opts Options) string {
-	g := &generator{info: info, opts: opts, prog: lower.Lower(info, true), vars: codegen.Vars(info)}
+	prog, lay := lower.Lower(info, true), sim.NewLayout(info)
+	g := &generator{info: info, opts: opts, lay: lay, prog: &prog, vars: codegen.Vars(lay)}
 	return g.run()
 }
 
+// generator prints a lowered program over its layout. info is set for
+// a standalone program only: a worker (worker.go) never sees the
+// analysis, and info == nil is what selects the worker's forms.
 type generator struct {
 	info *sem.Info
 	opts Options
-	prog lower.Program
+	lay  *sim.Layout
+	prog *lower.Program
 	vars []string // slot -> variable
 	b    strings.Builder
 	ind  int
 }
+
+// combVars returns the combinational outputs' variables, which lead
+// the slot order.
+func (g *generator) combVars() []string { return g.vars[:len(g.vars)-len(g.lay.Mems)] }
 
 func (g *generator) p(format string, args ...interface{}) {
 	g.b.WriteString(strings.Repeat("\t", g.ind))
@@ -64,9 +70,6 @@ func (g *generator) p(format string, args ...interface{}) {
 }
 
 func (g *generator) run() string {
-	if g.opts.Worker {
-		return g.runWorker()
-	}
 	spec := g.info.Spec
 	g.p("// Code generated by asimc (ASIM II reproduction). DO NOT EDIT.")
 	g.p("//")
@@ -175,10 +178,10 @@ func (g *generator) emitDologic() {
 func (g *generator) emitVars() {
 	g.p("var (")
 	g.ind++
-	for _, c := range g.info.Comb {
-		g.p("%s int64", codegen.Comb(c.CompName()))
+	for _, v := range g.combVars() {
+		g.p("%s int64", v)
 	}
-	for _, m := range g.info.Mems {
+	for _, m := range g.lay.Mems {
 		g.p("%s, %s, %s, %s int64", codegen.Temp(m.Name), codegen.Adr(m.Name), codegen.Data(m.Name), codegen.Opn(m.Name))
 		g.p("%s [%d]int64", codegen.Comb(m.Name), m.Size)
 	}
@@ -190,7 +193,7 @@ func (g *generator) emitInitValues() {
 	g.p("func initvalues() {")
 	g.ind++
 	any := false
-	for _, m := range g.info.Mems {
+	for _, m := range g.lay.Mems {
 		for i, v := range m.Init {
 			if v != 0 {
 				g.p("%s[%d] = %d", codegen.Comb(m.Name), i, v)
@@ -300,12 +303,12 @@ func (g *generator) emitEval() {
 	}
 	g.p("// latch memory inputs")
 	for i := range g.prog.Latches {
-		l, name := &g.prog.Latches[i], g.info.Mems[i].Name
+		l, name := &g.prog.Latches[i], g.lay.Mems[i].Name
 		g.p("%s = %s", codegen.Adr(name), codegen.Expr(l.Addr, g.term))
-		if v, ok := l.Data.Constant(); g.opts.Worker || !ok || v != 0 {
+		if v, ok := l.Data.Constant(); g.info == nil || !ok || v != 0 {
 			g.p("%s = %s", codegen.Data(name), codegen.Expr(l.Data, g.term))
 		}
-		if _, ok := l.Opn.Constant(); g.opts.Worker || !ok {
+		if _, ok := l.Opn.Constant(); g.info == nil || !ok {
 			g.p("%s = %s", codegen.Opn(name), codegen.Expr(l.Opn, g.term))
 		}
 	}
@@ -325,7 +328,7 @@ func (g *generator) emitOp(o *lower.Op) {
 			g.p("\t%s = %s", out, codegen.Expr(e, g.term))
 		}
 		g.p("default:")
-		if g.opts.Worker {
+		if g.info == nil {
 			g.p("\tfail(%q, \"selector index %%d outside 0..%%d\", %s, int64(%d))", o.Name, sel, len(o.Cases)-1)
 			g.p("\treturn false")
 		} else {

@@ -3,16 +3,17 @@ package gogen
 import (
 	"repro/internal/aot"
 	"repro/internal/codegen"
+	"repro/internal/lower"
 	"repro/internal/sim"
 )
 
-// Worker mode: instead of a standalone program tracing one fixed run,
-// the generated binary speaks the internal/aot job protocol on
+// A worker is not a standalone program tracing one fixed run: the
+// generated binary speaks the internal/aot job protocol on
 // stdin/stdout — reset, run N cycles, answer with the fault (if any)
 // and the final state snapshot — so the campaign engine can drive it
-// as the compiled-aot backend. The snapshot is the whole result: the
-// host restores it into a machine and reads cycles, statistics and
-// digest out of it.
+// as the native rung of a compiled program. The snapshot is the whole
+// result: the host restores it into a machine and reads cycles,
+// statistics and digest out of it.
 //
 // Everything observable must match the in-process backends bit for
 // bit: state snapshots use the exact Machine.SaveState layout,
@@ -22,11 +23,13 @@ import (
 // commits of the failing cycle are retained, the cycle counter is not
 // advanced, so the snapshot's cycle is the fault's).
 
-func (g *generator) runWorker() string {
-	spec := g.info.Spec
+// Worker prints the native protocol worker of a compiled program from
+// what the program keeps: its slot layout and the lowered program its
+// kernels were built from (compile.Compiled.Lowered). The worker never
+// traces, and the job stream supplies every cycle target.
+func Worker(lay *sim.Layout, prog *lower.Program) string {
+	g := &generator{lay: lay, prog: prog, vars: codegen.Vars(lay)}
 	g.p("// Code generated by asimc (ASIM II reproduction), aot worker mode. DO NOT EDIT.")
-	g.p("//")
-	g.p("//%s", stripNewlines(spec.Comment))
 	g.p("package main")
 	g.p("")
 	g.p("import (")
@@ -73,7 +76,7 @@ func (g *generator) emitWorkerState() {
 	g.p("cyclecount int64")
 	g.p("errcomp    string")
 	g.p("errmsg     string")
-	for _, m := range g.info.Mems {
+	for _, m := range g.lay.Mems {
 		g.p("%s, %s, %s, %s int64", rds(m.Name), wrs(m.Name), ins(m.Name), outs(m.Name))
 	}
 	g.ind--
@@ -93,10 +96,10 @@ func outs(name string) string { return "outs" + codegen.Comb(name) }
 func (g *generator) emitReset() {
 	g.p("func reset() {")
 	g.ind++
-	for _, c := range g.info.Comb {
-		g.p("%s = 0", codegen.Comb(c.CompName()))
+	for _, v := range g.combVars() {
+		g.p("%s = 0", v)
 	}
-	for _, m := range g.info.Mems {
+	for _, m := range g.lay.Mems {
 		g.p("%s, %s, %s, %s = 0, 0, 0, 0", codegen.Temp(m.Name), codegen.Adr(m.Name), codegen.Data(m.Name), codegen.Opn(m.Name))
 		g.p("for i := range %s {", codegen.Comb(m.Name))
 		g.p("\t%s[i] = 0", codegen.Comb(m.Name))
@@ -141,7 +144,7 @@ func (g *generator) emitRunCycle() {
 // are bumped only after a successful commit, matching the in-process
 // partial-state-on-error semantics.
 func (g *generator) emitMemoryCommitWorker(i int) {
-	m := g.info.Mems[i]
+	m := g.lay.Mems[i]
 	arr := codegen.Comb(m.Name)
 	temp := codegen.Temp(m.Name)
 	adr := codegen.Adr(m.Name)
@@ -155,7 +158,8 @@ func (g *generator) emitMemoryCommitWorker(i int) {
 		g.p("%s\treturn false", pfx)
 		g.p("%s}", pfx)
 	}
-	g.emitDispatch(codegen.ClassifyMemOp(&g.prog.Latches[i], m.Opn.Width()), opn, [4]func(string){
+	// A worker never traces, so the operation's width is never read.
+	g.emitDispatch(codegen.ClassifyMemOp(&g.prog.Latches[i], 0), opn, [4]func(string){
 		func(pfx string) {
 			bounds(pfx, "read")
 			g.p("%s%s = %s[%s]", pfx, temp, arr, adr)
@@ -208,25 +212,25 @@ func (g *generator) emitSaveState() {
 	for _, v := range g.vars {
 		g.p("put(%s)", v)
 	}
-	g.p("put(%d) // memories", len(g.info.Mems))
-	for _, m := range g.info.Mems {
+	g.p("put(%d) // memories", len(g.lay.Mems))
+	for _, m := range g.lay.Mems {
 		g.p("put(%d)", m.Size)
 		g.p("for _, v := range %s {", codegen.Comb(m.Name))
 		g.p("\tput(v)")
 		g.p("}")
 	}
-	for _, m := range g.info.Mems {
+	for _, m := range g.lay.Mems {
 		g.p("put(%s)", codegen.Adr(m.Name))
 	}
-	for _, m := range g.info.Mems {
+	for _, m := range g.lay.Mems {
 		g.p("put(%s)", codegen.Data(m.Name))
 	}
-	for _, m := range g.info.Mems {
+	for _, m := range g.lay.Mems {
 		g.p("put(%s)", codegen.Opn(m.Name))
 	}
 	g.p("put(cyclecount)")
 	g.p("put(cyclecount) // stats cycles")
-	for _, m := range g.info.Mems {
+	for _, m := range g.lay.Mems {
 		g.p("put(%s)", rds(m.Name))
 		g.p("put(%s)", wrs(m.Name))
 		g.p("put(%s)", ins(m.Name))

@@ -12,6 +12,7 @@ import (
 	"repro/internal/aot"
 	"repro/internal/codegen/gogen"
 	"repro/internal/core"
+	"repro/internal/lower"
 	"repro/internal/machines"
 	"repro/internal/sim"
 	"repro/internal/specgen"
@@ -29,7 +30,7 @@ func TestWorkerSourceParses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		parseGo(t, gogen.Generate(spec.Info, gogen.Options{Worker: true, NoTrace: true}))
+		parseGo(t, workerSource(spec))
 	}
 	for seed := 0; seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -38,8 +39,15 @@ func TestWorkerSourceParses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		parseGo(t, gogen.Generate(spec.Info, gogen.Options{Worker: true, NoTrace: true}))
+		parseGo(t, workerSource(spec))
 	}
+}
+
+// workerSource prints spec's worker from what a compiled program
+// keeps: its layout and its folded lowering.
+func workerSource(spec *core.Spec) string {
+	prog := lower.Lower(spec.Info, true)
+	return gogen.Worker(sim.NewLayout(spec.Info), &prog)
 }
 
 // wantState is the reference machine's snapshot as every compiled
@@ -77,7 +85,7 @@ func buildWorker(t *testing.T, spec *core.Spec) *aot.Proc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := gogen.Generate(spec.Info, gogen.Options{Worker: true, NoTrace: true})
+	src := workerSource(spec)
 	bin, err := cache.Binary(src)
 	if err != nil {
 		t.Fatalf("build worker: %v", err)

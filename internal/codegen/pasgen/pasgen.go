@@ -21,7 +21,7 @@ import (
 
 // Generate produces Pascal source for an analyzed specification.
 func Generate(info *sem.Info) string {
-	g := &generator{info: info, prog: lower.Lower(info, true), vars: codegen.Vars(info)}
+	g := &generator{info: info, prog: lower.Lower(info, true), vars: codegen.Vars(sim.NewLayout(info))}
 	return g.run()
 }
 

@@ -49,12 +49,6 @@ type Options struct {
 	// Used by the ablation benchmarks and the differential tests that
 	// compare the two gang paths.
 	NoBitParallel bool
-
-	// Name overrides BackendName. Backends that reuse this evaluator
-	// unchanged but differ elsewhere in the stack (compiled-aot's
-	// in-process half) set it so a machine reports the backend it was
-	// actually built for.
-	Name string
 }
 
 // Compiled implements sim.Evaluator with one list of scalar kernels
@@ -107,9 +101,6 @@ func NewWithOptions(info *sem.Info, opts Options) *Compiled {
 
 // BackendName implements sim.Evaluator.
 func (c *Compiled) BackendName() string {
-	if c.opts.Name != "" {
-		return c.opts.Name
-	}
 	if c.opts.NoFold {
 		return "compiled-nofold"
 	}
@@ -118,3 +109,7 @@ func (c *Compiled) BackendName() string {
 	}
 	return "compiled"
 }
+
+// Lowered returns the program the kernels were built from, which the
+// native worker is printed from (gogen.Worker). It is a read-only view.
+func (c *Compiled) Lowered() *lower.Program { return &c.prog }

@@ -22,7 +22,8 @@ func (s *Spec) CanonicalDigest() string {
 }
 
 // ProgramCache compiles each specification at most once per backend,
-// keyed by content: (CanonicalDigest, Backend). Programs are immutable
+// keyed by content: (CanonicalDigest, Canonical(Backend)), so an alias
+// hits its backend's entry. Programs are immutable
 // and shareable, so a cache of them is the natural serving-layer
 // amortization of Figure 5.1's compile cost — every client posting the
 // same design pays for one compilation, total, not one per job.
@@ -92,7 +93,7 @@ func (c *ProgramCache) Get(spec *Spec, b Backend) (prog *Program, hit bool, err 
 // headers — so the canonical text is rendered and hashed once, not
 // twice. digest must be spec's CanonicalDigest.
 func (c *ProgramCache) GetDigest(digest string, spec *Spec, b Backend) (prog *Program, hit bool, err error) {
-	key := programKey{digest, b}
+	key := programKey{digest, Canonical(b)}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {

@@ -45,6 +45,48 @@ func TestCanonicalDigest(t *testing.T) {
 	}
 }
 
+// TestProgramCacheAlias: compiled-aot is an alias of compiled, not a
+// backend: both names share one cache key, and the program they
+// compile reports compiled and is the one that runs natively.
+func TestProgramCacheAlias(t *testing.T) {
+	c := NewProgramCache()
+	spec, err := ParseString("counter", machines.Counter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := spec.CanonicalDigest()
+	p1, hit, err := c.GetDigest(d, spec, Compiled)
+	if err != nil || hit {
+		t.Fatalf("Get(compiled): hit=%v err=%v", hit, err)
+	}
+	p2, hit, err := c.GetDigest(d, spec, CompiledAOT)
+	if err != nil || !hit || p2 != p1 {
+		t.Fatalf("Get(compiled-aot) after Get(compiled): hit=%v same=%v err=%v", hit, p2 == p1, err)
+	}
+	if c.Len() != 1 {
+		t.Errorf("cache holds %d keys, want 1", c.Len())
+	}
+	direct, err := Compile(spec, CompiledAOT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Backend() != Compiled || !direct.AOTCapable() || direct.AOTWorkerSource() != p1.AOTWorkerSource() {
+		t.Errorf("Compile(compiled-aot) = backend %s, AOTCapable %v; want the compiled program", direct.Backend(), direct.AOTCapable())
+	}
+	if m := direct.NewMachine(Options{}); m.Backend() != string(Compiled) {
+		t.Errorf("compiled-aot machine reports backend %q", m.Backend())
+	}
+	for _, b := range []Backend{Interp, CompiledNoFold, CompiledNoBitpar} {
+		p, _, err := c.Get(spec, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.AOTCapable() || p.AOTWorkerSource() != "" {
+			t.Errorf("%s program is AOT-capable", b)
+		}
+	}
+}
+
 // TestProgramCache: identical content hits regardless of how the text
 // was spelled; distinct backends and distinct content miss.
 func TestProgramCache(t *testing.T) {

@@ -59,19 +59,28 @@ const (
 	// Bytecode runs the unfolded lowering through one generic loop:
 	// pre-resolved tables, no specialization (ablation midpoint).
 	Bytecode Backend = "bytecode"
-	// CompiledAOT is Compiled plus ahead-of-time native execution: the
-	// campaign engine may route eligible long runs to a gogen-generated
-	// subprocess worker (built once, cached on disk by source digest —
-	// see internal/aot), falling back to the in-process compiled
-	// evaluator below the amortization threshold or when no Go
-	// toolchain is available at runtime. In-process use (NewMachine,
-	// gangs) is identical to Compiled.
+	// CompiledAOT is an alias of Compiled, accepted wherever a backend
+	// is named. Ahead-of-time native execution is not a backend but a
+	// rung of Compiled's dispatch: a campaign engine with an AOT cache
+	// routes long enough runs of a Compiled program to a generated
+	// subprocess worker (see internal/aot and AOTCapable).
 	CompiledAOT Backend = "compiled-aot"
 )
 
-// Backends lists every available backend.
+// Backends lists every available backend. Aliases are not listed.
 func Backends() []Backend {
-	return []Backend{Interp, InterpNaive, Compiled, CompiledNoFold, CompiledNoBitpar, Bytecode, CompiledAOT}
+	return []Backend{Interp, InterpNaive, Compiled, CompiledNoFold, CompiledNoBitpar, Bytecode}
+}
+
+// Canonical returns the backend a name selects: the alias CompiledAOT
+// selects Compiled, and every other name selects itself. Compile, the
+// ProgramCache key and request validation all go through it, so an
+// alias shares its backend's programs.
+func Canonical(b Backend) Backend {
+	if b == CompiledAOT {
+		return Compiled
+	}
+	return b
 }
 
 // Spec is a parsed and semantically analyzed specification.
@@ -147,8 +156,8 @@ func (s *Spec) DefaultCycles(def int64) int64 {
 // tracing, VCD dumps and fault injection read. It never holds the
 // Spec, so a cached program does not keep its syntax tree alive — only
 // the interp evaluators walk the tree, and they keep their own
-// reference to it; a compiled-aot program keeps the analysis until
-// it has printed its native worker's source.
+// reference to it. A compiled program's native worker is printed from
+// the layout and the lowered program its evaluator keeps anyway.
 //
 // A Program is safe for concurrent use. Backend evaluators are
 // stateless by contract (see sim.Evaluator): after construction they
@@ -167,22 +176,19 @@ type Program struct {
 	gangs sync.Pool
 
 	aotOnce sync.Once
-	aotInfo *sem.Info // compiled-aot only, until AOTWorkerSource prints
 	aotSrc  string
 }
 
 // Compile builds the chosen backend's evaluator and the slot layout for
-// an analyzed spec once, returning the shareable Program.
+// an analyzed spec once, returning the shareable Program. An alias
+// compiles its backend's program (see Canonical).
 func Compile(s *Spec, b Backend) (*Program, error) {
+	b = Canonical(b)
 	ev, err := NewEvaluator(s.Info, b)
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{backend: b, eval: ev, layout: sim.NewLayout(s.Info)}
-	if b == CompiledAOT {
-		p.aotInfo = s.Info
-	}
-	return p, nil
+	return &Program{backend: b, eval: ev, layout: sim.NewLayout(s.Info)}, nil
 }
 
 // Backend returns the backend the program was compiled for.
@@ -230,23 +236,23 @@ func (p *Program) GetGang(lanes int) (g *sim.Gang, ok bool) {
 // GetGang. The caller must not touch the gang afterwards.
 func (p *Program) PutGang(g *sim.Gang) { p.gangs.Put(g) }
 
-// AOTCapable reports whether the program opted into ahead-of-time
-// native execution (backend compiled-aot). The campaign engine uses it
-// together with its amortization threshold to decide dispatch.
-func (p *Program) AOTCapable() bool { return p.backend == CompiledAOT }
+// AOTCapable reports whether the program can run in a native worker:
+// whether it is a Compiled program, whose worker prints the same
+// lowering its in-process kernels run. The ablations stay in-process,
+// since running them is what they measure. The campaign engine uses
+// it together with its amortization threshold to decide dispatch.
+func (p *Program) AOTCapable() bool { return p.backend == Compiled }
 
 // AOTWorkerSource returns the generated Go source of this program's
-// native protocol worker (gogen worker mode), generated once and
-// cached. The source text is also the binary cache's identity: its
-// digest covers the spec, the generator version and the generation
-// options, so any change misses cleanly. Only compiled-aot programs
-// have one (any other returns ""); the analysis it is printed from is
-// released once it is.
+// native protocol worker (gogen.Worker), printed once from the layout
+// and the evaluator's lowered program and cached. The source text is
+// also the binary cache's identity: its digest covers the spec, the
+// generator version and the generation options, so any change misses
+// cleanly. A program that is not AOTCapable has none and returns "".
 func (p *Program) AOTWorkerSource() string {
 	p.aotOnce.Do(func() {
-		if p.aotInfo != nil {
-			p.aotSrc = gogen.Generate(p.aotInfo, gogen.Options{Worker: true, NoTrace: true})
-			p.aotInfo = nil
+		if p.AOTCapable() {
+			p.aotSrc = gogen.Worker(p.layout, p.eval.(*compile.Compiled).Lowered())
 		}
 	})
 	return p.aotSrc
@@ -254,7 +260,7 @@ func (p *Program) AOTWorkerSource() string {
 
 // NewEvaluator builds the chosen backend for an analyzed spec.
 func NewEvaluator(info *sem.Info, b Backend) (sim.Evaluator, error) {
-	switch b {
+	switch Canonical(b) {
 	case Interp, "":
 		return interp.New(info), nil
 	case InterpNaive:
@@ -267,10 +273,6 @@ func NewEvaluator(info *sem.Info, b Backend) (sim.Evaluator, error) {
 		return compile.NewWithOptions(info, compile.Options{NoBitParallel: true}), nil
 	case Bytecode:
 		return bytecode.New(info), nil
-	case CompiledAOT:
-		// The in-process half of the AOT backend is the compiled
-		// evaluator; the native worker is a campaign-dispatch concern.
-		return compile.NewWithOptions(info, compile.Options{Name: string(CompiledAOT)}), nil
 	default:
 		return nil, fmt.Errorf("unknown backend %q (have %v)", b, Backends())
 	}

@@ -61,7 +61,9 @@ func TestProgramSharedAcrossGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	const goroutines, cycles = 8, 1500
-	for _, b := range Backends() {
+	// The alias compiled-aot stays in the matrix: a program compiled
+	// through it must be as shareable as compiled's.
+	for _, b := range append(Backends(), CompiledAOT) {
 		b := b
 		t.Run(string(b), func(t *testing.T) {
 			t.Parallel()

@@ -1,9 +1,13 @@
 // Package lower is the one walk over the analyzed specification. Every
 // consumer — the scalar, lane-loop and bit-plane kernel families in
-// internal/compile, the bytecode ablation's generic loop, and the Go
-// and Pascal printers in internal/codegen — is built from the Program
-// this package produces and never sees the syntax tree. Three decisions are made here and nowhere else (§4.4 /
-// Figure 4.1):
+// internal/compile, the bytecode ablation's generic loop, the native
+// worker and the Go and Pascal printers in internal/codegen — is built
+// from the Program this package produces. The kernels and the worker
+// never see the syntax tree; the standalone printers read the analysis
+// only for what no evaluator needs (the spec's comment, its default
+// cycle count, the traced names and the operation widths that decide
+// read/write traces). Three decisions are made here and nowhere else
+// (§4.4 / Figure 4.1):
 //
 //   - constant function: an ALU whose function operand is constant is
 //     marked folded and carries the function code, so each consumer

@@ -149,9 +149,9 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Gang, "gang", 0, "gang width for lockstep execution (0 = per program: 64 lanes for bit-parallel programs, 32 otherwise; 1 disables)")
 	fs.StringVar(&f.StateDir, "state-dir", "", "durable job store directory; jobs survive restarts and dropped streams resume (empty = durability off)")
 	fs.Int64Var(&f.CheckpointCycles, "checkpoint-cycles", 0, "cycles between run state checkpoints, persisted to -state-dir and/or streamed to a coordinator (0 = default 65536)")
-	fs.BoolVar(&f.AOT, "aot", false, "enable ahead-of-time native workers for compiled-aot jobs above -aot-threshold")
+	fs.BoolVar(&f.AOT, "aot", false, "run compiled jobs above -aot-threshold in ahead-of-time native workers (compiled-aot is an alias of compiled)")
 	fs.StringVar(&f.AOTDir, "aot-dir", "", "worker binary cache directory (default: a per-process temp dir)")
-	fs.Int64Var(&f.AOTThreshold, "aot-threshold", campaign.DefaultAOTThreshold, "campaign cycles x runs below which compiled-aot jobs stay in-process (0 = always use workers)")
+	fs.Int64Var(&f.AOTThreshold, "aot-threshold", campaign.DefaultAOTThreshold, "campaign cycles x runs below which compiled jobs stay in-process (0 = always use workers)")
 	fs.BoolVar(&f.Shard, "shard", false, "accept the cluster shard protocol (chunk-scoped jobs with streamed checkpoints) from an asimcoord coordinator")
 	return f
 }

@@ -576,7 +576,7 @@ func (p *Plan) scenario(l Limits) error {
 
 func validBackend(b core.Backend) error {
 	for _, k := range core.Backends() {
-		if b == k {
+		if core.Canonical(b) == k {
 			return nil
 		}
 	}

@@ -153,8 +153,7 @@ func TestGangEquivalenceRandom(t *testing.T) {
 }
 
 // TestGangCapability pins which backends gang: the compiled family
-// (ablations and compiled-aot's in-process half included) does, the
-// others fall back.
+// (ablations included) does, the others fall back.
 func TestGangCapability(t *testing.T) {
 	spec, err := core.ParseString("c", "#c\nc .\nA c 1 0 1\n.")
 	if err != nil {
@@ -165,7 +164,7 @@ func TestGangCapability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantGang := b == core.Compiled || b == core.CompiledNoFold || b == core.CompiledNoBitpar || b == core.CompiledAOT
+		wantGang := b == core.Compiled || b == core.CompiledNoFold || b == core.CompiledNoBitpar
 		if got := p.GangCapable(); got != wantGang {
 			t.Errorf("backend %s: GangCapable = %v, want %v", b, got, wantGang)
 		}

@@ -39,7 +39,7 @@ import (
 // stats.Cycles, per memory its Reads/Writes/Inputs/Outputs.
 
 // SnapshotMagic identifies snapshot format version 1. It is exported
-// so generated native workers (internal/codegen/gogen worker mode) can
+// so generated native workers (gogen.Worker) can
 // emit byte-compatible snapshots from the one authoritative constant.
 const SnapshotMagic uint64 = 0x4153494d53543101 // "ASIMST" 0x1 0x01
 

@@ -24,7 +24,9 @@ func compileAll(t *testing.T, name, src string) map[core.Backend]*core.Program {
 		t.Fatalf("%s: parse: %v", name, err)
 	}
 	progs := make(map[core.Backend]*core.Program)
-	for _, b := range core.Backends() {
+	// The alias compiled-aot stays in the matrix: a program compiled
+	// through it must behave as compiled's does.
+	for _, b := range append(core.Backends(), core.CompiledAOT) {
 		p, err := core.Compile(spec, b)
 		if err != nil {
 			t.Fatalf("%s: compile %s: %v", name, b, err)
