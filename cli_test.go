@@ -137,6 +137,46 @@ func TestCLIAsimsweepAOTTempDirRemoved(t *testing.T) {
 	}
 }
 
+// TestCLIBenchTempDirsRemoved: asimbench and figure51 remove their
+// temporary directories on a failing exit too. Each is built, then run
+// with no go toolchain on PATH, so it fails at the first go build it
+// starts: asimbench's AOT worker, figure51's generated program.
+func TestCLIBenchTempDirsRemoved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	for _, c := range []struct {
+		cmd, left string
+		args      []string
+	}{
+		{"asimbench", "asimbench-aot-*", []string{"-short", "-reps", "1", "-cycles", "1000", "-workers", "1", "-o", "-"}},
+		{"figure51", "figure51*", []string{"-mult", "1"}},
+	} {
+		bin := filepath.Join(t.TempDir(), c.cmd)
+		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+c.cmd).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", c.cmd, err, out)
+		}
+		tmp := t.TempDir()
+		cmd := exec.Command(bin, c.args...)
+		cmd.Env = append(os.Environ(), "TMPDIR="+tmp, "PATH="+t.TempDir())
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Fatalf("%s without a go toolchain succeeded; want a failure", c.cmd)
+		}
+		if !strings.Contains(stderr.String(), "executable file not found") {
+			t.Errorf("%s failed for another reason: %s", c.cmd, stderr.String())
+		}
+		left, err := filepath.Glob(filepath.Join(tmp, c.left))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Errorf("%s left %v behind", c.cmd, left)
+		}
+	}
+}
+
 func TestCLIAsimc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")

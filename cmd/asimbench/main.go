@@ -88,6 +88,15 @@ type Section struct {
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the benchmark set and writes the report. Its deferred
+// cleanup — the temporary AOT cache's removal — runs on every exit
+// path, errors included.
+func run() error {
 	short := flag.Bool("short", false, "CI-sized cycle budgets")
 	out := flag.String("o", "BENCH_fused.json", "output path for the JSON report, or - for stdout")
 	workers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for campaign scaling")
@@ -95,13 +104,17 @@ func main() {
 	cycles := flag.Int64("cycles", 0, "per-backend cycle budget (0 = 2M, or 100k with -short)")
 	flag.Parse()
 	if reps < 1 {
-		log.Fatalf("-reps must be at least 1, got %d", reps)
+		return fmt.Errorf("-reps must be at least 1, got %d", reps)
 	}
+	var flagErr error
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "cycles" && *cycles <= 0 {
-			log.Fatalf("-cycles must be positive, got %d", *cycles)
+			flagErr = fmt.Errorf("-cycles must be positive, got %d", *cycles)
 		}
 	})
+	if flagErr != nil {
+		return flagErr
+	}
 
 	perBackend := int64(2_000_000)
 	perFleetRun := int64(5545) // the Figure 5.1 workload length
@@ -143,11 +156,11 @@ func main() {
 	for _, s := range specs {
 		src, err := s.src()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		spec, err := asim2.ParseString(s.name, src)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if s.name == "sieve" {
 			sieveSpec = spec
@@ -157,13 +170,13 @@ func main() {
 		// bit-identical state, or the numbers below are measuring a
 		// broken simulator.
 		if err := crossCheck(spec, backends, s.resetEvery); err != nil {
-			log.Fatalf("%s: %v", s.name, err)
+			return fmt.Errorf("%s: %w", s.name, err)
 		}
 
 		for _, b := range backends {
 			r, err := timeMachine(s.name+"/"+string(b), spec, b, perBackend, s.resetEvery)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			rep.Results = append(rep.Results, r)
 		}
@@ -174,7 +187,7 @@ func main() {
 	// fleet-build comparison below both share this one program.
 	sieveProg, err := asim2.Compile(sieveSpec, asim2.Compiled)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Campaign scaling: an identical-machine sieve fleet through the
@@ -185,18 +198,18 @@ func main() {
 	for _, ws := range strings.Split(*workers, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(ws))
 		if err != nil || w <= 0 {
-			log.Fatalf("bad -workers entry %q", ws)
+			return fmt.Errorf("bad -workers entry %q", ws)
 		}
 		eng := campaign.Engine{Workers: w, GangSize: 1}
 		runs := campaign.Fleet("sieve", sieveProg, fleetSize, perFleetRun)
 		start := time.Now()
 		results, err := eng.Execute(context.Background(), runs)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sum := campaign.Summarize(results, time.Since(start))
 		if sum.Errors != 0 || sum.Divergences != 0 {
-			log.Fatalf("campaign workers=%d: %s", w, sum)
+			return fmt.Errorf("campaign workers=%d: %s", w, sum)
 		}
 		rep.Results = append(rep.Results, Result{
 			Name:       fmt.Sprintf("campaign/sieve/workers-%d", w),
@@ -260,13 +273,14 @@ func main() {
 	}
 	// crossCheckFleets requires run-by-run digest agreement between two
 	// timed paths — a fast wrong simulator must fail, not report.
-	crossCheckFleets := func(aName string, a []campaign.Result, bName string, b []campaign.Result) {
+	crossCheckFleets := func(aName string, a []campaign.Result, bName string, b []campaign.Result) error {
 		for i := range a {
 			if a[i].Digest != b[i].Digest {
-				log.Fatalf("digest divergence at run %d: %s=%s %s=%s",
+				return fmt.Errorf("digest divergence at run %d: %s=%s %s=%s",
 					i, aName, a[i].Digest, bName, b[i].Digest)
 			}
 		}
+		return nil
 	}
 	timeFleet := func(name string, prog *asim2.Program, fleet int, perRun int64, gangSize int) (Result, []campaign.Result, error) {
 		return timeFleetEng(name, campaign.Engine{Workers: 1, GangSize: gangSize}, prog, fleet, perRun)
@@ -274,13 +288,15 @@ func main() {
 	{
 		scalar, scalarResults, err := timeFleet("gang/scalar-fleet", sieveProg, gangFleet, perFleetRun, 1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		gang, gangResults, err := timeFleet(fmt.Sprintf("gang/gang-%d", campaign.DefaultGangSize), sieveProg, gangFleet, perFleetRun, campaign.DefaultGangSize)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		crossCheckFleets("scalar", scalarResults, "gang", gangResults)
+		if err := crossCheckFleets("scalar", scalarResults, "gang", gangResults); err != nil {
+			return err
+		}
 		rep.Results = append(rep.Results, scalar, gang)
 		rep.GangSpeedup = scalar.NsPerCycle / gang.NsPerCycle
 	}
@@ -298,26 +314,28 @@ func main() {
 		}
 		bitSpec, err := asim2.ParseString("bitmix", machines.BitMixSpec(8, 12))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		bitProg, err := asim2.Compile(bitSpec, asim2.Compiled)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		laneProg, err := asim2.Compile(bitSpec, asim2.CompiledNoBitpar)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		lanes := campaign.DefaultBitGangSize
 		lane, laneResults, err := timeFleet("bitparallel/gang-laneloop", laneProg, lanes, perBitRun, lanes)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		bit, bitResults, err := timeFleet("bitparallel/gang-bitplane", bitProg, lanes, perBitRun, lanes)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		crossCheckFleets("laneloop", laneResults, "bitplane", bitResults)
+		if err := crossCheckFleets("laneloop", laneResults, "bitplane", bitResults); err != nil {
+			return err
+		}
 		rep.Results = append(rep.Results, lane, bit)
 		rep.BitParallelSpeedup = lane.NsPerCycle / bit.NsPerCycle
 	}
@@ -343,33 +361,35 @@ func main() {
 		aotFleet := 8
 		cacheDir, err := os.MkdirTemp("", "asimbench-aot-")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer os.RemoveAll(cacheDir)
 		cache, err := aot.NewCache(cacheDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		t0 := time.Now()
 		if _, err := cache.Binary(sieveProg.AOTWorkerSource()); err != nil {
-			log.Fatalf("aot worker build: %v", err)
+			return fmt.Errorf("aot worker build: %w", err)
 		}
 		rep.AOTBuildSeconds = time.Since(t0).Seconds()
 		rep.Results = append(rep.Results, Result{Name: "aot/build", Seconds: rep.AOTBuildSeconds})
 
 		fused, fusedResults, err := timeFleet("aot/fused-fleet", sieveProg, aotFleet, perAOTRun, 1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		native, nativeResults, err := timeFleetEng("aot/native-fleet",
 			campaign.Engine{Workers: 1, GangSize: 1, AOT: cache, AOTThreshold: 0},
 			sieveProg, aotFleet, perAOTRun)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		crossCheckFleets("fused", fusedResults, "native", nativeResults)
+		if err := crossCheckFleets("fused", fusedResults, "native", nativeResults); err != nil {
+			return err
+		}
 		if cache.Fallbacks() != 0 {
-			log.Fatalf("aot fleet fell back to in-process %d times; the native row is not measuring workers", cache.Fallbacks())
+			return fmt.Errorf("aot fleet fell back to in-process %d times; the native row is not measuring workers", cache.Fallbacks())
 		}
 		rep.Results = append(rep.Results, fused, native)
 		rep.AOTSpeedup = fused.NsPerCycle / native.NsPerCycle
@@ -400,7 +420,7 @@ func main() {
 			return m.Run(perShortRun)
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rep.Results = append(rep.Results, r)
 		perRunNs = r.NsPerRun
@@ -409,7 +429,7 @@ func main() {
 			return sieveProg.NewMachine(asim2.Options{}).Run(perShortRun)
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rep.Results = append(rep.Results, r)
 
@@ -419,7 +439,7 @@ func main() {
 			return pooled.Run(perShortRun)
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rep.Results = append(rep.Results, r)
 		pooledNs = r.NsPerRun
@@ -439,7 +459,7 @@ func main() {
 			return nil
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		r.Runs = fleetRuns
 		r.NsPerRun = r.Seconds * 1e9 / float64(fleetRuns)
@@ -456,7 +476,7 @@ func main() {
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		w = f
@@ -464,7 +484,7 @@ func main() {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, r := range rep.Results {
 		if r.Runs > 0 {
@@ -478,6 +498,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "bit-parallel speedup (bit-plane vs lane-loop gang kernels): %.2fx\n", rep.BitParallelSpeedup)
 	fmt.Fprintf(os.Stderr, "aot speedup (native workers vs in-process compiled): %.2fx (build %.2fs, break-even %d cycles)\n",
 		rep.AOTSpeedup, rep.AOTBuildSeconds, rep.AOTBreakevenCycles)
+	return nil
 }
 
 // reps is how many timed repetitions each configuration gets; the

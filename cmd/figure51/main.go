@@ -47,6 +47,15 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run measures and prints the figure. Its deferred cleanup — the
+// generated programs' temporary directory — runs on every exit path,
+// errors included.
+func run() error {
 	machine := flag.String("machine", "ibsm1986", "workload: 'ibsm1986' (the thesis' own stack machine, Appendix E) or 'modern' (this repo's reconstruction)")
 	size := flag.Int("size", 48, "modern machine only: sieve flags-array size (48 gives a cycle count near the thesis' 5545)")
 	mult := flag.Int64("mult", 200, "repetitions of the base run per measurement")
@@ -65,42 +74,47 @@ func main() {
 		var err error
 		src, err = machines.SieveSpec(*size)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		warm, err := asim2.ParseString("sieve", src)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		wm, err := asim2.NewMachine(warm, asim2.Compiled, asim2.Options{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		halt, ok, err := wm.RunUntil(func(m *asim2.Machine) bool {
 			return m.Value("state") == machines.HaltState
 		}, 10_000_000)
 		if err != nil || !ok {
-			log.Fatalf("sieve did not halt: %v", err)
+			return fmt.Errorf("sieve did not halt: %v", err)
 		}
 		base = halt
 		fmt.Printf("workload: sieve(%d) on this repo's microcoded stack machine\n", *size)
 		fmt.Printf("halts after %d cycles (thesis workload: 5545 cycles)", base)
 	default:
-		log.Fatalf("unknown machine %q", *machine)
+		return fmt.Errorf("unknown machine %q", *machine)
 	}
 	fmt.Printf("; each measurement repeats the run x%d\n\n", *mult)
 
 	// --- ASIM: interpreter ------------------------------------------------
-	prepInterp, simInterp := measureBackend(src, core.Interp, base, *mult)
-	_, simNaive := measureBackend(src, core.InterpNaive, base, *mult)
-
-	// --- intermediate backends --------------------------------------------
-	prepByte, simByte := measureBackend(src, core.Bytecode, base, *mult)
-	prepComp, simComp := measureBackend(src, core.Compiled, base, *mult)
+	var prep, sim [4]time.Duration // interp, interp-naive, bytecode, compiled
+	for i, b := range []core.Backend{core.Interp, core.InterpNaive, core.Bytecode, core.Compiled} {
+		var err error
+		if prep[i], sim[i], err = measureBackend(src, b, base, *mult); err != nil {
+			return err
+		}
+	}
+	prepInterp, simInterp, simNaive, prepByte, simByte, simComp := prep[0], sim[0], sim[1], prep[2], sim[2], sim[3]
 
 	// --- ASIM II: generate + compile + run ---------------------------------
 	var genTime, buildTime, runTime time.Duration
 	if !*skipBuild {
-		genTime, buildTime, runTime = measureCodegen(src, base, *mult)
+		var err error
+		if genTime, buildTime, runTime, err = measureCodegen(src, base, *mult); err != nil {
+			return err
+		}
 	}
 
 	scale := func(d time.Duration) string { return fmt.Sprintf("%10.3fms", float64(d.Microseconds())/1000) }
@@ -139,21 +153,21 @@ func main() {
 			ratio(simInterp, runTime),
 			ratio(prepInterp+simInterp, genTime+buildTime+runTime))
 	}
-	_ = prepComp
+	return nil
 }
 
 // measureBackend times spec preparation (parse + analyze + backend
 // construction) and reps runs of perRun cycles each, resetting the
 // machine between runs.
-func measureBackend(src string, b core.Backend, perRun, reps int64) (prep, sim time.Duration) {
+func measureBackend(src string, b core.Backend, perRun, reps int64) (prep, sim time.Duration, err error) {
 	t0 := time.Now()
 	spec, err := asim2.ParseString("sieve", src)
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, err
 	}
 	m, err := asim2.NewMachine(spec, b, asim2.Options{Output: io.Discard})
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, err
 	}
 	prep = time.Since(t0)
 
@@ -161,11 +175,10 @@ func measureBackend(src string, b core.Backend, perRun, reps int64) (prep, sim t
 	for r := int64(0); r < reps; r++ {
 		m.Reset()
 		if err := m.Run(perRun); err != nil {
-			log.Fatalf("backend %s: %v", b, err)
+			return 0, 0, fmt.Errorf("backend %s: %w", b, err)
 		}
 	}
-	sim = time.Since(t1)
-	return prep, sim
+	return prep, time.Since(t1), nil
 }
 
 // measureCodegen times Go source generation, `go build`, and the
@@ -173,66 +186,65 @@ func measureBackend(src string, b core.Backend, perRun, reps int64) (prep, sim t
 // process; process startup is estimated with a one-cycle build and
 // subtracted, and the per-run simulation time is scaled by reps to
 // stay comparable with the in-process rows.
-func measureCodegen(src string, perRun, reps int64) (gen, build, run time.Duration) {
+func measureCodegen(src string, perRun, reps int64) (gen, build, run time.Duration, err error) {
 	t0 := time.Now()
 	spec, err := asim2.ParseString("sieve", src)
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, 0, err
 	}
 	code := gogen.Generate(spec.Info, gogen.Options{Cycles: perRun})
 	gen = time.Since(t0)
 
 	dir, err := os.MkdirTemp("", "figure51")
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, 0, err
 	}
 	defer os.RemoveAll(dir)
 
-	write := func(name, content string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			log.Fatal(err)
+	// buildBin writes the program text to name.go and builds it into name.
+	buildBin := func(name, code string) (string, time.Duration, error) {
+		goFile, bin := filepath.Join(dir, name+".go"), filepath.Join(dir, name)
+		if err := os.WriteFile(goFile, []byte(code), 0o644); err != nil {
+			return "", 0, err
 		}
-		return path
-	}
-	buildBin := func(goFile, out string) time.Duration {
 		t := time.Now()
-		cmd := exec.Command("go", "build", "-o", out, goFile)
-		if o, err := cmd.CombinedOutput(); err != nil {
-			log.Fatalf("go build: %v\n%s", err, o)
+		if o, err := exec.Command("go", "build", "-o", bin, goFile).CombinedOutput(); err != nil {
+			return "", 0, fmt.Errorf("go build: %w\n%s", err, o)
 		}
-		return time.Since(t)
+		return bin, time.Since(t), nil
 	}
-	timeRun := func(bin string) time.Duration {
+	timeRun := func(bin string) (time.Duration, error) {
 		best := time.Duration(1<<62 - 1)
 		for i := 0; i < 3; i++ {
 			t := time.Now()
 			cmd := exec.Command(bin)
 			cmd.Stdout = io.Discard
 			if err := cmd.Run(); err != nil {
-				log.Fatalf("generated binary: %v", err)
+				return 0, fmt.Errorf("generated binary: %w", err)
 			}
 			if d := time.Since(t); d < best {
 				best = d
 			}
 		}
-		return best
+		return best, nil
 	}
 
-	mainPath := write("main.go", code)
-	bin := filepath.Join(dir, "simbin")
-	build = buildBin(mainPath, bin)
-
+	bin, build, err := buildBin("simbin", code)
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	// Startup baseline: the same machine compiled for a single cycle.
-	onePath := write("one.go", gogen.Generate(spec.Info, gogen.Options{Cycles: 1}))
-	oneBin := filepath.Join(dir, "onebin")
-	buildBin(onePath, oneBin)
-
-	full := timeRun(bin)
-	startup := timeRun(oneBin)
-	per := full - startup
-	if per < 0 {
-		per = 0
+	oneBin, _, err := buildBin("onebin", gogen.Generate(spec.Info, gogen.Options{Cycles: 1}))
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	return gen, build, per * time.Duration(reps)
+	full, err := timeRun(bin)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	startup, err := timeRun(oneBin)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return gen, build, max(full-startup, 0) * time.Duration(reps), nil
 }

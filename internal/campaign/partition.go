@@ -57,15 +57,3 @@ func Range(lo, n int) []int {
 	}
 	return pick
 }
-
-// Global translates an engine index into the run's global index.
-func (p Partition) Global(i int) int { return p.Index[i] }
-
-// Remap returns the result re-indexed into the full campaign. Only
-// the index changes: digests, statistics, cycles and errors are
-// whatever the partitioned execution produced, which the partition
-// tests pin to byte-identity with full execution.
-func (p Partition) Remap(r Result) Result {
-	r.Index = p.Index[r.Index]
-	return r
-}

@@ -7,8 +7,8 @@ import (
 )
 
 // TestPartitionEquivalence is the invariant the cluster fabric's merge
-// rides on: executing a partition of a campaign's runs and remapping
-// the results to their global indices is byte-identical to executing
+// rides on: executing a partition of a campaign's runs and re-indexing
+// the results through Partition.Index is byte-identical to executing
 // the full campaign and picking the same indices — for contiguous
 // chunks, scattered picks, and any worker count on either side.
 func TestPartitionEquivalence(t *testing.T) {
@@ -27,12 +27,12 @@ func TestPartitionEquivalence(t *testing.T) {
 			t.Fatalf("pick %v: %v", pick, err)
 		}
 		for i, r := range part {
-			got := p.Remap(r)
-			if g := p.Global(i); got.Index != g {
-				t.Fatalf("pick %v: remapped index %d, want %d", pick, got.Index, g)
+			if r.Index != i {
+				t.Fatalf("pick %v: result %d carries engine index %d", pick, i, r.Index)
 			}
-			if want := full[got.Index]; !reflect.DeepEqual(got, want) {
-				t.Errorf("pick %v run %d: partitioned result %+v != full result %+v", pick, got.Index, got, want)
+			r.Index = p.Index[i]
+			if want := full[r.Index]; !reflect.DeepEqual(r, want) {
+				t.Errorf("pick %v run %d: partitioned result %+v != full result %+v", pick, r.Index, r, want)
 			}
 		}
 	}

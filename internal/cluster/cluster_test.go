@@ -458,7 +458,7 @@ func TestClusterBadRequests(t *testing.T) {
 	bad := map[string]service.JobRequest{
 		"no workload":      {},
 		"bad spec":         {Spec: "definitely not a spec"},
-		"shard-only chunk": {Spec: src, Runs: 2, Chunk: &service.ChunkRequest{Offset: 0, Count: 1}},
+		"shard-only chunk": {Spec: src, Runs: 2, Chunk: &service.ChunkRequest{Pick: []int{0}}},
 	}
 	for name, req := range bad {
 		if status, _ := postJob(t, coord.URL, req); status != http.StatusBadRequest {

@@ -43,6 +43,9 @@ type Options struct {
 func Generate(info *sem.Info, opts Options) string {
 	prog, lay := lower.Lower(info, true), sim.NewLayout(info)
 	g := &generator{info: info, opts: opts, lay: lay, prog: &prog, vars: codegen.Vars(lay)}
+	for _, m := range lay.Mems {
+		g.mems = append(g.mems, memVars{codegen.Adr(m.Name), codegen.Data(m.Name), codegen.Opn(m.Name), codegen.Comb(m.Name) + "[%s]"})
+	}
 	return g.run()
 }
 
@@ -54,10 +57,15 @@ type generator struct {
 	opts Options
 	lay  *sim.Layout
 	prog *lower.Program
-	vars []string // slot -> variable
+	vars []string  // slot -> variable
+	mems []memVars // memory ordinal -> its latches and cells
 	b    strings.Builder
 	ind  int
 }
+
+// memVars names where a printed program keeps one memory's latched
+// inputs and its cells; cell is a format of the cell index.
+type memVars struct{ adr, data, opn, cell string }
 
 // combVars returns the combinational outputs' variables, which lead
 // the slot order.
@@ -303,13 +311,13 @@ func (g *generator) emitEval() {
 	}
 	g.p("// latch memory inputs")
 	for i := range g.prog.Latches {
-		l, name := &g.prog.Latches[i], g.lay.Mems[i].Name
-		g.p("%s = %s", codegen.Adr(name), codegen.Expr(l.Addr, g.term))
+		l, mv := &g.prog.Latches[i], g.mems[i]
+		g.p("%s = %s", mv.adr, codegen.Expr(l.Addr, g.term))
 		if v, ok := l.Data.Constant(); g.info == nil || !ok || v != 0 {
-			g.p("%s = %s", codegen.Data(name), codegen.Expr(l.Data, g.term))
+			g.p("%s = %s", mv.data, codegen.Expr(l.Data, g.term))
 		}
 		if _, ok := l.Opn.Constant(); g.info == nil || !ok {
-			g.p("%s = %s", codegen.Opn(name), codegen.Expr(l.Opn, g.term))
+			g.p("%s = %s", mv.opn, codegen.Expr(l.Opn, g.term))
 		}
 	}
 }
@@ -402,18 +410,15 @@ func (g *generator) emitDispatch(c codegen.MemOpCase, opn string, cases [4]func(
 // emitMemoryCommit is the stand-alone commit: the operation through
 // sinput/soutput, then the trace statements the operation can request.
 func (g *generator) emitMemoryCommit(i int) {
-	m := g.info.Mems[i]
-	arr := codegen.Comb(m.Name)
-	temp := codegen.Temp(m.Name)
-	adr := codegen.Adr(m.Name)
-	data := codegen.Data(m.Name)
-	opn := codegen.Opn(m.Name)
+	m, mv := g.info.Mems[i], g.mems[i]
+	temp, adr, data, opn := g.vars[g.lay.Mems[i].Slot], mv.adr, mv.data, mv.opn
+	cell := fmt.Sprintf(mv.cell, adr)
 	c := codegen.ClassifyMemOp(&g.prog.Latches[i], m.Opn.Width())
 	g.emitDispatch(c, opn, [4]func(string){
-		func(pfx string) { g.p("%s%s = %s[%s]", pfx, temp, arr, adr) },
+		func(pfx string) { g.p("%s%s = %s", pfx, temp, cell) },
 		func(pfx string) {
 			g.p("%s%s = %s", pfx, temp, data)
-			g.p("%s%s[%s] = %s", pfx, arr, adr, data)
+			g.p("%s%s = %s", pfx, cell, data)
 		},
 		func(pfx string) { g.p("%s%s = sinput(%s)", pfx, temp, adr) },
 		func(pfx string) {

@@ -1,6 +1,8 @@
 package gogen
 
 import (
+	"fmt"
+
 	"repro/internal/aot"
 	"repro/internal/codegen"
 	"repro/internal/lower"
@@ -15,10 +17,17 @@ import (
 // result: the host restores it into a machine and reads cycles,
 // statistics and digest out of it.
 //
+// The worker's whole mutable state is the snapshot: one array st laid
+// out on sim's word map (sim.WordMap), which places every value slot,
+// latch, memory cell, operation count and the cycle counter, framing
+// words included. Every name the op, latch and commit printers emit is
+// an st[k] form, so saving state is serializing the array, and reset
+// is copying sim's power-on image over it. The worker knows nothing of
+// the format itself.
+//
 // Everything observable must match the in-process backends bit for
-// bit: state snapshots use the exact Machine.SaveState layout,
-// statistics count exactly what Machine.commitMems counts, and runtime
-// faults carry the same component/message pair with the same
+// bit: statistics count exactly what Machine.commitMems counts, and
+// runtime faults carry the same component/message pair with the same
 // partial-state semantics (earlier combinational values and memory
 // commits of the failing cycle are retained, the cycle counter is not
 // advanced, so the snapshot's cycle is the fault's).
@@ -28,7 +37,14 @@ import (
 // kernels were built from (compile.Compiled.Lowered). The worker never
 // traces, and the job stream supplies every cycle target.
 func Worker(lay *sim.Layout, prog *lower.Program) string {
-	g := &generator{lay: lay, prog: prog, vars: codegen.Vars(lay)}
+	w := lay.WordMap()
+	g := &generator{lay: lay, prog: prog, vars: make([]string, lay.Slots())}
+	for k := range g.vars {
+		g.vars[k] = word(w.Slot(k))
+	}
+	for i := range lay.Mems {
+		g.mems = append(g.mems, memVars{word(w.Addr(i)), word(w.Data(i)), word(w.Opn(i)), fmt.Sprintf("st[%d+%%s]", w.Cells(i))})
+	}
 	g.p("// Code generated by asimc (ASIM II reproduction), aot worker mode. DO NOT EDIT.")
 	g.p("package main")
 	g.p("")
@@ -48,21 +64,11 @@ func Worker(lay *sim.Layout, prog *lower.Program) string {
 	g.p("")
 	g.emitDologic()
 	g.p("")
-	g.emitVars()
-	g.p("")
-	g.emitWorkerState()
-	g.p("")
-	g.emitInitValues()
-	g.p("")
-	g.emitReset()
+	g.emitState(w)
 	g.p("")
 	g.emitFail()
 	g.p("")
-	g.emitRunCycle()
-	g.p("")
-	g.emitRunTo()
-	g.p("")
-	g.emitSaveState()
+	g.emitRunCycle(w)
 	g.p("")
 	g.emitWorkerIO()
 	g.p("")
@@ -70,46 +76,51 @@ func Worker(lay *sim.Layout, prog *lower.Program) string {
 	return g.b.String()
 }
 
-func (g *generator) emitWorkerState() {
-	g.p("var (")
-	g.ind++
-	g.p("cyclecount int64")
-	g.p("errcomp    string")
-	g.p("errmsg     string")
-	for _, m := range g.lay.Mems {
-		g.p("%s, %s, %s, %s int64", rds(m.Name), wrs(m.Name), ins(m.Name), outs(m.Name))
+// word names the state word at offset off.
+func word(off int) string { return fmt.Sprintf("st[%d]", off) }
+
+// emitState prints the state array, sim's power-on image (its
+// non-zero words), and the reset, cycle loop and snapshot over them.
+func (g *generator) emitState(w sim.WordMap) {
+	g.p("// st is the machine state, laid out as its snapshot.")
+	g.p("var st [%d]int64", w.Len())
+	g.p("")
+	g.p("var poweron = [%d]int64{", w.Len())
+	for off, v := range w.PowerOn() {
+		if v != 0 {
+			g.p("\t%d: %d,", off, v)
+		}
 	}
-	g.ind--
-	g.p(")")
-}
-
-func rds(name string) string  { return "rds" + codegen.Comb(name) }
-func wrs(name string) string  { return "wrs" + codegen.Comb(name) }
-func ins(name string) string  { return "ins" + codegen.Comb(name) }
-func outs(name string) string { return "outs" + codegen.Comb(name) }
-
-// emitReset restores the power-on state between runs, exactly like a
-// Machine.Reset: values, latches and arrays zeroed, declared
-// initializers applied, statistics cleared. runcycle stores every latch
-// from its lowered expression, so a snapshot at any cycle — 0 included
-// — matches the machine's byte for byte.
-func (g *generator) emitReset() {
+	g.p("}")
+	g.p("")
+	g.p("const cycle, statscycles = %d, %d", w.Cycle(), w.StatsCycles())
+	g.p("")
+	g.p("var errcomp, errmsg string")
+	g.p("")
 	g.p("func reset() {")
-	g.ind++
-	for _, v := range g.combVars() {
-		g.p("%s = 0", v)
-	}
-	for _, m := range g.lay.Mems {
-		g.p("%s, %s, %s, %s = 0, 0, 0, 0", codegen.Temp(m.Name), codegen.Adr(m.Name), codegen.Data(m.Name), codegen.Opn(m.Name))
-		g.p("for i := range %s {", codegen.Comb(m.Name))
-		g.p("\t%s[i] = 0", codegen.Comb(m.Name))
-		g.p("}")
-		g.p("%s, %s, %s, %s = 0, 0, 0, 0", rds(m.Name), wrs(m.Name), ins(m.Name), outs(m.Name))
-	}
-	g.p("initvalues()")
-	g.p("cyclecount = 0")
-	g.p("errcomp, errmsg = \"\", \"\"")
-	g.ind--
+	g.p("\tst = poweron")
+	g.p("\terrcomp, errmsg = \"\", \"\"")
+	g.p("}")
+	g.p("")
+	g.p("func runto(target int64) bool {")
+	g.p("\tfor st[cycle] < target {")
+	g.p("\t\tif !runcycle() {")
+	g.p("\t\t\treturn false")
+	g.p("\t\t}")
+	g.p("\t\tst[cycle]++")
+	g.p("\t\tst[statscycles]++")
+	g.p("\t}")
+	g.p("\treturn true")
+	g.p("}")
+	g.p("")
+	g.p("var statebuf []byte")
+	g.p("")
+	g.p("func savestate() []byte {")
+	g.p("\tstatebuf = statebuf[:0]")
+	g.p("\tfor _, v := range st {")
+	g.p("\t\tstatebuf = binary.LittleEndian.AppendUint64(statebuf, uint64(v))")
+	g.p("\t}")
+	g.p("\treturn statebuf")
 	g.p("}")
 }
 
@@ -125,13 +136,13 @@ func (g *generator) emitFail() {
 // body: the same evaluation (emitEval), then the memory commit — but
 // faults report through fail and bail instead of exiting, and every
 // commit counts into the statistics.
-func (g *generator) emitRunCycle() {
+func (g *generator) emitRunCycle(w sim.WordMap) {
 	g.p("func runcycle() bool {")
 	g.ind++
 	g.emitEval()
 	g.p("// commit memory operations")
 	for i := range g.prog.Latches {
-		g.emitMemoryCommitWorker(i)
+		g.emitMemoryCommitWorker(i, w.MemOps(i))
 	}
 	g.p("return true")
 	g.ind--
@@ -140,36 +151,32 @@ func (g *generator) emitRunCycle() {
 
 // emitMemoryCommitWorker mirrors Machine.commitMems for one memory:
 // bounds-checked read/write, input always faults (campaign machines
-// have no input device), output is counted and discarded. Statistics
-// are bumped only after a successful commit, matching the in-process
-// partial-state-on-error semantics.
-func (g *generator) emitMemoryCommitWorker(i int) {
-	m := g.lay.Mems[i]
-	arr := codegen.Comb(m.Name)
-	temp := codegen.Temp(m.Name)
-	adr := codegen.Adr(m.Name)
-	data := codegen.Data(m.Name)
-	opn := codegen.Opn(m.Name)
-	size := m.Size
+// have no input device), output is counted and discarded. Statistics,
+// the four words from ops on, are bumped only after a successful
+// commit, matching the in-process partial-state-on-error semantics.
+func (g *generator) emitMemoryCommitWorker(i, ops int) {
+	m, mv := g.lay.Mems[i], g.mems[i]
+	temp, adr, data := g.vars[m.Slot], mv.adr, mv.data
+	cell := fmt.Sprintf(mv.cell, adr)
 
 	bounds := func(pfx, verb string) {
-		g.p("%sif %s < 0 || %s >= %d {", pfx, adr, adr, size)
-		g.p("%s\tfail(%q, \"%s address %%d outside 0..%%d\", %s, int64(%d))", pfx, m.Name, verb, adr, size-1)
+		g.p("%sif %s < 0 || %s >= %d {", pfx, adr, adr, m.Size)
+		g.p("%s\tfail(%q, \"%s address %%d outside 0..%%d\", %s, int64(%d))", pfx, m.Name, verb, adr, m.Size-1)
 		g.p("%s\treturn false", pfx)
 		g.p("%s}", pfx)
 	}
 	// A worker never traces, so the operation's width is never read.
-	g.emitDispatch(codegen.ClassifyMemOp(&g.prog.Latches[i], 0), opn, [4]func(string){
+	g.emitDispatch(codegen.ClassifyMemOp(&g.prog.Latches[i], 0), mv.opn, [4]func(string){
 		func(pfx string) {
 			bounds(pfx, "read")
-			g.p("%s%s = %s[%s]", pfx, temp, arr, adr)
-			g.p("%s%s++", pfx, rds(m.Name))
+			g.p("%s%s = %s", pfx, temp, cell)
+			g.p("%s%s++", pfx, word(ops+sim.OpRead))
 		},
 		func(pfx string) {
 			bounds(pfx, "write")
 			g.p("%s%s = %s", pfx, temp, data)
-			g.p("%s%s[%s] = %s", pfx, arr, adr, data)
-			g.p("%s%s++", pfx, wrs(m.Name))
+			g.p("%s%s = %s", pfx, cell, data)
+			g.p("%s%s++", pfx, word(ops+sim.OpWrite))
 		},
 		func(pfx string) {
 			g.p("%sfail(%q, \"input operation with no input attached\")", pfx, m.Name)
@@ -177,68 +184,9 @@ func (g *generator) emitMemoryCommitWorker(i int) {
 		},
 		func(pfx string) {
 			g.p("%s%s = %s", pfx, temp, data)
-			g.p("%s%s++", pfx, outs(m.Name))
+			g.p("%s%s++", pfx, word(ops+sim.OpOutput))
 		},
 	})
-}
-
-func (g *generator) emitRunTo() {
-	g.p("func runto(target int64) bool {")
-	g.ind++
-	g.p("for cyclecount < target {")
-	g.p("\tif !runcycle() {")
-	g.p("\t\treturn false")
-	g.p("\t}")
-	g.p("\tcyclecount++")
-	g.p("}")
-	g.p("return true")
-	g.ind--
-	g.p("}")
-}
-
-// emitSaveState emits Machine.SaveState's exact byte layout.
-func (g *generator) emitSaveState() {
-	g.p("var statebuf []byte")
-	g.p("")
-	g.p("func put(v int64) {")
-	g.p("\tstatebuf = binary.LittleEndian.AppendUint64(statebuf, uint64(v))")
-	g.p("}")
-	g.p("")
-	g.p("func savestate() []byte {")
-	g.ind++
-	g.p("statebuf = statebuf[:0]")
-	g.p("put(int64(%d)) // snapshot magic", sim.SnapshotMagic)
-	g.p("put(%d) // value slots", len(g.vars))
-	for _, v := range g.vars {
-		g.p("put(%s)", v)
-	}
-	g.p("put(%d) // memories", len(g.lay.Mems))
-	for _, m := range g.lay.Mems {
-		g.p("put(%d)", m.Size)
-		g.p("for _, v := range %s {", codegen.Comb(m.Name))
-		g.p("\tput(v)")
-		g.p("}")
-	}
-	for _, m := range g.lay.Mems {
-		g.p("put(%s)", codegen.Adr(m.Name))
-	}
-	for _, m := range g.lay.Mems {
-		g.p("put(%s)", codegen.Data(m.Name))
-	}
-	for _, m := range g.lay.Mems {
-		g.p("put(%s)", codegen.Opn(m.Name))
-	}
-	g.p("put(cyclecount)")
-	g.p("put(cyclecount) // stats cycles")
-	for _, m := range g.lay.Mems {
-		g.p("put(%s)", rds(m.Name))
-		g.p("put(%s)", wrs(m.Name))
-		g.p("put(%s)", ins(m.Name))
-		g.p("put(%s)", outs(m.Name))
-	}
-	g.p("return statebuf")
-	g.ind--
-	g.p("}")
 }
 
 func (g *generator) emitWorkerIO() {
@@ -307,16 +255,16 @@ func (g *generator) emitWorkerMain() {
 	g.p("target := int64(ru64())")
 	g.p("reset()")
 	g.p("ok := true")
-	g.p("for ok && cyclecount < target {")
+	g.p("for ok && st[cycle] < target {")
 	g.p("\tnext := target")
-	g.p("\tif every > 0 && cyclecount+every < target {")
-	g.p("\t\tnext = cyclecount + every")
+	g.p("\tif every > 0 && st[cycle]+every < target {")
+	g.p("\t\tnext = st[cycle] + every")
 	g.p("\t}")
 	g.p("\tok = runto(next)")
-	g.p("\tif ok && cyclecount < target {")
+	g.p("\tif ok && st[cycle] < target {")
 	g.p("\t\twu32(%#x)", aot.CheckpointMagic)
 	g.p("\t\twu32(uint32(run))")
-	g.p("\t\twu64(uint64(cyclecount))")
+	g.p("\t\twu64(uint64(st[cycle]))")
 	g.p("\t\tst := savestate()")
 	g.p("\t\twu32(uint32(len(st)))")
 	g.p("\t\tout.Write(st)")

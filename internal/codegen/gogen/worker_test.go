@@ -60,17 +60,10 @@ func workerSource(spec *core.Spec) string {
 // interpreter's.
 func wantState(m *core.Machine, spec *core.Spec) []byte {
 	st := m.SaveState()
-	word := func(off int) int { return int(binary.LittleEndian.Uint64(st[off:])) }
-	off := 16 + 8*word(8) // magic, slot count, slots
-	mems := spec.Info.Mems
-	off += 8 // memory count
-	for range mems {
-		off += 8 + 8*word(off)
-	}
-	off += 8 * len(mems) // address latches; data latches follow
-	for i, mem := range mems {
+	w := sim.NewLayout(spec.Info).WordMap()
+	for i, mem := range spec.Info.Mems {
 		if v, ok := mem.Opn.ConstValue(); ok && (v&3 == sim.OpRead || v&3 == sim.OpInput) {
-			binary.LittleEndian.PutUint64(st[off+8*i:], 0)
+			binary.LittleEndian.PutUint64(st[8*w.Data(i):], 0)
 		}
 	}
 	return st

@@ -74,7 +74,7 @@ func chunkReference(t *testing.T, url string, req service.JobRequest) map[int]st
 }
 
 // TestServiceChunkJob executes a campaign as chunks — contiguous
-// offset/count windows and a scattered pick — against a shard-mode
+// windows and a scattered pick — against a shard-mode
 // server and verifies every run line is byte-identical to the
 // unchunked job's line for the same global index.
 func TestServiceChunkJob(t *testing.T) {
@@ -88,9 +88,9 @@ func TestServiceChunkJob(t *testing.T) {
 	want := chunkReference(t, ts.URL, req)
 
 	chunks := []service.ChunkRequest{
-		{Offset: 0, Count: 3},
-		{Offset: 3, Count: 3},
-		{Offset: 6, Count: 2},
+		{Pick: campaign.Range(0, 3)},
+		{Pick: campaign.Range(3, 3)},
+		{Pick: campaign.Range(6, 2)},
 		{Pick: []int{1, 4, 7}},
 	}
 	for _, c := range chunks {
@@ -101,10 +101,7 @@ func TestServiceChunkJob(t *testing.T) {
 			t.Fatalf("chunk %+v: status %d: %v", c, status, lines)
 		}
 		hdr, raw, _, tr := splitShardStream(t, lines)
-		size := c.Count
-		if len(c.Pick) > 0 {
-			size = len(c.Pick)
-		}
+		size := len(c.Pick)
 		if hdr.Runs != size || hdr.TotalRuns != runs {
 			t.Errorf("chunk %+v header: runs %d (want %d), total %d (want %d)", c, hdr.Runs, size, hdr.TotalRuns, runs)
 		}
@@ -149,7 +146,7 @@ func TestServiceChunkCheckpointStream(t *testing.T) {
 	want := chunkReference(t, ts.URL, req)
 
 	creq := req
-	creq.Chunk = &service.ChunkRequest{Offset: 2, Count: 4}
+	creq.Chunk = &service.ChunkRequest{Pick: campaign.Range(2, 4)}
 	creq.StreamCheckpoints = true
 	status, lines := postJob(t, ts.URL, creq)
 	if status != http.StatusOK {
@@ -189,7 +186,7 @@ func TestServiceChunkCheckpointStream(t *testing.T) {
 	}
 
 	short := service.JobRequest{Spec: machines.Counter(), Runs: 64, Cycles: 50,
-		Chunk: &service.ChunkRequest{Offset: 0, Count: 64}, StreamCheckpoints: true}
+		Chunk: &service.ChunkRequest{Pick: campaign.Range(0, 64)}, StreamCheckpoints: true}
 	status, lines = postJob(t, ts.URL, short)
 	if status != http.StatusOK {
 		t.Fatalf("short chunk: status %d: %v", status, lines)
@@ -263,7 +260,7 @@ func TestServiceChunkWarm(t *testing.T) {
 	want := chunkReference(t, ts.URL, req)
 
 	creq := req
-	creq.Chunk = &service.ChunkRequest{Offset: 0, Count: runs}
+	creq.Chunk = &service.ChunkRequest{Pick: campaign.Range(0, runs)}
 	creq.StreamCheckpoints = true
 	status, lines := postJob(t, ts.URL, creq)
 	if status != http.StatusOK {
@@ -312,7 +309,7 @@ func TestServiceShardGate(t *testing.T) {
 	base := service.JobRequest{Spec: src, Runs: 4, Cycles: 100}
 
 	for name, mutate := range map[string]func(*service.JobRequest){
-		"chunk":              func(r *service.JobRequest) { r.Chunk = &service.ChunkRequest{Offset: 0, Count: 2} },
+		"chunk":              func(r *service.JobRequest) { r.Chunk = &service.ChunkRequest{Pick: []int{0, 1}} },
 		"stream_checkpoints": func(r *service.JobRequest) { r.StreamCheckpoints = true },
 		"warm":               func(r *service.JobRequest) { r.Warm = []service.WarmEntry{{Run: 0, Cycle: 1}} },
 	} {
@@ -325,10 +322,10 @@ func TestServiceShardGate(t *testing.T) {
 
 	_, shard := newServer(t, service.Config{ShardMode: true})
 	for name, c := range map[string]service.ChunkRequest{
-		"zero count":     {Offset: 0, Count: 0},
-		"negative start": {Offset: -1, Count: 2},
-		"past the end":   {Offset: 3, Count: 2},
-		"bad pick":       {Pick: []int{0, 0}},
+		"empty pick":       {},
+		"negative index":   {Pick: []int{-1, 0}},
+		"past the end":     {Pick: []int{3, 4}},
+		"duplicated index": {Pick: []int{0, 0}},
 	} {
 		req := base
 		req.Chunk = &c

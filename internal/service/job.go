@@ -72,14 +72,12 @@ type JobRequest struct {
 	Warm []WarmEntry `json:"warm,omitempty"`
 }
 
-// ChunkRequest selects a partition of a job's runs: either the
-// contiguous range [Offset, Offset+Count) or, when Pick is non-empty,
-// an explicit set of global run indices (Pick overrides Offset/Count;
-// a re-dispatched chunk's unfinished remainder is rarely contiguous).
+// ChunkRequest selects a partition of a job's runs: Pick lists their
+// global indices (a re-dispatched chunk's unfinished remainder is
+// rarely contiguous). An empty, out-of-range or duplicated pick is
+// rejected (campaign.NewPartition).
 type ChunkRequest struct {
-	Offset int   `json:"offset,omitempty"`
-	Count  int   `json:"count,omitempty"`
-	Pick   []int `json:"pick,omitempty"`
+	Pick []int `json:"pick,omitempty"`
 }
 
 // WarmEntry is one run's warm-start seed: the snapshot bytes a
@@ -665,15 +663,7 @@ func (s *Server) newJob(id string, req JobRequest, scr *jobScratch) (*job, error
 // execution (campaign.Partition's contract).
 func (j *job) partition(req JobRequest) error {
 	if req.Chunk != nil {
-		c := req.Chunk
-		pick := c.Pick
-		if len(pick) == 0 {
-			if c.Count <= 0 || c.Offset < 0 || c.Offset > len(j.runs) || c.Count > len(j.runs)-c.Offset { // overflow-safe
-				return fmt.Errorf("chunk [%d,%d) is outside the job's %d runs", c.Offset, c.Offset+c.Count, len(j.runs))
-			}
-			pick = campaign.Range(c.Offset, c.Count)
-		}
-		p, err := campaign.NewPartition(j.runs, pick)
+		p, err := campaign.NewPartition(j.runs, req.Chunk.Pick)
 		if err != nil {
 			return fmt.Errorf("chunk: %v", err)
 		}

@@ -45,7 +45,7 @@ var BadRequests = []BadRequest{
 	{"scenario size", JobRequest{Scenario: "sieve-fleet", Size: 1 << 30}, "caps scenario size"},
 	{"scenario backend", JobRequest{Scenario: "sieve-fleet", Backend: "no-such-backend"}, "unknown backend"},
 	// The shard protocol is a coordinator's to send.
-	{"shard-only chunk", JobRequest{Spec: machines.Counter(), Runs: 2, Chunk: &ChunkRequest{Offset: 0, Count: 1}}, "shard protocol"},
+	{"shard-only chunk", JobRequest{Spec: machines.Counter(), Runs: 2, Chunk: &ChunkRequest{Pick: []int{0}}}, "shard protocol"},
 	{"shard-only stream", JobRequest{Spec: machines.Counter(), Runs: 2, StreamCheckpoints: true}, "shard protocol"},
 	{"shard-only warm", JobRequest{Spec: machines.Counter(), Runs: 2, Warm: []WarmEntry{{Run: 0, Cycle: 1}}}, "shard protocol"},
 }
@@ -80,7 +80,7 @@ func FuzzPlanRequest(f *testing.F) {
 	}
 	for _, good := range []string{
 		`{"scenario":"sieve-fleet","runs":3,"cycles":50}`,
-		`{"spec":` + string(mustMarshal(f, machines.Counter())) + `,"runs":4,"cycles":16,"chunk":{"offset":1,"count":2}}`,
+		`{"spec":` + string(mustMarshal(f, machines.Counter())) + `,"runs":4,"cycles":16,"chunk":{"pick":[1,2]}}`,
 		`{"spec":` + string(mustMarshal(f, machines.Counter())) + `,"runs":4,"chunk":{"pick":[0,3]},"warm":[{"run":3,"cycle":1,"state":"AAAA"}]}`,
 		`{"spec":"x","unknown_field":1}`,
 		`{"resume":{"job":"j1","delivered":2}}`,

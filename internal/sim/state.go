@@ -33,15 +33,17 @@ import (
 // of machine state; warm-starting an input-consuming run needs the
 // stream positioned to match the snapshot.
 //
-// Format (little-endian 64-bit words): magic, slot count, slot values,
-// memory count, per memory its cell count and cells, every memory's
-// address latch, then data latches, then operation latches, cycle,
-// stats.Cycles, per memory its Reads/Writes/Inputs/Outputs.
+// Format 1 is a sequence of little-endian 64-bit words: magic, slot
+// count, slot values, memory count, per memory its cell count and
+// cells, every memory's address latch, then data latches, then
+// operation latches, cycle, stats.Cycles, per memory its
+// Reads/Writes/Inputs/Outputs. WordMap is that sequence as data, the
+// offset of each word for a layout; the codec, the framing check and
+// the power-on reset below read it, and so does the native worker,
+// which keeps its whole state in an array laid out on it.
 
-// SnapshotMagic identifies snapshot format version 1. It is exported
-// so generated native workers (gogen.Worker) can
-// emit byte-compatible snapshots from the one authoritative constant.
-const SnapshotMagic uint64 = 0x4153494d53543101 // "ASIMST" 0x1 0x01
+// snapshotMagic identifies snapshot format version 1.
+const snapshotMagic uint64 = 0x4153494d53543101 // "ASIMST" 0x1 0x01
 
 // archHashOffset/archHashPrime define the FNV-1a fold shared by
 // Machine.ArchHash and Gang.LaneArchHash: one definition, so the
@@ -101,23 +103,14 @@ func (c column) row(i int) []int64 {
 	return c.arrays[i][c.col*size : (c.col+1)*size]
 }
 
-// reset restores power-on state: every component output and memory
-// latch 0, memory arrays zeroed except declared initial values, cycle
-// 0, statistics cleared.
+// reset restores power-on state: every word the snapshot word map
+// names 0 except each memory's declared initial cells — the map's
+// PowerOn image — so a reset column's snapshot is a fresh one's.
 func (c column) reset() {
-	for k := c.col; k < len(c.vals); k += c.stride {
-		c.vals[k] = 0
-	}
-	for i, mem := range c.layout.Mems {
-		row := c.row(i)
-		clear(row)
-		copy(row, mem.Init)
-	}
-	for k := c.col; k < len(c.addr); k += c.stride {
-		c.addr[k], c.data[k], c.opn[k], c.ops[k] = 0, 0, 0, MemOpStats{}
-	}
-	*c.cycle = 0
-	c.stats.Cycles = 0
+	c.words(c.layout.WordMap(), func(_ int, v *int64) { *v = 0 }, func(i int, cells []int64) {
+		clear(cells)
+		copy(cells, c.layout.Mems[i].Init)
+	})
 }
 
 // archHash folds the column's architectural state — the slot values
@@ -139,140 +132,190 @@ func (c column) archHash() uint64 {
 	return h
 }
 
-// stateLen returns the exact byte length of the column's snapshot.
-func (c column) stateLen() int {
-	nm := len(c.layout.Mems)
-	n := 8 * (3 + c.layout.Slots() + nm + 3*nm + 2 + 4*nm)
-	for _, mem := range c.layout.Mems {
-		n += 8 * mem.Size
+// WordMap is the word map of one layout's snapshot: the offset, in
+// 64-bit words from the start, of every word a snapshot holds. It is
+// the format's one description (see the top of this file), so a format
+// change lands here once.
+type WordMap struct {
+	lay   *Layout
+	latch int // offset of memory 0's address latch
+}
+
+// WordMap returns the layout's snapshot word map.
+func (l *Layout) WordMap() WordMap {
+	w := WordMap{lay: l}
+	w.latch = w.Cells(len(l.Mems)) - 1
+	return w
+}
+
+// Slot returns the offset of value slot k. Word 0 is the magic, word 1
+// the slot count.
+func (w WordMap) Slot(k int) int { return 2 + k }
+
+// Cells returns the offset of memory i's cell 0. The memory count
+// follows the value slots, and each memory's cell count precedes its
+// cells.
+func (w WordMap) Cells(i int) int {
+	off := w.Slot(w.lay.Slots()) + 2
+	for _, mem := range w.lay.Mems[:i] {
+		off += mem.Size + 1
 	}
-	return n
+	return off
+}
+
+// Addr, Data and Opn return the offsets of memory i's address, data and
+// operation latches: every memory's address latch, then every data
+// latch, then every operation latch.
+func (w WordMap) Addr(i int) int { return w.latch + i }
+func (w WordMap) Data(i int) int { return w.Addr(len(w.lay.Mems) + i) }
+func (w WordMap) Opn(i int) int  { return w.Data(len(w.lay.Mems) + i) }
+
+// Cycle returns the offset of the cycle counter, and StatsCycles that
+// of the statistics' cycle count after it.
+func (w WordMap) Cycle() int       { return w.Opn(len(w.lay.Mems)) }
+func (w WordMap) StatsCycles() int { return w.Cycle() + 1 }
+
+// MemOps returns the offset of memory i's operation counts, which are
+// indexed by operation: MemOps(i)+OpRead holds its Reads, then come its
+// Writes, Inputs and Outputs (MemOpStats' field order).
+func (w WordMap) MemOps(i int) int { return w.Cycle() + 2 + 4*i }
+
+// Len returns the snapshot's length in words.
+func (w WordMap) Len() int { return w.MemOps(len(w.lay.Mems)) }
+
+// header calls fn with the offset and value of each framing word: the
+// magic, the slot count, the memory count and each memory's cell count.
+func (w WordMap) header(fn func(off int, v int64)) {
+	fn(0, int64(snapshotMagic))
+	fn(1, int64(w.lay.Slots()))
+	fn(w.Slot(w.lay.Slots()), int64(len(w.lay.Mems)))
+	for i, mem := range w.lay.Mems {
+		fn(w.Cells(i)-1, int64(mem.Size))
+	}
+}
+
+// PowerOn returns the snapshot of a reset machine as words: the framing
+// words and every memory's declared initial cells, zero elsewhere. It is
+// built on each call and kept by no program.
+func (w WordMap) PowerOn() []int64 {
+	img := make([]int64, w.Len())
+	w.header(func(off int, v int64) { img[off] = v })
+	for i, mem := range w.lay.Mems {
+		copy(img[w.Cells(i):], mem.Init)
+	}
+	return img
+}
+
+// check vets a snapshot against the map before anything is restored
+// from it: its exact length and every framing word, the magic included,
+// must be the layout's, so a foreign, torn or corrupt snapshot is an
+// error, never a misread.
+func (w WordMap) check(st []byte) error {
+	if len(st) != 8*w.Len() {
+		return fmt.Errorf("sim: snapshot is %d bytes, the program's are %d", len(st), 8*w.Len())
+	}
+	var err error
+	w.header(func(off int, v int64) {
+		if got := int64(binary.LittleEndian.Uint64(st[8*off:])); err == nil && got != v {
+			err = fmt.Errorf("sim: snapshot framing word %d is %#x, the program's is %#x", off, got, v)
+		}
+	})
+	return err
+}
+
+// words calls word with the map offset and the address of each of the
+// column's state words outside the memories — value slots, latches,
+// operation counts, cycle and statistics' cycle count — and row with
+// each memory's ordinal and cells, which start at w.Cells(i).
+func (c column) words(w WordMap, word func(off int, v *int64), row func(i int, cells []int64)) {
+	for k := 0; k < c.layout.Slots(); k++ {
+		word(w.Slot(k), &c.vals[k*c.stride+c.col])
+	}
+	for i := range c.arrays {
+		row(i, c.row(i))
+		k := i*c.stride + c.col
+		word(w.Addr(i), &c.addr[k])
+		word(w.Data(i), &c.data[k])
+		word(w.Opn(i), &c.opn[k])
+		ops, off := &c.ops[k], w.MemOps(i)
+		word(off+OpRead, &ops.Reads)
+		word(off+OpWrite, &ops.Writes)
+		word(off+OpInput, &ops.Inputs)
+		word(off+OpOutput, &ops.Outputs)
+	}
+	word(w.Cycle(), c.cycle)
+	word(w.StatsCycles(), &c.stats.Cycles)
 }
 
 // appendState appends the column's snapshot to buf.
 func (c column) appendState(buf []byte) []byte {
-	buf = slices.Grow(buf, c.stateLen())
-	put := func(v int64) {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	put(int64(SnapshotMagic))
-	put(int64(c.layout.Slots()))
-	for k := c.col; k < len(c.vals); k += c.stride {
-		put(c.vals[k])
-	}
-	put(int64(len(c.arrays)))
-	for i := range c.arrays {
-		row := c.row(i)
-		put(int64(len(row)))
-		for _, v := range row {
-			put(v)
+	w := c.layout.WordMap()
+	n := len(buf)
+	buf = slices.Grow(buf, 8*w.Len())[:n+8*w.Len()]
+	st := buf[n:]
+	put := func(off int, v int64) { binary.LittleEndian.PutUint64(st[8*off:], uint64(v)) }
+	w.header(put)
+	c.words(w, func(off int, v *int64) { put(off, *v) }, func(i int, cells []int64) {
+		row := st[8*w.Cells(i):][:0]
+		for _, v := range cells {
+			row = binary.LittleEndian.AppendUint64(row, uint64(v))
 		}
-	}
-	for _, latch := range [][]int64{c.addr, c.data, c.opn} {
-		for k := c.col; k < len(latch); k += c.stride {
-			put(latch[k])
-		}
-	}
-	put(*c.cycle)
-	put(c.stats.Cycles)
-	for k := c.col; k < len(c.ops); k += c.stride {
-		ops := c.ops[k]
-		put(ops.Reads)
-		put(ops.Writes)
-		put(ops.Inputs)
-		put(ops.Outputs)
-	}
+	})
 	return buf
 }
 
-// restoreState loads a snapshot into the column. The framing is
+// restoreState loads a snapshot into the column. The snapshot is
 // checked against the column's layout in full before anything is
 // written, so a foreign, torn or corrupt snapshot leaves the column
 // untouched.
 func (c column) restoreState(st []byte) error {
-	if _, err := frame(st, c.layout); err != nil {
+	w := c.layout.WordMap()
+	if err := w.check(st); err != nil {
 		return err
 	}
-	off := 16 // magic, slot count
-	get := func() int64 {
-		v := int64(binary.LittleEndian.Uint64(st[off:]))
-		off += 8
-		return v
-	}
-	for k := c.col; k < len(c.vals); k += c.stride {
-		c.vals[k] = get()
-	}
-	off += 8 // memory count
-	for i := range c.arrays {
-		off += 8 // cell count
-		row := c.row(i)
-		for j := range row {
-			row[j] = get()
+	get := func(off int) int64 { return int64(binary.LittleEndian.Uint64(st[8*off:])) }
+	c.words(w, func(off int, v *int64) { *v = get(off) }, func(i int, cells []int64) {
+		row := st[8*w.Cells(i):]
+		for j := range cells {
+			cells[j] = int64(binary.LittleEndian.Uint64(row))
+			row = row[8:]
 		}
-	}
-	for _, latch := range [][]int64{c.addr, c.data, c.opn} {
-		for k := c.col; k < len(latch); k += c.stride {
-			latch[k] = get()
-		}
-	}
-	*c.cycle = get()
-	c.stats.Cycles = get()
-	for k := c.col; k < len(c.ops); k += c.stride {
-		c.ops[k] = MemOpStats{Reads: get(), Writes: get(), Inputs: get(), Outputs: get()}
-	}
+	})
 	return nil
 }
 
-// frame walks a snapshot's self-describing framing — magic, slot
-// count, memory count, each memory's cell count — and returns the
-// offset of the cycle field. Every count is bounds-checked before it is
-// used and the total length must match exactly, so a truncated, padded
-// or torn snapshot is an error, never a misread. Given a layout, every
-// count must also be the layout's.
-func frame(st []byte, want *Layout) (int, error) {
-	word := func(off int) (int64, bool) {
+// frame walks a snapshot's self-describing framing without a layout —
+// magic, slot count, memory count, each memory's cell count — and
+// returns the offset of the cycle field. Every count is bounds-checked
+// before it is used and the total length must match exactly, so a
+// truncated, padded or torn snapshot is an error, never a misread.
+func frame(st []byte) (int, error) {
+	// count reads the count word at off, which must fit in the
+	// snapshot and count no more words than it holds.
+	count := func(off int) (int, bool) {
 		if off+8 > len(st) {
 			return 0, false
 		}
-		return int64(binary.LittleEndian.Uint64(st[off:])), true
+		n := int64(binary.LittleEndian.Uint64(st[off:]))
+		return int(n), n >= 0 && n <= int64(len(st))
 	}
-	// count reads the count word at off: it must fit in the snapshot
-	// and, when want >= 0, equal want.
-	count := func(off, want int) (int, error) {
-		n, ok := word(off)
-		switch {
-		case !ok || n < 0 || n > int64(len(st)):
-			return 0, fmt.Errorf("out of range")
-		case want >= 0 && n != int64(want):
-			return 0, fmt.Errorf("%d, the program's is %d", n, want)
-		}
-		return int(n), nil
-	}
-	slots, mems := -1, -1
-	if want != nil {
-		slots, mems = want.Slots(), len(want.Mems)
-	}
-	if magic, ok := word(0); !ok || uint64(magic) != SnapshotMagic {
+	if len(st) < 8 || binary.LittleEndian.Uint64(st) != snapshotMagic {
 		return 0, fmt.Errorf("sim: not a machine state snapshot")
 	}
-	nvals, err := count(8, slots)
-	if err != nil {
-		return 0, fmt.Errorf("sim: snapshot slot count %v", err)
+	nvals, ok := count(8)
+	if !ok {
+		return 0, fmt.Errorf("sim: snapshot slot count out of range")
 	}
 	off := 16 + 8*nvals
-	nmems, err := count(off, mems)
-	if err != nil {
-		return 0, fmt.Errorf("sim: snapshot memory count %v", err)
+	nmems, ok := count(off)
+	if !ok {
+		return 0, fmt.Errorf("sim: snapshot memory count out of range")
 	}
 	off += 8
 	for i := 0; i < nmems; i++ {
-		size := -1
-		if want != nil {
-			size = want.Mems[i].Size
-		}
-		cells, err := count(off, size)
-		if err != nil {
-			return 0, fmt.Errorf("sim: snapshot memory %d cell count %v", i, err)
+		cells, ok := count(off)
+		if !ok {
+			return 0, fmt.Errorf("sim: snapshot memory %d cell count out of range", i)
 		}
 		off += 8 + 8*cells
 	}
@@ -292,7 +335,7 @@ func frame(st []byte, want *Layout) (int, error) {
 // cycle against the snapshot it frames before trusting either. A
 // malformed or truncated snapshot is rejected with an error.
 func SnapshotCycle(st []byte) (int64, error) {
-	off, err := frame(st, nil)
+	off, err := frame(st)
 	if err != nil {
 		return 0, err
 	}
