@@ -11,15 +11,16 @@
 //	spec, err := asim2.ParseString("counter", src)
 //	prog, err := asim2.Compile(spec, asim2.Compiled) // compile once
 //	m := prog.NewMachine(asim2.Options{Output: os.Stdout})
-//	err = m.Run(1000) // traces, observers and hooks fire every cycle
+//	err = m.Run(1000) // traces and observers fire, fault records apply, every cycle
 //
 // Machines of one Program share its compiled evaluator; build fleets
 // with one Compile and many NewMachine calls. asim2.NewMachine(spec,
 // backend, opts) remains as a single-machine convenience wrapper.
 // Program.NewGang builds a struct-of-arrays Gang that steps many
-// hook-free machines of one Program in lockstep, amortizing component
-// dispatch across the whole gang (the campaign engine does this
-// automatically for eligible fleet runs).
+// machines of one Program without I/O in lockstep, amortizing
+// component dispatch across the whole gang (the campaign engine does
+// this automatically for every fleet run without I/O, warm-started and
+// faulted runs included).
 //
 // Backends: Interp is the table-walking baseline (the original ASIM),
 // Compiled pre-compiles the specification to closures (the ASIM II

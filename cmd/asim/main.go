@@ -107,9 +107,11 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		if _, err := fault.Inject(m, faults...); err != nil {
+		recs, err := fault.Lower(m.Layout(), faults)
+		if err != nil {
 			return err
 		}
+		m.SetFaults(recs, make([]int64, len(recs)))
 	}
 
 	n := *cycles

@@ -10,27 +10,28 @@ import (
 )
 
 // The AOT rung of the dispatch ladder. A span is eligible when every
-// run is gangable (zero Options, no faults, no warm start, no custom
-// digest — the same shape a gang lane requires) and its Program is a
-// compiled one (AOTCapable) that cleared the campaign-level
-// amortization threshold. Eligible spans execute inside a generated native worker
+// run is gangable and native — it starts at power-on and carries no
+// faults, which the worker protocol cannot carry yet, so those runs of
+// the program take in-process gangs — and its Program is a compiled
+// one (AOTCapable) that cleared the campaign-level amortization
+// threshold. Eligible spans execute inside a generated native worker
 // subprocess, which answers each run with its final snapshot. Restored
 // into a machine, the snapshot goes through the scalar rung's own
 // epilogue, so everything the engine reports — cycles, statistics,
-// digests, runtime errors, checkpoints — is bit-identical to the
-// in-process paths, which are also the escape hatch: any AOT failure
-// re-runs the span in-process.
+// digests (a custom Digest included), runtime errors, checkpoints — is
+// bit-identical to the in-process paths, which are also the escape
+// hatch: any AOT failure re-runs the span in-process.
 
 // aotPrograms resolves which programs route to native workers for this
-// campaign: compiled programs whose gangable runs total at least
-// the threshold (cycles×runs, the scale amortizing one `go build`).
+// campaign: compiled programs whose native runs total at least the
+// threshold (cycles×runs, the scale amortizing one `go build`).
 func (e Engine) aotPrograms(runs []Run) map[*core.Program]bool {
 	if e.AOT == nil {
 		return nil
 	}
 	totals := make(map[*core.Program]int64)
 	for _, r := range runs {
-		if runGangable(r) && r.Program.AOTCapable() {
+		if runGangable(r) && r.Warm == nil && len(r.Faults) == 0 && r.Program.AOTCapable() {
 			totals[r.Program] += r.Cycles
 		}
 	}
@@ -58,15 +59,11 @@ func (e Engine) execAOT(ctx context.Context, w *worker, idxs []int, runs []Run, 
 	}
 	if err != nil && ctx.Err() == nil {
 		// Graceful degradation: anything the native path cannot do, the
-		// in-process path does identically (just slower). Build errors,
-		// a missing toolchain, worker crashes and snapshots that do not
-		// restore all land here.
+		// in-process path does identically (just slower), on a gang even
+		// for a span of one. Build errors, a missing toolchain, worker
+		// crashes and snapshots that do not restore all land here.
 		e.AOT.NoteFallback(err.Error())
-		if len(idxs) == 1 {
-			results[idxs[0]] = e.exec(ctx, w, idxs[0], runs[idxs[0]])
-		} else {
-			e.execGang(ctx, w, idxs, runs, results)
-		}
+		e.execGang(ctx, w, idxs, runs, results)
 		return
 	}
 	for _, i := range idxs[done:] {

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/aot"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/specgen"
 )
 
@@ -263,8 +264,10 @@ func TestAOTCorruptSnapshotFallback(t *testing.T) {
 
 // TestAOTIneligibleRunsBypass: fault-injected and warm-started runs
 // never route to a worker (the worker protocol carries neither); they
-// execute in-process even when the engine is AOT-enabled, alongside
-// worker-executed plain runs, with all results scalar-identical.
+// execute on an in-process gang even when the engine is AOT-enabled,
+// alongside worker-executed plain runs — a custom-digest run among
+// them — and a traced run on the scalar rung, with all results
+// scalar-identical.
 func TestAOTIneligibleRunsBypass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles with the go toolchain")
@@ -274,13 +277,32 @@ func TestAOTIneligibleRunsBypass(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		runs = append(runs, Run{Name: fmt.Sprintf("plain#%d", i), Group: "sieve", Program: prog, Cycles: 400})
 	}
-	runs = append(runs, Run{Name: "traced", Group: "sieve", Program: prog, Cycles: 400, Opts: core.Options{Trace: discard{}}})
+	warm := NewWarmStart(prog, 150)
+	flip := []fault.Fault{{Component: "pc", Bit: 2, Kind: fault.Flip, From: 300}}
+	runs = append(runs,
+		Run{Name: "digest", Program: prog, Cycles: 400, Digest: SnapshotDigest},
+		Run{Name: "warm#0", Group: "sieve", Program: prog, Cycles: 400, Warm: warm},
+		Run{Name: "warm#1", Program: prog, Cycles: 350, Warm: warm},
+		Run{Name: "faulted", Program: prog, Cycles: 400, Faults: flip},
+		Run{Name: "warm-faulted", Program: prog, Cycles: 400, Warm: warm, Faults: flip},
+		Run{Name: "traced", Group: "sieve", Program: prog, Cycles: 400, Opts: core.Options{Trace: discard{}}},
+	)
 	want := executeScalar(t, runs)
-	results, err := Engine{Workers: 2, AOT: newTestAOTCache(t), AOTThreshold: 0}.Execute(context.Background(), runs)
+	log := &dispatchLog{}
+	results, err := Engine{Workers: 2, AOT: newTestAOTCache(t), AOTThreshold: 0, Observe: log.hook()}.Execute(context.Background(), runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResults(t, "mixed eligibility", results, want)
+	for rung, want := range map[string]int{RungAOT: 5, RungLaneLoop: 4, RungScalar: 1} {
+		n := 0
+		for _, d := range log.byRung()[rung] {
+			n += d.Runs
+		}
+		if n != want {
+			t.Errorf("%s rung covered %d runs, want %d", rung, n, want)
+		}
+	}
 	if sum := Summarize(results, 0); sum.Divergences != 0 || sum.Errors != 0 {
 		t.Errorf("mixed-eligibility summary: %s", sum)
 	}

@@ -17,11 +17,14 @@
 // fleet pays for compilation once and for machine state a handful of
 // times, never per run. Fault campaigns additionally warm-start every
 // run from a shared golden-prefix snapshot (WarmStart) instead of
-// re-simulating the cycles before the first fault can act. Hook-free
-// runs sharing one Program go further still: the engine steps them as
-// gangs (sim.Gang) — struct-of-arrays lockstep execution that
-// amortizes component dispatch across the whole gang — with results
-// bit-identical to the scalar path.
+// re-simulating the cycles before the first fault can act. Runs
+// sharing one Program go further still: the engine steps them as gangs
+// (sim.Gang) — struct-of-arrays lockstep execution that amortizes
+// component dispatch across the whole gang — with results bit-identical
+// to the scalar path. A run is a gang lane unless it has I/O: a lane
+// restores its own warm start, applies its own fault records (faults
+// are data that sim applies, not hooks) and digests through a machine
+// when the run asks for a custom Digest.
 package campaign
 
 import (
@@ -76,12 +79,14 @@ type Run struct {
 
 	// Digest reduces the final machine state to a comparable string.
 	// nil uses the allocation-free architectural-state digest, which
-	// has the same equal-iff-equal-state property as SnapshotDigest.
+	// has the same equal-iff-equal-state property as SnapshotDigest. A
+	// gang lane's state is restored into a pooled machine for it.
 	Digest func(*sim.Machine) string
 
-	// Faults are injected before the run starts. The worker detaches
-	// the injector's hooks afterwards, so faults never leak into the
-	// next run on a pooled machine.
+	// Faults are lowered (fault.Lower) to records the run's machine or
+	// gang lane applies after every commit. A worker clears a pooled
+	// machine's records before reusing it and Gang.Reset a gang's, so
+	// they never leak into the next run.
 	Faults []fault.Fault
 
 	// Warm, when non-nil, seeds the run from a shared lazily-computed
@@ -90,7 +95,8 @@ type Run struct {
 	// must belong to the run's Program, and only applies to runs with
 	// zero Opts — a snapshot does not capture an input stream's
 	// position, so runs with I/O attached cold-start. FaultRuns uses
-	// it to simulate a campaign's shared golden prefix exactly once.
+	// it to simulate a campaign's shared golden prefix exactly once;
+	// gang lanes restore it as the scalar path does.
 	Warm *WarmStart
 }
 
@@ -115,15 +121,16 @@ type Result struct {
 // per-run allocation beyond the result's digest string and statistics,
 // which a gang's lanes share one of each.
 //
-// Runs that share a Program and carry no hooks, faults, I/O, warm
-// start or custom digest are additionally stepped as gangs: up to
+// Runs that share a Program and carry no I/O, and whose faults lower
+// onto it, are additionally stepped as gangs: up to
 // GangSize runs execute in lockstep over struct-of-arrays state
 // (sim.Gang), paying one component dispatch per component per cycle
 // for the whole gang instead of per run. Gang results are
 // bit-identical to the scalar path's — same digests, statistics and
 // runtime errors — so ganging is purely a throughput decision; runs
-// left over (ineligible, backend without gang support, or a
-// remainder too small to gang) take the pooled scalar path.
+// left over (I/O attached, faults that do not lower, backend without
+// gang support, or a remainder too small to gang) take the pooled
+// scalar path.
 type Engine struct {
 	// Workers is the number of worker goroutines; <= 0 means
 	// runtime.GOMAXPROCS(0).
@@ -144,7 +151,8 @@ type Engine struct {
 	// gang execution (a one-lane gang has nothing to amortize); 2 or
 	// more pins every gang to that width. Either way plan caps the
 	// width at ceil(gangable runs / workers) — parallelism is worth
-	// more than dispatch amortization.
+	// more than dispatch amortization. An AOT span that falls back
+	// in-process runs as one gang of its runs whatever the pin.
 	GangSize int
 
 	// Checkpoint, when non-nil, receives binary state snapshots of
@@ -191,7 +199,10 @@ type Engine struct {
 // Dispatch ladder rungs, as reported in Dispatch.Rung. An AOT unit
 // that degrades in-process mid-dispatch still reports RungAOT — the
 // routing decision is what's being observed; fallbacks are counted on
-// the AOT cache's own meter.
+// the AOT cache's own meter. Likewise a bit-parallel gang still reports
+// RungBitParallel when a lane's fault record can drive a 0/1 register
+// outside {0, 1} and the gang steps lane-loop kernels instead
+// (sim.Gang.SetLaneFaults).
 const (
 	RungAOT         = "aot"          // generated native subprocess worker
 	RungBitParallel = "bit-parallel" // gang over 64-lane bit planes
@@ -227,10 +238,10 @@ const DefaultAOTThreshold = 10_000_000
 // one run are ordered by cycle.
 //
 // Only runs whose state a snapshot fully captures are checkpointed:
-// zero Options (no I/O or trace position to lose) and no injected
-// faults (an injector's activation bookkeeping lives outside the
-// machine). Everything else executes exactly as before, it just never
-// emits — restarting such a run from cycle zero is always correct.
+// zero Options (no I/O or trace position to lose) and no faults (their
+// records and activation counts are not machine state). Everything else
+// executes exactly as before, it just never emits — restarting such a
+// run from cycle zero is always correct.
 type Checkpointer interface {
 	Checkpoint(run int, cycle int64, state []byte)
 }
@@ -276,14 +287,13 @@ func (e Engine) chunk() int64 {
 	return e.Chunk
 }
 
-// runGangable reports whether a run may join a gang: it must reference
-// a gang-capable program and be free of everything a gang lane cannot
-// carry — I/O and tracing (non-zero Options), fault-injection hooks, a
-// warm-start snapshot, or a custom digest function (which wants a
-// *sim.Machine). Everything else takes the pooled scalar path.
+// runGangable reports whether a run may join a gang: a gang-capable
+// program, zero Options (a lane has no I/O or trace stream), and faults
+// that lower onto the program. Everything else takes the pooled scalar
+// path, which reports a fault that does not lower as the run's error.
 func runGangable(r Run) bool {
-	return r.Program != nil && r.Opts == (core.Options{}) && len(r.Faults) == 0 &&
-		r.Warm == nil && r.Digest == nil && r.Program.GangCapable()
+	return r.Program != nil && r.Opts == (core.Options{}) && r.Program.GangCapable() &&
+		fault.Check(r.Program.Layout(), r.Faults) == nil
 }
 
 // span is one dispatch unit: a half-open range of plan order and the
@@ -329,28 +339,34 @@ func (p *plan) add(rung string, idxs ...int) {
 // runs go, so a miscount costs an allocation, never a misplaced run.
 func (e Engine) plan(runs []Run, workers int) plan {
 	aot := e.aotPrograms(runs)
-	// group is one program's gangable runs, in run order, and how they
+	// group is one program's gangable runs that go to its native worker,
+	// or the ones that stay in-process, in run order, and how they
 	// dispatch; rung is "" when every one of them dispatches alone.
+	type key struct {
+		prog   *core.Program
+		native bool
+	}
+	keyOf := func(r *Run) key { return key{r.Program, aot[r.Program] && r.Warm == nil && len(r.Faults) == 0} }
 	type group struct {
-		prog  *core.Program
+		key
 		n     int
 		idxs  []int
 		rung  string
 		width int
 	}
-	ord := make(map[*core.Program]int)
+	ord := make(map[key]int)
 	var groups []group
 	var scalars []int
-	for i, r := range runs {
-		if !runGangable(r) {
+	for i := range runs {
+		if !runGangable(runs[i]) {
 			scalars = append(scalars, i)
 			continue
 		}
-		k, ok := ord[r.Program]
+		k, ok := ord[keyOf(&runs[i])]
 		if !ok {
 			k = len(groups)
-			ord[r.Program] = k
-			groups = append(groups, group{prog: r.Program})
+			ord[keyOf(&runs[i])] = k
+			groups = append(groups, group{key: keyOf(&runs[i])})
 		}
 		groups[k].n++
 	}
@@ -366,11 +382,11 @@ func (e Engine) plan(runs []Run, workers int) plan {
 		// form or the program goes native: probing the bit-plane
 		// capability builds the program's gang kernels, which a run that
 		// dispatches alone never uses and a cached program would keep.
-		if !aot[g.prog] && (perWorker < 2 || g.n < 2) {
+		if !g.native && (perWorker < 2 || g.n < 2) {
 			continue
 		}
 		g.rung = RungLaneLoop
-		if aot[g.prog] {
+		if g.native {
 			g.rung = RungAOT
 		} else if g.prog.BitGangCapable() {
 			g.rung = RungBitParallel
@@ -379,9 +395,9 @@ func (e Engine) plan(runs []Run, workers int) plan {
 			units += (g.n+g.width-1)/g.width - g.n // gangs, and a last run alone
 		}
 	}
-	for i, r := range runs {
-		if runGangable(r) {
-			g := &groups[ord[r.Program]]
+	for i := range runs {
+		if runGangable(runs[i]) {
+			g := &groups[ord[keyOf(&runs[i])]]
 			g.idxs = append(g.idxs, i)
 		}
 	}
@@ -577,10 +593,10 @@ func (w *worker) closeProcs() {
 	}
 }
 
-// execGang performs one gang job — two or more runs of one Program in
-// lockstep — writing each lane's Result at its run's index. Results
-// are bit-identical to running each lane through exec: same default
-// digest, statistics, cycle counts and runtime errors.
+// execGang performs one gang job — runs of one gang-capable Program in
+// lockstep — writing each lane's Result at its run's index. Results are
+// bit-identical to running each lane through exec: same digests,
+// activation counts, statistics, cycle counts and runtime errors.
 func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run, results []Result) {
 	for _, i := range idxs {
 		results[i] = Result{Index: i, Name: runs[i].Name, Group: runs[i].Group}
@@ -592,15 +608,7 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 		return
 	}
 	prog := runs[idxs[0]].Program
-	g, ok := prog.GetGang(len(idxs))
-	if !ok {
-		// Unreachable while plan gates on GangCapable, but degrading to
-		// the scalar path is always correct.
-		for _, i := range idxs {
-			results[i] = e.exec(ctx, w, i, runs[i])
-		}
-		return
-	}
+	g, _ := prog.GetGang(len(idxs)) // plan gangs only runGangable runs
 	defer prog.PutGang(g)
 	if cap(w.targets) < len(idxs) {
 		w.targets = make([]int64, 0, g.Capacity())
@@ -611,11 +619,20 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 	}
 	w.targets = targets
 	g.Reset(targets)
+	for l, i := range idxs {
+		if st := runs[i].warmState(); st != nil {
+			_ = g.RestoreLaneState(l, st) // a snapshot that does not restore leaves the lane cold
+		}
+		if len(runs[i].Faults) > 0 {
+			recs, _ := fault.Lower(prog.Layout(), runs[i].Faults) // runGangable checked them
+			results[i].Activated = make([]int64, len(recs))
+			g.SetLaneFaults(l, recs, results[i].Activated)
+		}
+	}
 
 	chunk := e.chunk()
-	// Gang lanes are gangable by construction, and gangable implies
-	// checkpointable (zero Options, no faults), so the whole gang
-	// checkpoints together: every lane still running snapshots at the
+	// The gang's checkpointable lanes (all but the faulted ones)
+	// checkpoint together: every lane still running snapshots at the
 	// same stepping boundary, SaveLaneState bytes being interchangeable
 	// with Machine.SaveState by design. A lane that has halted — budget
 	// reached or runtime error — has nothing new to save until the
@@ -627,7 +644,7 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 			if sinceCk += chunk; sinceCk >= e.CheckpointEvery {
 				sinceCk = 0
 				for l, i := range idxs {
-					if g.LaneErr(l) != nil || g.LaneCycle(l) >= targets[l] {
+					if g.LaneErr(l) != nil || g.LaneCycle(l) >= targets[l] || !runCheckpointable(runs[i]) {
 						continue
 					}
 					w.ckbuf = g.AppendLaneState(l, w.ckbuf[:0])
@@ -656,7 +673,7 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 		}
 		var hex [hexDigits]byte
 		digests.Write(appendHex(hex[:0], g.LaneArchHash(l)))
-		if e.Checkpoint != nil && g.LaneErr(l) == nil {
+		if e.Checkpoint != nil && g.LaneErr(l) == nil && runCheckpointable(runs[i]) {
 			// Retirement (or interruption) checkpoint: emitted for clean
 			// and cancelled lanes alike — a cancelled lane's snapshot is
 			// the one resume continues from. Lanes that died on a runtime
@@ -668,6 +685,14 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 	all := digests.String()
 	for l, i := range idxs {
 		results[i].Digest = all[l*hexDigits : (l+1)*hexDigits]
+		if d := runs[i].Digest; d != nil {
+			// A custom digest reads a machine: the lane's state restored
+			// into the worker's pooled one, as the AOT rung does.
+			m := w.machine(runs[i])
+			w.ckbuf = g.AppendLaneState(l, w.ckbuf[:0])
+			_ = m.RestoreState(w.ckbuf) // a lane's snapshot always fits its program
+			results[i].Digest = d(m)
+		}
 	}
 }
 
@@ -680,6 +705,7 @@ func (w *worker) machine(r Run) *sim.Machine {
 	}
 	if m := w.pool[r.Program]; m != nil {
 		m.Reset()
+		m.SetFaults(nil, nil)
 		return m
 	}
 	m := r.Program.NewMachine(core.Options{})
@@ -702,40 +728,23 @@ func (e Engine) exec(ctx context.Context, w *worker, idx int, r Run) Result {
 		return res
 	}
 	m := w.machine(r)
-
-	// Warm start: restore the shared snapshot instead of simulating
-	// the prefix. Only zero-Options runs are eligible — a snapshot
-	// does not capture an input stream's position or the prefix's
-	// trace output, so a run with I/O attached must simulate its own
-	// prefix. Any other failure — a prefix that itself hits a runtime
-	// error, a WarmStart misattached to a different program — likewise
-	// degrades to a cold start, which is always correct (the run just
-	// re-simulates the prefix, reproducing any error itself).
-	var warmed int64
-	if r.Warm != nil && r.Warm.program == r.Program && r.Opts == (core.Options{}) {
-		if st, cycles, err := r.Warm.snapshot(); err == nil && cycles > 0 && cycles <= r.Cycles {
-			if m.RestoreState(st) == nil {
-				warmed = cycles
-			}
-		}
+	if st := r.warmState(); st != nil {
+		_ = m.RestoreState(st) // a snapshot that does not restore leaves the run cold
 	}
-
-	var inj *fault.Injector
 	if len(r.Faults) > 0 {
-		var err error
-		if inj, err = fault.Inject(m, r.Faults...); err != nil {
+		recs, err := fault.Lower(r.Program.Layout(), r.Faults)
+		if err != nil {
 			res.Err = err
 			return res
 		}
-		// The injector's after-commit hook must not survive into the
-		// next run on this pooled machine.
-		defer m.ClearHooks()
+		res.Activated = make([]int64, len(recs))
+		m.SetFaults(recs, res.Activated)
 	}
 
 	chunk := e.chunk()
 	ckpt := e.Checkpoint != nil && runCheckpointable(r)
 	var sinceCk int64
-	for remaining := r.Cycles - warmed; remaining > 0; {
+	for remaining := r.Cycles - m.Cycle(); remaining > 0; {
 		if err := ctx.Err(); err != nil {
 			res.Err = err
 			break
@@ -755,9 +764,6 @@ func (e Engine) exec(ctx context.Context, w *worker, idx int, r Run) Result {
 				e.Checkpoint.Checkpoint(idx, m.Cycle(), w.ckbuf)
 			}
 		}
-	}
-	if inj != nil {
-		res.Activated = append([]int64(nil), inj.Applied...)
 	}
 	e.retire(ctx, w, &res, r, m)
 	return res

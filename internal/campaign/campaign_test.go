@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -271,6 +273,48 @@ func TestFaultWarmStartByteIdentical(t *testing.T) {
 						workers, i, warmRes[i], coldRes[i])
 				}
 			}
+		}
+	}
+}
+
+// TestFaultScenarioPinned pins the tiny-divide-faults scenario's
+// results to the ones the engine gave when every fault run executed as
+// a hooked scalar machine: a SHA-256 over each result's index, name,
+// digest, cycles, statistics, activation counts and error. Its runs
+// carry faults, a shared warm start and a custom digest, and every one
+// of them must still dispatch on a gang rung.
+func TestFaultScenarioPinned(t *testing.T) {
+	const want = "1a0e04d2300fddd343d33122d3cfcd036c62cf11518266023b8020cb118130bf"
+	s, ok := Lookup("tiny-divide-faults")
+	if !ok {
+		t.Fatal("scenario not registered")
+	}
+	runs, err := s.Build(Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 34 {
+		t.Fatalf("scenario built %d runs, want 34", len(runs))
+	}
+	log := &dispatchLog{}
+	results, err := Engine{Workers: 2, Observe: log.hook()}.Execute(context.Background(), runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, r := range results {
+		fmt.Fprintf(h, "%d %s %s %d %v %v %v|", r.Index, r.Name, r.Digest, r.Cycles, r.Stats, r.Activated, r.Err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("fault scenario results hash %s, want %s", got, want)
+	}
+	for rung, ds := range log.byRung() {
+		n := 0
+		for _, d := range ds {
+			n += d.Runs
+		}
+		if rung != RungLaneLoop {
+			t.Errorf("%d runs dispatched on %s, want all %d on %s", n, rung, len(runs), RungLaneLoop)
 		}
 	}
 }

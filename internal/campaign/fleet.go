@@ -146,19 +146,31 @@ func WarmStartFromState(p *core.Program, cycle int64, state []byte) *WarmStart {
 	return ws
 }
 
-// snapshot simulates the prefix on first use and returns the shared
-// state, the number of cycles it covers, and the prefix error if the
-// simulation failed.
-func (ws *WarmStart) snapshot() ([]byte, int64, error) {
+// warmState returns the snapshot a run restores instead of simulating
+// its prefix, simulating the shared prefix on first use, or nil for a
+// cold start. Only zero-Options runs are eligible — a snapshot does not
+// capture an input stream's position or the prefix's trace output, so
+// a run with I/O attached must simulate its own prefix. Any other
+// failure — a prefix that itself hits a runtime error, a WarmStart
+// misattached to a different program or longer than the run's budget —
+// likewise degrades to a cold start, which is always correct (the run
+// just re-simulates the prefix, reproducing any error itself). The
+// scalar path and gang lanes both restore through it.
+func (r *Run) warmState() []byte {
+	ws := r.Warm
+	if ws == nil || ws.program != r.Program || r.Opts != (core.Options{}) || ws.cycles <= 0 || ws.cycles > r.Cycles {
+		return nil
+	}
 	ws.once.Do(func() {
 		m := ws.program.NewMachine(core.Options{})
-		if err := m.Run(ws.cycles); err != nil {
-			ws.err = err
-			return
+		if ws.err = m.Run(ws.cycles); ws.err == nil {
+			ws.state = m.SaveState()
 		}
-		ws.state = m.SaveState()
 	})
-	return ws.state, ws.cycles, ws.err
+	if ws.err != nil {
+		return nil
+	}
+	return ws.state
 }
 
 // FaultRuns builds a fault campaign: run 0 is the fault-free golden
@@ -192,7 +204,7 @@ func FaultRuns(name string, p *core.Program, cycles int64, digest func(*sim.Mach
 // warmStartForFaults picks the longest golden prefix no fault can
 // observe. A fault first modifies state when the machine's cycle
 // counter reaches its From cycle at the post-commit injection point
-// (see fault.Injector), and the counter only takes values >= 1 there,
+// (see sim.Fault), and the counter only takes values >= 1 there,
 // so a prefix of min over faults of max(From,1)-1 cycles is invisible
 // to every fault. Returns nil when that prefix is empty.
 func warmStartForFaults(p *core.Program, cycles int64, faults []fault.Fault) *WarmStart {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 )
 
 // dispatchLog collects Dispatch records across worker goroutines.
@@ -48,7 +49,10 @@ func (l *dispatchLog) totals() (runs int, cycles int64) {
 // TestObserveRungsAndTotals: a mixed campaign — a lane-loop sieve
 // fleet, a bit-parallel bitmix fleet, and a traced run that can only
 // take the scalar path — reports all three in-process rungs, with
-// runs and cycles summing exactly to the campaign's books.
+// runs and cycles summing exactly to the campaign's books. The sieve
+// fleet includes a warm-started run, a faulted run, a warm faulted run
+// and a custom-digest run: each is a gang lane, with results equal to
+// the scalar path's.
 func TestObserveRungsAndTotals(t *testing.T) {
 	sieve := sieveProgram(t, 20, core.Compiled)
 	bitmix := bitMixProgram(t)
@@ -56,6 +60,14 @@ func TestObserveRungsAndTotals(t *testing.T) {
 		t.Fatal("fixture capabilities shifted; rung assertions below are void")
 	}
 	runs := Fleet("sieve", sieve, 6, 500)
+	warm := NewWarmStart(sieve, 200)
+	pcFlip := []fault.Fault{{Component: "pc", Bit: 1, Kind: fault.Flip, From: 260}}
+	runs = append(runs,
+		Run{Name: "warm", Program: sieve, Cycles: 500, Warm: warm},
+		Run{Name: "faulted", Program: sieve, Cycles: 500, Faults: pcFlip},
+		Run{Name: "warm-faulted", Program: sieve, Cycles: 500, Warm: warm, Faults: pcFlip},
+		Run{Name: "digest", Program: sieve, Cycles: 500, Digest: SnapshotDigest},
+	)
 	runs = append(runs, Fleet("bitmix", bitmix, 8, 400)...)
 	runs = append(runs, Run{
 		Name: "traced", Program: sieve, Cycles: 300,
@@ -92,8 +104,12 @@ func TestObserveRungsAndTotals(t *testing.T) {
 			t.Errorf("lane-loop dispatch with %d lanes; gangs need at least 2", d.Runs)
 		}
 	}
-	if laneRuns != 6 {
-		t.Errorf("lane-loop rung covered %d runs, want the 6 sieve fleet members", laneRuns)
+	if laneRuns != 10 {
+		t.Errorf("lane-loop rung covered %d runs, want the 6 sieve fleet members and the 4 warm, faulted or digested sieve runs", laneRuns)
+	}
+	requireSameResults(t, "observed", results, executeScalar(t, runs))
+	if a := results[7].Activated; len(a) != 1 || a[0] != 1 {
+		t.Errorf("faulted lane activations %v, want [1]", a)
 	}
 	bitRuns := 0
 	for _, d := range byRung[RungBitParallel] {

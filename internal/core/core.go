@@ -201,6 +201,10 @@ func (p *Program) NewMachine(opts Options) *Machine {
 	return sim.New(p.layout, p.eval, opts)
 }
 
+// Layout returns the program's slot layout, which fault records are
+// lowered against.
+func (p *Program) Layout() *sim.Layout { return p.layout }
+
 // GangCapable reports whether the program's backend can step gangs
 // (implements sim.GangStepper). The campaign engine uses it to decide
 // between gang and pooled scalar execution.

@@ -10,6 +10,13 @@
 // window, and a transient fault (single-event upset) flips a bit once.
 // The override is applied after each cycle's commit, so every consumer
 // observes the faulted value on the following cycle.
+//
+// This package holds the fault models and lowers them (Lower) to
+// sim.Fault records — an AND/OR/XOR mask on one register over a window
+// of cycles — which sim applies itself, for a machine and for each
+// lane of a gang, so a fault campaign runs on the same rungs as any
+// other campaign. Fault campaigns themselves are built and run by
+// internal/campaign (FaultRuns, RunFaults).
 package fault
 
 import (
@@ -61,75 +68,55 @@ func (f Fault) String() string {
 	return fmt.Sprintf("%s bit %d of <%s> cycles %d..%d", f.Kind, f.Bit, f.Component, f.From, f.Until)
 }
 
-// Injector applies a set of faults to a machine.
-type Injector struct {
-	faults []Fault
-	// Applied counts the cycles on which each fault actually modified
-	// the value (a stuck-at that agrees with the fault-free value
-	// does not count).
-	Applied []int64
-}
-
-// Inject validates the faults and registers the injector on m. Only
-// memory components can be faulted (combinational outputs are
+// Check reports the first of the faults that does not fit the layout.
+// Only memory components can be faulted (combinational outputs are
 // recomputed from registers every cycle, so register faults subsume
 // them at this abstraction level).
-func Inject(m *sim.Machine, faults ...Fault) (*Injector, error) {
-	layout := m.Layout()
+func Check(layout *sim.Layout, faults []Fault) error {
 	for _, f := range faults {
 		if _, ok := layout.Memory(f.Component); !ok {
-			return nil, fmt.Errorf("fault: <%s> is not a memory output", f.Component)
+			return fmt.Errorf("fault: <%s> is not a memory output", f.Component)
 		}
 		if f.Bit < 0 || f.Bit > numlit.MaxBits {
-			return nil, fmt.Errorf("fault: bit %d out of range 0..%d", f.Bit, numlit.MaxBits)
+			return fmt.Errorf("fault: bit %d out of range 0..%d", f.Bit, numlit.MaxBits)
 		}
 		if f.Kind != Flip && f.Until < f.From {
-			return nil, fmt.Errorf("fault: empty cycle window %d..%d", f.From, f.Until)
+			return fmt.Errorf("fault: empty cycle window %d..%d", f.From, f.Until)
 		}
 	}
-	inj := &Injector{faults: faults, Applied: make([]int64, len(faults))}
-	m.AfterCommit(inj.apply)
-	return inj, nil
+	return nil
 }
 
-func (inj *Injector) apply(m *sim.Machine) {
-	// AfterCommit runs with Cycle() already advanced; the value now in
-	// the register is the one cycle Cycle()-1 produced and cycle
-	// Cycle() will consume. We key the window on the consuming cycle.
-	consuming := m.Cycle()
-	for i, f := range inj.faults {
-		active := false
-		switch f.Kind {
-		case Flip:
-			active = consuming == f.From
-		default:
-			active = consuming >= f.From && consuming <= f.Until
-		}
-		if !active {
-			continue
-		}
-		v := m.Value(f.Component)
+// Lower checks the faults against the layout and lowers each to the
+// sim.Fault record a Machine (SetFaults) or a gang lane
+// (SetLaneFaults) applies after every commit: a mask on the memory's
+// output register over the fault's window of consuming cycles.
+func Lower(layout *sim.Layout, faults []Fault) ([]sim.Fault, error) {
+	if err := Check(layout, faults); err != nil {
+		return nil, err
+	}
+	recs := make([]sim.Fault, len(faults))
+	for i, f := range faults {
+		slot, _ := layout.Slot(f.Component)
 		bit := int64(1) << uint(f.Bit)
-		var nv int64
-		switch f.Kind {
+		recs[i] = sim.Fault{Slot: slot, From: f.From, Until: f.Until}
+		// An unknown kind keeps And 0: it clears the register.
+		switch r := &recs[i]; f.Kind {
 		case StuckAt0:
-			nv = v &^ bit
+			r.And = ^bit
 		case StuckAt1:
-			nv = v | bit
+			r.And, r.Or = -1, bit
 		case Flip:
-			nv = v ^ bit
-		}
-		if nv != v {
-			m.SetValue(f.Component, nv)
-			inj.Applied[i]++
+			r.And, r.Xor, r.Until = -1, bit, f.From
 		}
 	}
+	return recs, nil
 }
 
 // CampaignResult is one run of a fault campaign. The campaign driver
 // itself lives in internal/campaign (RunFaults), which shards the
 // golden run and every faulted run across a worker pool; this package
-// keeps only the fault model and the injection mechanism.
+// keeps only the fault models and their lowering.
 type CampaignResult struct {
 	Fault     Fault
 	Activated int64 // cycles on which the fault changed a value

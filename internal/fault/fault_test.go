@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,19 @@ import (
 	"repro/internal/machines"
 	"repro/internal/sim"
 )
+
+// inject lowers faults onto m's layout, gives m the records and
+// returns their activation counts.
+func inject(t *testing.T, m *sim.Machine, faults ...Fault) []int64 {
+	t.Helper()
+	recs, err := Lower(m.Layout(), faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := make([]int64, len(recs))
+	m.SetFaults(recs, hits)
+	return hits
+}
 
 func counter(t *testing.T) *sim.Machine {
 	t.Helper()
@@ -26,9 +40,7 @@ func TestStuckAt0FreezesBit(t *testing.T) {
 	m := counter(t)
 	// Pin bit 0 of the count register to 0 for the whole run: the
 	// counter can only ever show even values.
-	if _, err := Inject(m, Fault{Component: "count", Bit: 0, Kind: StuckAt0, From: 0, Until: 1 << 30}); err != nil {
-		t.Fatal(err)
-	}
+	inject(t, m, Fault{Component: "count", Bit: 0, Kind: StuckAt0, From: 0, Until: 1 << 30})
 	for i := 0; i < 20; i++ {
 		if err := m.Step(); err != nil {
 			t.Fatal(err)
@@ -41,9 +53,7 @@ func TestStuckAt0FreezesBit(t *testing.T) {
 
 func TestStuckAt1(t *testing.T) {
 	m := counter(t)
-	if _, err := Inject(m, Fault{Component: "count", Bit: 0, Kind: StuckAt1, From: 0, Until: 1 << 30}); err != nil {
-		t.Fatal(err)
-	}
+	inject(t, m, Fault{Component: "count", Bit: 0, Kind: StuckAt1, From: 0, Until: 1 << 30})
 	for i := 0; i < 20; i++ {
 		if err := m.Step(); err != nil {
 			t.Fatal(err)
@@ -62,15 +72,12 @@ func TestTransientFlipOnce(t *testing.T) {
 	want := clean.Value("count") + 8 // flipping bit 3 adds 8 (count stays < 8 mod 16... )
 
 	m := counter(t)
-	inj, err := Inject(m, Fault{Component: "count", Bit: 3, Kind: Flip, From: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hits := inject(t, m, Fault{Component: "count", Bit: 3, Kind: Flip, From: 5})
 	if err := m.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if inj.Applied[0] != 1 {
-		t.Errorf("flip applied %d times, want 1", inj.Applied[0])
+	if n := hits[0]; n != 1 {
+		t.Errorf("flip applied %d times, want 1", n)
 	}
 	// The upset at cycle 5 adds 8 to the count permanently (mod 16).
 	if got := m.Value("count"); got != (want)%16 {
@@ -78,19 +85,46 @@ func TestTransientFlipOnce(t *testing.T) {
 	}
 }
 
-func TestInjectValidation(t *testing.T) {
-	m := counter(t)
-	if _, err := Inject(m, Fault{Component: "inc", Bit: 0, Kind: StuckAt0, Until: 1}); err == nil {
-		t.Error("combinational target accepted")
+func TestLowerValidation(t *testing.T) {
+	lay := counter(t).Layout()
+	for _, tc := range []struct {
+		what string
+		f    Fault
+	}{
+		{"combinational target", Fault{Component: "inc", Bit: 0, Kind: StuckAt0, Until: 1}},
+		{"bad bit", Fault{Component: "count", Bit: 99, Kind: StuckAt0, Until: 1}},
+		{"empty window", Fault{Component: "count", Bit: 0, Kind: StuckAt0, From: 5, Until: 2}},
+		{"unknown component", Fault{Component: "ghost", Bit: 0, Kind: StuckAt0, Until: 1}},
+	} {
+		if recs, err := Lower(lay, []Fault{tc.f}); err == nil || recs != nil {
+			t.Errorf("%s accepted: %v", tc.what, recs)
+		}
+		if Check(lay, []Fault{tc.f}) == nil {
+			t.Errorf("%s passed Check", tc.what)
+		}
 	}
-	if _, err := Inject(m, Fault{Component: "count", Bit: 99, Kind: StuckAt0, Until: 1}); err == nil {
-		t.Error("bad bit accepted")
+}
+
+// TestLowerRecords pins each fault model's record: the mask it applies
+// to the memory's output slot and its window of consuming cycles.
+func TestLowerRecords(t *testing.T) {
+	lay := counter(t).Layout()
+	slot, _ := lay.Slot("count")
+	recs, err := Lower(lay, []Fault{
+		{Component: "count", Bit: 2, Kind: StuckAt0, From: 3, Until: 9},
+		{Component: "count", Bit: 2, Kind: StuckAt1, From: 3, Until: 9},
+		{Component: "count", Bit: 2, Kind: Flip, From: 3, Until: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Inject(m, Fault{Component: "count", Bit: 0, Kind: StuckAt0, From: 5, Until: 2}); err == nil {
-		t.Error("empty window accepted")
+	want := []sim.Fault{
+		{Slot: slot, And: ^4, From: 3, Until: 9},
+		{Slot: slot, And: -1, Or: 4, From: 3, Until: 9},
+		{Slot: slot, And: -1, Xor: 4, From: 3, Until: 3},
 	}
-	if _, err := Inject(m, Fault{Component: "ghost", Bit: 0, Kind: StuckAt0, Until: 1}); err == nil {
-		t.Error("unknown component accepted")
+	if !reflect.DeepEqual(recs, want) {
+		t.Errorf("records %+v, want %+v", recs, want)
 	}
 }
 

@@ -62,7 +62,7 @@ func (s *Server) persistAdmit(id string, req JobRequest) error {
 
 // persistDone records the campaign's completion — empty data for
 // success, the error string otherwise — and ends the job's log the
-// same way. Jobs abandoned mid-stream get no done record at all: that
+// same way (finishRun). Jobs abandoned mid-stream get no done record at all: that
 // absence is what marks them resumable. A refused done record is
 // logged and otherwise harmless: the job's results are stored, so the
 // job reads as unfinished, and a restart's Recover re-admits it,
@@ -79,7 +79,7 @@ func (s *Server) persistDone(id string, lg *LineLog, execErr error) {
 	if err := s.store.Append(id, rec); err != nil {
 		s.fe.Log.Warn("job done record not stored", "job", id, "err", err)
 	}
-	lg.Finish(string(rec.Data))
+	s.finishRun(id, lg, string(rec.Data))
 }
 
 // dropJob discards a job's records once they can serve no resume.
@@ -94,15 +94,18 @@ func (s *Server) dropJob(id string) {
 // not be read back. The job itself is still resumable.
 const errInterrupted = "job execution was interrupted; resume again"
 
-// finishRun unregisters a run's log and, unless persistDone already
-// ended it, ends it as interrupted.
-func (s *Server) finishRun(id string, lg *LineLog) {
+// finishRun unregisters a run's log and then, unless it has already
+// ended, ends it with msg. Unregistering comes first: once a log has
+// ended, a follower may deliver its last line and drop the job's
+// records, and a resume arriving after that must find neither the log
+// nor the records — an unknown job — not replay the ended log in full.
+func (s *Server) finishRun(id string, lg *LineLog, msg string) {
 	s.runMu.Lock()
 	if s.running[id] == lg {
 		delete(s.running, id)
 	}
 	s.runMu.Unlock()
-	lg.Finish(errInterrupted)
+	lg.Finish(msg)
 }
 
 // ensureRunning returns the log of the job's executing campaign,
@@ -303,7 +306,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, rr ResumeR
 // persisted for a later resume to deliver. Takes a job slot like any
 // foreground job.
 func (s *Server) completeJob(id string, lg *LineLog) {
-	defer s.finishRun(id, lg)
+	defer s.finishRun(id, lg, errInterrupted)
 	s.fe.Acquire()
 	defer s.fe.Release()
 
@@ -315,7 +318,7 @@ func (s *Server) completeJob(id string, lg *LineLog) {
 	// run persists.
 	lg.Append(st.lines...)
 	if st.done {
-		lg.Finish(st.doneErr)
+		s.finishRun(id, lg, st.doneErr)
 		return
 	}
 	var req JobRequest

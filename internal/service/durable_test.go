@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/machines"
 	"repro/internal/service"
@@ -246,6 +247,63 @@ func TestServiceCrashRecovery(t *testing.T) {
 	}
 	if err := storeB.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceRecoveredWarmRunsGang: a recovered job whose runs all
+// have checkpoints resumes every one of them from its snapshot on a
+// gang rung, as /metrics books it, with run lines byte-identical to an
+// uninterrupted execution. The store is written by hand so that every
+// run is warm and none has a result.
+func TestServiceRecoveredWarmRunsGang(t *testing.T) {
+	req := durableJob(t)
+	req.Runs, req.Cycles = 4, 20_000
+	want := referenceLines(t, req)
+
+	spec, err := core.ParseString("sieve", req.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := core.Compile(spec, core.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := prog.NewMachine(core.Options{})
+	if err := m.Run(5_000); err != nil {
+		t.Fatal(err)
+	}
+	store := durable.NewMemStore()
+	admit, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []durable.Record{{Kind: durable.KindAdmit, Data: admit}}
+	for i := range req.Runs {
+		recs = append(recs, durable.Record{Kind: durable.KindCheckpoint, Run: int64(i), Cycle: m.Cycle(), Data: m.SaveState()})
+	}
+	for _, rec := range recs {
+		if err := store.Append("j1", rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv, ts := newServer(t, durableConfig(store))
+	if n, err := srv.Recover(); err != nil || n != 1 {
+		t.Fatalf("recovered %d jobs (err %v), want 1", n, err)
+	}
+	status, lines := resume(t, ts.URL, "j1", 0)
+	if status != http.StatusOK {
+		t.Fatalf("resume status %d: %v", status, lines)
+	}
+	_, raw, _, tr := parseStream(t, lines)
+	if !tr.Done || tr.Err != "" {
+		t.Errorf("resumed trailer: %+v", tr)
+	}
+	if got := sortedRunLines(t, raw); got != want {
+		t.Errorf("recovered job differs from uninterrupted job:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if met := getMetrics(t, ts.URL); met.RunsLaneLoop != int64(req.Runs) || met.RunsScalar != 0 {
+		t.Errorf("warm runs booked lane-loop %d, scalar %d; want all %d on lane-loop", met.RunsLaneLoop, met.RunsScalar, req.Runs)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/durable"
 	"repro/internal/sim"
 )
 
@@ -156,4 +157,27 @@ func decodedSummary(lines [][]byte) campaign.Summary {
 		results = append(results, r)
 	}
 	return campaign.Summarize(results, 0)
+}
+
+// TestResumeAfterDropIsUnknown opens, deterministically, the window
+// between a job's log ending and its run unregistering that log: the
+// job completes through persistDone, a follower that delivered its last
+// line drops the records, and only then would the run's deferred
+// finishRun have unregistered the log. A resume in that window must
+// find an unknown job, not replay the ended log in full.
+func TestResumeAfterDropIsUnknown(t *testing.T) {
+	s := New(Config{Store: durable.NewMemStore()})
+	const id = "j1"
+	if err := s.persistAdmit(id, JobRequest{Spec: "x", Runs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	lg := NewLineLog(0)
+	s.runMu.Lock()
+	s.running[id] = lg
+	s.runMu.Unlock()
+	s.persistDone(id, lg, nil)
+	s.dropJob(id)
+	if got, err := s.resumeLog(id, 0); err != nil || got != nil {
+		t.Errorf("resume of a dropped job: log %p, err %v; want an unknown job", got, err)
+	}
 }

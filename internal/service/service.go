@@ -222,7 +222,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.runMu.Lock()
 		s.running[id] = lg
 		s.runMu.Unlock()
-		defer s.finishRun(id, lg)
+		defer s.finishRun(id, lg, errInterrupted)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.fe.Deadline(req.DeadlineMS))

@@ -3,9 +3,9 @@ package sim_test
 // Machine.RunBatch is a synonym for Machine.Run. On every backend it
 // must be observationally identical to the interpreter's Run — same state
 // digest, same statistics, same error — on the canonical machines and
-// on generated specifications, and a run with a trace writer, observer
-// or after-commit hook attached must fire it every cycle and still end
-// where the hook-free run does.
+// on generated specifications, and a run with a trace writer or an
+// observer attached must fire it every cycle and still end where the
+// hook-free run does.
 
 import (
 	"bytes"
@@ -138,24 +138,6 @@ func TestRunBatchObserverFallback(t *testing.T) {
 		}
 		if calls != cycles {
 			t.Errorf("observer fired %d times, want %d", calls, cycles)
-		}
-		if got := campaign.SnapshotDigest(m); got != want {
-			t.Errorf("digest %s, hook-free run has %s", got, want)
-		}
-	})
-
-	t.Run("after-commit", func(t *testing.T) {
-		m, err := core.NewMachine(spec, core.Compiled, core.Options{Output: io.Discard})
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls := 0
-		m.AfterCommit(func(*sim.Machine) { calls++ })
-		if err := m.RunBatch(cycles); err != nil {
-			t.Fatal(err)
-		}
-		if calls != cycles {
-			t.Errorf("after-commit hook fired %d times, want %d", calls, cycles)
 		}
 		if got := campaign.SnapshotDigest(m); got != want {
 			t.Errorf("digest %s, hook-free run has %s", got, want)

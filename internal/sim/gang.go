@@ -112,10 +112,10 @@ func FailLane(lane int, component string, cycle int64, format string, args ...in
 
 // Gang holds N lanes of one program's mutable state in struct-of-arrays
 // form and steps them in lockstep through a GangStepper backend. Lanes
-// correspond one-to-one to hook-free machines: no tracing, no I/O, no
+// correspond one-to-one to machines built with zero Options and no
 // observers (an input operation faults the lane, exactly as it faults a
 // machine with no input attached; output operations are counted and
-// discarded).
+// discarded), each with its own fault records (SetLaneFaults).
 type Gang struct {
 	state // one column per physical slot; stride is the lane capacity
 	eval  GangStepper
@@ -132,11 +132,18 @@ type Gang struct {
 	logOf []int // physical slot -> logical lane
 
 	// Bit-parallel state, nil/empty unless the evaluator elected planes.
-	bit        BitGangStepper
+	// bits is the evaluator's kernels; bit is bits while this job may
+	// step them, nil once a fault record rules them out (SetLaneFaults).
+	bits, bit  BitGangStepper
 	planeSlots []int    // slot of each plane, in plane order
 	planes     []uint64 // [plane*pwords+word]; phys slot p's bit at word p>>6, bit p&63
 	pwords     int      // words per plane: ceil(stride/64)
 	detached   []bool   // by phys slot: vals column is authoritative (faulted, or never steps)
+
+	// Fault records and their counts by logical lane (SetLaneFaults);
+	// nil when no lane of this job has any.
+	faults [][]Fault
+	hits   [][]int64
 
 	lanes  int     // lanes configured by the last Reset
 	n      int     // live lanes, which occupy physical slots [0, n)
@@ -176,7 +183,7 @@ func NewGang(layout *Layout, eval Evaluator, capacity int) (*Gang, bool) {
 	}
 	if bs, ok := eval.(BitGangStepper); ok {
 		if slots := bs.BitPlaneSlots(); len(slots) > 0 {
-			g.bit = bs
+			g.bits, g.bit = bs, bs
 			g.planeSlots = slots
 			g.pwords = (capacity + 63) >> 6
 			g.planes = make([]uint64, len(slots)*g.pwords)
@@ -193,7 +200,8 @@ func (g *Gang) Capacity() int { return g.stride }
 func (g *Gang) Lanes() int { return g.lanes }
 
 // BitParallel reports whether this gang steps through the evaluator's
-// bit-parallel kernels (BitGangStepper with at least one plane).
+// bit-parallel kernels (BitGangStepper with at least one plane) in its
+// current job.
 func (g *Gang) BitParallel() bool { return g.bit != nil }
 
 // LiveSpan returns the number of physical slots the kernels currently
@@ -202,14 +210,14 @@ func (g *Gang) BitParallel() bool { return g.bit != nil }
 func (g *Gang) LiveSpan() int { return g.n }
 
 // Reset configures len(targets) lanes at power-on state — the state
-// Machine.Reset produces — with lane l set to halt upon reaching cycle
-// targets[l]. Reset reuses all backing storage, so a pooled gang is
-// reconfigured without allocation.
+// Machine.Reset produces, fault records cleared — with lane l set to
+// halt upon reaching cycle targets[l]. Reset reuses all backing
+// storage, so a pooled gang is reconfigured without allocation.
 func (g *Gang) Reset(targets []int64) {
 	if len(targets) > g.stride {
 		panic(fmt.Sprintf("sim: gang Reset with %d lanes exceeds capacity %d", len(targets), g.stride))
 	}
-	g.lanes = len(targets)
+	g.lanes, g.bit, g.faults = len(targets), g.bits, nil
 	for p := 0; p < g.stride; p++ {
 		g.column(p).reset()
 		g.target[p] = 0
@@ -431,6 +439,9 @@ func (g *Gang) commitAdvance() {
 		}
 		g.cycle[p]++
 		g.stats[p].Cycles++
+		if g.faults != nil {
+			g.column(p).inject(g.faults[g.logOf[p]], g.hits[g.logOf[p]])
+		}
 		if g.cycle[p] >= g.target[p] {
 			retired = true
 		}
@@ -475,6 +486,27 @@ func (g *Gang) LaneCycle(l int) int64 { return g.cycle[g.slotOf(l)] }
 
 // LaneErr returns lane l's runtime error, or nil while it is healthy.
 func (g *Gang) LaneErr(l int) error { return g.err[g.slotOf(l)] }
+
+// SetLaneFaults gives lane l fault records and their counts, as
+// Machine.SetFaults gives a machine's, until the next Reset. The
+// bit-parallel kernels assume a register classified 0/1 stays 0/1, so a
+// record that can move 0 or 1 outside {0, 1} turns them off for the
+// rest of the job: every lane is materialized and the gang steps its
+// lane-loop kernels.
+func (g *Gang) SetLaneFaults(l int, recs []Fault, hits []int64) {
+	if g.faults == nil {
+		g.faults, g.hits = make([][]Fault, g.stride), make([][]int64, g.stride)
+	}
+	g.faults[l], g.hits[l] = recs, hits
+	for _, f := range recs {
+		if g.bit != nil && uint64(f.apply(0)|f.apply(1)) > 1 {
+			for p := range g.stride {
+				g.materializeSlot(p)
+			}
+			g.bit = nil
+		}
+	}
+}
 
 // AppendLaneStats returns lane l's execution statistics, copying its
 // MemOps onto the end of ops: the returned statistics' MemOps are the

@@ -16,28 +16,33 @@ import (
 
 	"repro/internal/allocpin"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/machines"
 	"repro/internal/sim"
 	"repro/internal/specgen"
 )
 
 // scalarOutcome is everything a gang lane must reproduce, captured by
-// scalarRun from a fresh machine run for budget cycles.
+// scalarRun from a fresh machine run for budget cycles with the given
+// faults.
 type scalarOutcome struct {
-	hash   uint64
-	cycles int64
-	stats  sim.Stats
-	errstr string
+	hash      uint64
+	cycles    int64
+	stats     sim.Stats
+	errstr    string
+	activated []int64 // per fault record; nil without faults
 }
 
-func scalarRun(t *testing.T, p *core.Program, budget int64) scalarOutcome {
+func scalarRun(t *testing.T, p *core.Program, budget int64, faults ...fault.Fault) scalarOutcome {
 	t.Helper()
 	m := p.NewMachine(core.Options{})
+	recs, hits := lower(t, p, faults)
+	m.SetFaults(recs, hits)
 	var errstr string
 	if err := m.Run(budget); err != nil {
 		errstr = err.Error()
 	}
-	return scalarOutcome{hash: m.ArchHash(), cycles: m.Cycle(), stats: m.Stats(), errstr: errstr}
+	return scalarOutcome{hash: m.ArchHash(), cycles: m.Cycle(), stats: m.Stats(), errstr: errstr, activated: append([]int64(nil), hits...)}
 }
 
 // laneStats is lane l's statistics in a block of their own.

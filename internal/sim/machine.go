@@ -79,16 +79,16 @@ type Machine struct {
 	inDev *inputDevice
 	out   io.Writer
 
-	observers  []Observer
-	committers []Observer
-	tracer     *tracer
+	observers []Observer
+	tracer    *tracer
+	faults    []Fault // applied after every commit (SetFaults)
+	hits      []int64 // per fault record, the cycles it changed a value
 }
 
 // Observer is called at the trace point of every cycle (after
 // combinational evaluation and input latching, before memory commit):
 // traced combinational values are current, memory values are the
-// output registers the cycle computed with. Observers may modify
-// machine state (fault injectors do).
+// output registers the cycle computed with.
 type Observer func(m *Machine)
 
 // New builds a Machine for a program's layout with its compiled
@@ -133,12 +133,12 @@ func (m *Machine) Stats() Stats {
 // Observe registers an observer called at each cycle's trace point.
 func (m *Machine) Observe(o Observer) { m.observers = append(m.observers, o) }
 
-// AfterCommit registers an observer called at the end of every cycle,
-// after all memory operations have committed and the cycle counter has
-// advanced. Overrides applied to memory outputs here are what every
-// consumer sees next cycle — the injection point fault campaigns use
-// to model stuck-at and transient register faults.
-func (m *Machine) AfterCommit(o Observer) { m.committers = append(m.committers, o) }
+// SetFaults gives the machine fault records (see Fault), applied after
+// every commit until the next SetFaults. hits, as long as recs, is the
+// caller's: hits[k] counts the cycles on which record k changed its
+// register's value. Like observers, fault records are not machine
+// state: Reset and RestoreState keep them.
+func (m *Machine) SetFaults(recs []Fault, hits []int64) { m.faults, m.hits = recs, hits }
 
 // Reset restores power-on state: every component output and memory
 // latch 0, memory arrays zeroed except declared initial values, cycle
@@ -174,15 +174,6 @@ func (m *Machine) RestoreState(st []byte) error { return m.column().restoreState
 // A gang lane in the same state hashes identically (Gang.LaneArchHash).
 func (m *Machine) ArchHash() uint64 { return m.column().archHash() }
 
-// ClearHooks detaches every observer and after-commit hook, returning
-// the machine to its hook-free state. Campaign workers call it before
-// returning a machine to the pool, so one run's fault injectors never
-// leak into the next.
-func (m *Machine) ClearHooks() {
-	m.observers = nil
-	m.committers = nil
-}
-
 // Value returns a component's current output (for memories, the output
 // register). It panics if the name is unknown; use Layout().Slot to
 // check first.
@@ -194,9 +185,9 @@ func (m *Machine) Value(name string) int64 {
 	return m.vals[slot]
 }
 
-// SetValue overrides a component's current output. Fault injection and
-// tests use it; overriding a combinational output lasts only until the
-// next cycle recomputes it.
+// SetValue overrides a component's current output. Tests use it;
+// overriding a combinational output lasts only until the next cycle
+// recomputes it.
 func (m *Machine) SetValue(name string, v int64) {
 	slot, ok := m.layout.Slot(name)
 	if !ok {
@@ -289,7 +280,8 @@ func recoverRuntime(err *error) {
 //  1. StepCycle: evaluate combinational components in dependency order
 //     and latch every memory's addr/data/opn from pre-commit state;
 //  2. trace point: per-cycle trace line and observers;
-//  3. commit memory operations (and their read/write traces).
+//  3. commit memory operations (and their read/write traces);
+//  4. advance the cycle counter and apply the fault records.
 //
 // Unlike the original generated code, which updated memory output
 // registers one after another, step latches all inputs before any
@@ -308,8 +300,8 @@ func (m *Machine) step() {
 
 	m.cycle++
 	m.stats.Cycles++
-	for _, o := range m.committers {
-		o(m)
+	if m.faults != nil {
+		m.column().inject(m.faults, m.hits)
 	}
 }
 

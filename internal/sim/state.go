@@ -24,14 +24,15 @@ import (
 // A snapshot serializes a column's complete mutable state — values,
 // memory arrays, latches, cycle counter and statistics — and excludes
 // everything immutable (the layout, the evaluator) and everything
-// environmental (trace writers, I/O streams, observers). A snapshot
-// taken from one machine or lane therefore restores onto any machine or
-// lane of the same specification, on any backend, which is what lets a
-// fault campaign simulate a shared golden prefix once and warm-start
-// every run from it. The round trip is bit-identical (state_test.go,
-// gang_test.go). The position of an attached input stream is not part
-// of machine state; warm-starting an input-consuming run needs the
-// stream positioned to match the snapshot.
+// environmental (trace writers, I/O streams, observers, fault
+// records). A snapshot taken from one machine or lane therefore
+// restores onto any machine or lane of the same specification, on any
+// backend, which is what lets a fault campaign simulate a shared golden
+// prefix once and warm-start every run from it. The round trip is
+// bit-identical (state_test.go, gang_test.go). The position of an
+// attached input stream is not part of machine state; warm-starting an
+// input-consuming run needs the stream positioned to match the
+// snapshot.
 //
 // Format 1 is a sequence of little-endian 64-bit words: magic, slot
 // count, slot values, memory count, per memory its cell count and
@@ -68,6 +69,21 @@ type state struct {
 
 	ops []MemOpStats // [mem*stride+col]: the column's Stats.MemOps
 }
+
+// Fault is a fault record, the form internal/fault lowers each fault
+// model to: after every commit, while the column's advanced cycle
+// counter — the cycle that will consume the register — lies in
+// [From, Until], the output register at Slot becomes
+// (v&And | Or) ^ Xor. Faults target memory outputs, which are never
+// bit-plane resident, so one column function applies them for a
+// Machine and for every gang lane alike.
+type Fault struct {
+	Slot         int
+	And, Or, Xor int64
+	From, Until  int64
+}
+
+func (f Fault) apply(v int64) int64 { return (v&f.And | f.Or) ^ f.Xor }
 
 func newState(layout *Layout, stride int) state {
 	nm := len(layout.Mems)
@@ -111,6 +127,18 @@ func (c column) reset() {
 		clear(cells)
 		copy(cells, c.layout.Mems[i].Init)
 	})
+}
+
+// inject applies fault records to the column after a commit, adding 1
+// to hits[k] on each cycle record k changes its register's value.
+func (c column) inject(recs []Fault, hits []int64) {
+	for k, f := range recs {
+		v := &c.vals[f.Slot*c.stride+c.col]
+		if nv := f.apply(*v); nv != *v && *c.cycle >= f.From && *c.cycle <= f.Until {
+			*v = nv
+			hits[k]++
+		}
+	}
 }
 
 // archHash folds the column's architectural state — the slot values
