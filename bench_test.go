@@ -208,8 +208,9 @@ func BenchmarkCampaignScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// GangSize 1 pins the scalar pooled path: this benchmark
-			// isolates worker scaling, BenchmarkGangFleet covers gangs.
+			// GangSize 1 runs every run alone, a one-lane gang on the
+			// scalar kernels: this benchmark isolates worker scaling,
+			// BenchmarkGangFleet covers wider gangs.
 			eng := campaign.Engine{Workers: workers, GangSize: 1}
 			runs := campaign.Fleet("sieve", prog, fleetSize, perRun)
 			b.ResetTimer()
@@ -229,11 +230,12 @@ func BenchmarkCampaignScaling(b *testing.B) {
 
 // BenchmarkGangFleet is the gang-execution tentpole measurement: the
 // Figure 5.1 fleet workload (identical 5545-cycle sieve runs of one
-// compiled Program) through the campaign engine on the pooled scalar
-// path and as struct-of-arrays gangs of several widths. Single-worker,
-// so the comparison isolates component-dispatch amortization across
-// lanes from multicore scaling (BenchmarkCampaignScaling covers
-// that). One benchmark iteration is one whole fleet.
+// compiled Program) through the campaign engine as one-lane gangs (the
+// pooled-scalar row) and as struct-of-arrays gangs of several widths.
+// Single-worker, so the comparison isolates component-dispatch
+// amortization across lanes from multicore scaling
+// (BenchmarkCampaignScaling covers that). One benchmark iteration is
+// one whole fleet.
 func BenchmarkGangFleet(b *testing.B) {
 	spec := sieveSpec(b)
 	prog, err := Compile(spec, Compiled)

@@ -191,9 +191,9 @@ func run() error {
 	}
 
 	// Campaign scaling: an identical-machine sieve fleet through the
-	// engine at each worker count. GangSize 1 pins the pooled scalar
-	// path (each chunk through Machine.Run) so the rows isolate worker
-	// scaling; the gang/* section below measures gang execution.
+	// engine at each worker count. GangSize 1 runs every run alone, a
+	// one-lane gang on the scalar kernels, so the rows isolate worker
+	// scaling; the gang/* section below measures wider gangs.
 	// Aggregate cycles/s is the fleet-throughput metric.
 	for _, ws := range strings.Split(*workers, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(ws))
@@ -223,11 +223,11 @@ func run() error {
 
 	// Gang execution: the Figure 5.1 fleet workload (identical
 	// 5545-cycle sieve runs of one compiled program) through the
-	// engine's pooled scalar path and through struct-of-arrays gangs,
+	// engine as one-lane gangs and as wide struct-of-arrays gangs,
 	// single-worker so the row measures dispatch amortization, not
 	// parallelism (the campaign rows above cover that). The digests of
 	// the two paths are cross-checked run by run: a gang that drifts
-	// from the scalar path fails the benchmark instead of reporting a
+	// from the one-lane path fails the benchmark instead of reporting a
 	// fast wrong simulator.
 	// Even the short mode runs full-width gangs: the gang/scalar ratio
 	// depends on lane count, and the CI gate compares it against the
@@ -342,7 +342,7 @@ func run() error {
 	endSection("bitparallel")
 
 	// Ahead-of-time native workers: the same Figure 5.1 sieve fleet
-	// through the engine's in-process scalar path and through the
+	// through the engine's in-process one-lane gangs and through the
 	// compiled program's subprocess workers, single-worker, digest
 	// cross-checked run by run. The one-time `go build` is timed
 	// separately (cold, on a fresh cache); the fleet rows measure

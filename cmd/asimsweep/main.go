@@ -67,7 +67,7 @@ func main() {
 func run() (int, error) {
 	list := flag.Bool("list", false, "list registered scenarios and exit")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	gang := flag.Int("gang", 0, "gang width for lockstep execution (0 = per program: 64 lanes for bit-parallel programs, 32 otherwise; 1 disables)")
+	gang := flag.Int("gang", 0, "gang width for lockstep execution (0 = per program: 64 lanes for bit-parallel programs, 32 otherwise; 1: every run a one-lane gang)")
 	jsonOut := flag.Bool("json", false, "emit JSON (one report object per scenario)")
 	perRun := flag.Bool("runs", false, "include per-run results in the report")
 	n := flag.Int("n", 0, "fleet size / sweep width (0 = scenario default)")

@@ -16,11 +16,11 @@ import (
 // one (AOTCapable) that cleared the campaign-level amortization
 // threshold. Eligible spans execute inside a generated native worker
 // subprocess, which answers each run with its final snapshot. Restored
-// into a machine, the snapshot goes through the scalar rung's own
-// epilogue, so everything the engine reports — cycles, statistics,
-// digests (a custom Digest included), runtime errors, checkpoints — is
-// bit-identical to the in-process paths, which are also the escape
-// hatch: any AOT failure re-runs the span in-process.
+// into a machine, the snapshot goes through the rung's epilogue
+// (Engine.retire), so everything the engine reports — cycles,
+// statistics, digests (a custom Digest included), runtime errors,
+// checkpoints — is bit-identical to the in-process paths, which are
+// also the escape hatch: any AOT failure re-runs the span in-process.
 
 // aotPrograms resolves which programs route to native workers for this
 // campaign: compiled programs whose native runs total at least the
@@ -48,11 +48,12 @@ func (e Engine) aotPrograms(runs []Run) map[*core.Program]bool {
 }
 
 // execAOT performs one span of runs inside the program's native worker
-// subprocess, falling back to the in-process path on any failure. On
-// context cancellation the runs the worker finished keep their results
-// and the rest record ctx's error, matching the in-process cancellation
-// contract.
-func (e Engine) execAOT(ctx context.Context, w *worker, idxs []int, runs []Run, results []Result) {
+// subprocess, falling back to the in-process path on any failure, and
+// returns the rung that executed it: RungAOT, or execGang's on a
+// fallback. On context cancellation the runs the worker finished keep
+// their results and the rest record ctx's error, matching the
+// in-process cancellation contract.
+func (e Engine) execAOT(ctx context.Context, w *worker, idxs []int, runs []Run, results []Result) string {
 	done, err := 0, ctx.Err()
 	if err == nil {
 		done, err = e.runAOT(ctx, w, idxs, runs, results)
@@ -63,12 +64,12 @@ func (e Engine) execAOT(ctx context.Context, w *worker, idxs []int, runs []Run, 
 		// for a span of one. Build errors, a missing toolchain, worker
 		// crashes and snapshots that do not restore all land here.
 		e.AOT.NoteFallback(err.Error())
-		e.execGang(ctx, w, idxs, runs, results)
-		return
+		return e.execGang(ctx, w, idxs, runs, results)
 	}
 	for _, i := range idxs[done:] {
 		results[i] = Result{Index: i, Name: runs[i].Name, Group: runs[i].Group, Err: ctx.Err()}
 	}
+	return RungAOT
 }
 
 // runAOT builds (or fetches) the program's worker binary, ensures this
@@ -130,13 +131,13 @@ func (e Engine) runAOT(ctx context.Context, w *worker, idxs []int, runs []Run, r
 
 // fillAOT turns one worker run frame into the run's Result: the
 // snapshot is restored into this engine worker's pooled machine for the
-// program, and the scalar rung's epilogue reads the cycles, statistics,
-// digest and retirement checkpoint out of it. A fault's cycle is the
+// program, and the epilogue (Engine.retire) reads the cycles,
+// statistics, digest and retirement checkpoint out of it. A fault's cycle is the
 // snapshot's, since a fault does not advance the counter. A snapshot
 // that does not restore onto the program fails the job.
 func (e Engine) fillAOT(ctx context.Context, w *worker, i int, runs []Run, results []Result, fault *aot.RunError, state []byte) error {
 	r := runs[i]
-	m := w.machine(r)
+	m := w.machine(r.Program)
 	if err := m.RestoreState(state); err != nil {
 		return fmt.Errorf("aot: run %d snapshot: %w", i, err)
 	}

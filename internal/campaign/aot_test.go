@@ -249,11 +249,17 @@ func TestAOTCorruptSnapshotFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, err := Engine{Workers: 1, AOT: cache, AOTThreshold: 0}.Execute(context.Background(), runs)
+	log := &dispatchLog{}
+	results, err := Engine{Workers: 1, AOT: cache, AOTThreshold: 0, Observe: log.hook()}.Execute(context.Background(), runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResults(t, "corrupt snapshot", results, want)
+	// The span was planned native and ran in-process: it books the
+	// lane-loop gang that executed it.
+	if len(log.ds) != 1 || log.ds[0].Rung != RungLaneLoop || log.ds[0].Runs != 4 {
+		t.Errorf("dispatches %+v, want one 4-run %s dispatch", log.ds, RungLaneLoop)
+	}
 	if cache.Builds() != 0 || cache.Hits() != 1 {
 		t.Errorf("builds %d, hits %d: the planted worker was not the one dispatched", cache.Builds(), cache.Hits())
 	}
@@ -266,8 +272,7 @@ func TestAOTCorruptSnapshotFallback(t *testing.T) {
 // never route to a worker (the worker protocol carries neither); they
 // execute on an in-process gang even when the engine is AOT-enabled,
 // alongside worker-executed plain runs — a custom-digest run among
-// them — and a traced run on the scalar rung, with all results
-// scalar-identical.
+// them — with all results scalar-identical.
 func TestAOTIneligibleRunsBypass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles with the go toolchain")
@@ -285,7 +290,6 @@ func TestAOTIneligibleRunsBypass(t *testing.T) {
 		Run{Name: "warm#1", Program: prog, Cycles: 350, Warm: warm},
 		Run{Name: "faulted", Program: prog, Cycles: 400, Faults: flip},
 		Run{Name: "warm-faulted", Program: prog, Cycles: 400, Warm: warm, Faults: flip},
-		Run{Name: "traced", Group: "sieve", Program: prog, Cycles: 400, Opts: core.Options{Trace: discard{}}},
 	)
 	want := executeScalar(t, runs)
 	log := &dispatchLog{}
@@ -294,7 +298,7 @@ func TestAOTIneligibleRunsBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResults(t, "mixed eligibility", results, want)
-	for rung, want := range map[string]int{RungAOT: 5, RungLaneLoop: 4, RungScalar: 1} {
+	for rung, want := range map[string]int{RungAOT: 5, RungLaneLoop: 4, RungScalar: 0} {
 		n := 0
 		for _, d := range log.byRung()[rung] {
 			n += d.Runs

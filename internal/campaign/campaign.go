@@ -12,19 +12,20 @@
 // stored at its Run's index and all timing lives in the Summary.
 //
 // The same argument shapes how machines come to exist here: a Run
-// references a core.Program — the spec compiled once — and the
-// engine's workers pool and Reset-reuse machines between runs, so a
-// fleet pays for compilation once and for machine state a handful of
-// times, never per run. Fault campaigns additionally warm-start every
-// run from a shared golden-prefix snapshot (WarmStart) instead of
-// re-simulating the cycles before the first fault can act. Runs
-// sharing one Program go further still: the engine steps them as gangs
-// (sim.Gang) — struct-of-arrays lockstep execution that amortizes
+// references a core.Program — the spec compiled once — and every run
+// executes as a lane of a gang (sim.Gang) borrowed from the program's
+// own pool, so a fleet pays for compilation once and for machine state
+// a handful of times, never per run. Fault campaigns additionally
+// warm-start every run from a shared golden-prefix snapshot (WarmStart)
+// instead of re-simulating the cycles before the first fault can act.
+// Runs sharing one Program go further still: the engine steps them
+// together — struct-of-arrays lockstep execution that amortizes
 // component dispatch across the whole gang — with results bit-identical
-// to the scalar path. A run is a gang lane unless it has I/O: a lane
-// restores its own warm start, applies its own fault records (faults
-// are data that sim applies, not hooks) and digests through a machine
-// when the run asks for a custom Digest.
+// to one machine per run. A run that dispatches alone is a one-lane
+// gang, which steps the backend's scalar kernels. A lane restores its
+// own warm start, applies its own fault records (faults are data that
+// sim applies, not hooks) and digests through a machine when the run
+// asks for a custom Digest.
 package campaign
 
 import (
@@ -47,9 +48,9 @@ import (
 // Run is one unit of campaign work: a compiled program, a cycle
 // budget, and how to digest the outcome. Runs reference a shared
 // immutable Program instead of building machines themselves — the
-// engine's workers own the machines, pooling and Reset-reusing them
-// between runs, so a thousand-member fleet compiles its specification
-// once and allocates a handful of machines, not a thousand.
+// engine steps them on gangs pooled by the program, so a
+// thousand-member fleet compiles its specification once and allocates
+// a handful of gangs, not a thousand machines.
 type Run struct {
 	// Name identifies the run in results and reports.
 	Name string
@@ -68,12 +69,6 @@ type Run struct {
 	// every run.
 	Program *core.Program
 
-	// Opts configures the run's machine. The zero value — no tracing,
-	// no I/O — is the poolable case: workers Reset-reuse one machine
-	// per program. Any non-zero Options forces a fresh machine for the
-	// run, since writers and readers carry cross-run state.
-	Opts core.Options
-
 	// Cycles is the run's cycle budget.
 	Cycles int64
 
@@ -83,20 +78,16 @@ type Run struct {
 	// gang lane's state is restored into a pooled machine for it.
 	Digest func(*sim.Machine) string
 
-	// Faults are lowered (fault.Lower) to records the run's machine or
-	// gang lane applies after every commit. A worker clears a pooled
-	// machine's records before reusing it and Gang.Reset a gang's, so
-	// they never leak into the next run.
+	// Faults are lowered (fault.Lower) to records the run's gang lane
+	// applies after every commit. Gang.Reset clears them, so they never
+	// leak into the next run.
 	Faults []fault.Fault
 
 	// Warm, when non-nil, seeds the run from a shared lazily-computed
-	// snapshot instead of power-on state: the machine restores the
+	// snapshot instead of power-on state: the run's lane restores the
 	// snapshot and only the remaining Cycles execute. The WarmStart
-	// must belong to the run's Program, and only applies to runs with
-	// zero Opts — a snapshot does not capture an input stream's
-	// position, so runs with I/O attached cold-start. FaultRuns uses
-	// it to simulate a campaign's shared golden prefix exactly once;
-	// gang lanes restore it as the scalar path does.
+	// must belong to the run's Program. FaultRuns uses it to simulate a
+	// campaign's shared golden prefix exactly once.
 	Warm *WarmStart
 }
 
@@ -110,27 +101,25 @@ type Result struct {
 	Stats     sim.Stats // the machine's execution statistics
 	Digest    string    // outcome digest (also computed after runtime errors)
 	Activated []int64   // per-fault activation counts, parallel to Run.Faults
-	Err       error     // build error, runtime error, or ctx.Err() if cancelled
+	Err       error     // why the run cannot execute, runtime error, or ctx.Err() if cancelled
 }
 
-// Engine executes campaigns across a worker pool. Each worker keeps a
-// pool of one machine per program, Reset-reusing it between runs, and
-// gang jobs take their gangs from the program's own pool
+// Engine executes campaigns across a worker pool. Every run executes as
+// a lane of a gang taken from its Program's own pool
 // (core.Program.GetGang), so the steady-state cost of a run is its
-// simulated cycles — no compilation and (for hook-free runs) no
-// per-run allocation beyond the result's digest string and statistics,
-// which a gang's lanes share one of each.
+// simulated cycles — no compilation and no per-run allocation beyond
+// the result's digest string and statistics, which a gang's lanes
+// share one of each.
 //
-// Runs that share a Program and carry no I/O, and whose faults lower
-// onto it, are additionally stepped as gangs: up to
-// GangSize runs execute in lockstep over struct-of-arrays state
-// (sim.Gang), paying one component dispatch per component per cycle
-// for the whole gang instead of per run. Gang results are
-// bit-identical to the scalar path's — same digests, statistics and
-// runtime errors — so ganging is purely a throughput decision; runs
-// left over (I/O attached, faults that do not lower, backend without
-// gang support, or a remainder too small to gang) take the pooled
-// scalar path.
+// Runs that share a gang-capable Program, and whose faults lower onto
+// it, are stepped together: up to GangSize runs execute in lockstep
+// over struct-of-arrays state (sim.Gang), paying one component
+// dispatch per component per cycle for the whole gang instead of per
+// run. Results are bit-identical to one machine per run — same
+// digests, statistics and runtime errors — so ganging is purely a
+// throughput decision. Every other run (a backend without gang
+// kernels, faults that do not lower, a remainder of one) dispatches
+// alone, as a one-lane gang on the backend's scalar kernels.
 type Engine struct {
 	// Workers is the number of worker goroutines; <= 0 means
 	// runtime.GOMAXPROCS(0).
@@ -147,12 +136,13 @@ type Engine struct {
 	// single struct-of-arrays gang. 0 picks a constant per program
 	// capability: DefaultBitGangSize for programs whose gangs run
 	// bit-parallel kernels (64 lanes is exactly one plane word),
-	// DefaultGangSize otherwise. Any value below 2 (but not 0) disables
-	// gang execution (a one-lane gang has nothing to amortize); 2 or
-	// more pins every gang to that width. Either way plan caps the
-	// width at ceil(gangable runs / workers) — parallelism is worth
-	// more than dispatch amortization. An AOT span that falls back
-	// in-process runs as one gang of its runs whatever the pin.
+	// DefaultGangSize otherwise. Any value below 2 (but not 0) makes
+	// every run dispatch alone, as a one-lane gang on the backend's
+	// scalar kernels; 2 or more pins every gang to that width. Either
+	// way plan caps the width at ceil(gangable runs / workers) —
+	// parallelism is worth more than dispatch amortization. An AOT span
+	// that falls back in-process runs as one gang of its runs whatever
+	// the pin.
 	GangSize int
 
 	// Checkpoint, when non-nil, receives binary state snapshots of
@@ -185,8 +175,8 @@ type Engine struct {
 	AOTThreshold int64
 
 	// Observe, when non-nil, receives one Dispatch record per executed
-	// dispatch unit — a gang, a scalar run, or an AOT span — tagged
-	// with the rung of the dispatch ladder it resolved to. The serving
+	// dispatch unit — a gang, a run alone, or an AOT span — tagged
+	// with the rung of the dispatch ladder that executed it. The serving
 	// layer hangs tracing and per-rung metering off this. Calls come
 	// concurrently from worker goroutines (implementations synchronize
 	// themselves) with the context ExecuteBursts was given, so a trace
@@ -196,18 +186,16 @@ type Engine struct {
 	Observe func(ctx context.Context, d Dispatch)
 }
 
-// Dispatch ladder rungs, as reported in Dispatch.Rung. An AOT unit
-// that degrades in-process mid-dispatch still reports RungAOT — the
-// routing decision is what's being observed; fallbacks are counted on
-// the AOT cache's own meter. Likewise a bit-parallel gang still reports
-// RungBitParallel when a lane's fault record can drive a 0/1 register
-// outside {0, 1} and the gang steps lane-loop kernels instead
-// (sim.Gang.SetLaneFaults).
+// Dispatch ladder rungs, as reported in Dispatch.Rung: the rung that
+// executed the unit. An AOT unit that fell back in-process reports the
+// in-process rung that ran it (the AOT cache's meter counts the
+// fallback), and a bit-parallel gang whose fault records turned its
+// planes off (sim.Gang.SetLaneFaults) reports RungLaneLoop.
 const (
 	RungAOT         = "aot"          // generated native subprocess worker
 	RungBitParallel = "bit-parallel" // gang over 64-lane bit planes
 	RungLaneLoop    = "lane-loop"    // struct-of-arrays lane-loop gang
-	RungScalar      = "scalar"       // pooled scalar machine
+	RungScalar      = "scalar"       // one-lane gang on the scalar kernels
 )
 
 // Rungs lists every dispatch rung in ladder order, for meters that
@@ -216,8 +204,8 @@ var Rungs = []string{RungAOT, RungBitParallel, RungLaneLoop, RungScalar}
 
 // Dispatch describes one executed dispatch unit for Engine.Observe.
 type Dispatch struct {
-	Rung   string        // resolved rung (RungAOT, RungBitParallel, ...)
-	Runs   int           // runs in the unit: gang lanes, or 1 on the scalar rung
+	Rung   string        // executed rung (RungAOT, RungBitParallel, ...)
+	Runs   int           // runs in the unit: its gang's lanes, or an AOT span's runs
 	Cycles int64         // simulated cycles the unit actually executed
 	Start  time.Time     // when the unit began executing
 	Dur    time.Duration // wall time the unit took
@@ -237,20 +225,17 @@ const DefaultAOTThreshold = 10_000_000
 // goroutines — implementations synchronize themselves — but calls for
 // one run are ordered by cycle.
 //
-// Only runs whose state a snapshot fully captures are checkpointed:
-// zero Options (no I/O or trace position to lose) and no faults (their
-// records and activation counts are not machine state). Everything else
-// executes exactly as before, it just never emits — restarting such a
-// run from cycle zero is always correct.
+// Only runs without faults are checkpointed: fault records and their
+// activation counts are not machine state. A faulted run executes
+// exactly as before, it just never emits — restarting it from cycle
+// zero is always correct.
 type Checkpointer interface {
 	Checkpoint(run int, cycle int64, state []byte)
 }
 
 // runCheckpointable reports whether a run's snapshots are sufficient
 // to resume it: machine state must be the whole story.
-func runCheckpointable(r Run) bool {
-	return r.Program != nil && r.Opts == (core.Options{}) && len(r.Faults) == 0
-}
+func runCheckpointable(r Run) bool { return len(r.Faults) == 0 }
 
 // DefaultGangSize is the gang width of plain lane-loop programs when
 // GangSize is 0 — wide enough to amortize component dispatch, narrow
@@ -264,8 +249,8 @@ const DefaultGangSize = 32
 const DefaultBitGangSize = 64
 
 // laneWidth maps a program to its gang width, the only place that
-// decision is made: GangSize when pinned (1 — no ganging — for pins
-// below 2), otherwise a constant per program capability. It reads
+// decision is made: GangSize when pinned (1 — every run alone — for
+// pins below 2), otherwise a constant per program capability. It reads
 // nothing measured, so a program's width is the same on every job.
 func (e Engine) laneWidth(p *core.Program) int {
 	switch {
@@ -287,14 +272,19 @@ func (e Engine) chunk() int64 {
 	return e.Chunk
 }
 
-// runGangable reports whether a run may join a gang: a gang-capable
-// program, zero Options (a lane has no I/O or trace stream), and faults
-// that lower onto the program. Everything else takes the pooled scalar
-// path, which reports a fault that does not lower as the run's error.
-func runGangable(r Run) bool {
-	return r.Program != nil && r.Opts == (core.Options{}) && r.Program.GangCapable() &&
-		fault.Check(r.Program.Layout(), r.Faults) == nil
+// runErr reports why a run cannot execute — it has no Program, or its
+// faults do not lower onto it — or nil. Such a run dispatches alone and
+// its result carries the error, with no machine ever built.
+func runErr(r *Run) error {
+	if r.Program == nil {
+		return errors.New("campaign: run has no program")
+	}
+	return fault.Check(r.Program.Layout(), r.Faults)
 }
+
+// runGangable reports whether a run may share a gang: it can execute
+// and its program has gang kernels. Every other run dispatches alone.
+func runGangable(r Run) bool { return runErr(&r) == nil && r.Program.GangCapable() }
 
 // span is one dispatch unit: a half-open range of plan order and the
 // rung of the dispatch ladder that executes it.
@@ -528,21 +518,22 @@ func (e Engine) ExecuteBursts(ctx context.Context, runs []Run, results []Result,
 				if e.Observe != nil {
 					start = time.Now()
 				}
-				switch s.rung {
-				case RungAOT:
-					e.execAOT(ctx, &w, idxs, runs, results)
-				case RungScalar:
-					results[idxs[0]] = e.exec(ctx, &w, idxs[0], runs[idxs[0]])
-				default:
-					e.execGang(ctx, &w, idxs, runs, results)
+				var ran string
+				if s.rung == RungAOT {
+					ran = e.execAOT(ctx, &w, idxs, runs, results)
+				} else {
+					ran = e.execGang(ctx, &w, idxs, runs, results)
 				}
 				if e.Observe != nil {
+					if ran == "" {
+						ran = s.rung // nothing stepped: book the plan
+					}
 					var cycles int64
 					for _, i := range idxs {
 						cycles += results[i].Cycles
 					}
 					e.Observe(ctx, Dispatch{
-						Rung: s.rung, Runs: len(idxs), Cycles: cycles,
+						Rung: ran, Runs: len(idxs), Cycles: cycles,
 						Start: start, Dur: time.Since(start),
 					})
 				}
@@ -574,9 +565,10 @@ dispatch:
 }
 
 // worker is one goroutine's execution context for one campaign: its
-// pooled machines and native workers, and reused buffers. Gangs are
-// not kept here; each gang job takes one from its Program's pool and
-// returns it (core.Program.GetGang), so they outlive the campaign.
+// pooled machines (for custom digests and AOT snapshots), native
+// workers, and reused buffers. Gangs are not kept here; each job takes
+// one from its Program's pool and returns it (core.Program.GetGang),
+// so they outlive the campaign.
 type worker struct {
 	pool    map[*core.Program]*sim.Machine
 	procs   map[*core.Program]*aot.Proc // persistent native workers
@@ -593,11 +585,15 @@ func (w *worker) closeProcs() {
 	}
 }
 
-// execGang performs one gang job — runs of one gang-capable Program in
-// lockstep — writing each lane's Result at its run's index. Results are
-// bit-identical to running each lane through exec: same digests,
-// activation counts, statistics, cycle counts and runtime errors.
-func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run, results []Result) {
+// execGang performs one in-process job — runs of one Program in
+// lockstep, or one run alone as a one-lane gang — writing each lane's
+// Result at its run's index. Results are bit-identical to one machine
+// per run: same digests, activation counts, statistics, cycle counts
+// and runtime errors. It returns the rung that stepped the job:
+// RungScalar for one lane, RungBitParallel while the gang's planes are
+// on, RungLaneLoop otherwise, or "" when nothing stepped (cancelled
+// before it began, or a run that cannot execute).
+func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run, results []Result) string {
 	for _, i := range idxs {
 		results[i] = Result{Index: i, Name: runs[i].Name, Group: runs[i].Group}
 	}
@@ -605,10 +601,14 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 		for _, i := range idxs {
 			results[i].Err = err
 		}
-		return
+		return ""
+	}
+	if err := runErr(&runs[idxs[0]]); err != nil { // plan dispatches such a run alone
+		results[idxs[0]].Err = err
+		return ""
 	}
 	prog := runs[idxs[0]].Program
-	g, _ := prog.GetGang(len(idxs)) // plan gangs only runGangable runs
+	g := prog.GetGang(len(idxs))
 	defer prog.PutGang(g)
 	if cap(w.targets) < len(idxs) {
 		w.targets = make([]int64, 0, g.Capacity())
@@ -624,10 +624,17 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 			_ = g.RestoreLaneState(l, st) // a snapshot that does not restore leaves the lane cold
 		}
 		if len(runs[i].Faults) > 0 {
-			recs, _ := fault.Lower(prog.Layout(), runs[i].Faults) // runGangable checked them
+			recs, _ := fault.Lower(prog.Layout(), runs[i].Faults) // runErr checked them
 			results[i].Activated = make([]int64, len(recs))
 			g.SetLaneFaults(l, recs, results[i].Activated)
 		}
+	}
+	ran := RungLaneLoop
+	switch {
+	case g.Capacity() == 1:
+		ran = RungScalar
+	case g.BitParallel():
+		ran = RungBitParallel
 	}
 
 	chunk := e.chunk()
@@ -688,91 +695,34 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 		if d := runs[i].Digest; d != nil {
 			// A custom digest reads a machine: the lane's state restored
 			// into the worker's pooled one, as the AOT rung does.
-			m := w.machine(runs[i])
+			m := w.machine(prog)
 			w.ckbuf = g.AppendLaneState(l, w.ckbuf[:0])
 			_ = m.RestoreState(w.ckbuf) // a lane's snapshot always fits its program
 			results[i].Digest = d(m)
 		}
 	}
+	return ran
 }
 
-// machine returns a machine for the run: the worker's pooled machine
-// for the program (Reset to power-on state) when the run's Options
-// are zero, a fresh single-use machine otherwise.
-func (w *worker) machine(r Run) *sim.Machine {
-	if r.Opts != (core.Options{}) {
-		return r.Program.NewMachine(r.Opts)
+// machine returns the worker's pooled machine for the program. It is
+// handed out as the last caller left it: every caller restores a whole
+// snapshot over it.
+func (w *worker) machine(p *core.Program) *sim.Machine {
+	m := w.pool[p]
+	if m == nil {
+		m = p.NewMachine(core.Options{})
+		if w.pool == nil {
+			w.pool = make(map[*core.Program]*sim.Machine)
+		}
+		w.pool[p] = m
 	}
-	if m := w.pool[r.Program]; m != nil {
-		m.Reset()
-		m.SetFaults(nil, nil)
-		return m
-	}
-	m := r.Program.NewMachine(core.Options{})
-	if w.pool == nil {
-		w.pool = make(map[*core.Program]*sim.Machine)
-	}
-	w.pool[r.Program] = m
 	return m
 }
 
-// exec performs one run on the calling goroutine.
-func (e Engine) exec(ctx context.Context, w *worker, idx int, r Run) Result {
-	res := Result{Index: idx, Name: r.Name, Group: r.Group}
-	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
-	}
-	if r.Program == nil {
-		res.Err = errors.New("campaign: run has no program")
-		return res
-	}
-	m := w.machine(r)
-	if st := r.warmState(); st != nil {
-		_ = m.RestoreState(st) // a snapshot that does not restore leaves the run cold
-	}
-	if len(r.Faults) > 0 {
-		recs, err := fault.Lower(r.Program.Layout(), r.Faults)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		res.Activated = make([]int64, len(recs))
-		m.SetFaults(recs, res.Activated)
-	}
-
-	chunk := e.chunk()
-	ckpt := e.Checkpoint != nil && runCheckpointable(r)
-	var sinceCk int64
-	for remaining := r.Cycles - m.Cycle(); remaining > 0; {
-		if err := ctx.Err(); err != nil {
-			res.Err = err
-			break
-		}
-		n := min(chunk, remaining)
-		if err := m.Run(n); err != nil {
-			res.Err = err
-			break
-		}
-		remaining -= n
-		// Periodic checkpoints are for runs still executing; one that
-		// just finished is snapshotted by the retirement pass below.
-		if ckpt && e.CheckpointEvery > 0 && remaining > 0 {
-			if sinceCk += n; sinceCk >= e.CheckpointEvery {
-				sinceCk = 0
-				w.ckbuf = m.AppendState(w.ckbuf[:0])
-				e.Checkpoint.Checkpoint(idx, m.Cycle(), w.ckbuf)
-			}
-		}
-	}
-	e.retire(ctx, w, &res, r, m)
-	return res
-}
-
-// retire is the scalar rung's epilogue, shared with the AOT rung (whose
-// run ends as a worker's snapshot restored into m): the retirement (or
-// interruption) checkpoint, then the cycles, statistics and digest of
-// the state the machine reached. A run that died on a runtime error is
+// retire is the AOT rung's epilogue, whose run ends as a worker's
+// snapshot restored into m: the retirement (or interruption)
+// checkpoint, then the cycles, statistics and digest of the state the
+// machine reached. A run that died on a runtime error is
 // terminal and checkpoints nothing, but the error is a run *outcome*
 // (fault campaigns count on it), not a campaign failure, so the digest
 // of whatever state the machine reached is still comparable.

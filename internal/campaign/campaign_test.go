@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -442,32 +441,6 @@ func TestSteadyStateBurstsAllocPerGang(t *testing.T) {
 	}
 	if extra, budget := large-small, float64(allocsPerGang*(largeGangs-smallGangs)); extra > budget {
 		t.Errorf("512 runs allocate %.0f objects more than 256 (%d more gang jobs), want <= %.0f: a per-run allocation is back", extra, largeGangs-smallGangs, budget)
-	}
-}
-
-// TestPerRunOptionsNotPooled: a run with non-zero Options gets a
-// fresh machine (writers carry cross-run state), and its hooks and
-// state never leak into pooled runs of the same program.
-func TestPerRunOptionsNotPooled(t *testing.T) {
-	prog := sieveProgram(t, 20, core.Compiled)
-	var buf bytes.Buffer
-	runs := []Run{
-		{Name: "traced", Program: prog, Opts: core.Options{Trace: &buf}, Cycles: 50},
-		{Name: "pooled-a", Group: "g", Program: prog, Cycles: 50},
-		{Name: "pooled-b", Group: "g", Program: prog, Cycles: 50},
-	}
-	results, err := Engine{Workers: 1}.Execute(context.Background(), runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("traced run produced no trace")
-	}
-	if results[1].Digest != results[2].Digest {
-		t.Errorf("identical pooled runs diverge: %s != %s", results[1].Digest, results[2].Digest)
-	}
-	if results[0].Digest != results[1].Digest {
-		t.Errorf("traced and pooled runs of one program diverge: %s != %s", results[0].Digest, results[1].Digest)
 	}
 }
 

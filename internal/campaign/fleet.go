@@ -148,17 +148,13 @@ func WarmStartFromState(p *core.Program, cycle int64, state []byte) *WarmStart {
 
 // warmState returns the snapshot a run restores instead of simulating
 // its prefix, simulating the shared prefix on first use, or nil for a
-// cold start. Only zero-Options runs are eligible — a snapshot does not
-// capture an input stream's position or the prefix's trace output, so
-// a run with I/O attached must simulate its own prefix. Any other
-// failure — a prefix that itself hits a runtime error, a WarmStart
-// misattached to a different program or longer than the run's budget —
-// likewise degrades to a cold start, which is always correct (the run
-// just re-simulates the prefix, reproducing any error itself). The
-// scalar path and gang lanes both restore through it.
+// cold start. Any failure — a prefix that itself hits a runtime error,
+// a WarmStart misattached to a different program or longer than the
+// run's budget — degrades to a cold start, which is always correct
+// (the run just re-simulates the prefix, reproducing any error itself).
 func (r *Run) warmState() []byte {
 	ws := r.Warm
-	if ws == nil || ws.program != r.Program || r.Opts != (core.Options{}) || ws.cycles <= 0 || ws.cycles > r.Cycles {
+	if ws == nil || ws.program != r.Program || ws.cycles <= 0 || ws.cycles > r.Cycles {
 		return nil
 	}
 	ws.once.Do(func() {

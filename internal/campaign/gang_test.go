@@ -1,19 +1,22 @@
 package campaign
 
 // Gang-aware dispatch: Engine.Execute must produce bit-identical
-// []Result whether runs execute as gangs, as pooled scalar machines,
-// or as any mix — across gang widths, mixed per-run cycle budgets,
-// runs that fault out mid-gang, and fleets mixing gangable runs with
-// runs the gang cannot carry (other backends, I/O options, faults).
+// []Result whether runs execute as wide gangs, as one-lane gangs, or as
+// any mix — across gang widths, mixed per-run cycle budgets, runs that
+// fault out mid-gang, and fleets mixing gangable runs with runs no
+// gang can carry (other backends, faults that do not lower, no
+// program) — and each equal to one sim.Machine per run.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/machines"
 	"repro/internal/specgen"
 )
@@ -68,24 +71,65 @@ func requireSameResults(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// executeScalar runs the campaign with gang execution disabled — the
-// reference the gang paths must match bit for bit.
+// executeScalar is the reference the engine must match bit for bit:
+// each run on a sim.Machine of its own, sharing no executor with the
+// engine — the warm start restored, the faults lowered and set, the
+// budget run, then the architectural hash or the run's custom Digest.
+// A run without a program, or whose faults do not lower, has a Result
+// that carries only the error.
 func executeScalar(t *testing.T, runs []Run) []Result {
 	t.Helper()
-	results, err := Engine{Workers: 1, GangSize: 1}.Execute(context.Background(), runs)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]Result, len(runs))
+	for i, r := range runs {
+		res := &results[i]
+		*res = Result{Index: i, Name: r.Name, Group: r.Group}
+		if r.Program == nil {
+			res.Err = errors.New("campaign: run has no program")
+			continue
+		}
+		recs, err := fault.Lower(r.Program.Layout(), r.Faults)
+		if err != nil {
+			res.Err = err
+			continue
+		}
+		m := r.Program.NewMachine(core.Options{})
+		if st := r.warmState(); st != nil {
+			if err := m.RestoreState(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(recs) > 0 {
+			res.Activated = make([]int64, len(recs))
+			m.SetFaults(recs, res.Activated)
+		}
+		res.Err = m.Run(r.Cycles - m.Cycle())
+		res.Cycles, res.Stats = m.Cycle(), m.Stats()
+		if r.Digest != nil {
+			res.Digest = r.Digest(m)
+		} else {
+			res.Digest = hashHex(m.ArchHash())
+		}
 	}
 	return results
 }
 
 // TestGangDispatchEquivalence: every dispatch shape, over a lockstep
-// lane-loop fleet and a bit-parallel fleet whose lanes retire far out
-// of step (compaction at every chunk boundary).
+// lane-loop fleet, a bit-parallel fleet whose lanes retire far out of
+// step (compaction at every chunk boundary), and a program without
+// memories, whose statistics count no memory operations on any path.
 func TestGangDispatchEquivalence(t *testing.T) {
+	spec, err := core.ParseString("memoryless", "# no memories\na b .\nA a 4 1 1\nA b 4 a 1\n.\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	memoryless, err := core.Compile(spec, core.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, runs := range map[string][]Run{
-		"sieve":     Fleet("sieve", sieveProgram(t, 20, core.Compiled), 13, 700),
-		"divergent": divergentFleet(bitMixProgram(t)),
+		"sieve":      Fleet("sieve", sieveProgram(t, 20, core.Compiled), 13, 700),
+		"divergent":  divergentFleet(bitMixProgram(t)),
+		"memoryless": Fleet("memoryless", memoryless, 5, 30),
 	} {
 		want := executeScalar(t, runs)
 		for _, gs := range []int{0, 2, 3, 13, 64} {
@@ -163,6 +207,28 @@ func TestGangDispatchFaultingRuns(t *testing.T) {
 	}
 	requireSameResults(t, "deterministic fault", results, want)
 
+	// Runs that cannot execute: no program, and a fault that does not
+	// lower. Their results carry the error alone — no digest, no
+	// statistics — beside runs that do execute.
+	sieve := sieveProgram(t, 20, core.Compiled)
+	unrunnable := []Run{
+		{Name: "ok", Group: "g", Program: sieve, Cycles: 50},
+		{Name: "no-program", Group: "g", Cycles: 50},
+		{Name: "bad-fault", Group: "g", Program: sieve, Cycles: 50,
+			Faults: []fault.Fault{{Component: "no-such-memory", Kind: fault.Flip, From: 1}}},
+	}
+	uwant := executeScalar(t, unrunnable)
+	if uwant[1].Err == nil || uwant[2].Err == nil {
+		t.Fatalf("reference ran unrunnable runs: %+v", uwant)
+	}
+	for _, gs := range []int{0, 1} {
+		ures, err := Engine{Workers: 1, GangSize: gs}.Execute(context.Background(), unrunnable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResults(t, fmt.Sprintf("unrunnable gang=%d", gs), ures, uwant)
+	}
+
 	// Generated specs: whatever outcome each seed produces (many fault
 	// with selector or address errors), gang and scalar must agree.
 	for seed := int64(0); seed < 12; seed++ {
@@ -187,20 +253,19 @@ func TestGangDispatchFaultingRuns(t *testing.T) {
 }
 
 // TestGangDispatchMixedEligibility: a campaign mixing gangable runs
-// with everything the gang must refuse — interp-backend runs, runs
-// with I/O options, an undersized remainder — still produces
-// scalar-identical results, and the ineligible runs complete.
+// with runs no gang can carry — interp-backend runs, an undersized
+// remainder — still produces scalar-identical results, and the
+// ineligible runs complete as one-lane gangs.
 func TestGangDispatchMixedEligibility(t *testing.T) {
 	compiled := sieveProgram(t, 20, core.Compiled)
 	interp := sieveProgram(t, 20, core.Interp)
 	var runs []Run
-	// 5 gangable + interp runs interleaved + one Options run; gang
-	// width 4 leaves a gangable remainder of 1 on the scalar path.
+	// 5 gangable + interp runs interleaved; gang width 4 leaves a
+	// gangable remainder of 1 to dispatch alone.
 	for i := 0; i < 5; i++ {
 		runs = append(runs, Run{Name: fmt.Sprintf("gang#%d", i), Group: "sieve", Program: compiled, Cycles: 400})
 		runs = append(runs, Run{Name: fmt.Sprintf("interp#%d", i), Group: "sieve", Program: interp, Cycles: 400})
 	}
-	runs = append(runs, Run{Name: "traced", Group: "sieve", Program: compiled, Cycles: 400, Opts: core.Options{Trace: discard{}}})
 	want := executeScalar(t, runs)
 	results, err := Engine{Workers: 2, GangSize: 4}.Execute(context.Background(), runs)
 	if err != nil {
@@ -213,10 +278,6 @@ func TestGangDispatchMixedEligibility(t *testing.T) {
 		t.Errorf("mixed-eligibility summary: %s", sum)
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestGangDispatchCancellation: cancelling mid-campaign marks
 // unfinished gang lanes with the context error and keeps finished
@@ -321,7 +382,6 @@ func TestPlanShapePure(t *testing.T) {
 	cache := newTestAOTCache(t)
 	mixed := Fleet("sieve", sieve, 33, 100)
 	mixed = append(mixed, Fleet("bitmix", bitmix, 65, 100)...)
-	mixed = append(mixed, Run{Name: "traced", Program: sieve, Cycles: 100, Opts: core.Options{Trace: discard{}}})
 	mixed = append(mixed, Fleet("interp", interp, 2, 100)...)
 
 	for _, tc := range []struct {
@@ -356,7 +416,7 @@ func TestPlanShapePure(t *testing.T) {
 		// Gangs first, program by program in order of first appearance;
 		// then the runs no gang can carry, then the gang remainders.
 		{"mixed programs", Engine{}, mixed, 1,
-			[]string{"32 lane-loop", "64 bit-parallel", "1 scalar", "1 scalar", "1 scalar", "1 scalar", "1 scalar"}},
+			[]string{"32 lane-loop", "64 bit-parallel", "1 scalar", "1 scalar", "1 scalar", "1 scalar"}},
 	} {
 		before := planShape(t, tc.eng, tc.runs, tc.workers)
 		if !reflect.DeepEqual(before, tc.want) {

@@ -47,8 +47,8 @@ func (l *dispatchLog) totals() (runs int, cycles int64) {
 }
 
 // TestObserveRungsAndTotals: a mixed campaign — a lane-loop sieve
-// fleet, a bit-parallel bitmix fleet, and a traced run that can only
-// take the scalar path — reports all three in-process rungs, with
+// fleet, a bit-parallel bitmix fleet, and an interp run, whose backend
+// has no gang kernels, alone — reports all three in-process rungs, with
 // runs and cycles summing exactly to the campaign's books. The sieve
 // fleet includes a warm-started run, a faulted run, a warm faulted run
 // and a custom-digest run: each is a gang lane, with results equal to
@@ -69,10 +69,7 @@ func TestObserveRungsAndTotals(t *testing.T) {
 		Run{Name: "digest", Program: sieve, Cycles: 500, Digest: SnapshotDigest},
 	)
 	runs = append(runs, Fleet("bitmix", bitmix, 8, 400)...)
-	runs = append(runs, Run{
-		Name: "traced", Program: sieve, Cycles: 300,
-		Opts: core.Options{Trace: discard{}},
-	})
+	runs = append(runs, Run{Name: "interp", Program: sieveProgram(t, 20, core.Interp), Cycles: 300})
 
 	log := &dispatchLog{}
 	eng := Engine{Workers: 2, GangSize: 4, Observe: log.hook()}
@@ -126,7 +123,7 @@ func TestObserveRungsAndTotals(t *testing.T) {
 		}
 	}
 	if scalarRuns != 1 {
-		t.Errorf("scalar rung covered %d runs, want the 1 traced run", scalarRuns)
+		t.Errorf("scalar rung covered %d runs, want the 1 interp run", scalarRuns)
 	}
 	for _, d := range log.ds {
 		if d.Start.IsZero() || d.Dur < 0 {
@@ -181,6 +178,31 @@ func TestObserveDoesNotChangeResults(t *testing.T) {
 	if len(log.ds) == 0 {
 		t.Error("hook never ran")
 	}
+}
+
+// TestObserveBooksExecutedRung: a dispatch books the rung that stepped
+// it, not the one planned. A bit-3 flip can move a 0/1 register outside
+// {0, 1}, so one such run turns its gang's planes off: the 4-lane
+// bit-mix gang, planned bit-parallel, steps lane-loop kernels and books
+// lane-loop.
+func TestObserveBooksExecutedRung(t *testing.T) {
+	bitmix := bitMixProgram(t)
+	runs := Fleet("bitmix", bitmix, 4, 300)
+	runs[2].Faults = []fault.Fault{{Component: "r0", Bit: 3, Kind: fault.Flip, From: 100}}
+	eng := Engine{Workers: 1, GangSize: 4}
+	if shape := planShape(t, eng, runs, 1); !reflect.DeepEqual(shape, []string{"4 bit-parallel"}) {
+		t.Fatalf("plan = %q, want one 4-lane bit-parallel gang", shape)
+	}
+	log := &dispatchLog{}
+	eng.Observe = log.hook()
+	results, err := eng.Execute(context.Background(), runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.ds) != 1 || log.ds[0].Rung != RungLaneLoop || log.ds[0].Runs != 4 {
+		t.Errorf("dispatches %+v, want one 4-run %s dispatch", log.ds, RungLaneLoop)
+	}
+	requireSameResults(t, "planes off", results, executeScalar(t, runs))
 }
 
 // TestObserveAOTRung: with an AOT cache attached and the threshold

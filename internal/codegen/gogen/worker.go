@@ -26,7 +26,7 @@ import (
 // the format itself.
 //
 // Everything observable must match the in-process backends bit for
-// bit: statistics count exactly what Machine.commitMems counts, and
+// bit: statistics count exactly what the scalar commit counts, and
 // runtime faults carry the same component/message pair with the same
 // partial-state semantics (earlier combinational values and memory
 // commits of the failing cycle are retained, the cycle counter is not
@@ -149,7 +149,7 @@ func (g *generator) emitRunCycle(w sim.WordMap) {
 	g.p("}")
 }
 
-// emitMemoryCommitWorker mirrors Machine.commitMems for one memory:
+// emitMemoryCommitWorker mirrors the scalar commit for one memory:
 // bounds-checked read/write, input always faults (campaign machines
 // have no input device), output is counted and discarded. Statistics,
 // the four words from ops on, are bumped only after a successful

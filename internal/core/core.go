@@ -170,10 +170,11 @@ type Program struct {
 	layout  *sim.Layout
 
 	// gangs holds gangs released by finished campaigns (GetGang /
-	// PutGang). It lives in the program, not in a map keyed by it, so
-	// the pooled gangs are freed with the program when it leaves the
-	// cache.
-	gangs sync.Pool
+	// PutGang): one-lane gangs in gangs[0], wider ones in gangs[1], so
+	// a lone run never borrows a wide gang's lane-loop kernels. It
+	// lives in the program, not in a map keyed by it, so the pooled
+	// gangs are freed with the program when it leaves the cache.
+	gangs [2]sync.Pool
 
 	aotOnce sync.Once
 	aotSrc  string
@@ -205,9 +206,10 @@ func (p *Program) NewMachine(opts Options) *Machine {
 // lowered against.
 func (p *Program) Layout() *sim.Layout { return p.layout }
 
-// GangCapable reports whether the program's backend can step gangs
-// (implements sim.GangStepper). The campaign engine uses it to decide
-// between gang and pooled scalar execution.
+// GangCapable reports whether the program's backend can step gangs of
+// two or more lanes (implements sim.GangStepper). The campaign engine
+// uses it to decide whether the program's runs may share a gang; every
+// program runs one-lane gangs.
 func (p *Program) GangCapable() bool { return sim.CanGang(p.eval) }
 
 // BitGangCapable reports whether the program's gangs run bit-parallel
@@ -217,28 +219,30 @@ func (p *Program) GangCapable() bool { return sim.CanGang(p.eval) }
 func (p *Program) BitGangCapable() bool { return sim.CanBitGang(p.eval) }
 
 // NewGang builds a struct-of-arrays gang of up to capacity lanes
-// running this program, or reports ok=false when the backend does not
-// implement sim.GangStepper. Like machines, gangs hold only mutable
-// state; the evaluator is shared.
+// running this program, or reports ok=false when capacity is above 1
+// and the backend does not implement sim.GangStepper. Like machines,
+// gangs hold only mutable state; the evaluator is shared.
 func (p *Program) NewGang(capacity int) (*sim.Gang, bool) {
 	return sim.NewGang(p.layout, p.eval, capacity)
 }
 
 // GetGang returns a gang of this program with room for at least lanes
 // lanes: one a finished campaign released (PutGang) when it is wide
-// enough, else a new one at exactly that width. ok is false when the
-// backend does not implement sim.GangStepper. A pooled gang is handed
-// out as it was left; the caller Resets it before stepping.
-func (p *Program) GetGang(lanes int) (g *sim.Gang, ok bool) {
-	if g, _ := p.gangs.Get().(*sim.Gang); g != nil && g.Capacity() >= lanes {
-		return g, true
+// enough, else a new one at exactly that width. One lane gets a
+// one-lane gang, which any program runs; more lanes need a GangCapable
+// program. A pooled gang is handed out as it was left; the caller
+// Resets it before stepping.
+func (p *Program) GetGang(lanes int) *sim.Gang {
+	if g, _ := p.gangs[min(lanes, 2)-1].Get().(*sim.Gang); g != nil && g.Capacity() >= lanes {
+		return g
 	}
-	return p.NewGang(lanes)
+	g, _ := p.NewGang(lanes)
+	return g
 }
 
 // PutGang releases a gang of this program for reuse by a later
 // GetGang. The caller must not touch the gang afterwards.
-func (p *Program) PutGang(g *sim.Gang) { p.gangs.Put(g) }
+func (p *Program) PutGang(g *sim.Gang) { p.gangs[min(g.Capacity(), 2)-1].Put(g) }
 
 // AOTCapable reports whether the program can run in a native worker:
 // whether it is a Compiled program, whose worker prints the same

@@ -146,7 +146,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Addr, "addr", ":8420", "listen address")
 	fs.IntVar(&f.Workers, "workers", 0, "engine worker goroutines per job (0 = GOMAXPROCS)")
 	fs.Int64Var(&f.Chunk, "chunk", 0, "cycle granularity of cancellation checks (0 = engine default)")
-	fs.IntVar(&f.Gang, "gang", 0, "gang width for lockstep execution (0 = per program: 64 lanes for bit-parallel programs, 32 otherwise; 1 disables)")
+	fs.IntVar(&f.Gang, "gang", 0, "gang width for lockstep execution (0 = per program: 64 lanes for bit-parallel programs, 32 otherwise; 1: every run a one-lane gang)")
 	fs.StringVar(&f.StateDir, "state-dir", "", "durable job store directory; jobs survive restarts and dropped streams resume (empty = durability off)")
 	fs.Int64Var(&f.CheckpointCycles, "checkpoint-cycles", 0, "cycles between run state checkpoints, persisted to -state-dir and/or streamed to a coordinator (0 = default 65536)")
 	fs.BoolVar(&f.AOT, "aot", false, "run compiled jobs above -aot-threshold in ahead-of-time native workers (compiled-aot is an alias of compiled)")

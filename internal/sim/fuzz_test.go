@@ -9,7 +9,9 @@ package sim_test
 // nothing from internal/compile), runs the compiled scalar path, the
 // plain lane-loop gang and the bit-parallel gang over divergent
 // per-lane budgets, and fails on any difference in architectural
-// hash, statistics, cycle count or runtime error. Every gang here
+// hash, statistics, cycle count or runtime error. Specgen's specs are
+// valid by construction, so negative shapes run a counter that dies of
+// a runtime error instead (faultingSpec). Every gang here
 // retires lanes out of step, so compaction is fuzzed for free. Each
 // gang path also runs warm-started: every lane resumes from the
 // interpreter's snapshot at a cycle chosen per lane, so live lanes hold
@@ -20,7 +22,11 @@ package sim_test
 // on random bits and windows, often several on one memory — lowered to
 // sim.Fault records on every path and checked, activation counts
 // included, against faults applied the way an after-commit hook
-// applied them before they were records (hookRun).
+// applied them before they were records (hookRun). Each lane also runs
+// alone, cold and warm, as a one-lane gang on the interpreter, bytecode
+// and compiled backends: stride 1 steps the evaluator's scalar
+// StepCycle and the machine's commit, so its runtime errors arrive as
+// plain RuntimeErrors and its faults go through the stride-1 loop.
 // `go test -fuzz=FuzzGangEquivalence` explores; the committed corpus
 // under testdata/fuzz/ pins the interesting shapes as ordinary
 // regression tests.
@@ -30,6 +36,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -162,7 +169,8 @@ func snapshotAt(t *testing.T, p *core.Program, start int64) []byte {
 // its final snapshot must equal, byte for byte, that of machine p
 // restored from warm[l], given the same faults and run to the same
 // budget (p's own latches, not the snapshot source's). A bit-parallel
-// gang whose faults all hit bit 0 must keep its planes.
+// gang (of two or more lanes) whose faults all hit bit 0 must keep its
+// planes.
 func gangOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64, warm [][]byte, faults [][]fault.Fault) []scalarOutcome {
 	t.Helper()
 	g, ok := p.NewGang(len(budgets))
@@ -184,7 +192,7 @@ func gangOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64, w
 			narrow = narrow && (f.Bit == 0 || f.Kind == fault.StuckAt0)
 		}
 	}
-	if narrow && g.BitParallel() != p.BitGangCapable() {
+	if narrow && g.Capacity() > 1 && g.BitParallel() != p.BitGangCapable() {
 		t.Errorf("%s: faults on bit 0 only turned the bit-parallel kernels off", p.Backend())
 	}
 	for g.Step(chunk) {
@@ -212,17 +220,49 @@ func gangOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64, w
 	return out
 }
 
+// oneLaneOutcomes runs every lane of gangOutcomes as a gang of its own,
+// of capacity 1.
+func oneLaneOutcomes(t *testing.T, p *core.Program, budgets []int64, chunk int64, warm [][]byte, faults [][]fault.Fault) []scalarOutcome {
+	t.Helper()
+	out := make([]scalarOutcome, len(budgets))
+	for l := range budgets {
+		var w [][]byte
+		if warm != nil {
+			w = warm[l : l+1]
+		}
+		out[l] = gangOutcomes(t, p, budgets[l:l+1], chunk, w, faults[l:l+1])[0]
+	}
+	return out
+}
+
+// faultingSpec is a counter that dies of a runtime error: sel has
+// cases cases indexed by the count, and buf reads cell count of size
+// cells, so the count runs off one of them — in evaluation or in
+// commit — unless a lane's budget or its injected faults stop it first.
+func faultingSpec(cases, size int64) string {
+	var b strings.Builder
+	b.WriteString("# faulting counter\ncount sel buf inc .\nA inc 4 count 1\nM count 0 inc 1 1\nS sel count")
+	for c := range cases {
+		fmt.Fprintf(&b, " %d", c)
+	}
+	fmt.Fprintf(&b, "\nM buf count sel 0 %d\n.\n", size)
+	return b.String()
+}
+
 func FuzzGangEquivalence(f *testing.F) {
 	// seed drives the generator; combs/mems bound the spec; cycles sets
 	// the budget scale; shape selects the source (every 5th shape fuzzes
 	// the bit-mix fabric's parameter space, which always takes the
 	// bit-parallel path; the rest run specgen specs, which exercise
-	// faults and the profitability gate's off position).
+	// faults and the profitability gate's off position; a negative shape
+	// runs faultingSpec, sized by combs and mems).
 	f.Add(int64(1), int64(8), int64(2), int64(200), int64(1))
 	f.Add(int64(7), int64(15), int64(4), int64(96), int64(2))
 	f.Add(int64(42), int64(3), int64(1), int64(300), int64(3))
 	f.Add(int64(3), int64(0), int64(0), int64(250), int64(0)) // bit-mix shape
 	f.Add(int64(11), int64(0), int64(0), int64(64), int64(5)) // bit-mix shape
+	f.Add(int64(5), int64(3), int64(6), int64(9), int64(-1))  // selector runs out first
+	f.Add(int64(8), int64(4), int64(1), int64(30), int64(-2)) // memory runs out first
 	f.Fuzz(func(t *testing.T, seed, combs, mems, cycles, shape int64) {
 		norm := func(v, lo, span int64) int64 {
 			if v < 0 {
@@ -231,7 +271,9 @@ func FuzzGangEquivalence(f *testing.F) {
 			return lo + v%span
 		}
 		var src string
-		if norm(shape, 0, 5) == 0 {
+		if shape < 0 {
+			src = faultingSpec(norm(combs, 2, 6), norm(mems, 1, 8))
+		} else if norm(shape, 0, 5) == 0 {
 			src = machines.BitMixSpec(int(norm(seed, 2, 7)), int(norm(seed, 1, 9)))
 		} else {
 			rng := rand.New(rand.NewSource(seed))
@@ -253,6 +295,10 @@ func FuzzGangEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		plain, err := core.Compile(spec, core.CompiledNoBitpar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc, err := core.Compile(spec, core.Bytecode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,6 +330,12 @@ func FuzzGangEquivalence(f *testing.F) {
 			{"bitgang", gangOutcomes(t, bit, budgets, 7, nil, faults)},
 			{"gang-warm", gangOutcomes(t, plain, budgets, 7, warm, faults)},
 			{"bitgang-warm", gangOutcomes(t, bit, budgets, 7, warm, faults)},
+			{"lane1-interp", oneLaneOutcomes(t, ref, budgets, 7, nil, faults)},
+			{"lane1-bytecode", oneLaneOutcomes(t, bc, budgets, 7, nil, faults)},
+			{"lane1-compiled", oneLaneOutcomes(t, bit, budgets, 7, nil, faults)},
+			{"lane1-interp-warm", oneLaneOutcomes(t, ref, budgets, 7, warm, faults)},
+			{"lane1-bytecode-warm", oneLaneOutcomes(t, bc, budgets, 7, warm, faults)},
+			{"lane1-compiled-warm", oneLaneOutcomes(t, bit, budgets, 7, warm, faults)},
 		} {
 			for l := range budgets {
 				if !reflect.DeepEqual(path.got[l], want[l]) {

@@ -33,7 +33,8 @@ import "fmt"
 // evaluate one cycle for a whole gang of lanes in component-major
 // order — for each combinational component (in dependency order) and
 // each memory latch, one loop over the live lanes — against the
-// struct-of-arrays layout a Gang maintains.
+// struct-of-arrays layout a Gang maintains. A gang of two or more lanes
+// needs it; a one-lane gang steps any evaluator's StepCycle instead.
 //
 // Layout: vals[slot*stride+lane] is lane's output for slot;
 // addr/data/opn[mem*stride+lane] are lane's latched memory inputs for
@@ -116,9 +117,14 @@ func FailLane(lane int, component string, cycle int64, format string, args ...in
 // observers (an input operation faults the lane, exactly as it faults a
 // machine with no input attached; output operations are counted and
 // discarded), each with its own fault records (SetLaneFaults).
+//
+// A gang of capacity 1 is stride 1, where the struct-of-arrays layout
+// is a Machine's own: it steps the evaluator's scalar StepCycle and
+// commits through the Machine's commit, so any backend runs one lane.
 type Gang struct {
 	state // one column per physical slot; stride is the lane capacity
-	eval  GangStepper
+	eval  Evaluator
+	kern  GangStepper // the lane-loop kernels, unused at stride 1
 
 	memSlot []int // slot of each memory, by ordinal
 	memSize []int // cells per lane of each memory, by ordinal
@@ -153,21 +159,23 @@ type Gang struct {
 	err    []error // per-phys-slot fault, nil while healthy
 }
 
-// NewGang builds a gang of up to capacity lanes for a program's layout,
-// or reports ok=false when the evaluator does not implement
-// GangStepper. The gang starts with zero lanes; Reset configures them.
+// NewGang builds a gang of up to capacity lanes (at least 1) for a
+// program's layout. A one-lane gang takes any evaluator; a wider one
+// reports ok=false when the evaluator does not implement GangStepper,
+// and steps bit-parallel kernels when it implements BitGangStepper. A
+// one-lane gang never touches the gang capabilities, so it builds none
+// of a backend's gang kernels. The gang starts with zero lanes; Reset
+// configures them.
 func NewGang(layout *Layout, eval Evaluator, capacity int) (*Gang, bool) {
-	gs, ok := eval.(GangStepper)
-	if !ok {
+	gs, _ := eval.(GangStepper)
+	if capacity = max(capacity, 1); capacity > 1 && gs == nil {
 		return nil, false
-	}
-	if capacity < 1 {
-		capacity = 1
 	}
 	nm := len(layout.Mems)
 	g := &Gang{
 		state:   newState(layout, capacity),
-		eval:    gs,
+		eval:    eval,
+		kern:    gs,
 		memSlot: make([]int, nm),
 		memSize: make([]int, nm),
 		cycle:   make([]int64, capacity),
@@ -181,7 +189,7 @@ func NewGang(layout *Layout, eval Evaluator, capacity int) (*Gang, bool) {
 		g.memSlot[i] = mem.Slot
 		g.memSize[i] = mem.Size
 	}
-	if bs, ok := eval.(BitGangStepper); ok {
+	if bs, ok := gs.(BitGangStepper); ok && capacity > 1 {
 		if slots := bs.BitPlaneSlots(); len(slots) > 0 {
 			g.bits, g.bit = bs, bs
 			g.planeSlots = slots
@@ -332,16 +340,20 @@ func (g *Gang) Step(max int64) bool {
 // cycle's evaluation re-runs for the survivors. Re-running is safe
 // because evaluation only derives from pre-commit state, and the
 // faulted lane keeps exactly the partial evaluation the scalar path
-// would have aborted with.
+// would have aborted with. A one-lane gang's scalar StepCycle and
+// commit fail with a plain *RuntimeError, which is lane 0's.
 func (g *Gang) run(max int64) (n int64) {
 	defer func() {
-		if r := recover(); r != nil {
-			gf, ok := r.(*GangFault)
-			if !ok {
-				panic(r)
+		switch f := recover().(type) {
+		case nil:
+		case *RuntimeError:
+			if g.stride != 1 {
+				panic(f)
 			}
-			if gf.Lane < 0 || gf.Lane >= g.n {
-				panic(fmt.Sprintf("sim: gang kernel reported fault for bad lane %d", gf.Lane))
+			g.err[0], g.n = f, 0
+		case *GangFault:
+			if f.Lane < 0 || f.Lane >= g.n {
+				panic(fmt.Sprintf("sim: gang kernel reported fault for bad lane %d", f.Lane))
 			}
 			// On the bit path the faulted slot's plane bits hold exactly
 			// the partial evaluation the scalar path would have aborted
@@ -349,16 +361,35 @@ func (g *Gang) run(max int64) (n int64) {
 			// rest last cycle's): materialize them into vals now and make
 			// the vals column authoritative from here on — the surviving
 			// lanes' re-run will keep rewriting the shared plane words.
-			g.detachSlot(gf.Lane)
-			g.err[gf.Lane] = gf.Err
+			g.detachSlot(f.Lane)
+			g.err[f.Lane] = f.Err
 			g.compact()
+		default:
+			panic(f)
 		}
 	}()
+	if g.stride == 1 {
+		// Stride 1, whose one live lane is slot 0: the Machine's cycle,
+		// run for as many cycles as the lane has left, so the loop
+		// checks no target.
+		cycle, stats, col := &g.cycle[0], &g.stats[0], g.column(0)
+		for steps := min(max, g.target[0]-*cycle); n < steps; n++ {
+			g.eval.StepCycle(g.vals, g.addr, g.data, g.opn, *cycle)
+			g.commit(*cycle, nil, nil, nil)
+			*cycle++
+			stats.Cycles++
+			if g.faults != nil {
+				col.inject(g.faults[0], g.hits[0])
+			}
+		}
+		g.compact()
+		return n
+	}
 	for ; n < max && g.n > 0; n++ {
 		if g.bit != nil {
 			g.bit.StepCycleGangBits(g.vals, g.planes, g.addr, g.data, g.opn, g.stride, g.pwords, g.n, g.cycle)
 		} else {
-			g.eval.StepCycleGang(g.vals, g.addr, g.data, g.opn, g.stride, g.n, g.cycle)
+			g.kern.StepCycleGang(g.vals, g.addr, g.data, g.opn, g.stride, g.n, g.cycle)
 		}
 		g.commitAdvance()
 	}
@@ -394,7 +425,7 @@ func (g *Gang) detachSlot(p int) {
 // and advances the lanes that completed the cycle. Commit is
 // memory-major, one dense loop over [0, n) per memory (lanes are
 // independent, so the order across lanes is unobservable); within a
-// lane the memories commit in ordinal order like the scalar commitMems,
+// lane the memories commit in ordinal order like the scalar commit,
 // and a lane that faults at memory i keeps its earlier memories'
 // commits and skips the rest, exactly like the scalar path's panic
 // unwind.

@@ -77,7 +77,6 @@ type Machine struct {
 	cycle int64
 	stats Stats
 	inDev *inputDevice
-	out   io.Writer
 
 	observers []Observer
 	tracer    *tracer
@@ -101,10 +100,6 @@ func New(layout *Layout, eval Evaluator, opts Options) *Machine {
 	if opts.Input != nil {
 		m.inDev = newInputDevice(opts.Input)
 	}
-	m.out = opts.Output
-	if m.out == nil {
-		m.out = io.Discard
-	}
 	if opts.Trace != nil {
 		m.tracer = newTracer(opts.Trace, layout)
 	}
@@ -123,10 +118,12 @@ func (m *Machine) Cycle() int64 { return m.cycle }
 
 // Stats returns the accumulated execution statistics. The returned
 // value owns its MemOps slice, so it stays valid after the machine is
-// Reset and reused (pooled campaign workers do exactly that).
+// Reset and reused. MemOps is never nil, like a gang lane's
+// (Gang.AppendLaneStats), so a program without memories reports equal
+// statistics either way.
 func (m *Machine) Stats() Stats {
 	s := m.stats
-	s.MemOps = append([]MemOpStats(nil), m.stats.MemOps...)
+	s.MemOps = append([]MemOpStats{}, m.stats.MemOps...)
 	return s
 }
 
@@ -296,7 +293,7 @@ func (m *Machine) step() {
 		o(m)
 	}
 
-	m.commitMems()
+	m.commit(m.cycle, m.inDev, m.opts.Output, m.tracer)
 
 	m.cycle++
 	m.stats.Cycles++
@@ -305,51 +302,57 @@ func (m *Machine) step() {
 	}
 }
 
-// commitMems commits every memory's latched operation — the second
-// phase of a cycle.
-func (m *Machine) commitMems() {
-	for i := range m.layout.Mems {
-		mem := &m.layout.Mems[i]
-		a, d, op := m.addr[i], m.data[i], m.opn[i]
-		arr := m.arrays[i]
+// commit commits every memory's latched operation — the second phase
+// of a cycle — on a stride-1 state, the one scalar commit: a Machine's
+// and a one-lane Gang's. in, out and tr are the machine's input device,
+// output writer and tracer; a gang lane has none of them, so its input
+// operations fail and its output is counted and discarded, like a
+// machine built with zero Options.
+func (s *state) commit(cycle int64, in *inputDevice, out io.Writer, tr *tracer) {
+	for i := range s.layout.Mems {
+		mem := &s.layout.Mems[i]
+		a, d, op := s.addr[i], s.data[i], s.opn[i]
+		arr := s.arrays[i]
 		var temp int64
 		switch op & 3 {
 		case OpRead:
 			if a < 0 || a >= int64(len(arr)) {
-				Fail(mem.Name, m.cycle, "read address %d outside 0..%d", a, len(arr)-1)
+				Fail(mem.Name, cycle, "read address %d outside 0..%d", a, len(arr)-1)
 			}
 			temp = arr[a]
-			m.stats.MemOps[i].Reads++
+			s.ops[i].Reads++
 		case OpWrite:
 			if a < 0 || a >= int64(len(arr)) {
-				Fail(mem.Name, m.cycle, "write address %d outside 0..%d", a, len(arr)-1)
+				Fail(mem.Name, cycle, "write address %d outside 0..%d", a, len(arr)-1)
 			}
 			temp = d
 			arr[a] = d
-			m.stats.MemOps[i].Writes++
+			s.ops[i].Writes++
 		case OpInput:
-			if m.inDev == nil {
-				Fail(mem.Name, m.cycle, "input operation with no input attached")
+			if in == nil {
+				Fail(mem.Name, cycle, "input operation with no input attached")
 			}
-			v, err := m.inDev.read(a)
+			v, err := in.read(a)
 			if err != nil {
-				Fail(mem.Name, m.cycle, "input at address %d: %v", a, err)
+				Fail(mem.Name, cycle, "input at address %d: %v", a, err)
 			}
 			temp = v
-			m.stats.MemOps[i].Inputs++
+			s.ops[i].Inputs++
 		case OpOutput:
 			temp = d
-			writeOutput(m.out, a, d)
-			m.stats.MemOps[i].Outputs++
+			if out != nil {
+				writeOutput(out, a, d)
+			}
+			s.ops[i].Outputs++
 		}
-		if m.tracer != nil {
+		if tr != nil {
 			if TraceWrite(op) {
-				m.tracer.memTrace("Write to", mem.Name, a, temp)
+				tr.memTrace("Write to", mem.Name, a, temp)
 			}
 			if TraceRead(op) {
-				m.tracer.memTrace("Read from", mem.Name, a, temp)
+				tr.memTrace("Read from", mem.Name, a, temp)
 			}
 		}
-		m.vals[mem.Slot] = temp
+		s.vals[mem.Slot] = temp
 	}
 }
