@@ -2,6 +2,8 @@ package asim2
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -88,6 +90,22 @@ func TestCLIAsimStatsAndFault(t *testing.T) {
 		"-fault", "count:0:stuck1:0:100", "testdata/counter.sim")
 	if !strings.Contains(stderr, "cycles: 20") {
 		t.Errorf("stats missing: %q", stderr)
+	}
+}
+
+// TestCLIFaultCampaignPinned pins the public fault-campaign example's
+// whole output, which its custom digest reads out of each run's final
+// state, at one worker and at four.
+func TestCLIFaultCampaignPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	const want = "097ddf6634ee381886f24711f206e462596c709eaf1fbfec1c21963ee82c92e1"
+	for _, workers := range []string{"1", "4"} {
+		out, _ := runCLI(t, "", "./examples/faultcampaign", "-workers", workers)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
+			t.Errorf("-workers %s: output SHA-256 %s, want %s:\n%s", workers, got, want, out)
+		}
 	}
 }
 

@@ -36,13 +36,14 @@ func main() {
 		log.Fatal(err)
 	}
 	// Compile once: every run of the campaign — golden and faulted —
-	// shares this one program, and the engine's workers pool machines
-	// built from it.
+	// shares this one program, and the engine steps the runs as lanes
+	// of gangs pooled by it. The digest reads each run's final state in
+	// place, through the lane's sim.Cells view.
 	prog, err := asim2.Compile(spec, asim2.Compiled)
 	if err != nil {
 		log.Fatal(err)
 	}
-	digest := func(m *sim.Machine) string {
+	digest := func(m sim.Cells) string {
 		return fmt.Sprintf("q=%d r=%d", m.MemCell("memory", 32), m.MemCell("memory", 30))
 	}
 

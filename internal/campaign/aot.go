@@ -16,11 +16,12 @@ import (
 // one (AOTCapable) that cleared the campaign-level amortization
 // threshold. Eligible spans execute inside a generated native worker
 // subprocess, which answers each run with its final snapshot. Restored
-// into a machine, the snapshot goes through the rung's epilogue
-// (Engine.retire), so everything the engine reports — cycles,
-// statistics, digests (a custom Digest included), runtime errors,
-// checkpoints — is bit-identical to the in-process paths, which are
-// also the escape hatch: any AOT failure re-runs the span in-process.
+// into a one-lane gang, the snapshot goes through the in-process gangs'
+// own epilogue (Engine.retire), so everything the engine reports —
+// cycles, statistics, digests (a custom Digest included), runtime
+// errors, checkpoints — is bit-identical to the in-process paths, which
+// are also the escape hatch: any AOT failure re-runs the span
+// in-process.
 
 // aotPrograms resolves which programs route to native workers for this
 // campaign: compiled programs whose native runs total at least the
@@ -119,8 +120,12 @@ func (e Engine) runAOT(ctx context.Context, w *worker, idxs []int, runs []Run, r
 			e.Checkpoint.Checkpoint(idxs[run], cycle, state)
 		}
 	}
+	// Frames land in one borrowed one-lane gang, which builds no gang
+	// kernels.
+	g := prog.GetGang(1)
+	defer prog.PutGang(g)
 	done, err := p.Run(ctx, job, onCk, func(run int, fault *aot.RunError, state []byte) error {
-		return e.fillAOT(ctx, w, idxs[run], runs, results, fault, state)
+		return e.fillAOT(ctx, w, g, idxs[run], runs, results, fault, state)
 	})
 	if err != nil {
 		p.Close()
@@ -129,23 +134,21 @@ func (e Engine) runAOT(ctx context.Context, w *worker, idxs []int, runs []Run, r
 	return done, err
 }
 
-// fillAOT turns one worker run frame into the run's Result: the
-// snapshot is restored into this engine worker's pooled machine for the
-// program, and the epilogue (Engine.retire) reads the cycles,
-// statistics, digest and retirement checkpoint out of it. A fault's cycle is the
+// fillAOT turns one worker run frame into run i's Result: g is reset
+// to one lane, the snapshot is restored into it, and the gangs'
+// epilogue (Engine.retire) reads the cycles, statistics, digest and
+// retirement checkpoint out of it. A fault's cycle is the
 // snapshot's, since a fault does not advance the counter. A snapshot
 // that does not restore onto the program fails the job.
-func (e Engine) fillAOT(ctx context.Context, w *worker, i int, runs []Run, results []Result, fault *aot.RunError, state []byte) error {
-	r := runs[i]
-	m := w.machine(r.Program)
-	if err := m.RestoreState(state); err != nil {
+func (e Engine) fillAOT(ctx context.Context, w *worker, g *sim.Gang, i int, runs []Run, results []Result, fault *aot.RunError, state []byte) error {
+	g.Reset([]int64{runs[i].Cycles})
+	if err := g.RestoreLaneState(0, state); err != nil {
 		return fmt.Errorf("aot: run %d snapshot: %w", i, err)
 	}
-	res := Result{Index: i, Name: r.Name, Group: r.Group}
+	results[i] = Result{Index: i, Name: runs[i].Name, Group: runs[i].Group}
 	if fault != nil {
-		res.Err = &sim.RuntimeError{Component: fault.Component, Cycle: m.Cycle(), Msg: fault.Msg}
+		results[i].Err = &sim.RuntimeError{Component: fault.Component, Cycle: g.LaneCycle(0), Msg: fault.Msg}
 	}
-	e.retire(ctx, w, &res, r, m)
-	results[i] = res
+	e.retire(ctx, w, g, []int{i}, runs, results)
 	return nil
 }

@@ -285,7 +285,7 @@ func TestAOTIneligibleRunsBypass(t *testing.T) {
 	warm := NewWarmStart(prog, 150)
 	flip := []fault.Fault{{Component: "pc", Bit: 2, Kind: fault.Flip, From: 300}}
 	runs = append(runs,
-		Run{Name: "digest", Program: prog, Cycles: 400, Digest: SnapshotDigest},
+		Run{Name: "digest", Program: prog, Cycles: 400, Digest: CellsDigest(prog)},
 		Run{Name: "warm#0", Group: "sieve", Program: prog, Cycles: 400, Warm: warm},
 		Run{Name: "warm#1", Program: prog, Cycles: 350, Warm: warm},
 		Run{Name: "faulted", Program: prog, Cycles: 400, Faults: flip},

@@ -24,8 +24,7 @@
 // to one machine per run. A run that dispatches alone is a one-lane
 // gang, which steps the backend's scalar kernels. A lane restores its
 // own warm start, applies its own fault records (faults are data that
-// sim applies, not hooks) and digests through a machine when the run
-// asks for a custom Digest.
+// sim applies, not hooks), and a custom Digest reads the lane itself.
 package campaign
 
 import (
@@ -74,9 +73,10 @@ type Run struct {
 
 	// Digest reduces the final machine state to a comparable string.
 	// nil uses the allocation-free architectural-state digest, which
-	// has the same equal-iff-equal-state property as SnapshotDigest. A
-	// gang lane's state is restored into a pooled machine for it.
-	Digest func(*sim.Machine) string
+	// has the same equal-iff-equal-state property as SnapshotDigest. It
+	// reads the run's gang lane (sim.Gang.Lane), valid only during the
+	// call.
+	Digest func(sim.Cells) string
 
 	// Faults are lowered (fault.Lower) to records the run's gang lane
 	// applies after every commit. Gang.Reset clears them, so they never
@@ -565,12 +565,10 @@ dispatch:
 }
 
 // worker is one goroutine's execution context for one campaign: its
-// pooled machines (for custom digests and AOT snapshots), native
-// workers, and reused buffers. Gangs are not kept here; each job takes
-// one from its Program's pool and returns it (core.Program.GetGang),
-// so they outlive the campaign.
+// native workers and reused buffers. Gangs are not kept here; each job
+// takes one from its Program's pool and returns it
+// (core.Program.GetGang), so they outlive the campaign.
 type worker struct {
-	pool    map[*core.Program]*sim.Machine
 	procs   map[*core.Program]*aot.Proc // persistent native workers
 	targets []int64                     // reused per-gang-job cycle budget buffer
 	ckbuf   []byte                      // reused checkpoint snapshot buffer
@@ -664,9 +662,29 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 			break
 		}
 	}
-	// The gang's lanes share one statistics block and one digest
-	// string, each lane's a slice of it: two allocations per gang job,
-	// none per lane.
+	for l, i := range idxs {
+		res := &results[i]
+		if res.Err = g.LaneErr(l); res.Err == nil && ctxErr != nil && g.LaneCycle(l) < runs[i].Cycles {
+			res.Err = ctxErr
+		}
+	}
+	e.retire(ctx, w, g, idxs, runs, results)
+	return ran
+}
+
+// retire is the one epilogue of a gang job, whose lanes' errors are
+// already in their Results: an in-process gang's, or a one-lane gang an
+// AOT worker's snapshot was restored into. It fills each lane's cycles,
+// statistics and digest — the run's custom Digest over the lane, else
+// the architectural hash — and takes the retirement (or interruption)
+// checkpoint of every checkpointable run that ended clean or cancelled:
+// a cancelled run's snapshot is the one resume continues from. A run
+// that died on a runtime error is terminal and checkpoints nothing,
+// but the error is a run outcome (fault campaigns count on it), so the
+// digest of the state its lane reached is still comparable. The lanes
+// share one statistics block and one digest string, each lane's a
+// slice of it: two allocations per gang job, none per lane.
+func (e Engine) retire(ctx context.Context, w *worker, g *sim.Gang, idxs []int, runs []Run, results []Result) {
 	ops := make([]sim.MemOpStats, 0, len(idxs)*g.MemCount())
 	var digests strings.Builder
 	digests.Grow(len(idxs) * hexDigits)
@@ -674,17 +692,9 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 		res := &results[i]
 		res.Cycles = g.LaneCycle(l)
 		res.Stats, ops = g.AppendLaneStats(l, ops)
-		res.Err = g.LaneErr(l)
-		if res.Err == nil && ctxErr != nil && res.Cycles < runs[i].Cycles {
-			res.Err = ctxErr
-		}
 		var hex [hexDigits]byte
 		digests.Write(appendHex(hex[:0], g.LaneArchHash(l)))
-		if e.Checkpoint != nil && g.LaneErr(l) == nil && runCheckpointable(runs[i]) {
-			// Retirement (or interruption) checkpoint: emitted for clean
-			// and cancelled lanes alike — a cancelled lane's snapshot is
-			// the one resume continues from. Lanes that died on a runtime
-			// error are terminal — nothing to resume.
+		if e.Checkpoint != nil && runCheckpointable(runs[i]) && (res.Err == nil || res.Err == ctx.Err()) {
 			w.ckbuf = g.AppendLaneState(l, w.ckbuf[:0])
 			e.Checkpoint.Checkpoint(i, res.Cycles, w.ckbuf)
 		}
@@ -693,73 +703,13 @@ func (e Engine) execGang(ctx context.Context, w *worker, idxs []int, runs []Run,
 	for l, i := range idxs {
 		results[i].Digest = all[l*hexDigits : (l+1)*hexDigits]
 		if d := runs[i].Digest; d != nil {
-			// A custom digest reads a machine: the lane's state restored
-			// into the worker's pooled one, as the AOT rung does.
-			m := w.machine(prog)
-			w.ckbuf = g.AppendLaneState(l, w.ckbuf[:0])
-			_ = m.RestoreState(w.ckbuf) // a lane's snapshot always fits its program
-			results[i].Digest = d(m)
+			results[i].Digest = d(g.Lane(l))
 		}
 	}
-	return ran
-}
-
-// machine returns the worker's pooled machine for the program. It is
-// handed out as the last caller left it: every caller restores a whole
-// snapshot over it.
-func (w *worker) machine(p *core.Program) *sim.Machine {
-	m := w.pool[p]
-	if m == nil {
-		m = p.NewMachine(core.Options{})
-		if w.pool == nil {
-			w.pool = make(map[*core.Program]*sim.Machine)
-		}
-		w.pool[p] = m
-	}
-	return m
-}
-
-// retire is the AOT rung's epilogue, whose run ends as a worker's
-// snapshot restored into m: the retirement (or interruption)
-// checkpoint, then the cycles, statistics and digest of the state the
-// machine reached. A run that died on a runtime error is
-// terminal and checkpoints nothing, but the error is a run *outcome*
-// (fault campaigns count on it), not a campaign failure, so the digest
-// of whatever state the machine reached is still comparable.
-func (e Engine) retire(ctx context.Context, w *worker, res *Result, r Run, m *sim.Machine) {
-	if e.Checkpoint != nil && runCheckpointable(r) && (res.Err == nil || res.Err == ctx.Err()) {
-		w.ckbuf = m.AppendState(w.ckbuf[:0])
-		e.Checkpoint.Checkpoint(res.Index, m.Cycle(), w.ckbuf)
-	}
-	res.Cycles = m.Cycle()
-	res.Stats = m.Stats()
-	if r.Digest != nil {
-		res.Digest = r.Digest(m)
-	} else {
-		res.Digest = archDigest(m)
-	}
-}
-
-// archDigest hashes the machine's architectural state (value vector
-// and memory arrays) into a short hex string with the same
-// equal-iff-equal-state property as SnapshotDigest, but without
-// building the name-keyed snapshot: the only allocation is the
-// returned string. Gang lanes digest through the same hash
-// (Gang.LaneArchHash), so the two execution paths agree by
-// construction on identical state.
-func archDigest(m *sim.Machine) string {
-	return hashHex(m.ArchHash())
 }
 
 // hexDigits is the length of a digest string: a 64-bit hash in hex.
 const hexDigits = 16
-
-// hashHex renders a 64-bit state hash as the 16-digit hex digest
-// string every execution path reports.
-func hashHex(h uint64) string {
-	var out [hexDigits]byte
-	return string(appendHex(out[:0], h))
-}
 
 // appendHex appends h's 16-digit lower-case hex rendering to dst.
 func appendHex(dst []byte, h uint64) []byte {
@@ -773,9 +723,9 @@ func appendHex(dst []byte, h uint64) []byte {
 // SnapshotDigest hashes the machine's complete architectural state —
 // every component output and every memory array — into a short hex
 // string: two machines agree iff they reached identical state. Runs
-// default to the cheaper archDigest (same property, no snapshot map);
-// SnapshotDigest remains the explicit, name-keyed form external
-// drivers cross-check with.
+// default to the cheaper architectural hash (same property, no
+// snapshot map); SnapshotDigest remains the explicit, name-keyed form
+// external drivers cross-check with.
 func SnapshotDigest(m *sim.Machine) string {
 	snap := m.Snapshot()
 	keys := make([]string, 0, len(snap))

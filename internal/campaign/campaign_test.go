@@ -170,7 +170,7 @@ func TestFaultCampaignParallel(t *testing.T) {
 		t.Fatal("scenario not registered")
 	}
 	prog := tinyDivideProgram(t)
-	digest := func(m *sim.Machine) string {
+	digest := func(m sim.Cells) string {
 		return fmt.Sprintf("q=%d r=%d", m.MemCell("memory", 32), m.MemCell("memory", 30))
 	}
 	faults := []fault.Fault{
@@ -229,7 +229,7 @@ func TestFaultCampaignParallel(t *testing.T) {
 // same campaign cold-starting every run.
 func TestFaultWarmStartByteIdentical(t *testing.T) {
 	prog := tinyDivideProgram(t)
-	digest := func(m *sim.Machine) string {
+	digest := func(m sim.Cells) string {
 		return fmt.Sprintf("q=%d r=%d", m.MemCell("memory", 32), m.MemCell("memory", 30))
 	}
 	var faults []fault.Fault
@@ -500,7 +500,7 @@ func TestSnapshotDigest(t *testing.T) {
 	if SnapshotDigest(a) != SnapshotDigest(b) {
 		t.Error("fresh machines digest differently")
 	}
-	if archDigest(a) != archDigest(b) {
+	if hashHex(a.ArchHash()) != hashHex(b.ArchHash()) {
 		t.Error("fresh machines arch-digest differently")
 	}
 	if err := a.Run(3); err != nil {
@@ -509,7 +509,7 @@ func TestSnapshotDigest(t *testing.T) {
 	if SnapshotDigest(a) == SnapshotDigest(b) {
 		t.Error("diverged machines digest identically")
 	}
-	if archDigest(a) == archDigest(b) {
+	if hashHex(a.ArchHash()) == hashHex(b.ArchHash()) {
 		t.Error("diverged machines arch-digest identically")
 	}
 }

@@ -530,7 +530,7 @@ func TestCheckpointEligibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := []fault.Fault{{Component: "ac", Bit: 0, Kind: fault.StuckAt1, From: 40, Until: 400}}
-	runs := campaign.FaultRuns("fc", p, 400, campaign.SnapshotDigest, faults)
+	runs := campaign.FaultRuns("fc", p, 400, campaign.CellsDigest(p), faults)
 	ck := newMemCheckpointer()
 	eng := campaign.Engine{Workers: 1, Chunk: 64, Checkpoint: ck, CheckpointEvery: 64}
 	if _, err := eng.Execute(context.Background(), runs); err != nil {

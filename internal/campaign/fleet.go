@@ -18,7 +18,7 @@ import (
 // Fleet builds n identical runs of one compiled program — the
 // throughput workload. The program is shared by reference: the fleet
 // pays for compilation once, and the engine's workers reuse pooled
-// machines across members. All members share one comparison group: a
+// gangs across members. All members share one comparison group: a
 // fleet of identical deterministic machines must agree, so any
 // divergence in the summary flags a simulator bug.
 func Fleet(name string, p *core.Program, n int, cycles int64) []Run {
@@ -158,9 +158,11 @@ func (r *Run) warmState() []byte {
 		return nil
 	}
 	ws.once.Do(func() {
-		m := ws.program.NewMachine(core.Options{})
-		if ws.err = m.Run(ws.cycles); ws.err == nil {
-			ws.state = m.SaveState()
+		g, _ := ws.program.NewGang(1) // one lane runs on any program
+		g.Reset([]int64{ws.cycles})
+		g.Step(ws.cycles)
+		if ws.err = g.LaneErr(0); ws.err == nil {
+			ws.state = g.SaveLaneState(0)
 		}
 	})
 	if ws.err != nil {
@@ -179,7 +181,7 @@ func (r *Run) warmState() []byte {
 // fault's activation window, so the campaign simulates the shared
 // prefix once instead of once per run. Results are byte-identical to
 // cold-starting every run, because no fault can act inside the prefix.
-func FaultRuns(name string, p *core.Program, cycles int64, digest func(*sim.Machine) string, faults []fault.Fault) []Run {
+func FaultRuns(name string, p *core.Program, cycles int64, digest func(sim.Cells) string, faults []fault.Fault) []Run {
 	warm := warmStartForFaults(p, cycles, faults)
 	runs := make([]Run, 0, len(faults)+1)
 	runs = append(runs, Run{Name: name + "/golden", Group: name, Program: p, Cycles: cycles, Digest: digest, Warm: warm})
@@ -226,7 +228,7 @@ func warmStartForFaults(p *core.Program, cycles int64, faults []fault.Fault) *Wa
 // catastrophic failure occurs on a certain type of fault, additional
 // design work is necessary" workflow — the parallel successor of the
 // serial loop internal/fault used to carry.
-func RunFaults(ctx context.Context, eng Engine, p *core.Program, cycles int64, digest func(*sim.Machine) string, faults []fault.Fault) ([]fault.CampaignResult, string, error) {
+func RunFaults(ctx context.Context, eng Engine, p *core.Program, cycles int64, digest func(sim.Cells) string, faults []fault.Fault) ([]fault.CampaignResult, string, error) {
 	results, err := eng.Execute(ctx, FaultRuns("faults", p, cycles, digest, faults))
 	if err != nil {
 		return nil, "", err

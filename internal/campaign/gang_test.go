@@ -9,8 +9,10 @@ package campaign
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/machines"
+	"repro/internal/sim"
 	"repro/internal/specgen"
 )
 
@@ -68,6 +71,29 @@ func requireSameResults(t *testing.T, label string, got, want []Result) {
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: run %d (%s):\n got %+v\nwant %+v", label, i, w.Name, g, w)
 		}
+	}
+}
+
+// hashHex renders a 64-bit state hash as the engine's 16-digit hex
+// digest string.
+func hashHex(h uint64) string { return string(appendHex(nil, h)) }
+
+// CellsDigest is a custom Run.Digest that covers the program's whole
+// architectural state: every component's Value and every cell of every
+// memory, read through sim.Cells.
+func CellsDigest(p *core.Program) func(sim.Cells) string {
+	lay := p.Layout()
+	return func(c sim.Cells) string {
+		h := fnv.New64a()
+		for _, name := range lay.Names {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(c.Value(name))))
+		}
+		for _, mem := range lay.Mems {
+			for i := range mem.Size {
+				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(c.MemCell(mem.Name, i))))
+			}
+		}
+		return hashHex(h.Sum64())
 	}
 }
 

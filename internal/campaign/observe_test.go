@@ -66,7 +66,7 @@ func TestObserveRungsAndTotals(t *testing.T) {
 		Run{Name: "warm", Program: sieve, Cycles: 500, Warm: warm},
 		Run{Name: "faulted", Program: sieve, Cycles: 500, Faults: pcFlip},
 		Run{Name: "warm-faulted", Program: sieve, Cycles: 500, Warm: warm, Faults: pcFlip},
-		Run{Name: "digest", Program: sieve, Cycles: 500, Digest: SnapshotDigest},
+		Run{Name: "digest", Program: sieve, Cycles: 500, Digest: CellsDigest(sieve)},
 	)
 	runs = append(runs, Fleet("bitmix", bitmix, 8, 400)...)
 	runs = append(runs, Run{Name: "interp", Program: sieveProgram(t, 20, core.Interp), Cycles: 300})

@@ -192,7 +192,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			digest := func(m *sim.Machine) string {
+			digest := func(m sim.Cells) string {
 				return fmt.Sprintf("q=%d r=%d", m.MemCell("memory", 32), m.MemCell("memory", 30))
 			}
 			var faults []fault.Fault

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/machines"
+	"repro/internal/sim"
 )
 
 // TestExecuteStreamMatchesExecute: the streamed results — collected
@@ -53,7 +54,7 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 func faultRuns(t *testing.T) []Run {
 	t.Helper()
 	p := tinyDivideProgram(t)
-	digest := func(m *core.Machine) string {
+	digest := func(m sim.Cells) string {
 		return fmt.Sprintf("q=%d", m.MemCell("memory", 32))
 	}
 	var faults []fault.Fault

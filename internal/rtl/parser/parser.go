@@ -348,7 +348,8 @@ func (p *parser) memory(name string, pos source.Pos) error {
 	}
 	m.Size = int(n)
 	if negative {
-		m.Init = make([]int64, 0, m.Size)
+		// Init grows as the values arrive: a declared count alone, which
+		// the values may never back, allocates nothing.
 		for i := 0; i < m.Size; i++ {
 			if err := p.next(); err != nil {
 				return err

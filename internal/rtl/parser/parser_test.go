@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -170,6 +171,24 @@ func TestErrors(t *testing.T) {
 				t.Errorf("err = %v, want substring %q", err, c.wantSub)
 			}
 		})
+	}
+}
+
+// TestInitCountNotPreallocated: an initialized memory's declared count
+// is only a claim until its values arrive, so a spec that declares ten
+// million cells and gives one value is rejected having allocated
+// nothing proportional to the count (it would be 80 MB).
+func TestInitCountNotPreallocated(t *testing.T) {
+	const src = "# x\n= 1\nm .\nM m 0 0 0 -10000000 1 ."
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseString("t", src)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "10000000 initial values required, got 1") {
+		t.Fatalf("err = %v, want the initial-values error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("parsing the rejected spec allocated %d bytes, want under 1 MiB", n)
 	}
 }
 

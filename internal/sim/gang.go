@@ -559,16 +559,13 @@ func (g *Gang) AppendLaneStats(l int, ops []MemOpStats) (Stats, []MemOpStats) {
 // count operations for.
 func (g *Gang) MemCount() int { return len(g.memSlot) }
 
-// LaneValue returns lane l's current output for a component, like
-// Machine.Value.
-func (g *Gang) LaneValue(l int, name string) int64 {
+// Lane returns a read view of lane l's state, which reads what a
+// Machine restored from the lane's snapshot reads. It is valid until
+// the gang next steps, restores or resets.
+func (g *Gang) Lane(l int) Cells {
 	p := g.slotOf(l)
-	slot, ok := g.layout.Slot(name)
-	if !ok {
-		panic(fmt.Sprintf("sim: unknown component %q", name))
-	}
 	g.materializeSlot(p)
-	return g.vals[slot*g.stride+p]
+	return g.column(p)
 }
 
 // column is physical slot p's state.

@@ -51,6 +51,21 @@ func laneStats(g *sim.Gang, l int) sim.Stats {
 	return s
 }
 
+// readCells reads every component's Value and then every memory's
+// cells through c.
+func readCells(c sim.Cells, lay *sim.Layout) []int64 {
+	var out []int64
+	for _, name := range lay.Names {
+		out = append(out, c.Value(name))
+	}
+	for _, mem := range lay.Mems {
+		for i := range mem.Size {
+			out = append(out, c.MemCell(mem.Name, i))
+		}
+	}
+	return out
+}
+
 // requireGangEquivalence steps one gang with the given per-lane
 // budgets and checks every lane — and the compiled scalar path —
 // against the interpreter, which shares no code with the compiled
@@ -78,8 +93,18 @@ func requireGangEquivalence(t *testing.T, name, src string, budgets []int64) {
 	for g.Step(7) {
 	}
 	for l, budget := range budgets {
-		want := scalarRun(t, ref, budget)
 		label := fmt.Sprintf("%s lane %d (budget %d)", name, l, budget)
+		// The lane is read through Cells before anything else
+		// materializes its bit-plane slots.
+		lane := readCells(g.Lane(l), p.Layout())
+		m := p.NewMachine(core.Options{})
+		if err := m.RestoreState(g.SaveLaneState(l)); err != nil {
+			t.Fatal(err)
+		}
+		if want := readCells(m, p.Layout()); !reflect.DeepEqual(lane, want) {
+			t.Errorf("%s: Lane reads %v, the restored machine %v", label, lane, want)
+		}
+		want := scalarRun(t, ref, budget)
 		if got := scalarRun(t, p, budget); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: compiled scalar %+v, interp has %+v\nspec:\n%s", label, got, want, src)
 		}
@@ -639,7 +664,7 @@ func TestGangCommitFaultMemoryOrder(t *testing.T) {
 			}
 			// The rule itself, on a faulted lane: memory 0 committed the
 			// fault cycle's count (9), memory 2 kept the previous one (8).
-			if m0, m2 := g.LaneValue(2, "m0"), g.LaneValue(2, "m2"); m0 != 9 || m2 != 8 {
+			if m0, m2 := g.Lane(2).Value("m0"), g.Lane(2).Value("m2"); m0 != 9 || m2 != 8 {
 				t.Errorf("faulted lane 2: m0 = %d, m2 = %d, want 9 and 8", m0, m2)
 			}
 		})

@@ -174,13 +174,7 @@ func (m *Machine) ArchHash() uint64 { return m.column().archHash() }
 // Value returns a component's current output (for memories, the output
 // register). It panics if the name is unknown; use Layout().Slot to
 // check first.
-func (m *Machine) Value(name string) int64 {
-	slot, ok := m.layout.Slot(name)
-	if !ok {
-		panic(fmt.Sprintf("sim: unknown component %q", name))
-	}
-	return m.vals[slot]
-}
+func (m *Machine) Value(name string) int64 { return m.column().Value(name) }
 
 // SetValue overrides a component's current output. Tests use it;
 // overriding a combinational output lasts only until the next cycle
@@ -194,25 +188,7 @@ func (m *Machine) SetValue(name string, v int64) {
 }
 
 // MemCell returns one cell of a memory's backing array.
-func (m *Machine) MemCell(name string, index int) int64 {
-	return m.memArray(name)[index]
-}
-
-// SetMemCell stores into a memory's backing array.
-func (m *Machine) SetMemCell(name string, index int, v int64) {
-	m.memArray(name)[index] = v
-}
-
-// MemLen returns the number of cells in a memory.
-func (m *Machine) MemLen(name string) int { return len(m.memArray(name)) }
-
-func (m *Machine) memArray(name string) []int64 {
-	i, ok := m.layout.Memory(name)
-	if !ok {
-		panic(fmt.Sprintf("sim: unknown memory %q", name))
-	}
-	return m.arrays[i]
-}
+func (m *Machine) MemCell(name string, index int) int64 { return m.column().MemCell(name, index) }
 
 // Snapshot captures every component output and memory array, keyed by
 // component name (memory arrays under "name[]"). The cross-backend

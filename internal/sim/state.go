@@ -49,8 +49,8 @@ const snapshotMagic uint64 = 0x4153494d53543101 // "ASIMST" 0x1 0x01
 // archHashOffset/archHashPrime define the FNV-1a fold shared by
 // Machine.ArchHash and Gang.LaneArchHash: one definition, so the
 // execution paths cannot drift apart and digests stay comparable. A
-// native worker computes no hash; its snapshot is restored into a
-// Machine and hashed here.
+// native worker computes no hash; its snapshot is restored into a gang
+// lane and hashed here.
 const (
 	archHashOffset = uint64(14695981039346656037)
 	archHashPrime  = uint64(1099511628211)
@@ -117,6 +117,34 @@ type column struct {
 func (c column) row(i int) []int64 {
 	size := c.layout.Mems[i].Size
 	return c.arrays[i][c.col*size : (c.col+1)*size]
+}
+
+// Cells reads one machine's state by component name: a Machine's, or
+// a gang lane's (Gang.Lane). A custom campaign digest reads its run
+// through it, so it never needs a machine of its own.
+type Cells interface {
+	// Value returns a component's current output (for memories, the
+	// output register). It panics if the name is unknown.
+	Value(name string) int64
+	// MemCell returns one cell of a memory's array. It panics if the
+	// name is unknown or the index is outside the memory.
+	MemCell(name string, index int) int64
+}
+
+func (c column) Value(name string) int64 {
+	slot, ok := c.layout.Slot(name)
+	if !ok {
+		panic(fmt.Sprintf("sim: unknown component %q", name))
+	}
+	return c.vals[slot*c.stride+c.col]
+}
+
+func (c column) MemCell(name string, index int) int64 {
+	i, ok := c.layout.Memory(name)
+	if !ok {
+		panic(fmt.Sprintf("sim: unknown memory %q", name))
+	}
+	return c.row(i)[index]
 }
 
 // reset restores power-on state: every word the snapshot word map
