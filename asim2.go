@@ -28,7 +28,8 @@
 // internal/lower's unfolded program run through one generic loop —
 // and the codegen packages emit stand-alone Go or Pascal simulators.
 // Every backend evaluates a cycle with one StepCycle call, and a
-// Machine steps every cycle, hooked or not, through one loop.
+// Machine — a one-lane gang with a tracer, observers and I/O — steps
+// every cycle, hooked or not, through the gang's one-lane loop.
 package asim2
 
 //go:generate go run ./tools/gentestdata

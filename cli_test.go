@@ -109,6 +109,60 @@ func TestCLIFaultCampaignPinned(t *testing.T) {
 	}
 }
 
+// memTraceSpec traces every kind of memory operation: a write and a
+// read each cycle, and an input whose value the next cycle outputs,
+// with the trace bits set on all of them.
+const memTraceSpec = `# memtrace
+= 6
+c* w r o in inc .
+A inc 4 c 1
+M c 0 inc 1 1
+M w c.0.1 inc 5 4
+M r c.0.1 0 8 4
+M in 1 0 10 1
+M o 1 in 7 1
+.
+`
+
+// TestCLIAsimTracePinned pins asim's whole standard output with the
+// trace on — cycle lines, "Read from"/"Write to" lines and the
+// program's own output — on the interpreter and the compiled backend.
+// The devices a Machine adds to a gang lane (tracer, input, output)
+// are checked here against recorded bytes, not against another loop.
+func TestCLIAsimTracePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "asim")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/asim").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	memtrace := filepath.Join(dir, "memtrace.sim")
+	if err := os.WriteFile(memtrace, []byte(memTraceSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ spec, stdin, want string }{
+		{"testdata/counter.sim", "", "9812c61fe537b287e91bf93e7ba63a8f2addd489ef6b3c352416113ace666be3"},
+		{"testdata/sieve.sim", "", "3610c83a498a1fcb5a97c96045a32c6668801e2b84b28d56e1a6f738da70eb67"},
+		{"testdata/ibsm1986.sim", "", "62fb006aaa22f21f73fb2c51c59beeb7b228da59cf45251acd182bb112aedda3"},
+		{memtrace, "4 8 15 16 23 42\n", "f69a75949d9a9d91827dd685e9a29ca8178536a5d967b4c86d37d1d5e1a9dce0"},
+	}
+	for _, c := range cases {
+		for _, backend := range []string{"interp", "compiled"} {
+			cmd := exec.Command(bin, "-backend", backend, c.spec)
+			cmd.Stdin = strings.NewReader(c.stdin)
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("asim -backend %s %s: %v", backend, c.spec, err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != c.want {
+				t.Errorf("asim -backend %s %s: output SHA-256 %s, want %s", backend, filepath.Base(c.spec), got, c.want)
+			}
+		}
+	}
+}
+
 // TestCLIAsimVCDOnFault: a run that faults still flushes its VCD dump,
 // so the file ends with a complete line and holds the faulting cycle.
 func TestCLIAsimVCDOnFault(t *testing.T) {

@@ -19,10 +19,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"log"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -607,6 +609,34 @@ func timeMachine(name string, spec *asim2.Spec, b asim2.Backend, cycles, resetEv
 	}, nil
 }
 
+// snapshotDigest hashes the machine's complete architectural state —
+// every component output and every memory array, keyed by name — into
+// a short hex string: two machines agree iff they reached identical
+// state. It reads the name-keyed Snapshot, not the slot-ordered
+// ArchHash the engine digests with, so the cross-check does not trust
+// the hash it checks.
+func snapshotDigest(m *asim2.Machine) string {
+	snap := m.Snapshot()
+	keys := make([]string, 0, len(snap))
+	for k := range snap {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, k := range keys {
+		h.Write([]byte(k))
+		for _, v := range snap[k] {
+			u := uint64(v)
+			for i := 0; i < 8; i++ {
+				buf[i] = byte(u >> (8 * i))
+			}
+			h.Write(buf[:])
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // crossCheck runs the spec a fixed number of cycles on every backend
 // and requires one common state digest.
 func crossCheck(spec *asim2.Spec, backends []asim2.Backend, resetEvery int64) error {
@@ -622,7 +652,7 @@ func crossCheck(spec *asim2.Spec, backends []asim2.Backend, resetEvery int64) er
 		if err := m.Run(cycles); err != nil {
 			return "", err
 		}
-		return campaign.SnapshotDigest(m), nil
+		return snapshotDigest(m), nil
 	}
 	want, err := digest(backends[0])
 	if err != nil {

@@ -31,9 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -72,10 +70,10 @@ type Run struct {
 	Cycles int64
 
 	// Digest reduces the final machine state to a comparable string.
-	// nil uses the allocation-free architectural-state digest, which
-	// has the same equal-iff-equal-state property as SnapshotDigest. It
-	// reads the run's gang lane (sim.Gang.Lane), valid only during the
-	// call.
+	// nil uses the allocation-free architectural-state digest
+	// (sim.Gang.LaneArchHash): two runs digest equal iff they reached
+	// identical state. It reads the run's gang lane (sim.Gang.Lane),
+	// valid only during the call.
 	Digest func(sim.Cells) string
 
 	// Faults are lowered (fault.Lower) to records the run's gang lane
@@ -718,34 +716,6 @@ func appendHex(dst []byte, h uint64) []byte {
 		dst = append(dst, hexdigits[h>>(4*i)&0xf])
 	}
 	return dst
-}
-
-// SnapshotDigest hashes the machine's complete architectural state —
-// every component output and every memory array — into a short hex
-// string: two machines agree iff they reached identical state. Runs
-// default to the cheaper architectural hash (same property, no
-// snapshot map); SnapshotDigest remains the explicit, name-keyed form
-// external drivers cross-check with.
-func SnapshotDigest(m *sim.Machine) string {
-	snap := m.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, k := range keys {
-		h.Write([]byte(k))
-		for _, v := range snap[k] {
-			u := uint64(v)
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(u >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Summary rolls a campaign's results up to campaign level. All fields

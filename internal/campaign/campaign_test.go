@@ -483,37 +483,6 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 }
 
-// TestSnapshotDigest: distinct state must digest differently, equal
-// state identically — for both the name-keyed SnapshotDigest and the
-// engine's default architectural digest.
-func TestSnapshotDigest(t *testing.T) {
-	spec, err := core.ParseString("counter", machines.Counter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := core.Compile(spec, core.Compiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := prog.NewMachine(core.Options{})
-	b := prog.NewMachine(core.Options{})
-	if SnapshotDigest(a) != SnapshotDigest(b) {
-		t.Error("fresh machines digest differently")
-	}
-	if hashHex(a.ArchHash()) != hashHex(b.ArchHash()) {
-		t.Error("fresh machines arch-digest differently")
-	}
-	if err := a.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	if SnapshotDigest(a) == SnapshotDigest(b) {
-		t.Error("diverged machines digest identically")
-	}
-	if hashHex(a.ArchHash()) == hashHex(b.ArchHash()) {
-		t.Error("diverged machines arch-digest identically")
-	}
-}
-
 // TestEngineEmptyAndDefaults covers the engine's edge configuration.
 func TestEngineEmptyAndDefaults(t *testing.T) {
 	results, err := Engine{}.Execute(context.Background(), nil)

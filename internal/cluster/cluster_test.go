@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -475,6 +476,27 @@ func TestClusterBadRequests(t *testing.T) {
 	}
 	if _, err := cluster.New(cluster.Config{}); err == nil {
 		t.Error("New with no shards: no error")
+	}
+}
+
+// TestClusterRefusesOversizedState: the coordinator plans through the
+// same limits as asimd, so a spec that declares 29.8 GiB of machine
+// state per lane is refused with 400 before any chunk is dispatched and
+// before anything proportional to that size is allocated.
+func TestClusterRefusesOversizedState(t *testing.T) {
+	coord := newCoordServer(t, cluster.Config{Shards: []string{newShardServer(t).URL}})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status, lines := postJob(t, coord.URL, service.JobRequest{Spec: "# big\nm .\nM m 0 0 0 4000000000\n.\n"})
+	runtime.ReadMemStats(&after)
+	if status != http.StatusBadRequest || !strings.Contains(fmt.Sprint(lines), "caps machine state") {
+		t.Fatalf("status %d: %v; want 400 naming the machine-state cap", status, lines)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
+		t.Errorf("refusing the job allocated %d bytes", d)
+	}
+	if m := getMetrics(t, coord.URL); m.JobsBad != 1 || m.ChunksDispatched != 0 {
+		t.Errorf("metrics after the refusal: bad %d, chunks dispatched %d", m.JobsBad, m.ChunksDispatched)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/rtl/sem"
 )
 
 // JobRequest is the JSON body of POST /v1/jobs. Exactly one of Spec
@@ -516,11 +517,38 @@ func (p *Plan) design(l Limits) error {
 	if err := l.checkLimits(n, p.cycles); err != nil {
 		return err
 	}
+	if b := stateBytes(p.spec.Info, n); b > maxStateBytes {
+		return fmt.Errorf("job asks for %d bytes of machine state; this server caps machine state at %d", b, maxStateBytes)
+	}
 	// The digest is rendered once and reused for the header, the
 	// route key and the content-addressed compile.
 	p.Key = p.spec.CanonicalDigest()
 	p.Header.Runs, p.Header.Backend, p.Header.SpecDigest = n, string(p.backend), p.Key
 	return nil
+}
+
+// maxStateBytes caps the machine state a spec job's widest gang holds
+// (stateBytes). The designs in testdata/ need at most 35 KB per lane.
+const maxStateBytes = 1 << 30
+
+// stateBytes returns the machine state a spec job asks for: one state
+// snapshot's words per lane — the value slots, five framing and cycle
+// words, and per memory its cells, count word, three latches and four
+// operation counts (sim.WordMap.Len) — × 8 bytes × the lanes of the
+// widest gang the engine steps it in, at most DefaultBitGangSize. It
+// reads the declared counts, not the cells, and saturates at
+// math.MaxInt64, so a declared size of any magnitude costs O(memories).
+func stateBytes(info *sem.Info, runs int) int64 {
+	lanes := int64(min(runs, campaign.DefaultBitGangSize))
+	limit := math.MaxInt64 / 8 / lanes // words per lane before the product overflows
+	words := int64(len(info.Order)) + 5
+	for _, m := range info.Mems {
+		if int64(m.Size) > limit-words-8 {
+			return math.MaxInt64
+		}
+		words += int64(m.Size) + 8
+	}
+	return words * 8 * lanes
 }
 
 // scenarioSizeCap bounds a scenario's Size parameter: Size feeds spec

@@ -3,10 +3,19 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/machines"
+	"repro/internal/rtl/ast"
+	"repro/internal/rtl/sem"
+	"repro/internal/sim"
+	"repro/internal/specgen"
 )
 
 // BadRequest is one request the planner must refuse, with a fragment
@@ -48,10 +57,50 @@ var BadRequests = []BadRequest{
 	{"shard-only chunk", JobRequest{Spec: machines.Counter(), Runs: 2, Chunk: &ChunkRequest{Pick: []int{0}}}, "shard protocol"},
 	{"shard-only stream", JobRequest{Spec: machines.Counter(), Runs: 2, StreamCheckpoints: true}, "shard protocol"},
 	{"shard-only warm", JobRequest{Spec: machines.Counter(), Runs: 2, Warm: []WarmEntry{{Run: 0, Cycle: 1}}}, "shard protocol"},
+	{"over state cap", JobRequest{Spec: BigStateSpec, Cycles: 1}, "caps machine state"},
 }
+
+// BigStateSpec declares one memory of 4·10⁹ cells in 34 bytes. It
+// parses and analyzes; only the state cap stands between it and a
+// 29.8 GiB allocation per lane.
+const BigStateSpec = "# big\nm .\nM m 0 0 0 4000000000\n.\n"
 
 // BadRequestLimits are the limits BadRequests is written against.
 var BadRequestLimits = Limits{MaxRuns: 4, MaxCycles: 1000}
+
+// TestPlanStateBytes: stateBytes is a snapshot's length per lane, read
+// off the declared counts, for every testdata design and a spread of
+// generated ones, and every one of them is admitted at the widest gang.
+func TestPlanStateBytes(t *testing.T) {
+	specs, err := machines.Testdata()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 16; seed++ {
+		specs[fmt.Sprintf("specgen-%d", seed)] = specgen.Generate(rand.New(rand.NewSource(seed)), specgen.Config{Combs: 30, Mems: 5})
+	}
+	for name, src := range specs {
+		spec, err := core.ParseString(name, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := int64(sim.NewLayout(spec.Info).WordMap().Len())
+		if got := stateBytes(spec.Info, 1); got != 8*words {
+			t.Errorf("%s: stateBytes %d per lane, the snapshot is %d", name, got, 8*words)
+		}
+		if got := stateBytes(spec.Info, 1000); got != 8*words*campaign.DefaultBitGangSize {
+			t.Errorf("%s: stateBytes %d for 1000 runs, want %d gang lanes' worth", name, got, campaign.DefaultBitGangSize)
+		}
+		if _, err := (Limits{}).Plan("j1", JobRequest{Spec: src, Runs: 1000}, false); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	// Declared sizes whose product overflows saturate instead.
+	huge := &sem.Info{Mems: []*ast.Memory{{Size: math.MaxInt64 / 2}, {Size: math.MaxInt64 / 2}}}
+	if got := stateBytes(huge, 64); got != math.MaxInt64 {
+		t.Errorf("two 2^62-cell memories: stateBytes %d, want saturation", got)
+	}
+}
 
 func TestPlanBadRequests(t *testing.T) {
 	for _, bad := range BadRequests {
@@ -68,8 +117,9 @@ func TestPlanBadRequests(t *testing.T) {
 // FuzzPlanRequest drives the one request path both daemons share —
 // JSON bytes through the strict decoder into the planner, then through
 // Server.newJob's finishing (compile, fleet, partition) — as a plain
-// server and as a shard. Nothing may panic, and every accepted request
-// must yield exactly the runs its header announces.
+// server and as a shard. Nothing may panic, every accepted request
+// must yield exactly the runs its header announces, and no accepted
+// spec job may ask for more machine state than the cap.
 func FuzzPlanRequest(f *testing.F) {
 	for _, bad := range BadRequests {
 		seed, err := json.Marshal(bad.Req)
@@ -110,6 +160,9 @@ func FuzzPlanRequest(f *testing.F) {
 			}
 			if p.Header.Runs <= 0 || p.Key == "" {
 				t.Fatalf("accepted plan without runs or route key: %+v", p)
+			}
+			if p.spec != nil && stateBytes(p.spec.Info, p.Header.Runs) > maxStateBytes {
+				t.Fatalf("accepted a spec job of %d state bytes, over the %d cap", stateBytes(p.spec.Info, p.Header.Runs), maxStateBytes)
 			}
 			if jerr != nil {
 				continue // compile or partition refused it: still a clean 400

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -255,6 +256,23 @@ func TestServiceBadJobs(t *testing.T) {
 	// Garbage backend strings must not grow the never-evicted cache.
 	if m := srv.Metrics(); m.CachePrograms != 0 {
 		t.Errorf("bad jobs left %d cache entries", m.CachePrograms)
+	}
+}
+
+// TestServiceRefusesOversizedState: a 34-byte spec that declares
+// 29.8 GiB of machine state per lane is refused with 400 before
+// anything proportional to that size is allocated.
+func TestServiceRefusesOversizedState(t *testing.T) {
+	_, ts := newServer(t, service.Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status, lines := postJob(t, ts.URL, service.JobRequest{Spec: service.BigStateSpec})
+	runtime.ReadMemStats(&after)
+	if status != http.StatusBadRequest || !strings.Contains(fmt.Sprint(lines), "caps machine state") {
+		t.Fatalf("status %d: %v; want 400 naming the machine-state cap", status, lines)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
+		t.Errorf("refusing the job allocated %d bytes", d)
 	}
 }
 

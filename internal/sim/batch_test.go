@@ -15,7 +15,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/sim"
@@ -43,7 +42,7 @@ func runOutcome(t *testing.T, spec *core.Spec, b core.Backend, cycles int64, bat
 	if err := run(cycles); err != nil {
 		errstr = err.Error()
 	}
-	return outcome{digest: campaign.SnapshotDigest(m), stats: m.Stats(), errstr: errstr}
+	return outcome{digest: snapshotDigest(m), stats: m.Stats(), errstr: errstr}
 }
 
 // requireBatchEquivalence checks every backend's RunBatch against the
@@ -124,7 +123,7 @@ func TestRunBatchObserverFallback(t *testing.T) {
 	if err := free.Run(cycles); err != nil {
 		t.Fatal(err)
 	}
-	want := campaign.SnapshotDigest(free)
+	want := snapshotDigest(free)
 
 	t.Run("observer", func(t *testing.T) {
 		m, err := core.NewMachine(spec, core.Compiled, core.Options{Output: io.Discard})
@@ -139,7 +138,7 @@ func TestRunBatchObserverFallback(t *testing.T) {
 		if calls != cycles {
 			t.Errorf("observer fired %d times, want %d", calls, cycles)
 		}
-		if got := campaign.SnapshotDigest(m); got != want {
+		if got := snapshotDigest(m); got != want {
 			t.Errorf("digest %s, hook-free run has %s", got, want)
 		}
 	})
@@ -161,7 +160,7 @@ func TestRunBatchObserverFallback(t *testing.T) {
 			if err := run(cycles); err != nil {
 				t.Fatal(err)
 			}
-			if got := campaign.SnapshotDigest(m); got != want {
+			if got := snapshotDigest(m); got != want {
 				t.Errorf("%s digest %s, hook-free run has %s", tc.name, got, want)
 			}
 		}

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // Gang execution: many machines of one program stepped in lockstep
 // over struct-of-arrays state.
@@ -119,8 +122,9 @@ func FailLane(lane int, component string, cycle int64, format string, args ...in
 // discarded), each with its own fault records (SetLaneFaults).
 //
 // A gang of capacity 1 is stride 1, where the struct-of-arrays layout
-// is a Machine's own: it steps the evaluator's scalar StepCycle and
-// commits through the Machine's commit, so any backend runs one lane.
+// is one machine's: it steps the evaluator's scalar StepCycle and
+// commits through the scalar commit, so any backend runs one lane. A
+// Machine is such a gang plus devices, and this loop is its cycle loop.
 type Gang struct {
 	state // one column per physical slot; stride is the lane capacity
 	eval  Evaluator
@@ -150,6 +154,10 @@ type Gang struct {
 	// nil when no lane of this job has any.
 	faults [][]Fault
 	hits   [][]int64
+
+	// The Machine whose lane this is, nil for every engine gang: its
+	// devices (tracer, observers, input, output) join the stride-1 loop.
+	dev *Machine
 
 	lanes  int     // lanes configured by the last Reset
 	n      int     // live lanes, which occupy physical slots [0, n)
@@ -369,13 +377,30 @@ func (g *Gang) run(max int64) (n int64) {
 		}
 	}()
 	if g.stride == 1 {
-		// Stride 1, whose one live lane is slot 0: the Machine's cycle,
-		// run for as many cycles as the lane has left, so the loop
-		// checks no target.
+		// Stride 1, whose one live lane is slot 0: the package's one
+		// cycle loop, run for as many cycles as the lane has left, so it
+		// checks no target. Each cycle evaluates and latches every
+		// memory's inputs from pre-commit state, passes the trace point
+		// (a Machine's trace line and observers), commits, then advances
+		// the cycle and applies the fault records. All inputs latch
+		// before any commit, so unlike the original generated code,
+		// results never depend on memory declaration order.
 		cycle, stats, col := &g.cycle[0], &g.stats[0], g.column(0)
+		var (
+			in  *inputDevice
+			out io.Writer
+			tr  *tracer
+		)
+		m := g.dev
+		if m != nil {
+			in, out, tr = m.inDev, m.out, m.tracer
+		}
 		for steps := min(max, g.target[0]-*cycle); n < steps; n++ {
 			g.eval.StepCycle(g.vals, g.addr, g.data, g.opn, *cycle)
-			g.commit(*cycle, nil, nil, nil)
+			if m != nil {
+				m.tracePoint()
+			}
+			g.commit(*cycle, in, out, tr)
 			*cycle++
 			stats.Cycles++
 			if g.faults != nil {

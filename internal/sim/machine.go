@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math"
 )
 
 // RuntimeError is a simulation-time failure: a selector index beyond
@@ -19,10 +20,10 @@ func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("cycle %d: component <%s>: %s", e.Cycle, e.Component, e.Msg)
 }
 
-// Fail panics with a RuntimeError; Machine.Run and Machine.Step
-// recover it into an ordinary error return. Backends call Fail so
-// their per-expression code stays free of error plumbing on the hot
-// path.
+// Fail panics with a RuntimeError; the gang recovers it into the
+// lane's error, which Machine.Run and Machine.Step return. Backends
+// call Fail so their per-expression code stays free of error plumbing
+// on the hot path.
 func Fail(component string, cycle int64, format string, args ...interface{}) {
 	panic(&RuntimeError{Component: component, Cycle: cycle, Msg: fmt.Sprintf(format, args...)})
 }
@@ -35,7 +36,7 @@ func Fail(component string, cycle int64, format string, args ...interface{}) {
 // Evaluators must be stateless: after construction they hold only
 // immutable tables and closures, with every piece of mutable
 // simulation state living in the vals/addr/data/opn vectors the
-// Machine passes in. That contract is what makes a core.Program cheap
+// gang passes in. That contract is what makes a core.Program cheap
 // to share — one evaluator can serve any number of machines on any
 // number of goroutines concurrently (core's TestProgramSharedAcross-
 // Goroutines enforces it under the race detector).
@@ -67,21 +68,18 @@ type Options struct {
 	Output io.Writer
 }
 
-// Machine simulates one analyzed specification. It owns all state; the
-// Evaluator supplies the per-cycle expression evaluation strategy.
+// Machine simulates one analyzed specification: a one-lane Gang plus
+// the devices a gang lane lacks — a tracer, observers, an input device
+// and an output writer. The gang's stride-1 loop is the one cycle loop
+// of this package; it reaches the devices through the gang's device
+// pointer, which only a Machine sets.
 type Machine struct {
-	state // one column: per-slot outputs, memory arrays, latched memory inputs
-	eval  Evaluator
-	opts  Options
+	g   *Gang // capacity 1: the machine's state is lane 0's
+	out io.Writer
 
-	cycle int64
-	stats Stats
-	inDev *inputDevice
-
-	observers []Observer
+	inDev     *inputDevice
 	tracer    *tracer
-	faults    []Fault // applied after every commit (SetFaults)
-	hits      []int64 // per fault record, the cycles it changed a value
+	observers []Observer
 }
 
 // Observer is called at the trace point of every cycle (after
@@ -95,36 +93,34 @@ type Observer func(m *Machine)
 // machines built from the same layout+eval share them, and only the
 // mutable state vectors are allocated per machine.
 func New(layout *Layout, eval Evaluator, opts Options) *Machine {
-	m := &Machine{state: newState(layout, 1), eval: eval, opts: opts}
-	m.stats.MemOps = m.ops // stride 1: the state's counts are the machine's
+	g, _ := NewGang(layout, eval, 1)
+	g.Reset([]int64{0})
+	m := &Machine{g: g, out: opts.Output}
+	g.dev = m
 	if opts.Input != nil {
 		m.inDev = newInputDevice(opts.Input)
 	}
 	if opts.Trace != nil {
 		m.tracer = newTracer(opts.Trace, layout)
 	}
-	m.Reset()
 	return m
 }
 
 // Layout returns the slot layout of the program the machine runs.
-func (m *Machine) Layout() *Layout { return m.layout }
+func (m *Machine) Layout() *Layout { return m.g.layout }
 
 // Backend returns the evaluator's name.
-func (m *Machine) Backend() string { return m.eval.BackendName() }
+func (m *Machine) Backend() string { return m.g.eval.BackendName() }
 
 // Cycle returns the number of cycles executed since the last Reset.
-func (m *Machine) Cycle() int64 { return m.cycle }
+func (m *Machine) Cycle() int64 { return m.g.cycle[0] }
 
 // Stats returns the accumulated execution statistics. The returned
 // value owns its MemOps slice, so it stays valid after the machine is
-// Reset and reused. MemOps is never nil, like a gang lane's
-// (Gang.AppendLaneStats), so a program without memories reports equal
-// statistics either way.
+// Reset and reused. MemOps is never nil, so a program without memories
+// reports equal statistics whether it ran on a machine or a gang lane.
 func (m *Machine) Stats() Stats {
-	s := m.stats
-	s.MemOps = append([]MemOpStats{}, m.stats.MemOps...)
-	return s
+	return Stats{Cycles: m.g.stats[0].Cycles, MemOps: append([]MemOpStats{}, m.g.ops...)}
 }
 
 // Observe registers an observer called at each cycle's trace point.
@@ -135,7 +131,7 @@ func (m *Machine) Observe(o Observer) { m.observers = append(m.observers, o) }
 // caller's: hits[k] counts the cycles on which record k changed its
 // register's value. Like observers, fault records are not machine
 // state: Reset and RestoreState keep them.
-func (m *Machine) SetFaults(recs []Fault, hits []int64) { m.faults, m.hits = recs, hits }
+func (m *Machine) SetFaults(recs []Fault, hits []int64) { m.g.SetLaneFaults(0, recs, hits) }
 
 // Reset restores power-on state: every component output and memory
 // latch 0, memory arrays zeroed except declared initial values, cycle
@@ -143,8 +139,8 @@ func (m *Machine) SetFaults(recs []Fault, hits []int64) { m.faults, m.hits = rec
 // cleared.
 func (m *Machine) Reset() { m.column().reset() }
 
-// column is the machine's state as the one column of a stride-1 state.
-func (m *Machine) column() column { return column{&m.state, 0, &m.cycle, &m.stats} }
+// column is the machine's state: lane 0 of its gang.
+func (m *Machine) column() column { return m.g.column(0) }
 
 // AppendState appends the machine's state snapshot to buf and returns
 // the extended slice. Passing a reused buffer (buf[:0]) makes repeated
@@ -176,17 +172,6 @@ func (m *Machine) ArchHash() uint64 { return m.column().archHash() }
 // check first.
 func (m *Machine) Value(name string) int64 { return m.column().Value(name) }
 
-// SetValue overrides a component's current output. Tests use it;
-// overriding a combinational output lasts only until the next cycle
-// recomputes it.
-func (m *Machine) SetValue(name string, v int64) {
-	slot, ok := m.layout.Slot(name)
-	if !ok {
-		panic(fmt.Sprintf("sim: unknown component %q", name))
-	}
-	m.vals[slot] = v
-}
-
 // MemCell returns one cell of a memory's backing array.
 func (m *Machine) MemCell(name string, index int) int64 { return m.column().MemCell(name, index) }
 
@@ -194,96 +179,70 @@ func (m *Machine) MemCell(name string, index int) int64 { return m.column().MemC
 // component name (memory arrays under "name[]"). The cross-backend
 // equivalence tests diff snapshots.
 func (m *Machine) Snapshot() map[string][]int64 {
-	snap := make(map[string][]int64, len(m.vals)+len(m.arrays))
-	for slot, name := range m.layout.Names {
-		snap[name] = []int64{m.vals[slot]}
+	g := m.g
+	snap := make(map[string][]int64, len(g.vals)+len(g.arrays))
+	for slot, name := range g.layout.Names {
+		snap[name] = []int64{g.vals[slot]}
 	}
-	for i, mem := range m.layout.Mems {
-		snap[mem.Name+"[]"] = append([]int64(nil), m.arrays[i]...)
+	for i, mem := range g.layout.Mems {
+		snap[mem.Name+"[]"] = append([]int64(nil), g.arrays[i]...)
 	}
 	return snap
 }
 
-// Run executes n cycles, or stops early with the error that occurred.
-func (m *Machine) Run(n int64) (err error) {
-	defer recoverRuntime(&err)
-	for i := int64(0); i < n; i++ {
-		m.step()
+// Run executes n cycles, or stops early with the runtime error that
+// occurred. The machine then stays at the failing cycle, so the next
+// Run, Step or RunUntil re-executes it.
+func (m *Machine) Run(n int64) error {
+	g := m.g
+	if n <= 0 {
+		return nil
 	}
-	return nil
+	g.target[0], g.n = g.cycle[0]+min(n, math.MaxInt64-g.cycle[0]), 1
+	g.Step(n)
+	err := g.err[0]
+	g.err[0] = nil
+	return err
 }
 
 // RunBatch is a synonym for Run, kept for existing callers.
 func (m *Machine) RunBatch(n int64) error { return m.Run(n) }
 
 // Step executes exactly one cycle.
-func (m *Machine) Step() (err error) {
-	defer recoverRuntime(&err)
-	m.step()
-	return nil
-}
+func (m *Machine) Step() error { return m.Run(1) }
 
 // RunUntil steps the machine until pred returns true (checked after
 // each cycle) or max cycles elapse. It returns the number of cycles
 // executed in this call and whether pred was satisfied.
 func (m *Machine) RunUntil(pred func(*Machine) bool, max int64) (n int64, ok bool, err error) {
-	defer recoverRuntime(&err)
-	for n = 0; n < max; {
-		m.step()
-		n++
+	for ; n < max; n++ {
+		if err := m.Run(1); err != nil {
+			return n, false, err
+		}
 		if pred(m) {
-			return n, true, nil
+			return n + 1, true, nil
 		}
 	}
 	return n, false, nil
 }
 
-func recoverRuntime(err *error) {
-	if r := recover(); r != nil {
-		if re, ok := r.(*RuntimeError); ok {
-			*err = re
-			return
-		}
-		panic(r)
-	}
-}
-
-// step runs one cycle, the one cycle loop every Run, Step and RunUntil
-// goes through:
-//  1. StepCycle: evaluate combinational components in dependency order
-//     and latch every memory's addr/data/opn from pre-commit state;
-//  2. trace point: per-cycle trace line and observers;
-//  3. commit memory operations (and their read/write traces);
-//  4. advance the cycle counter and apply the fault records.
-//
-// Unlike the original generated code, which updated memory output
-// registers one after another, step latches all inputs before any
-// commit, so results never depend on memory declaration order.
-func (m *Machine) step() {
-	m.eval.StepCycle(m.vals, m.addr, m.data, m.opn, m.cycle)
-
+// tracePoint runs the machine's devices at a cycle's trace point: the
+// per-cycle trace line, then the observers.
+func (m *Machine) tracePoint() {
 	if m.tracer != nil {
-		m.tracer.cycleLine(m.cycle, m.vals)
+		m.tracer.cycleLine(m.g.cycle[0], m.g.vals)
 	}
 	for _, o := range m.observers {
 		o(m)
 	}
-
-	m.commit(m.cycle, m.inDev, m.opts.Output, m.tracer)
-
-	m.cycle++
-	m.stats.Cycles++
-	if m.faults != nil {
-		m.column().inject(m.faults, m.hits)
-	}
 }
 
 // commit commits every memory's latched operation — the second phase
-// of a cycle — on a stride-1 state, the one scalar commit: a Machine's
-// and a one-lane Gang's. in, out and tr are the machine's input device,
-// output writer and tracer; a gang lane has none of them, so its input
-// operations fail and its output is counted and discarded, like a
-// machine built with zero Options.
+// of a cycle — on a stride-1 state, the one scalar commit: a one-lane
+// Gang's, and so a Machine's. in, out and tr are the machine's input
+// device, output writer and tracer; an engine lane has none of them, so
+// its input operations fail and its output is counted and discarded,
+// like a machine built with zero Options.
 func (s *state) commit(cycle int64, in *inputDevice, out io.Writer, tr *tracer) {
 	for i := range s.layout.Mems {
 		mem := &s.layout.Mems[i]

@@ -10,16 +10,15 @@ import (
 //
 // The thesis defines one machine state — the component outputs, the
 // memory arrays and the latched memory inputs, committed in two phases
-// (Appendix A). A Machine holds one copy of it; a Gang holds one per
-// lane, interleaved so its kernels loop over lanes. Both store it as a
-// state: column p's output for slot s at vals[s*stride+p], its cells
-// of memory i at arrays[i][p*size:(p+1)*size], its latches and its
-// operation counts of memory i at addr/data/opn/ops[i*stride+p]. A
-// Machine is column 0 of stride 1, so the
-// index expressions below are its own vectors, and everything that
-// reads or writes one machine's state as a whole — the snapshot
-// format, the architectural hash, the power-on reset — is written once,
-// against a column, for both.
+// (Appendix A). A Gang holds one copy of it per lane, interleaved so
+// its kernels loop over lanes, as a state: column p's output for slot s
+// at vals[s*stride+p], its cells of memory i at
+// arrays[i][p*size:(p+1)*size], its latches and its operation counts
+// of memory i at addr/data/opn/ops[i*stride+p]. A Machine is a one-lane
+// gang, column 0 of stride 1, where the index expressions below are
+// plain vectors. Everything that reads or writes one machine's state as
+// a whole — the snapshot format, the architectural hash, the power-on
+// reset — is written once, against a column, for every lane.
 //
 // A snapshot serializes a column's complete mutable state — values,
 // memory arrays, latches, cycle counter and statistics — and excludes

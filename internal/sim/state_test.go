@@ -8,10 +8,11 @@ package sim_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/sim"
@@ -75,7 +76,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				if got, want := campaign.SnapshotDigest(warm), campaign.SnapshotDigest(straight); got != want {
+				if got, want := snapshotDigest(warm), snapshotDigest(straight); got != want {
 					t.Errorf("warm-started digest %s != straight-run digest %s", got, want)
 				}
 				if got, want := warm.Stats(), straight.Stats(); got.Cycles != want.Cycles {
@@ -90,6 +91,14 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 			})
 		}
 	}
+}
+
+// snapshotDigest hashes a machine's complete architectural state keyed
+// by component name (Machine.Snapshot, which fmt prints with its keys
+// sorted): two machines digest equal iff they reached identical state,
+// whatever their slot order or backend.
+func snapshotDigest(m *sim.Machine) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(m.Snapshot()))))
 }
 
 // TestSaveRestoreAcrossBackends: a snapshot taken on one backend
@@ -107,7 +116,7 @@ func TestSaveRestoreAcrossBackends(t *testing.T) {
 	if err := ref.Run(total); err != nil {
 		t.Fatal(err)
 	}
-	want := campaign.SnapshotDigest(ref)
+	want := snapshotDigest(ref)
 
 	donor := progs[core.Interp].NewMachine(core.Options{})
 	if err := donor.Run(prefix); err != nil {
@@ -122,7 +131,7 @@ func TestSaveRestoreAcrossBackends(t *testing.T) {
 		if err := m.Run(total - prefix); err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
-		if got := campaign.SnapshotDigest(m); got != want {
+		if got := snapshotDigest(m); got != want {
 			t.Errorf("%s warm-started from interp snapshot: digest %s, want %s", b, got, want)
 		}
 	}
@@ -198,7 +207,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		state   func() []byte // everything a failed restore must not touch
 	}{
 		{"machine", sm.RestoreState, func() []byte {
-			return append(sm.SaveState(), campaign.SnapshotDigest(sm)...)
+			return append(sm.SaveState(), snapshotDigest(sm)...)
 		}},
 		{"gang lane", func(st []byte) error { return g.RestoreLaneState(1, st) }, func() []byte {
 			return append(g.SaveLaneState(0), g.SaveLaneState(1)...)
